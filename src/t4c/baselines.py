@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,9 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .clustering import ClusterModel, assign_cluster, build_prior_matrices
-from .data import Dataset, LabelBundle, SuperSegment, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
-from .evaluation import core_metric
+from .data import Dataset, LabelBundle, SuperSegment, VolumeRecord, labels_by_record
 from .model import inverse_frequency_weights
+from .training import fit_loop, split_records
 
 __all__ = [
     "NaiveCountModel",
@@ -168,16 +167,28 @@ def fit_volume_cluster(
     )
 
 
+def _naive_obj(model: NaiveCountModel) -> dict:
+    return {
+        "per_segment": model.per_segment,
+        "global_probs": model.global_probs.tolist(),
+        "cc_probs": {k: model.cc_probs[k].tolist() for k in sorted(model.cc_probs)},
+        "eta_median": {k: model.eta_median[k] for k in sorted(model.eta_median)},
+    }
+
+
+def _naive_from(obj: dict) -> NaiveCountModel:
+    return NaiveCountModel(
+        cc_probs={k: np.asarray(v, dtype=np.float64) for k, v in obj["cc_probs"].items()},
+        global_probs=np.asarray(obj["global_probs"], dtype=np.float64),
+        eta_median=dict(obj["eta_median"]),
+        per_segment=obj["per_segment"],
+    )
+
+
 def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
     path = Path(path)
     if isinstance(model, NaiveCountModel):
-        obj = {
-            "kind": "naive",
-            "per_segment": model.per_segment,
-            "global_probs": model.global_probs.tolist(),
-            "cc_probs": {k: model.cc_probs[k].tolist() for k in sorted(model.cc_probs)},
-            "eta_median": {k: model.eta_median[k] for k in sorted(model.eta_median)},
-        }
+        obj = {"kind": "naive", **_naive_obj(model)}
     else:
         obj = {
             "kind": "volume_cluster",
@@ -185,12 +196,7 @@ def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
             "thresholds": list(model.thresholds),
             "cc_probs": {k: model.cc_probs[k].tolist() for k in sorted(model.cc_probs)},
             "eta_median": {k: model.eta_median[k].tolist() for k in sorted(model.eta_median)},
-            "naive": {
-                "per_segment": model.naive.per_segment,
-                "global_probs": model.naive.global_probs.tolist(),
-                "cc_probs": {k: model.naive.cc_probs[k].tolist() for k in sorted(model.naive.cc_probs)},
-                "eta_median": {k: model.naive.eta_median[k] for k in sorted(model.naive.eta_median)},
-            },
+            "naive": _naive_obj(model.naive),
         }
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
@@ -199,25 +205,13 @@ def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
 def load_baseline(path) -> NaiveCountModel | VolumeClusterModel:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if obj["kind"] == "naive":
-        return NaiveCountModel(
-            cc_probs={k: np.asarray(v, dtype=np.float64) for k, v in obj["cc_probs"].items()},
-            global_probs=np.asarray(obj["global_probs"], dtype=np.float64),
-            eta_median=dict(obj["eta_median"]),
-            per_segment=obj["per_segment"],
-        )
-    naive_obj = obj["naive"]
-    naive = NaiveCountModel(
-        cc_probs={k: np.asarray(v, dtype=np.float64) for k, v in naive_obj["cc_probs"].items()},
-        global_probs=np.asarray(naive_obj["global_probs"], dtype=np.float64),
-        eta_median=dict(naive_obj["eta_median"]),
-        per_segment=naive_obj["per_segment"],
-    )
+        return _naive_from(obj)
     return VolumeClusterModel(
         num_clusters=obj["K"],
         thresholds=tuple(obj["thresholds"]),
         cc_probs={k: np.asarray(v, dtype=np.float64) for k, v in obj["cc_probs"].items()},
         eta_median={k: np.asarray(v, dtype=np.float64) for k, v in obj["eta_median"].items()},
-        naive=naive,
+        naive=_naive_from(obj["naive"]),
     )
 
 
@@ -255,16 +249,10 @@ def node_gnn_baseline(
 
     Node inputs are the raw counter volumes (zeros where no counter);
     after message passing, each segment's congestion logits come from the
-    concatenated states of its two endpoints. Trained with the same
-    regimen (batch accumulation, Adam, best-epoch selection) as the main
-    model and scored with the same metric.
+    concatenated states of its two endpoints. Trained by the main model's
+    ``fit_loop`` and scored with the same metric.
     """
-    records = daytime_filter(dataset.records, *train_cfg.daytime)
-    if not records:
-        raise ValueError("no records left after the daytime filter")
-    train_records, val_records = split_train_validation(
-        records, 1.0 - train_cfg.val_fraction, train_cfg.split_seed
-    )
+    records, train_records, val_records = split_records(dataset, train_cfg)
     label_map = labels_by_record(dataset.labels)
     graph = dataset.graph
     node_index, node_neighbors = _node_graph(graph)
@@ -297,15 +285,7 @@ def node_gnn_baseline(
         return out
 
     targets = {r.record_id: cc_targets(label_map.get(r.record_id)) for r in records}
-
-    class _Arrays:
-        def __init__(self, cc):
-            self.cc = cc
-            self.vol = np.full_like(cc, -1)
-
-    weights = inverse_frequency_weights(
-        [_Arrays(targets[r.record_id]) for r in train_records], "cc", 3
-    )
+    weights = inverse_frequency_weights([targets[r.record_id] for r in train_records], 3)
 
     rng = np.random.default_rng(seed)
     store = ad.ParamStore()
@@ -318,8 +298,8 @@ def node_gnn_baseline(
     store.add("edge_w", ad.glorot_uniform(rng, 2 * hidden, 3))
     store.add("edge_b", np.zeros(3))
 
-    def forward_logits(x: np.ndarray) -> ad.Tensor:
-        h = ad.add(ad.matmul(ad.Tensor(x), store["in_w"]), store["in_b"])
+    def forward_logits(record: VolumeRecord) -> ad.Tensor:
+        h = ad.add(ad.matmul(ad.Tensor(feats[record.record_id]), store["in_w"]), store["in_b"])
         for layer in range(layers):
             self_part = ad.matmul(h, store[f"gnn{layer}_self_w"])
             nbr_part = ad.matmul(
@@ -329,32 +309,14 @@ def node_gnn_baseline(
         pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
         return ad.add(ad.matmul(pair, store["edge_w"]), store["edge_b"])
 
-    def val_score() -> float:
-        predictions = {}
-        for r in val_records:
-            logits = forward_logits(feats[r.record_id])
-            probs = ad.softmax_np(logits.data, axis=1)
-            predictions[r.record_id] = {seg_id: probs[i] for i, seg_id in enumerate(seg_ids)}
-        val_labels = [label_map[r.record_id] for r in val_records if r.record_id in label_map]
-        score = core_metric(predictions, val_labels)
-        if score.score is None:
-            raise ValueError("validation split has no scored congestion labels")
-        return score.score
+    def record_loss(record: VolumeRecord):
+        loss, _n = ad.weighted_cross_entropy(forward_logits(record), targets[record.record_id], weights)
+        return loss, ()
 
-    shuffler = random.Random(seed)
-    best = float("inf")
-    for _epoch in range(train_cfg.epochs):
-        order = list(train_records)
-        shuffler.shuffle(order)
-        for i in range(0, len(order), train_cfg.batch_size):
-            batch = order[i : i + train_cfg.batch_size]
-            store.zero_grad()
-            for r in batch:
-                loss, _n = ad.weighted_cross_entropy(
-                    forward_logits(feats[r.record_id]), targets[r.record_id], weights
-                )
-                loss.backward()
-            store.scale_grads(1.0 / len(batch))
-            ad.adam_step(store, lr=train_cfg.learning_rate)
-        best = min(best, val_score())
-    return best
+    def val_cc_probs(record: VolumeRecord) -> np.ndarray:
+        return ad.softmax_np(forward_logits(record).data, axis=1)
+
+    fit = fit_loop(
+        store, train_cfg, seed, train_records, val_records, label_map, seg_ids, record_loss, val_cc_probs
+    )
+    return fit.val_scores[fit.best_epoch]

@@ -114,15 +114,10 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
         params[spec["name"]] = arr.astype(np.float64).copy()
 
-    # dataclass fields arrive as lists/JSON scalars; tuples restore the config
-    cfg_obj = dict(header["config"])
-    for key in ("volume_hidden", "static_hidden", "lambdas"):
-        cfg_obj[key] = tuple(cfg_obj[key])
-    config = ModelConfig(**cfg_obj)
     return Checkpoint(
         params=params,
         norm_stats=_norm_stats_from(header["norm_stats"]),
-        config=config,
+        config=ModelConfig(**header["config"]),
         cc_weights=np.asarray(header["cc_weights"], dtype=np.float64),
         vol_weights=np.asarray(header["vol_weights"], dtype=np.float64),
         config_hash=header["config_hash"],

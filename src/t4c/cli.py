@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +20,11 @@ import numpy as np
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import (
-    DatasetError,
-    Dataset,
-    SynthSpec,
-    daytime_filter,
-    generate_synthetic_city,
-    labels_by_record,
-    load_dataset,
-    split_train_validation,
-)
-from .evaluation import ABLATION_VARIANTS, core_metric, eta_from_speeds, eta_labels, eta_metric, run_ablation
+from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, labels_by_record, load_dataset
+from .evaluation import ABLATION_VARIANTS, AblationResult, core_metric, eta_from_speeds, eta_labels, eta_metric, run_ablation
 from .model import ModelConfig
 from .seggraph import build_line_graph
-from .training import TrainConfig, ensemble_predict, load_runlog, load_store, save_runlog, train_one
+from .training import TrainConfig, ensemble_predict, load_runlog, load_store, save_runlog, split_records, train_one
 
 __all__ = ["main"]
 
@@ -51,21 +40,27 @@ class _Parser(argparse.ArgumentParser):
 
 # -- pipeline config -------------------------------------------------------------
 
+# The model and train sections take their dataclass's fields as keys.
+_DATACLASSES = {"model": ModelConfig, "train": TrainConfig}
 _CONFIG_SECTIONS = {
     "data": str,
-    "workdir": str,
     "cluster": {"k"},
-    "model": {
-        "importance_dim", "oneway_dim", "tunnel_dim", "lanes_dim",
-        "volume_hidden", "static_hidden", "gnn_layers", "hidden", "head_blocks",
-        "lambdas", "prior_mode", "num_clusters", "cc_classes",
-        "use_prior_block", "use_static",
-    },
+    **{section: {f.name for f in fields(cls)} for section, cls in _DATACLASSES.items()},
+    "out": {"run_dir", "cluster_model"},
+}
+# Flags that set a dataclass field, per section: argparse dest -> field name,
+# or (field name, index) for one element of a tuple field.
+_FLAG_FIELDS = {
     "train": {
-        "epochs", "batch_size", "learning_rate", "ensemble_size", "base_seed",
-        "member_seeds", "daytime", "val_fraction", "split_seed",
+        "epochs": "epochs", "batch": "batch_size", "lr": "learning_rate",
+        "members": "ensemble_size", "seed": "base_seed",
+        "daytime_start": ("daytime", 0), "daytime_end": ("daytime", 1),
+        "val_fraction": "val_fraction", "split_seed": "split_seed",
     },
-    "out": {"run_dir", "cluster_model", "predictions"},
+    "model": {
+        "gnn_layers": "gnn_layers", "hidden": "hidden", "prior_mode": "prior_mode",
+        "cc_classes": "cc_classes", "k": "num_clusters",
+    },
 }
 
 
@@ -93,55 +88,32 @@ def load_pipeline_config(path) -> dict:
     return obj
 
 
-def _pick(flag_value, config: dict, section: str, key: str, default):
-    """Flag beats config beats default."""
-    if flag_value is not None:
-        return flag_value
-    if section in config and key in config[section]:
-        return config[section][key]
-    return default
+def _default(section: str, name: str):
+    """The dataclass default of a config field."""
+    return next(f.default for f in fields(_DATACLASSES[section]) if f.name == name)
 
 
-def _train_config_from(args, config: dict) -> TrainConfig:
-    section = config.get("train", {})
-    member_seeds = section.get("member_seeds")
-    cfg_daytime = section.get("daytime", (24, 88))
-    daytime = (
-        args.daytime_start if args.daytime_start is not None else cfg_daytime[0],
-        args.daytime_end if args.daytime_end is not None else cfg_daytime[1],
-    )
-    return TrainConfig(
-        epochs=_pick(args.epochs, config, "train", "epochs", 20),
-        batch_size=_pick(args.batch, config, "train", "batch_size", 2),
-        learning_rate=_pick(args.lr, config, "train", "learning_rate", 1e-3),
-        ensemble_size=_pick(args.members, config, "train", "ensemble_size", 9),
-        base_seed=_pick(args.seed, config, "train", "base_seed", 0),
-        member_seeds=tuple(member_seeds) if member_seeds is not None else None,
-        daytime=daytime,
-        val_fraction=_pick(args.val_fraction, config, "train", "val_fraction", 0.2),
-        split_seed=_pick(args.split_seed, config, "train", "split_seed", 0),
-    )
+def _config_from(args, config: dict, section: str):
+    """The section's dataclass: a flag beats the config, which beats the default."""
+    values = dict(config.get(section, {}))
+    for dest, name in _FLAG_FIELDS[section].items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if isinstance(name, tuple):  # one element of a tuple field
+            name, index = name
+            items = list(values.get(name, _default(section, name)))
+            items[index] = value
+            value = items
+        values[name] = value
+    return _DATACLASSES[section](**values)
 
 
-def _model_config_from(args, config: dict) -> ModelConfig:
-    section = config.get("model", {})
-    kwargs = dict(section)
-    for key in ("volume_hidden", "static_hidden", "lambdas"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    cfg = ModelConfig(**kwargs)
-    overrides = {}
-    if args.gnn_layers is not None:
-        overrides["gnn_layers"] = args.gnn_layers
-    if args.hidden is not None:
-        overrides["hidden"] = args.hidden
-    if args.prior_mode is not None:
-        overrides["prior_mode"] = args.prior_mode
-    if args.cc_classes is not None:
-        overrides["cc_classes"] = args.cc_classes
+def _cluster_k(args, config: dict) -> int:
+    """Clusters to fit: the flag, else ``cluster.k``, else the model default."""
     if args.k is not None:
-        overrides["num_clusters"] = args.k
-    return replace(cfg, **overrides) if overrides else cfg
+        return args.k
+    return config.get("cluster", {}).get("k", _default("model", "num_clusters"))
 
 
 # -- shared helpers -----------------------------------------------------------------
@@ -163,17 +135,31 @@ def _load_data(path: Path) -> Dataset:
     return load_dataset(path)
 
 
-def _split_records(dataset, train_cfg: TrainConfig):
-    records = daytime_filter(dataset.records, *train_cfg.daytime)
-    if not records:
-        raise CLIError("no records in the daytime window")
-    return split_train_validation(records, 1.0 - train_cfg.val_fraction, train_cfg.split_seed)
+def _pipeline_config(args, workdir: Path) -> dict:
+    return load_pipeline_config(_resolve(workdir, args.config)) if args.config else {}
+
+
+def _config_dataset(args, config: dict, workdir: Path) -> Dataset:
+    return _load_data(_resolve(workdir, args.data or config.get("data") or "data"))
+
+
+def _load_clusters(args, config: dict, workdir: Path, num_clusters: int):
+    """The cluster model and priors; refused unless they have ``num_clusters`` clusters."""
+    path = _resolve(workdir, args.cluster_model or config.get("out", {}).get("cluster_model", "cluster_model.json"))
+    _require_artifact(path, "fit-clusters")
+    cluster_model, priors = load_cluster_model(path)
+    if cluster_model.num_clusters != num_clusters:
+        raise CLIError(
+            f"{path} has K={cluster_model.num_clusters} but the model expects "
+            f"num_clusters={num_clusters}; refit it with `t4c fit-clusters --k {num_clusters}`"
+        )
+    return cluster_model, priors
 
 
 def _select_records(dataset, train_cfg: TrainConfig, subset: str):
     if subset == "all":
         return daytime_filter(dataset.records, *train_cfg.daytime)
-    train_records, val_records = _split_records(dataset, train_cfg)
+    _, train_records, val_records = split_records(dataset, train_cfg)
     return train_records if subset == "train" else val_records
 
 
@@ -240,12 +226,11 @@ def cmd_synth(args, workdir: Path) -> int:
 
 
 def cmd_fit_clusters(args, workdir: Path) -> int:
-    config = load_pipeline_config(_resolve(workdir, args.config)) if args.config else {}
-    train_cfg = _train_config_from(args, config)
-    data_dir = _resolve(workdir, args.data or config.get("data") or "data")
-    dataset = _load_data(data_dir)
-    train_records, _ = _split_records(dataset, train_cfg)
-    k = args.k if args.k is not None else config.get("cluster", {}).get("k", 10)
+    config = _pipeline_config(args, workdir)
+    train_cfg = _config_from(args, config, "train")
+    dataset = _config_dataset(args, config, workdir)
+    _, train_records, _ = split_records(dataset, train_cfg)
+    k = _cluster_k(args, config)
     try:
         model = fit_clusters(train_records, k)
     except ValueError as exc:
@@ -259,69 +244,24 @@ def cmd_fit_clusters(args, workdir: Path) -> int:
     return 0
 
 
-def _train_member(job):
-    train_cfg, model_cfg, dataset, cluster_model, priors, seed, member_dir = job
-    ckpt, runlog = train_one(train_cfg, model_cfg, dataset, cluster_model, priors, seed)
-    member_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(member_dir / "checkpoint.bin", ckpt)
-    save_runlog(member_dir / "runlog.json", runlog)
-    return seed, runlog
-
-
 def cmd_train(args, workdir: Path) -> int:
-    config = load_pipeline_config(_resolve(workdir, args.config)) if args.config else {}
-    train_cfg = _train_config_from(args, config)
-    model_cfg = _model_config_from(args, config)
-    data_dir = _resolve(workdir, args.data or config.get("data") or "data")
-    dataset = _load_data(data_dir)
-    cluster_path = _resolve(workdir, args.cluster_model or config.get("out", {}).get("cluster_model", "cluster_model.json"))
-    _require_artifact(cluster_path, "fit-clusters")
-    cluster_file_model, priors = load_cluster_model(cluster_path)
-    if cluster_file_model.num_clusters != model_cfg.num_clusters:
-        raise CLIError(
-            f"cluster model has K={cluster_file_model.num_clusters} but the model "
-            f"config expects {model_cfg.num_clusters}"
-        )
+    config = _pipeline_config(args, workdir)
+    train_cfg = _config_from(args, config, "train")
+    model_cfg = _config_from(args, config, "model")
+    dataset = _config_dataset(args, config, workdir)
+    cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters)
     run_dir = _resolve(workdir, args.out or config.get("out", {}).get("run_dir", "runs/run"))
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [
-        (train_cfg, model_cfg, dataset, cluster_file_model, priors, seed, run_dir / f"member_{k}")
-        for k, seed in enumerate(train_cfg.seeds())
-    ]
-    threads = int(os.environ.get("T4C_THREADS", "1"))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_train_member, jobs))
-    else:
-        results = [_train_member(job) for job in jobs]
-    for seed, runlog in results:
+    for k, seed in enumerate(train_cfg.seeds()):
+        ckpt, runlog = train_one(train_cfg, model_cfg, dataset, cluster_model, priors, seed)
+        member_dir = run_dir / f"member_{k}"
+        member_dir.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(member_dir / "checkpoint.bin", ckpt)
+        save_runlog(member_dir / "runlog.json", runlog)
         best = runlog.epochs[runlog.best_epoch].val_core
         print(f"member seed={seed}: best epoch {runlog.best_epoch}, val core {best:.6f}")
-    _write_json(
-        run_dir / "train_config.json",
-        {
-            "train": {
-                "epochs": train_cfg.epochs,
-                "batch_size": train_cfg.batch_size,
-                "learning_rate": train_cfg.learning_rate,
-                "ensemble_size": train_cfg.ensemble_size,
-                "base_seed": train_cfg.base_seed,
-                "member_seeds": list(train_cfg.member_seeds) if train_cfg.member_seeds else None,
-                "seeds": list(train_cfg.seeds()),
-                "daytime": list(train_cfg.daytime),
-                "val_fraction": train_cfg.val_fraction,
-                "split_seed": train_cfg.split_seed,
-            },
-            "model": {
-                "gnn_layers": model_cfg.gnn_layers,
-                "hidden": model_cfg.hidden,
-                "prior_mode": model_cfg.prior_mode,
-                "num_clusters": model_cfg.num_clusters,
-                "cc_classes": model_cfg.cc_classes,
-            },
-        },
-    )
+    _write_json(run_dir / "train_config.json", {"train": asdict(train_cfg), "model": asdict(model_cfg)})
     return 0
 
 
@@ -347,16 +287,13 @@ def _member_checkpoints(run_dir: Path):
 
 
 def cmd_predict(args, workdir: Path) -> int:
-    config = load_pipeline_config(_resolve(workdir, args.config)) if args.config else {}
-    train_cfg = _train_config_from(args, config)
-    data_dir = _resolve(workdir, args.data or config.get("data") or "data")
-    dataset = _load_data(data_dir)
-    cluster_path = _resolve(workdir, args.cluster_model or config.get("out", {}).get("cluster_model", "cluster_model.json"))
-    _require_artifact(cluster_path, "fit-clusters")
-    cluster_model, priors = load_cluster_model(cluster_path)
+    config = _pipeline_config(args, workdir)
+    train_cfg = _config_from(args, config, "train")
+    dataset = _config_dataset(args, config, workdir)
     run_dir = _resolve(workdir, args.run)
     _require_artifact(run_dir, "train")
     checkpoints = _member_checkpoints(run_dir)
+    cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters)
     stores = [load_store(c) for c in checkpoints]
     seg_graph = build_line_graph(dataset.graph)
     records = _select_records(dataset, train_cfg, args.records)
@@ -453,13 +390,12 @@ def cmd_eval_eta(args, workdir: Path) -> int:
 
 
 def cmd_baseline(args, workdir: Path) -> int:
-    config = load_pipeline_config(_resolve(workdir, args.config)) if args.config else {}
-    train_cfg = _train_config_from(args, config)
-    data_dir = _resolve(workdir, args.data or config.get("data") or "data")
-    dataset = _load_data(data_dir)
+    config = _pipeline_config(args, workdir)
+    train_cfg = _config_from(args, config, "train")
+    dataset = _config_dataset(args, config, workdir)
     out_dir = _resolve(workdir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_records, val_records = _split_records(dataset, train_cfg)
+    _, train_records, val_records = split_records(dataset, train_cfg)
     label_map = labels_by_record(dataset.labels)
     train_labels = [label_map[r.record_id] for r in train_records if r.record_id in label_map]
     seg_ids = [s.segment_id for s in dataset.graph.segments]
@@ -482,8 +418,7 @@ def cmd_baseline(args, workdir: Path) -> int:
                 return dict(model.eta_median)
 
         else:  # volume_cluster
-            k = args.k if args.k is not None else config.get("cluster", {}).get("k", 10)
-            cluster_model = fit_clusters(train_records, k)
+            cluster_model = fit_clusters(train_records, _cluster_k(args, config))
             model = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
 
             def probs_for(record):
@@ -515,14 +450,11 @@ def cmd_baseline(args, workdir: Path) -> int:
 
 
 def cmd_ablate(args, workdir: Path) -> int:
-    config = load_pipeline_config(_resolve(workdir, args.config)) if args.config else {}
-    train_cfg = _train_config_from(args, config)
-    model_cfg = _model_config_from(args, config)
-    data_dir = _resolve(workdir, args.data or config.get("data") or "data")
-    dataset = _load_data(data_dir)
-    cluster_path = _resolve(workdir, args.cluster_model or config.get("out", {}).get("cluster_model", "cluster_model.json"))
-    _require_artifact(cluster_path, "fit-clusters")
-    cluster_model, priors = load_cluster_model(cluster_path)
+    config = _pipeline_config(args, workdir)
+    train_cfg = _config_from(args, config, "train")
+    model_cfg = _config_from(args, config, "model")
+    dataset = _config_dataset(args, config, workdir)
+    cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
         result = run_ablation(
@@ -533,14 +465,7 @@ def cmd_ablate(args, workdir: Path) -> int:
         raise CLIError(str(exc)) from None
     out_dir = _resolve(workdir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out_dir / "ablation.json",
-        {
-            "scores": result.scores,
-            "best_epochs": result.best_epochs,
-            "data_order_hashes": result.data_order_hashes,
-        },
-    )
+    _write_json(out_dir / "ablation.json", asdict(result))
     (out_dir / "ablation.csv").write_text(result.as_csv(), encoding="utf-8")
     for variant in variants:
         print(f"{variant}: {result.scores[variant]:.6f}")
@@ -597,11 +522,8 @@ def cmd_report(args, workdir: Path) -> int:
     (out_dir / "val_curves.svg").write_text(_svg_curves(curves), encoding="utf-8")
     if args.ablation:
         ablation_path = _require_artifact(_resolve(workdir, args.ablation), "ablate")
-        obj = json.loads(ablation_path.read_text(encoding="utf-8"))
-        rows = ["variant,val_core,best_epoch"]
-        for variant in obj["scores"]:
-            rows.append(f"{variant},{obj['scores'][variant]:.6f},{obj['best_epochs'][variant]}")
-        (out_dir / "ablation.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = AblationResult(**json.loads(ablation_path.read_text(encoding="utf-8")))
+        (out_dir / "ablation.csv").write_text(result.as_csv(), encoding="utf-8")
     print(f"wrote report.csv and val_curves.svg -> {out_dir}")
     return 0
 
@@ -609,33 +531,44 @@ def cmd_report(args, workdir: Path) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+def _field_flag(sub, flag: str, section: str, help: str, **kwargs) -> None:
+    """Add a flag that sets a config field; its help shows the field's default."""
+    name = _FLAG_FIELDS[section][flag.lstrip("-").replace("-", "_")]
+    if isinstance(name, tuple):
+        default = _default(section, name[0])[name[1]]
+    else:
+        default = _default(section, name)
+    sub.add_argument(flag, help=f"{help} (default: {default})", **kwargs)
+
+
 def _add_split_flags(sub):
-    sub.add_argument("--daytime-start", type=int, default=None, help="first daytime slot (default: 24)")
-    sub.add_argument("--daytime-end", type=int, default=None, help="one past the last daytime slot (default: 88)")
-    sub.add_argument("--val-fraction", type=float, default=None, help="validation day share (default: 0.2)")
-    sub.add_argument("--split-seed", type=int, default=None, help="day split shuffle seed (default: 0)")
+    _field_flag(sub, "--daytime-start", "train", "first daytime slot", type=int)
+    _field_flag(sub, "--daytime-end", "train", "one past the last daytime slot", type=int)
+    _field_flag(sub, "--val-fraction", "train", "validation day share", type=float)
+    _field_flag(sub, "--split-seed", "train", "day split shuffle seed", type=int)
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--epochs", type=int, default=None, help="training epochs (default: 20)")
-    sub.add_argument("--batch", type=int, default=None, help="records per optimizer step (default: 2)")
-    sub.add_argument("--lr", type=float, default=None, help="Adam learning rate (default: 0.001)")
-    sub.add_argument("--members", type=int, default=None, help="ensemble size (default: 9)")
-    sub.add_argument("--seed", type=int, default=None, help="base seed; member k uses seed+k (default: 0)")
+    _field_flag(sub, "--epochs", "train", "training epochs", type=int)
+    _field_flag(sub, "--batch", "train", "records per optimizer step", type=int)
+    _field_flag(sub, "--lr", "train", "Adam learning rate", type=float)
+    _field_flag(sub, "--members", "train", "ensemble size", type=int)
+    _field_flag(sub, "--seed", "train", "base seed; member k uses seed+k", type=int)
     _add_split_flags(sub)
 
 
 def _add_model_flags(sub):
-    sub.add_argument("--gnn-layers", type=int, default=None, help="message passing rounds (default: 3)")
-    sub.add_argument("--hidden", type=int, default=None, help="hidden width (default: 64)")
-    sub.add_argument("--prior-mode", choices=["full", "active_row"], default=None,
-                     help="feed the whole prior matrix or only the record's cluster row (default: full)")
-    sub.add_argument("--cc-classes", type=int, choices=[3, 4], default=None,
-                     help="congestion head size; 4 keeps the undefined code (default: 3)")
-    sub.add_argument("--k", type=int, default=None, help="number of volume clusters (default: 10)")
+    _field_flag(sub, "--gnn-layers", "model", "message passing rounds", type=int)
+    _field_flag(sub, "--hidden", "model", "hidden width", type=int)
+    _field_flag(sub, "--prior-mode", "model", "feed the whole prior matrix or only the record's cluster row",
+                choices=["full", "active_row"])
+    _field_flag(sub, "--cc-classes", "model", "congestion head size; 4 keeps the undefined code",
+                type=int, choices=[3, 4])
+    _field_flag(sub, "--k", "model", "number of volume clusters", type=int)
 
 
 def build_parser() -> _Parser:
+    k_help = f"number of clusters (default: cluster.k of --config, else {_default('model', 'num_clusters')})"
     parser = _Parser(
         prog="t4c",
         description="Sparse loop-counter traffic forecasting pipeline.",
@@ -659,14 +592,8 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("fit-clusters", help="fit volume clusters and congestion priors")
     sub.add_argument("--data", default=None, help="dataset directory")
     sub.add_argument("--out", default="cluster_model.json", help="cluster model file to write")
-    sub.add_argument("--k", type=int, default=None, help="number of clusters (default: 10)")
+    sub.add_argument("--k", type=int, default=None, help=k_help)
     sub.add_argument("--config", default=None, help="pipeline config JSON")
-    # unused train knobs accepted for config symmetry
-    sub.add_argument("--epochs", type=int, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--batch", type=int, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--lr", type=float, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--members", type=int, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     _add_split_flags(sub)
 
     sub = commands.add_parser("train", help="train the ensemble")
@@ -685,11 +612,6 @@ def build_parser() -> _Parser:
                      help="which record subset to predict")
     sub.add_argument("--out", required=True, help="predictions JSONL to write")
     sub.add_argument("--config", default=None, help="pipeline config JSON")
-    sub.add_argument("--epochs", type=int, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--batch", type=int, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--lr", type=float, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--members", type=int, default=None, help=argparse.SUPPRESS)
-    sub.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     _add_split_flags(sub)
 
     for name, handler_help in (("eval-core", "score congestion predictions"),
@@ -705,7 +627,7 @@ def build_parser() -> _Parser:
     sub.add_argument("name", choices=["naive", "volume_cluster", "node_gnn"])
     sub.add_argument("--data", default=None, help="dataset directory")
     sub.add_argument("--out", default="baselines", help="output directory")
-    sub.add_argument("--k", type=int, default=None, help="clusters for volume_cluster (default: 10)")
+    sub.add_argument("--k", type=int, default=None, help=f"volume_cluster: {k_help}")
     sub.add_argument("--global", dest="global_probs", action="store_true",
                      help="naive: one pooled distribution for every segment")
     sub.add_argument("--config", default=None, help="pipeline config JSON")

@@ -153,8 +153,10 @@ class AblationResult:
     data_order_hashes: dict[str, str]
 
     def as_csv(self) -> str:
+        """One row per variant, in ``ABLATION_VARIANTS`` order, so that a
+        result read back from its key-sorted JSON renders the same bytes."""
         lines = ["variant,val_core,best_epoch"]
-        for variant in self.scores:
+        for variant in sorted(self.scores, key=ABLATION_VARIANTS.index):
             lines.append(f"{variant},{self.scores[variant]:.6f},{self.best_epochs[variant]}")
         return "\n".join(lines) + "\n"
 

@@ -77,6 +77,9 @@ class ModelConfig:
     use_static: bool = True
 
     def __post_init__(self):
+        # JSON configs and checkpoint headers carry lists; tuples keep the config hashable
+        for name in ("volume_hidden", "static_hidden", "lambdas"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.prior_mode not in ("full", "active_row"):
             raise ValueError(f"prior_mode must be 'full' or 'active_row', got {self.prior_mode!r}")
         if self.cc_classes not in (3, 4):
@@ -352,20 +355,17 @@ def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> Pred
 
 
 def inverse_frequency_weights(
-    label_arrays: Iterable[LabelArrays],
-    task: str,
+    class_vectors: Iterable[np.ndarray],
     num_classes: int,
     clip: tuple[float, float] = (0.1, 10.0),
 ) -> np.ndarray:
-    """Class weights N / (C * N_k) over the training labels, clipped.
+    """Class weights N / (C * N_k) over training class-index vectors, clipped.
 
-    Unobserved classes get the upper clip bound.
+    Entries of -1 are masked rows. Unobserved classes get the upper clip bound.
     """
     counts = np.zeros(num_classes, dtype=np.float64)
-    for arrays in label_arrays:
-        values = arrays.cc if task == "cc" else arrays.vol
-        for cls in values[values >= 0]:
-            counts[cls] += 1.0
+    for values in class_vectors:
+        counts += np.bincount(values[values >= 0], minlength=num_classes)
     total = counts.sum()
     if total == 0:
         return np.ones(num_classes, dtype=np.float64)

@@ -3,7 +3,8 @@
 Each optimizer step accumulates gradients over a small batch of records
 (every record is one full-graph forward), averages them, and applies one
 Adam update. After every epoch the validation congestion score is
-computed and the best epoch's parameters are kept. Ensemble members
+computed and the best epoch's parameters are kept. One loop, ``fit_loop``,
+does this for the main model and for the node-GNN baseline. Ensemble members
 differ only by their seed; ensemble prediction averages the members'
 probabilities (and de-normalized speeds) in a fixed summation order.
 """
@@ -16,14 +17,14 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, PriorMatrix, assign_cluster
-from .data import Dataset, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
+from .data import Dataset, LabelBundle, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
 from .evaluation import core_metric
 from .model import (
     LabelArrays,
@@ -44,6 +45,9 @@ __all__ = [
     "EpochLog",
     "RunLog",
     "TrainingDivergedError",
+    "FitResult",
+    "fit_loop",
+    "split_records",
     "train_one",
     "train_ensemble",
     "ensemble_predict",
@@ -72,6 +76,12 @@ class TrainConfig:
     split_seed: int = 0
 
     def __post_init__(self):
+        # JSON configs carry lists; tuples keep the config hashable
+        if self.member_seeds is not None:
+            object.__setattr__(self, "member_seeds", tuple(self.member_seeds))
+        object.__setattr__(self, "daytime", tuple(self.daytime))
+        if len(self.daytime) != 2:
+            raise ValueError(f"daytime must be a (start, end) slot pair, got {self.daytime}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -161,49 +171,122 @@ def _chunks(items: list, size: int):
 
 
 def _record_features(
-    dataset: Dataset,
+    dataset_graph,
     seg_graph: SegmentGraph,
-    records: Sequence[VolumeRecord],
+    record: VolumeRecord,
     priors: Mapping[str, PriorMatrix],
     norm_stats,
     model_cfg: ModelConfig,
     cluster_model: ClusterModel | None,
 ):
-    features = {}
-    for record in records:
-        cluster_index = None
-        if model_cfg.prior_mode == "active_row":
-            if cluster_model is None:
-                raise ValueError("prior_mode 'active_row' needs a cluster model at feature time")
-            cluster_index = assign_cluster(cluster_model, record)
-        features[record.record_id] = assemble_features(
-            dataset.graph, seg_graph, record, priors, norm_stats,
-            prior_mode=model_cfg.prior_mode, cluster_index=cluster_index,
-        )
-    return features
+    """One record's features; ``active_row`` mode takes the record's cluster row."""
+    cluster_index = None
+    if model_cfg.prior_mode == "active_row":
+        if cluster_model is None:
+            raise ValueError("prior_mode 'active_row' needs a cluster model")
+        cluster_index = assign_cluster(cluster_model, record)
+    return assemble_features(
+        dataset_graph, seg_graph, record, priors, norm_stats,
+        prior_mode=model_cfg.prior_mode, cluster_index=cluster_index,
+    )
 
 
-def _validation_score(
+def split_records(dataset: Dataset, train_cfg: TrainConfig) -> tuple[tuple[VolumeRecord, ...], ...]:
+    """The daytime records, then their train and validation records (split by day)."""
+    records = daytime_filter(dataset.records, *train_cfg.daytime)
+    if not records:
+        raise ValueError("no records left after the daytime filter")
+    train_records, val_records = split_train_validation(
+        records, 1.0 - train_cfg.val_fraction, train_cfg.split_seed
+    )
+    return records, train_records, val_records
+
+
+@dataclass(frozen=True, eq=False)
+class FitResult:
+    """The best epoch's parameters and the per-epoch history of a fit."""
+
+    params: dict[str, np.ndarray]
+    best_epoch: int
+    val_scores: tuple[float, ...]
+    mean_losses: tuple[np.ndarray, ...]  # per epoch: each loss part averaged over the records
+    data_order_hash: str
+
+
+def fit_loop(
     store: ad.ParamStore,
-    model_cfg: ModelConfig,
-    seg_graph: SegmentGraph,
-    features: Mapping[str, object],
+    train_cfg: TrainConfig,
+    seed: int,
+    train_records: Sequence[VolumeRecord],
     val_records: Sequence[VolumeRecord],
-    label_map,
-    norm_stats,
-) -> float:
-    predictions = {}
-    for record in val_records:
-        pred = forward(store, model_cfg, seg_graph, features[record.record_id])
-        probs = predict_probabilities(pred, norm_stats)
-        predictions[record.record_id] = {
-            seg_id: probs.cc[i] for i, seg_id in enumerate(seg_graph.seg_ids)
-        }
+    label_map: Mapping[str, LabelBundle],
+    seg_ids: Sequence[str],
+    record_loss: Callable[[VolumeRecord], tuple[ad.Tensor, Sequence[float]]],
+    val_cc_probs: Callable[[VolumeRecord], np.ndarray],
+) -> FitResult:
+    """Fit ``store`` by Adam on seeded shuffles of batched records.
+
+    ``record_loss`` maps a record to its scalar loss and the loss parts
+    to log; gradients are averaged over each batch. After every epoch
+    ``val_cc_probs`` gives each validation record's (segments, 3)
+    congestion probabilities in ``seg_ids`` order, and the core score
+    picks the best epoch (earliest wins ties). A non-finite loss aborts
+    at once with the last finite state in the error message.
+    """
     val_labels = [label_map[r.record_id] for r in val_records if r.record_id in label_map]
-    score = core_metric(predictions, val_labels)
-    if score.score is None:
-        raise ValueError("validation split has no scored congestion labels")
-    return score.score
+    shuffler = random.Random(seed)
+    order_hash = hashlib.sha256()
+    val_scores: list[float] = []
+    mean_losses: list[np.ndarray] = []
+    best_epoch = -1
+    best_score = float("inf")
+    best_params: dict[str, np.ndarray] | None = None
+    last_finite: tuple[int, float] | None = None
+
+    for epoch in range(train_cfg.epochs):
+        order = list(train_records)
+        shuffler.shuffle(order)
+        order_hash.update(",".join(r.record_id for r in order).encode("utf-8"))
+
+        sums = 0.0
+        for batch in _chunks(order, train_cfg.batch_size):
+            store.zero_grad()
+            for record in batch:
+                loss, parts = record_loss(record)
+                value = loss.item()
+                if not np.isfinite(value):
+                    state = f"last finite state: {last_finite}" if last_finite else "no finite step yet"
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, record {record.record_id!r}; {state}"
+                    )
+                last_finite = (epoch, value)
+                loss.backward()
+                sums = sums + np.asarray(parts, dtype=np.float64)
+            store.scale_grads(1.0 / len(batch))
+            ad.adam_step(store, lr=train_cfg.learning_rate)
+
+        predictions = {}
+        for record in val_records:
+            probs = val_cc_probs(record)
+            predictions[record.record_id] = {seg_id: probs[i] for i, seg_id in enumerate(seg_ids)}
+        score = core_metric(predictions, val_labels).score
+        if score is None:
+            raise ValueError("validation split has no scored congestion labels")
+        val_scores.append(score)
+        mean_losses.append(sums / len(order))
+        if score < best_score:
+            best_score = score
+            best_epoch = epoch
+            best_params = store.state_arrays()
+
+    assert best_params is not None
+    return FitResult(
+        params=best_params,
+        best_epoch=best_epoch,
+        val_scores=tuple(val_scores),
+        mean_losses=tuple(mean_losses),
+        data_order_hash=order_hash.hexdigest(),
+    )
 
 
 def train_one(
@@ -217,25 +300,19 @@ def train_one(
     """Train one model; deterministic given (configs, dataset, seed).
 
     Returns the parameters of the epoch with the lowest validation
-    congestion score (earliest epoch wins ties) and the full run history.
-    A non-finite loss aborts immediately with the last finite state in
-    the error message.
+    congestion score and the full run history (see ``fit_loop``).
     """
     t_start = time.perf_counter()
-    records = daytime_filter(dataset.records, *train_cfg.daytime)
-    if not records:
-        raise ValueError("no records left after the daytime filter")
-    train_records, val_records = split_train_validation(
-        records, 1.0 - train_cfg.val_fraction, train_cfg.split_seed
-    )
+    records, train_records, val_records = split_records(dataset, train_cfg)
     label_map = labels_by_record(dataset.labels)
     train_labels = [label_map[r.record_id] for r in train_records if r.record_id in label_map]
 
     seg_graph = build_line_graph(dataset.graph)
     norm_stats = fit_normalization(dataset.graph, train_records, train_labels)
-    features = _record_features(
-        dataset, seg_graph, records, priors, norm_stats, model_cfg, cluster_model
-    )
+    features = {
+        r.record_id: _record_features(dataset.graph, seg_graph, r, priors, norm_stats, model_cfg, cluster_model)
+        for r in records
+    }
     targets: dict[str, LabelArrays] = {
         r.record_id: make_label_arrays(
             label_map.get(r.record_id), seg_graph, norm_stats, model_cfg.cc_classes
@@ -243,67 +320,31 @@ def train_one(
         for r in records
     }
     train_targets = [targets[r.record_id] for r in train_records]
-    cc_weights = inverse_frequency_weights(train_targets, "cc", model_cfg.cc_classes)
-    vol_weights = inverse_frequency_weights(train_targets, "vol", 3)
+    cc_weights = inverse_frequency_weights([t.cc for t in train_targets], model_cfg.cc_classes)
+    vol_weights = inverse_frequency_weights([t.vol for t in train_targets], 3)
 
     store = init_params(model_cfg, seed)
-    shuffler = random.Random(seed)
-    order_hash = hashlib.sha256()
 
-    epoch_logs: list[EpochLog] = []
-    best_epoch = -1
-    best_score = float("inf")
-    best_params: dict[str, np.ndarray] | None = None
-    last_finite: tuple[int, float] | None = None
-
-    for epoch in range(train_cfg.epochs):
-        order = list(train_records)
-        shuffler.shuffle(order)
-        order_hash.update(",".join(r.record_id for r in order).encode("utf-8"))
-
-        sums = np.zeros(4)
-        for batch in _chunks(order, train_cfg.batch_size):
-            store.zero_grad()
-            for record in batch:
-                loss, report = compute_loss(
-                    forward(store, model_cfg, seg_graph, features[record.record_id]),
-                    targets[record.record_id],
-                    cc_weights,
-                    vol_weights,
-                    model_cfg.lambdas,
-                )
-                if not np.isfinite(report.loss):
-                    state = f"last finite state: {last_finite}" if last_finite else "no finite step yet"
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, record {record.record_id!r}; {state}"
-                    )
-                last_finite = (epoch, report.loss)
-                loss.backward()
-                sums += (report.loss, report.loss_cc, report.loss_speed, report.loss_vol)
-            store.scale_grads(1.0 / len(batch))
-            ad.adam_step(store, lr=train_cfg.learning_rate)
-
-        val_core = _validation_score(
-            store, model_cfg, seg_graph, features, val_records, label_map, norm_stats
+    def record_loss(record: VolumeRecord):
+        loss, report = compute_loss(
+            forward(store, model_cfg, seg_graph, features[record.record_id]),
+            targets[record.record_id],
+            cc_weights,
+            vol_weights,
+            model_cfg.lambdas,
         )
-        mean = sums / len(order)
-        epoch_logs.append(
-            EpochLog(
-                train_loss=float(mean[0]),
-                train_loss_cc=float(mean[1]),
-                train_loss_speed=float(mean[2]),
-                train_loss_vol=float(mean[3]),
-                val_core=val_core,
-            )
-        )
-        if val_core < best_score:
-            best_score = val_core
-            best_epoch = epoch
-            best_params = store.state_arrays()
+        return loss, (report.loss, report.loss_cc, report.loss_speed, report.loss_vol)
 
-    assert best_params is not None
+    def val_cc_probs(record: VolumeRecord) -> np.ndarray:
+        pred = forward(store, model_cfg, seg_graph, features[record.record_id])
+        return predict_probabilities(pred, norm_stats).cc
+
+    fit = fit_loop(
+        store, train_cfg, seed, train_records, val_records, label_map, seg_graph.seg_ids,
+        record_loss, val_cc_probs,
+    )
     ckpt = Checkpoint(
-        params=best_params,
+        params=fit.params,
         norm_stats=norm_stats,
         config=model_cfg,
         cc_weights=cc_weights,
@@ -311,10 +352,19 @@ def train_one(
         config_hash=config_hash(model_cfg),
     )
     runlog = RunLog(
-        epochs=tuple(epoch_logs),
-        best_epoch=best_epoch,
+        epochs=tuple(
+            EpochLog(
+                train_loss=float(mean[0]),
+                train_loss_cc=float(mean[1]),
+                train_loss_speed=float(mean[2]),
+                train_loss_vol=float(mean[3]),
+                val_core=val_core,
+            )
+            for mean, val_core in zip(fit.mean_losses, fit.val_scores)
+        ),
+        best_epoch=fit.best_epoch,
         seed=seed,
-        data_order_hash=order_hash.hexdigest(),
+        data_order_hash=fit.data_order_hash,
         wall_time_s=time.perf_counter() - t_start,
     )
     return ckpt, runlog
@@ -351,14 +401,8 @@ def predict_record(
     store: ad.ParamStore | None = None,
 ) -> PredictionProbs:
     """Single-model probabilities for one record."""
-    cluster_index = None
-    if ckpt.config.prior_mode == "active_row":
-        if cluster_model is None:
-            raise ValueError("prior_mode 'active_row' needs a cluster model at predict time")
-        cluster_index = assign_cluster(cluster_model, record)
-    features = assemble_features(
-        dataset_graph, seg_graph, record, priors, ckpt.norm_stats,
-        prior_mode=ckpt.config.prior_mode, cluster_index=cluster_index,
+    features = _record_features(
+        dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config, cluster_model
     )
     if store is None:
         store = load_store(ckpt)
@@ -382,6 +426,8 @@ def ensemble_predict(
     """
     if not checkpoints:
         raise ValueError("ensemble_predict needs at least one checkpoint")
+    if stores is not None and len(stores) != len(checkpoints):
+        raise ValueError(f"{len(stores)} parameter stores for {len(checkpoints)} checkpoints")
     first_hash = checkpoints[0].config_hash
     for ckpt in checkpoints[1:]:
         if ckpt.config_hash != first_hash:

@@ -2,11 +2,13 @@
 determinism of artifacts, and flag/config precedence."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from t4c.cli import main
 from t4c.data import load_dataset
+from t4c.model import ModelConfig
 from t4c.training import TrainConfig
 
 CITY_ARGS = [
@@ -154,6 +156,9 @@ def test_ablate_single_variant(pipeline):
     assert csv_lines[0] == "variant,val_core,best_epoch"
     assert len(csv_lines) == 2
 
+    assert main(wd + ["report", "--runs", "runs/demo", "--ablation", "ablation/ablation.json", "--out", "report"]) == 0
+    assert (pipeline / "report/ablation.csv").read_bytes() == (pipeline / "ablation/ablation.csv").read_bytes()
+
 
 def test_report_renders_csv_and_svg(pipeline):
     wd = ["--workdir", str(pipeline)]
@@ -175,6 +180,25 @@ def test_missing_prerequisite_names_producer(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "fit-clusters" in err
+
+
+def test_predict_refuses_cluster_model_of_other_k(pipeline, capsys):
+    wd = ["--workdir", str(pipeline)]
+    assert main(wd + [
+        "train", "--data", "data/toy", "--cluster-model", "cluster_model.json", "--out", "runs/active",
+        "--members", "1", "--epochs", "1", "--hidden", "8", "--gnn-layers", "1", "--k", "5",
+        "--prior-mode", "active_row",
+    ]) == 0
+    assert main(wd + ["fit-clusters", "--data", "data/toy", "--k", "3", "--out", "cluster_k3.json"]) == 0
+    capsys.readouterr()
+    code = main(wd + [
+        "predict", "--data", "data/toy", "--cluster-model", "cluster_k3.json",
+        "--run", "runs/active", "--out", "active.jsonl",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "K=3" in err and "num_clusters=5" in err and "fit-clusters" in err
+    assert not (pipeline / "active.jsonl").exists()
 
 
 def test_invalid_synth_spec_exits_one(tmp_path, capsys):
@@ -215,21 +239,6 @@ def test_config_file_unknown_key_rejected(pipeline, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
-def test_member_parallelism_is_deterministic(pipeline, monkeypatch):
-    """T4C_THREADS > 1 trains members in parallel with identical artifacts."""
-    wd = ["--workdir", str(pipeline)]
-    monkeypatch.setenv("T4C_THREADS", "2")
-    assert main(wd + [
-        "train", "--data", "data/toy", "--cluster-model", "cluster_model.json",
-        "--out", "runs/parallel", *SMALL_TRAIN_ARGS,
-    ]) == 0
-    monkeypatch.delenv("T4C_THREADS")
-    for member in ("member_0", "member_1"):
-        sequential = (pipeline / "runs/demo" / member / "checkpoint.bin").read_bytes()
-        parallel = (pipeline / "runs/parallel" / member / "checkpoint.bin").read_bytes()
-        assert sequential == parallel
-
-
 def test_flags_override_config_values(pipeline):
     cfg_path = pipeline / "config.json"
     cfg_path.write_text(json.dumps({
@@ -248,3 +257,52 @@ def test_flags_override_config_values(pipeline):
     cfg = json.loads((pipeline / "runs/cfg/train_config.json").read_text())
     assert cfg["train"]["epochs"] == 1  # config value survived where no flag given
     assert cfg["model"]["hidden"] == 16
+
+
+def _every_field_config():
+    """A config that sets every dataclass field, none at its default."""
+    return {
+        "data": "data/toy",
+        "model": asdict(ModelConfig(
+            importance_dim=4, oneway_dim=1, tunnel_dim=1, lanes_dim=2, volume_hidden=(8,),
+            static_hidden=(8, 4), gnn_layers=1, hidden=8, head_blocks=1, lambdas=(0.05, 1.0, 2.0),
+            prior_mode="active_row", num_clusters=5, cc_classes=4, use_prior_block=False, use_static=False,
+        )),
+        "train": asdict(TrainConfig(
+            epochs=1, batch_size=3, learning_rate=2e-3, ensemble_size=1, base_seed=4, member_seeds=(7,),
+            daytime=(20, 90), val_fraction=0.3, split_seed=2,
+        )),
+    }
+
+
+_TRAIN, _MODEL = TrainConfig(), ModelConfig()
+
+
+@pytest.mark.parametrize("config, argv, code, expected", [
+    # every ModelConfig/TrainConfig field is a config key, and train applies it
+    (_every_field_config(), ["train", "--cluster-model", "cluster_model.json", "--out", "runs/fields"], 0, []),
+    ({"workdir": "."}, ["fit-clusters", "--data", "data/toy"], 1, ["'workdir'"]),
+    ({"out": {"predictions": "p.jsonl"}}, ["fit-clusters", "--data", "data/toy"], 1, ["out.predictions"]),
+    (None, ["fit-clusters", "--data", "data/toy", "--epochs", "1"], 1, ["--epochs"]),
+    (None, ["predict", "--run", "runs/demo", "--out", "p.jsonl", "--seed", "1"], 1, ["--seed"]),
+    (None, ["train", "--help"], 0, [
+        f"(default: {value})" for value in (
+            _TRAIN.epochs, _TRAIN.batch_size, _TRAIN.learning_rate, _TRAIN.ensemble_size,
+            _TRAIN.base_seed, *_TRAIN.daytime, _TRAIN.val_fraction, _TRAIN.split_seed,
+            _MODEL.gnn_layers, _MODEL.hidden, _MODEL.prior_mode, _MODEL.cc_classes, _MODEL.num_clusters,
+        )
+    ]),
+], ids=["every_field", "workdir", "out.predictions", "fit_clusters_epochs", "predict_seed", "train_help"])
+def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, code, expected):
+    if config is not None:
+        (pipeline / "schema.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "schema.json"]
+    capsys.readouterr()
+    assert main(["--workdir", str(pipeline), *argv]) == code
+    captured = capsys.readouterr()
+    output = " ".join((captured.out + captured.err).split())  # help text wraps lines
+    for text in expected:
+        assert text in output
+    if config is not None and code == 0:
+        written = json.loads((pipeline / "runs/fields/train_config.json").read_text())
+        assert written == json.loads(json.dumps({"model": config["model"], "train": config["train"]}))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from t4c.data import LabelBundle, SegmentLabel, SuperSegment
 from t4c.evaluation import (
     PROB_CLIP,
+    AblationResult,
     core_metric,
     eta_from_speeds,
     eta_labels,
@@ -205,3 +206,19 @@ def test_eta_labels_flattening():
     assert out == {("r0", "ss0"): 10.0, ("r1", "ss0"): 12.0, ("r0", "ss1"): 5.0}
     only_r1 = eta_labels(ss, record_ids={"r1"})
     assert only_r1 == {("r1", "ss0"): 12.0}
+
+
+# -- ablation ------------------------------------------------------------------------
+
+
+def test_ablation_csv_rows_follow_the_variant_order():
+    """ablation.json is written with sorted keys; the CSV rendered from it
+    must match the one written at ablation time."""
+    result = AblationResult(
+        scores={"no_static": 0.5, "full": 0.25, "no_gnn": 0.75},
+        best_epochs={"no_static": 1, "full": 2, "no_gnn": 0},
+        data_order_hashes={},
+    )
+    assert result.as_csv() == (
+        "variant,val_core,best_epoch\nfull,0.250000,2\nno_static,0.500000,1\nno_gnn,0.750000,0\n"
+    )

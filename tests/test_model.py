@@ -377,11 +377,7 @@ def test_make_label_arrays_codings(toy_dataset):
 
 
 def test_inverse_frequency_weights_clipped():
-    arrays = LabelArrays(
-        cc=np.array([0] * 98 + [1, 2]), speed=np.zeros(100),
-        speed_mask=np.zeros(100, bool), vol=np.full(100, -1),
-    )
-    w = inverse_frequency_weights([arrays], "cc", 3)
+    w = inverse_frequency_weights([np.array([0] * 98 + [1, 2]), np.full(100, -1)], 3)
     assert w[0] == pytest.approx(100 / (3 * 98))
     assert w[1] == 10.0 and w[2] == 10.0  # clipped at the ceiling
 

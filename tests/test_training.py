@@ -237,6 +237,17 @@ def test_config_hash_mismatch_rejected(small_city, trained):
     assert "hash" in str(err.value)
 
 
+def test_store_count_unlike_checkpoint_count_rejected(small_city, trained):
+    """One store for two checkpoints would average one member over two."""
+    dataset, _cluster_model, priors = small_city
+    ckpt, _ = trained
+    seg_graph = build_line_graph(dataset.graph)
+    with pytest.raises(ValueError, match="1 parameter stores for 2 checkpoints"):
+        ensemble_predict(
+            [ckpt, ckpt], dataset.graph, seg_graph, priors, dataset.records[0], stores=[load_store(ckpt)]
+        )
+
+
 def test_load_store_round_trips_parameters(trained):
     ckpt, _ = trained
     store = load_store(ckpt)
