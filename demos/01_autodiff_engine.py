@@ -9,6 +9,7 @@ import numpy as np
 
 from t4c import autodiff as ad
 from t4c.autodiff import ParamStore, Tensor
+from t4c.seggraph import mean_aggregation_matrix
 
 # --- tensors and a few ops ---------------------------------------------------
 
@@ -18,17 +19,18 @@ h = ad.relu(ad.matmul(x, w))
 print("relu(x @ w) =\n", h.data)
 
 # softmax rows sum to one, stabilized against large logits
-logits = Tensor([[100.0, 101.0, 99.0]])
-print("softmax:", ad.softmax(logits).data, "sum:", ad.softmax(logits).data.sum())
+probs = ad.softmax_np(np.array([[100.0, 101.0, 99.0]]))
+print("softmax:", probs, "sum:", probs.sum())
 
-# mean aggregation over a neighbor list; empty neighborhoods give zeros
+# neighbor means are a matmul with the graph's fixed mean-aggregation
+# matrix; empty neighborhoods give zeros
 feats = Tensor(np.arange(8.0).reshape(4, 2))
-neighbors = [(1, 2), (0,), (), (0, 1, 2)]
-print("neighbor means:\n", ad.mean_neighbor_aggregate(feats, neighbors).data)
+mean_operator = mean_aggregation_matrix([(1, 2), (0,), (), (0, 1, 2)])
+print("neighbor means:\n", ad.matmul(mean_operator, feats).data)
 
 # --- gradients vs finite differences -----------------------------------------
 
-loss = ad.reduce_mean(ad.mul(h, h))
+loss = ad.reduce_sum(ad.mul(h, h))
 loss.backward()
 analytic = w.grad.copy()
 
@@ -38,9 +40,9 @@ for i in range(w.data.shape[0]):
     for j in range(w.data.shape[1]):
         orig = w.data[i, j]
         w.data[i, j] = orig + h_step
-        up = ad.reduce_mean(ad.mul(ad.relu(ad.matmul(x, w)), ad.relu(ad.matmul(x, w)))).item()
+        up = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(x, w)), ad.relu(ad.matmul(x, w)))).item()
         w.data[i, j] = orig - h_step
-        down = ad.reduce_mean(ad.mul(ad.relu(ad.matmul(x, w)), ad.relu(ad.matmul(x, w)))).item()
+        down = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(x, w)), ad.relu(ad.matmul(x, w)))).item()
         w.data[i, j] = orig
         numeric[i, j] = (up - down) / (2 * h_step)
 print("max |analytic - numeric|:", np.abs(analytic - numeric).max())

@@ -7,9 +7,9 @@ recorded graph once in reverse topological order. Everything runs in
 64-bit precision so that finite-difference checks stay sharp.
 
 Only the operations the segment model actually needs are provided:
-matmul, add, mul, relu, concat, embedding lookup, mean aggregation over
-a neighbor list, softmax, slicing, reshape, reductions, the two masked
-losses (weighted cross entropy and mean squared error) and an Adam
+matmul, add, mul, relu, concat, embedding lookup, slicing, reshape, a
+sum reduction, the two masked losses (weighted cross entropy and mean
+squared error), a plain-array softmax for inference, and an Adam
 optimizer over a named parameter store.
 """
 
@@ -28,15 +28,10 @@ __all__ = [
     "relu",
     "concat",
     "embedding_lookup",
-    "mean_neighbor_aggregate",
-    "aggregation_matrix",
-    "softmax",
     "softmax_np",
     "getitem",
     "reshape",
     "reduce_sum",
-    "reduce_mean",
-    "log",
     "weighted_cross_entropy",
     "mse",
     "ParamStore",
@@ -245,58 +240,8 @@ def embedding_lookup(table, indices) -> Tensor:
     return _result(data, (table,), backward)
 
 
-def aggregation_matrix(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Dense (N, N) matrix whose row i averages the listed neighbors of i.
-
-    Rows with no neighbors are all zero, so isolated nodes aggregate to
-    the zero vector.
-    """
-    n = len(neighbors)
-    mat = np.zeros((n, n), dtype=np.float64)
-    for i, nbrs in enumerate(neighbors):
-        if len(nbrs) == 0:
-            continue
-        cols = np.asarray(list(nbrs), dtype=np.int64)
-        if cols.min() < 0 or cols.max() >= n:
-            raise IndexError(f"neighbor index out of range at node {i}: {list(nbrs)}")
-        mat[i, cols] = 1.0 / len(cols)
-    return mat
-
-
-def mean_neighbor_aggregate(x, neighbors: Sequence[Sequence[int]]) -> Tensor:
-    """Row i of the result is the mean of x over i's neighbors (zeros if none)."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or len(neighbors) != x.data.shape[0]:
-        raise ShapeError(
-            f"mean_neighbor_aggregate: features {x.shape} vs {len(neighbors)} adjacency rows"
-        )
-    mat = aggregation_matrix(neighbors)
-    data = mat @ x.data
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(mat.T @ g)
-
-    return _result(data, (x,), backward)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis`` (max subtraction)."""
-    a = _as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            inner = (g * out).sum(axis=axis, keepdims=True)
-            a._accumulate(out * (g - inner))
-
-    return _result(out, (a,), backward)
-
-
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Plain-array softmax sharing the Tensor op's exact arithmetic."""
+    """Softmax of a plain array along ``axis``, stabilized by max subtraction."""
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
@@ -337,29 +282,6 @@ def reduce_sum(a) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _result(data, (a,), backward)
-
-
-def reduce_mean(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    data = a.data.sum() / n
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _result(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g / a.data)
 
     return _result(data, (a,), backward)
 

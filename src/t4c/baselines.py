@@ -21,9 +21,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .clustering import ClusterModel, assign_cluster, build_prior_matrices
+from .clustering import ClusterModel, build_prior_matrices
 from .data import Dataset, LabelBundle, SuperSegment, VolumeRecord, labels_by_record
 from .model import inverse_frequency_weights
+from .seggraph import mean_aggregation_matrix
 from .training import fit_loop, split_records
 
 __all__ = [
@@ -63,10 +64,6 @@ class VolumeClusterModel:
     cc_probs: dict[str, np.ndarray]  # segment_id -> (K, 3)
     eta_median: dict[str, np.ndarray]  # ss_id -> (K,)
     naive: NaiveCountModel
-
-    def cluster_of(self, record: VolumeRecord) -> int:
-        model = ClusterModel(self.num_clusters, self.thresholds, {})
-        return assign_cluster(model, record)
 
 
 def fit_naive(
@@ -256,6 +253,7 @@ def node_gnn_baseline(
     label_map = labels_by_record(dataset.labels)
     graph = dataset.graph
     node_index, node_neighbors = _node_graph(graph)
+    node_mean = mean_aggregation_matrix(node_neighbors)
     tail_idx = np.array([node_index[s.tail_node] for s in graph.segments], dtype=np.int64)
     head_idx = np.array([node_index[s.head_node] for s in graph.segments], dtype=np.int64)
     seg_ids = [s.segment_id for s in graph.segments]
@@ -302,9 +300,7 @@ def node_gnn_baseline(
         h = ad.add(ad.matmul(ad.Tensor(feats[record.record_id]), store["in_w"]), store["in_b"])
         for layer in range(layers):
             self_part = ad.matmul(h, store[f"gnn{layer}_self_w"])
-            nbr_part = ad.matmul(
-                ad.mean_neighbor_aggregate(h, node_neighbors), store[f"gnn{layer}_nbr_w"]
-            )
+            nbr_part = ad.matmul(ad.matmul(node_mean, h), store[f"gnn{layer}_nbr_w"])
             h = ad.relu(ad.add(ad.add(self_part, nbr_part), store[f"gnn{layer}_b"]))
         pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
         return ad.add(ad.matmul(pair, store["edge_w"]), store["edge_b"])

@@ -10,6 +10,7 @@ round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -95,23 +96,32 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a cut or damaged file raises ValueError naming ``path``."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated checkpoint: {len(raw)} bytes, the preamble alone is 16")
     version = int.from_bytes(raw[4:8], "little")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     header_len = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    if len(raw) < 16 + header_len:
+        raise ValueError(f"{path}: truncated checkpoint: header has {len(raw) - 16} of {header_len} bytes")
+    try:
+        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: damaged checkpoint header: {exc}") from None
     payload = raw[16 + header_len :]
+    shapes = [tuple(spec["shape"]) for spec in header["tensors"]]
+    expected = 8 * sum(math.prod(shape) for shape in shapes)
+    if len(payload) != expected:
+        raise ValueError(f"{path}: truncated checkpoint: payload has {len(payload)} bytes, its header lists {expected}")
 
     params: dict[str, np.ndarray] = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = spec["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
+    for spec, shape in zip(header["tensors"], shapes):
+        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=spec["offset"]).reshape(shape)
         params[spec["name"]] = arr.astype(np.float64).copy()
 
     return Checkpoint(

@@ -44,7 +44,6 @@ class _Parser(argparse.ArgumentParser):
 _DATACLASSES = {"model": ModelConfig, "train": TrainConfig}
 _CONFIG_SECTIONS = {
     "data": str,
-    "cluster": {"k"},
     **{section: {f.name for f in fields(cls)} for section, cls in _DATACLASSES.items()},
     "out": {"run_dir", "cluster_model"},
 }
@@ -107,13 +106,6 @@ def _config_from(args, config: dict, section: str):
             value = items
         values[name] = value
     return _DATACLASSES[section](**values)
-
-
-def _cluster_k(args, config: dict) -> int:
-    """Clusters to fit: the flag, else ``cluster.k``, else the model default."""
-    if args.k is not None:
-        return args.k
-    return config.get("cluster", {}).get("k", _default("model", "num_clusters"))
 
 
 # -- shared helpers -----------------------------------------------------------------
@@ -230,7 +222,7 @@ def cmd_fit_clusters(args, workdir: Path) -> int:
     train_cfg = _config_from(args, config, "train")
     dataset = _config_dataset(args, config, workdir)
     _, train_records, _ = split_records(dataset, train_cfg)
-    k = _cluster_k(args, config)
+    k = _config_from(args, config, "model").num_clusters
     try:
         model = fit_clusters(train_records, k)
     except ValueError as exc:
@@ -279,11 +271,15 @@ def _member_dirs(run_dir: Path) -> list[Path]:
     return sorted(found, key=_member_index)
 
 
+def _load_member_checkpoint(member_dir: Path):
+    try:
+        return load_checkpoint(_require_artifact(member_dir / "checkpoint.bin", "train"))
+    except ValueError as exc:
+        raise CLIError(f"{exc}; produce it again with `t4c train`") from None
+
+
 def _member_checkpoints(run_dir: Path):
-    return [
-        load_checkpoint(_require_artifact(d / "checkpoint.bin", "train"))
-        for d in _member_dirs(run_dir)
-    ]
+    return [_load_member_checkpoint(d) for d in _member_dirs(run_dir)]
 
 
 def cmd_predict(args, workdir: Path) -> int:
@@ -418,7 +414,7 @@ def cmd_baseline(args, workdir: Path) -> int:
                 return dict(model.eta_median)
 
         else:  # volume_cluster
-            cluster_model = fit_clusters(train_records, _cluster_k(args, config))
+            cluster_model = fit_clusters(train_records, _config_from(args, config, "model").num_clusters)
             model = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
 
             def probs_for(record):
@@ -522,8 +518,14 @@ def cmd_report(args, workdir: Path) -> int:
     (out_dir / "val_curves.svg").write_text(_svg_curves(curves), encoding="utf-8")
     if args.ablation:
         ablation_path = _require_artifact(_resolve(workdir, args.ablation), "ablate")
-        result = AblationResult(**json.loads(ablation_path.read_text(encoding="utf-8")))
-        (out_dir / "ablation.csv").write_text(result.as_csv(), encoding="utf-8")
+        try:
+            table = AblationResult(**json.loads(ablation_path.read_text(encoding="utf-8"))).as_csv()
+        except (TypeError, KeyError, ValueError) as exc:
+            raise CLIError(
+                f"{ablation_path}: damaged ablation result ({type(exc).__name__}: {exc}); "
+                "produce it again with `t4c ablate`"
+            ) from None
+        (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
     print(f"wrote report.csv and val_curves.svg -> {out_dir}")
     return 0
 
@@ -568,7 +570,6 @@ def _add_model_flags(sub):
 
 
 def build_parser() -> _Parser:
-    k_help = f"number of clusters (default: cluster.k of --config, else {_default('model', 'num_clusters')})"
     parser = _Parser(
         prog="t4c",
         description="Sparse loop-counter traffic forecasting pipeline.",
@@ -592,8 +593,8 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("fit-clusters", help="fit volume clusters and congestion priors")
     sub.add_argument("--data", default=None, help="dataset directory")
     sub.add_argument("--out", default="cluster_model.json", help="cluster model file to write")
-    sub.add_argument("--k", type=int, default=None, help=k_help)
     sub.add_argument("--config", default=None, help="pipeline config JSON")
+    _field_flag(sub, "--k", "model", "number of volume clusters", type=int)
     _add_split_flags(sub)
 
     sub = commands.add_parser("train", help="train the ensemble")
@@ -627,7 +628,7 @@ def build_parser() -> _Parser:
     sub.add_argument("name", choices=["naive", "volume_cluster", "node_gnn"])
     sub.add_argument("--data", default=None, help="dataset directory")
     sub.add_argument("--out", default="baselines", help="output directory")
-    sub.add_argument("--k", type=int, default=None, help=f"volume_cluster: {k_help}")
+    _field_flag(sub, "--k", "model", "volume_cluster: number of volume clusters", type=int)
     sub.add_argument("--global", dest="global_probs", action="store_true",
                      help="naive: one pooled distribution for every segment")
     sub.add_argument("--config", default=None, help="pipeline config JSON")

@@ -259,9 +259,7 @@ def forward(
     )
     for layer in range(config.gnn_layers):
         self_part = ad.matmul(h, store[f"gnn{layer}_self_w"])
-        nbr_part = ad.matmul(
-            ad.mean_neighbor_aggregate(h, seg_graph.neighbors), store[f"gnn{layer}_nbr_w"]
-        )
+        nbr_part = ad.matmul(ad.matmul(seg_graph.mean_operator, h), store[f"gnn{layer}_nbr_w"])
         h = ad.relu(ad.add(ad.add(self_part, nbr_part), store[f"gnn{layer}_b"]))
 
     cc_logits = _head(store, config, "cc", h)

@@ -24,6 +24,7 @@ __all__ = [
     "FeatureBundle",
     "NormStats",
     "build_line_graph",
+    "mean_aggregation_matrix",
     "fit_normalization",
     "assemble_features",
     "counter_slice_matrix",
@@ -44,6 +45,11 @@ class SegmentGraph:
     @cached_property
     def index(self) -> dict[str, int]:
         return {seg_id: i for i, seg_id in enumerate(self.seg_ids)}
+
+    @cached_property
+    def mean_operator(self) -> np.ndarray:
+        """The (N, N) neighbor-mean matrix, built on first use."""
+        return mean_aggregation_matrix(self.neighbors)
 
     @property
     def num_segments(self) -> int:
@@ -70,6 +76,24 @@ class NormStats:
     counter_std: np.ndarray  # (8,)
     speed_mean: float
     speed_std: float
+
+
+def mean_aggregation_matrix(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
+    """Dense (N, N) matrix whose row i averages the listed neighbors of i.
+
+    Rows with no neighbors are all zero, so isolated nodes aggregate to
+    the zero vector.
+    """
+    n = len(neighbors)
+    mat = np.zeros((n, n), dtype=np.float64)
+    for i, nbrs in enumerate(neighbors):
+        if len(nbrs) == 0:
+            continue
+        cols = np.asarray(list(nbrs), dtype=np.int64)
+        if cols.min() < 0 or cols.max() >= n:
+            raise IndexError(f"neighbor index out of range at node {i}: {list(nbrs)}")
+        mat[i, cols] = 1.0 / len(cols)
+    return mat
 
 
 def build_line_graph(graph: RoadGraph) -> SegmentGraph:

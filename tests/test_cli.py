@@ -2,6 +2,7 @@
 determinism of artifacts, and flag/config precedence."""
 
 import json
+import shutil
 from dataclasses import asdict
 
 import pytest
@@ -243,7 +244,6 @@ def test_flags_override_config_values(pipeline):
     cfg_path = pipeline / "config.json"
     cfg_path.write_text(json.dumps({
         "data": "data/toy",
-        "cluster": {"k": 5},
         "model": {"hidden": 16, "gnn_layers": 2, "num_clusters": 5},
         "train": {"epochs": 1, "ensemble_size": 1},
     }))
@@ -257,6 +257,47 @@ def test_flags_override_config_values(pipeline):
     cfg = json.loads((pipeline / "runs/cfg/train_config.json").read_text())
     assert cfg["train"]["epochs"] == 1  # config value survived where no flag given
     assert cfg["model"]["hidden"] == 16
+
+
+def test_num_clusters_config_key_drives_every_stage(pipeline, capsys):
+    (pipeline / "k5.json").write_text(json.dumps({
+        "data": "data/toy",
+        "model": {"hidden": 16, "num_clusters": 5},
+        "train": {"epochs": 1, "ensemble_size": 1},
+    }))
+    wd = ["--workdir", str(pipeline)]
+    assert main(wd + ["fit-clusters", "--config", "k5.json", "--out", "clusters_k5.json"]) == 0
+    assert json.loads((pipeline / "clusters_k5.json").read_text())["K"] == 5
+    assert main(wd + ["train", "--config", "k5.json", "--cluster-model", "clusters_k5.json", "--out", "runs/k5"]) == 0
+    assert main(wd + ["baseline", "volume_cluster", "--config", "k5.json", "--out", "bl_k5"]) == 0
+    assert json.loads((pipeline / "bl_k5/baseline_volume_cluster.json").read_text())["K"] == 5
+    # --k beats the config, as on train
+    assert main(wd + ["fit-clusters", "--config", "k5.json", "--k", "3", "--out", "clusters_k3.json"]) == 0
+    assert json.loads((pipeline / "clusters_k3.json").read_text())["K"] == 3
+
+
+@pytest.mark.parametrize("content", ['{"scores": {"full": 0.5}}', "not json"], ids=["missing_keys", "not_json"])
+def test_report_on_damaged_ablation_file_exits_one(pipeline, capsys, content):
+    (pipeline / "damaged_ablation.json").write_text(content)
+    capsys.readouterr()
+    code = main(["--workdir", str(pipeline), "report", "--runs", "runs/demo",
+                 "--ablation", "damaged_ablation.json", "--out", "report_damaged"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "damaged_ablation.json" in err and "t4c ablate" in err
+
+
+def test_predict_on_truncated_checkpoint_exits_one(pipeline, capsys):
+    shutil.copytree(pipeline / "runs/demo", pipeline / "runs/cut")
+    checkpoint = pipeline / "runs/cut/member_1/checkpoint.bin"
+    checkpoint.write_bytes(checkpoint.read_bytes()[:-100])
+    capsys.readouterr()
+    code = main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                 "--run", "runs/cut", "--out", "cut.jsonl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "t4c train" in err
+    assert not (pipeline / "cut.jsonl").exists()
 
 
 def _every_field_config():
@@ -283,6 +324,7 @@ _TRAIN, _MODEL = TrainConfig(), ModelConfig()
     (_every_field_config(), ["train", "--cluster-model", "cluster_model.json", "--out", "runs/fields"], 0, []),
     ({"workdir": "."}, ["fit-clusters", "--data", "data/toy"], 1, ["'workdir'"]),
     ({"out": {"predictions": "p.jsonl"}}, ["fit-clusters", "--data", "data/toy"], 1, ["out.predictions"]),
+    ({"cluster": {"k": 5}}, ["fit-clusters", "--data", "data/toy"], 1, ["unknown config key 'cluster'"]),
     (None, ["fit-clusters", "--data", "data/toy", "--epochs", "1"], 1, ["--epochs"]),
     (None, ["predict", "--run", "runs/demo", "--out", "p.jsonl", "--seed", "1"], 1, ["--seed"]),
     (None, ["train", "--help"], 0, [
@@ -292,7 +334,7 @@ _TRAIN, _MODEL = TrainConfig(), ModelConfig()
             _MODEL.gnn_layers, _MODEL.hidden, _MODEL.prior_mode, _MODEL.cc_classes, _MODEL.num_clusters,
         )
     ]),
-], ids=["every_field", "workdir", "out.predictions", "fit_clusters_epochs", "predict_seed", "train_help"])
+], ids=["every_field", "workdir", "out.predictions", "cluster", "fit_clusters_epochs", "predict_seed", "train_help"])
 def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, code, expected):
     if config is not None:
         (pipeline / "schema.json").write_text(json.dumps(config))

@@ -8,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from t4c import autodiff as ad
+from t4c import seggraph
+from t4c.autodiff import Tensor
 from t4c.clustering import PriorMatrix
 from t4c.data import NodeRec, RoadGraph, LabelBundle, SegmentLabel, VolumeRecord
+from t4c.model import ModelConfig, forward, init_params
 from t4c.seggraph import (
     NormStats,
     assemble_features,
     build_line_graph,
     counter_slice_matrix,
     fit_normalization,
+    mean_aggregation_matrix,
 )
 
-from conftest import make_segment
+from conftest import central_diff_tensor, make_segment, max_rel_error
 
 
 def graph_from_edges(edges, counters=None):
@@ -86,6 +91,77 @@ def test_line_graph_matches_brute_force(seed, n_nodes, n_edges):
         assert i not in nbrs
         for j in nbrs:
             assert i in seg_graph.neighbors[j]
+
+
+# -- mean-aggregation operator -------------------------------------------------------
+
+
+def test_mean_aggregate_isolated_node_is_zero():
+    x = np.arange(6, dtype=float).reshape(3, 2)
+    out = ad.matmul(mean_aggregation_matrix([(1,), (), (0, 1)]), Tensor(x))
+    assert out.data[1].tolist() == [0.0, 0.0]
+    assert np.allclose(out.data[0], x[1])
+    assert np.allclose(out.data[2], (x[0] + x[1]) / 2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mean_aggregate_matches_dense_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=20))
+    d = data.draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dense = rng.random((n, n)) < 0.3
+    np.fill_diagonal(dense, False)
+    dense |= dense.T  # symmetric like the segment graph
+    neighbors = [tuple(np.flatnonzero(dense[i])) for i in range(n)]
+    x = rng.normal(size=(n, d))
+    out = ad.matmul(mean_aggregation_matrix(neighbors), Tensor(x)).data
+    expected = np.zeros((n, d))
+    for i in range(n):
+        if neighbors[i]:
+            expected[i] = x[list(neighbors[i])].mean(axis=0)
+    assert np.allclose(out, expected, atol=1e-12, rtol=1e-12)
+
+
+def test_grad_mean_aggregate():
+    rng = np.random.default_rng(5)
+    operator = mean_aggregation_matrix([(1, 2), (0,), (), (0, 1, 2)])
+
+    def build(t):
+        agg = ad.matmul(operator, t)
+        return ad.reduce_sum(ad.mul(agg, agg))
+
+    t = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    build(t).backward()
+    numeric = central_diff_tensor(lambda: build(Tensor(t.data)).item(), t)
+    assert max_rel_error(t.grad, numeric) < 1e-6
+
+
+def test_mean_aggregation_matrix_rejects_out_of_range_neighbor():
+    with pytest.raises(IndexError, match="node 1"):
+        mean_aggregation_matrix([(1,), (0, 2)])
+
+
+def test_mean_operator_is_built_once_per_graph(toy_graph, monkeypatch):
+    builds = []
+
+    def counting(neighbors):
+        builds.append(neighbors)
+        return mean_aggregation_matrix(neighbors)
+
+    monkeypatch.setattr(seggraph, "mean_aggregation_matrix", counting)
+    seg_graph = build_line_graph(toy_graph)
+    assert seg_graph.mean_operator is seg_graph.mean_operator
+    assert len(builds) == 1
+
+    seg_graph = build_line_graph(toy_graph)
+    config = ModelConfig(volume_hidden=(4,), static_hidden=(4,), hidden=4, head_blocks=1)
+    store = init_params(config, seed=0)
+    features = assemble_features(toy_graph, seg_graph, record("r0", {}), uniform_priors(toy_graph), identity_stats())
+    first = forward(store, config, seg_graph, features)
+    second = forward(store, config, seg_graph, features)
+    assert len(builds) == 2  # one more for the new graph, none for the second forward
+    assert np.array_equal(first.cc_logits.data, second.cc_logits.data)
 
 
 # -- normalization ------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Trainer determinism, batch accumulation equivalence, checkpoint
 selection, ensembling exactness, and checkpoint round-trips."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t4c import autodiff as ad
 from t4c.checkpoint import load_checkpoint, save_checkpoint
@@ -106,6 +109,24 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, trained):
     # byte determinism of the container itself
     again = save_checkpoint(tmp_path / "checkpoint2.bin", loaded)
     assert path.read_bytes() == again.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(trained, tmp_path_factory):
+    return save_checkpoint(tmp_path_factory.mktemp("ckpt") / "checkpoint.bin", trained[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_truncated_checkpoint_raises_value_error_naming_the_path(checkpoint_file, data):
+    raw = checkpoint_file.read_bytes()
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    boundaries = [0, 3, 4, 5, 8, 15, 16, 17, header_end - 1, header_end, header_end + 1, len(raw) - 1]
+    cut = data.draw(st.one_of(st.sampled_from(boundaries), st.integers(0, len(raw) - 1)))
+    path = checkpoint_file.with_name("cut.bin")
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
 
 
 def test_gradient_accumulation_equals_mean_of_gradients(small_city):
