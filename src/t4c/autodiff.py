@@ -6,6 +6,11 @@ routes the upstream gradient back to them, and ``backward()`` walks the
 recorded graph once in reverse topological order. Everything runs in
 64-bit precision so that finite-difference checks stay sharp.
 
+Plain float64 arrays are constants. matmul, add, mul, relu, concat,
+embedding_lookup, getitem and reshape called with no Tensor operand
+return the plain ndarray their Tensor path would hold in ``.data`` and
+record nothing, so inference runs the same code without a graph.
+
 Only the operations the segment model actually needs are provided:
 matmul, add, mul, relu, concat, embedding lookup, slicing, reshape, a
 sum reduction, the two masked losses (weighted cross entropy and mean
@@ -133,13 +138,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a, b) -> Tensor:
+def add(a, b) -> Tensor | np.ndarray:
     """Elementwise sum with numpy broadcasting (e.g. bias add)."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    x = a.data if ta else a
+    y = b.data if tb else b
     try:
-        data = a.data + b.data
+        data = x + y
     except ValueError:
-        raise ShapeError(f"add: cannot broadcast shapes {a.shape} and {b.shape}") from None
+        raise ShapeError(f"add: cannot broadcast shapes {np.shape(x)} and {np.shape(y)}") from None
+    if not (ta or tb):
+        return data
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -150,13 +160,18 @@ def add(a, b) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b) -> Tensor | np.ndarray:
     """Elementwise product with numpy broadcasting; also scales by a scalar."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    x = a.data if ta else a
+    y = b.data if tb else b
     try:
-        data = a.data * b.data
+        data = x * y
     except ValueError:
-        raise ShapeError(f"mul: cannot broadcast shapes {a.shape} and {b.shape}") from None
+        raise ShapeError(f"mul: cannot broadcast shapes {np.shape(x)} and {np.shape(y)}") from None
+    if not (ta or tb):
+        return data
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -167,12 +182,17 @@ def mul(a, b) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b) -> Tensor | np.ndarray:
     """2-D matrix product."""
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    x = a.data if ta else a
+    y = b.data if tb else b
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
+    data = x @ y
+    if not (ta or tb):
+        return data
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -183,11 +203,14 @@ def matmul(a, b) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def relu(a) -> Tensor:
+def relu(a) -> Tensor | np.ndarray:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    a = _as_tensor(a)
-    mask = a.data > 0.0
-    data = np.where(mask, a.data, 0.0)
+    ta = isinstance(a, Tensor)
+    x = a.data if ta else a
+    mask = x > 0.0
+    data = np.where(mask, x, 0.0)
+    if not ta:
+        return data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -196,16 +219,26 @@ def relu(a) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
+def concat(tensors: Sequence, axis: int = 1) -> Tensor | np.ndarray:
     """Concatenate along ``axis``; all other dimensions must agree."""
-    parts = tuple(_as_tensor(t) for t in tensors)
-    if not parts:
+    if not tensors:
         raise ValueError("concat: need at least one tensor")
+    values = []
+    any_tensor = False
+    for t in tensors:
+        if isinstance(t, Tensor):
+            any_tensor = True
+            values.append(t.data)
+        else:
+            values.append(t)
     try:
-        data = np.concatenate([p.data for p in parts], axis=axis)
+        data = np.concatenate(values, axis=axis)
     except ValueError:
-        shapes = [p.shape for p in parts]
+        shapes = [np.shape(v) for v in values]
         raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}") from None
+    if not any_tensor:
+        return data
+    parts = tuple(_as_tensor(t) for t in tensors)
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -219,17 +252,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _result(data, parts, backward)
 
 
-def embedding_lookup(table, indices) -> Tensor:
+def embedding_lookup(table, indices) -> Tensor | np.ndarray:
     """Gather rows of ``table`` (V, D) at integer ``indices`` (N,)."""
-    table = _as_tensor(table)
+    tt = isinstance(table, Tensor)
+    x = table.data if tt else table
     idx = np.asarray(indices, dtype=np.int64)
-    vocab = table.data.shape[0]
+    vocab = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         raise IndexError(
             f"embedding index out of range: values in [{idx.min()}, {idx.max()}] "
             f"for table of size {vocab}"
         )
-    data = table.data[idx]
+    data = x[idx]
+    if not tt:
+        return data
 
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:
@@ -247,10 +283,13 @@ def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def getitem(a, key) -> Tensor:
+def getitem(a, key) -> Tensor | np.ndarray:
     """Basic or integer-array indexing; gradient scatters back with add.at."""
-    a = _as_tensor(a)
-    data = np.array(a.data[key])
+    ta = isinstance(a, Tensor)
+    x = a.data if ta else a
+    data = np.array(x[key])
+    if not ta:
+        return data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -261,12 +300,15 @@ def getitem(a, key) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+def reshape(a, shape) -> Tensor | np.ndarray:
+    ta = isinstance(a, Tensor)
+    x = a.data if ta else a
     try:
-        data = a.data.reshape(shape)
+        data = x.reshape(shape)
     except ValueError:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
+        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from None
+    if not ta:
+        return data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -409,16 +451,9 @@ class ParamStore:
         """Copies of the current parameter values, keyed by name."""
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self._params):
-            missing = sorted(set(self._params) - set(arrays))
-            extra = sorted(set(arrays) - set(self._params))
-            raise ValueError(f"parameter name mismatch: missing={missing} extra={extra}")
-        for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"parameter {name!r}: {arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The current parameter values by name, not copied: run as constants, they build no graph."""
+        return {name: t.data for name, t in self._params.items()}
 
 
 def adam_step(

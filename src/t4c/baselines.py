@@ -296,21 +296,22 @@ def node_gnn_baseline(
     store.add("edge_w", ad.glorot_uniform(rng, 2 * hidden, 3))
     store.add("edge_b", np.zeros(3))
 
-    def forward_logits(record: VolumeRecord) -> ad.Tensor:
-        h = ad.add(ad.matmul(ad.Tensor(feats[record.record_id]), store["in_w"]), store["in_b"])
+    def forward_logits(params, record: VolumeRecord):
+        """Tensors from the store (training), arrays from ``store.arrays()`` (validation)."""
+        h = ad.add(ad.matmul(feats[record.record_id], params["in_w"]), params["in_b"])
         for layer in range(layers):
-            self_part = ad.matmul(h, store[f"gnn{layer}_self_w"])
-            nbr_part = ad.matmul(ad.matmul(node_mean, h), store[f"gnn{layer}_nbr_w"])
-            h = ad.relu(ad.add(ad.add(self_part, nbr_part), store[f"gnn{layer}_b"]))
+            self_part = ad.matmul(h, params[f"gnn{layer}_self_w"])
+            nbr_part = ad.matmul(ad.matmul(node_mean, h), params[f"gnn{layer}_nbr_w"])
+            h = ad.relu(ad.add(ad.add(self_part, nbr_part), params[f"gnn{layer}_b"]))
         pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
-        return ad.add(ad.matmul(pair, store["edge_w"]), store["edge_b"])
+        return ad.add(ad.matmul(pair, params["edge_w"]), params["edge_b"])
 
     def record_loss(record: VolumeRecord):
-        loss, _n = ad.weighted_cross_entropy(forward_logits(record), targets[record.record_id], weights)
+        loss, _n = ad.weighted_cross_entropy(forward_logits(store, record), targets[record.record_id], weights)
         return loss, ()
 
     def val_cc_probs(record: VolumeRecord) -> np.ndarray:
-        return ad.softmax_np(forward_logits(record).data, axis=1)
+        return ad.softmax_np(forward_logits(store.arrays(), record), axis=1)
 
     fit = fit_loop(
         store, train_cfg, seed, train_records, val_records, label_map, seg_ids, record_loss, val_cc_probs

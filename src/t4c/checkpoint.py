@@ -4,7 +4,10 @@ Layout: a 4-byte magic, a little-endian uint32 format version, a
 little-endian uint64 header length, the JSON header (sorted keys), then
 the concatenated raw little-endian float64 buffers of all tensors in
 header order. The same inputs always produce the same bytes, and values
-round-trip bit-exactly.
+round-trip bit-exactly. Loading checks the header against what
+``save_checkpoint`` writes: every field present and well-typed, the
+config hash, tensor offsets as the running sum, and tensor names and
+shapes as ``init_params`` makes them for the config.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, config_hash, init_params
 from .seggraph import NormStats
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"T4CK"
 VERSION = 1
+HEADER_KEYS = {"tensors", "norm_stats", "config", "config_hash", "cc_weights", "vol_weights"}
+NORM_STATS_LENGTHS = {"cont_mean": 5, "cont_std": 5, "counter_mean": 8, "counter_std": 8}
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +100,51 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
     return path
 
 
+def _parse_header(header) -> tuple[ModelConfig, NormStats, dict[str, tuple[tuple[int, ...], int]]]:
+    """The config, norm stats and each tensor's (shape, offset) from a header as ``save_checkpoint`` writes it.
+
+    A missing or inconsistent field raises ValueError; one of the wrong type raises ValueError or TypeError.
+    """
+    if not isinstance(header, dict) or set(header) != HEADER_KEYS:
+        raise ValueError(f"header fields are not {sorted(HEADER_KEYS)}")
+    config = ModelConfig(**header["config"])
+    if header["config_hash"] != config_hash(config):
+        raise ValueError(f"config_hash {header['config_hash']!r} is not the hash of its config")
+    if set(header["norm_stats"]) != {*NORM_STATS_LENGTHS, "speed_mean", "speed_std"}:
+        raise ValueError(f"norm_stats fields are not {sorted(NORM_STATS_LENGTHS)} and the speed mean and std")
+    norm_stats = _norm_stats_from(header["norm_stats"])
+    arrays = {
+        **vars(norm_stats),
+        "cc_weights": np.asarray(header["cc_weights"], dtype=np.float64),
+        "vol_weights": np.asarray(header["vol_weights"], dtype=np.float64),
+    }
+    for key, length in {**NORM_STATS_LENGTHS, "cc_weights": config.cc_classes, "vol_weights": 3}.items():
+        if arrays[key].shape != (length,):
+            raise ValueError(f"{key} has shape {arrays[key].shape}, expected ({length},)")
+
+    expected = {name: t.shape for name, t in init_params(config, 0).items()}
+    specs: dict[str, tuple[tuple[int, ...], int]] = {}
+    offset = 0
+    for spec in header["tensors"]:
+        if set(spec) != {"name", "shape", "offset"}:
+            raise ValueError(f"tensor entry {spec!r} is not {{name, shape, offset}}")
+        name, shape = spec["name"], spec["shape"]
+        if name not in expected or name in specs:
+            raise ValueError(f"tensor {name!r} is listed twice or is not a parameter of the config")
+        if not all(type(d) is int for d in shape) or tuple(shape) != expected[name]:
+            raise ValueError(f"tensor {name!r} has shape {shape!r}, the config makes {expected[name]}")
+        if type(spec["offset"]) is not int or spec["offset"] != offset:
+            raise ValueError(f"tensor {name!r} at offset {spec['offset']!r}, expected {offset}")
+        specs[name] = (expected[name], offset)
+        offset += 8 * math.prod(expected[name])
+    missing = sorted(set(expected) - set(specs))
+    if missing:
+        raise ValueError(f"tensors missing for the config: {missing}")
+    return config, norm_stats, specs
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a cut or damaged file raises ValueError naming ``path``."""
+    """Read a checkpoint; a cut, damaged or inconsistent file raises ValueError naming ``path``."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
@@ -111,23 +159,23 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: truncated checkpoint: header has {len(raw) - 16} of {header_len} bytes")
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except ValueError as exc:
+        config, norm_stats, specs = _parse_header(header)
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: damaged checkpoint header: {exc}") from None
     payload = raw[16 + header_len :]
-    shapes = [tuple(spec["shape"]) for spec in header["tensors"]]
-    expected = 8 * sum(math.prod(shape) for shape in shapes)
+    expected = sum(8 * math.prod(shape) for shape, _ in specs.values())
     if len(payload) != expected:
         raise ValueError(f"{path}: truncated checkpoint: payload has {len(payload)} bytes, its header lists {expected}")
 
     params: dict[str, np.ndarray] = {}
-    for spec, shape in zip(header["tensors"], shapes):
-        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=spec["offset"]).reshape(shape)
-        params[spec["name"]] = arr.astype(np.float64).copy()
+    for name, (shape, offset) in specs.items():
+        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=offset).reshape(shape)
+        params[name] = arr.astype(np.float64).copy()
 
     return Checkpoint(
         params=params,
-        norm_stats=_norm_stats_from(header["norm_stats"]),
-        config=ModelConfig(**header["config"]),
+        norm_stats=norm_stats,
+        config=config,
         cc_weights=np.asarray(header["cc_weights"], dtype=np.float64),
         vol_weights=np.asarray(header["vol_weights"], dtype=np.float64),
         config_hash=header["config_hash"],

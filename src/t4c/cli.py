@@ -24,7 +24,7 @@ from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_syn
 from .evaluation import ABLATION_VARIANTS, AblationResult, core_metric, eta_from_speeds, eta_labels, eta_metric, run_ablation
 from .model import ModelConfig
 from .seggraph import build_line_graph
-from .training import TrainConfig, ensemble_predict, load_runlog, load_store, save_runlog, split_records, train_one
+from .training import TrainConfig, ensemble_predict, load_runlog, save_runlog, split_records, train_one
 
 __all__ = ["main"]
 
@@ -290,15 +290,12 @@ def cmd_predict(args, workdir: Path) -> int:
     _require_artifact(run_dir, "train")
     checkpoints = _member_checkpoints(run_dir)
     cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters)
-    stores = [load_store(c) for c in checkpoints]
     seg_graph = build_line_graph(dataset.graph)
     records = _select_records(dataset, train_cfg, args.records)
 
     rows = []
     for record in records:
-        probs = ensemble_predict(
-            checkpoints, dataset.graph, seg_graph, priors, record, cluster_model, stores=stores
-        )
+        probs = ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record, cluster_model)
         segments = {}
         speeds = {}
         for i, seg_id in enumerate(seg_graph.seg_ids):

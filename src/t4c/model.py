@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -103,13 +103,16 @@ class ModelConfig:
         return self.embedding_width + 5 + self.prior_width
 
 
+Params = ParamStore | Mapping[str, np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionBundle:
-    """Raw head outputs for one record (autodiff tensors)."""
+    """Raw head outputs for one record: tensors from a ParamStore, arrays from plain arrays."""
 
-    cc_logits: Tensor  # (N, cc_classes)
-    speed_pred: Tensor  # (N,), normalized space
-    vol_logits: Tensor  # (N, 3)
+    cc_logits: Tensor | np.ndarray  # (N, cc_classes)
+    speed_pred: Tensor | np.ndarray  # (N,), normalized space
+    vol_logits: Tensor | np.ndarray  # (N, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,29 +200,34 @@ def init_params(config: ModelConfig, seed: int) -> ParamStore:
     return store
 
 
-def _mlp(store: ParamStore, prefix: str, count: int, x: Tensor) -> Tensor:
+def _mlp(params: Params, prefix: str, count: int, x):
     for i in range(count):
-        x = ad.relu(ad.add(ad.matmul(x, store[f"{prefix}{i}_w"]), store[f"{prefix}{i}_b"]))
+        x = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}{i}_w"]), params[f"{prefix}{i}_b"]))
     return x
 
 
-def _head(store: ParamStore, config: ModelConfig, task: str, x: Tensor) -> Tensor:
+def _head(params: Params, config: ModelConfig, task: str, x):
     for block in range(config.head_blocks):
         inner = ad.relu(
-            ad.add(ad.matmul(x, store[f"head_{task}_block{block}_a_w"]), store[f"head_{task}_block{block}_a_b"])
+            ad.add(ad.matmul(x, params[f"head_{task}_block{block}_a_w"]), params[f"head_{task}_block{block}_a_b"])
         )
-        inner = ad.add(ad.matmul(inner, store[f"head_{task}_block{block}_b_w"]), store[f"head_{task}_block{block}_b_b"])
+        inner = ad.add(ad.matmul(inner, params[f"head_{task}_block{block}_b_w"]), params[f"head_{task}_block{block}_b_b"])
         x = ad.add(x, inner)  # identity skip
-    return ad.add(ad.matmul(x, store[f"head_{task}_out_w"]), store[f"head_{task}_out_b"])
+    return ad.add(ad.matmul(x, params[f"head_{task}_out_w"]), params[f"head_{task}_out_b"])
 
 
 def forward(
-    store: ParamStore,
+    params: Params,
     config: ModelConfig,
     seg_graph: SegmentGraph,
     features: FeatureBundle,
 ) -> PredictionBundle:
-    """Run the full network on one record's features."""
+    """Run the full network on one record's features.
+
+    ``params`` is a ParamStore when training, which records the graph
+    for ``backward``, or a name-to-array mapping (a checkpoint's params,
+    ``ParamStore.arrays()``) when predicting, which records none.
+    """
     n = seg_graph.num_segments
     if features.categorical.shape[0] != n:
         raise ad.ShapeError(
@@ -230,14 +238,14 @@ def forward(
             f"prior block width {features.prior_block.shape[1]} vs config {config.prior_width}"
         )
 
-    volume_feat = _mlp(store, "vol", len(config.volume_hidden), Tensor(features.counter_slice))
+    volume_feat = _mlp(params, "vol", len(config.volume_hidden), features.counter_slice)
 
     embedded = ad.concat(
         [
-            ad.embedding_lookup(store["emb_importance"], features.categorical[:, 0]),
-            ad.embedding_lookup(store["emb_oneway"], features.categorical[:, 1]),
-            ad.embedding_lookup(store["emb_tunnel"], features.categorical[:, 2]),
-            ad.embedding_lookup(store["emb_lanes"], features.categorical[:, 3]),
+            ad.embedding_lookup(params["emb_importance"], features.categorical[:, 0]),
+            ad.embedding_lookup(params["emb_oneway"], features.categorical[:, 1]),
+            ad.embedding_lookup(params["emb_tunnel"], features.categorical[:, 2]),
+            ad.embedding_lookup(params["emb_lanes"], features.categorical[:, 3]),
         ],
         axis=1,
     )
@@ -245,26 +253,26 @@ def forward(
     prior_gate = 1.0 if config.use_prior_block else 0.0
     static_in = ad.concat(
         [
-            ad.mul(embedded, Tensor(np.float64(static_gate))),
-            Tensor(features.continuous * static_gate),
-            Tensor(features.prior_block * prior_gate),
+            ad.mul(embedded, np.float64(static_gate)),
+            features.continuous * static_gate,
+            features.prior_block * prior_gate,
         ],
         axis=1,
     )
-    static_feat = _mlp(store, "static", len(config.static_hidden), static_in)
+    static_feat = _mlp(params, "static", len(config.static_hidden), static_in)
 
     h = ad.add(
-        ad.matmul(ad.concat([volume_feat, static_feat], axis=1), store["combine_w"]),
-        store["combine_b"],
+        ad.matmul(ad.concat([volume_feat, static_feat], axis=1), params["combine_w"]),
+        params["combine_b"],
     )
     for layer in range(config.gnn_layers):
-        self_part = ad.matmul(h, store[f"gnn{layer}_self_w"])
-        nbr_part = ad.matmul(ad.matmul(seg_graph.mean_operator, h), store[f"gnn{layer}_nbr_w"])
-        h = ad.relu(ad.add(ad.add(self_part, nbr_part), store[f"gnn{layer}_b"]))
+        self_part = ad.matmul(h, params[f"gnn{layer}_self_w"])
+        nbr_part = ad.matmul(ad.matmul(seg_graph.mean_operator, h), params[f"gnn{layer}_nbr_w"])
+        h = ad.relu(ad.add(ad.add(self_part, nbr_part), params[f"gnn{layer}_b"]))
 
-    cc_logits = _head(store, config, "cc", h)
-    speed = ad.reshape(_head(store, config, "speed", h), (n,))
-    vol_logits = _head(store, config, "vol", h)
+    cc_logits = _head(params, config, "cc", h)
+    speed = ad.reshape(_head(params, config, "speed", h), (n,))
+    vol_logits = _head(params, config, "vol", h)
     return PredictionBundle(cc_logits=cc_logits, speed_pred=speed, vol_logits=vol_logits)
 
 
@@ -340,15 +348,16 @@ def compute_loss(
 def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> PredictionProbs:
     """Softmax the logits and map speeds back to km/h.
 
+    ``pred`` holds plain arrays: the output of ``forward`` on arrays.
     A 4-class congestion head (undefined kept) is reduced to the three
     scored classes by dropping the undefined column and renormalizing.
     """
-    cc = ad.softmax_np(pred.cc_logits.data, axis=1)
+    cc = ad.softmax_np(pred.cc_logits, axis=1)
     if cc.shape[1] == 4:
         cc = cc[:, 1:4]
         cc = cc / cc.sum(axis=1, keepdims=True)
-    vol = ad.softmax_np(pred.vol_logits.data, axis=1)
-    speed = pred.speed_pred.data * norm_stats.speed_std + norm_stats.speed_mean
+    vol = ad.softmax_np(pred.vol_logits, axis=1)
+    speed = pred.speed_pred * norm_stats.speed_std + norm_stats.speed_mean
     return PredictionProbs(cc=cc, speed_kph=speed, vol=vol)
 
 

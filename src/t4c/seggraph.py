@@ -10,7 +10,7 @@ no data) and the flattened congestion prior block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -76,6 +76,13 @@ class NormStats:
     counter_std: np.ndarray  # (8,)
     speed_mean: float
     speed_std: float
+
+    def equals(self, other: "NormStats") -> bool:
+        """Bit-for-bit equality of every statistic: features built from either are identical."""
+        return all(
+            np.asarray(getattr(self, f.name)).tobytes() == np.asarray(getattr(other, f.name)).tobytes()
+            for f in fields(self)
+        )
 
 
 def mean_aggregation_matrix(neighbors: Sequence[Sequence[int]]) -> np.ndarray:

@@ -336,7 +336,7 @@ def train_one(
         return loss, (report.loss, report.loss_cc, report.loss_speed, report.loss_vol)
 
     def val_cc_probs(record: VolumeRecord) -> np.ndarray:
-        pred = forward(store, model_cfg, seg_graph, features[record.record_id])
+        pred = forward(store.arrays(), model_cfg, seg_graph, features[record.record_id])
         return predict_probabilities(pred, norm_stats).cc
 
     fit = fit_loop(
@@ -384,13 +384,6 @@ def train_ensemble(
     ]
 
 
-def load_store(ckpt: Checkpoint) -> ad.ParamStore:
-    """Materialize a checkpoint's parameters into a fresh store."""
-    store = init_params(ckpt.config, seed=0)
-    store.load_arrays(ckpt.params)
-    return store
-
-
 def predict_record(
     ckpt: Checkpoint,
     dataset_graph,
@@ -398,15 +391,12 @@ def predict_record(
     priors: Mapping[str, PriorMatrix],
     record: VolumeRecord,
     cluster_model: ClusterModel | None = None,
-    store: ad.ParamStore | None = None,
 ) -> PredictionProbs:
     """Single-model probabilities for one record."""
     features = _record_features(
         dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config, cluster_model
     )
-    if store is None:
-        store = load_store(ckpt)
-    pred = forward(store, ckpt.config, seg_graph, features)
+    pred = forward(ckpt.params, ckpt.config, seg_graph, features)
     return predict_probabilities(pred, ckpt.norm_stats)
 
 
@@ -417,35 +407,36 @@ def ensemble_predict(
     priors: Mapping[str, PriorMatrix],
     record: VolumeRecord,
     cluster_model: ClusterModel | None = None,
-    stores: Sequence[ad.ParamStore] | None = None,
 ) -> PredictionProbs:
     """Mean of member probabilities and speeds, summed in member order.
 
-    ``stores`` may carry pre-loaded parameter stores (one per checkpoint)
-    to avoid rebuilding them when predicting many records.
+    The record's features are built once, with the first member's norm
+    stats, and shared by every member whose stats equal them; a member
+    with other stats builds its own.
     """
     if not checkpoints:
         raise ValueError("ensemble_predict needs at least one checkpoint")
-    if stores is not None and len(stores) != len(checkpoints):
-        raise ValueError(f"{len(stores)} parameter stores for {len(checkpoints)} checkpoints")
-    first_hash = checkpoints[0].config_hash
+    first = checkpoints[0]
     for ckpt in checkpoints[1:]:
-        if ckpt.config_hash != first_hash:
+        if ckpt.config_hash != first.config_hash:
             raise ValueError(
-                f"checkpoint config hash mismatch: {ckpt.config_hash} vs {first_hash}"
+                f"checkpoint config hash mismatch: {ckpt.config_hash} vs {first.config_hash}"
             )
-    cc_sum = speed_sum = vol_sum = None
-    for ckpt, store in zip(checkpoints, stores or [None] * len(checkpoints)):
-        probs = predict_record(
-            ckpt, dataset_graph, seg_graph, priors, record, cluster_model, store=store
-        )
-        if cc_sum is None:
-            cc_sum = probs.cc.copy()
-            speed_sum = probs.speed_kph.copy()
-            vol_sum = probs.vol.copy()
-        else:
-            cc_sum += probs.cc
-            speed_sum += probs.speed_kph
-            vol_sum += probs.vol
-    n = float(len(checkpoints))
-    return PredictionProbs(cc=cc_sum / n, speed_kph=speed_sum / n, vol=vol_sum / n)
+    shared = _record_features(
+        dataset_graph, seg_graph, record, priors, first.norm_stats, first.config, cluster_model
+    )
+    members = []
+    for ckpt in checkpoints:
+        features = shared
+        if not ckpt.norm_stats.equals(first.norm_stats):
+            features = _record_features(
+                dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config, cluster_model
+            )
+        pred = forward(ckpt.params, ckpt.config, seg_graph, features)
+        members.append(predict_probabilities(pred, ckpt.norm_stats))
+    n = float(len(members))
+    return PredictionProbs(
+        cc=sum((m.cc for m in members[1:]), members[0].cc) / n,
+        speed_kph=sum((m.speed_kph for m in members[1:]), members[0].speed_kph) / n,
+        vol=sum((m.vol for m in members[1:]), members[0].vol) / n,
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import date
 
 import numpy as np
@@ -108,3 +109,14 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     if analytic.size == 0:
         return 0.0
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(header_dict)`` applied to its JSON header."""
+    raw = src.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:end])
+    edit(header)
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    dst.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
+    return dst

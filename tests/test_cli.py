@@ -12,6 +12,8 @@ from t4c.data import load_dataset
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig
 
+from conftest import rewrite_checkpoint_header
+
 CITY_ARGS = [
     "synth", "--out", "data/toy", "--nodes", "25", "--counter-frac", "0.2",
     "--records", "60", "--signal", "0.9", "--seed", "1", "--records-per-day", "10",
@@ -298,6 +300,19 @@ def test_predict_on_truncated_checkpoint_exits_one(pipeline, capsys):
     err = capsys.readouterr().err
     assert str(checkpoint) in err and "t4c train" in err
     assert not (pipeline / "cut.jsonl").exists()
+
+
+def test_predict_on_checkpoint_header_without_norm_stats_exits_one(pipeline, capsys):
+    shutil.copytree(pipeline / "runs/demo", pipeline / "runs/no_stats")
+    checkpoint = pipeline / "runs/no_stats/member_0/checkpoint.bin"
+    rewrite_checkpoint_header(checkpoint, checkpoint, lambda header: header.pop("norm_stats"))
+    capsys.readouterr()
+    code = main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                 "--run", "runs/no_stats", "--out", "no_stats.jsonl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "norm_stats" in err and "t4c train" in err
+    assert not (pipeline / "no_stats.jsonl").exists()
 
 
 def _every_field_config():

@@ -81,7 +81,8 @@ def six_segment_setup(cfg=TINY, seed=0):
 
     stats = fit_normalization(graph, [record])
     feats = assemble_features(
-        graph, seg_graph, record, random_priors(graph, cfg.num_clusters, seed), stats
+        graph, seg_graph, record, random_priors(graph, cfg.num_clusters, seed), stats,
+        prior_mode=cfg.prior_mode, cluster_index=1 if cfg.prior_mode == "active_row" else None,
     )
     return graph, seg_graph, feats
 
@@ -336,12 +337,29 @@ def test_no_gnn_heads_read_pre_aggregation_features():
     assert not any(name.startswith("gnn") for name in store.names())
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"prior_mode": "active_row"}, {"use_static": False}, {"use_prior_block": False}],
+    ids=["full", "active_row", "no_static", "no_prior_block"],
+)
+def test_forward_on_arrays_equals_forward_on_a_param_store(overrides):
+    cfg = replace(TINY, **overrides)
+    _graph, seg_graph, feats = six_segment_setup(cfg)
+    store = init_params(cfg, seed=4)
+    traced = forward(store, cfg, seg_graph, feats)
+    plain = forward(store.arrays(), cfg, seg_graph, feats)
+    for name in ("cc_logits", "speed_pred", "vol_logits"):
+        value = getattr(plain, name)
+        assert type(value) is np.ndarray
+        assert value.tobytes() == getattr(traced, name).data.tobytes()
+
+
 def test_predict_probabilities_examples():
     stats = identity_stats()  # speed_mean 30, speed_std 10
     pred_like = type("P", (), {})()
-    pred_like.cc_logits = ad.Tensor(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]))
-    pred_like.vol_logits = ad.Tensor(np.zeros((2, 3)))
-    pred_like.speed_pred = ad.Tensor(np.array([0.0, 1.0]))
+    pred_like.cc_logits = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    pred_like.vol_logits = np.zeros((2, 3))
+    pred_like.speed_pred = np.array([0.0, 1.0])
     probs = predict_probabilities(pred_like, stats)
     assert np.allclose(probs.cc[0], 1 / 3)
     assert probs.cc[1, 0] > 0.9999
@@ -351,9 +369,9 @@ def test_predict_probabilities_examples():
 def test_predict_probabilities_four_class_renormalizes():
     stats = identity_stats()
     pred_like = type("P", (), {})()
-    pred_like.cc_logits = ad.Tensor(np.array([[0.0, 1.0, 1.0, 1.0]]))
-    pred_like.vol_logits = ad.Tensor(np.zeros((1, 3)))
-    pred_like.speed_pred = ad.Tensor(np.zeros(1))
+    pred_like.cc_logits = np.array([[0.0, 1.0, 1.0, 1.0]])
+    pred_like.vol_logits = np.zeros((1, 3))
+    pred_like.speed_pred = np.zeros(1)
     probs = predict_probabilities(pred_like, stats)
     assert probs.cc.shape == (1, 3)
     assert np.allclose(probs.cc[0], 1 / 3)

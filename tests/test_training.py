@@ -13,18 +13,19 @@ from t4c import autodiff as ad
 from t4c.checkpoint import load_checkpoint, save_checkpoint
 from t4c.clustering import build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, labels_by_record, split_train_validation
-from t4c.model import ModelConfig, compute_loss, forward, init_params
+from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params
 from t4c.seggraph import assemble_features, build_line_graph, fit_normalization
 from t4c.training import (
     TrainConfig,
     ensemble_predict,
     load_runlog,
-    load_store,
     predict_record,
     save_runlog,
     train_ensemble,
     train_one,
 )
+
+from conftest import rewrite_checkpoint_header
 
 SMALL_MODEL = ModelConfig(
     volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16,
@@ -129,6 +130,52 @@ def test_truncated_checkpoint_raises_value_error_naming_the_path(checkpoint_file
         load_checkpoint(path)
 
 
+def _set_hidden_and_rehash(header):
+    header["config"]["hidden"] = 24
+    header["config_hash"] = config_hash(ModelConfig(**header["config"]))
+
+
+HEADER_DAMAGE = {
+    # a header without a field, a non-integer shape, and tensors unlike the config
+    "no_norm_stats": (lambda header: header.pop("norm_stats"), "norm_stats"),
+    "float_shape": (lambda header: header["tensors"][0].update(shape=[2.0, 3.0]), "shape"),
+    "hidden_unlike_tensors": (_set_hidden_and_rehash, "the config makes"),
+    "unknown_tensor_name": (lambda header: header["tensors"][0].update(name="not_a_parameter"), "not_a_parameter"),
+    "missing_tensor": (lambda header: header["tensors"].pop(), "missing"),
+    "shifted_offset": (lambda header: header["tensors"][1].update(offset=header["tensors"][1]["offset"] + 8), "offset"),
+    "config_unlike_its_hash": (lambda header: header["config"].update(lambdas=[0.05, 1.0, 1.0]), "config_hash"),
+    "short_cc_weights": (lambda header: header["cc_weights"].pop(), "cc_weights"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_inconsistent_checkpoint_header_raises_value_error_naming_the_path(checkpoint_file, tmp_path, damage):
+    edit, detail = HEADER_DAMAGE[damage]
+    path = rewrite_checkpoint_header(checkpoint_file, tmp_path / "damaged.bin", edit)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load_checkpoint(path)
+    assert detail in str(err.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_overwritten_header_byte_fails_cleanly_or_loads_a_consistent_checkpoint(checkpoint_file, data):
+    raw = bytearray(checkpoint_file.read_bytes())
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    position = data.draw(st.integers(16, header_end - 1))
+    raw[position] = data.draw(st.integers(0, 255).filter(lambda byte: byte != raw[position]))
+    path = checkpoint_file.with_name("overwritten.bin")
+    path.write_bytes(bytes(raw))
+    try:
+        ckpt = load_checkpoint(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    assert ckpt.config_hash == config_hash(ckpt.config)
+    expected = init_params(ckpt.config, 0)
+    assert {name: p.shape for name, p in ckpt.params.items()} == {name: t.shape for name, t in expected.items()}
+
+
 def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     """One batch step over {r1, r2} == Adam on the mean of their gradients."""
     dataset, cluster_model, priors = small_city
@@ -213,10 +260,23 @@ def test_ensemble_of_one_equals_member(small_city, trained):
     assert np.array_equal(single.vol, ensembled.vol)
 
 
-def test_ensemble_probabilities_are_exact_member_means(small_city):
+@pytest.fixture(scope="module")
+def three_members(small_city):
     dataset, cluster_model, priors = small_city
     cfg = replace(SMALL_TRAIN, epochs=2, ensemble_size=3)
-    members = train_ensemble(cfg, SMALL_MODEL, dataset, cluster_model, priors)
+    return train_ensemble(cfg, SMALL_MODEL, dataset, cluster_model, priors)
+
+
+def _ordered_mean(probs, field):
+    total = getattr(probs[0], field).copy()
+    for p in probs[1:]:
+        total += getattr(p, field)
+    return total / float(len(probs))
+
+
+def test_ensemble_probabilities_are_exact_member_means(small_city, three_members):
+    dataset, cluster_model, priors = small_city
+    members = three_members
     assert len(members) == 3
     seeds = [runlog.seed for _ckpt, runlog in members]
     assert len(set(seeds)) == 3
@@ -239,6 +299,73 @@ def test_ensemble_probabilities_are_exact_member_means(small_city):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+    record_index=st.integers(0, 59),
+)
+def test_ensemble_of_any_member_subset_and_order_is_the_ordered_member_mean(
+    small_city, three_members, order, record_index
+):
+    dataset, _cluster_model, priors = small_city
+    members = [three_members[i][0] for i in order]
+    seg_graph = build_line_graph(dataset.graph)
+    record = dataset.records[record_index % len(dataset.records)]
+    singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in members]
+    ensembled = ensemble_predict(members, dataset.graph, seg_graph, priors, record)
+    for field in ("cc", "speed_kph", "vol"):
+        value = getattr(ensembled, field)
+        assert value.tobytes() == _ordered_mean(singles, field).tobytes()
+        stacked = np.stack([getattr(s, field) for s in singles])
+        assert np.all(stacked.min(axis=0) <= value) and np.all(value <= stacked.max(axis=0))
+    assert np.all(np.abs(ensembled.cc.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all(np.abs(ensembled.vol.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_ensemble_builds_features_once_per_distinct_norm_stats(small_city, three_members, monkeypatch):
+    import t4c.training as training
+
+    dataset, _cluster_model, priors = small_city
+    checkpoints = [ckpt for ckpt, _ in three_members]
+    seg_graph = build_line_graph(dataset.graph)
+    record = dataset.records[5]
+    builds = []
+    real = training.assemble_features
+    monkeypatch.setattr(training, "assemble_features", lambda *args, **kw: builds.append(1) or real(*args, **kw))
+
+    ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record)
+    assert len(builds) == 1
+
+    stats = checkpoints[1].norm_stats
+    shifted = replace(checkpoints[1], norm_stats=replace(stats, counter_mean=stats.counter_mean + 0.5))
+    mixed = [checkpoints[0], shifted, checkpoints[2]]
+    builds.clear()
+    ensembled = ensemble_predict(mixed, dataset.graph, seg_graph, priors, record)
+    assert len(builds) == 2
+    singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in mixed]
+    for field in ("cc", "speed_kph", "vol"):
+        assert getattr(ensembled, field).tobytes() == _ordered_mean(singles, field).tobytes()
+
+
+def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch):
+    dataset, cluster_model, priors = small_city
+    checkpoints = [ckpt for ckpt, _ in three_members]
+    seg_graph = build_line_graph(dataset.graph)
+    made = []
+    real_init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    predict_record(checkpoints[0], dataset.graph, seg_graph, priors, dataset.records[0])
+    ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, dataset.records[0])
+    assert made == []
+    ad.Tensor(np.zeros(1))  # the counter itself works
+    assert made == [1]
+
+
 def test_member_retraining_reproduces_checkpoint(small_city):
     dataset, cluster_model, priors = small_city
     cfg = replace(SMALL_TRAIN, epochs=2, ensemble_size=2)
@@ -256,21 +383,3 @@ def test_config_hash_mismatch_rejected(small_city, trained):
     with pytest.raises(ValueError) as err:
         ensemble_predict([ckpt, other], dataset.graph, seg_graph, priors, dataset.records[0])
     assert "hash" in str(err.value)
-
-
-def test_store_count_unlike_checkpoint_count_rejected(small_city, trained):
-    """One store for two checkpoints would average one member over two."""
-    dataset, _cluster_model, priors = small_city
-    ckpt, _ = trained
-    seg_graph = build_line_graph(dataset.graph)
-    with pytest.raises(ValueError, match="1 parameter stores for 2 checkpoints"):
-        ensemble_predict(
-            [ckpt, ckpt], dataset.graph, seg_graph, priors, dataset.records[0], stores=[load_store(ckpt)]
-        )
-
-
-def test_load_store_round_trips_parameters(trained):
-    ckpt, _ = trained
-    store = load_store(ckpt)
-    for name, tensor in store.items():
-        assert np.array_equal(tensor.data, ckpt.params[name])
