@@ -16,6 +16,12 @@ matmul, add, mul, relu, concat, embedding lookup, slicing, reshape, a
 sum reduction, the two masked losses (weighted cross entropy and mean
 squared error), a plain-array softmax for inference, and an Adam
 optimizer over a named parameter store.
+
+The store keeps every parameter as a view into one flat float64
+buffer, and Adam's moments as two flat buffers of the same layout:
+``adam_step`` gathers the gradients with one concatenate and updates
+all parameters in a handful of vector operations, with the same bits
+as a per-parameter update.
 """
 
 from __future__ import annotations
@@ -87,8 +93,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the bits of zeros + g in one pass, in a buffer of its own
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar, accumulating into ``grad`` buffers."""
@@ -107,7 +115,8 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                # leaves (parameters, constants) have no backward to run
+                if parent._parents and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
@@ -130,6 +139,8 @@ def _result(data, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # Sum the gradient down to the original operand shape.
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -406,12 +417,17 @@ def mse(pred, target, mask=None) -> tuple[Tensor, int]:
 
 
 class ParamStore:
-    """Named trainable tensors plus per-parameter Adam moment buffers."""
+    """Named trainable tensors, each a view into one flat float64 buffer.
+
+    Adam's first and second moments are two more flat buffers with the
+    same layout, so one update covers every parameter at once.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._flat = np.zeros(0)
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
         self.step_count = 0
 
     def add(self, name: str, data) -> Tensor:
@@ -419,8 +435,15 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name: {name!r}")
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
+        # grow the buffers and point every parameter at its slice of the new one
+        size = t.data.size
+        self._flat = np.concatenate([self._flat, t.data.ravel()])
+        self._m = np.concatenate([self._m, np.zeros(size)])
+        self._v = np.concatenate([self._v, np.zeros(size)])
+        offset = 0
+        for p in self._params.values():
+            p.data = self._flat[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -463,20 +486,23 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update; missing gradients count as zero."""
+    """One bias-corrected Adam update over the flat buffer; missing gradients count as zero."""
     store.step_count += 1
     t = store.step_count
-    for name, p in store._params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = store._m[name]
-        v = store._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = np.concatenate(
+        [p.grad if p.grad is not None else np.zeros(p.data.size) for p in store._params.values()],
+        axis=None,
+    )
+    if g.size != store._flat.size:
+        raise ShapeError(f"adam_step: {g.size} gradient entries for {store._flat.size} parameter entries")
+    m, v = store._m, store._v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    store._flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_syn
 from .evaluation import ABLATION_VARIANTS, AblationResult, core_metric, eta_from_speeds, eta_labels, eta_metric, run_ablation
 from .model import ModelConfig
 from .seggraph import build_line_graph
-from .training import TrainConfig, ensemble_predict, load_runlog, save_runlog, split_records, train_one
+from .training import TrainConfig, ensemble_predict, load_runlog, prepare_training, save_runlog, split_records, train_one
 
 __all__ = ["main"]
 
@@ -174,14 +174,6 @@ def _read_predictions(path: Path) -> list[dict]:
     return rows
 
 
-def _eta_predictions_from_speeds(dataset, segment_speeds: dict[str, float]) -> dict[str, float]:
-    lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}
-    return {
-        ss.ss_id: eta_from_speeds(ss, segment_speeds, lengths)
-        for ss in dataset.supersegments
-    }
-
-
 def _report_obj(score) -> dict:
     return {
         "metric": score.score,
@@ -245,8 +237,11 @@ def cmd_train(args, workdir: Path) -> int:
     run_dir = _resolve(workdir, args.out or config.get("out", {}).get("run_dir", "runs/run"))
     run_dir.mkdir(parents=True, exist_ok=True)
 
+    training_set = prepare_training(
+        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
+    )
     for k, seed in enumerate(train_cfg.seeds()):
-        ckpt, runlog = train_one(train_cfg, model_cfg, dataset, cluster_model, priors, seed)
+        ckpt, runlog = train_one(training_set, model_cfg, seed)
         member_dir = run_dir / f"member_{k}"
         member_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(member_dir / "checkpoint.bin", ckpt)
@@ -292,6 +287,7 @@ def cmd_predict(args, workdir: Path) -> int:
     cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters)
     seg_graph = build_line_graph(dataset.graph)
     records = _select_records(dataset, train_cfg, args.records)
+    lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}  # once per stage
 
     rows = []
     for record in records:
@@ -309,7 +305,7 @@ def cmd_predict(args, workdir: Path) -> int:
             {
                 "record_id": record.record_id,
                 "segments": segments,
-                "etas": _eta_predictions_from_speeds(dataset, speeds),
+                "etas": {ss.ss_id: eta_from_speeds(ss, speeds, lengths) for ss in dataset.supersegments},
             }
         )
     out = _resolve(workdir, args.out)

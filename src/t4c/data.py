@@ -23,6 +23,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -130,6 +131,26 @@ class RoadGraph:
     def segment_ids(self) -> set[str]:
         return {s.segment_id for s in self.segments}
 
+    @cached_property
+    def continuous_matrix(self) -> np.ndarray:
+        """(N, 5) raw ``CONTINUOUS_FIELDS`` in segment order; built on first use, read-only."""
+        out = np.array(
+            [[getattr(s, name) for name in CONTINUOUS_FIELDS] for s in self.segments],
+            dtype=np.float64,
+        )
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def categorical_matrix(self) -> np.ndarray:
+        """(N, 4) embedding indices: importance, oneway, tunnel, lanes bucket - 1; built on first use, read-only."""
+        out = np.array(
+            [[s.importance, s.oneway, s.tunnel, s.lanes - 1] for s in self.segments],
+            dtype=np.int64,
+        )
+        out.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class VolumeRecord:
@@ -189,7 +210,7 @@ def _require_file(dir_path: Path, name: str) -> Path:
 def _parse_int(raw, path, line, fieldname) -> int:
     try:
         value = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(path, line, fieldname, f"expected an integer, got {raw!r}") from None
     return value
 
@@ -330,102 +351,110 @@ def _load_edges(path: Path, node_ids: set[str]) -> tuple[tuple[SegmentRec, ...],
     return tuple(segments), tuple(imputed)
 
 
-def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> tuple[VolumeRecord, ...]:
-    records: list[VolumeRecord] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+def _jsonl_objects(path: Path):
+    """(line number, object) for every non-blank line of a JSON-lines file.
+
+    Lines split at LF only, so a stray CR cannot shift the line numbers.
+    """
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(path, line_no, None, f"invalid UTF-8 at byte {exc.start}") from None
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(path, line_no, None, f"invalid JSON: {exc.msg}") from None
-            for key in ("record_id", "day", "t_index", "volumes"):
-                if key not in obj:
-                    raise SchemaError(path, line_no, key, "required key missing")
-            record_id = str(obj["record_id"])
-            if record_id in seen:
-                raise SchemaError(path, line_no, "record_id", f"duplicate record id {record_id!r}")
-            seen.add(record_id)
-            try:
-                day = date.fromisoformat(obj["day"])
-            except (TypeError, ValueError):
-                raise SchemaError(path, line_no, "day", f"expected YYYY-MM-DD, got {obj['day']!r}") from None
-            t_index = _parse_int(obj["t_index"], path, line_no, "t_index")
-            if not 0 <= t_index < NUM_DAY_SLOTS:
-                raise SchemaError(path, line_no, "t_index", f"must be in 0..95, got {t_index}")
-            if not isinstance(obj["volumes"], dict):
-                raise SchemaError(path, line_no, "volumes", "must be an object")
-            volumes: dict[str, tuple[int, int, int, int]] = {}
-            for node_id, vec in obj["volumes"].items():
-                if node_id not in node_ids:
-                    raise DanglingReferenceError(path, line_no, "volumes", f"unknown node {node_id!r}")
-                if node_id not in counters:
-                    raise SchemaError(path, line_no, "volumes", f"node {node_id!r} has no counter")
-                if not isinstance(vec, list) or len(vec) != 4:
+            if not isinstance(obj, dict):
+                raise SchemaError(path, line_no, None, "expected a JSON object")
+            yield line_no, obj
+
+
+def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> tuple[VolumeRecord, ...]:
+    records: list[VolumeRecord] = []
+    seen: set[str] = set()
+    for line_no, obj in _jsonl_objects(path):
+        for key in ("record_id", "day", "t_index", "volumes"):
+            if key not in obj:
+                raise SchemaError(path, line_no, key, "required key missing")
+        record_id = str(obj["record_id"])
+        if record_id in seen:
+            raise SchemaError(path, line_no, "record_id", f"duplicate record id {record_id!r}")
+        seen.add(record_id)
+        try:
+            day = date.fromisoformat(obj["day"])
+        except (TypeError, ValueError):
+            raise SchemaError(path, line_no, "day", f"expected YYYY-MM-DD, got {obj['day']!r}") from None
+        t_index = _parse_int(obj["t_index"], path, line_no, "t_index")
+        if not 0 <= t_index < NUM_DAY_SLOTS:
+            raise SchemaError(path, line_no, "t_index", f"must be in 0..95, got {t_index}")
+        if not isinstance(obj["volumes"], dict):
+            raise SchemaError(path, line_no, "volumes", "must be an object")
+        volumes: dict[str, tuple[int, int, int, int]] = {}
+        for node_id, vec in obj["volumes"].items():
+            if node_id not in node_ids:
+                raise DanglingReferenceError(path, line_no, "volumes", f"unknown node {node_id!r}")
+            if node_id not in counters:
+                raise SchemaError(path, line_no, "volumes", f"node {node_id!r} has no counter")
+            if not isinstance(vec, list) or len(vec) != 4:
+                raise SchemaError(
+                    path, line_no, "volumes",
+                    f"volume vector for {node_id!r} must have exactly 4 bins (one hour), got {vec!r}",
+                )
+            counts = []
+            for v in vec:
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v) or v < 0:
                     raise SchemaError(
                         path, line_no, "volumes",
-                        f"volume vector for {node_id!r} must have exactly 4 bins (one hour), got {vec!r}",
+                        f"counts must be nonnegative integers, got {v!r} for {node_id!r}",
                     )
-                counts = []
-                for v in vec:
-                    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v) or v < 0:
-                        raise SchemaError(
-                            path, line_no, "volumes",
-                            f"counts must be nonnegative integers, got {v!r} for {node_id!r}",
-                        )
-                    counts.append(int(v))
-                volumes[node_id] = tuple(counts)
-            records.append(VolumeRecord(record_id, day, t_index, volumes))
+                counts.append(int(v))
+            volumes[node_id] = tuple(counts)
+        records.append(VolumeRecord(record_id, day, t_index, volumes))
     return tuple(records)
 
 
 def _load_labels(path: Path, record_ids: set[str], segment_ids: set[str]) -> tuple[LabelBundle, ...]:
     bundles: list[LabelBundle] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(path, line_no, None, f"invalid JSON: {exc.msg}") from None
-            record_id = str(obj.get("record_id"))
-            if record_id not in record_ids:
-                raise DanglingReferenceError(path, line_no, "record_id", f"unknown record {record_id!r}")
-            if record_id in seen:
-                raise SchemaError(path, line_no, "record_id", f"duplicate label bundle for {record_id!r}")
-            seen.add(record_id)
-            edges_obj = obj.get("edges")
-            if not isinstance(edges_obj, dict):
-                raise SchemaError(path, line_no, "edges", "must be an object")
-            edges: dict[str, SegmentLabel] = {}
-            for seg_id, lab in edges_obj.items():
-                if seg_id not in segment_ids:
-                    raise DanglingReferenceError(path, line_no, "edges", f"unknown segment {seg_id!r}")
-                if not isinstance(lab, dict):
-                    raise SchemaError(path, line_no, "edges", f"label for {seg_id!r} must be an object")
-                cc = lab.get("cc")
-                if cc is not None:
-                    cc = _parse_int(cc, path, line_no, "cc")
-                    if cc not in VALID_CC:
-                        raise SchemaError(path, line_no, "cc", f"must be one of {VALID_CC}, got {cc}")
-                speed = lab.get("speed_kph")
-                if speed is not None:
-                    speed = _parse_float(speed, path, line_no, "speed_kph")
-                    if speed < 0:
-                        raise SchemaError(path, line_no, "speed_kph", f"must be >= 0, got {speed}")
-                vol = lab.get("vol_class")
-                if vol is not None:
-                    vol = _parse_int(vol, path, line_no, "vol_class")
-                    if vol not in VALID_VOL_CLASS:
-                        raise SchemaError(
-                            path, line_no, "vol_class", f"must be one of {VALID_VOL_CLASS}, got {vol}"
-                        )
-                edges[seg_id] = SegmentLabel(cc=cc, speed_kph=speed, vol_class=vol)
-            bundles.append(LabelBundle(record_id, edges))
+    for line_no, obj in _jsonl_objects(path):
+        record_id = str(obj.get("record_id"))
+        if record_id not in record_ids:
+            raise DanglingReferenceError(path, line_no, "record_id", f"unknown record {record_id!r}")
+        if record_id in seen:
+            raise SchemaError(path, line_no, "record_id", f"duplicate label bundle for {record_id!r}")
+        seen.add(record_id)
+        edges_obj = obj.get("edges")
+        if not isinstance(edges_obj, dict):
+            raise SchemaError(path, line_no, "edges", "must be an object")
+        edges: dict[str, SegmentLabel] = {}
+        for seg_id, lab in edges_obj.items():
+            if seg_id not in segment_ids:
+                raise DanglingReferenceError(path, line_no, "edges", f"unknown segment {seg_id!r}")
+            if not isinstance(lab, dict):
+                raise SchemaError(path, line_no, "edges", f"label for {seg_id!r} must be an object")
+            cc = lab.get("cc")
+            if cc is not None:
+                cc = _parse_int(cc, path, line_no, "cc")
+                if cc not in VALID_CC:
+                    raise SchemaError(path, line_no, "cc", f"must be one of {VALID_CC}, got {cc}")
+            speed = lab.get("speed_kph")
+            if speed is not None:
+                speed = _parse_float(speed, path, line_no, "speed_kph")
+                if speed < 0:
+                    raise SchemaError(path, line_no, "speed_kph", f"must be >= 0, got {speed}")
+            vol = lab.get("vol_class")
+            if vol is not None:
+                vol = _parse_int(vol, path, line_no, "vol_class")
+                if vol not in VALID_VOL_CLASS:
+                    raise SchemaError(
+                        path, line_no, "vol_class", f"must be one of {VALID_VOL_CLASS}, got {vol}"
+                    )
+            edges[seg_id] = SegmentLabel(cc=cc, speed_kph=speed, vol_class=vol)
+        bundles.append(LabelBundle(record_id, edges))
     return tuple(bundles)
 
 

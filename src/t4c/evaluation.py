@@ -179,12 +179,16 @@ def run_ablation(
     """
     from dataclasses import replace
 
-    from .training import train_one  # local import; training also uses this module
+    from .training import prepare_training, train_one  # local import; training also uses this module
 
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ValueError(f"unknown ablation variant {variant!r}; options: {ABLATION_VARIANTS}")
 
+    # the variants differ only in gates and depth, so they share one training set
+    training_set = prepare_training(
+        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
+    )
     scores: dict[str, float] = {}
     best_epochs: dict[str, int] = {}
     hashes: dict[str, str] = {}
@@ -197,7 +201,7 @@ def run_ablation(
             cfg = replace(model_cfg, use_static=False)
         else:  # no_gnn
             cfg = replace(model_cfg, gnn_layers=0)
-        _ckpt, runlog = train_one(train_cfg, cfg, dataset, cluster_model, priors, seed)
+        _ckpt, runlog = train_one(training_set, cfg, seed)
         scores[variant] = runlog.epochs[runlog.best_epoch].val_core
         best_epochs[variant] = runlog.best_epoch
         hashes[variant] = runlog.data_order_hash

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import PriorMatrix
-from .data import CONTINUOUS_FIELDS, LabelBundle, RoadGraph, VolumeRecord
+from .data import LabelBundle, RoadGraph, VolumeRecord
 
 __all__ = [
     "SegmentGraph",
@@ -28,8 +28,6 @@ __all__ = [
     "fit_normalization",
     "assemble_features",
     "counter_slice_matrix",
-    "continuous_matrix",
-    "categorical_matrix",
 ]
 
 SIGMA_FLOOR = 1e-6
@@ -121,22 +119,6 @@ def build_line_graph(graph: RoadGraph) -> SegmentGraph:
     return SegmentGraph(seg_ids=seg_ids, neighbors=neighbors)
 
 
-def continuous_matrix(graph: RoadGraph) -> np.ndarray:
-    """(N, 5) raw continuous attributes in segment order."""
-    return np.array(
-        [[getattr(s, name) for name in CONTINUOUS_FIELDS] for s in graph.segments],
-        dtype=np.float64,
-    )
-
-
-def categorical_matrix(graph: RoadGraph) -> np.ndarray:
-    """(N, 4) embedding indices: importance, oneway, tunnel, lanes bucket - 1."""
-    return np.array(
-        [[s.importance, s.oneway, s.tunnel, s.lanes - 1] for s in graph.segments],
-        dtype=np.int64,
-    )
-
-
 def counter_slice_matrix(graph: RoadGraph, record: VolumeRecord) -> np.ndarray:
     """(N, 8) raw counter volumes at each segment's own endpoints.
 
@@ -173,7 +155,7 @@ def fit_normalization(
     """
     if len(train_records) == 0:
         raise ValueError("cannot fit normalization on an empty training set")
-    cont = continuous_matrix(graph)
+    cont = graph.continuous_matrix
     cont_mean = cont.mean(axis=0)
     cont_std = _floored_std(cont)
 
@@ -228,7 +210,7 @@ def assemble_features(
     if prior_mode == "active_row" and cluster_index is None:
         raise ValueError("prior_mode 'active_row' needs the record's cluster_index")
 
-    cont = (continuous_matrix(graph) - norm_stats.cont_mean) / norm_stats.cont_std
+    cont = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
     slice_ = (counter_slice_matrix(graph, record) - norm_stats.counter_mean) / norm_stats.counter_std
 
     rows: list[np.ndarray] = []
@@ -241,7 +223,7 @@ def assemble_features(
         else:
             rows.append(prior.matrix[cluster_index])
     return FeatureBundle(
-        categorical=categorical_matrix(graph),
+        categorical=graph.categorical_matrix,
         continuous=cont,
         counter_slice=slice_,
         prior_block=np.array(rows, dtype=np.float64),

@@ -5,8 +5,10 @@ Each optimizer step accumulates gradients over a small batch of records
 Adam update. After every epoch the validation congestion score is
 computed and the best epoch's parameters are kept. One loop, ``fit_loop``,
 does this for the main model and for the node-GNN baseline. Ensemble members
-differ only by their seed; ensemble prediction averages the members'
-probabilities (and de-normalized speeds) in a fixed summation order.
+differ only by their seed, so a run builds its split, features, targets and
+class weights once (``prepare_training``) and trains every member from them.
+Ensemble prediction averages the members' probabilities (and de-normalized
+speeds) in a fixed summation order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -38,7 +40,7 @@ from .model import (
     make_label_arrays,
     predict_probabilities,
 )
-from .seggraph import SegmentGraph, assemble_features, build_line_graph, fit_normalization
+from .seggraph import FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph, fit_normalization
 
 __all__ = [
     "TrainConfig",
@@ -48,6 +50,8 @@ __all__ = [
     "FitResult",
     "fit_loop",
     "split_records",
+    "TrainingSet",
+    "prepare_training",
     "train_one",
     "train_ensemble",
     "ensemble_predict",
@@ -176,18 +180,18 @@ def _record_features(
     record: VolumeRecord,
     priors: Mapping[str, PriorMatrix],
     norm_stats,
-    model_cfg: ModelConfig,
+    prior_mode: str,
     cluster_model: ClusterModel | None,
 ):
     """One record's features; ``active_row`` mode takes the record's cluster row."""
     cluster_index = None
-    if model_cfg.prior_mode == "active_row":
+    if prior_mode == "active_row":
         if cluster_model is None:
             raise ValueError("prior_mode 'active_row' needs a cluster model")
         cluster_index = assign_cluster(cluster_model, record)
     return assemble_features(
         dataset_graph, seg_graph, record, priors, norm_stats,
-        prior_mode=model_cfg.prior_mode, cluster_index=cluster_index,
+        prior_mode=prior_mode, cluster_index=cluster_index,
     )
 
 
@@ -289,66 +293,126 @@ def fit_loop(
     )
 
 
-def train_one(
-    train_cfg: TrainConfig,
-    model_cfg: ModelConfig,
-    dataset: Dataset,
-    cluster_model: ClusterModel,
-    priors: Mapping[str, PriorMatrix],
-    seed: int,
-) -> tuple[Checkpoint, RunLog]:
-    """Train one model; deterministic given (configs, dataset, seed).
+@dataclass(frozen=True, eq=False)
+class TrainingSet:
+    """Everything a member's training reads that does not depend on its seed.
 
-    Returns the parameters of the epoch with the lowest validation
-    congestion score and the full run history (see ``fit_loop``).
+    ``prepare_training`` builds it once per run; every member of an
+    ensemble, and every ablation variant, trains from the same set. Its
+    arrays are read-only, so no member can change what the next one reads.
     """
-    t_start = time.perf_counter()
+
+    train_cfg: TrainConfig
+    prior_mode: str
+    cc_classes: int
+    train_records: tuple[VolumeRecord, ...]
+    val_records: tuple[VolumeRecord, ...]
+    label_map: Mapping[str, LabelBundle]
+    seg_graph: SegmentGraph
+    norm_stats: NormStats
+    features: Mapping[str, FeatureBundle]  # by record id, for every daytime record
+    targets: Mapping[str, LabelArrays]  # by record id, for every daytime record
+    cc_weights: np.ndarray
+    vol_weights: np.ndarray
+
+
+def _read_only(obj):
+    """``obj``, a dataclass, with its ndarray fields made read-only."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return obj
+
+
+def prepare_training(
+    train_cfg: TrainConfig,
+    dataset: Dataset,
+    cluster_model: ClusterModel | None,
+    priors: Mapping[str, PriorMatrix],
+    prior_mode: str,
+    cc_classes: int,
+) -> TrainingSet:
+    """The split, graph, norm stats, features, targets and class weights of a run.
+
+    Only the prior mode (which features) and the congestion class count
+    (which targets and weights) of the model config enter the set; any
+    config that agrees on both can train from it.
+    """
     records, train_records, val_records = split_records(dataset, train_cfg)
     label_map = labels_by_record(dataset.labels)
     train_labels = [label_map[r.record_id] for r in train_records if r.record_id in label_map]
 
     seg_graph = build_line_graph(dataset.graph)
-    norm_stats = fit_normalization(dataset.graph, train_records, train_labels)
+    norm_stats = _read_only(fit_normalization(dataset.graph, train_records, train_labels))
     features = {
-        r.record_id: _record_features(dataset.graph, seg_graph, r, priors, norm_stats, model_cfg, cluster_model)
-        for r in records
-    }
-    targets: dict[str, LabelArrays] = {
-        r.record_id: make_label_arrays(
-            label_map.get(r.record_id), seg_graph, norm_stats, model_cfg.cc_classes
+        r.record_id: _read_only(
+            _record_features(dataset.graph, seg_graph, r, priors, norm_stats, prior_mode, cluster_model)
         )
         for r in records
     }
+    targets = {
+        r.record_id: _read_only(make_label_arrays(label_map.get(r.record_id), seg_graph, norm_stats, cc_classes))
+        for r in records
+    }
     train_targets = [targets[r.record_id] for r in train_records]
-    cc_weights = inverse_frequency_weights([t.cc for t in train_targets], model_cfg.cc_classes)
-    vol_weights = inverse_frequency_weights([t.vol for t in train_targets], 3)
+    return _read_only(TrainingSet(
+        train_cfg=train_cfg,
+        prior_mode=prior_mode,
+        cc_classes=cc_classes,
+        train_records=train_records,
+        val_records=val_records,
+        label_map=label_map,
+        seg_graph=seg_graph,
+        norm_stats=norm_stats,
+        features=features,
+        targets=targets,
+        cc_weights=inverse_frequency_weights([t.cc for t in train_targets], cc_classes),
+        vol_weights=inverse_frequency_weights([t.vol for t in train_targets], 3),
+    ))
 
+
+def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> tuple[Checkpoint, RunLog]:
+    """Train one model from a prepared set; deterministic given (set, config, seed).
+
+    Returns the parameters of the epoch with the lowest validation
+    congestion score and the full run history (see ``fit_loop``). The
+    config must have the set's prior mode and congestion class count.
+    """
+    t_start = time.perf_counter()
+    ts = training_set
+    if (model_cfg.prior_mode, model_cfg.cc_classes) != (ts.prior_mode, ts.cc_classes):
+        raise ValueError(
+            f"model config has prior_mode={model_cfg.prior_mode!r}, cc_classes={model_cfg.cc_classes}; "
+            f"the training set was prepared for prior_mode={ts.prior_mode!r}, cc_classes={ts.cc_classes}"
+        )
+    seg_graph = ts.seg_graph
     store = init_params(model_cfg, seed)
 
     def record_loss(record: VolumeRecord):
         loss, report = compute_loss(
-            forward(store, model_cfg, seg_graph, features[record.record_id]),
-            targets[record.record_id],
-            cc_weights,
-            vol_weights,
+            forward(store, model_cfg, seg_graph, ts.features[record.record_id]),
+            ts.targets[record.record_id],
+            ts.cc_weights,
+            ts.vol_weights,
             model_cfg.lambdas,
         )
         return loss, (report.loss, report.loss_cc, report.loss_speed, report.loss_vol)
 
     def val_cc_probs(record: VolumeRecord) -> np.ndarray:
-        pred = forward(store.arrays(), model_cfg, seg_graph, features[record.record_id])
-        return predict_probabilities(pred, norm_stats).cc
+        pred = forward(store.arrays(), model_cfg, seg_graph, ts.features[record.record_id])
+        return predict_probabilities(pred, ts.norm_stats).cc
 
     fit = fit_loop(
-        store, train_cfg, seed, train_records, val_records, label_map, seg_graph.seg_ids,
+        store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.label_map, seg_graph.seg_ids,
         record_loss, val_cc_probs,
     )
     ckpt = Checkpoint(
         params=fit.params,
-        norm_stats=norm_stats,
+        norm_stats=ts.norm_stats,
         config=model_cfg,
-        cc_weights=cc_weights,
-        vol_weights=vol_weights,
+        cc_weights=ts.cc_weights,
+        vol_weights=ts.vol_weights,
         config_hash=config_hash(model_cfg),
     )
     runlog = RunLog(
@@ -377,11 +441,11 @@ def train_ensemble(
     cluster_model: ClusterModel,
     priors: Mapping[str, PriorMatrix],
 ) -> list[tuple[Checkpoint, RunLog]]:
-    """Train the ensemble members sequentially; they differ only by seed."""
-    return [
-        train_one(train_cfg, model_cfg, dataset, cluster_model, priors, seed)
-        for seed in train_cfg.seeds()
-    ]
+    """Train the ensemble members sequentially from one training set; they differ only by seed."""
+    training_set = prepare_training(
+        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
+    )
+    return [train_one(training_set, model_cfg, seed) for seed in train_cfg.seeds()]
 
 
 def predict_record(
@@ -394,7 +458,7 @@ def predict_record(
 ) -> PredictionProbs:
     """Single-model probabilities for one record."""
     features = _record_features(
-        dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config, cluster_model
+        dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config.prior_mode, cluster_model
     )
     pred = forward(ckpt.params, ckpt.config, seg_graph, features)
     return predict_probabilities(pred, ckpt.norm_stats)
@@ -423,14 +487,14 @@ def ensemble_predict(
                 f"checkpoint config hash mismatch: {ckpt.config_hash} vs {first.config_hash}"
             )
     shared = _record_features(
-        dataset_graph, seg_graph, record, priors, first.norm_stats, first.config, cluster_model
+        dataset_graph, seg_graph, record, priors, first.norm_stats, first.config.prior_mode, cluster_model
     )
     members = []
     for ckpt in checkpoints:
         features = shared
         if not ckpt.norm_stats.equals(first.norm_stats):
             features = _record_features(
-                dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config, cluster_model
+                dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config.prior_mode, cluster_model
             )
         pred = forward(ckpt.params, ckpt.config, seg_graph, features)
         members.append(predict_probabilities(pred, ckpt.norm_stats))

@@ -33,7 +33,7 @@ from t4c.evaluation import core_metric, eta_from_speeds, run_ablation
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
 from t4c.model import ModelConfig, compute_loss, forward, init_params
 from t4c.seggraph import build_line_graph
-from t4c.training import TrainConfig, ensemble_predict, predict_record, train_ensemble, train_one
+from t4c.training import TrainConfig, ensemble_predict, predict_record, prepare_training, train_ensemble, train_one
 
 from conftest import central_diff_store, max_rel_error
 from test_model import TINY, six_segment_labels, six_segment_setup
@@ -49,6 +49,12 @@ ORDERING_MODEL = ModelConfig(
     head_blocks=1, num_clusters=5, prior_mode="active_row",
 )
 MARGIN = 0.005  # required relative separation between compared scores
+
+
+def _training_set(train_cfg, dataset, cluster_model, priors):
+    return prepare_training(
+        train_cfg, dataset, cluster_model, priors, ORDERING_MODEL.prior_mode, ORDERING_MODEL.cc_classes
+    )
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +264,8 @@ def test_criterion_7_train_determinism(ordering_city, ordering_fit):
     dataset, _ = ordering_city
     cluster_model, priors, *_ = ordering_fit
     cfg = replace(ORDERING_TRAIN, epochs=3)
-    ckpt_a, runlog_a = train_one(cfg, ORDERING_MODEL, dataset, cluster_model, priors, seed=4)
-    ckpt_b, runlog_b = train_one(cfg, ORDERING_MODEL, dataset, cluster_model, priors, seed=4)
+    ckpt_a, runlog_a = train_one(_training_set(cfg, dataset, cluster_model, priors), ORDERING_MODEL, seed=4)
+    ckpt_b, runlog_b = train_one(_training_set(cfg, dataset, cluster_model, priors), ORDERING_MODEL, seed=4)
     assert set(ckpt_a.params) == set(ckpt_b.params)
     for name in ckpt_a.params:
         assert np.array_equal(ckpt_a.params[name], ckpt_b.params[name]), name
@@ -275,7 +281,7 @@ def test_criterion_8_round_trips(ordering_city, ordering_fit, tmp_path):
     assert load_dataset(tmp_path / "again") == dataset
 
     cfg = replace(ORDERING_TRAIN, epochs=1)
-    ckpt, _ = train_one(cfg, ORDERING_MODEL, dataset, cluster_model, priors, seed=2)
+    ckpt, _ = train_one(_training_set(cfg, dataset, cluster_model, priors), ORDERING_MODEL, seed=2)
     path = save_checkpoint(tmp_path / "checkpoint.bin", ckpt)
     loaded = load_checkpoint(path)
     assert loaded.equals(ckpt)

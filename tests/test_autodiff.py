@@ -337,3 +337,90 @@ def test_param_store_rejects_duplicate_names():
     store.add("w", np.zeros((2, 2)))
     with pytest.raises(ValueError):
         store.add("w", np.zeros(2))
+
+
+def _adam_reference(values, moments, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam, one parameter at a time, as plain numpy."""
+    for name, value in values.items():
+        g = grads.get(name)
+        g = np.zeros_like(value) if g is None else g
+        m, v = moments[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
+    rng = np.random.default_rng(7)
+    init = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "idle": rng.normal(size=(2, 2)),
+            "direct": rng.normal(size=5)}
+    store = ParamStore()
+    for name, value in init.items():
+        store.add(name, value)
+    values = {name: value.copy() for name, value in init.items()}
+    moments = {name: (np.zeros_like(value), np.zeros_like(value)) for name, value in init.items()}
+    x = rng.normal(size=(2, 3))
+    live = store.arrays()
+    for step in range(1, 6):
+        store.zero_grad()
+        # "w" and "b" get their gradients from backward, "direct" by assignment, "idle" none
+        h = ad.relu(ad.add(ad.matmul(x, store["w"]), store["b"]))
+        ad.reduce_sum(ad.mul(h, h)).backward()
+        store["direct"].grad = rng.normal(size=5)
+        grads = {name: store[name].grad.copy() for name in ("w", "b", "direct")}
+        snapshot = store.state_arrays()
+        ad.adam_step(store, lr=0.05)
+        _adam_reference(values, moments, grads, step, lr=0.05)
+        for name in init:
+            assert store[name].data.tobytes() == values[name].tobytes(), (name, step)
+        # state_arrays() are copies: the step left the snapshot as it was
+        assert not np.array_equal(snapshot["w"], store["w"].data)
+    assert store["idle"].data.tobytes() == init["idle"].tobytes()
+    # arrays() are the live values, not copies
+    for name, array in live.items():
+        assert array is store[name].data or np.shares_memory(array, store[name].data)
+        assert array.tobytes() == values[name].tobytes()
+    copies = store.state_arrays()
+    copies["w"][0, 0] += 1.0
+    assert store["w"].data[0, 0] == values["w"][0, 0]
+
+
+def test_adam_rejects_a_gradient_of_another_size():
+    store = ParamStore()
+    store.add("w", np.zeros((2, 2)))
+    store.add("b", np.zeros(2))
+    store["w"].grad = np.ones(3)  # assigned directly, one entry short
+    with pytest.raises(ShapeError):
+        ad.adam_step(store, lr=0.1)
+
+
+def test_gradient_buffers_never_alias():
+    x = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
+    w = Tensor(np.array([[0.5, 1.0], [-1.0, 2.0]]), requires_grad=True)
+    y = ad.matmul(x, w)  # consumed twice by one add and once by a third op
+    twice = ad.add(y, y)
+    third = ad.mul(y, Tensor(np.array(3.0)))
+    z = ad.add(twice, third)
+    ad.reduce_sum(ad.mul(z, z)).backward()
+    tensors = [x, w, y, twice, third, z]
+    grads = [t.grad for t in tensors]
+    assert all(g is not None for g in grads)
+    before = [g.copy() for g in grads]
+    for i, tensor in enumerate(tensors):
+        tensor.grad += 100.0
+        for j, other in enumerate(tensors):
+            if j != i:
+                assert np.array_equal(other.grad, before[j]), (i, j)
+        tensor.grad -= 100.0
+
+
+def test_a_leaf_used_by_several_ops_gets_every_gradient():
+    a = Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)
+    loss = ad.reduce_sum(ad.add(ad.mul(a, a), ad.add(ad.relu(a), a)))
+    loss.backward()
+    # d/da (a^2 + relu(a) + a) = 2a + [a > 0] + 1
+    assert a.grad.tolist() == [4.0, 6.0, -5.0]

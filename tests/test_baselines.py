@@ -28,7 +28,7 @@ from t4c.data import (
 )
 from t4c.evaluation import core_metric
 from t4c.model import ModelConfig
-from t4c.training import TrainConfig, train_one
+from t4c.training import TrainConfig, prepare_training, train_one
 
 
 def cc_bundle(record_id, cc_by_seg):
@@ -228,7 +228,10 @@ def test_node_gnn_with_sparse_counters_loses_to_main_model(tmp_path):
     label_map = labels_by_record(dataset.labels)
     priors = build_prior_matrices(cluster_model, [label_map[r.record_id] for r in train_records], dataset.graph)
     model_cfg = ModelConfig(volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16, head_blocks=1, num_clusters=5)
-    _ckpt, runlog = train_one(train_cfg, model_cfg, dataset, cluster_model, priors, seed=0)
+    training_set = prepare_training(
+        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
+    )
+    _ckpt, runlog = train_one(training_set, model_cfg, seed=0)
     main_score = min(e.val_core for e in runlog.epochs)
     gnn_score = node_gnn_baseline(dataset, train_cfg, seed=0)
     assert gnn_score > main_score

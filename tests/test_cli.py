@@ -363,3 +363,51 @@ def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, c
     if config is not None and code == 0:
         written = json.loads((pipeline / "runs/fields/train_config.json").read_text())
         assert written == json.loads(json.dumps({"model": config["model"], "train": config["train"]}))
+
+
+
+def _count_calls(monkeypatch, attr, *modules) -> list:
+    """Count the calls of ``attr`` made through the named attributes of ``modules``."""
+    calls = []
+    real = getattr(modules[0], attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        assert getattr(module, attr) is real
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_train_and_predict_call_the_functions_the_benchmark_times(pipeline, monkeypatch):
+    """The benchmark cuts steps and records out of the stages at the returns of
+    ``autodiff.adam_step`` and ``cli.ensemble_predict``, replacing just those
+    module attributes; it counts ``training.train_one`` per member, replacing
+    it in every module that imports it."""
+    import math
+
+    import t4c.autodiff as ad
+    import t4c.cli as cli
+    import t4c.training as training
+
+    wd = ["--workdir", str(pipeline)]
+    dataset = load_dataset(pipeline / "data/toy")
+    _, train_records, val_records = training.split_records(dataset, TrainConfig())
+    members = _count_calls(monkeypatch, "train_one", training, cli)
+    steps = _count_calls(monkeypatch, "adam_step", ad)
+    assert main(wd + [
+        "train", "--data", "data/toy", "--cluster-model", "cluster_model.json", "--out", "runs/hooks",
+        "--members", "2", "--epochs", "1", "--hidden", "16", "--gnn-layers", "2", "--k", "5",
+    ]) == 0
+    assert len(members) == 2
+    assert len(steps) == 2 * math.ceil(len(train_records) / TrainConfig().batch_size)
+
+    records = _count_calls(monkeypatch, "ensemble_predict", cli)
+    assert main(wd + [
+        "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+        "--run", "runs/hooks", "--out", "predictions_hooks.jsonl",
+    ]) == 0
+    rows = (pipeline / "predictions_hooks.jsonl").read_text().splitlines()
+    assert len(records) == len(rows) == len(val_records)

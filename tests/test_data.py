@@ -1,14 +1,19 @@
 """Dataset IO, validation errors, filtering, splitting, synthetic city."""
 
 import json
+import shutil
+import tempfile
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t4c.data import (
     DanglingReferenceError,
+    DatasetError,
     SchemaError,
     SynthSpec,
     VolumeRecord,
@@ -337,3 +342,38 @@ def test_synth_city_scale(tmp_path):
     assert 120 <= len(dataset.graph.segments) <= 180
     assert len(dataset.graph.counters) == 5
     assert all(24 <= r.t_index < 88 for r in dataset.records)
+
+
+@pytest.fixture(scope="module")
+def small_city_dir(tmp_path_factory):
+    spec = SynthSpec(num_nodes=12, counter_fraction=0.4, num_records=16, signal=0.9, records_per_day=8)
+    out = tmp_path_factory.mktemp("damaged") / "city"
+    generate_synthetic_city(spec, seed=2, out_dir=out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["volumes.jsonl", "labels.jsonl"]),
+    line_pick=st.integers(min_value=0),
+    offset_pick=st.integers(min_value=0),
+    byte=st.integers(0, 255),
+)
+def test_overwritten_dataset_line_byte_loads_or_names_file_and_line(small_city_dir, name, line_pick, offset_pick, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        city = Path(tmp) / "city"
+        shutil.copytree(small_city_dir, city)
+        lines = (city / name).read_bytes().split(b"\n")[:-1]
+        index = line_pick % len(lines)
+        line = bytearray(lines[index])
+        line[offset_pick % len(line)] = byte
+        lines[index] = bytes(line)
+        (city / name).write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            load_dataset(city)
+        except DatasetError as exc:
+            assert Path(exc.path).parent == city, str(exc)
+            assert isinstance(exc.line, int) and exc.line >= 1, str(exc)
+            assert str(exc).startswith(f"{exc.path}:{exc.line}: ")
+            if Path(exc.path).name == name:
+                assert exc.line >= index + 1, str(exc)

@@ -20,6 +20,7 @@ from t4c.training import (
     ensemble_predict,
     load_runlog,
     predict_record,
+    prepare_training,
     save_runlog,
     train_ensemble,
     train_one,
@@ -47,10 +48,14 @@ def small_city(tmp_path_factory):
     return dataset, cluster_model, priors
 
 
+def _training_set(small_city, train_cfg=SMALL_TRAIN, model_cfg=SMALL_MODEL):
+    dataset, cluster_model, priors = small_city
+    return prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes)
+
+
 @pytest.fixture(scope="module")
 def trained(small_city):
-    dataset, cluster_model, priors = small_city
-    return train_one(SMALL_TRAIN, SMALL_MODEL, dataset, cluster_model, priors, seed=1)
+    return train_one(_training_set(small_city), SMALL_MODEL, seed=1)
 
 
 def test_config_validation():
@@ -66,9 +71,8 @@ def test_config_validation():
 
 
 def test_two_identical_runs_are_bitwise_identical(small_city, trained):
-    dataset, cluster_model, priors = small_city
     ckpt_a, runlog_a = trained
-    ckpt_b, runlog_b = train_one(SMALL_TRAIN, SMALL_MODEL, dataset, cluster_model, priors, seed=1)
+    ckpt_b, runlog_b = train_one(_training_set(small_city), SMALL_MODEL, seed=1)
     assert ckpt_a.equals(ckpt_b)
     assert runlog_a == runlog_b  # wall time excluded from comparison
     assert runlog_a.data_order_hash == runlog_b.data_order_hash
@@ -238,10 +242,9 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
 def test_divergence_aborts_with_context(small_city):
     from t4c.training import TrainingDivergedError
 
-    dataset, cluster_model, priors = small_city
     explosive = replace(SMALL_TRAIN, learning_rate=1e200, epochs=2)
     with pytest.raises(TrainingDivergedError) as err:
-        train_one(explosive, SMALL_MODEL, dataset, cluster_model, priors, seed=0)
+        train_one(_training_set(small_city, explosive), SMALL_MODEL, seed=0)
     assert "last finite" in str(err.value)
 
 
@@ -370,7 +373,7 @@ def test_member_retraining_reproduces_checkpoint(small_city):
     dataset, cluster_model, priors = small_city
     cfg = replace(SMALL_TRAIN, epochs=2, ensemble_size=2)
     members = train_ensemble(cfg, SMALL_MODEL, dataset, cluster_model, priors)
-    ckpt_again, _ = train_one(cfg, SMALL_MODEL, dataset, cluster_model, priors, seed=cfg.seeds()[1])
+    ckpt_again, _ = train_one(_training_set(small_city, cfg), SMALL_MODEL, seed=cfg.seeds()[1])
     assert members[1][0].equals(ckpt_again)
 
 
@@ -378,8 +381,51 @@ def test_config_hash_mismatch_rejected(small_city, trained):
     dataset, cluster_model, priors = small_city
     ckpt, _ = trained
     other_cfg = replace(SMALL_MODEL, hidden=24)
-    other = train_one(replace(SMALL_TRAIN, epochs=1), other_cfg, dataset, cluster_model, priors, seed=0)[0]
+    other = train_one(_training_set(small_city, replace(SMALL_TRAIN, epochs=1), other_cfg), other_cfg, seed=0)[0]
     seg_graph = build_line_graph(dataset.graph)
     with pytest.raises(ValueError) as err:
         ensemble_predict([ckpt, other], dataset.graph, seg_graph, priors, dataset.records[0])
     assert "hash" in str(err.value)
+
+
+# -- one training set per run ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("seeds", [(0, 1), (1, 0)])
+def test_members_from_one_training_set_equal_members_from_fresh_sets(small_city, seeds):
+    cfg = replace(SMALL_TRAIN, epochs=2)
+    shared = _training_set(small_city, cfg)
+    from_shared = {seed: train_one(shared, SMALL_MODEL, seed) for seed in seeds}
+    for seed in seeds:
+        ckpt, runlog = from_shared[seed]
+        fresh_ckpt, fresh_runlog = train_one(_training_set(small_city, cfg), SMALL_MODEL, seed)
+        assert ckpt.equals(fresh_ckpt), seed
+        assert runlog == fresh_runlog, seed
+    features = next(iter(shared.features.values()))
+    targets = next(iter(shared.targets.values()))
+    for array in (features.continuous, features.counter_slice, features.prior_block, features.categorical,
+                  targets.cc, targets.speed, shared.cc_weights, shared.norm_stats.counter_mean):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("change", [{"prior_mode": "active_row"}, {"cc_classes": 4}])
+def test_train_one_refuses_a_config_unlike_its_training_set(small_city, change):
+    with pytest.raises(ValueError, match="training set"):
+        train_one(_training_set(small_city), replace(SMALL_MODEL, **change), seed=0)
+
+
+def test_ablation_builds_one_training_set_for_all_variants(small_city, monkeypatch):
+    import t4c.training as training
+    from t4c.evaluation import ABLATION_VARIANTS, run_ablation
+
+    dataset, cluster_model, priors = small_city
+    built, trained = [], []
+    real_prepare, real_train = training.prepare_training, training.train_one
+    monkeypatch.setattr(training, "prepare_training", lambda *a, **kw: built.append(1) or real_prepare(*a, **kw))
+    monkeypatch.setattr(training, "train_one", lambda *a, **kw: trained.append(1) or real_train(*a, **kw))
+    result = run_ablation(
+        dataset, ABLATION_VARIANTS, cluster_model, priors, replace(SMALL_TRAIN, epochs=1), SMALL_MODEL, seed=0
+    )
+    assert set(result.scores) == set(ABLATION_VARIANTS)
+    assert len(built) == 1
+    assert len(trained) == len(ABLATION_VARIANTS)
