@@ -1,8 +1,9 @@
 """A tour of the reverse-mode autodiff engine.
 
-Build tensors, compose the ops the traffic model uses, check an analytic
-gradient against central finite differences, and run a few Adam steps on
-a tiny least-squares problem.
+Build tensors, compose the ops the traffic model uses (a dense layer and
+a message-passing round, each one fused op), check an analytic gradient
+against central finite differences, and run a few Adam steps on a tiny
+least-squares problem.
 """
 
 import numpy as np
@@ -15,18 +16,21 @@ from t4c.seggraph import mean_aggregation_matrix
 
 x = Tensor([[1.0, -2.0], [0.5, 3.0]])
 w = Tensor(np.array([[0.3, -0.1], [0.8, 0.4]]), requires_grad=True)
-h = ad.relu(ad.matmul(x, w))
-print("relu(x @ w) =\n", h.data)
+b = np.zeros(2)
+h = ad.linear(x, w, b, relu=True)
+print("relu(x @ w + b) =\n", h.data)
 
 # softmax rows sum to one, stabilized against large logits
 probs = ad.softmax_np(np.array([[100.0, 101.0, 99.0]]))
 print("softmax:", probs, "sum:", probs.sum())
 
-# neighbor means are a matmul with the graph's fixed mean-aggregation
-# matrix; empty neighborhoods give zeros
-feats = Tensor(np.arange(8.0).reshape(4, 2))
+# neighbor means are a product with the graph's fixed mean-aggregation
+# matrix; empty neighborhoods give zeros. A message-passing round mixes
+# each node's own state with that mean: relu(h @ Ws + (A @ h) @ Wn + b)
+feats = np.arange(8.0).reshape(4, 2)
 mean_operator = mean_aggregation_matrix([(1, 2), (0,), (), (0, 1, 2)])
-print("neighbor means:\n", ad.matmul(mean_operator, feats).data)
+print("neighbor means:\n", mean_operator @ feats)
+print("one round, Ws = 0 and Wn = I:\n", ad.gnn_round(feats, mean_operator, np.zeros((2, 2)), np.eye(2), b))
 
 # --- gradients vs finite differences -----------------------------------------
 
@@ -40,9 +44,9 @@ for i in range(w.data.shape[0]):
     for j in range(w.data.shape[1]):
         orig = w.data[i, j]
         w.data[i, j] = orig + h_step
-        up = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(x, w)), ad.relu(ad.matmul(x, w)))).item()
+        up = ad.reduce_sum(ad.mul(ad.linear(x, w, b, relu=True), ad.linear(x, w, b, relu=True))).item()
         w.data[i, j] = orig - h_step
-        down = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(x, w)), ad.relu(ad.matmul(x, w)))).item()
+        down = ad.reduce_sum(ad.mul(ad.linear(x, w, b, relu=True), ad.linear(x, w, b, relu=True))).item()
         w.data[i, j] = orig
         numeric[i, j] = (up - down) / (2 * h_step)
 print("max |analytic - numeric|:", np.abs(analytic - numeric).max())

@@ -6,14 +6,16 @@ routes the upstream gradient back to them, and ``backward()`` walks the
 recorded graph once in reverse topological order. Everything runs in
 64-bit precision so that finite-difference checks stay sharp.
 
-Plain float64 arrays are constants. matmul, add, mul, relu, concat,
-embedding_lookup, getitem and reshape called with no Tensor operand
-return the plain ndarray their Tensor path would hold in ``.data`` and
-record nothing, so inference runs the same code without a graph.
+Plain float64 arrays are constants. The graph ops (all but reduce_sum
+and the losses) called with no Tensor operand return the plain ndarray
+their Tensor path would hold in ``.data`` and record nothing, so
+inference runs the same code without a graph.
 
-Only the operations the segment model actually needs are provided:
-matmul, add, mul, relu, concat, embedding lookup, slicing, reshape, a
-sum reduction, the two masked losses (weighted cross entropy and mean
+Only the operations the segment model actually needs are provided: the
+fused ``linear`` (``x @ w + b``, optional ReLU) and ``gnn_round`` (one
+message-passing round), each one recorded op with a hand-written
+backward; add, mul, concat, embedding lookup, slicing, reshape, a sum
+reduction, the two masked losses (weighted cross entropy and mean
 squared error), a plain-array softmax for inference, and an Adam
 optimizer over a named parameter store.
 
@@ -35,8 +37,8 @@ __all__ = [
     "Tensor",
     "add",
     "mul",
-    "matmul",
-    "relu",
+    "linear",
+    "gnn_round",
     "concat",
     "embedding_lookup",
     "softmax_np",
@@ -78,18 +80,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -193,41 +188,70 @@ def mul(a, b) -> Tensor | np.ndarray:
     return _result(data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor | np.ndarray:
-    """2-D matrix product."""
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    x = a.data if ta else a
-    y = b.data if tb else b
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
-    data = x @ y
-    if not (ta or tb):
-        return data
-    a, b = _as_tensor(a), _as_tensor(b)
+def linear(x, w, b, relu: bool = False) -> Tensor | np.ndarray:
+    """One dense layer as one op: ``x @ w + b``, then the ReLU mask when ``relu``.
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _result(data, (a, b), backward)
-
-
-def relu(a) -> Tensor | np.ndarray:
-    """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    ta = isinstance(a, Tensor)
-    x = a.data if ta else a
-    mask = x > 0.0
-    data = np.where(mask, x, 0.0)
-    if not ta:
+    x is (N, F), w (F, H) and b (H,). Value and gradients are those of matmul, add and relu in turn.
+    """
+    tx, tw, tb = isinstance(x, Tensor), isinstance(w, Tensor), isinstance(b, Tensor)
+    xd, wd, bd = x.data if tx else x, w.data if tw else w, b.data if tb else b
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, b {bd.shape}")
+    data = xd @ wd
+    data += bd
+    if relu:
+        mask = data > 0.0
+        data = np.where(mask, data, 0.0)
+    if not (tx or tw or tb):
         return data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        if relu:
+            g = g * mask
+        if tx and x.requires_grad:
+            x._accumulate(g @ wd.T)
+        if tw and w.requires_grad:
+            w._accumulate(xd.T @ g)
+        if tb and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
 
-    return _result(data, (a,), backward)
+    return _result(data, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), backward)
+
+
+def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
+    """One message-passing round as one op: ``relu(h @ w_self + (operator @ h) @ w_nbr + b)``.
+
+    ``operator`` is a constant (N, N) array, such as a graph's mean-aggregation
+    matrix. ``h`` gets its self and neighbour gradients summed, in that order.
+    """
+    th, ts, tn, tb = isinstance(h, Tensor), isinstance(w_self, Tensor), isinstance(w_nbr, Tensor), isinstance(b, Tensor)
+    hd, sd = h.data if th else h, w_self.data if ts else w_self
+    nd, bd = w_nbr.data if tn else w_nbr, b.data if tb else b
+    if (hd.ndim != 2 or operator.shape != (len(hd),) * 2 or sd.shape[:1] != hd.shape[1:]
+            or nd.shape != sd.shape or bd.shape != sd.shape[1:]):
+        raise ShapeError(f"gnn_round: incompatible shapes h {hd.shape}, operator {operator.shape}, "
+                         f"w_self {sd.shape}, w_nbr {nd.shape}, b {bd.shape}")
+    nbr = operator @ hd
+    data = hd @ sd
+    data += nbr @ nd
+    data += bd
+    mask = data > 0.0
+    data = np.where(mask, data, 0.0)
+    if not (th or ts or tn or tb):
+        return data
+
+    def backward(g: np.ndarray) -> None:
+        g = g * mask
+        if th and h.requires_grad:
+            h._accumulate(g @ sd.T + operator.T @ (g @ nd.T))
+        if ts and w_self.requires_grad:
+            w_self._accumulate(hd.T @ g)
+        if tn and w_nbr.requires_grad:
+            w_nbr._accumulate(nbr.T @ g)
+        if tb and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return _result(data, tuple(t for t in (h, w_self, w_nbr, b) if isinstance(t, Tensor)), backward)
 
 
 def concat(tensors: Sequence, axis: int = 1) -> Tensor | np.ndarray:
@@ -372,17 +396,20 @@ def weighted_cross_entropy(logits, labels, class_weights) -> tuple[Tensor, int]:
         return _result(np.float64(0.0), (logits,), lambda g: None), 0
 
     rows = np.where(mask)[0]
+    row_labels = labels[rows]
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_sum = np.log(np.exp(z).sum(axis=1))
-    nll = log_sum[rows] - z[rows, labels[rows]]
-    row_w = weights[labels[rows]]
+    exp_z = np.exp(z)
+    exp_sum = exp_z.sum(axis=1)
+    nll = np.log(exp_sum)[rows] - z[rows, row_labels]
+    row_w = weights[row_labels]
     value = (row_w * nll).sum() / n
 
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
-            probs = softmax_np(logits.data[rows], axis=1)
+            # softmax_np of the unmasked rows, taken from the forward's exponentials
+            probs = exp_z[rows] / exp_sum[rows, None]
             grad = probs * row_w[:, None]
-            grad[np.arange(len(rows)), labels[rows]] -= row_w
+            grad[np.arange(len(rows)), row_labels] -= row_w
             buf = np.zeros_like(logits.data)
             buf[rows] = grad * (float(g) / n)
             logits._accumulate(buf)
@@ -448,12 +475,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)

@@ -298,13 +298,12 @@ def node_gnn_baseline(
 
     def forward_logits(params, record: VolumeRecord):
         """Tensors from the store (training), arrays from ``store.arrays()`` (validation)."""
-        h = ad.add(ad.matmul(feats[record.record_id], params["in_w"]), params["in_b"])
+        h = ad.linear(feats[record.record_id], params["in_w"], params["in_b"])
         for layer in range(layers):
-            self_part = ad.matmul(h, params[f"gnn{layer}_self_w"])
-            nbr_part = ad.matmul(ad.matmul(node_mean, h), params[f"gnn{layer}_nbr_w"])
-            h = ad.relu(ad.add(ad.add(self_part, nbr_part), params[f"gnn{layer}_b"]))
+            weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
+            h = ad.gnn_round(h, node_mean, *weights)
         pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
-        return ad.add(ad.matmul(pair, params["edge_w"]), params["edge_b"])
+        return ad.linear(pair, params["edge_w"], params["edge_b"])
 
     def record_loss(record: VolumeRecord):
         loss, _n = ad.weighted_cross_entropy(forward_logits(store, record), targets[record.record_id], weights)

@@ -174,12 +174,17 @@ def _read_predictions(path: Path) -> list[dict]:
     return rows
 
 
-def _report_obj(score) -> dict:
-    return {
-        "metric": score.score,
-        "per_record": {k: score.per_record[k] for k in sorted(score.per_record)},
-        "n_scored": score.n_scored,
-    }
+def _emit_score(args, workdir: Path, score, csv_header: str) -> int:
+    """Print an eval stage's score, then write its JSON report and per-record CSV when asked."""
+    print(f"{score.score:.6f}")
+    per_record = {rid: score.per_record[rid] for rid in sorted(score.per_record)}
+    if args.out:
+        report = {"metric": score.score, "per_record": per_record, "n_scored": score.n_scored}
+        _write_json(_resolve(workdir, args.out), report)
+    if args.csv:
+        lines = [csv_header] + [f"{rid},{value:.6f}" for rid, value in per_record.items()]
+        _resolve(workdir, args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return 0
 
 
 def _write_json(path: Path, obj) -> None:
@@ -292,22 +297,13 @@ def cmd_predict(args, workdir: Path) -> int:
     rows = []
     for record in records:
         probs = ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record, cluster_model)
-        segments = {}
-        speeds = {}
-        for i, seg_id in enumerate(seg_graph.seg_ids):
-            segments[seg_id] = {
-                "cc": probs.cc[i].tolist(),
-                "speed": probs.speed_kph[i],
-                "vol": probs.vol[i].tolist(),
-            }
-            speeds[seg_id] = probs.speed_kph[i]
-        rows.append(
-            {
-                "record_id": record.record_id,
-                "segments": segments,
-                "etas": {ss.ss_id: eta_from_speeds(ss, speeds, lengths) for ss in dataset.supersegments},
-            }
-        )
+        segments = {
+            seg_id: {"cc": probs.cc[i].tolist(), "speed": probs.speed_kph[i], "vol": probs.vol[i].tolist()}
+            for i, seg_id in enumerate(seg_graph.seg_ids)
+        }
+        speeds = dict(zip(seg_graph.seg_ids, probs.speed_kph))
+        etas = {ss.ss_id: eta_from_speeds(ss, speeds, lengths) for ss in dataset.supersegments}
+        rows.append({"record_id": record.record_id, "segments": segments, "etas": etas})
     out = _resolve(workdir, args.out)
     _write_predictions(out, rows)
     print(f"wrote predictions for {len(rows)} records ({len(checkpoints)} members) -> {out}")
@@ -342,14 +338,7 @@ def cmd_eval_core(args, workdir: Path) -> int:
         raise CLIError(str(exc)) from None
     if score.score is None:
         raise CLIError("no scored segments: predictions cover no labeled records")
-    print(f"{score.score:.6f}")
-    if args.out:
-        _write_json(_resolve(workdir, args.out), _report_obj(score))
-    if args.csv:
-        lines = ["record_id,core_score"]
-        lines += [f"{rid},{score.per_record[rid]:.6f}" for rid in sorted(score.per_record)]
-        _resolve(workdir, args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return 0
+    return _emit_score(args, workdir, score, "record_id,core_score")
 
 
 def cmd_eval_eta(args, workdir: Path) -> int:
@@ -368,14 +357,7 @@ def cmd_eval_eta(args, workdir: Path) -> int:
         raise CLIError(str(exc)) from None
     if score.score is None:
         raise CLIError("no labeled (record, supersegment) pairs to score")
-    print(f"{score.score:.6f}")
-    if args.out:
-        _write_json(_resolve(workdir, args.out), _report_obj(score))
-    if args.csv:
-        lines = ["record_id,eta_mae_s"]
-        lines += [f"{rid},{score.per_record[rid]:.6f}" for rid in sorted(score.per_record)]
-        _resolve(workdir, args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return 0
+    return _emit_score(args, workdir, score, "record_id,eta_mae_s")
 
 
 def cmd_baseline(args, workdir: Path) -> int:

@@ -218,11 +218,21 @@ def _parse_int(raw, path, line, fieldname) -> int:
 def _parse_float(raw, path, line, fieldname) -> float:
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(path, line, fieldname, f"expected a number, got {raw!r}") from None
     if not math.isfinite(value):
         raise SchemaError(path, line, fieldname, f"expected a finite number, got {raw!r}")
     return value
+
+
+def _json_number(raw, path, line, fieldname, integer: bool = False):
+    """A finite JSON number, or with ``integer`` a JSON integer; booleans and strings are refused."""
+    kind = type(raw)  # exact, so a bool is not an int here
+    if kind is int:
+        return raw if integer else _parse_float(raw, path, line, fieldname)
+    if kind is float and not integer and math.isfinite(raw):
+        return raw
+    raise SchemaError(path, line, fieldname, f"expected {'an integer' if integer else 'a finite number'}, got {raw!r}")
 
 
 def _load_meta(path: Path) -> dict:
@@ -388,7 +398,7 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
             day = date.fromisoformat(obj["day"])
         except (TypeError, ValueError):
             raise SchemaError(path, line_no, "day", f"expected YYYY-MM-DD, got {obj['day']!r}") from None
-        t_index = _parse_int(obj["t_index"], path, line_no, "t_index")
+        t_index = _json_number(obj["t_index"], path, line_no, "t_index", integer=True)
         if not 0 <= t_index < NUM_DAY_SLOTS:
             raise SchemaError(path, line_no, "t_index", f"must be in 0..95, got {t_index}")
         if not isinstance(obj["volumes"], dict):
@@ -406,12 +416,12 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
                 )
             counts = []
             for v in vec:
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v) or v < 0:
+                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                     raise SchemaError(
                         path, line_no, "volumes",
                         f"counts must be nonnegative integers, got {v!r} for {node_id!r}",
                     )
-                counts.append(int(v))
+                counts.append(v)
             volumes[node_id] = tuple(counts)
         records.append(VolumeRecord(record_id, day, t_index, volumes))
     return tuple(records)
@@ -438,17 +448,17 @@ def _load_labels(path: Path, record_ids: set[str], segment_ids: set[str]) -> tup
                 raise SchemaError(path, line_no, "edges", f"label for {seg_id!r} must be an object")
             cc = lab.get("cc")
             if cc is not None:
-                cc = _parse_int(cc, path, line_no, "cc")
+                cc = _json_number(cc, path, line_no, "cc", integer=True)
                 if cc not in VALID_CC:
                     raise SchemaError(path, line_no, "cc", f"must be one of {VALID_CC}, got {cc}")
             speed = lab.get("speed_kph")
             if speed is not None:
-                speed = _parse_float(speed, path, line_no, "speed_kph")
+                speed = _json_number(speed, path, line_no, "speed_kph")
                 if speed < 0:
                     raise SchemaError(path, line_no, "speed_kph", f"must be >= 0, got {speed}")
             vol = lab.get("vol_class")
             if vol is not None:
-                vol = _parse_int(vol, path, line_no, "vol_class")
+                vol = _json_number(vol, path, line_no, "vol_class", integer=True)
                 if vol not in VALID_VOL_CLASS:
                     raise SchemaError(
                         path, line_no, "vol_class", f"must be one of {VALID_VOL_CLASS}, got {vol}"
@@ -469,6 +479,10 @@ def _load_supersegments(
             raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict) or "paths" not in obj or "etas" not in obj:
         raise SchemaError(path, None, None, 'expected {"paths": ..., "etas": ...}')
+    if not isinstance(obj["paths"], dict):
+        raise SchemaError(path, None, "paths", "must be an object of supersegment paths")
+    if not isinstance(obj["etas"], list):
+        raise SchemaError(path, None, "etas", "must be a list of ETA entries")
     paths: dict[str, tuple[str, ...]] = {}
     for ss_id, raw_path in obj["paths"].items():
         if not isinstance(raw_path, list) or not raw_path:
@@ -493,7 +507,7 @@ def _load_supersegments(
             raise DanglingReferenceError(path, None, "etas", f"unknown record {record_id!r}")
         if ss_id not in paths:
             raise DanglingReferenceError(path, None, "etas", f"unknown supersegment {ss_id!r}")
-        eta = _parse_float(entry.get("eta_s"), path, None, "eta_s")
+        eta = _json_number(entry.get("eta_s"), path, None, "eta_s")
         if eta <= 0:
             raise SchemaError(path, None, "eta_s", f"must be > 0, got {eta}")
         if record_id in etas[ss_id]:

@@ -202,18 +202,16 @@ def init_params(config: ModelConfig, seed: int) -> ParamStore:
 
 def _mlp(params: Params, prefix: str, count: int, x):
     for i in range(count):
-        x = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}{i}_w"]), params[f"{prefix}{i}_b"]))
+        x = ad.linear(x, params[f"{prefix}{i}_w"], params[f"{prefix}{i}_b"], relu=True)
     return x
 
 
 def _head(params: Params, config: ModelConfig, task: str, x):
     for block in range(config.head_blocks):
-        inner = ad.relu(
-            ad.add(ad.matmul(x, params[f"head_{task}_block{block}_a_w"]), params[f"head_{task}_block{block}_a_b"])
-        )
-        inner = ad.add(ad.matmul(inner, params[f"head_{task}_block{block}_b_w"]), params[f"head_{task}_block{block}_b_b"])
-        x = ad.add(x, inner)  # identity skip
-    return ad.add(ad.matmul(x, params[f"head_{task}_out_w"]), params[f"head_{task}_out_b"])
+        name = f"head_{task}_block{block}"
+        inner = ad.linear(x, params[f"{name}_a_w"], params[f"{name}_a_b"], relu=True)
+        x = ad.add(x, ad.linear(inner, params[f"{name}_b_w"], params[f"{name}_b_b"]))  # identity skip
+    return ad.linear(x, params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
 
 
 def forward(
@@ -240,35 +238,21 @@ def forward(
 
     volume_feat = _mlp(params, "vol", len(config.volume_hidden), features.counter_slice)
 
-    embedded = ad.concat(
-        [
-            ad.embedding_lookup(params["emb_importance"], features.categorical[:, 0]),
-            ad.embedding_lookup(params["emb_oneway"], features.categorical[:, 1]),
-            ad.embedding_lookup(params["emb_tunnel"], features.categorical[:, 2]),
-            ad.embedding_lookup(params["emb_lanes"], features.categorical[:, 3]),
-        ],
-        axis=1,
-    )
+    if config.use_static:  # categorical columns in VOCAB_SIZES order
+        lookups = [ad.embedding_lookup(params[f"emb_{name}"], features.categorical[:, col])
+                   for col, name in enumerate(VOCAB_SIZES)]
+        embedded = ad.concat(lookups, axis=1)
+    else:  # the ablation gate: a zero block in place of the embeddings
+        embedded = np.zeros((n, config.embedding_width))
     static_gate = 1.0 if config.use_static else 0.0
     prior_gate = 1.0 if config.use_prior_block else 0.0
-    static_in = ad.concat(
-        [
-            ad.mul(embedded, np.float64(static_gate)),
-            features.continuous * static_gate,
-            features.prior_block * prior_gate,
-        ],
-        axis=1,
-    )
+    static_in = ad.concat([embedded, features.continuous * static_gate, features.prior_block * prior_gate], axis=1)
     static_feat = _mlp(params, "static", len(config.static_hidden), static_in)
 
-    h = ad.add(
-        ad.matmul(ad.concat([volume_feat, static_feat], axis=1), params["combine_w"]),
-        params["combine_b"],
-    )
+    h = ad.linear(ad.concat([volume_feat, static_feat], axis=1), params["combine_w"], params["combine_b"])
     for layer in range(config.gnn_layers):
-        self_part = ad.matmul(h, params[f"gnn{layer}_self_w"])
-        nbr_part = ad.matmul(ad.matmul(seg_graph.mean_operator, h), params[f"gnn{layer}_nbr_w"])
-        h = ad.relu(ad.add(ad.add(self_part, nbr_part), params[f"gnn{layer}_b"]))
+        weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
+        h = ad.gnn_round(h, seg_graph.mean_operator, *weights)
 
     cc_logits = _head(params, config, "cc", h)
     speed = ad.reshape(_head(params, config, "speed", h), (n,))

@@ -16,17 +16,27 @@ GRAD_TOL = 1e-6
 
 
 def test_relu_values_and_subgradient_at_zero():
-    x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
-    out = ad.relu(x)
-    assert out.data.tolist() == [0.0, 0.0, 2.0]
+    x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
+    out = ad.linear(x, np.eye(3), np.zeros(3), relu=True)
+    assert out.data.tolist() == [[0.0, 0.0, 2.0]]
     ad.reduce_sum(out).backward()
-    assert x.grad.tolist() == [0.0, 0.0, 1.0]
+    assert x.grad.tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_matmul_shape_error_reports_both_shapes():
     with pytest.raises(ShapeError) as err:
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), np.zeros(2))
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+
+
+def test_fused_op_shape_errors_name_the_operands():
+    with pytest.raises(ShapeError, match=r"b \(3,\)"):
+        ad.linear(np.ones((2, 4)), np.ones((4, 2)), np.zeros(3))
+    operator = mean_aggregation_matrix([(1,), (0,), ()])
+    with pytest.raises(ShapeError, match=r"operator \(3, 3\)"):
+        ad.gnn_round(np.ones((4, 2)), operator, np.ones((2, 2)), np.ones((2, 2)), np.zeros(2))
+    with pytest.raises(ShapeError, match=r"w_nbr \(2, 3\)"):
+        ad.gnn_round(np.ones((3, 2)), operator, np.ones((2, 2)), np.ones((2, 3)), np.zeros(2))
 
 
 def test_add_broadcast_shape_error():
@@ -45,12 +55,16 @@ def _constant_op_calls(rng):
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(3, 2))
     c = rng.normal(size=(4, 3))
+    d = rng.normal(size=(3, 2))
     bias = rng.normal(size=3)
+    bias2 = rng.normal(size=2)
+    operator = mean_aggregation_matrix([(1, 3), (0, 2), (1,), ()])
     return {
-        "matmul": lambda wrap: ad.matmul(wrap(a), wrap(b)),
         "add": lambda wrap: ad.add(wrap(a), wrap(bias)),
         "mul": lambda wrap: ad.mul(wrap(a), wrap(c)),
-        "relu": lambda wrap: ad.relu(wrap(a)),
+        "linear": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2)),
+        "linear_relu": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2), relu=True),
+        "gnn_round": lambda wrap: ad.gnn_round(wrap(a), operator, wrap(b), wrap(d), wrap(bias2)),
         "concat": lambda wrap: ad.concat([wrap(a), wrap(c)], axis=1),
         "embedding_lookup": lambda wrap: ad.embedding_lookup(wrap(a), np.array([3, 0, 0, 2])),
         "reshape": lambda wrap: ad.reshape(wrap(a), (3, 4)),
@@ -115,7 +129,7 @@ def test_grad_matmul():
     rng = np.random.default_rng(0)
     b = Tensor(rng.normal(size=(4, 3)))
     c = rng.normal(size=(2, 3))
-    _check_grad(lambda t: ad.reduce_sum(ad.mul(ad.matmul(t, b), c)), rng.normal(size=(2, 4)))
+    _check_grad(lambda t: ad.reduce_sum(ad.mul(ad.linear(t, b, np.zeros(3)), c)), rng.normal(size=(2, 4)))
 
 
 def test_grad_add_with_bias_broadcast():
@@ -123,10 +137,14 @@ def test_grad_add_with_bias_broadcast():
     bias = Tensor(rng.normal(size=3), requires_grad=True)
     x = Tensor(rng.normal(size=(5, 3)))
 
-    def loss_fn():
-        return ad.reduce_sum(ad.relu(ad.add(x, bias))).item()
+    def build():
+        h = ad.add(x, bias)
+        return ad.reduce_sum(ad.mul(h, h))
 
-    loss = ad.reduce_sum(ad.relu(ad.add(x, bias)))
+    def loss_fn():
+        return build().item()
+
+    loss = build()
     loss.backward()
     numeric = central_diff_tensor(loss_fn, bias)
     assert max_rel_error(bias.grad, numeric) < GRAD_TOL
@@ -135,7 +153,7 @@ def test_grad_add_with_bias_broadcast():
 def test_grad_relu_away_from_kink():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 4)) + np.sign(rng.normal(size=(4, 4))) * 0.1
-    _check_grad(lambda t: ad.reduce_sum(ad.relu(t)), x)
+    _check_grad(lambda t: ad.reduce_sum(ad.linear(t, np.eye(4), np.zeros(4), relu=True)), x)
 
 
 def test_grad_concat_and_slice():
@@ -165,6 +183,112 @@ def test_grad_reshape():
     _check_grad(lambda t: ad.reduce_sum(ad.mul(ad.reshape(t, (6,)), np.arange(6.0))), rng.normal(size=(2, 3)))
 
 
+def _check_operand_grads(build, values, trainable):
+    """build(operands) -> scalar Tensor; each trainable operand's gradient vs central diffs.
+
+    Operands not named in ``trainable`` are passed as plain arrays.
+    """
+    leaves = {name: Tensor(value, requires_grad=True) for name, value in values.items() if name in trainable}
+
+    def operands(tensors):
+        return {name: tensors.get(name, value) for name, value in values.items()}
+
+    build(operands(leaves)).backward()
+    for name, leaf in leaves.items():
+        frozen = {other: Tensor(t.data) for other, t in leaves.items()}
+        numeric = central_diff_tensor(lambda: build(operands(frozen)).item(), frozen[name])
+        assert max_rel_error(leaf.grad, numeric) < GRAD_TOL, name
+
+
+def _subsets(names):
+    return [tuple(n for i, n in enumerate(names) if mask >> i & 1) for mask in range(1, 2 ** len(names))]
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("trainable", _subsets(("x", "w", "b")))
+def test_grad_linear(relu, trainable):
+    rng = np.random.default_rng(12)
+    values = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+    weights = rng.normal(size=(5, 3))
+
+    def build(t):
+        return ad.reduce_sum(ad.mul(ad.linear(t["x"], t["w"], t["b"], relu=relu), weights))
+
+    _check_operand_grads(build, values, trainable)
+
+
+@pytest.mark.parametrize("trainable", [("h",), ("w_self",), ("w_nbr",), ("b",), ("h", "w_self", "w_nbr", "b")])
+def test_grad_gnn_round(trainable):
+    rng = np.random.default_rng(13)
+    operator = mean_aggregation_matrix([(1, 2), (0,), (0, 3), (2,), ()])  # node 4 is isolated
+    values = {
+        "h": rng.normal(size=(5, 3)), "w_self": rng.normal(size=(3, 4)),
+        "w_nbr": rng.normal(size=(3, 4)), "b": rng.normal(size=4),
+    }
+    weights = rng.normal(size=(5, 4))
+
+    def build(t):
+        out = ad.gnn_round(t["h"], operator, t["w_self"], t["w_nbr"], t["b"])
+        return ad.reduce_sum(ad.mul(out, weights))
+
+    _check_operand_grads(build, values, trainable)
+
+
+def _upstream(out, g):
+    """Backpropagate ``g`` into ``out`` exactly: d/d(out) of sum(out * g) is g."""
+    ad.reduce_sum(ad.mul(out, g)).backward()
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_equals_the_unfused_chain_bit_for_bit(relu):
+    rng = np.random.default_rng(14)
+    x, w, b, g = rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=5), rng.normal(size=(6, 5))
+    x[0, :] = 0.0  # a row whose units all sit on the ReLU's kink
+    tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
+    out = ad.linear(tx, tw, tb, relu=relu)
+    _upstream(out, g)
+
+    # the chain it replaces: matmul, bias add, relu; each gradient lands as g + 0.0
+    z = x @ w
+    z = z + b
+    if relu:
+        mask = z > 0.0
+        value = np.where(mask, z, 0.0)
+        g_z = g * mask + 0.0
+    else:
+        value, g_z = z, g + 0.0
+    assert out.data.tobytes() == value.tobytes()
+    assert tx.grad.tobytes() == (g_z @ w.T + 0.0).tobytes()
+    assert tw.grad.tobytes() == (x.T @ g_z + 0.0).tobytes()
+    assert tb.grad.tobytes() == (g_z.sum(axis=0) + 0.0).tobytes()
+
+
+def test_gnn_round_equals_the_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(15)
+    operator = mean_aggregation_matrix([(1, 2), (0,), (0, 3), (2,), ()])
+    h, ws, wn = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    b, g = rng.normal(size=4), rng.normal(size=(5, 4))
+    th, tws, twn, tb = (Tensor(v, requires_grad=True) for v in (h, ws, wn, b))
+    out = ad.gnn_round(th, operator, tws, twn, tb)
+    _upstream(out, g)
+
+    # the chain it replaces: relu(add(add(h @ ws, (A @ h) @ wn), b))
+    self_part = h @ ws
+    agg = operator @ h
+    nbr_part = agg @ wn
+    z = (self_part + nbr_part) + b
+    mask = z > 0.0
+    g_z = g * mask + 0.0
+    # h is reached first through its self path, then through the neighbour mean
+    g_h = g_z @ ws.T + 0.0
+    g_h += operator.T @ (g_z @ wn.T + 0.0)
+    assert out.data.tobytes() == np.where(mask, z, 0.0).tobytes()
+    assert th.grad.tobytes() == g_h.tobytes()
+    assert tws.grad.tobytes() == (h.T @ g_z + 0.0).tobytes()
+    assert twn.grad.tobytes() == (agg.T @ g_z + 0.0).tobytes()
+    assert tb.grad.tobytes() == (g_z.sum(axis=0) + 0.0).tobytes()
+
+
 def test_random_five_parameter_graph_matches_finite_differences():
     """Small multi-op graph over five parameter tensors."""
     rng = np.random.default_rng(42)
@@ -179,9 +303,8 @@ def test_random_five_parameter_graph_matches_finite_differences():
 
     def compute() -> Tensor:
         x = ad.embedding_lookup(emb, idx)
-        h = ad.relu(ad.add(ad.matmul(x, w1), b1))
-        h = ad.matmul(mean_operator, h)
-        out = ad.mul(ad.matmul(h, w2), scale)
+        h = ad.gnn_round(x, mean_operator, w1, w1, b1)  # one weight in both roles
+        out = ad.mul(ad.linear(h, w2, scale), scale)
         return ad.reduce_sum(ad.mul(out, out))
 
     loss = compute()
@@ -321,8 +444,8 @@ def test_adam_two_runs_bitwise_identical():
         p = store.add("p", rng.normal(size=(4, 3)))
         q = store.add("q", rng.normal(size=3))
         for step in range(25):
-            loss = ad.reduce_sum(ad.mul(ad.add(ad.matmul(p, ad.reshape(q, (3, 1))), 0.5),
-                                        ad.add(ad.matmul(p, ad.reshape(q, (3, 1))), 0.5)))
+            loss = ad.reduce_sum(ad.mul(ad.linear(p, ad.reshape(q, (3, 1)), np.array([0.5])),
+                                        ad.linear(p, ad.reshape(q, (3, 1)), np.array([0.5]))))
             store.zero_grad()
             loss.backward()
             ad.adam_step(store, lr=1e-2)
@@ -368,7 +491,7 @@ def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
     for step in range(1, 6):
         store.zero_grad()
         # "w" and "b" get their gradients from backward, "direct" by assignment, "idle" none
-        h = ad.relu(ad.add(ad.matmul(x, store["w"]), store["b"]))
+        h = ad.linear(x, store["w"], store["b"], relu=True)
         ad.reduce_sum(ad.mul(h, h)).backward()
         store["direct"].grad = rng.normal(size=5)
         grads = {name: store[name].grad.copy() for name in ("w", "b", "direct")}
@@ -401,7 +524,7 @@ def test_adam_rejects_a_gradient_of_another_size():
 def test_gradient_buffers_never_alias():
     x = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
     w = Tensor(np.array([[0.5, 1.0], [-1.0, 2.0]]), requires_grad=True)
-    y = ad.matmul(x, w)  # consumed twice by one add and once by a third op
+    y = ad.linear(x, w, np.zeros(2))  # consumed twice by one add and once by a third op
     twice = ad.add(y, y)
     third = ad.mul(y, Tensor(np.array(3.0)))
     z = ad.add(twice, third)
@@ -420,7 +543,7 @@ def test_gradient_buffers_never_alias():
 
 def test_a_leaf_used_by_several_ops_gets_every_gradient():
     a = Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)
-    loss = ad.reduce_sum(ad.add(ad.mul(a, a), ad.add(ad.relu(a), a)))
+    loss = ad.reduce_sum(ad.add(ad.mul(a, a), ad.add(ad.mul(a, 3.0), a)))
     loss.backward()
-    # d/da (a^2 + relu(a) + a) = 2a + [a > 0] + 1
-    assert a.grad.tolist() == [4.0, 6.0, -5.0]
+    # d/da (a^2 + 3a + a) = 2a + 3 + 1
+    assert a.grad.tolist() == [6.0, 8.0, -2.0]

@@ -185,6 +185,19 @@ def test_missing_prerequisite_names_producer(tmp_path, capsys):
     assert "fit-clusters" in err
 
 
+def test_supersegments_paths_written_as_a_list_exit_1_naming_the_file(pipeline, tmp_path, capsys):
+    wd = ["--workdir", str(tmp_path)]
+    shutil.copytree(pipeline / "data/toy", tmp_path / "data/toy")
+    ss_path = tmp_path / "data/toy/supersegments.json"
+    obj = json.loads(ss_path.read_text())
+    obj["paths"] = list(obj["paths"].values())
+    ss_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(wd + ["baseline", "naive", "--data", "data/toy", "--out", "bl"]) == 1
+    err = capsys.readouterr().err
+    assert "supersegments.json" in err and "paths" in err
+
+
 def test_predict_refuses_cluster_model_of_other_k(pipeline, capsys):
     wd = ["--workdir", str(pipeline)]
     assert main(wd + [

@@ -91,6 +91,19 @@ def test_negative_volume_rejected(toy_dataset, tmp_path):
         load_dataset(out)
 
 
+@pytest.mark.parametrize("count", [1e400, 2.5, 3.0, True, "3"])
+def test_volume_count_that_is_not_a_json_integer_names_file_and_line(toy_dataset, tmp_path, count):
+    out = write_dataset(toy_dataset, tmp_path / "city")
+    lines = (out / "volumes.jsonl").read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj["volumes"]["A"] = [1, 2, 3, count]
+    lines[0] = json.dumps(obj)
+    (out / "volumes.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_dataset(out)
+    assert (Path(err.value.path).name, err.value.line, err.value.fieldname) == ("volumes.jsonl", 1, "volumes")
+
+
 def test_label_for_unknown_record_rejected(toy_dataset, tmp_path):
     out = write_dataset(toy_dataset, tmp_path / "city")
     extra = json.dumps({"record_id": "ghost", "edges": {"e1": {"cc": 1}}})
@@ -121,6 +134,69 @@ def test_unchainable_supersegment_rejected(toy_dataset, tmp_path):
     with pytest.raises(SchemaError) as err:
         load_dataset(out)
     assert "chainable" in str(err.value)
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("labels.jsonl", "cc", 2.7),
+    ("labels.jsonl", "cc", 2.0),
+    ("labels.jsonl", "cc", True),
+    ("labels.jsonl", "cc", "2"),
+    ("labels.jsonl", "vol_class", True),
+    ("labels.jsonl", "vol_class", 3.0),
+    ("labels.jsonl", "speed_kph", True),
+    ("labels.jsonl", "speed_kph", "41.5"),
+    ("labels.jsonl", "speed_kph", 10**400),
+    ("volumes.jsonl", "t_index", 34.9),
+    ("volumes.jsonl", "t_index", True),
+    ("volumes.jsonl", "t_index", "34"),
+])
+def test_jsonl_value_of_the_wrong_json_type_names_file_line_and_field(toy_dataset, tmp_path, name, field, value):
+    """JSON integer fields take only integers (not bool); number fields refuse bool and strings."""
+    out = write_dataset(toy_dataset, tmp_path / "city")
+    lines = (out / name).read_text().splitlines()
+    obj = json.loads(lines[0])
+    target = obj["edges"][next(iter(obj["edges"]))] if name == "labels.jsonl" else obj
+    target[field] = value
+    lines[0] = json.dumps(obj)
+    (out / name).write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_dataset(out)
+    assert (Path(err.value.path).name, err.value.line, err.value.fieldname) == (name, 1, field)
+
+
+@pytest.mark.parametrize("value", [True, "120.0", None])
+def test_eta_that_is_not_a_json_number_names_the_file_and_field(toy_dataset, tmp_path, value):
+    out = write_dataset(toy_dataset, tmp_path / "city")
+    obj = json.loads((out / "supersegments.json").read_text())
+    obj["etas"][0]["eta_s"] = value
+    (out / "supersegments.json").write_text(json.dumps(obj))
+    with pytest.raises(SchemaError) as err:
+        load_dataset(out)
+    assert (Path(err.value.path).name, err.value.fieldname) == ("supersegments.json", "eta_s")
+
+
+def test_csv_integer_and_number_fields_still_parse_from_text(toy_dataset, tmp_path):
+    out = write_dataset(toy_dataset, tmp_path / "city")
+    assert "importance" in (out / "edges.csv").read_text().splitlines()[0]
+    seg = load_dataset(out).graph.segments[0]
+    assert (type(seg.importance), type(seg.oneway), type(seg.tunnel), type(seg.lanes)) == (int,) * 4
+    assert type(seg.length_meters) is float
+
+
+@pytest.mark.parametrize("key, value", [
+    ("paths", [["e1", "e2"]]),
+    ("paths", "e1"),
+    ("etas", {"r0": 10.0}),
+    ("etas", 10.0),
+])
+def test_supersegments_with_a_section_of_the_wrong_type_is_named(toy_dataset, tmp_path, key, value):
+    out = write_dataset(toy_dataset, tmp_path / "city")
+    obj = json.loads((out / "supersegments.json").read_text())
+    obj[key] = value
+    (out / "supersegments.json").write_text(json.dumps(obj))
+    with pytest.raises(SchemaError) as err:
+        load_dataset(out)
+    assert (Path(err.value.path).name, err.value.fieldname) == ("supersegments.json", key)
 
 
 def test_bad_format_version_rejected(toy_dataset, tmp_path):

@@ -98,10 +98,10 @@ def test_line_graph_matches_brute_force(seed, n_nodes, n_edges):
 
 def test_mean_aggregate_isolated_node_is_zero():
     x = np.arange(6, dtype=float).reshape(3, 2)
-    out = ad.matmul(mean_aggregation_matrix([(1,), (), (0, 1)]), Tensor(x))
-    assert out.data[1].tolist() == [0.0, 0.0]
-    assert np.allclose(out.data[0], x[1])
-    assert np.allclose(out.data[2], (x[0] + x[1]) / 2.0)
+    out = mean_aggregation_matrix([(1,), (), (0, 1)]) @ x
+    assert out[1].tolist() == [0.0, 0.0]
+    assert np.allclose(out[0], x[1])
+    assert np.allclose(out[2], (x[0] + x[1]) / 2.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,7 +115,7 @@ def test_mean_aggregate_matches_dense_oracle(data):
     dense |= dense.T  # symmetric like the segment graph
     neighbors = [tuple(np.flatnonzero(dense[i])) for i in range(n)]
     x = rng.normal(size=(n, d))
-    out = ad.matmul(mean_aggregation_matrix(neighbors), Tensor(x)).data
+    out = mean_aggregation_matrix(neighbors) @ x
     expected = np.zeros((n, d))
     for i in range(n):
         if neighbors[i]:
@@ -124,11 +124,13 @@ def test_mean_aggregate_matches_dense_oracle(data):
 
 
 def test_grad_mean_aggregate():
+    """The neighbour-mean path of a GNN round: no self weight, identity neighbour weight."""
     rng = np.random.default_rng(5)
     operator = mean_aggregation_matrix([(1, 2), (0,), (), (0, 1, 2)])
+    bias = np.full(3, 10.0)  # keeps every unit above the ReLU's kink
 
     def build(t):
-        agg = ad.matmul(operator, t)
+        agg = ad.gnn_round(t, operator, np.zeros((3, 3)), np.eye(3), bias)
         return ad.reduce_sum(ad.mul(agg, agg))
 
     t = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
