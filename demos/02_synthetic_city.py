@@ -32,7 +32,10 @@ print(f"\nrecord {rec.record_id} at slot {rec.t_index} ({rec.day}):")
 for node_id, bins in list(rec.volumes.items())[:3]:
     print(f"  counter at {node_id}: {bins}")
 
-bundle = labels[0]
+# labels are one table: (records x segments) columns, -1 or NaN where a label is missing
+print(f"\nlabel table: {len(labels.record_ids)} records x {len(labels.segment_ids)} segments, "
+      f"{int((labels.cc >= 0).sum())} congestion labels")
+bundle = labels[0]  # one row, read as segment -> label
 labeled = [(s, l) for s, l in bundle.edges.items() if l.cc is not None][:3]
 for seg_id, lab in labeled:
     print(f"  label {seg_id}: cc={lab.cc} speed={lab.speed_kph} vol_class={lab.vol_class}")

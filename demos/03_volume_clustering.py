@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters, volume_sum
-from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, labels_by_record
+from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter
 
 out = Path(tempfile.mkdtemp()) / "city"
 dataset = generate_synthetic_city(
@@ -34,8 +34,8 @@ print("thresholds:", [round(t, 1) for t in model.thresholds])
 probe = records[17]
 print(f"record {probe.record_id}: volumeSum {volume_sum(probe):.0f} -> cluster {assign_cluster(model, probe)}")
 
-label_map = labels_by_record(dataset.labels)
-priors = build_prior_matrices(model, [label_map[r.record_id] for r in records], dataset.graph)
+# the labels are one (records x segments) table; select() takes the rows of these records
+priors = build_prior_matrices(model, dataset.labels.select(r.record_id for r in records), dataset.graph)
 
 seg_id = dataset.graph.segments[0].segment_id
 prior = priors[seg_id]

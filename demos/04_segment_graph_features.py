@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from t4c.clustering import build_prior_matrices, fit_clusters
-from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, labels_by_record
+from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter
 from t4c.seggraph import assemble_features, build_line_graph, fit_normalization
 
 out = Path(tempfile.mkdtemp()) / "city"
@@ -35,12 +35,12 @@ nbr_ids = [seg_graph.seg_ids[j] for j in seg_graph.neighbors[idx]]
 print(f"{first.segment_id} ({first.tail_node}->{first.head_node}) touches: {nbr_ids}")
 
 # normalization statistics come from the training records only
-label_map = labels_by_record(dataset.labels)
-stats = fit_normalization(dataset.graph, records, [label_map[r.record_id] for r in records])
+labels = dataset.labels.select(r.record_id for r in records)
+stats = fit_normalization(dataset.graph, records, labels)
 print(f"\nspeed labels: mean {stats.speed_mean:.1f} km/h, sigma {stats.speed_std:.1f}")
 
 model = fit_clusters(records, num_clusters=5)
-priors = build_prior_matrices(model, [label_map[r.record_id] for r in records], dataset.graph)
+priors = build_prior_matrices(model, labels, dataset.graph)
 
 feats = assemble_features(dataset.graph, seg_graph, records[0], priors, stats)
 print("\nfeature blocks for one record:")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
-from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, labels_by_record, split_train_validation
+from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
 from t4c.evaluation import core_metric, eta_from_speeds, eta_labels, eta_metric
 from t4c.model import ModelConfig
 from t4c.seggraph import build_line_graph
@@ -33,9 +33,8 @@ model_cfg = ModelConfig(
 
 records = daytime_filter(dataset.records, *train_cfg.daytime)
 train_records, val_records = split_train_validation(records, 1 - train_cfg.val_fraction, train_cfg.split_seed)
-label_map = labels_by_record(dataset.labels)
-train_labels = [label_map[r.record_id] for r in train_records]
-val_labels = [label_map[r.record_id] for r in val_records]
+train_labels = dataset.labels.select(r.record_id for r in train_records)
+val_labels = dataset.labels.select(r.record_id for r in val_records)
 
 cluster_model = fit_clusters(train_records, model_cfg.num_clusters)
 priors = build_prior_matrices(cluster_model, train_labels, dataset.graph)

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from t4c.clustering import build_prior_matrices, fit_clusters
-from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, labels_by_record, split_train_validation
+from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
 from t4c.evaluation import run_ablation
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig
@@ -32,9 +32,8 @@ model_cfg = ModelConfig(
 
 records = daytime_filter(dataset.records, *train_cfg.daytime)
 train_records, _ = split_train_validation(records, 1 - train_cfg.val_fraction, train_cfg.split_seed)
-label_map = labels_by_record(dataset.labels)
 cluster_model = fit_clusters(train_records, model_cfg.num_clusters)
-priors = build_prior_matrices(cluster_model, [label_map[r.record_id] for r in train_records], dataset.graph)
+priors = build_prior_matrices(cluster_model, dataset.labels.select(r.record_id for r in train_records), dataset.graph)
 
 result = run_ablation(
     dataset,

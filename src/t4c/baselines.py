@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .clustering import ClusterModel, build_prior_matrices
-from .data import Dataset, LabelBundle, SuperSegment, VolumeRecord, labels_by_record
+from .clustering import CC_COLUMN, ClusterModel, build_prior_matrices
+from .data import Dataset, LabelTable, SuperSegment, VolumeRecord
 from .model import inverse_frequency_weights
 from .seggraph import mean_aggregation_matrix
 from .training import fit_loop, split_records
@@ -36,9 +36,6 @@ __all__ = [
     "save_baseline",
     "load_baseline",
 ]
-
-_CC_COLUMN = {0: 0, 1: 0, 2: 1, 3: 2}  # undefined merges into green
-
 
 def _lower_median(values: Sequence[float]) -> float:
     ordered = sorted(values)
@@ -67,7 +64,7 @@ class VolumeClusterModel:
 
 
 def fit_naive(
-    labels: Iterable[LabelBundle],
+    labels: LabelTable,
     supersegments: Sequence[SuperSegment],
     per_segment: bool = True,
 ) -> NaiveCountModel:
@@ -76,26 +73,19 @@ def fit_naive(
     ``per_segment=False`` applies the pooled city-wide distribution to
     every segment instead of its own tally.
     """
-    labels = list(labels)
-    counts: dict[str, np.ndarray] = {}
-    pooled = np.zeros(3, dtype=np.float64)
-    n_labels = 0
-    for bundle in labels:
-        for seg_id, lab in bundle.edges.items():
-            if lab.cc is None:
-                continue
-            column = _CC_COLUMN[lab.cc]
-            counts.setdefault(seg_id, np.zeros(3, dtype=np.float64))[column] += 1.0
-            pooled[column] += 1.0
-            n_labels += 1
-    if n_labels == 0:
+    row, col = np.nonzero(labels.cc >= 0)
+    if col.size == 0:
         raise ValueError("fit_naive needs at least one congestion label")
+    cells = col * 3 + CC_COLUMN[labels.cc[row, col]]  # undefined merges into green
+    counts = np.bincount(cells, minlength=len(labels.segment_ids) * 3).astype(np.float64).reshape(-1, 3)
+    pooled = counts.sum(axis=0)
     global_probs = pooled / pooled.sum()
-    cc_probs: dict[str, np.ndarray] = {}
-    for seg_id, c in counts.items():
-        cc_probs[seg_id] = (c / c.sum()) if per_segment else global_probs.copy()
+    cc_probs = {
+        seg_id: (c / c.sum()) if per_segment else global_probs.copy()
+        for seg_id, c in zip(labels.segment_ids, counts) if c.sum() > 0
+    }
 
-    record_ids = {bundle.record_id for bundle in labels}
+    record_ids = set(labels.record_ids)
     eta_median: dict[str, float] = {}
     for ss in supersegments:
         values = [eta for rid, eta in ss.etas.items() if rid in record_ids]
@@ -114,7 +104,7 @@ def naive_segment_probs(model: NaiveCountModel, seg_id: str) -> np.ndarray:
 
 def fit_volume_cluster(
     cluster_model: ClusterModel,
-    labels: Iterable[LabelBundle],
+    labels: LabelTable,
     supersegments: Sequence[SuperSegment],
     graph,
 ) -> VolumeClusterModel:
@@ -123,7 +113,6 @@ def fit_volume_cluster(
     Congestion cells reuse the prior-matrix tally; cells without support
     (and supersegment clusters without ETAs) take the naive values.
     """
-    labels = list(labels)
     naive = fit_naive(labels, supersegments)
     priors = build_prior_matrices(cluster_model, labels, graph)
     k = cluster_model.num_clusters
@@ -250,13 +239,12 @@ def node_gnn_baseline(
     ``fit_loop`` and scored with the same metric.
     """
     records, train_records, val_records = split_records(dataset, train_cfg)
-    label_map = labels_by_record(dataset.labels)
+    labels = dataset.labels
     graph = dataset.graph
     node_index, node_neighbors = _node_graph(graph)
     node_mean = mean_aggregation_matrix(node_neighbors)
     tail_idx = np.array([node_index[s.tail_node] for s in graph.segments], dtype=np.int64)
     head_idx = np.array([node_index[s.head_node] for s in graph.segments], dtype=np.int64)
-    seg_ids = [s.segment_id for s in graph.segments]
 
     # z-normalize volumes over the training (record, node) population
     total = np.zeros(4)
@@ -272,17 +260,10 @@ def node_gnn_baseline(
     std = np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), 1e-6)
     feats = {rid: (x - mean) / std for rid, x in raw_feats.items()}
 
-    seg_pos = {seg_id: i for i, seg_id in enumerate(seg_ids)}
-
-    def cc_targets(bundle: LabelBundle | None) -> np.ndarray:
-        out = np.full(len(seg_ids), -1, dtype=np.int64)
-        if bundle is not None:
-            for seg_id, lab in bundle.edges.items():
-                if lab.cc in (1, 2, 3):
-                    out[seg_pos[seg_id]] = lab.cc - 1
-        return out
-
-    targets = {r.record_id: cc_targets(label_map.get(r.record_id)) for r in records}
+    cc_targets = np.where(labels.cc > 0, labels.cc - 1, -1).astype(np.int64)  # codes 1..3 -> classes 0..2
+    unlabelled = np.full(len(graph.segments), -1, dtype=np.int64)
+    rows = labels.rows
+    targets = {r.record_id: cc_targets[rows[r.record_id]] if r.record_id in rows else unlabelled for r in records}
     weights = inverse_frequency_weights([targets[r.record_id] for r in train_records], 3)
 
     rng = np.random.default_rng(seed)
@@ -312,7 +293,5 @@ def node_gnn_baseline(
     def val_cc_probs(record: VolumeRecord) -> np.ndarray:
         return ad.softmax_np(forward_logits(store.arrays(), record), axis=1)
 
-    fit = fit_loop(
-        store, train_cfg, seed, train_records, val_records, label_map, seg_ids, record_loss, val_cc_probs
-    )
+    fit = fit_loop(store, train_cfg, seed, train_records, val_records, labels, record_loss, val_cc_probs)
     return fit.val_scores[fit.best_epoch]

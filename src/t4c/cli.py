@@ -15,12 +15,10 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, labels_by_record, load_dataset
+from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset
 from .evaluation import ABLATION_VARIANTS, AblationResult, core_metric, eta_from_speeds, eta_labels, eta_metric, run_ablation
 from .model import ModelConfig
 from .seggraph import build_line_graph
@@ -162,29 +160,26 @@ def _write_predictions(path: Path, rows: list[dict]) -> None:
 
 
 def _read_predictions(path: Path) -> list[dict]:
+    """Rows with a string ``record_id`` and object ``segments`` and ``etas`` where present; others are refused by line."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CLIError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from None
+            fault = (
+                "not a JSON object" if not isinstance(row, dict)
+                else "no string 'record_id'" if not isinstance(row.get("record_id"), str)
+                else next((f"{key!r} is not an object" for key in ("segments", "etas")
+                           if not isinstance(row.get(key, {}), dict)), None)
+            )
+            if fault:
+                raise CLIError(f"{path}:{line_no}: {fault}; produce it with `t4c predict` (or `t4c baseline <name>`)")
+            rows.append(row)
     return rows
-
-
-def _emit_score(args, workdir: Path, score, csv_header: str) -> int:
-    """Print an eval stage's score, then write its JSON report and per-record CSV when asked."""
-    print(f"{score.score:.6f}")
-    per_record = {rid: score.per_record[rid] for rid in sorted(score.per_record)}
-    if args.out:
-        report = {"metric": score.score, "per_record": per_record, "n_scored": score.n_scored}
-        _write_json(_resolve(workdir, args.out), report)
-    if args.csv:
-        lines = [csv_header] + [f"{rid},{value:.6f}" for rid, value in per_record.items()]
-        _resolve(workdir, args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return 0
 
 
 def _write_json(path: Path, obj) -> None:
@@ -224,8 +219,7 @@ def cmd_fit_clusters(args, workdir: Path) -> int:
         model = fit_clusters(train_records, k)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    label_map = labels_by_record(dataset.labels)
-    train_labels = [label_map[r.record_id] for r in train_records if r.record_id in label_map]
+    train_labels = dataset.labels.select(r.record_id for r in train_records)
     priors = build_prior_matrices(model, train_labels, dataset.graph)
     out = _resolve(workdir, args.out)
     save_cluster_model(out, model, priors)
@@ -310,54 +304,45 @@ def cmd_predict(args, workdir: Path) -> int:
     return 0
 
 
-def _labels_for_predictions(dataset, rows):
-    label_map = labels_by_record(dataset.labels)
-    bundles = []
-    for row in rows:
-        bundle = label_map.get(row["record_id"])
-        if bundle is not None:
-            bundles.append(bundle)
-    return bundles
+def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: str) -> int:
+    """Score the predictions with ``scorer(dataset, rows)``; print the score, then write its report and CSV when asked."""
+    dataset = _load_data(_resolve(workdir, args.data))
+    rows = _read_predictions(_require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)"))
+    try:
+        score = scorer(dataset, rows)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+    if score.score is None:
+        raise CLIError(nothing_scored)
+    print(f"{score.score:.6f}")
+    per_record = {rid: score.per_record[rid] for rid in sorted(score.per_record)}
+    if args.out:
+        report = {"metric": score.score, "per_record": per_record, "n_scored": score.n_scored}
+        _write_json(_resolve(workdir, args.out), report)
+    if args.csv:
+        lines = [csv_header] + [f"{rid},{value:.6f}" for rid, value in per_record.items()]
+        _resolve(workdir, args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return 0
 
 
 def cmd_eval_core(args, workdir: Path) -> int:
-    dataset = _load_data(_resolve(workdir, args.data))
-    pred_path = _require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)")
-    rows = _read_predictions(pred_path)
-    predictions = {}
-    for row in rows:
-        segments = row.get("segments") or {}
-        predictions[row["record_id"]] = {
-            seg_id: np.asarray(entry["cc"], dtype=np.float64)
-            for seg_id, entry in segments.items()
-            if entry.get("cc") is not None
+    def score(dataset, rows):
+        predictions = {
+            row["record_id"]: {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
+            for row in rows
         }
-    try:
-        score = core_metric(predictions, _labels_for_predictions(dataset, rows))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    if score.score is None:
-        raise CLIError("no scored segments: predictions cover no labeled records")
-    return _emit_score(args, workdir, score, "record_id,core_score")
+        return core_metric(predictions, dataset.labels.select(row["record_id"] for row in rows))
+
+    nothing_scored = "no scored segments: predictions cover no labeled records"
+    return _eval_stage(args, workdir, score, nothing_scored, "record_id,core_score")
 
 
 def cmd_eval_eta(args, workdir: Path) -> int:
-    dataset = _load_data(_resolve(workdir, args.data))
-    pred_path = _require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)")
-    rows = _read_predictions(pred_path)
-    predicted = {}
-    for row in rows:
-        for ss_id, eta in (row.get("etas") or {}).items():
-            predicted[(row["record_id"], ss_id)] = float(eta)
-    record_ids = {row["record_id"] for row in rows}
-    labeled = eta_labels(dataset.supersegments, record_ids)
-    try:
-        score = eta_metric(predicted, labeled)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    if score.score is None:
-        raise CLIError("no labeled (record, supersegment) pairs to score")
-    return _emit_score(args, workdir, score, "record_id,eta_mae_s")
+    def score(dataset, rows):
+        predicted = {(row["record_id"], ss_id): float(eta) for row in rows for ss_id, eta in row.get("etas", {}).items()}
+        return eta_metric(predicted, eta_labels(dataset.supersegments, {row["record_id"] for row in rows}))
+
+    return _eval_stage(args, workdir, score, "no labeled (record, supersegment) pairs to score", "record_id,eta_mae_s")
 
 
 def cmd_baseline(args, workdir: Path) -> int:
@@ -367,8 +352,7 @@ def cmd_baseline(args, workdir: Path) -> int:
     out_dir = _resolve(workdir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, train_records, val_records = split_records(dataset, train_cfg)
-    label_map = labels_by_record(dataset.labels)
-    train_labels = [label_map[r.record_id] for r in train_records if r.record_id in label_map]
+    train_labels = dataset.labels.select(r.record_id for r in train_records)
     seg_ids = [s.segment_id for s in dataset.graph.segments]
 
     if args.name == "node_gnn":
@@ -407,13 +391,8 @@ def cmd_baseline(args, workdir: Path) -> int:
     rows = []
     for record in val_records:
         probs = probs_for(record)
-        rows.append(
-            {
-                "record_id": record.record_id,
-                "segments": {seg: {"cc": probs[seg].tolist(), "speed": None, "vol": None} for seg in seg_ids},
-                "etas": etas_for(record),
-            }
-        )
+        segments = {seg: {"cc": probs[seg].tolist(), "speed": None, "vol": None} for seg in seg_ids}
+        rows.append({"record_id": record.record_id, "segments": segments, "etas": etas_for(record)})
     pred_path = out_dir / f"predictions_{args.name}.jsonl"
     _write_predictions(pred_path, rows)
     print(f"wrote baseline_{args.name}.json and {pred_path.name} ({len(rows)} validation records)")
@@ -482,7 +461,10 @@ def cmd_report(args, workdir: Path) -> int:
     lines = ["member,seed,best_epoch,best_val_core,final_train_loss"]
     curves: dict[str, list[float]] = {}
     for member in member_dirs:
-        runlog = load_runlog(_require_artifact(member / "runlog.json", "train"))
+        try:
+            runlog = load_runlog(_require_artifact(member / "runlog.json", "train"))
+        except ValueError as exc:
+            raise CLIError(f"{exc}; produce it again with `t4c train`") from None
         best = runlog.epochs[runlog.best_epoch].val_core
         lines.append(
             f"{member.name},{runlog.seed},{runlog.best_epoch},{best:.6f},"

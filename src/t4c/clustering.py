@@ -13,11 +13,11 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LabelBundle, RoadGraph, VolumeRecord
+from .data import LabelTable, RoadGraph, VolumeRecord
 
 __all__ = [
     "ClusterModel",
@@ -32,6 +32,7 @@ __all__ = [
 
 DEFAULT_NUM_CLUSTERS = 10
 UNIFORM_ROW = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+CC_COLUMN = np.array([0, 0, 1, 2])  # prior column of each congestion code: undefined merges into green
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def assign_cluster(model: ClusterModel, record: VolumeRecord) -> int:
 
 def build_prior_matrices(
     model: ClusterModel,
-    labels: Iterable[LabelBundle],
+    labels: LabelTable,
     graph: RoadGraph,
 ) -> dict[str, PriorMatrix]:
     """Tally congestion states per (segment, cluster) into K x 3 priors.
@@ -111,33 +112,22 @@ def build_prior_matrices(
     """
     k = model.num_clusters
     seg_index = {s.segment_id: i for i, s in enumerate(graph.segments)}
-    counts = np.zeros((len(seg_index), k, 3), dtype=np.float64)
-    for bundle in labels:
-        if bundle.record_id not in model.assignment:
-            raise ValueError(f"record {bundle.record_id!r} is not in the cluster model's training set")
-        cluster = model.assignment[bundle.record_id]
-        for seg_id, lab in bundle.edges.items():
-            if lab.cc is None:
-                continue
-            column = 0 if lab.cc in (0, 1) else (1 if lab.cc == 2 else 2)
-            counts[seg_index[seg_id], cluster, column] += 1.0
-
-    priors: dict[str, PriorMatrix] = {}
-    for seg_id, i in seg_index.items():
-        support = counts[i].sum(axis=1)
-        total = counts[i].sum(axis=0)
-        grand = total.sum()
-        fallback = total / grand if grand > 0 else np.array(UNIFORM_ROW)
-        matrix = np.empty((k, 3), dtype=np.float64)
-        for row in range(k):
-            if support[row] > 0:
-                matrix[row] = counts[i, row] / support[row]
-            else:
-                matrix[row] = fallback
-        priors[seg_id] = PriorMatrix(
-            segment_id=seg_id, matrix=matrix, support=support.astype(np.int64)
-        )
-    return priors
+    unknown = [rid for rid in labels.record_ids if rid not in model.assignment]
+    if unknown:
+        raise ValueError(f"record {unknown[0]!r} is not in the cluster model's training set")
+    position = np.array([seg_index[seg_id] for seg_id in labels.segment_ids], dtype=np.int64)
+    cluster = np.array([model.assignment[rid] for rid in labels.record_ids], dtype=np.int64)
+    row, col = np.nonzero(labels.cc >= 0)
+    cells = (position[col] * k + cluster[row]) * 3 + CC_COLUMN[labels.cc[row, col]]
+    # integer tallies, so the divisions below give the same bits as a per-label count would
+    counts = np.bincount(cells, minlength=len(seg_index) * k * 3).astype(np.float64).reshape(-1, k, 3)
+    support = counts.sum(axis=2, keepdims=True)  # (S, K, 1)
+    total = counts.sum(axis=1, keepdims=True)  # (S, 1, 3)
+    grand = total.sum(axis=2, keepdims=True)
+    fallback = np.divide(total, grand, out=np.broadcast_to(UNIFORM_ROW, total.shape).copy(), where=grand > 0)
+    matrix = np.divide(counts, support, out=np.broadcast_to(fallback, counts.shape).copy(), where=support > 0)
+    support = support[:, :, 0].astype(np.int64)
+    return {seg_id: PriorMatrix(seg_id, matrix[i], support[i]) for seg_id, i in seg_index.items()}
 
 
 def save_cluster_model(path, model: ClusterModel, priors: Mapping[str, PriorMatrix]) -> Path:

@@ -10,7 +10,7 @@ A dataset directory holds six text files (UTF-8, LF):
 * ``supersegments.json``   -- ordered segment paths plus observed ETA labels
 
 Loading validates the schema strictly and reports file, line and field on
-violations. All loaded structures are immutable after construction.
+violations. All loaded structures are immutable; the labels are one ``LabelTable``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "VolumeRecord",
     "SegmentLabel",
     "LabelBundle",
+    "LabelTable",
     "SuperSegment",
     "Dataset",
     "SynthSpec",
@@ -62,6 +64,7 @@ CONTINUOUS_FIELDS = (
     "counter_distance",
     "limit_speed",
 )
+EDGE_COLUMNS = ["segment_id", "tail_node", "head_node", "importance", "oneway", "tunnel", "lanes", *CONTINUOUS_FIELDS]
 
 VALID_CC = (0, 1, 2, 3)
 VALID_VOL_CLASS = (1, 3, 5)
@@ -128,9 +131,6 @@ class RoadGraph:
     def node_ids(self) -> set[str]:
         return {n.node_id for n in self.nodes}
 
-    def segment_ids(self) -> set[str]:
-        return {s.segment_id for s in self.segments}
-
     @cached_property
     def continuous_matrix(self) -> np.ndarray:
         """(N, 5) raw ``CONTINUOUS_FIELDS`` in segment order; built on first use, read-only."""
@@ -172,10 +172,85 @@ class SegmentLabel:
     vol_class: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """Every labelled record's labels as three (records, segments) columns.
+
+    Row r holds the labels of ``record_ids[r]`` (in ``labels.jsonl`` order),
+    column j those of ``segment_ids[j]`` (every segment, in graph order), as
+    in the Apache Arrow columnar layout with a sentinel for a missing value:
+    ``cc`` and ``vol_class`` are int8 with -1 for no label, ``speed_kph`` is
+    float64 with NaN for no label. The arrays are read-only; a row reads as a ``LabelBundle``.
+    """
+
+    record_ids: tuple[str, ...]
+    segment_ids: tuple[str, ...]
+    cc: np.ndarray  # (R, S) int8
+    speed_kph: np.ndarray  # (R, S) float64
+    vol_class: np.ndarray  # (R, S) int8
+
+    def __post_init__(self):
+        for column in (self.cc, self.speed_kph, self.vol_class):
+            if column.shape != (len(self.record_ids), len(self.segment_ids)):
+                raise ValueError(f"label column of shape {column.shape} for {len(self)} by {len(self.segment_ids)} labels")
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    def __getitem__(self, row: int) -> LabelBundle:
+        row = range(len(self))[row]  # an IndexError past the end also ends iteration
+        return LabelBundle(self, row, self.record_ids[row])
+
+    def __eq__(self, other) -> bool:
+        columns = ("record_ids", "segment_ids", "cc", "speed_kph", "vol_class")
+        return isinstance(other, LabelTable) and all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=name == "speed_kph") for name in columns
+        )
+
+    @cached_property
+    def rows(self) -> dict[str, int]:  # record id -> row
+        return {record_id: row for row, record_id in enumerate(self.record_ids)}
+
+    def select(self, record_ids: Iterable[str]) -> LabelTable:
+        """The rows of those records that have labels, in the order given."""
+        rows = [self.rows[rid] for rid in record_ids if rid in self.rows]
+        return LabelTable(
+            tuple(self.record_ids[row] for row in rows), self.segment_ids,
+            self.cc[rows], self.speed_kph[rows], self.vol_class[rows],
+        )
+
+    def labelled(self, row: int) -> Iterator[tuple[str, int | None, float | None, int | None]]:
+        """(segment id, cc, speed_kph, vol_class) of each segment with a label in ``row``, in graph order."""
+        columns = zip(self.segment_ids, self.cc[row].tolist(), self.speed_kph[row].tolist(), self.vol_class[row].tolist())
+        for seg_id, cc, speed, vol in columns:
+            if cc >= 0 or speed == speed or vol >= 0:  # NaN != NaN
+                yield seg_id, (cc if cc >= 0 else None), (speed if speed == speed else None), (vol if vol >= 0 else None)
+
+
+@dataclass(frozen=True, eq=False)
 class LabelBundle:
+    """One record's labels: a read-only view of one row of a ``LabelTable``."""
+
+    table: LabelTable
+    row: int
     record_id: str
-    edges: dict[str, SegmentLabel]
+
+    @cached_property
+    def edges(self) -> Mapping[str, SegmentLabel]:
+        """Segment id -> label, for the segments with a label, in graph order."""
+        return MappingProxyType({seg_id: SegmentLabel(*values) for seg_id, *values in self.table.labelled(self.row)})
+
+
+def _label_row(num_segments: int) -> tuple[list, list, list]:
+    """Empty ``cc``, ``speed_kph`` and ``vol_class`` value lists of one record, to fill in."""
+    return [-1] * num_segments, [math.nan] * num_segments, [-1] * num_segments
+
+
+def _label_table(record_ids, segment_ids, rows: list[tuple[list, list, list]]) -> LabelTable:
+    shape = (len(record_ids), len(segment_ids))
+    columns = (np.array([row[k] for row in rows], dtype=t).reshape(shape) for k, t in enumerate((np.int8, float, np.int8)))
+    return LabelTable(tuple(record_ids), tuple(segment_ids), *columns)
 
 
 @dataclass(frozen=True)
@@ -188,7 +263,7 @@ class SuperSegment:
 class Dataset(NamedTuple):
     graph: RoadGraph
     records: tuple[VolumeRecord, ...]
-    labels: tuple[LabelBundle, ...]
+    labels: LabelTable
     supersegments: tuple[SuperSegment, ...]
 
 
@@ -225,14 +300,21 @@ def _parse_float(raw, path, line, fieldname) -> float:
     return value
 
 
-def _json_number(raw, path, line, fieldname, integer: bool = False):
-    """A finite JSON number, or with ``integer`` a JSON integer; booleans and strings are refused."""
+def _json_number(raw, path, line, fieldname, integer: bool = False, valid: tuple = (), minimum: float | None = None):
+    """A finite JSON number, or with ``integer`` a JSON integer, that is one of ``valid``
+    and at least ``minimum`` where given; booleans and strings are refused."""
     kind = type(raw)  # exact, so a bool is not an int here
     if kind is int:
-        return raw if integer else _parse_float(raw, path, line, fieldname)
-    if kind is float and not integer and math.isfinite(raw):
-        return raw
-    raise SchemaError(path, line, fieldname, f"expected {'an integer' if integer else 'a finite number'}, got {raw!r}")
+        value = raw if integer else _parse_float(raw, path, line, fieldname)
+    elif kind is float and not integer and math.isfinite(raw):
+        value = raw
+    else:
+        raise SchemaError(path, line, fieldname, f"expected {'an integer' if integer else 'a finite number'}, got {raw!r}")
+    if valid and value not in valid:
+        raise SchemaError(path, line, fieldname, f"must be one of {valid}, got {value}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(path, line, fieldname, f"must be >= {minimum:g}, got {value}")
+    return value
 
 
 def _load_meta(path: Path) -> dict:
@@ -283,18 +365,13 @@ def _load_nodes(path: Path) -> tuple[tuple[NodeRec, ...], dict[str, str]]:
 
 
 def _load_edges(path: Path, node_ids: set[str]) -> tuple[tuple[SegmentRec, ...], tuple[tuple[str, str], ...]]:
-    expected = [
-        "segment_id", "tail_node", "head_node", "importance", "oneway", "tunnel",
-        "lanes", "parsed_maxspeed", "flow_speed", "length_meters",
-        "counter_distance", "limit_speed",
-    ]
     rows: list[dict] = []
     seen: set[str] = set()
     missing: dict[str, list[int]] = {name: [] for name in CONTINUOUS_FIELDS}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != expected:
-            raise SchemaError(path, 1, None, f"expected header {expected}, got {reader.fieldnames}")
+        if reader.fieldnames != EDGE_COLUMNS:
+            raise SchemaError(path, 1, None, f"expected header {EDGE_COLUMNS}, got {reader.fieldnames}")
         for row in reader:
             line = reader.line_num
             seg_id = (row["segment_id"] or "").strip()
@@ -427,45 +504,37 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
     return tuple(records)
 
 
-def _load_labels(path: Path, record_ids: set[str], segment_ids: set[str]) -> tuple[LabelBundle, ...]:
-    bundles: list[LabelBundle] = []
-    seen: set[str] = set()
+def _load_labels(path: Path, record_ids: set[str], segment_ids: Sequence[str]) -> LabelTable:
+    column = {seg_id: j for j, seg_id in enumerate(segment_ids)}
+    rows: dict[str, tuple[list, list, list]] = {}
     for line_no, obj in _jsonl_objects(path):
         record_id = str(obj.get("record_id"))
         if record_id not in record_ids:
             raise DanglingReferenceError(path, line_no, "record_id", f"unknown record {record_id!r}")
-        if record_id in seen:
+        if record_id in rows:
             raise SchemaError(path, line_no, "record_id", f"duplicate label bundle for {record_id!r}")
-        seen.add(record_id)
         edges_obj = obj.get("edges")
         if not isinstance(edges_obj, dict):
             raise SchemaError(path, line_no, "edges", "must be an object")
-        edges: dict[str, SegmentLabel] = {}
+        cc_row, speed_row, vol_row = rows[record_id] = _label_row(len(segment_ids))
+        at = (path, line_no)
         for seg_id, lab in edges_obj.items():
-            if seg_id not in segment_ids:
+            j = column.get(seg_id)
+            if j is None:
                 raise DanglingReferenceError(path, line_no, "edges", f"unknown segment {seg_id!r}")
             if not isinstance(lab, dict):
                 raise SchemaError(path, line_no, "edges", f"label for {seg_id!r} must be an object")
-            cc = lab.get("cc")
+            # a valid value passes the inline test; any other goes to the checker that names its fault
+            cc, speed, vol = lab.get("cc"), lab.get("speed_kph"), lab.get("vol_class")
             if cc is not None:
-                cc = _json_number(cc, path, line_no, "cc", integer=True)
-                if cc not in VALID_CC:
-                    raise SchemaError(path, line_no, "cc", f"must be one of {VALID_CC}, got {cc}")
-            speed = lab.get("speed_kph")
+                cc_row[j] = cc if type(cc) is int and cc in VALID_CC else _json_number(cc, *at, "cc", True, VALID_CC)
             if speed is not None:
-                speed = _json_number(speed, path, line_no, "speed_kph")
-                if speed < 0:
-                    raise SchemaError(path, line_no, "speed_kph", f"must be >= 0, got {speed}")
-            vol = lab.get("vol_class")
+                ok = type(speed) is float and 0.0 <= speed < math.inf
+                speed_row[j] = speed if ok else _json_number(speed, *at, "speed_kph", minimum=0.0)
             if vol is not None:
-                vol = _json_number(vol, path, line_no, "vol_class", integer=True)
-                if vol not in VALID_VOL_CLASS:
-                    raise SchemaError(
-                        path, line_no, "vol_class", f"must be one of {VALID_VOL_CLASS}, got {vol}"
-                    )
-            edges[seg_id] = SegmentLabel(cc=cc, speed_kph=speed, vol_class=vol)
-        bundles.append(LabelBundle(record_id, edges))
-    return tuple(bundles)
+                ok = type(vol) is int and vol in VALID_VOL_CLASS
+                vol_row[j] = vol if ok else _json_number(vol, *at, "vol_class", True, VALID_VOL_CLASS)
+    return _label_table(rows, segment_ids, list(rows.values()))
 
 
 def _load_supersegments(
@@ -533,7 +602,7 @@ def load_dataset(dir_path) -> Dataset:
     graph = RoadGraph(nodes=nodes, segments=segments, counters=counters, imputed=imputed)
     records = _load_volumes(volumes_path, counters, node_ids)
     record_ids = {r.record_id for r in records}
-    labels = _load_labels(labels_path, record_ids, graph.segment_ids())
+    labels = _load_labels(labels_path, record_ids, [seg.segment_id for seg in segments])
     supersegments = _load_supersegments(ss_path, record_ids, segments)
     return Dataset(graph, records, labels, supersegments)
 
@@ -547,10 +616,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _label_obj(label: SegmentLabel) -> dict:
-    return {"cc": label.cc, "speed_kph": label.speed_kph, "vol_class": label.vol_class}
 
 
 def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
@@ -571,11 +636,7 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "segment_id", "tail_node", "head_node", "importance", "oneway", "tunnel",
-        "lanes", "parsed_maxspeed", "flow_speed", "length_meters",
-        "counter_distance", "limit_speed",
-    ])
+    writer.writerow(EDGE_COLUMNS)
     for s in graph.segments:
         writer.writerow([
             s.segment_id, s.tail_node, s.head_node, s.importance, s.oneway, s.tunnel,
@@ -595,11 +656,12 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
     with open(dir_path / "labels.jsonl", "w", encoding="utf-8") as fh:
-        for bundle in labels:
-            obj = {
-                "record_id": bundle.record_id,
-                "edges": {k: _label_obj(bundle.edges[k]) for k in sorted(bundle.edges)},
+        for row, record_id in enumerate(labels.record_ids):
+            edges = {
+                seg_id: {"cc": cc, "speed_kph": speed, "vol_class": vol}
+                for seg_id, cc, speed, vol in labels.labelled(row)
             }
+            obj = {"record_id": record_id, "edges": edges}
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
     ss_obj = {
@@ -868,10 +930,11 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
     ranks[order] = np.arange(len(records))
     q_global = ranks / max(len(records) - 1, 1)
 
-    labels: list[LabelBundle] = []
+    label_rows = []
     true_speed = np.empty((spec.num_records, len(segments)))
     for ridx, record in enumerate(records):
-        edges: dict[str, SegmentLabel] = {}
+        cc_row, speed_row, vol_row = row = _label_row(len(segments))
+        label_rows.append(row)
         for sidx, seg in enumerate(segments):
             counter_node = seg_counter[sidx]
             vec = record.volumes.get(node_ids[counter_node])
@@ -887,24 +950,14 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
             speed = max(round(speed, 2), 2.0)
             true_speed[ridx, sidx] = speed
 
-            cc: int | None = cls
-            if rng.random() < 0.03:
-                cc = 0  # undefined state
-            if rng.random() > 0.85:
-                cc = None
-            speed_label = speed if rng.random() < 0.7 else None
+            undefined = rng.random() < 0.03
+            cc_row[sidx] = -1 if rng.random() > 0.85 else (0 if undefined else cls)  # -1: no label, 0: undefined
+            if rng.random() < 0.7:
+                speed_row[sidx] = speed
             latent_count = int(rng.poisson(0.8 + 5.0 * score))
-            if latent_count == 0:
-                vol_class = None
-            elif latent_count <= 2:
-                vol_class = 1
-            elif latent_count <= 4:
-                vol_class = 3
-            else:
-                vol_class = 5
-            if cc is not None or speed_label is not None or vol_class is not None:
-                edges[seg.segment_id] = SegmentLabel(cc=cc, speed_kph=speed_label, vol_class=vol_class)
-        labels.append(LabelBundle(record.record_id, edges))
+            if latent_count > 0:
+                vol_row[sidx] = 1 if latent_count <= 2 else (3 if latent_count <= 4 else 5)
+    labels = _label_table([r.record_id for r in records], [s.segment_id for s in segments], label_rows)
 
     # supersegments: random chainable paths over the directed segments
     by_tail: dict[int, list[int]] = {}
@@ -938,6 +991,6 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
             SuperSegment(ss_id, tuple(segments[s].segment_id for s in path), etas)
         )
 
-    dataset = Dataset(graph, tuple(records), tuple(labels), tuple(supersegments))
+    dataset = Dataset(graph, tuple(records), labels, tuple(supersegments))
     write_dataset(dataset, out_dir, city_name=spec.city_name)
     return dataset

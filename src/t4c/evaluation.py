@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, LabelBundle, SuperSegment
+from .data import Dataset, LabelBundle, LabelTable, SuperSegment
 
 __all__ = [
     "CoreScore",
@@ -55,44 +55,60 @@ class EtaScore:
     n_scored: int
 
 
+def _scored_probs(record_preds, record_id: str, segment_ids: Sequence[str], scored: np.ndarray) -> np.ndarray:
+    """(len(scored), 3) probabilities of one record's scored table columns."""
+    if isinstance(record_preds, np.ndarray):  # (segments, 3), in table order
+        return record_preds.reshape(len(segment_ids), 3)[scored]
+    try:
+        probs = np.array([record_preds[segment_ids[j]] for j in scored], dtype=np.float64)
+    except (KeyError, ValueError):
+        probs = None
+    if probs is None or probs.shape != (len(scored), 3):
+        for j in scored:  # name the first fault in segment order
+            seg_id = segment_ids[j]
+            if seg_id not in record_preds:
+                raise ValueError(f"record {record_id!r}: no prediction for segment {seg_id!r}")
+            shape = np.asarray(record_preds[seg_id], dtype=np.float64).shape
+            if shape != (3,):
+                raise ValueError(f"record {record_id!r}, segment {seg_id!r}: expected a 3-vector, got shape {shape}")
+    return probs
+
+
 def core_metric(
-    predictions: Mapping[str, Mapping[str, np.ndarray]],
-    labels: Iterable[LabelBundle],
+    predictions: Mapping[str, Mapping[str, np.ndarray] | np.ndarray],
+    labels: LabelTable | Iterable[LabelBundle],
 ) -> CoreScore:
     """Score per-segment class probabilities against congestion labels.
 
-    ``predictions`` maps record_id -> segment_id -> 3-vector over
-    (green, yellow, red). Every labeled segment must be covered.
+    ``predictions`` maps record_id to a segment_id -> 3-vector mapping over
+    (green, yellow, red), or to a (segments, 3) array in the table's segment
+    order. Every labeled segment must be covered. Sums run left to right, over
+    a record's segments in table order, then over the records.
     """
+    if not isinstance(labels, LabelTable):  # bundles, each a row of one table
+        bundles = list(labels)
+        if not bundles:
+            return CoreScore(score=None, per_record={}, n_scored=0)
+        if any(bundle.table is not bundles[0].table for bundle in bundles):
+            raise ValueError("core_metric: the label bundles view more than one LabelTable")
+        labels = bundles[0].table.select(bundle.record_id for bundle in bundles)
     total = 0.0
     n = 0
     per_record: dict[str, float] = {}
-    for bundle in labels:
-        if bundle.record_id not in predictions:
-            raise ValueError(f"no predictions for record {bundle.record_id!r}")
-        record_preds = predictions[bundle.record_id]
-        rec_total = 0.0
-        rec_n = 0
-        for seg_id, lab in bundle.edges.items():
-            if lab.cc is None or lab.cc == 0:
-                continue
-            if seg_id not in record_preds:
-                raise ValueError(
-                    f"record {bundle.record_id!r}: no prediction for segment {seg_id!r}"
-                )
-            probs = np.asarray(record_preds[seg_id], dtype=np.float64)
-            if probs.shape != (3,):
-                raise ValueError(
-                    f"record {bundle.record_id!r}, segment {seg_id!r}: "
-                    f"expected a 3-vector, got shape {probs.shape}"
-                )
-            p = min(max(float(probs[lab.cc - 1]), PROB_CLIP), 1.0)
-            rec_total += -np.log(p)
-            rec_n += 1
-        if rec_n > 0:
-            per_record[bundle.record_id] = rec_total / rec_n
-            total += rec_total
-            n += rec_n
+    for row, record_id in enumerate(labels.record_ids):
+        if record_id not in predictions:
+            raise ValueError(f"no predictions for record {record_id!r}")
+        cc = labels.cc[row]
+        scored = np.flatnonzero(cc > 0)
+        if scored.size == 0:
+            continue
+        probs = _scored_probs(predictions[record_id], record_id, labels.segment_ids, scored)
+        p = np.clip(probs[np.arange(scored.size), cc[scored] - 1], PROB_CLIP, 1.0)
+        # cumsum adds left to right, unlike sum; 0.0 + turns an all -0.0 sum into 0.0, as a loop from 0.0 would
+        rec_total = 0.0 + float(np.cumsum(-np.log(p))[-1])
+        per_record[record_id] = rec_total / scored.size
+        total += rec_total
+        n += scored.size
     return CoreScore(score=(total / n) if n > 0 else None, per_record=per_record, n_scored=n)
 
 

@@ -266,34 +266,26 @@ def make_label_arrays(
     norm_stats: NormStats,
     cc_classes: int = 3,
 ) -> LabelArrays:
-    """Map one record's labels onto the dense segment index.
+    """Map one record's labels (a row of its label table) onto the dense segment index.
 
     With 3 congestion classes the codes 1/2/3 map to 0/1/2 and the
     undefined code 0 is masked; with 4 classes the code maps identically.
     Volume classes {1, 3, 5} map to {0, 1, 2}. Speeds are z-normalized.
     """
     n = seg_graph.num_segments
-    cc = np.full(n, -1, dtype=np.int64)
-    speed = np.zeros(n, dtype=np.float64)
-    speed_mask = np.zeros(n, dtype=bool)
-    vol = np.full(n, -1, dtype=np.int64)
-    if bundle is not None:
-        vol_map = {1: 0, 3: 1, 5: 2}
-        for seg_id, lab in bundle.edges.items():
-            i = seg_graph.index.get(seg_id)
-            if i is None:
-                raise ValueError(f"label for unknown segment {seg_id!r}")
-            if lab.cc is not None:
-                if cc_classes == 3:
-                    if lab.cc in (1, 2, 3):
-                        cc[i] = lab.cc - 1
-                else:
-                    cc[i] = lab.cc
-            if lab.speed_kph is not None:
-                speed[i] = (lab.speed_kph - norm_stats.speed_mean) / norm_stats.speed_std
-                speed_mask[i] = True
-            if lab.vol_class is not None:
-                vol[i] = vol_map[lab.vol_class]
+    if bundle is None:  # no labels: every row masked
+        masked = np.full(n, -1, dtype=np.int64)
+        return LabelArrays(cc=masked, speed=np.zeros(n), speed_mask=np.zeros(n, dtype=bool), vol=masked.copy())
+    table, row = bundle.table, bundle.row
+    if table.segment_ids != seg_graph.seg_ids:
+        raise ValueError("the label table and the segment graph list different segments")
+    cc = table.cc[row].astype(np.int64)
+    if cc_classes == 3:
+        cc = np.where(cc > 0, cc - 1, -1)
+    speed_kph = table.speed_kph[row]
+    speed_mask = ~np.isnan(speed_kph)
+    speed = np.where(speed_mask, (speed_kph - norm_stats.speed_mean) / norm_stats.speed_std, 0.0)
+    vol = (table.vol_class[row].astype(np.int64) - 1) // 2  # 1, 3, 5 -> 0, 1, 2; -1 stays -1
     return LabelArrays(cc=cc, speed=speed, speed_mask=speed_mask, vol=vol)
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import PriorMatrix
-from .data import LabelBundle, RoadGraph, VolumeRecord
+from .data import LabelTable, RoadGraph, VolumeRecord
 
 __all__ = [
     "SegmentGraph",
@@ -143,7 +143,7 @@ def _floored_std(values: np.ndarray, axis: int = 0) -> np.ndarray:
 def fit_normalization(
     graph: RoadGraph,
     train_records: Sequence[VolumeRecord],
-    train_labels: Sequence[LabelBundle] | None = None,
+    train_labels: LabelTable | None = None,
 ) -> NormStats:
     """Per-feature mean and sigma over the training data (sigma floored).
 
@@ -171,15 +171,11 @@ def fit_normalization(
     counter_var = np.maximum(total_sq / count - counter_mean**2, 0.0)
     counter_std = np.maximum(np.sqrt(counter_var), SIGMA_FLOOR)
 
-    speeds: list[float] = []
+    speed_arr = np.empty(0)
     if train_labels is not None:
-        for bundle in train_labels:
-            for lab in bundle.edges.values():
-                if lab.speed_kph is not None:
-                    speeds.append(lab.speed_kph)
-    if not speeds:
-        speeds = [s.flow_speed for s in graph.segments]
-    speed_arr = np.asarray(speeds, dtype=np.float64)
+        speed_arr = train_labels.speed_kph[~np.isnan(train_labels.speed_kph)]  # row by row, each in segment order
+    if not speed_arr.size:
+        speed_arr = np.array([s.flow_speed for s in graph.segments], dtype=np.float64)
     return NormStats(
         cont_mean=cont_mean,
         cont_std=cont_std,

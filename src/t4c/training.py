@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, PriorMatrix, assign_cluster
-from .data import Dataset, LabelBundle, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
+from .data import Dataset, LabelTable, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
 from .evaluation import core_metric
 from .model import (
     LabelArrays,
@@ -151,22 +151,19 @@ def save_runlog(path, runlog: RunLog) -> Path:
 
 
 def load_runlog(path) -> RunLog:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunLog(
-        epochs=tuple(
-            EpochLog(
-                train_loss=e["train_loss"],
-                train_loss_cc=e["train_loss_cc"],
-                train_loss_speed=e["train_loss_speed"],
-                train_loss_vol=e["train_loss_vol"],
-                val_core=e["val_core"],
-            )
-            for e in obj["epochs"]
-        ),
-        best_epoch=obj["best_epoch"],
-        seed=obj["seed"],
-        data_order_hash=obj["data_order_hash"],
-    )
+    """Inverse of :func:`save_runlog`; a damaged file raises ValueError naming it."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        epochs = tuple(EpochLog(**{f.name: e[f.name] for f in fields(EpochLog)}) for e in obj["epochs"])
+        if not all(type(getattr(e, f.name)) in (int, float) for e in epochs for f in fields(EpochLog)):
+            raise ValueError("every epoch entry must be a number")
+        best = obj["best_epoch"]
+        if type(best) is not int or not 0 <= best < len(epochs):
+            raise ValueError(f"best_epoch {best!r} is not the index of one of {len(epochs)} epochs")
+        return RunLog(epochs=epochs, best_epoch=best, seed=obj["seed"], data_order_hash=obj["data_order_hash"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: damaged run log ({type(exc).__name__}: {exc})") from None
 
 
 def _chunks(items: list, size: int):
@@ -223,8 +220,7 @@ def fit_loop(
     seed: int,
     train_records: Sequence[VolumeRecord],
     val_records: Sequence[VolumeRecord],
-    label_map: Mapping[str, LabelBundle],
-    seg_ids: Sequence[str],
+    labels: LabelTable,
     record_loss: Callable[[VolumeRecord], tuple[ad.Tensor, Sequence[float]]],
     val_cc_probs: Callable[[VolumeRecord], np.ndarray],
 ) -> FitResult:
@@ -233,11 +229,12 @@ def fit_loop(
     ``record_loss`` maps a record to its scalar loss and the loss parts
     to log; gradients are averaged over each batch. After every epoch
     ``val_cc_probs`` gives each validation record's (segments, 3)
-    congestion probabilities in ``seg_ids`` order, and the core score
-    picks the best epoch (earliest wins ties). A non-finite loss aborts
-    at once with the last finite state in the error message.
+    congestion probabilities in the order of ``labels.segment_ids``, and
+    the core score picks the best epoch (earliest wins ties). A non-finite
+    loss aborts at once with the seed and the last finite state in the
+    error message.
     """
-    val_labels = [label_map[r.record_id] for r in val_records if r.record_id in label_map]
+    val_labels = labels.select(r.record_id for r in val_records)
     shuffler = random.Random(seed)
     order_hash = hashlib.sha256()
     val_scores: list[float] = []
@@ -261,7 +258,7 @@ def fit_loop(
                 if not np.isfinite(value):
                     state = f"last finite state: {last_finite}" if last_finite else "no finite step yet"
                     raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, record {record.record_id!r}; {state}"
+                        f"non-finite loss for seed {seed} at epoch {epoch}, record {record.record_id!r}; {state}"
                     )
                 last_finite = (epoch, value)
                 loss.backward()
@@ -269,10 +266,7 @@ def fit_loop(
             store.scale_grads(1.0 / len(batch))
             ad.adam_step(store, lr=train_cfg.learning_rate)
 
-        predictions = {}
-        for record in val_records:
-            probs = val_cc_probs(record)
-            predictions[record.record_id] = {seg_id: probs[i] for i, seg_id in enumerate(seg_ids)}
+        predictions = {record.record_id: val_cc_probs(record) for record in val_records}
         score = core_metric(predictions, val_labels).score
         if score is None:
             raise ValueError("validation split has no scored congestion labels")
@@ -307,7 +301,7 @@ class TrainingSet:
     cc_classes: int
     train_records: tuple[VolumeRecord, ...]
     val_records: tuple[VolumeRecord, ...]
-    label_map: Mapping[str, LabelBundle]
+    labels: LabelTable
     seg_graph: SegmentGraph
     norm_stats: NormStats
     features: Mapping[str, FeatureBundle]  # by record id, for every daytime record
@@ -340,10 +334,9 @@ def prepare_training(
     config that agrees on both can train from it.
     """
     records, train_records, val_records = split_records(dataset, train_cfg)
-    label_map = labels_by_record(dataset.labels)
-    train_labels = [label_map[r.record_id] for r in train_records if r.record_id in label_map]
-
+    labels = dataset.labels
     seg_graph = build_line_graph(dataset.graph)
+    train_labels = labels.select(r.record_id for r in train_records)
     norm_stats = _read_only(fit_normalization(dataset.graph, train_records, train_labels))
     features = {
         r.record_id: _read_only(
@@ -351,6 +344,7 @@ def prepare_training(
         )
         for r in records
     }
+    label_map = labels_by_record(labels)
     targets = {
         r.record_id: _read_only(make_label_arrays(label_map.get(r.record_id), seg_graph, norm_stats, cc_classes))
         for r in records
@@ -362,7 +356,7 @@ def prepare_training(
         cc_classes=cc_classes,
         train_records=train_records,
         val_records=val_records,
-        label_map=label_map,
+        labels=labels,
         seg_graph=seg_graph,
         norm_stats=norm_stats,
         features=features,
@@ -403,10 +397,7 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
         pred = forward(store.arrays(), model_cfg, seg_graph, ts.features[record.record_id])
         return predict_probabilities(pred, ts.norm_stats).cc
 
-    fit = fit_loop(
-        store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.label_map, seg_graph.seg_ids,
-        record_loss, val_cc_probs,
-    )
+    fit = fit_loop(store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.labels, record_loss, val_cc_probs)
     ckpt = Checkpoint(
         params=fit.params,
         norm_stats=ts.norm_stats,

@@ -10,10 +10,9 @@ import pytest
 
 from t4c.data import (
     Dataset,
-    LabelBundle,
+    LabelTable,
     NodeRec,
     RoadGraph,
-    SegmentLabel,
     SegmentRec,
     SuperSegment,
     VolumeRecord,
@@ -39,6 +38,27 @@ def make_segment(seg_id, tail, head, **overrides):
     return SegmentRec(**base)
 
 
+def label_table(labels, segment_ids=None) -> LabelTable:
+    """A label table from ``{record_id: {segment_id: label}}``, where a label is
+    a congestion code or a ``(cc, speed_kph, vol_class)`` triple, None for no label.
+
+    The columns are ``segment_ids``, by default every labelled segment in order of appearance.
+    """
+    if segment_ids is None:
+        segment_ids = dict.fromkeys(seg_id for edges in labels.values() for seg_id in edges)
+    segment_ids = tuple(segment_ids)
+    column = {seg_id: j for j, seg_id in enumerate(segment_ids)}
+    shape = (len(labels), len(segment_ids))
+    cc, speed, vol = np.full(shape, -1, np.int8), np.full(shape, np.nan), np.full(shape, -1, np.int8)
+    for row, edges in enumerate(labels.values()):
+        for seg_id, label in edges.items():
+            values = label if isinstance(label, tuple) else (label, None, None)
+            for array, value in zip((cc, speed, vol), values):
+                if value is not None:
+                    array[row, column[seg_id]] = value
+    return LabelTable(tuple(labels), segment_ids, cc, speed, vol)
+
+
 @pytest.fixture
 def toy_graph() -> RoadGraph:
     """Three nodes A, B, C; segments A->B, B->C, B->A; one counter at A."""
@@ -62,20 +82,11 @@ def toy_dataset(toy_graph) -> Dataset:
         VolumeRecord("r1", date(2022, 1, 3), 40, {"A": (0, 0, 5, 0)}),
         VolumeRecord("r2", date(2022, 1, 4), 50, {}),
     )
-    labels = (
-        LabelBundle("r0", {
-            "e1": SegmentLabel(cc=1, speed_kph=38.0, vol_class=1),
-            "e2": SegmentLabel(cc=2, speed_kph=20.0, vol_class=3),
-            "e3": SegmentLabel(cc=3, speed_kph=10.0, vol_class=5),
-        }),
-        LabelBundle("r1", {
-            "e1": SegmentLabel(cc=0, speed_kph=None, vol_class=None),
-            "e2": SegmentLabel(cc=1, speed_kph=29.0, vol_class=1),
-        }),
-        LabelBundle("r2", {
-            "e2": SegmentLabel(cc=2, speed_kph=15.0, vol_class=3),
-        }),
-    )
+    labels = label_table({
+        "r0": {"e1": (1, 38.0, 1), "e2": (2, 20.0, 3), "e3": (3, 10.0, 5)},
+        "r1": {"e1": (0, None, None), "e2": (1, 29.0, 1)},
+        "r2": {"e2": (2, 15.0, 3)},
+    })
     supersegments = (
         SuperSegment("ss0", ("e1", "e2"), {"r0": 30.0, "r1": 28.0, "r2": 35.0}),
     )

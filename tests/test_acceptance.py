@@ -17,14 +17,11 @@ import pytest
 from t4c.checkpoint import load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import (
-    LabelBundle,
-    SegmentLabel,
     SuperSegment,
     SynthSpec,
     VolumeRecord,
     daytime_filter,
     generate_synthetic_city,
-    labels_by_record,
     load_dataset,
     split_train_validation,
     write_dataset,
@@ -35,7 +32,7 @@ from t4c.model import ModelConfig, compute_loss, forward, init_params
 from t4c.seggraph import build_line_graph
 from t4c.training import TrainConfig, ensemble_predict, predict_record, prepare_training, train_ensemble, train_one
 
-from conftest import central_diff_store, max_rel_error
+from conftest import central_diff_store, label_table, max_rel_error
 from test_model import TINY, six_segment_labels, six_segment_setup
 
 # fixed experiment settings for the ordering criterion: 50 nodes, 10%
@@ -71,9 +68,8 @@ def ordering_fit(ordering_city):
     train_records, val_records = split_train_validation(
         records, 1.0 - ORDERING_TRAIN.val_fraction, ORDERING_TRAIN.split_seed
     )
-    label_map = labels_by_record(dataset.labels)
-    train_labels = [label_map[r.record_id] for r in train_records]
-    val_labels = [label_map[r.record_id] for r in val_records]
+    train_labels = dataset.labels.select(r.record_id for r in train_records)
+    val_labels = dataset.labels.select(r.record_id for r in val_records)
     cluster_model = fit_clusters(train_records, ORDERING_MODEL.num_clusters)
     priors = build_prior_matrices(cluster_model, train_labels, dataset.graph)
     return cluster_model, priors, train_records, val_records, train_labels, val_labels
@@ -118,13 +114,14 @@ def test_criterion_2_clustering_properties(toy_graph):
     sizes = np.bincount(list(model.assignment.values()), minlength=10)
     assert sizes.max() - sizes.min() <= 1
 
-    labels = []
+    cc_by_record = {}
     for i in range(1000):
         edges = {}
         for seg in ("e1", "e2", "e3"):
             if rng.random() < 0.6:
-                edges[seg] = SegmentLabel(cc=int(rng.integers(0, 4)))
-        labels.append(LabelBundle(f"r{i:04d}", edges))
+                edges[seg] = int(rng.integers(0, 4))
+        cc_by_record[f"r{i:04d}"] = edges
+    labels = label_table(cc_by_record, ("e1", "e2", "e3"))
     priors = build_prior_matrices(model, labels, toy_graph)
     for prior in priors.values():
         assert np.all(np.abs(prior.matrix.sum(axis=1) - 1.0) <= 1e-9)
@@ -132,15 +129,13 @@ def test_criterion_2_clustering_properties(toy_graph):
     # brute-force oracle on a 50-record subset, exact equality
     small = records[:50]
     small_model = fit_clusters(small, 10)
-    small_labels = labels[:50]
-    small_priors = build_prior_matrices(small_model, small_labels, toy_graph)
+    small_labels = dict(list(cc_by_record.items())[:50])
+    small_priors = build_prior_matrices(small_model, labels.select(small_labels), toy_graph)
     for seg in ("e1", "e2", "e3"):
         tally = np.zeros((10, 3))
-        for lb in small_labels:
-            lab = lb.edges.get(seg)
-            if lab is None or lab.cc is None:
-                continue
-            tally[small_model.assignment[lb.record_id], {0: 0, 1: 0, 2: 1, 3: 2}[lab.cc]] += 1
+        for record_id, edges in small_labels.items():
+            if seg in edges:
+                tally[small_model.assignment[record_id], {0: 0, 1: 0, 2: 1, 3: 2}[edges[seg]]] += 1
         totals = tally.sum(axis=0)
         fallback = totals / totals.sum() if totals.sum() else np.full(3, 1 / 3)
         for row in range(10):
@@ -165,7 +160,7 @@ def test_criterion_3_loss_identity():
 
 def test_criterion_4_metric_anchors():
     uniform = np.full(3, 1.0 / 3.0)
-    labels = [LabelBundle("r", {"a": SegmentLabel(cc=1), "b": SegmentLabel(cc=3)})]
+    labels = label_table({"r": {"a": 1, "b": 3}})
     score = core_metric({"r": {"a": uniform, "b": uniform}}, labels)
     assert abs(score.score - np.log(3.0)) <= 1e-9
 

@@ -16,68 +16,65 @@ from t4c.baselines import (
 )
 from t4c.clustering import ClusterModel, fit_clusters, build_prior_matrices
 from t4c.data import (
-    LabelBundle,
-    SegmentLabel,
     SuperSegment,
     SynthSpec,
     VolumeRecord,
     daytime_filter,
     generate_synthetic_city,
-    labels_by_record,
     split_train_validation,
 )
 from t4c.evaluation import core_metric
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig, prepare_training, train_one
 
+from conftest import label_table
 
-def cc_bundle(record_id, cc_by_seg):
-    return LabelBundle(record_id, {s: SegmentLabel(cc=c) for s, c in cc_by_seg.items()})
+SEGS = ("e1", "e2", "e3")
 
 
 # -- naive count ------------------------------------------------------------------
 
 
 def test_naive_per_segment_distribution():
-    labels = [cc_bundle(f"r{i}", {"s": c}) for i, c in enumerate([1, 1, 2, 3, 1])]
+    labels = label_table({f"r{i}": {"s": c} for i, c in enumerate([1, 1, 2, 3, 1])})
     model = fit_naive(labels, [])
     assert np.allclose(model.cc_probs["s"], [0.6, 0.2, 0.2])
 
 
 def test_naive_lower_median_eta():
-    labels = [cc_bundle(f"r{i}", {"s": 1}) for i in range(4)]
+    labels = label_table({f"r{i}": {"s": 1} for i in range(4)})
     ss = SuperSegment("ss0", ("s",), {f"r{i}": eta for i, eta in enumerate([10.0, 20.0, 30.0, 40.0])})
     model = fit_naive(labels, [ss])
     assert model.eta_median["ss0"] == 20.0
 
 
 def test_naive_unlabeled_segment_falls_back_to_global():
-    labels = [cc_bundle("r0", {"a": 1}), cc_bundle("r1", {"a": 2})]
+    labels = label_table({"r0": {"a": 1}, "r1": {"a": 2}})
     model = fit_naive(labels, [])
     assert np.allclose(naive_segment_probs(model, "never_seen"), model.global_probs)
     assert np.allclose(model.global_probs, [0.5, 0.5, 0.0])
 
 
 def test_naive_undefined_merges_into_green():
-    labels = [cc_bundle("r0", {"a": 0}), cc_bundle("r1", {"a": 3})]
+    labels = label_table({"r0": {"a": 0}, "r1": {"a": 3}})
     model = fit_naive(labels, [])
     assert np.allclose(model.cc_probs["a"], [0.5, 0.0, 0.5])
 
 
 def test_naive_requires_labels():
     with pytest.raises(ValueError):
-        fit_naive([LabelBundle("r0", {})], [])
+        fit_naive(label_table({"r0": {}}, SEGS), [])
 
 
 def test_naive_global_mode_applies_pooled_distribution():
-    labels = [cc_bundle("r0", {"a": 1, "b": 3}), cc_bundle("r1", {"a": 1})]
+    labels = label_table({"r0": {"a": 1, "b": 3}, "r1": {"a": 1}})
     model = fit_naive(labels, [], per_segment=False)
     assert np.allclose(model.cc_probs["a"], model.global_probs)
     assert np.allclose(model.cc_probs["b"], model.global_probs)
 
 
 def test_naive_eta_restricted_to_training_records():
-    labels = [cc_bundle("r0", {"a": 1})]
+    labels = label_table({"r0": {"a": 1}})
     ss = SuperSegment("ss0", ("a",), {"r0": 10.0, "r_val": 99999.0})
     model = fit_naive(labels, [ss])
     assert model.eta_median["ss0"] == 10.0
@@ -85,21 +82,19 @@ def test_naive_eta_restricted_to_training_records():
 
 def test_naive_matches_brute_force_tally(toy_graph):
     rng = np.random.default_rng(11)
-    labels = []
+    cc_by_record = {}
     for i in range(50):
         edges = {}
-        for seg in ("e1", "e2", "e3"):
+        for seg in SEGS:
             if rng.random() < 0.6:
                 edges[seg] = int(rng.integers(0, 4))
-        labels.append(cc_bundle(f"r{i:02d}", edges))
-    model = fit_naive(labels, [])
-    for seg in ("e1", "e2", "e3"):
+        cc_by_record[f"r{i:02d}"] = edges
+    model = fit_naive(label_table(cc_by_record, SEGS), [])
+    for seg in SEGS:
         tally = np.zeros(3)
-        for lb in labels:
-            lab = lb.edges.get(seg)
-            if lab is None or lab.cc is None:
-                continue
-            tally[{0: 0, 1: 0, 2: 1, 3: 2}[lab.cc]] += 1
+        for edges in cc_by_record.values():
+            if seg in edges:
+                tally[{0: 0, 1: 0, 2: 1, 3: 2}[edges[seg]]] += 1
         if tally.sum():
             assert np.array_equal(model.cc_probs[seg], tally / tally.sum())
 
@@ -114,22 +109,22 @@ def _clustered_fixture(toy_graph):
         for i in range(30)
     ]
     model = fit_clusters(records, 3)
-    labels = []
+    cc_by_record = {}
     for i in range(30):
         edges = {}
-        for seg in ("e1", "e2", "e3"):
+        for seg in SEGS:
             if rng.random() < 0.8:
                 edges[seg] = int(rng.integers(0, 4))
-        labels.append(cc_bundle(f"r{i:02d}", edges))
+        cc_by_record[f"r{i:02d}"] = edges
     etas = {f"r{i:02d}": float(10 + 5 * (i % 7)) for i in range(30)}
     ss = SuperSegment("ss0", ("e1", "e2"), etas)
-    return records, model, labels, [ss]
+    return records, model, cc_by_record, [ss]
 
 
 def test_volume_cluster_k1_reproduces_naive(toy_graph):
-    records, _model, labels, sss = _clustered_fixture(toy_graph)
+    records, _model, cc_by_record, sss = _clustered_fixture(toy_graph)
     k1 = fit_clusters(records, 1)
-    vc = fit_volume_cluster(k1, labels, sss, toy_graph)
+    vc = fit_volume_cluster(k1, label_table(cc_by_record, SEGS), sss, toy_graph)
     naive = vc.naive
     for seg in ("e1", "e2", "e3"):
         assert np.array_equal(vc.cc_probs[seg][0], naive_segment_probs(naive, seg))
@@ -137,7 +132,7 @@ def test_volume_cluster_k1_reproduces_naive(toy_graph):
 
 
 def test_volume_cluster_median_per_cluster():
-    labels = [cc_bundle(f"r{i}", {"s": 1}) for i in range(3)]
+    labels = label_table({f"r{i}": {"s": 1} for i in range(3)})
     model = ClusterModel(2, (100.0,), {"r0": 0, "r1": 0, "r2": 0})
     ss = SuperSegment("ss0", ("s",), {"r0": 100.0, "r1": 200.0, "r2": 300.0})
 
@@ -156,22 +151,20 @@ def test_volume_cluster_median_per_cluster():
 
 
 def test_volume_cluster_zero_support_cc_falls_back_to_naive(toy_graph):
-    records, model, labels, sss = _clustered_fixture(toy_graph)
+    records, model, cc_by_record, sss = _clustered_fixture(toy_graph)
     # drop every label in cluster 2 for e3
-    filtered = []
-    for lb in labels:
-        if model.assignment[lb.record_id] == 2 and "e3" in lb.edges:
-            edges = {k: v for k, v in lb.edges.items() if k != "e3"}
-            filtered.append(LabelBundle(lb.record_id, edges))
-        else:
-            filtered.append(lb)
-    vc = fit_volume_cluster(model, filtered, sss, toy_graph)
+    filtered = {
+        record_id: {seg: cc for seg, cc in edges.items() if seg != "e3" or model.assignment[record_id] != 2}
+        for record_id, edges in cc_by_record.items()
+    }
+    vc = fit_volume_cluster(model, label_table(filtered, SEGS), sss, toy_graph)
     naive_probs = naive_segment_probs(vc.naive, "e3")
     assert np.array_equal(vc.cc_probs["e3"][2], naive_probs)
 
 
 def test_baseline_json_round_trip(toy_graph, tmp_path):
-    records, model, labels, sss = _clustered_fixture(toy_graph)
+    records, model, cc_by_record, sss = _clustered_fixture(toy_graph)
+    labels = label_table(cc_by_record, SEGS)
     naive = fit_naive(labels, sss)
     path = save_baseline(tmp_path / "baseline_naive.json", naive)
     loaded = load_baseline(path)
@@ -205,14 +198,13 @@ def test_node_gnn_deterministic(tmp_path):
 def _validation_core_of_naive(dataset, train_cfg):
     records = daytime_filter(dataset.records, *train_cfg.daytime)
     train_records, val_records = split_train_validation(records, 1.0 - train_cfg.val_fraction, train_cfg.split_seed)
-    label_map = labels_by_record(dataset.labels)
-    naive = fit_naive([label_map[r.record_id] for r in train_records], dataset.supersegments)
+    naive = fit_naive(dataset.labels.select(r.record_id for r in train_records), dataset.supersegments)
     seg_ids = [s.segment_id for s in dataset.graph.segments]
     predictions = {
         r.record_id: {seg: naive_segment_probs(naive, seg) for seg in seg_ids}
         for r in val_records
     }
-    return core_metric(predictions, [label_map[r.record_id] for r in val_records]).score
+    return core_metric(predictions, dataset.labels.select(r.record_id for r in val_records)).score
 
 
 @pytest.mark.slow
@@ -225,8 +217,7 @@ def test_node_gnn_with_sparse_counters_loses_to_main_model(tmp_path):
     records = daytime_filter(dataset.records, *train_cfg.daytime)
     train_records, _ = split_train_validation(records, 0.8, train_cfg.split_seed)
     cluster_model = fit_clusters(train_records, 5)
-    label_map = labels_by_record(dataset.labels)
-    priors = build_prior_matrices(cluster_model, [label_map[r.record_id] for r in train_records], dataset.graph)
+    priors = build_prior_matrices(cluster_model, dataset.labels.select(r.record_id for r in train_records), dataset.graph)
     model_cfg = ModelConfig(volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16, head_blocks=1, num_clusters=5)
     training_set = prepare_training(
         train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes

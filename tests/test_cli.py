@@ -291,6 +291,39 @@ def test_num_clusters_config_key_drives_every_stage(pipeline, capsys):
     assert json.loads((pipeline / "clusters_k3.json").read_text())["K"] == 3
 
 
+@pytest.mark.parametrize("damage", [
+    lambda text: text[: len(text) // 2],
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "best_epoch"}),
+    lambda text: json.dumps([json.loads(text)]),
+], ids=["truncated", "no_best_epoch", "json_list"])
+def test_report_on_damaged_runlog_exits_one_naming_the_file(pipeline, capsys, damage, request):
+    run = pipeline / "runs" / f"damaged_{request.node.callspec.id}"
+    shutil.copytree(pipeline / "runs/demo", run)
+    runlog = run / "member_1/runlog.json"
+    runlog.write_text(damage(runlog.read_text()))
+    capsys.readouterr()
+    assert main(["--workdir", str(pipeline), "report", "--runs", str(run), "--out", "report_damaged_runlog"]) == 1
+    err = capsys.readouterr().err
+    assert str(runlog) in err and "t4c train" in err
+
+
+@pytest.mark.parametrize("stage", ["eval-core", "eval-eta"])
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    '{"segments": {}}',
+    '{"record_id": 7, "segments": {}}',
+    '{"record_id": "r0000", "segments": [1, 2]}',
+    '{"record_id": "r0000", "etas": 3.5}',
+], ids=["list", "no_record_id", "numeric_record_id", "segments_list", "etas_number"])
+def test_eval_on_a_malformed_prediction_row_exits_one_naming_path_and_line(pipeline, capsys, stage, line):
+    pred = pipeline / "malformed.jsonl"
+    pred.write_text('{"record_id": "r0000", "segments": {}, "etas": {}}\n' + line + "\n")
+    capsys.readouterr()
+    assert main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--pred", "malformed.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert f"{pred}:2: " in err and "t4c predict" in err
+
+
 @pytest.mark.parametrize("content", ['{"scores": {"full": 0.5}}', "not json"], ids=["missing_keys", "not_json"])
 def test_report_on_damaged_ablation_file_exits_one(pipeline, capsys, content):
     (pipeline / "damaged_ablation.json").write_text(content)
@@ -424,3 +457,18 @@ def test_train_and_predict_call_the_functions_the_benchmark_times(pipeline, monk
     ]) == 0
     rows = (pipeline / "predictions_hooks.jsonl").read_text().splitlines()
     assert len(records) == len(rows) == len(val_records)
+
+
+@pytest.mark.parametrize("stage, scorer", [("eval-core", "core_metric"), ("eval-eta", "eta_metric")])
+def test_eval_stages_call_load_read_and_score_once_in_order(pipeline, monkeypatch, stage, scorer):
+    """The benchmark cuts an eval stage's read, score and report parts at the returns of
+    ``cli.load_dataset``, ``cli._read_predictions`` and the stage's scorer."""
+    import t4c.cli as cli
+
+    assert main(["--workdir", str(pipeline), "baseline", "naive", "--data", "data/toy", "--out", "hook_bl"]) == 0
+    calls = []
+    for name in ("load_dataset", "_read_predictions", "core_metric", "eta_metric"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    assert main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--pred", "hook_bl/predictions_naive.jsonl"]) == 0
+    assert calls == ["load_dataset", "_read_predictions", scorer]

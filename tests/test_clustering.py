@@ -17,7 +17,9 @@ from t4c.clustering import (
     save_cluster_model,
     volume_sum,
 )
-from t4c.data import LabelBundle, SegmentLabel, VolumeRecord
+from t4c.data import VolumeRecord
+
+from conftest import label_table
 
 
 def rec(record_id, total, bins=None):
@@ -130,26 +132,17 @@ def test_training_records_map_to_their_cluster_off_boundaries():
 # -- prior matrices ----------------------------------------------------------------
 
 
-def bundle(record_id, cc_by_seg):
-    return LabelBundle(record_id, {s: SegmentLabel(cc=c) for s, c in cc_by_seg.items()})
-
-
 def test_prior_row_from_four_labels(toy_graph):
     records = [rec(f"r{i}", i) for i in range(4)]
     model = ClusterModel(1, (), {f"r{i}": 0 for i in range(4)})
-    labels = [
-        bundle("r0", {"e1": 1}),
-        bundle("r1", {"e1": 1}),
-        bundle("r2", {"e1": 2}),
-        bundle("r3", {"e1": 3}),
-    ]
+    labels = label_table({"r0": {"e1": 1}, "r1": {"e1": 1}, "r2": {"e1": 2}, "r3": {"e1": 3}})
     priors = build_prior_matrices(model, labels, toy_graph)
     assert np.allclose(priors["e1"].matrix[0], [0.5, 0.25, 0.25])
 
 
 def test_undefined_merges_into_green(toy_graph):
     model = ClusterModel(1, (), {"r0": 0, "r1": 0})
-    labels = [bundle("r0", {"e1": 0}), bundle("r1", {"e1": 1})]
+    labels = label_table({"r0": {"e1": 0}, "r1": {"e1": 1}})
     priors = build_prior_matrices(model, labels, toy_graph)
     assert priors["e1"].matrix[0].tolist() == [1.0, 0.0, 0.0]
 
@@ -160,8 +153,9 @@ def test_zero_support_row_uses_global_distribution(toy_graph):
     assignment["r_other"] = 1
     model = ClusterModel(2, (100.0,), assignment)
     cc_seq = [1] * 7 + [2] * 2 + [3]
-    labels = [bundle(f"r{i}", {"e1": cc_seq[i]}) for i in range(10)]
-    labels.append(bundle("r_other", {"e2": 1}))  # cluster 1 never labels e1
+    cc_by_record = {f"r{i}": {"e1": cc_seq[i]} for i in range(10)}
+    cc_by_record["r_other"] = {"e2": 1}  # cluster 1 never labels e1
+    labels = label_table(cc_by_record)
     priors = build_prior_matrices(model, labels, toy_graph)
     assert np.allclose(priors["e1"].matrix[1], [0.7, 0.2, 0.1])
     assert priors["e1"].support[1] == 0
@@ -169,7 +163,7 @@ def test_zero_support_row_uses_global_distribution(toy_graph):
 
 def test_never_labeled_segment_gets_uniform(toy_graph):
     model = ClusterModel(2, (5.0,), {"r0": 0})
-    labels = [bundle("r0", {"e1": 1})]
+    labels = label_table({"r0": {"e1": 1}})
     priors = build_prior_matrices(model, labels, toy_graph)
     assert np.allclose(priors["e3"].matrix, 1.0 / 3.0)
 
@@ -177,7 +171,7 @@ def test_never_labeled_segment_gets_uniform(toy_graph):
 def test_unknown_record_rejected(toy_graph):
     model = ClusterModel(1, (), {"r0": 0})
     with pytest.raises(ValueError):
-        build_prior_matrices(model, [bundle("zz", {"e1": 1})], toy_graph)
+        build_prior_matrices(model, label_table({"zz": {"e1": 1}}), toy_graph)
 
 
 def test_rows_are_probability_vectors(toy_graph):
@@ -185,14 +179,14 @@ def test_rows_are_probability_vectors(toy_graph):
     n = 40
     records = [rec(f"r{i:02d}", int(rng.integers(0, 50))) for i in range(n)]
     model = fit_clusters(records, 5)
-    labels = []
+    cc_by_record = {}
     for i in range(n):
         edges = {}
         for seg in ("e1", "e2", "e3"):
             if rng.random() < 0.6:
                 edges[seg] = int(rng.integers(0, 4))
-        labels.append(bundle(f"r{i:02d}", edges))
-    priors = build_prior_matrices(model, labels, toy_graph)
+        cc_by_record[f"r{i:02d}"] = edges
+    priors = build_prior_matrices(model, label_table(cc_by_record, ("e1", "e2", "e3")), toy_graph)
     for prior in priors.values():
         assert np.all(prior.matrix >= 0)
         assert np.all(np.abs(prior.matrix.sum(axis=1) - 1.0) <= 1e-9)
@@ -204,23 +198,22 @@ def test_matches_brute_force_tally_exactly(toy_graph):
     n = 50
     records = [rec(f"r{i:02d}", int(rng.integers(0, 40))) for i in range(n)]
     model = fit_clusters(records, 10)
-    labels = []
+    cc_by_record = {}
     for i in range(n):
         edges = {}
         for seg in ("e1", "e2", "e3"):
             if rng.random() < 0.7:
                 edges[seg] = int(rng.integers(0, 4))
-        labels.append(bundle(f"r{i:02d}", edges))
-    priors = build_prior_matrices(model, labels, toy_graph)
+        cc_by_record[f"r{i:02d}"] = edges
+    priors = build_prior_matrices(model, label_table(cc_by_record, ("e1", "e2", "e3")), toy_graph)
 
     for seg in ("e1", "e2", "e3"):
         tally = np.zeros((10, 3))
-        for lb in labels:
-            lab = lb.edges.get(seg)
-            if lab is None or lab.cc is None:
+        for record_id, edges in cc_by_record.items():
+            if seg not in edges:
                 continue
-            col = {0: 0, 1: 0, 2: 1, 3: 2}[lab.cc]
-            tally[model.assignment[lb.record_id], col] += 1
+            col = {0: 0, 1: 0, 2: 1, 3: 2}[edges[seg]]
+            tally[model.assignment[record_id], col] += 1
         global_counts = tally.sum(axis=0)
         fallback = global_counts / global_counts.sum() if global_counts.sum() else np.full(3, 1 / 3)
         for row in range(10):
@@ -235,7 +228,7 @@ def test_matches_brute_force_tally_exactly(toy_graph):
 def test_cluster_model_json_round_trip(toy_graph, tmp_path):
     records = [rec(f"r{i:02d}", i) for i in range(20)]
     model = fit_clusters(records, 4)
-    labels = [bundle(f"r{i:02d}", {"e1": (i % 3) + 1}) for i in range(20)]
+    labels = label_table({f"r{i:02d}": {"e1": (i % 3) + 1} for i in range(20)})
     priors = build_prior_matrices(model, labels, toy_graph)
     path = save_cluster_model(tmp_path / "cluster_model.json", model, priors)
     loaded_model, loaded_priors = load_cluster_model(path)

@@ -375,7 +375,7 @@ def test_loaded_data_satisfies_type_invariants(tmp_path, seed):
     graph, records, labels, supersegments = load_dataset(tmp_path / f"c{seed}")
 
     node_ids = graph.node_ids()
-    seg_ids = graph.segment_ids()
+    seg_ids = {s.segment_id for s in graph.segments}
     assert len(node_ids) == len(graph.nodes)
     assert len(seg_ids) == len(graph.segments)
     assert set(graph.counters) <= node_ids

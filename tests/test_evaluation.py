@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t4c.data import LabelBundle, SegmentLabel, SuperSegment
+from t4c.data import SuperSegment
 from t4c.evaluation import (
     PROB_CLIP,
     AblationResult,
@@ -15,18 +15,16 @@ from t4c.evaluation import (
     eta_metric,
 )
 
+from conftest import label_table
+
 UNIFORM = np.full(3, 1.0 / 3.0)
-
-
-def cc_bundle(record_id, cc_by_seg):
-    return LabelBundle(record_id, {s: SegmentLabel(cc=c) for s, c in cc_by_seg.items()})
 
 
 # -- core metric -----------------------------------------------------------------
 
 
 def test_uniform_predictor_scores_ln3():
-    labels = [cc_bundle("r0", {"a": 1, "b": 2}), cc_bundle("r1", {"a": 3})]
+    labels = label_table({"r0": {"a": 1, "b": 2}, "r1": {"a": 3}})
     predictions = {
         "r0": {"a": UNIFORM, "b": UNIFORM},
         "r1": {"a": UNIFORM},
@@ -38,7 +36,7 @@ def test_uniform_predictor_scores_ln3():
 
 
 def test_correct_one_hot_scores_near_zero_and_wrong_is_clipped():
-    labels = [cc_bundle("r0", {"a": 1})]
+    labels = label_table({"r0": {"a": 1}})
     perfect = core_metric({"r0": {"a": np.array([1.0, 0.0, 0.0])}}, labels)
     assert perfect.score == 0.0
     wrong = core_metric({"r0": {"a": np.array([0.0, 1.0, 0.0])}}, labels)
@@ -46,21 +44,21 @@ def test_correct_one_hot_scores_near_zero_and_wrong_is_clipped():
 
 
 def test_undefined_and_missing_labels_are_excluded():
-    labels = [cc_bundle("r0", {"a": 0, "b": 2, "c": None})]
+    labels = label_table({"r0": {"a": 0, "b": 2, "c": None}})
     score = core_metric({"r0": {"a": UNIFORM, "b": np.array([0.25, 0.5, 0.25]), "c": UNIFORM}}, labels)
     assert score.n_scored == 1
     assert score.score == pytest.approx(-np.log(0.5))
 
 
 def test_zero_scored_segments_flagged():
-    labels = [cc_bundle("r0", {"a": 0})]
+    labels = label_table({"r0": {"a": 0}})
     score = core_metric({"r0": {"a": UNIFORM}}, labels)
     assert score.score is None
     assert score.n_scored == 0
 
 
 def test_missing_prediction_is_an_error():
-    labels = [cc_bundle("r0", {"a": 1})]
+    labels = label_table({"r0": {"a": 1}})
     with pytest.raises(ValueError):
         core_metric({}, labels)
     with pytest.raises(ValueError):
@@ -72,7 +70,7 @@ def test_naive_count_on_own_labels_equals_empirical_entropy():
     entropy of that distribution (no cc=0 labels present)."""
     rng = np.random.default_rng(5)
     cc_values = [int(c) for c in rng.integers(1, 4, size=60)]
-    labels = [cc_bundle(f"r{i}", {"seg": cc_values[i]}) for i in range(60)]
+    labels = label_table({f"r{i}": {"seg": cc_values[i]} for i in range(60)})
     counts = np.bincount(cc_values, minlength=4)[1:4].astype(float)
     probs = counts / counts.sum()
     predictions = {f"r{i}": {"seg": probs} for i in range(60)}
@@ -91,10 +89,8 @@ def test_core_metric_invariant_under_segment_order():
     cc = {s: int(rng.integers(1, 4)) for s in segs}
     raw = rng.random((10, 3)) + 0.05
     probs = {s: raw[i] / raw[i].sum() for i, s in enumerate(segs)}
-    forward_order = core_metric({"r": probs}, [cc_bundle("r", cc)])
-    reversed_order = core_metric(
-        {"r": probs}, [cc_bundle("r", dict(reversed(list(cc.items()))))]
-    )
+    forward_order = core_metric({"r": probs}, label_table({"r": cc}, segs))
+    reversed_order = core_metric({"r": probs}, label_table({"r": cc}, segs[::-1]))
     assert forward_order.score == pytest.approx(reversed_order.score, abs=1e-12)
 
 
@@ -104,11 +100,11 @@ def test_raising_true_class_probability_never_hurts():
         raw = rng.random(3) + 0.05
         probs = raw / raw.sum()
         label = int(rng.integers(1, 4))
-        base = core_metric({"r": {"s": probs}}, [cc_bundle("r", {"s": label})]).score
+        base = core_metric({"r": {"s": probs}}, label_table({"r": {"s": label}})).score
         boosted = probs.copy()
         boosted[label - 1] += 0.1
         boosted /= boosted.sum()
-        better = core_metric({"r": {"s": boosted}}, [cc_bundle("r", {"s": label})]).score
+        better = core_metric({"r": {"s": boosted}}, label_table({"r": {"s": label}})).score
         assert better <= base + 1e-12
 
 

@@ -1,18 +1,26 @@
 """Exact figures of a short run on the acceptance city.
 
 The digests below were recorded from a 1-member x 2-epoch run of the
-acceptance configuration. Engine changes that claim to keep every bit
-(fused ops, reordered bookkeeping) are held to them here. They assume
+acceptance configuration, and from the CLI's ``synth``, ``fit-clusters``
+and ``eval-core`` (on the two counting baselines' predictions) with their
+defaults. Changes that claim to keep every bit (fused ops, reordered
+bookkeeping, the columnar label table) are held to them here. They assume
 float64 numpy with the OpenBLAS build it was recorded with; a BLAS that
 rounds its products differently fails this test for that reason alone.
 """
 
 import hashlib
+import json
 from dataclasses import replace
+
+import numpy as np
 
 from t4c import autodiff as ad
 from t4c.baselines import node_gnn_baseline
 from t4c.checkpoint import save_checkpoint
+from t4c.cli import main
+from t4c.data import labels_by_record
+from t4c.evaluation import PROB_CLIP, core_metric
 from t4c.model import compute_loss, forward, init_params
 from t4c.training import prepare_training, save_runlog, train_one
 
@@ -22,6 +30,19 @@ GOLDEN_TRAIN = replace(ORDERING_TRAIN, epochs=2)
 CHECKPOINT_SHA256 = "2114eec0961545e8e4e2d5f9a7e292b5fe61d49b614c46675d3fd9a2d5f4fb59"
 RUNLOG_SHA256 = "134443604331ec396c2504fea8aa4e406e2537d77fbf08d6b4e25e1510677ea3"
 NODE_GNN_SCORE_HEX = "0x1.a624f6b09c06bp-1"
+SYNTH_SHA256 = {
+    "edges.csv": "a9b1acd80302db486420d6f09e12a391f2acbac49953f33740c7e48a8a221683",
+    "labels.jsonl": "2352764c30d3d9dfd78492f78dd2dbc6fa5b4c9f0ed35d5e57d9c232f0f63815",
+    "meta.json": "786befc991670bf1bf086507299c651ce9bcb4ca31a34edb98af0c632cdcc40a",
+    "nodes.csv": "1098e82487cc1978181147d27e2939f5ecaa18b5b1dd24d9be316b9acb498042",
+    "supersegments.json": "2ac2ac877bec866bae70f2fc646517bd3872870494ac8584af705070c7701070",
+    "volumes.jsonl": "e9e76852bbe1b7440083ff91f9ce55412433c5d85ef40b048111fb20ad0a90ef",
+}
+CLUSTERS_SHA256 = "8d9f63f9ec59b6970cbbfdea2aeea071f71b962190e2ec722e3b9da737846e80"
+EVAL_CORE = {  # baseline -> (score hex, sha256 of the report with its per-record scores)
+    "naive": ("0x1.0bfb8659c101ep+0", "08cd3ecb5d7f00aa0ad86111144d5b2e32b5ea79f96d8ae9f6965cfe24791eb6"),
+    "volume_cluster": ("0x1.06044322eaae5p+0", "82db36e801c0efd2542280585c4c1e26d26c8691e6be554f53d0f6cf32ef21f6"),
+}
 
 
 def _training_set(dataset, fit):
@@ -62,3 +83,50 @@ def test_one_training_record_records_33_ops(ordering_city, ordering_fit, monkeyp
     assert len(recorded) == 33
     loss.backward()
     assert all(p.grad is not None for _name, p in store.items())
+
+
+def test_synth_fit_clusters_and_eval_core_reproduce_the_recorded_bits(tmp_path):
+    wd = ["--workdir", str(tmp_path)]
+    assert main(wd + ["synth", "--out", "city"]) == 0
+    assert {path.name: _sha256(path) for path in (tmp_path / "city").iterdir()} == SYNTH_SHA256
+    assert main(wd + ["fit-clusters", "--data", "city", "--out", "clusters.json"]) == 0
+    assert _sha256(tmp_path / "clusters.json") == CLUSTERS_SHA256
+    for name, (score_hex, report_sha256) in EVAL_CORE.items():
+        assert main(wd + ["baseline", name, "--data", "city", "--out", "baselines"]) == 0
+        pred = f"baselines/predictions_{name}.jsonl"
+        assert main(wd + ["eval-core", "--data", "city", "--pred", pred, "--out", f"core_{name}.json"]) == 0
+        report = tmp_path / f"core_{name}.json"
+        assert (float.hex(json.loads(report.read_text())["metric"]), _sha256(report)) == (score_hex, report_sha256)
+
+
+def test_bundle_views_and_core_metric_over_bundles_read_the_label_table(ordering_city):
+    """``labels_by_record``, ``bundle.edges`` and ``core_metric`` over a dict of
+    per-segment vectors and a list of bundles are what the benchmark reads; they
+    give the table's values, and the score a per-label loop adds up."""
+    table = ordering_city[0].labels
+    bundles = labels_by_record(table)
+    assert list(bundles) == list(table.record_ids)
+    for row, bundle in enumerate(bundles.values()):
+        expected = {}
+        for col, seg_id in enumerate(table.segment_ids):
+            cc, speed, vol = int(table.cc[row, col]), float(table.speed_kph[row, col]), int(table.vol_class[row, col])
+            if cc >= 0 or not np.isnan(speed) or vol >= 0:
+                expected[seg_id] = (None if cc < 0 else cc, None if np.isnan(speed) else speed, None if vol < 0 else vol)
+        assert {seg: (lab.cc, lab.speed_kph, lab.vol_class) for seg, lab in bundle.edges.items()} == expected
+
+    rng = np.random.default_rng(0)
+    probs = {rid: rng.dirichlet(np.ones(3), size=len(table.segment_ids)) for rid in table.record_ids}
+    predictions = {rid: dict(zip(table.segment_ids, p)) for rid, p in probs.items()}
+    score = core_metric(predictions, list(bundles.values()))
+    assert score == core_metric(probs, table)
+    total, n, per_record = 0.0, 0, {}
+    for rid, bundle in bundles.items():  # the per-label loop the table replaced: per record, then over records
+        record_total, record_n = 0.0, 0
+        for seg_id, lab in bundle.edges.items():
+            if lab.cc in (1, 2, 3):
+                record_total += -np.log(min(max(float(predictions[rid][seg_id][lab.cc - 1]), PROB_CLIP), 1.0))
+                record_n += 1
+        per_record[rid] = record_total / record_n
+        total += record_total
+        n += record_n
+    assert (score.score, score.n_scored, score.per_record) == (total / n, n, per_record)

@@ -12,7 +12,7 @@ from t4c import autodiff as ad
 from t4c import seggraph
 from t4c.autodiff import Tensor
 from t4c.clustering import PriorMatrix
-from t4c.data import NodeRec, RoadGraph, LabelBundle, SegmentLabel, VolumeRecord
+from t4c.data import NodeRec, RoadGraph, VolumeRecord
 from t4c.model import ModelConfig, forward, init_params
 from t4c.seggraph import (
     NormStats,
@@ -23,7 +23,7 @@ from t4c.seggraph import (
     mean_aggregation_matrix,
 )
 
-from conftest import central_diff_tensor, make_segment, max_rel_error
+from conftest import central_diff_tensor, label_table, make_segment, max_rel_error
 
 
 def graph_from_edges(edges, counters=None):
@@ -213,10 +213,7 @@ def test_empty_training_set_rejected(toy_graph):
 
 
 def test_speed_stats_come_from_labels_when_given(toy_graph):
-    labels = [
-        LabelBundle("r0", {"e1": SegmentLabel(speed_kph=10.0)}),
-        LabelBundle("r1", {"e1": SegmentLabel(speed_kph=30.0)}),
-    ]
+    labels = label_table({"r0": {"e1": (None, 10.0, None)}, "r1": {"e1": (None, 30.0, None)}})
     stats = fit_normalization(toy_graph, [record("r0", {})], labels)
     assert stats.speed_mean == 20.0
     assert stats.speed_std == 10.0

@@ -1,6 +1,7 @@
 """Trainer determinism, batch accumulation equivalence, checkpoint
 selection, ensembling exactness, and checkpoint round-trips."""
 
+import json
 import re
 from dataclasses import replace
 
@@ -42,8 +43,7 @@ def small_city(tmp_path_factory):
     records = daytime_filter(dataset.records, *SMALL_TRAIN.daytime)
     train_records, _val = split_train_validation(records, 1.0 - SMALL_TRAIN.val_fraction, SMALL_TRAIN.split_seed)
     cluster_model = fit_clusters(train_records, SMALL_MODEL.num_clusters)
-    label_map = labels_by_record(dataset.labels)
-    train_labels = [label_map[r.record_id] for r in train_records]
+    train_labels = dataset.labels.select(r.record_id for r in train_records)
     priors = build_prior_matrices(cluster_model, train_labels, dataset.graph)
     return dataset, cluster_model, priors
 
@@ -99,6 +99,20 @@ def test_runlog_round_trip(tmp_path, trained):
     # canonical bytes are reproducible
     again = save_runlog(tmp_path / "runlog2.json", loaded)
     assert path.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[: len(text) // 2],
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "best_epoch"}),
+    lambda text: json.dumps([json.loads(text)]),
+    lambda text: json.dumps({**json.loads(text), "best_epoch": 99}),
+    lambda text: json.dumps({**json.loads(text), "epochs": [{"val_core": "low"}]}),
+], ids=["truncated", "no_best_epoch", "json_list", "best_epoch_out_of_range", "epoch_without_numbers"])
+def test_damaged_runlog_raises_value_error_naming_the_file(tmp_path, trained, damage):
+    path = save_runlog(tmp_path / "runlog.json", trained[1])
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_runlog(path)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, trained):
@@ -187,7 +201,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     train_records, _ = split_train_validation(records, 0.8, SMALL_TRAIN.split_seed)
     label_map = labels_by_record(dataset.labels)
     seg_graph = build_line_graph(dataset.graph)
-    stats = fit_normalization(dataset.graph, train_records, [label_map[r.record_id] for r in train_records])
+    stats = fit_normalization(dataset.graph, train_records, dataset.labels.select(r.record_id for r in train_records))
 
     from t4c.model import make_label_arrays
 
@@ -244,8 +258,10 @@ def test_divergence_aborts_with_context(small_city):
 
     explosive = replace(SMALL_TRAIN, learning_rate=1e200, epochs=2)
     with pytest.raises(TrainingDivergedError) as err:
-        train_one(_training_set(small_city, explosive), SMALL_MODEL, seed=0)
-    assert "last finite" in str(err.value)
+        train_one(_training_set(small_city, explosive), SMALL_MODEL, seed=5)
+    message = str(err.value)
+    assert "seed 5" in message and re.search(r"epoch \d+, record 'r\d+'", message), message
+    assert "last finite" in message
 
 
 # -- ensembling ----------------------------------------------------------------------
