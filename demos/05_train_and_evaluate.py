@@ -16,7 +16,7 @@ from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, split_t
 from t4c.evaluation import core_metric, eta_from_speeds, eta_labels, eta_metric
 from t4c.model import ModelConfig
 from t4c.seggraph import build_line_graph
-from t4c.training import TrainConfig, ensemble_predict, train_ensemble
+from t4c.training import TrainConfig, ensemble_predict, prepare_ensemble, train_ensemble
 
 out = Path(tempfile.mkdtemp()) / "city"
 dataset = generate_synthetic_city(
@@ -49,11 +49,13 @@ checkpoints = [ckpt for ckpt, _ in members]
 seg_graph = build_line_graph(dataset.graph)
 seg_ids = list(seg_graph.seg_ids)
 lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}
+# once per stage: checks the members' configs and keeps each member's static branch per cluster
+ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
 
 predictions = {}
 predicted_etas = {}
 for record in val_records:
-    probs = ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record, cluster_model)
+    probs = ensemble_predict(ensemble, record)
     predictions[record.record_id] = {seg: probs.cc[i] for i, seg in enumerate(seg_ids)}
     speeds = {seg: probs.speed_kph[i] for i, seg in enumerate(seg_ids)}
     for ss in dataset.supersegments:

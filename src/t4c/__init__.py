@@ -42,6 +42,7 @@ from .baselines import fit_naive, fit_volume_cluster, node_gnn_baseline
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .model import ModelConfig, compute_loss, forward, init_params, predict_probabilities
 from .seggraph import FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph, fit_normalization
-from .training import RunLog, TrainConfig, TrainingSet, ensemble_predict, prepare_training, train_ensemble, train_one
+from .training import (Ensemble, RunLog, TrainConfig, TrainingSet, ensemble_predict, prepare_ensemble,
+                       prepare_training, train_ensemble, train_one)
 
 __version__ = "0.1.0"

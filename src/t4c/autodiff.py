@@ -14,7 +14,12 @@ inference runs the same code without a graph.
 Only the operations the segment model actually needs are provided: the
 fused ``linear`` (``x @ w + b``, optional ReLU) and ``gnn_round`` (one
 message-passing round), each one recorded op with a hand-written
-backward; add, mul, concat, embedding lookup, slicing, reshape, a sum
+backward. Their ReLU is ``np.maximum(z, 0.0)`` applied in place to the
+op's own output: a ``-0.0`` pre-activation gives ``+0.0``, and a NaN
+pre-activation propagates as NaN instead of being zeroed, so a diverging
+layer shows up in the loss. The backward takes its mask from the output
+(``out > 0``), which is positive exactly where the pre-activation is.
+Beside them sit add, mul, concat, embedding lookup, slicing, reshape, a sum
 reduction, the two masked losses (weighted cross entropy and mean
 squared error), a plain-array softmax for inference, and an Adam
 optimizer over a named parameter store.
@@ -189,9 +194,11 @@ def mul(a, b) -> Tensor | np.ndarray:
 
 
 def linear(x, w, b, relu: bool = False) -> Tensor | np.ndarray:
-    """One dense layer as one op: ``x @ w + b``, then the ReLU mask when ``relu``.
+    """One dense layer as one op: ``x @ w + b``, then the ReLU when ``relu``.
 
     x is (N, F), w (F, H) and b (H,). Value and gradients are those of matmul, add and relu in turn.
+    The ReLU runs in place on the layer's own output buffer; it maps a ``-0.0``
+    pre-activation to ``+0.0`` and lets a NaN through (see the module docstring).
     """
     tx, tw, tb = isinstance(x, Tensor), isinstance(w, Tensor), isinstance(b, Tensor)
     xd, wd, bd = x.data if tx else x, w.data if tw else w, b.data if tb else b
@@ -200,14 +207,13 @@ def linear(x, w, b, relu: bool = False) -> Tensor | np.ndarray:
     data = xd @ wd
     data += bd
     if relu:
-        mask = data > 0.0
-        data = np.where(mask, data, 0.0)
+        np.maximum(data, 0.0, out=data)
     if not (tx or tw or tb):
         return data
 
     def backward(g: np.ndarray) -> None:
         if relu:
-            g = g * mask
+            g = g * (data > 0.0)  # the output is positive exactly where its pre-activation is
         if tx and x.requires_grad:
             x._accumulate(g @ wd.T)
         if tw and w.requires_grad:
@@ -223,6 +229,7 @@ def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
 
     ``operator`` is a constant (N, N) array, such as a graph's mean-aggregation
     matrix. ``h`` gets its self and neighbour gradients summed, in that order.
+    The ReLU is that of :func:`linear`, NaN propagation included.
     """
     th, ts, tn, tb = isinstance(h, Tensor), isinstance(w_self, Tensor), isinstance(w_nbr, Tensor), isinstance(b, Tensor)
     hd, sd = h.data if th else h, w_self.data if ts else w_self
@@ -235,13 +242,12 @@ def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
     data = hd @ sd
     data += nbr @ nd
     data += bd
-    mask = data > 0.0
-    data = np.where(mask, data, 0.0)
+    np.maximum(data, 0.0, out=data)
     if not (th or ts or tn or tb):
         return data
 
     def backward(g: np.ndarray) -> None:
-        g = g * mask
+        g = g * (data > 0.0)
         if th and h.requires_grad:
             h._accumulate(g @ sd.T + operator.T @ (g @ nd.T))
         if ts and w_self.requires_grad:

@@ -22,7 +22,8 @@ from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_syn
 from .evaluation import ABLATION_VARIANTS, AblationResult, core_metric, eta_from_speeds, eta_labels, eta_metric, run_ablation
 from .model import ModelConfig
 from .seggraph import build_line_graph
-from .training import TrainConfig, ensemble_predict, load_runlog, prepare_training, save_runlog, split_records, train_one
+from .training import (TrainConfig, ensemble_predict, load_runlog, prepare_ensemble, prepare_training, save_runlog,
+                        split_records, train_one)
 
 __all__ = ["main"]
 
@@ -159,26 +160,42 @@ def _write_predictions(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _row_fault(row) -> str | None:
+    """What makes a predictions line unreadable, or None."""
+    if not isinstance(row, dict):
+        return "not a JSON object"
+    if not isinstance(row.get("record_id"), str):
+        return "no string 'record_id'"
+    segments, etas = row.get("segments", {}), row.get("etas", {})
+    for key, value in (("segments", segments), ("etas", etas)):
+        if not isinstance(value, dict):
+            return f"{key!r} is not an object"
+    if not set(map(type, segments.values())) <= {dict}:
+        return next(f"segment {seg!r} is not an object" for seg, e in segments.items() if type(e) is not dict)
+    if not set(map(type, etas.values())) <= {int, float}:  # JSON numbers; a bool is refused
+        return next(f"ETA {ss!r} is not a number" for ss, eta in etas.items() if type(eta) not in (int, float))
+    return None
+
+
 def _read_predictions(path: Path) -> list[dict]:
-    """Rows with a string ``record_id`` and object ``segments`` and ``etas`` where present; others are refused by line."""
+    """Rows with a string ``record_id``, an object of segment objects under ``segments`` and
+    an object of numbers under ``etas`` where present; others are refused by line."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CLIError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from None
-            fault = (
-                "not a JSON object" if not isinstance(row, dict)
-                else "no string 'record_id'" if not isinstance(row.get("record_id"), str)
-                else next((f"{key!r} is not an object" for key in ("segments", "etas")
-                           if not isinstance(row.get(key, {}), dict)), None)
-            )
-            if fault:
-                raise CLIError(f"{path}:{line_no}: {fault}; produce it with `t4c predict` (or `t4c baseline <name>`)")
-            rows.append(row)
+            row = json.loads(line)
+        except UnicodeDecodeError as exc:
+            fault = f"not UTF-8 ({exc.reason} at byte {exc.start})"
+        except json.JSONDecodeError as exc:
+            fault = f"invalid JSON: {exc.msg}"
+        else:
+            fault = _row_fault(row)
+        if fault:
+            raise CLIError(f"{path}:{line_no}: {fault}; produce it with `t4c predict` (or `t4c baseline <name>`)")
+        rows.append(row)
     return rows
 
 
@@ -287,15 +304,17 @@ def cmd_predict(args, workdir: Path) -> int:
     seg_graph = build_line_graph(dataset.graph)
     records = _select_records(dataset, train_cfg, args.records)
     lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}  # once per stage
+    ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
 
     rows = []
     for record in records:
-        probs = ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record, cluster_model)
+        probs = ensemble_predict(ensemble, record)
+        speed = probs.speed_kph.tolist()
         segments = {
-            seg_id: {"cc": probs.cc[i].tolist(), "speed": probs.speed_kph[i], "vol": probs.vol[i].tolist()}
-            for i, seg_id in enumerate(seg_graph.seg_ids)
+            seg_id: {"cc": cc, "speed": kph, "vol": vol}
+            for seg_id, cc, kph, vol in zip(seg_graph.seg_ids, probs.cc.tolist(), speed, probs.vol.tolist())
         }
-        speeds = dict(zip(seg_graph.seg_ids, probs.speed_kph))
+        speeds = dict(zip(seg_graph.seg_ids, speed))
         etas = {ss.ss_id: eta_from_speeds(ss, speeds, lengths) for ss in dataset.supersegments}
         rows.append({"record_id": record.record_id, "segments": segments, "etas": etas})
     out = _resolve(workdir, args.out)

@@ -143,18 +143,26 @@ def save_cluster_model(path, model: ClusterModel, priors: Mapping[str, PriorMatr
 
 
 def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
-    """Inverse of :func:`save_cluster_model`; the assignment is not stored."""
+    """Inverse of :func:`save_cluster_model`; the assignment is not stored.
+
+    A damaged file raises ValueError naming it and `t4c fit-clusters`.
+    """
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("K", "thresholds", "priors"):
-        if key not in obj:
-            raise ValueError(f"{path}: missing key {key!r} in cluster model file")
-    k = int(obj["K"])
-    model = ClusterModel(num_clusters=k, thresholds=tuple(float(t) for t in obj["thresholds"]), assignment={})
-    priors: dict[str, PriorMatrix] = {}
-    for seg_id, rows in obj["priors"].items():
-        matrix = np.asarray(rows, dtype=np.float64)
-        if matrix.shape != (k, 3):
-            raise ValueError(f"{path}: prior for {seg_id!r} has shape {matrix.shape}, expected ({k}, 3)")
-        priors[seg_id] = PriorMatrix(segment_id=seg_id, matrix=matrix, support=None)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))  # invalid JSON or not UTF-8: a ValueError
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        for key in ("K", "thresholds", "priors"):
+            if key not in obj:
+                raise ValueError(f"missing key {key!r}")
+        k = int(obj["K"])
+        model = ClusterModel(num_clusters=k, thresholds=tuple(float(t) for t in obj["thresholds"]), assignment={})
+        priors: dict[str, PriorMatrix] = {}
+        for seg_id, rows in obj["priors"].items():
+            matrix = np.asarray(rows, dtype=np.float64)
+            if matrix.shape != (k, 3):
+                raise ValueError(f"prior for {seg_id!r} has shape {matrix.shape}, expected ({k}, 3)")
+            priors[seg_id] = PriorMatrix(segment_id=seg_id, matrix=matrix, support=None)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: damaged cluster model ({exc}); produce it again with `t4c fit-clusters`") from None
     return model, priors

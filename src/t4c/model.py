@@ -7,7 +7,9 @@ feature); both are concatenated, projected to the hidden width and passed
 through L rounds of message passing over the segment graph (each round
 mixes the node's own state with the mean of its neighbors); three
 residual-block head stacks then emit congestion logits, a speed value in
-normalized space, and volume-class logits.
+normalized space, and volume-class logits. ``forward`` is ``static_branch``
+(everything that reads no counter volume, so it is the same for every
+record of one cluster) followed by ``record_branch`` (the rest).
 
 Losses: class-weighted cross entropy for congestion and volume class
 (rows without a label are masked out), mean squared error on normalized
@@ -37,6 +39,8 @@ __all__ = [
     "LossReport",
     "VOCAB_SIZES",
     "init_params",
+    "static_branch",
+    "record_branch",
     "forward",
     "make_label_arrays",
     "compute_loss",
@@ -214,13 +218,60 @@ def _head(params: Params, config: ModelConfig, task: str, x):
     return ad.linear(x, params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
 
 
+def static_branch(params: Params, config: ModelConfig, features: FeatureBundle):
+    """Each segment's static feature: embeddings, continuous attributes and prior block through the static MLP.
+
+    ``features.counter_slice`` is not read, so the result is the same for every
+    record with the same prior block: in ``full`` mode for every record, in
+    ``active_row`` mode for every record of one cluster.
+    """
+    if features.prior_block.shape[1] != config.prior_width:
+        raise ad.ShapeError(
+            f"prior block width {features.prior_block.shape[1]} vs config {config.prior_width}"
+        )
+    if config.use_static:  # categorical columns in VOCAB_SIZES order
+        lookups = [ad.embedding_lookup(params[f"emb_{name}"], features.categorical[:, col])
+                   for col, name in enumerate(VOCAB_SIZES)]
+        embedded = ad.concat(lookups, axis=1)
+    else:  # the ablation gate: a zero block in place of the embeddings
+        embedded = np.zeros((len(features.categorical), config.embedding_width))
+    static_gate = 1.0 if config.use_static else 0.0
+    prior_gate = 1.0 if config.use_prior_block else 0.0
+    static_in = ad.concat([embedded, features.continuous * static_gate, features.prior_block * prior_gate], axis=1)
+    return _mlp(params, "static", len(config.static_hidden), static_in)
+
+
+def record_branch(
+    params: Params,
+    config: ModelConfig,
+    seg_graph: SegmentGraph,
+    counter_slice: np.ndarray,
+    static_feat,
+) -> PredictionBundle:
+    """The rest of the network: the volume MLP on the record's (N, 8) counter slice,
+    the combine layer with ``static_feat``, the message-passing rounds and the heads."""
+    n = seg_graph.num_segments
+    if counter_slice.shape[0] != n:
+        raise ad.ShapeError(f"features for {counter_slice.shape[0]} segments vs graph with {n}")
+    volume_feat = _mlp(params, "vol", len(config.volume_hidden), counter_slice)
+    h = ad.linear(ad.concat([volume_feat, static_feat], axis=1), params["combine_w"], params["combine_b"])
+    for layer in range(config.gnn_layers):
+        weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
+        h = ad.gnn_round(h, seg_graph.mean_operator, *weights)
+
+    cc_logits = _head(params, config, "cc", h)
+    speed = ad.reshape(_head(params, config, "speed", h), (n,))
+    vol_logits = _head(params, config, "vol", h)
+    return PredictionBundle(cc_logits=cc_logits, speed_pred=speed, vol_logits=vol_logits)
+
+
 def forward(
     params: Params,
     config: ModelConfig,
     seg_graph: SegmentGraph,
     features: FeatureBundle,
 ) -> PredictionBundle:
-    """Run the full network on one record's features.
+    """Run the full network on one record's features: ``record_branch`` after ``static_branch``.
 
     ``params`` is a ParamStore when training, which records the graph
     for ``backward``, or a name-to-array mapping (a checkpoint's params,
@@ -231,33 +282,8 @@ def forward(
         raise ad.ShapeError(
             f"features for {features.categorical.shape[0]} segments vs graph with {n}"
         )
-    if features.prior_block.shape[1] != config.prior_width:
-        raise ad.ShapeError(
-            f"prior block width {features.prior_block.shape[1]} vs config {config.prior_width}"
-        )
-
-    volume_feat = _mlp(params, "vol", len(config.volume_hidden), features.counter_slice)
-
-    if config.use_static:  # categorical columns in VOCAB_SIZES order
-        lookups = [ad.embedding_lookup(params[f"emb_{name}"], features.categorical[:, col])
-                   for col, name in enumerate(VOCAB_SIZES)]
-        embedded = ad.concat(lookups, axis=1)
-    else:  # the ablation gate: a zero block in place of the embeddings
-        embedded = np.zeros((n, config.embedding_width))
-    static_gate = 1.0 if config.use_static else 0.0
-    prior_gate = 1.0 if config.use_prior_block else 0.0
-    static_in = ad.concat([embedded, features.continuous * static_gate, features.prior_block * prior_gate], axis=1)
-    static_feat = _mlp(params, "static", len(config.static_hidden), static_in)
-
-    h = ad.linear(ad.concat([volume_feat, static_feat], axis=1), params["combine_w"], params["combine_b"])
-    for layer in range(config.gnn_layers):
-        weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
-        h = ad.gnn_round(h, seg_graph.mean_operator, *weights)
-
-    cc_logits = _head(params, config, "cc", h)
-    speed = ad.reshape(_head(params, config, "speed", h), (n,))
-    vol_logits = _head(params, config, "vol", h)
-    return PredictionBundle(cc_logits=cc_logits, speed_pred=speed, vol_logits=vol_logits)
+    static_feat = static_branch(params, config, features)
+    return record_branch(params, config, seg_graph, features.counter_slice, static_feat)
 
 
 def make_label_arrays(

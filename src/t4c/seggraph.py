@@ -28,6 +28,7 @@ __all__ = [
     "fit_normalization",
     "assemble_features",
     "counter_slice_matrix",
+    "normalized_counter_slice",
 ]
 
 SIGMA_FLOOR = 1e-6
@@ -136,6 +137,11 @@ def counter_slice_matrix(graph: RoadGraph, record: VolumeRecord) -> np.ndarray:
     return out
 
 
+def normalized_counter_slice(graph: RoadGraph, record: VolumeRecord, norm_stats: NormStats) -> np.ndarray:
+    """The record's (N, 8) counter slice, z-normalized: ``FeatureBundle.counter_slice``."""
+    return (counter_slice_matrix(graph, record) - norm_stats.counter_mean) / norm_stats.counter_std
+
+
 def _floored_std(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.maximum(values.std(axis=axis), SIGMA_FLOOR)
 
@@ -207,7 +213,6 @@ def assemble_features(
         raise ValueError("prior_mode 'active_row' needs the record's cluster_index")
 
     cont = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
-    slice_ = (counter_slice_matrix(graph, record) - norm_stats.counter_mean) / norm_stats.counter_std
 
     rows: list[np.ndarray] = []
     for seg_id in seg_graph.seg_ids:
@@ -221,6 +226,6 @@ def assemble_features(
     return FeatureBundle(
         categorical=graph.categorical_matrix,
         continuous=cont,
-        counter_slice=slice_,
+        counter_slice=normalized_counter_slice(graph, record, norm_stats),
         prior_block=np.array(rows, dtype=np.float64),
     )

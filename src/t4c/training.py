@@ -7,7 +7,9 @@ computed and the best epoch's parameters are kept. One loop, ``fit_loop``,
 does this for the main model and for the node-GNN baseline. Ensemble members
 differ only by their seed, so a run builds its split, features, targets and
 class weights once (``prepare_training``) and trains every member from them.
-Ensemble prediction averages the members' probabilities (and de-normalized
+Ensemble prediction (``prepare_ensemble`` once per stage, then
+``ensemble_predict`` per record) keeps each member's static branch per
+cluster and averages the members' probabilities (and de-normalized
 speeds) in a fixed summation order.
 """
 
@@ -26,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, PriorMatrix, assign_cluster
-from .data import Dataset, LabelTable, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
+from .data import Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
 from .evaluation import core_metric
 from .model import (
     LabelArrays,
@@ -39,8 +41,11 @@ from .model import (
     inverse_frequency_weights,
     make_label_arrays,
     predict_probabilities,
+    record_branch,
+    static_branch,
 )
-from .seggraph import FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph, fit_normalization
+from .seggraph import (FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph, fit_normalization,
+                       normalized_counter_slice)
 
 __all__ = [
     "TrainConfig",
@@ -54,6 +59,8 @@ __all__ = [
     "prepare_training",
     "train_one",
     "train_ensemble",
+    "Ensemble",
+    "prepare_ensemble",
     "ensemble_predict",
     "predict_record",
     "save_runlog",
@@ -455,39 +462,80 @@ def predict_record(
     return predict_probabilities(pred, ckpt.norm_stats)
 
 
-def ensemble_predict(
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Checkpoints of one config, ready to serve records one at a time.
+
+    ``prepare_ensemble`` builds it once per stage. ``stats_owner[k]`` is the
+    first member whose norm stats equal member k's: members that share an
+    owner share the features they read. ``static`` holds each member's
+    static branch by (member, cluster index), the index being None in
+    ``full`` prior mode; ``ensemble_predict`` fills it on first use.
+    """
+
+    checkpoints: tuple[Checkpoint, ...]
+    dataset_graph: RoadGraph
+    seg_graph: SegmentGraph
+    priors: Mapping[str, PriorMatrix]
+    cluster_model: ClusterModel | None
+    stats_owner: tuple[int, ...]
+    static: dict[tuple[int, int | None], np.ndarray] = field(default_factory=dict, repr=False)
+
+
+def prepare_ensemble(
     checkpoints: Sequence[Checkpoint],
-    dataset_graph,
+    dataset_graph: RoadGraph,
     seg_graph: SegmentGraph,
     priors: Mapping[str, PriorMatrix],
-    record: VolumeRecord,
     cluster_model: ClusterModel | None = None,
-) -> PredictionProbs:
-    """Mean of member probabilities and speeds, summed in member order.
-
-    The record's features are built once, with the first member's norm
-    stats, and shared by every member whose stats equal them; a member
-    with other stats builds its own.
-    """
+) -> Ensemble:
+    """Check that the members share one config, and group them by norm stats."""
     if not checkpoints:
-        raise ValueError("ensemble_predict needs at least one checkpoint")
+        raise ValueError("prepare_ensemble needs at least one checkpoint")
     first = checkpoints[0]
     for ckpt in checkpoints[1:]:
         if ckpt.config_hash != first.config_hash:
             raise ValueError(
                 f"checkpoint config hash mismatch: {ckpt.config_hash} vs {first.config_hash}"
             )
-    shared = _record_features(
-        dataset_graph, seg_graph, record, priors, first.norm_stats, first.config.prior_mode, cluster_model
+    if first.config.prior_mode == "active_row" and cluster_model is None:
+        raise ValueError("prior_mode 'active_row' needs a cluster model")
+    owners = tuple(
+        next(j for j in range(k + 1) if checkpoints[j].norm_stats.equals(ckpt.norm_stats))
+        for k, ckpt in enumerate(checkpoints)
     )
+    return Ensemble(tuple(checkpoints), dataset_graph, seg_graph, priors, cluster_model, owners)
+
+
+def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProbs:
+    """Mean of member probabilities and speeds, summed in member order.
+
+    Per record, each group of members with equal norm stats builds only
+    the normalized counter slice. A member's static branch is built once
+    per cluster (once in ``full`` mode), from the features of the first
+    record that needs it, and reused: it reads no counter volume.
+    """
+    ens = ensemble
+    prior_mode = ens.checkpoints[0].config.prior_mode
+    cluster = assign_cluster(ens.cluster_model, record) if prior_mode == "active_row" else None
+    features: dict[int, FeatureBundle] = {}
+    slices: dict[int, np.ndarray] = {}
     members = []
-    for ckpt in checkpoints:
-        features = shared
-        if not ckpt.norm_stats.equals(first.norm_stats):
-            features = _record_features(
-                dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config.prior_mode, cluster_model
-            )
-        pred = forward(ckpt.params, ckpt.config, seg_graph, features)
+    for k, ckpt in enumerate(ens.checkpoints):
+        owner = ens.stats_owner[k]
+        static = ens.static.get((k, cluster))
+        if static is None:
+            if owner not in features:
+                features[owner] = assemble_features(
+                    ens.dataset_graph, ens.seg_graph, record, ens.priors, ckpt.norm_stats,
+                    prior_mode=prior_mode, cluster_index=cluster,
+                )
+            static = static_branch(ckpt.params, ckpt.config, features[owner])
+            static.setflags(write=False)
+            ens.static[(k, cluster)] = static
+        if owner not in slices:
+            slices[owner] = normalized_counter_slice(ens.dataset_graph, record, ckpt.norm_stats)
+        pred = record_branch(ckpt.params, ckpt.config, ens.seg_graph, slices[owner], static)
         members.append(predict_probabilities(pred, ckpt.norm_stats))
     n = float(len(members))
     return PredictionProbs(

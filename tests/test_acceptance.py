@@ -30,7 +30,8 @@ from t4c.evaluation import core_metric, eta_from_speeds, run_ablation
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
 from t4c.model import ModelConfig, compute_loss, forward, init_params
 from t4c.seggraph import build_line_graph
-from t4c.training import TrainConfig, ensemble_predict, predict_record, prepare_training, train_ensemble, train_one
+from t4c.training import (TrainConfig, ensemble_predict, predict_record, prepare_ensemble, prepare_training,
+                          train_ensemble, train_one)
 
 from conftest import central_diff_store, label_table, max_rel_error
 from test_model import TINY, six_segment_labels, six_segment_setup
@@ -202,13 +203,13 @@ def test_criterion_5_ensemble_exactness(ordering_city, ordering_fit):
     expected_speed = (
         member_probs[0].speed_kph + member_probs[1].speed_kph + member_probs[2].speed_kph
     ) / 3.0
-    ensembled = ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record, cluster_model)
+    ensembled = ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model), record)
     assert np.array_equal(ensembled.cc, expected_cc)
     assert np.array_equal(ensembled.vol, expected_vol)
     assert np.array_equal(ensembled.speed_kph, expected_speed)
 
     single = predict_record(checkpoints[0], dataset.graph, seg_graph, priors, record, cluster_model)
-    solo = ensemble_predict(checkpoints[:1], dataset.graph, seg_graph, priors, record, cluster_model)
+    solo = ensemble_predict(prepare_ensemble(checkpoints[:1], dataset.graph, seg_graph, priors, cluster_model), record)
     assert np.array_equal(single.cc, solo.cc)
     assert np.array_equal(single.speed_kph, solo.speed_kph)
     print("ACCEPTANCE 5 PASS: 3-member mean bit-for-bit, single member identical")

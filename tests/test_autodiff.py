@@ -289,6 +289,37 @@ def test_gnn_round_equals_the_unfused_chain_bit_for_bit():
     assert tb.grad.tobytes() == (g_z.sum(axis=0) + 0.0).tobytes()
 
 
+# times _W, every product underflows to -0.0; with the -0.0 bias every pre-activation is -0.0
+_TINY = np.full((5, 3), -1e-300)
+_W, _B = np.full((3, 4), 1e-300), np.full(4, -0.0)
+_OPERATOR = mean_aggregation_matrix([(1, 2), (0,), (0, 3), (2, 4), (3,)])
+_RELU_OPS = {
+    "linear": (lambda x: ad.linear(x, _W, _B, relu=True), lambda x: ad.linear(x, _W, _B)),
+    "gnn_round": (lambda h: ad.gnn_round(h, _OPERATOR, _W, _W, _B), lambda h: h @ _W + (_OPERATOR @ h) @ _W + _B),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RELU_OPS))
+def test_relu_maps_negative_zero_to_positive_zero_and_propagates_nan(name):
+    op, pre_activation = _RELU_OPS[name]
+    z = pre_activation(_TINY)
+    assert np.all(np.signbit(z)) and np.all(z == 0.0)
+    for out in (op(_TINY), op(Tensor(_TINY, requires_grad=True)).data):
+        assert out.tobytes() == np.zeros_like(z).tobytes()  # +0.0, as np.where(z > 0, z, 0.0) gives
+
+    x = _TINY.copy()
+    x[1, 0] = np.nan
+    nan_rows = np.isnan(pre_activation(x)).any(axis=1)
+    assert nan_rows[1]
+    tx = Tensor(x, requires_grad=True)
+    out = op(tx)
+    # a NaN pre-activation propagates instead of being zeroed, on both paths
+    assert np.all(np.isnan(out.data[nan_rows])) and not np.isnan(out.data[~nan_rows]).any()
+    assert out.data.tobytes() == op(x).tobytes()
+    ad.reduce_sum(out).backward()
+    assert np.all(tx.grad == 0.0)  # NaN > 0 is False, so the mask stops the gradient there too
+
+
 def test_random_five_parameter_graph_matches_finite_differences():
     """Small multi-op graph over five parameter tensors."""
     rng = np.random.default_rng(42)

@@ -314,10 +314,18 @@ def test_report_on_damaged_runlog_exits_one_naming_the_file(pipeline, capsys, da
     '{"record_id": 7, "segments": {}}',
     '{"record_id": "r0000", "segments": [1, 2]}',
     '{"record_id": "r0000", "etas": 3.5}',
-], ids=["list", "no_record_id", "numeric_record_id", "segments_list", "etas_number"])
+    '{"record_id": "r0000", "segments": {"s0000": [0.2, 0.3, 0.5]}}',
+    '{"record_id": "r0000", "etas": {"ss00": [1]}}',
+    '{"record_id": "r0000", "etas": {"ss00": "fast"}}',
+    '{"record_id": "r0000", "etas": {"ss00": true}}',
+    b'{"record_id": "r0000\xff"}',
+    "{not json",
+], ids=["list", "no_record_id", "numeric_record_id", "segments_list", "etas_number", "segment_entry_list",
+        "eta_list", "eta_string", "eta_bool", "not_utf8", "invalid_json"])
 def test_eval_on_a_malformed_prediction_row_exits_one_naming_path_and_line(pipeline, capsys, stage, line):
     pred = pipeline / "malformed.jsonl"
-    pred.write_text('{"record_id": "r0000", "segments": {}, "etas": {}}\n' + line + "\n")
+    good = b'{"record_id": "r0000", "segments": {"s0000": {"cc": [0.2, 0.3, 0.5]}}, "etas": {"ss00": 61.5}}\n'
+    pred.write_bytes(good + (line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" + good)
     capsys.readouterr()
     assert main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--pred", "malformed.jsonl"]) == 1
     err = capsys.readouterr().err
@@ -333,6 +341,25 @@ def test_report_on_damaged_ablation_file_exits_one(pipeline, capsys, content):
     assert code == 1
     err = capsys.readouterr().err
     assert "damaged_ablation.json" in err and "t4c ablate" in err
+
+
+@pytest.mark.parametrize("stage", ["train", "predict"])
+@pytest.mark.parametrize("content", [
+    '{"K": 5, "thresholds": [1.0,\n  "priors"', "[5, 1.0]", "\udcff",
+    '{"K": "five", "thresholds": [], "priors": {}}', '{"K": 5, "thresholds": 3, "priors": {}}',
+    '{"K": 5, "thresholds": [], "priors": []}',
+], ids=["truncated", "not_an_object", "not_utf8", "k_string", "thresholds_number", "priors_list"])
+def test_damaged_cluster_model_exits_one_naming_the_file(pipeline, capsys, stage, content):
+    damaged = pipeline / "damaged_clusters.json"
+    damaged.write_bytes(content.encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    argv = ["--run", "runs/demo"] if stage == "predict" else ["--k", "5"]
+    code = main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--cluster-model", "damaged_clusters.json",
+                 "--out", f"damaged_{stage}", *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(damaged) in err and "t4c fit-clusters" in err
+    assert not (pipeline / f"damaged_{stage}").exists()
 
 
 def test_predict_on_truncated_checkpoint_exits_one(pipeline, capsys):

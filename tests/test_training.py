@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from t4c import autodiff as ad
 from t4c.checkpoint import load_checkpoint, save_checkpoint
-from t4c.clustering import build_prior_matrices, fit_clusters
+from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, labels_by_record, split_train_validation
 from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params
 from t4c.seggraph import assemble_features, build_line_graph, fit_normalization
@@ -21,6 +21,7 @@ from t4c.training import (
     ensemble_predict,
     load_runlog,
     predict_record,
+    prepare_ensemble,
     prepare_training,
     save_runlog,
     train_ensemble,
@@ -273,7 +274,7 @@ def test_ensemble_of_one_equals_member(small_city, trained):
     seg_graph = build_line_graph(dataset.graph)
     record = dataset.records[0]
     single = predict_record(ckpt, dataset.graph, seg_graph, priors, record)
-    ensembled = ensemble_predict([ckpt], dataset.graph, seg_graph, priors, record)
+    ensembled = ensemble_predict(prepare_ensemble([ckpt], dataset.graph, seg_graph, priors), record)
     assert np.array_equal(single.cc, ensembled.cc)
     assert np.array_equal(single.speed_kph, ensembled.speed_kph)
     assert np.array_equal(single.vol, ensembled.vol)
@@ -310,7 +311,7 @@ def test_ensemble_probabilities_are_exact_member_means(small_city, three_members
     expected_speed = (
         member_probs[0].speed_kph + member_probs[1].speed_kph + member_probs[2].speed_kph
     ) / 3.0
-    ensembled = ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record)
+    ensembled = ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors), record)
     assert np.array_equal(ensembled.cc, expected_cc)
     assert np.array_equal(ensembled.speed_kph, expected_speed)
     assert np.array_equal(
@@ -331,7 +332,7 @@ def test_ensemble_of_any_member_subset_and_order_is_the_ordered_member_mean(
     seg_graph = build_line_graph(dataset.graph)
     record = dataset.records[record_index % len(dataset.records)]
     singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in members]
-    ensembled = ensemble_predict(members, dataset.graph, seg_graph, priors, record)
+    ensembled = ensemble_predict(prepare_ensemble(members, dataset.graph, seg_graph, priors), record)
     for field in ("cc", "speed_kph", "vol"):
         value = getattr(ensembled, field)
         assert value.tobytes() == _ordered_mean(singles, field).tobytes()
@@ -342,28 +343,77 @@ def test_ensemble_of_any_member_subset_and_order_is_the_ordered_member_mean(
 
 
 def test_ensemble_builds_features_once_per_distinct_norm_stats(small_city, three_members, monkeypatch):
+    """Per stage: one static-branch build per member and cluster, and one feature build per
+    distinct norm stats and cluster; per record: one counter slice per distinct norm stats."""
     import t4c.training as training
 
     dataset, _cluster_model, priors = small_city
     checkpoints = [ckpt for ckpt, _ in three_members]
     seg_graph = build_line_graph(dataset.graph)
-    record = dataset.records[5]
-    builds = []
-    real = training.assemble_features
-    monkeypatch.setattr(training, "assemble_features", lambda *args, **kw: builds.append(1) or real(*args, **kw))
+    records = dataset.records[5:9]
+    counts = {"assemble_features": [], "static_branch": [], "normalized_counter_slice": []}
+    for name, calls in counts.items():
+        real = getattr(training, name)
+        monkeypatch.setattr(training, name, lambda *a, _real=real, _calls=calls, **kw: _calls.append(1) or _real(*a, **kw))
 
-    ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, record)
-    assert len(builds) == 1
+    ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors)
+    for record in records:
+        ensemble_predict(ensemble, record)
+    # full prior mode: the static branch is the same for every record, so one cluster
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "assemble_features": 1, "static_branch": 3, "normalized_counter_slice": len(records),
+    }
+    assert sorted(ensemble.static) == [(0, None), (1, None), (2, None)]
 
     stats = checkpoints[1].norm_stats
     shifted = replace(checkpoints[1], norm_stats=replace(stats, counter_mean=stats.counter_mean + 0.5))
     mixed = [checkpoints[0], shifted, checkpoints[2]]
-    builds.clear()
-    ensembled = ensemble_predict(mixed, dataset.graph, seg_graph, priors, record)
-    assert len(builds) == 2
-    singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in mixed]
-    for field in ("cc", "speed_kph", "vol"):
-        assert getattr(ensembled, field).tobytes() == _ordered_mean(singles, field).tobytes()
+    for calls in counts.values():
+        calls.clear()
+    ensemble = prepare_ensemble(mixed, dataset.graph, seg_graph, priors)
+    assert ensemble.stats_owner == (0, 1, 0)
+    ensembled = [ensemble_predict(ensemble, record) for record in records]
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "assemble_features": 2, "static_branch": 3, "normalized_counter_slice": 2 * len(records),
+    }
+    for record, probs in zip(records, ensembled):
+        singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in mixed]
+        for field in ("cc", "speed_kph", "vol"):
+            assert getattr(probs, field).tobytes() == _ordered_mean(singles, field).tobytes()
+
+
+@pytest.mark.parametrize("change", [
+    {},
+    {"prior_mode": "active_row"},
+    {"prior_mode": "active_row", "use_static": False, "use_prior_block": False},
+    {"use_static": False, "use_prior_block": False},
+], ids=["full", "active_row", "active_row_gates_off", "full_gates_off"])
+def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, change):
+    dataset, cluster_model, priors = small_city
+    model_cfg = replace(SMALL_MODEL, **change)
+    cfg = replace(SMALL_TRAIN, epochs=1, ensemble_size=2)
+    checkpoints = [ckpt for ckpt, _ in train_ensemble(cfg, model_cfg, dataset, cluster_model, priors)]
+    seg_graph = build_line_graph(dataset.graph)
+    records = dataset.records[:24]
+    clusters = {assign_cluster(cluster_model, r) for r in records}
+    assert len(clusters) >= 2
+
+    ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
+    for record in records:
+        ensembled = ensemble_predict(ensemble, record)
+        singles = [predict_record(c, dataset.graph, seg_graph, priors, record, cluster_model) for c in checkpoints]
+        for field in ("cc", "speed_kph", "vol"):
+            assert getattr(ensembled, field).tobytes() == _ordered_mean(singles, field).tobytes(), (record, field)
+    keys = {(k, c) for k in range(2) for c in (clusters if model_cfg.prior_mode == "active_row" else [None])}
+    assert set(ensemble.static) == keys
+    assert not any(static.flags.writeable for static in ensemble.static.values())
+
+
+def test_active_row_ensemble_needs_a_cluster_model(small_city, trained):
+    dataset, _cluster_model, priors = small_city
+    ckpt = replace(trained[0], config=replace(SMALL_MODEL, prior_mode="active_row"))
+    with pytest.raises(ValueError, match="needs a cluster model"):
+        prepare_ensemble([ckpt], dataset.graph, build_line_graph(dataset.graph), priors)
 
 
 def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch):
@@ -379,7 +429,7 @@ def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch)
 
     monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
     predict_record(checkpoints[0], dataset.graph, seg_graph, priors, dataset.records[0])
-    ensemble_predict(checkpoints, dataset.graph, seg_graph, priors, dataset.records[0])
+    ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors), dataset.records[0])
     assert made == []
     ad.Tensor(np.zeros(1))  # the counter itself works
     assert made == [1]
@@ -400,7 +450,7 @@ def test_config_hash_mismatch_rejected(small_city, trained):
     other = train_one(_training_set(small_city, replace(SMALL_TRAIN, epochs=1), other_cfg), other_cfg, seed=0)[0]
     seg_graph = build_line_graph(dataset.graph)
     with pytest.raises(ValueError) as err:
-        ensemble_predict([ckpt, other], dataset.graph, seg_graph, priors, dataset.records[0])
+        prepare_ensemble([ckpt, other], dataset.graph, seg_graph, priors)
     assert "hash" in str(err.value)
 
 
