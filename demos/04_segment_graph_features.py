@@ -2,9 +2,11 @@
 
 Two road segments become neighbors when they share an intersection, which
 lets message passing move information between adjacent roads even where
-no counter exists. Feature assembly stacks four blocks per segment:
-categorical codes, z-normalized continuous attributes, the 8-dim counter
-slice of its own endpoints, and the congestion prior block.
+no counter exists. The model reads four blocks per segment. Feature
+assembly builds the three static ones once per volume cluster: categorical
+codes, z-normalized continuous attributes and the congestion prior block.
+The fourth, the 8-dim counter slice of the segment's own endpoints, is
+gathered per record from the record's counter volumes by node.
 """
 
 import tempfile
@@ -14,7 +16,7 @@ import numpy as np
 
 from t4c.clustering import build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter
-from t4c.seggraph import assemble_features, build_line_graph, fit_normalization
+from t4c.seggraph import assemble_features, build_line_graph, counter_slice_matrix, fit_normalization
 
 out = Path(tempfile.mkdtemp()) / "city"
 dataset = generate_synthetic_city(
@@ -42,15 +44,16 @@ print(f"\nspeed labels: mean {stats.speed_mean:.1f} km/h, sigma {stats.speed_std
 model = fit_clusters(records, num_clusters=5)
 priors = build_prior_matrices(model, labels, dataset.graph)
 
-feats = assemble_features(dataset.graph, seg_graph, records[0], priors, stats)
+feats = assemble_features(dataset.graph, seg_graph, priors, stats)  # the same for every record
+raw = counter_slice_matrix(dataset.graph, records[0])  # this record's counters at each segment's endpoints
+counter_slice = stats.normalize_counters(raw)
 print("\nfeature blocks for one record:")
 print("  categorical ", feats.categorical.shape, "(importance, oneway, tunnel, lanes)")
 print("  continuous  ", feats.continuous.shape, "z-scored; column means ~0:",
       feats.continuous.mean(axis=0).round(2).tolist())
-print("  counter     ", feats.counter_slice.shape, "(tail 4 bins, head 4 bins)")
+print("  counter     ", counter_slice.shape, "(tail 4 bins, head 4 bins)")
 print("  prior block ", feats.prior_block.shape, "(5 clusters x 3 states, flattened)")
 
 # segments whose endpoints carry no counter see a zero (then normalized) slice
-raw_nonzero = np.abs(feats.counter_slice - (0 - stats.counter_mean) / stats.counter_std).sum(axis=1)
-print(f"\nsegments with live counter data this hour: {(raw_nonzero > 1e-9).sum()} "
+print(f"\nsegments with live counter data this hour: {raw.any(axis=1).sum()} "
       f"of {seg_graph.num_segments}")

@@ -7,7 +7,6 @@ Runs in well under a minute.
 """
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
@@ -49,7 +48,7 @@ checkpoints = [ckpt for ckpt, _ in members]
 seg_graph = build_line_graph(dataset.graph)
 seg_ids = list(seg_graph.seg_ids)
 lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}
-# once per stage: checks the members' configs and keeps each member's static branch per cluster
+# once per stage: checks the members' configs and builds each member's static branch for every cluster
 ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
 
 predictions = {}

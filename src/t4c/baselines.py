@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .clustering import CC_COLUMN, ClusterModel, build_prior_matrices
 from .data import Dataset, LabelTable, SuperSegment, VolumeRecord
 from .model import inverse_frequency_weights
-from .seggraph import mean_aggregation_matrix
+from .seggraph import column_moments, mean_aggregation_matrix
 from .training import fit_loop, split_records
 
 __all__ = [
@@ -205,23 +205,14 @@ def load_baseline(path) -> NaiveCountModel | VolumeClusterModel:
 # node-level GNN baseline on the original intersection graph
 
 
-def _node_graph(graph) -> tuple[dict[str, int], tuple[tuple[int, ...], ...]]:
-    node_index = {n.node_id: i for i, n in enumerate(graph.nodes)}
+def _node_graph(graph) -> tuple[tuple[int, ...], ...]:
+    """Each node's sorted neighbor rows: the nodes it shares a segment with."""
     neighbor_sets: list[set[int]] = [set() for _ in graph.nodes]
-    for seg in graph.segments:
-        a = node_index[seg.tail_node]
-        b = node_index[seg.head_node]
+    for a, b in graph.endpoint_rows.tolist():
         if a != b:
             neighbor_sets[a].add(b)
             neighbor_sets[b].add(a)
-    return node_index, tuple(tuple(sorted(s)) for s in neighbor_sets)
-
-
-def _node_volume_features(graph, node_index, record: VolumeRecord) -> np.ndarray:
-    out = np.zeros((len(node_index), 4), dtype=np.float64)
-    for node_id, vec in record.volumes.items():
-        out[node_index[node_id]] = vec
-    return out
+    return tuple(tuple(sorted(s)) for s in neighbor_sets)
 
 
 def node_gnn_baseline(
@@ -241,23 +232,12 @@ def node_gnn_baseline(
     records, train_records, val_records = split_records(dataset, train_cfg)
     labels = dataset.labels
     graph = dataset.graph
-    node_index, node_neighbors = _node_graph(graph)
-    node_mean = mean_aggregation_matrix(node_neighbors)
-    tail_idx = np.array([node_index[s.tail_node] for s in graph.segments], dtype=np.int64)
-    head_idx = np.array([node_index[s.head_node] for s in graph.segments], dtype=np.int64)
+    node_mean = mean_aggregation_matrix(_node_graph(graph))
+    tail_idx, head_idx = graph.endpoint_rows.T
 
     # z-normalize volumes over the training (record, node) population
-    total = np.zeros(4)
-    total_sq = np.zeros(4)
-    count = 0
-    raw_feats = {r.record_id: _node_volume_features(graph, node_index, r) for r in records}
-    for r in train_records:
-        x = raw_feats[r.record_id]
-        total += x.sum(axis=0)
-        total_sq += (x * x).sum(axis=0)
-        count += x.shape[0]
-    mean = total / count
-    std = np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), 1e-6)
+    raw_feats = {r.record_id: graph.node_volumes(r) for r in records}
+    mean, std = column_moments(raw_feats[r.record_id] for r in train_records)
     feats = {rid: (x - mean) / std for rid, x in raw_feats.items()}
 
     cc_targets = np.where(labels.cc > 0, labels.cc - 1, -1).astype(np.int64)  # codes 1..3 -> classes 0..2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -160,6 +161,14 @@ def _write_predictions(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that reads as a finite float: not a bool, NaN, an infinity or an int too large for a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _row_fault(row) -> str | None:
     """What makes a predictions line unreadable, or None."""
     if not isinstance(row, dict):
@@ -172,14 +181,12 @@ def _row_fault(row) -> str | None:
             return f"{key!r} is not an object"
     if not set(map(type, segments.values())) <= {dict}:
         return next(f"segment {seg!r} is not an object" for seg, e in segments.items() if type(e) is not dict)
-    if not set(map(type, etas.values())) <= {int, float}:  # JSON numbers; a bool is refused
-        return next(f"ETA {ss!r} is not a number" for ss, eta in etas.items() if type(eta) not in (int, float))
-    return None
+    return next((f"ETA {ss!r} is not a finite number" for ss, eta in etas.items() if not _finite_number(eta)), None)
 
 
 def _read_predictions(path: Path) -> list[dict]:
     """Rows with a string ``record_id``, an object of segment objects under ``segments`` and
-    an object of numbers under ``etas`` where present; others are refused by line."""
+    an object of finite numbers under ``etas`` where present; others are refused by line."""
     rows = []
     for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
@@ -648,10 +655,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         workdir = Path(args.workdir)
         return _HANDLERS[args.command](args, workdir)
-    except CLIError as exc:
-        print(f"t4c: error: {exc}", file=sys.stderr)
-        return 1
-    except (DatasetError, FileNotFoundError, ValueError) as exc:
+    except (CLIError, DatasetError, FileNotFoundError, ValueError) as exc:
         print(f"t4c: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

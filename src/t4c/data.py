@@ -151,6 +151,27 @@ class RoadGraph:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def node_index(self) -> dict[str, int]:
+        """Each node id's row in ``nodes``."""
+        return {n.node_id: i for i, n in enumerate(self.nodes)}
+
+    @cached_property
+    def endpoint_rows(self) -> np.ndarray:
+        """(N, 2) node rows of each segment's tail and head, in segment order; built on first use, read-only."""
+        index = self.node_index
+        out = np.array([[index[s.tail_node], index[s.head_node]] for s in self.segments], dtype=np.int64)
+        out = out.reshape(-1, 2)  # (0, 2) for a graph without segments
+        out.setflags(write=False)
+        return out
+
+    def node_volumes(self, record: VolumeRecord) -> np.ndarray:
+        """(nodes, 4) the record's counter volumes by node row; zero where no counter, or no data in the record."""
+        out = np.zeros((len(self.nodes), 4), dtype=np.float64)
+        for node_id, vec in record.volumes.items():
+            out[self.node_index[node_id]] = vec
+        return out
+
 
 @dataclass(frozen=True)
 class VolumeRecord:

@@ -8,8 +8,9 @@ through L rounds of message passing over the segment graph (each round
 mixes the node's own state with the mean of its neighbors); three
 residual-block head stacks then emit congestion logits, a speed value in
 normalized space, and volume-class logits. ``forward`` is ``static_branch``
-(everything that reads no counter volume, so it is the same for every
-record of one cluster) followed by ``record_branch`` (the rest).
+on the static ``FeatureBundle`` (it reads no counter volume, so it is the
+same for every record of one cluster) followed by ``record_branch`` on the
+record's normalized counter slice.
 
 Losses: class-weighted cross entropy for congestion and volume class
 (rows without a label are masked out), mean squared error on normalized
@@ -221,9 +222,9 @@ def _head(params: Params, config: ModelConfig, task: str, x):
 def static_branch(params: Params, config: ModelConfig, features: FeatureBundle):
     """Each segment's static feature: embeddings, continuous attributes and prior block through the static MLP.
 
-    ``features.counter_slice`` is not read, so the result is the same for every
-    record with the same prior block: in ``full`` mode for every record, in
-    ``active_row`` mode for every record of one cluster.
+    No counter volume is read, so the result is the same for every record with
+    the same prior block: in ``full`` mode for every record, in ``active_row``
+    mode for every record of one cluster.
     """
     if features.prior_block.shape[1] != config.prior_width:
         raise ad.ShapeError(
@@ -270,8 +271,10 @@ def forward(
     config: ModelConfig,
     seg_graph: SegmentGraph,
     features: FeatureBundle,
+    counter_slice: np.ndarray,
 ) -> PredictionBundle:
-    """Run the full network on one record's features: ``record_branch`` after ``static_branch``.
+    """Run the full network on one record: ``static_branch`` on ``features``, then
+    ``record_branch`` on the record's (N, 8) normalized ``counter_slice``.
 
     ``params`` is a ParamStore when training, which records the graph
     for ``backward``, or a name-to-array mapping (a checkpoint's params,
@@ -283,7 +286,7 @@ def forward(
             f"features for {features.categorical.shape[0]} segments vs graph with {n}"
         )
     static_feat = static_branch(params, config, features)
-    return record_branch(params, config, seg_graph, features.counter_slice, static_feat)
+    return record_branch(params, config, seg_graph, counter_slice, static_feat)
 
 
 def make_label_arrays(

@@ -2,17 +2,19 @@
 
 The derived graph takes every road segment as a node; two segments are
 adjacent when they share at least one endpoint intersection (direction
-ignored). Feature assembly produces, per segment: the four categorical
-codes, the z-normalized continuous attributes, the 8-vector counter slice
-(four bins at the tail node, four at the head, zeros where no counter or
-no data) and the flattened congestion prior block.
+ignored). Per segment, the model reads two kinds of input. Feature
+assembly builds the static ones, which read no counter volume: the four
+categorical codes, the z-normalized continuous attributes and the
+flattened congestion prior block. They change only with the volume
+cluster. The counter slice is built per record: the 8-vector of four bins
+at the tail node and four at the head, zeros where no counter or no data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,10 +27,10 @@ __all__ = [
     "NormStats",
     "build_line_graph",
     "mean_aggregation_matrix",
+    "column_moments",
     "fit_normalization",
     "assemble_features",
     "counter_slice_matrix",
-    "normalized_counter_slice",
 ]
 
 SIGMA_FLOOR = 1e-6
@@ -47,8 +49,10 @@ class SegmentGraph:
 
     @cached_property
     def mean_operator(self) -> np.ndarray:
-        """The (N, N) neighbor-mean matrix, built on first use."""
-        return mean_aggregation_matrix(self.neighbors)
+        """The (N, N) neighbor-mean matrix, built on first use, read-only."""
+        out = mean_aggregation_matrix(self.neighbors)
+        out.setflags(write=False)
+        return out
 
     @property
     def num_segments(self) -> int:
@@ -57,11 +61,10 @@ class SegmentGraph:
 
 @dataclass(frozen=True, eq=False)
 class FeatureBundle:
-    """Raw per-segment model inputs for one volume record."""
+    """The per-segment model inputs that read no counter volume: one bundle serves every record of a cluster."""
 
     categorical: np.ndarray  # (N, 4) int64: importance, oneway, tunnel, lanes-1
     continuous: np.ndarray  # (N, 5) z-normalized
-    counter_slice: np.ndarray  # (N, 8) z-normalized
     prior_block: np.ndarray  # (N, 3K) flattened priors, or (N, 3) active row
 
 
@@ -76,12 +79,11 @@ class NormStats:
     speed_mean: float
     speed_std: float
 
-    def equals(self, other: "NormStats") -> bool:
-        """Bit-for-bit equality of every statistic: features built from either are identical."""
-        return all(
-            np.asarray(getattr(self, f.name)).tobytes() == np.asarray(getattr(other, f.name)).tobytes()
-            for f in fields(self)
-        )
+    def normalize_counters(self, raw: np.ndarray) -> np.ndarray:
+        """A raw (N, 8) counter slice, z-normalized: the model's counter input."""
+        out = raw - self.counter_mean
+        out /= self.counter_std  # in place: the bits of ``(raw - mean) / std``, one allocation fewer
+        return out
 
 
 def mean_aggregation_matrix(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
@@ -126,24 +128,19 @@ def counter_slice_matrix(graph: RoadGraph, record: VolumeRecord) -> np.ndarray:
     Tail-node bins occupy columns 0-3, head-node bins columns 4-7; nodes
     without a counter, and counters without data in this record, are zero.
     """
-    out = np.zeros((len(graph.segments), 8), dtype=np.float64)
-    for i, seg in enumerate(graph.segments):
-        tail = record.volumes.get(seg.tail_node)
-        if tail is not None:
-            out[i, 0:4] = tail
-        head = record.volumes.get(seg.head_node)
-        if head is not None:
-            out[i, 4:8] = head
-    return out
+    return graph.node_volumes(record).take(graph.endpoint_rows, axis=0).reshape(len(graph.segments), 8)
 
 
-def normalized_counter_slice(graph: RoadGraph, record: VolumeRecord, norm_stats: NormStats) -> np.ndarray:
-    """The record's (N, 8) counter slice, z-normalized: ``FeatureBundle.counter_slice``."""
-    return (counter_slice_matrix(graph, record) - norm_stats.counter_mean) / norm_stats.counter_std
-
-
-def _floored_std(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    return np.maximum(values.std(axis=axis), SIGMA_FLOOR)
+def column_moments(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored sigma of each column over the rows of every (rows, columns) block, by running sums."""
+    total = total_sq = 0.0
+    count = 0
+    for x in blocks:
+        total = total + x.sum(axis=0)
+        total_sq = total_sq + (x * x).sum(axis=0)
+        count += x.shape[0]
+    mean = total / count
+    return mean, np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), SIGMA_FLOOR)
 
 
 def fit_normalization(
@@ -162,20 +159,7 @@ def fit_normalization(
     if len(train_records) == 0:
         raise ValueError("cannot fit normalization on an empty training set")
     cont = graph.continuous_matrix
-    cont_mean = cont.mean(axis=0)
-    cont_std = _floored_std(cont)
-
-    total = np.zeros(8)
-    total_sq = np.zeros(8)
-    count = 0
-    for record in train_records:
-        slice_ = counter_slice_matrix(graph, record)
-        total += slice_.sum(axis=0)
-        total_sq += (slice_ * slice_).sum(axis=0)
-        count += slice_.shape[0]
-    counter_mean = total / count
-    counter_var = np.maximum(total_sq / count - counter_mean**2, 0.0)
-    counter_std = np.maximum(np.sqrt(counter_var), SIGMA_FLOOR)
+    counter_mean, counter_std = column_moments(counter_slice_matrix(graph, r) for r in train_records)
 
     speed_arr = np.empty(0)
     if train_labels is not None:
@@ -183,8 +167,8 @@ def fit_normalization(
     if not speed_arr.size:
         speed_arr = np.array([s.flow_speed for s in graph.segments], dtype=np.float64)
     return NormStats(
-        cont_mean=cont_mean,
-        cont_std=cont_std,
+        cont_mean=cont.mean(axis=0),
+        cont_std=np.maximum(cont.std(axis=0), SIGMA_FLOOR),
         counter_mean=counter_mean,
         counter_std=counter_std,
         speed_mean=float(speed_arr.mean()),
@@ -195,22 +179,22 @@ def fit_normalization(
 def assemble_features(
     graph: RoadGraph,
     seg_graph: SegmentGraph,
-    record: VolumeRecord,
     priors: Mapping[str, PriorMatrix],
     norm_stats: NormStats,
     prior_mode: str = "full",
     cluster_index: int | None = None,
 ) -> FeatureBundle:
-    """Build the raw per-segment inputs for one record (pure function).
+    """Build the static per-segment inputs (pure function).
 
     ``prior_mode="full"`` flattens each segment's whole K x 3 prior matrix
-    row-major, so cluster i's distribution sits at offset 3*i;
-    ``"active_row"`` keeps only the row of ``cluster_index``.
+    row-major, so cluster i's distribution sits at offset 3*i, and one
+    bundle serves every record; ``"active_row"`` keeps only the row of
+    ``cluster_index``, and one bundle serves the records of that cluster.
     """
     if prior_mode not in ("full", "active_row"):
         raise ValueError(f"prior_mode must be 'full' or 'active_row', got {prior_mode!r}")
     if prior_mode == "active_row" and cluster_index is None:
-        raise ValueError("prior_mode 'active_row' needs the record's cluster_index")
+        raise ValueError("prior_mode 'active_row' needs a cluster_index")
 
     cont = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
 
@@ -226,6 +210,5 @@ def assemble_features(
     return FeatureBundle(
         categorical=graph.categorical_matrix,
         continuous=cont,
-        counter_slice=normalized_counter_slice(graph, record, norm_stats),
         prior_block=np.array(rows, dtype=np.float64),
     )

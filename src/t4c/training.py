@@ -6,11 +6,12 @@ Adam update. After every epoch the validation congestion score is
 computed and the best epoch's parameters are kept. One loop, ``fit_loop``,
 does this for the main model and for the node-GNN baseline. Ensemble members
 differ only by their seed, so a run builds its split, features, targets and
-class weights once (``prepare_training``) and trains every member from them.
+class weights once (``prepare_training``) and trains every member from them:
+one static feature bundle per cluster, one counter slice per record.
 Ensemble prediction (``prepare_ensemble`` once per stage, then
-``ensemble_predict`` per record) keeps each member's static branch per
-cluster and averages the members' probabilities (and de-normalized
-speeds) in a fixed summation order.
+``ensemble_predict`` per record) builds each member's static branch for
+every cluster up front and averages the members' probabilities (and
+de-normalized speeds) in a fixed summation order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,8 +46,8 @@ from .model import (
     record_branch,
     static_branch,
 )
-from .seggraph import (FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph, fit_normalization,
-                       normalized_counter_slice)
+from .seggraph import (FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph,
+                       counter_slice_matrix, fit_normalization)
 
 __all__ = [
     "TrainConfig",
@@ -178,25 +180,13 @@ def _chunks(items: list, size: int):
         yield items[i : i + size]
 
 
-def _record_features(
-    dataset_graph,
-    seg_graph: SegmentGraph,
-    record: VolumeRecord,
-    priors: Mapping[str, PriorMatrix],
-    norm_stats,
-    prior_mode: str,
-    cluster_model: ClusterModel | None,
-):
-    """One record's features; ``active_row`` mode takes the record's cluster row."""
-    cluster_index = None
-    if prior_mode == "active_row":
-        if cluster_model is None:
-            raise ValueError("prior_mode 'active_row' needs a cluster model")
-        cluster_index = assign_cluster(cluster_model, record)
-    return assemble_features(
-        dataset_graph, seg_graph, record, priors, norm_stats,
-        prior_mode=prior_mode, cluster_index=cluster_index,
-    )
+def _prior_row(prior_mode: str, cluster_model: ClusterModel | None, record: VolumeRecord) -> int | None:
+    """The prior row a record reads: its cluster in ``active_row`` mode, None (every row) in ``full`` mode."""
+    if prior_mode == "full":
+        return None
+    if cluster_model is None:
+        raise ValueError("prior_mode 'active_row' needs a cluster model")
+    return assign_cluster(cluster_model, record)
 
 
 def split_records(dataset: Dataset, train_cfg: TrainConfig) -> tuple[tuple[VolumeRecord, ...], ...]:
@@ -311,16 +301,16 @@ class TrainingSet:
     labels: LabelTable
     seg_graph: SegmentGraph
     norm_stats: NormStats
-    features: Mapping[str, FeatureBundle]  # by record id, for every daytime record
+    features: Mapping[str, FeatureBundle]  # by record id, for every daytime record; one bundle per cluster
+    counter_slices: Mapping[str, np.ndarray]  # by record id, for every daytime record; normalized
     targets: Mapping[str, LabelArrays]  # by record id, for every daytime record
     cc_weights: np.ndarray
     vol_weights: np.ndarray
 
 
 def _read_only(obj):
-    """``obj``, a dataclass, with its ndarray fields made read-only."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    """``obj``, an ndarray or a dataclass with ndarray fields, made read-only."""
+    for value in [obj] if isinstance(obj, np.ndarray) else [getattr(obj, f.name) for f in fields(obj)]:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return obj
@@ -334,22 +324,26 @@ def prepare_training(
     prior_mode: str,
     cc_classes: int,
 ) -> TrainingSet:
-    """The split, graph, norm stats, features, targets and class weights of a run.
+    """The split, graph, norm stats, features, counter slices, targets and class weights of a run.
 
     Only the prior mode (which features) and the congestion class count
     (which targets and weights) of the model config enter the set; any
-    config that agrees on both can train from it.
+    config that agrees on both can train from it. The records of one
+    cluster (every record in ``full`` mode) share one feature bundle.
     """
     records, train_records, val_records = split_records(dataset, train_cfg)
     labels = dataset.labels
-    seg_graph = build_line_graph(dataset.graph)
+    graph = dataset.graph
+    seg_graph = build_line_graph(graph)
     train_labels = labels.select(r.record_id for r in train_records)
-    norm_stats = _read_only(fit_normalization(dataset.graph, train_records, train_labels))
-    features = {
-        r.record_id: _read_only(
-            _record_features(dataset.graph, seg_graph, r, priors, norm_stats, prior_mode, cluster_model)
-        )
-        for r in records
+    norm_stats = _read_only(fit_normalization(graph, train_records, train_labels))
+    rows = {r.record_id: _prior_row(prior_mode, cluster_model, r) for r in records}
+    bundles = {
+        row: _read_only(assemble_features(graph, seg_graph, priors, norm_stats, prior_mode, row))
+        for row in dict.fromkeys(rows.values())
+    }
+    counter_slices = {
+        r.record_id: _read_only(norm_stats.normalize_counters(counter_slice_matrix(graph, r))) for r in records
     }
     label_map = labels_by_record(labels)
     targets = {
@@ -366,7 +360,8 @@ def prepare_training(
         labels=labels,
         seg_graph=seg_graph,
         norm_stats=norm_stats,
-        features=features,
+        features={rid: bundles[row] for rid, row in rows.items()},
+        counter_slices=counter_slices,
         targets=targets,
         cc_weights=inverse_frequency_weights([t.cc for t in train_targets], cc_classes),
         vol_weights=inverse_frequency_weights([t.vol for t in train_targets], 3),
@@ -390,9 +385,13 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
     seg_graph = ts.seg_graph
     store = init_params(model_cfg, seed)
 
+    def record_forward(params, record: VolumeRecord):
+        rid = record.record_id
+        return forward(params, model_cfg, seg_graph, ts.features[rid], ts.counter_slices[rid])
+
     def record_loss(record: VolumeRecord):
         loss, report = compute_loss(
-            forward(store, model_cfg, seg_graph, ts.features[record.record_id]),
+            record_forward(store, record),
             ts.targets[record.record_id],
             ts.cc_weights,
             ts.vol_weights,
@@ -401,8 +400,7 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
         return loss, (report.loss, report.loss_cc, report.loss_speed, report.loss_vol)
 
     def val_cc_probs(record: VolumeRecord) -> np.ndarray:
-        pred = forward(store.arrays(), model_cfg, seg_graph, ts.features[record.record_id])
-        return predict_probabilities(pred, ts.norm_stats).cc
+        return predict_probabilities(record_forward(store.arrays(), record), ts.norm_stats).cc
 
     fit = fit_loop(store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.labels, record_loss, val_cc_probs)
     ckpt = Checkpoint(
@@ -454,32 +452,31 @@ def predict_record(
     record: VolumeRecord,
     cluster_model: ClusterModel | None = None,
 ) -> PredictionProbs:
-    """Single-model probabilities for one record."""
-    features = _record_features(
-        dataset_graph, seg_graph, record, priors, ckpt.norm_stats, ckpt.config.prior_mode, cluster_model
-    )
-    pred = forward(ckpt.params, ckpt.config, seg_graph, features)
-    return predict_probabilities(pred, ckpt.norm_stats)
+    """Single-model probabilities for one record: the reference that ``ensemble_predict`` serves faster."""
+    prior_mode, norm_stats = ckpt.config.prior_mode, ckpt.norm_stats
+    row = _prior_row(prior_mode, cluster_model, record)
+    features = assemble_features(dataset_graph, seg_graph, priors, norm_stats, prior_mode, row)
+    counter_slice = norm_stats.normalize_counters(counter_slice_matrix(dataset_graph, record))
+    pred = forward(ckpt.params, ckpt.config, seg_graph, features, counter_slice)
+    return predict_probabilities(pred, norm_stats)
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Checkpoints of one config, ready to serve records one at a time.
 
-    ``prepare_ensemble`` builds it once per stage. ``stats_owner[k]`` is the
-    first member whose norm stats equal member k's: members that share an
-    owner share the features they read. ``static`` holds each member's
-    static branch by (member, cluster index), the index being None in
-    ``full`` prior mode; ``ensemble_predict`` fills it on first use.
+    ``prepare_ensemble`` builds it once per stage, and nothing in it is
+    written after that. ``static[row][k]`` is member k's static branch for
+    the records that read prior row ``row``: each cluster index in
+    ``active_row`` prior mode, the one key None in ``full`` mode. Its
+    arrays are read-only.
     """
 
     checkpoints: tuple[Checkpoint, ...]
     dataset_graph: RoadGraph
     seg_graph: SegmentGraph
-    priors: Mapping[str, PriorMatrix]
     cluster_model: ClusterModel | None
-    stats_owner: tuple[int, ...]
-    static: dict[tuple[int, int | None], np.ndarray] = field(default_factory=dict, repr=False)
+    static: Mapping[int | None, tuple[np.ndarray, ...]] = field(repr=False)
 
 
 def prepare_ensemble(
@@ -489,7 +486,7 @@ def prepare_ensemble(
     priors: Mapping[str, PriorMatrix],
     cluster_model: ClusterModel | None = None,
 ) -> Ensemble:
-    """Check that the members share one config, and group them by norm stats."""
+    """Check that the members share one config, and build every member's static branch for every prior row."""
     if not checkpoints:
         raise ValueError("prepare_ensemble needs at least one checkpoint")
     first = checkpoints[0]
@@ -498,44 +495,35 @@ def prepare_ensemble(
             raise ValueError(
                 f"checkpoint config hash mismatch: {ckpt.config_hash} vs {first.config_hash}"
             )
-    if first.config.prior_mode == "active_row" and cluster_model is None:
+    prior_mode = first.config.prior_mode
+    if prior_mode == "active_row" and cluster_model is None:
         raise ValueError("prior_mode 'active_row' needs a cluster model")
-    owners = tuple(
-        next(j for j in range(k + 1) if checkpoints[j].norm_stats.equals(ckpt.norm_stats))
-        for k, ckpt in enumerate(checkpoints)
-    )
-    return Ensemble(tuple(checkpoints), dataset_graph, seg_graph, priors, cluster_model, owners)
+    static = {
+        row: tuple(
+            _read_only(static_branch(ckpt.params, ckpt.config, assemble_features(
+                dataset_graph, seg_graph, priors, ckpt.norm_stats, prior_mode, row
+            )))
+            for ckpt in checkpoints
+        )
+        for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])
+    }
+    return Ensemble(tuple(checkpoints), dataset_graph, seg_graph, cluster_model, MappingProxyType(static))
 
 
 def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProbs:
     """Mean of member probabilities and speeds, summed in member order.
 
-    Per record, each group of members with equal norm stats builds only
-    the normalized counter slice. A member's static branch is built once
-    per cluster (once in ``full`` mode), from the features of the first
-    record that needs it, and reused: it reads no counter volume.
+    Per record, only the raw counter slice is built, once; each member
+    normalizes it with its own norm stats and runs its record branch on
+    the static branch of the record's prior row.
     """
     ens = ensemble
-    prior_mode = ens.checkpoints[0].config.prior_mode
-    cluster = assign_cluster(ens.cluster_model, record) if prior_mode == "active_row" else None
-    features: dict[int, FeatureBundle] = {}
-    slices: dict[int, np.ndarray] = {}
+    row = _prior_row(ens.checkpoints[0].config.prior_mode, ens.cluster_model, record)
+    raw = counter_slice_matrix(ens.dataset_graph, record)
     members = []
-    for k, ckpt in enumerate(ens.checkpoints):
-        owner = ens.stats_owner[k]
-        static = ens.static.get((k, cluster))
-        if static is None:
-            if owner not in features:
-                features[owner] = assemble_features(
-                    ens.dataset_graph, ens.seg_graph, record, ens.priors, ckpt.norm_stats,
-                    prior_mode=prior_mode, cluster_index=cluster,
-                )
-            static = static_branch(ckpt.params, ckpt.config, features[owner])
-            static.setflags(write=False)
-            ens.static[(k, cluster)] = static
-        if owner not in slices:
-            slices[owner] = normalized_counter_slice(ens.dataset_graph, record, ckpt.norm_stats)
-        pred = record_branch(ckpt.params, ckpt.config, ens.seg_graph, slices[owner], static)
+    for ckpt, static in zip(ens.checkpoints, ens.static[row]):
+        counter_slice = ckpt.norm_stats.normalize_counters(raw)
+        pred = record_branch(ckpt.params, ckpt.config, ens.seg_graph, counter_slice, static)
         members.append(predict_probabilities(pred, ckpt.norm_stats))
     n = float(len(members))
     return PredictionProbs(

@@ -17,6 +17,7 @@ from t4c.data import (
     SuperSegment,
     VolumeRecord,
 )
+from t4c.seggraph import assemble_features, counter_slice_matrix
 
 
 def make_segment(seg_id, tail, head, **overrides):
@@ -91,6 +92,13 @@ def toy_dataset(toy_graph) -> Dataset:
         SuperSegment("ss0", ("e1", "e2"), {"r0": 30.0, "r1": 28.0, "r2": 35.0}),
     )
     return Dataset(toy_graph, records, labels, supersegments)
+
+
+def record_inputs(graph, seg_graph, record, priors, norm_stats, **kwargs):
+    """The two inputs ``model.forward`` takes for one record: the static feature
+    bundle (``kwargs`` pick the prior mode and row) and the normalized counter slice."""
+    bundle = assemble_features(graph, seg_graph, priors, norm_stats, **kwargs)
+    return bundle, norm_stats.normalize_counters(counter_slice_matrix(graph, record))
 
 
 def central_diff_tensor(f, tensor, h=1e-5) -> np.ndarray:

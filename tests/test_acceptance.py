@@ -79,7 +79,7 @@ def ordering_fit(ordering_city):
 def test_criterion_1_gradient_correctness():
     started = time.perf_counter()
     cfg = TINY
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     labels = six_segment_labels()
     cc_w = np.array([1.0, 2.0, 0.5])
     vol_w = np.array([0.7, 1.0, 1.3])
@@ -87,11 +87,11 @@ def test_criterion_1_gradient_correctness():
 
     def loss_value() -> float:
         loss, _ = compute_loss(
-            forward(store, cfg, seg_graph, feats), labels, cc_w, vol_w, cfg.lambdas
+            forward(store, cfg, seg_graph, feats, counter), labels, cc_w, vol_w, cfg.lambdas
         )
         return loss.item()
 
-    loss, _ = compute_loss(forward(store, cfg, seg_graph, feats), labels, cc_w, vol_w, cfg.lambdas)
+    loss, _ = compute_loss(forward(store, cfg, seg_graph, feats, counter), labels, cc_w, vol_w, cfg.lambdas)
     store.zero_grad()
     loss.backward()
     numeric = central_diff_store(loss_value, store, h=1e-5)
@@ -149,9 +149,9 @@ def test_criterion_2_clustering_properties(toy_graph):
 def test_criterion_3_loss_identity():
     cfg = TINY
     assert cfg.lambdas == (0.03, 1.0, 1.0)
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=5)
-    pred = forward(store, cfg, seg_graph, feats)
+    pred = forward(store, cfg, seg_graph, feats, counter)
     _, report = compute_loss(pred, six_segment_labels(), np.ones(3), np.ones(3), cfg.lambdas)
     recombined = (0.03 * report.loss_cc + 1.0 * report.loss_speed) + 1.0 * report.loss_vol
     gap = abs(report.loss - recombined)

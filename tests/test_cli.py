@@ -318,10 +318,13 @@ def test_report_on_damaged_runlog_exits_one_naming_the_file(pipeline, capsys, da
     '{"record_id": "r0000", "etas": {"ss00": [1]}}',
     '{"record_id": "r0000", "etas": {"ss00": "fast"}}',
     '{"record_id": "r0000", "etas": {"ss00": true}}',
+    '{"record_id": "r0000", "etas": {"ss00": 1' + "0" * 400 + '}}',
+    '{"record_id": "r0000", "etas": {"ss00": NaN}}',
+    '{"record_id": "r0000", "etas": {"ss00": Infinity}}',
     b'{"record_id": "r0000\xff"}',
     "{not json",
 ], ids=["list", "no_record_id", "numeric_record_id", "segments_list", "etas_number", "segment_entry_list",
-        "eta_list", "eta_string", "eta_bool", "not_utf8", "invalid_json"])
+        "eta_list", "eta_string", "eta_bool", "eta_huge_int", "eta_nan", "eta_infinity", "not_utf8", "invalid_json"])
 def test_eval_on_a_malformed_prediction_row_exits_one_naming_path_and_line(pipeline, capsys, stage, line):
     pred = pipeline / "malformed.jsonl"
     good = b'{"record_id": "r0000", "segments": {"s0000": {"cc": [0.2, 0.3, 0.5]}}, "etas": {"ss00": 61.5}}\n'

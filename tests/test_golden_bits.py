@@ -1,9 +1,10 @@
 """Exact figures of a short run on the acceptance city.
 
 The digests below were recorded from a 1-member x 2-epoch run of the
-acceptance configuration, and from the CLI's ``synth``, ``fit-clusters``
-and ``eval-core`` (on the two counting baselines' predictions) with their
-defaults. Changes that claim to keep every bit (fused ops, reordered
+acceptance configuration, from the CLI's ``predict`` after a 2-member x
+1-epoch ``train`` of that configuration in each prior mode, and from the
+CLI's ``synth``, ``fit-clusters`` and ``eval-core`` (on the two counting
+baselines' predictions) with their defaults. Changes that claim to keep every bit (fused ops, reordered
 bookkeeping, the columnar label table) are held to them here. They assume
 float64 numpy with the OpenBLAS build it was recorded with; a BLAS that
 rounds its products differently fails this test for that reason alone.
@@ -11,9 +12,10 @@ rounds its products differently fails this test for that reason alone.
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
+import pytest
 
 from t4c import autodiff as ad
 from t4c.baselines import node_gnn_baseline
@@ -37,6 +39,10 @@ SYNTH_SHA256 = {
     "nodes.csv": "1098e82487cc1978181147d27e2939f5ecaa18b5b1dd24d9be316b9acb498042",
     "supersegments.json": "2ac2ac877bec866bae70f2fc646517bd3872870494ac8584af705070c7701070",
     "volumes.jsonl": "e9e76852bbe1b7440083ff91f9ce55412433c5d85ef40b048111fb20ad0a90ef",
+}
+PREDICT_SHA256 = {  # prior mode -> sha256 of predictions.jsonl over every daytime record
+    "full": "1664e689035459e248ff7884a867f27d6025d45e0b6829e470b706440fe1ecfc",
+    "active_row": "34da48bba145d675c2e387a6eb592807f5a9004c4f2ba96ce7e0206a64297f5e",
 }
 CLUSTERS_SHA256 = "8d9f63f9ec59b6970cbbfdea2aeea071f71b962190e2ec722e3b9da737846e80"
 EVAL_CORE = {  # baseline -> (score hex, sha256 of the report with its per-record scores)
@@ -64,6 +70,23 @@ def test_two_epoch_run_reproduces_the_recorded_bits(ordering_city, ordering_fit,
     assert float.hex(node_gnn_baseline(dataset, GOLDEN_TRAIN, seed=0)) == NODE_GNN_SCORE_HEX
 
 
+@pytest.mark.parametrize("prior_mode", sorted(PREDICT_SHA256))
+def test_two_member_predictions_reproduce_the_recorded_bits(ordering_city, tmp_path, prior_mode):
+    _, city = ordering_city
+    config = {
+        "data": str(city),
+        "model": asdict(replace(ORDERING_MODEL, prior_mode=prior_mode)),
+        "train": asdict(replace(ORDERING_TRAIN, epochs=1, ensemble_size=2)),
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    wd = ["--workdir", str(tmp_path)]
+    common = ["--config", "config.json", "--cluster-model", "clusters.json"]
+    assert main(wd + ["fit-clusters", "--config", "config.json", "--out", "clusters.json"]) == 0
+    assert main(wd + ["train", *common, "--out", "run"]) == 0
+    assert main(wd + ["predict", *common, "--run", "run", "--records", "all", "--out", "predictions.jsonl"]) == 0
+    assert _sha256(tmp_path / "predictions.jsonl") == PREDICT_SHA256[prior_mode]
+
+
 def test_one_training_record_records_33_ops(ordering_city, ordering_fit, monkeypatch):
     """Forward plus loss of one record: one op per linear layer and per GNN round."""
     dataset, _ = ordering_city
@@ -78,7 +101,7 @@ def test_one_training_record_records_33_ops(ordering_city, ordering_fit, monkeyp
         return result(data, parents, backward)
 
     monkeypatch.setattr(ad, "_result", counting_result)
-    pred = forward(store, ORDERING_MODEL, ts.seg_graph, ts.features[record_id])
+    pred = forward(store, ORDERING_MODEL, ts.seg_graph, ts.features[record_id], ts.counter_slices[record_id])
     loss, _ = compute_loss(pred, ts.targets[record_id], ts.cc_weights, ts.vol_weights, ORDERING_MODEL.lambdas)
     assert len(recorded) == 33
     loss.backward()

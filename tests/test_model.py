@@ -21,9 +21,9 @@ from t4c.model import (
     make_label_arrays,
     predict_probabilities,
 )
-from t4c.seggraph import NormStats, SegmentGraph, assemble_features, build_line_graph
+from t4c.seggraph import NormStats, SegmentGraph, build_line_graph
 
-from conftest import central_diff_store, make_segment, max_rel_error
+from conftest import central_diff_store, make_segment, max_rel_error, record_inputs
 
 TINY = ModelConfig(
     volume_hidden=(8,),
@@ -80,11 +80,11 @@ def six_segment_setup(cfg=TINY, seed=0):
     from t4c.seggraph import fit_normalization
 
     stats = fit_normalization(graph, [record])
-    feats = assemble_features(
+    feats, counter = record_inputs(
         graph, seg_graph, record, random_priors(graph, cfg.num_clusters, seed), stats,
         prior_mode=cfg.prior_mode, cluster_index=1 if cfg.prior_mode == "active_row" else None,
     )
-    return graph, seg_graph, feats
+    return graph, seg_graph, feats, counter
 
 
 def six_segment_labels():
@@ -123,14 +123,14 @@ def test_isolated_segment_matches_manual_layer_oracle():
     seg_graph = build_line_graph(graph)
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (5, 2, 0, 7)})
     priors = random_priors(graph, cfg.num_clusters, seed=3)
-    feats = assemble_features(graph, seg_graph, record, priors, identity_stats())
+    feats, counter = record_inputs(graph, seg_graph, record, priors, identity_stats())
     store = init_params(cfg, seed=9)
-    pred = forward(store, cfg, seg_graph, feats)
+    pred = forward(store, cfg, seg_graph, feats, counter)
 
     def p(name):
         return store[name].data
 
-    x = feats.counter_slice
+    x = counter
     for i in range(len(cfg.volume_hidden)):
         x = np.maximum(x @ p(f"vol{i}_w") + p(f"vol{i}_b"), 0.0)
     emb = np.concatenate(
@@ -164,9 +164,9 @@ def test_isolated_segment_matches_manual_layer_oracle():
 
 def test_permutation_equivariance():
     cfg = TINY
-    graph, seg_graph, feats = six_segment_setup(cfg)
+    graph, seg_graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=4)
-    base = forward(store, cfg, seg_graph, feats)
+    base = forward(store, cfg, seg_graph, feats, counter)
 
     perm = np.array([3, 0, 5, 1, 4, 2])
     inv = np.argsort(perm)
@@ -181,10 +181,9 @@ def test_permutation_equivariance():
     permuted_feats = FeatureBundle(
         categorical=feats.categorical[perm],
         continuous=feats.continuous[perm],
-        counter_slice=feats.counter_slice[perm],
         prior_block=feats.prior_block[perm],
     )
-    permuted = forward(store, cfg, permuted_graph, permuted_feats)
+    permuted = forward(store, cfg, permuted_graph, permuted_feats, counter[perm])
     assert np.allclose(permuted.cc_logits.data, base.cc_logits.data[perm], atol=1e-12)
     assert np.allclose(permuted.speed_pred.data, base.speed_pred.data[perm], atol=1e-12)
     assert np.allclose(permuted.vol_logits.data, base.vol_logits.data[perm], atol=1e-12)
@@ -203,9 +202,9 @@ def test_permutation_equivariance():
 
 def test_loss_decomposition_identity():
     cfg = TINY
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=5)
-    pred = forward(store, cfg, seg_graph, feats)
+    pred = forward(store, cfg, seg_graph, feats, counter)
     w = np.ones(3)
     lambdas = (0.03, 1.0, 1.0)
     _, report = compute_loss(pred, six_segment_labels(), w, w, lambdas)
@@ -223,9 +222,9 @@ def test_lambda_arithmetic_example():
 
 def test_all_masked_labels_give_zero_loss():
     cfg = TINY
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=6)
-    pred = forward(store, cfg, seg_graph, feats)
+    pred = forward(store, cfg, seg_graph, feats, counter)
     n = seg_graph.num_segments
     empty = LabelArrays(
         cc=np.full(n, -1), speed=np.zeros(n), speed_mask=np.zeros(n, bool), vol=np.full(n, -1)
@@ -244,14 +243,14 @@ def test_unlabeled_segment_does_not_change_loss():
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (1, 2, 3, 4)})
     priors = random_priors(graph, cfg.num_clusters, seed=8)
     stats = identity_stats()
-    feats = assemble_features(graph, seg_graph, record, priors, stats)
+    feats, counter = record_inputs(graph, seg_graph, record, priors, stats)
     store = init_params(cfg, seed=7)
     labels = LabelArrays(
         cc=np.array([1, 2]), speed=np.array([0.1, -0.4]),
         speed_mask=np.array([True, True]), vol=np.array([0, 2]),
     )
     w = np.ones(3)
-    _, before = compute_loss(forward(store, cfg, seg_graph, feats), labels, w, w)
+    _, before = compute_loss(forward(store, cfg, seg_graph, feats, counter), labels, w, w)
 
     bigger = graph_from_edges([("A", "B"), ("B", "C"), ("X", "Y")], counters={"A": "c0"})
     # keep the original two segments' attributes identical
@@ -264,12 +263,12 @@ def test_unlabeled_segment_does_not_change_loss():
     priors2 = dict(random_priors(bigger, cfg.num_clusters, seed=8))
     priors2["e0"] = priors["e0"]
     priors2["e1"] = priors["e1"]
-    feats2 = assemble_features(bigger, seg_graph2, record, priors2, stats)
+    feats2, counter2 = record_inputs(bigger, seg_graph2, record, priors2, stats)
     labels2 = LabelArrays(
         cc=np.array([1, 2, -1]), speed=np.array([0.1, -0.4, 0.0]),
         speed_mask=np.array([True, True, False]), vol=np.array([0, 2, -1]),
     )
-    _, after = compute_loss(forward(store, cfg, seg_graph2, feats2), labels2, w, w)
+    _, after = compute_loss(forward(store, cfg, seg_graph2, feats2, counter2), labels2, w, w)
     assert abs(before.loss - after.loss) <= 1e-12
     assert abs(before.loss_cc - after.loss_cc) <= 1e-12
     assert abs(before.loss_speed - after.loss_speed) <= 1e-12
@@ -278,18 +277,18 @@ def test_unlabeled_segment_does_not_change_loss():
 
 def test_end_to_end_gradient_check_six_segments():
     cfg = TINY
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     labels = six_segment_labels()
     cc_w = np.array([1.0, 2.0, 0.5])
     vol_w = np.array([0.7, 1.0, 1.3])
     store = init_params(cfg, seed=11)
 
     def loss_value() -> float:
-        pred = forward(store, cfg, seg_graph, feats)
+        pred = forward(store, cfg, seg_graph, feats, counter)
         loss, _ = compute_loss(pred, labels, cc_w, vol_w, cfg.lambdas)
         return loss.item()
 
-    pred = forward(store, cfg, seg_graph, feats)
+    pred = forward(store, cfg, seg_graph, feats, counter)
     loss, _ = compute_loss(pred, labels, cc_w, vol_w, cfg.lambdas)
     store.zero_grad()
     loss.backward()
@@ -301,19 +300,19 @@ def test_end_to_end_gradient_check_six_segments():
 
 def test_ablation_gates_zero_the_right_slices():
     cfg = TINY
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=12)
-    base = forward(store, cfg, seg_graph, feats)
+    base = forward(store, cfg, seg_graph, feats, counter)
 
     from t4c.seggraph import FeatureBundle
 
     no_prior_cfg = replace(cfg, use_prior_block=False)
     zeroed_feats = FeatureBundle(
         categorical=feats.categorical, continuous=feats.continuous,
-        counter_slice=feats.counter_slice, prior_block=np.zeros_like(feats.prior_block),
+        prior_block=np.zeros_like(feats.prior_block),
     )
-    gated = forward(store, no_prior_cfg, seg_graph, feats)
-    explicit = forward(store, cfg, seg_graph, zeroed_feats)
+    gated = forward(store, no_prior_cfg, seg_graph, feats, counter)
+    explicit = forward(store, cfg, seg_graph, zeroed_feats, counter)
     assert np.allclose(gated.cc_logits.data, explicit.cc_logits.data, atol=1e-12)
     # and it actually differs from the full model
     assert not np.allclose(gated.cc_logits.data, base.cc_logits.data)
@@ -321,18 +320,18 @@ def test_ablation_gates_zero_the_right_slices():
     no_static_cfg = replace(cfg, use_static=False)
     blanked = FeatureBundle(
         categorical=np.zeros_like(feats.categorical), continuous=np.zeros_like(feats.continuous),
-        counter_slice=feats.counter_slice, prior_block=feats.prior_block,
+        prior_block=feats.prior_block,
     )
-    gated_static = forward(store, no_static_cfg, seg_graph, feats)
-    explicit_static = forward(store, no_static_cfg, seg_graph, blanked)
+    gated_static = forward(store, no_static_cfg, seg_graph, feats, counter)
+    explicit_static = forward(store, no_static_cfg, seg_graph, blanked, counter)
     assert np.allclose(gated_static.cc_logits.data, explicit_static.cc_logits.data, atol=1e-12)
 
 
 def test_no_gnn_heads_read_pre_aggregation_features():
     cfg = replace(TINY, gnn_layers=0)
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=13)
-    pred = forward(store, cfg, seg_graph, feats)
+    pred = forward(store, cfg, seg_graph, feats, counter)
     assert np.all(np.isfinite(pred.cc_logits.data))
     assert not any(name.startswith("gnn") for name in store.names())
 
@@ -344,10 +343,10 @@ def test_no_gnn_heads_read_pre_aggregation_features():
 )
 def test_forward_on_arrays_equals_forward_on_a_param_store(overrides):
     cfg = replace(TINY, **overrides)
-    _graph, seg_graph, feats = six_segment_setup(cfg)
+    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=4)
-    traced = forward(store, cfg, seg_graph, feats)
-    plain = forward(store.arrays(), cfg, seg_graph, feats)
+    traced = forward(store, cfg, seg_graph, feats, counter)
+    plain = forward(store.arrays(), cfg, seg_graph, feats, counter)
     for name in ("cc_logits", "speed_pred", "vol_logits"):
         value = getattr(plain, name)
         assert type(value) is np.ndarray
@@ -419,7 +418,7 @@ def test_overfit_small_instance_memorizes():
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"N0": (3, 1, 4, 1), "N5": (2, 7, 1, 8)})
     from t4c.seggraph import fit_normalization
 
-    feats = assemble_features(
+    feats, counter = record_inputs(
         graph, seg_graph, record, random_priors(graph, 3, seed=2),
         fit_normalization(graph, [record]),
     )
@@ -434,7 +433,7 @@ def test_overfit_small_instance_memorizes():
     w = np.ones(3)
     final_cc = None
     for _ in range(500):
-        pred = forward(store, cfg, seg_graph, feats)
+        pred = forward(store, cfg, seg_graph, feats, counter)
         loss, report = compute_loss(pred, labels, w, w, cfg.lambdas)
         store.zero_grad()
         loss.backward()

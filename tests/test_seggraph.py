@@ -12,7 +12,7 @@ from t4c import autodiff as ad
 from t4c import seggraph
 from t4c.autodiff import Tensor
 from t4c.clustering import PriorMatrix
-from t4c.data import NodeRec, RoadGraph, VolumeRecord
+from t4c.data import NodeRec, RoadGraph, SynthSpec, VolumeRecord, generate_synthetic_city
 from t4c.model import ModelConfig, forward, init_params
 from t4c.seggraph import (
     NormStats,
@@ -23,7 +23,7 @@ from t4c.seggraph import (
     mean_aggregation_matrix,
 )
 
-from conftest import central_diff_tensor, label_table, make_segment, max_rel_error
+from conftest import central_diff_tensor, label_table, make_segment, max_rel_error, record_inputs
 
 
 def graph_from_edges(edges, counters=None):
@@ -159,9 +159,9 @@ def test_mean_operator_is_built_once_per_graph(toy_graph, monkeypatch):
     seg_graph = build_line_graph(toy_graph)
     config = ModelConfig(volume_hidden=(4,), static_hidden=(4,), hidden=4, head_blocks=1)
     store = init_params(config, seed=0)
-    features = assemble_features(toy_graph, seg_graph, record("r0", {}), uniform_priors(toy_graph), identity_stats())
-    first = forward(store, config, seg_graph, features)
-    second = forward(store, config, seg_graph, features)
+    features = record_inputs(toy_graph, seg_graph, record("r0", {}), uniform_priors(toy_graph), identity_stats())
+    first = forward(store, config, seg_graph, *features)
+    second = forward(store, config, seg_graph, *features)
     assert len(builds) == 2  # one more for the new graph, none for the second forward
     assert np.array_equal(first.cc_logits.data, second.cc_logits.data)
 
@@ -251,11 +251,26 @@ def test_counter_slice_uses_own_endpoints(toy_graph):
     assert slice_[2].tolist() == [0, 0, 0, 0, 1, 2, 3, 4]
 
 
+def test_gathered_counter_slice_equals_a_per_segment_loop_on_every_record(tmp_path):
+    spec = SynthSpec(num_nodes=30, counter_fraction=0.3, num_records=40, records_per_day=10)
+    dataset = generate_synthetic_city(spec, seed=4, out_dir=tmp_path / "city")
+    graph = dataset.graph
+    assert graph.endpoint_rows.shape == (len(graph.segments), 2) and not graph.endpoint_rows.flags.writeable
+    for rec in dataset.records:
+        oracle = np.zeros((len(graph.segments), 8))
+        for i, seg in enumerate(graph.segments):
+            for offset, node in ((0, seg.tail_node), (4, seg.head_node)):
+                if node in rec.volumes:
+                    oracle[i, offset:offset + 4] = rec.volumes[node]
+        assert counter_slice_matrix(graph, rec).tobytes() == oracle.tobytes(), rec.record_id
+    assert any(rec.volumes for rec in dataset.records)
+
+
 def test_feature_at_training_mean_normalizes_to_zero(toy_graph):
     seg_graph = build_line_graph(toy_graph)
     stats = fit_normalization(toy_graph, [record("r0", {})])
     bundle = assemble_features(
-        toy_graph, seg_graph, record("r0", {}), uniform_priors(toy_graph), stats
+        toy_graph, seg_graph, uniform_priors(toy_graph), stats
     )
     # limit_speed is 50 everywhere -> z-score exactly 0
     col = 4
@@ -270,7 +285,7 @@ def test_prior_row_lands_at_cluster_offset(toy_graph):
     matrix[3] = row
     priors["e1"] = PriorMatrix("e1", matrix, np.zeros(10, dtype=int))
     bundle = assemble_features(
-        toy_graph, seg_graph, record("r0", {}), priors, identity_stats()
+        toy_graph, seg_graph, priors, identity_stats()
     )
     assert bundle.prior_block.shape == (3, 30)
     assert bundle.prior_block[0, 9:12].tolist() == [0.5, 0.25, 0.25]
@@ -283,7 +298,7 @@ def test_active_row_mode_selects_single_row(toy_graph):
     matrix[2] = [0.1, 0.2, 0.7]
     priors["e2"] = PriorMatrix("e2", matrix, np.zeros(4, dtype=int))
     bundle = assemble_features(
-        toy_graph, seg_graph, record("r0", {}), priors, identity_stats(),
+        toy_graph, seg_graph, priors, identity_stats(),
         prior_mode="active_row", cluster_index=2,
     )
     assert bundle.prior_block.shape == (3, 3)
@@ -294,7 +309,7 @@ def test_active_row_requires_cluster_index(toy_graph):
     seg_graph = build_line_graph(toy_graph)
     with pytest.raises(ValueError):
         assemble_features(
-            toy_graph, seg_graph, record("r0", {}), uniform_priors(toy_graph),
+            toy_graph, seg_graph, uniform_priors(toy_graph),
             identity_stats(), prior_mode="active_row",
         )
 
@@ -304,7 +319,7 @@ def test_missing_prior_rejected(toy_graph):
     priors = uniform_priors(toy_graph)
     del priors["e2"]
     with pytest.raises(ValueError) as err:
-        assemble_features(toy_graph, seg_graph, record("r0", {}), priors, identity_stats())
+        assemble_features(toy_graph, seg_graph, priors, identity_stats())
     assert "e2" in str(err.value)
 
 
@@ -313,9 +328,9 @@ def test_assembly_is_pure(toy_graph):
     rec = record("r0", {"A": (1, 2, 3, 4)})
     stats = fit_normalization(toy_graph, [rec])
     priors = uniform_priors(toy_graph)
-    a = assemble_features(toy_graph, seg_graph, rec, priors, stats)
-    b = assemble_features(toy_graph, seg_graph, rec, priors, stats)
+    a, a_counter_slice = record_inputs(toy_graph, seg_graph, rec, priors, stats)
+    b, b_counter_slice = record_inputs(toy_graph, seg_graph, rec, priors, stats)
     assert np.array_equal(a.categorical, b.categorical)
     assert np.array_equal(a.continuous, b.continuous)
-    assert np.array_equal(a.counter_slice, b.counter_slice)
+    assert np.array_equal(a_counter_slice, b_counter_slice)
     assert np.array_equal(a.prior_block, b.prior_block)

@@ -3,7 +3,8 @@ selection, ensembling exactness, and checkpoint round-trips."""
 
 import json
 import re
-from dataclasses import replace
+from collections.abc import Mapping
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from t4c.checkpoint import load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, labels_by_record, split_train_validation
 from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params
-from t4c.seggraph import assemble_features, build_line_graph, fit_normalization
+from t4c.seggraph import build_line_graph, fit_normalization
 from t4c.training import (
     TrainConfig,
     ensemble_predict,
@@ -28,7 +29,7 @@ from t4c.training import (
     train_one,
 )
 
-from conftest import rewrite_checkpoint_header
+from conftest import record_inputs, rewrite_checkpoint_header
 
 SMALL_MODEL = ModelConfig(
     volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16,
@@ -208,7 +209,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
 
     r1, r2 = train_records[0], train_records[1]
     feats = {
-        r.record_id: assemble_features(dataset.graph, seg_graph, r, priors, stats)
+        r.record_id: record_inputs(dataset.graph, seg_graph, r, priors, stats)
         for r in (r1, r2)
     }
     targets = {
@@ -220,7 +221,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     def grads_for(record, store):
         store.zero_grad()
         loss, _ = compute_loss(
-            forward(store, SMALL_MODEL, seg_graph, feats[record.record_id]),
+            forward(store, SMALL_MODEL, seg_graph, *feats[record.record_id]),
             targets[record.record_id], w, w,
         )
         loss.backward()
@@ -240,7 +241,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     store_batch.zero_grad()
     for record in (r1, r2):
         loss, _ = compute_loss(
-            forward(store_batch, SMALL_MODEL, seg_graph, feats[record.record_id]),
+            forward(store_batch, SMALL_MODEL, seg_graph, *feats[record.record_id]),
             targets[record.record_id], w, w,
         )
         loss.backward()
@@ -342,40 +343,44 @@ def test_ensemble_of_any_member_subset_and_order_is_the_ordered_member_mean(
     assert np.all(np.abs(ensembled.vol.sum(axis=1) - 1.0) <= 1e-12)
 
 
-def test_ensemble_builds_features_once_per_distinct_norm_stats(small_city, three_members, monkeypatch):
-    """Per stage: one static-branch build per member and cluster, and one feature build per
-    distinct norm stats and cluster; per record: one counter slice per distinct norm stats."""
+def _count_calls(monkeypatch, module, names):
+    """Count the calls ``module`` makes to each of ``names`` (as its own global)."""
+    counts = {name: [] for name in names}
+    for name, calls in counts.items():
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _calls=calls, **kw: _calls.append(1) or _real(*a, **kw))
+    return counts
+
+
+def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_record(
+    small_city, three_members, monkeypatch
+):
+    """Per stage: one static-branch build per member and prior row; per record: one raw
+    counter slice, which each member normalizes, also when the members' norm stats differ."""
     import t4c.training as training
 
     dataset, _cluster_model, priors = small_city
     checkpoints = [ckpt for ckpt, _ in three_members]
     seg_graph = build_line_graph(dataset.graph)
     records = dataset.records[5:9]
-    counts = {"assemble_features": [], "static_branch": [], "normalized_counter_slice": []}
-    for name, calls in counts.items():
-        real = getattr(training, name)
-        monkeypatch.setattr(training, name, lambda *a, _real=real, _calls=calls, **kw: _calls.append(1) or _real(*a, **kw))
-
-    ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors)
-    for record in records:
-        ensemble_predict(ensemble, record)
-    # full prior mode: the static branch is the same for every record, so one cluster
-    assert {name: len(calls) for name, calls in counts.items()} == {
-        "assemble_features": 1, "static_branch": 3, "normalized_counter_slice": len(records),
-    }
-    assert sorted(ensemble.static) == [(0, None), (1, None), (2, None)]
+    counts = _count_calls(monkeypatch, training, ("assemble_features", "static_branch", "counter_slice_matrix"))
 
     stats = checkpoints[1].norm_stats
     shifted = replace(checkpoints[1], norm_stats=replace(stats, counter_mean=stats.counter_mean + 0.5))
     mixed = [checkpoints[0], shifted, checkpoints[2]]
-    for calls in counts.values():
-        calls.clear()
-    ensemble = prepare_ensemble(mixed, dataset.graph, seg_graph, priors)
-    assert ensemble.stats_owner == (0, 1, 0)
-    ensembled = [ensemble_predict(ensemble, record) for record in records]
-    assert {name: len(calls) for name, calls in counts.items()} == {
-        "assemble_features": 2, "static_branch": 3, "normalized_counter_slice": 2 * len(records),
-    }
+    for members in (checkpoints, mixed):
+        for calls in counts.values():
+            calls.clear()
+        ensemble = prepare_ensemble(members, dataset.graph, seg_graph, priors)
+        # full prior mode: the static branch is the same for every record, so one prior row
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "assemble_features": 3, "static_branch": 3, "counter_slice_matrix": 0,
+        }
+        ensembled = [ensemble_predict(ensemble, record) for record in records]
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "assemble_features": 3, "static_branch": 3, "counter_slice_matrix": len(records),
+        }
+        assert list(ensemble.static) == [None] and len(ensemble.static[None]) == 3
     for record, probs in zip(records, ensembled):
         singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in mixed]
         for field in ("cc", "speed_kph", "vol"):
@@ -388,7 +393,9 @@ def test_ensemble_builds_features_once_per_distinct_norm_stats(small_city, three
     {"prior_mode": "active_row", "use_static": False, "use_prior_block": False},
     {"use_static": False, "use_prior_block": False},
 ], ids=["full", "active_row", "active_row_gates_off", "full_gates_off"])
-def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, change):
+def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, change, monkeypatch):
+    import t4c.training as training
+
     dataset, cluster_model, priors = small_city
     model_cfg = replace(SMALL_MODEL, **change)
     cfg = replace(SMALL_TRAIN, epochs=1, ensemble_size=2)
@@ -398,15 +405,52 @@ def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, 
     clusters = {assign_cluster(cluster_model, r) for r in records}
     assert len(clusters) >= 2
 
+    counts = _count_calls(monkeypatch, training, ("assemble_features", "static_branch", "counter_slice_matrix"))
     ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
+    prior_rows = list(range(cluster_model.num_clusters)) if model_cfg.prior_mode == "active_row" else [None]
+    assert list(ensemble.static) == prior_rows
+    assert (len(counts["static_branch"]), len(counts["counter_slice_matrix"])) == (2 * len(prior_rows), 0)
     for record in records:
+        before = {name: len(calls) for name, calls in counts.items()}
         ensembled = ensemble_predict(ensemble, record)
+        per_record = {name: len(calls) - before[name] for name, calls in counts.items()}
+        assert per_record == {"assemble_features": 0, "static_branch": 0, "counter_slice_matrix": 1}
         singles = [predict_record(c, dataset.graph, seg_graph, priors, record, cluster_model) for c in checkpoints]
         for field in ("cc", "speed_kph", "vol"):
             assert getattr(ensembled, field).tobytes() == _ordered_mean(singles, field).tobytes(), (record, field)
-    keys = {(k, c) for k in range(2) for c in (clusters if model_cfg.prior_mode == "active_row" else [None])}
-    assert set(ensemble.static) == keys
-    assert not any(static.flags.writeable for static in ensemble.static.values())
+    assert all(len(members) == 2 for members in ensemble.static.values())
+    assert not any(static.flags.writeable for members in ensemble.static.values() for static in members)
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through dataclass fields, mappings, sequences and cached properties."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, Mapping):
+        for value in obj.values():
+            yield from _arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value, seen)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from _arrays(value, seen)
+
+
+def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members):
+    dataset, cluster_model, priors = small_city
+    checkpoints = [ckpt for ckpt, _ in three_members]
+    ensemble = prepare_ensemble(checkpoints, dataset.graph, build_line_graph(dataset.graph), priors, cluster_model)
+    ensemble_predict(ensemble, dataset.records[0])
+    served = [a for f in fields(ensemble) if f.name != "checkpoints" for a in _arrays(getattr(ensemble, f.name))]
+    assert len(served) > len(ensemble.static)
+    assert not [a.shape for a in served if a.flags.writeable]
+    with pytest.raises(TypeError):
+        ensemble.static[None] = ()
 
 
 def test_active_row_ensemble_needs_a_cluster_model(small_city, trained):
@@ -468,10 +512,32 @@ def test_members_from_one_training_set_equal_members_from_fresh_sets(small_city,
         assert ckpt.equals(fresh_ckpt), seed
         assert runlog == fresh_runlog, seed
     features = next(iter(shared.features.values()))
+    counter_slice = next(iter(shared.counter_slices.values()))
     targets = next(iter(shared.targets.values()))
-    for array in (features.continuous, features.counter_slice, features.prior_block, features.categorical,
+    for array in (features.continuous, counter_slice, features.prior_block, features.categorical,
                   targets.cc, targets.speed, shared.cc_weights, shared.norm_stats.counter_mean):
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("prior_mode", ["full", "active_row"])
+def test_training_set_builds_one_feature_bundle_per_cluster(small_city, prior_mode, monkeypatch):
+    import t4c.training as training
+
+    dataset, cluster_model, _priors = small_city
+    counts = _count_calls(monkeypatch, training, ("assemble_features", "counter_slice_matrix"))
+    ts = _training_set(small_city, model_cfg=replace(SMALL_MODEL, prior_mode=prior_mode))
+    records = ts.train_records + ts.val_records
+    by_cluster = {}
+    for r in records:
+        row = assign_cluster(cluster_model, r) if prior_mode == "active_row" else None
+        by_cluster.setdefault(row, []).append(r.record_id)
+    assert len(by_cluster) == 1 if prior_mode == "full" else len(by_cluster) >= 2
+    assert len(counts["assemble_features"]) == len(by_cluster)
+    assert len(counts["counter_slice_matrix"]) == len(records)
+    for rids in by_cluster.values():
+        assert all(ts.features[rid] is ts.features[rids[0]] for rid in rids)
+    assert len({id(bundle) for bundle in ts.features.values()}) == len(by_cluster)
+    assert set(ts.counter_slices) == set(ts.features) == {r.record_id for r in records}
 
 
 @pytest.mark.parametrize("change", [{"prior_mode": "active_row"}, {"cc_classes": 4}])
