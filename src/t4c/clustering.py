@@ -10,6 +10,7 @@ code feeds to the network as prior knowledge.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,7 +146,9 @@ def save_cluster_model(path, model: ClusterModel, priors: Mapping[str, PriorMatr
 def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
     """Inverse of :func:`save_cluster_model`; the assignment is not stored.
 
-    A damaged file raises ValueError naming it and `t4c fit-clusters`.
+    A damaged file raises ValueError naming it and `t4c fit-clusters`; so does
+    a K that is not a positive integer, or thresholds that are not K - 1
+    finite, non-decreasing numbers.
     """
     path = Path(path)
     try:
@@ -155,14 +158,22 @@ def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
         for key in ("K", "thresholds", "priors"):
             if key not in obj:
                 raise ValueError(f"missing key {key!r}")
-        k = int(obj["K"])
-        model = ClusterModel(num_clusters=k, thresholds=tuple(float(t) for t in obj["thresholds"]), assignment={})
+        k = obj["K"]
+        if type(k) is not int or k < 1:
+            raise ValueError(f"'K' must be a positive integer, got {k!r}")
+        raw = obj["thresholds"]
+        if not isinstance(raw, list) or len(raw) != k - 1:
+            raise ValueError(f"'thresholds' must be a list of K - 1 = {k - 1} numbers, got {raw!r}")
+        thresholds = tuple(float(t) if type(t) in (int, float) else math.nan for t in raw)
+        if not all(map(math.isfinite, thresholds)) or any(b < a for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError(f"'thresholds' must be finite and non-decreasing, got {raw!r}")
+        model = ClusterModel(num_clusters=k, thresholds=thresholds, assignment={})
         priors: dict[str, PriorMatrix] = {}
         for seg_id, rows in obj["priors"].items():
             matrix = np.asarray(rows, dtype=np.float64)
             if matrix.shape != (k, 3):
                 raise ValueError(f"prior for {seg_id!r} has shape {matrix.shape}, expected ({k}, 3)")
             priors[seg_id] = PriorMatrix(segment_id=seg_id, matrix=matrix, support=None)
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: damaged cluster model ({exc}); produce it again with `t4c fit-clusters`") from None
     return model, priors

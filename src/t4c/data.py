@@ -211,6 +211,8 @@ class LabelTable:
     vol_class: np.ndarray  # (R, S) int8
 
     def __post_init__(self):
+        if len(set(self.segment_ids)) != len(self.segment_ids):
+            raise ValueError("label table with a repeated segment id")
         for column in (self.cc, self.speed_kph, self.vol_class):
             if column.shape != (len(self.record_ids), len(self.segment_ids)):
                 raise ValueError(f"label column of shape {column.shape} for {len(self)} by {len(self.segment_ids)} labels")
@@ -261,11 +263,6 @@ class LabelBundle:
     def edges(self) -> Mapping[str, SegmentLabel]:
         """Segment id -> label, for the segments with a label, in graph order."""
         return MappingProxyType({seg_id: SegmentLabel(*values) for seg_id, *values in self.table.labelled(self.row)})
-
-
-def _label_row(num_segments: int) -> tuple[list, list, list]:
-    """Empty ``cc``, ``speed_kph`` and ``vol_class`` value lists of one record, to fill in."""
-    return [-1] * num_segments, [math.nan] * num_segments, [-1] * num_segments
 
 
 def _label_table(record_ids, segment_ids, rows: list[tuple[list, list, list]]) -> LabelTable:
@@ -336,6 +333,13 @@ def _json_number(raw, path, line, fieldname, integer: bool = False, valid: tuple
     if minimum is not None and value < minimum:
         raise SchemaError(path, line, fieldname, f"must be >= {minimum:g}, got {value}")
     return value
+
+
+def _json_string(raw, path, line, fieldname) -> str:
+    """An identifier, which must be a JSON string: a number or null is refused, not converted."""
+    if type(raw) is not str:
+        raise SchemaError(path, line, fieldname, f"expected a string, got {raw!r}")
+    return raw
 
 
 def _load_meta(path: Path) -> dict:
@@ -488,7 +492,7 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
         for key in ("record_id", "day", "t_index", "volumes"):
             if key not in obj:
                 raise SchemaError(path, line_no, key, "required key missing")
-        record_id = str(obj["record_id"])
+        record_id = _json_string(obj["record_id"], path, line_no, "record_id")
         if record_id in seen:
             raise SchemaError(path, line_no, "record_id", f"duplicate record id {record_id!r}")
         seen.add(record_id)
@@ -527,9 +531,10 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
 
 def _load_labels(path: Path, record_ids: set[str], segment_ids: Sequence[str]) -> LabelTable:
     column = {seg_id: j for j, seg_id in enumerate(segment_ids)}
+    width = len(segment_ids)
     rows: dict[str, tuple[list, list, list]] = {}
     for line_no, obj in _jsonl_objects(path):
-        record_id = str(obj.get("record_id"))
+        record_id = _json_string(obj.get("record_id"), path, line_no, "record_id")
         if record_id not in record_ids:
             raise DanglingReferenceError(path, line_no, "record_id", f"unknown record {record_id!r}")
         if record_id in rows:
@@ -537,7 +542,7 @@ def _load_labels(path: Path, record_ids: set[str], segment_ids: Sequence[str]) -
         edges_obj = obj.get("edges")
         if not isinstance(edges_obj, dict):
             raise SchemaError(path, line_no, "edges", "must be an object")
-        cc_row, speed_row, vol_row = rows[record_id] = _label_row(len(segment_ids))
+        cc_row, speed_row, vol_row = rows[record_id] = [-1] * width, [math.nan] * width, [-1] * width  # no labels yet
         at = (path, line_no)
         for seg_id, lab in edges_obj.items():
             j = column.get(seg_id)
@@ -578,6 +583,8 @@ def _load_supersegments(
         if not isinstance(raw_path, list) or not raw_path:
             raise SchemaError(path, None, "paths", f"path for {ss_id!r} must be a non-empty list")
         for seg_id in raw_path:
+            if type(seg_id) is not str:
+                raise SchemaError(path, None, "paths", f"path for {ss_id!r} must list segment ids, got {seg_id!r}")
             if seg_id not in seg_by_id:
                 raise DanglingReferenceError(path, None, "paths", f"unknown segment {seg_id!r}")
         for a, b in zip(raw_path, raw_path[1:]):
@@ -591,8 +598,8 @@ def _load_supersegments(
     for entry in obj["etas"]:
         if not isinstance(entry, dict):
             raise SchemaError(path, None, "etas", f"expected objects, got {entry!r}")
-        record_id = str(entry.get("record_id"))
-        ss_id = str(entry.get("ss_id"))
+        record_id = _json_string(entry.get("record_id"), path, None, "record_id")
+        ss_id = _json_string(entry.get("ss_id"), path, None, "ss_id")
         if record_id not in record_ids:
             raise DanglingReferenceError(path, None, "etas", f"unknown record {record_id!r}")
         if ss_id not in paths:
@@ -639,6 +646,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_speed(speed: float) -> str:
+    """``json.dumps`` of a ``speed_kph`` cell, with NaN (no label) as null."""
+    if speed != speed:
+        return "null"
+    return repr(speed) if -math.inf < speed < math.inf else json.dumps(speed)
+
+
+def _label_lines(labels: LabelTable) -> Iterator[str]:
+    """The ``labels.jsonl`` line of each row, formatted from the columns.
+
+    Each is the bytes of ``json.dumps({"record_id": ..., "edges": {...}},
+    sort_keys=True, separators=(",", ":"))`` over ``labels.labelled(row)``.
+    """
+    order = sorted(range(len(labels.segment_ids)), key=labels.segment_ids.__getitem__)
+    keys = [json.dumps(labels.segment_ids[j]) + ':{"cc":' for j in order]
+    columns = (labels.cc[:, order].tolist(), labels.speed_kph[:, order].tolist(), labels.vol_class[:, order].tolist())
+    for record_id, *row in zip(labels.record_ids, *columns):
+        edges = ",".join(
+            f'{key}{cc if cc >= 0 else "null"},"speed_kph":{_json_speed(speed)},"vol_class":{vol if vol >= 0 else "null"}}}'
+            for key, cc, speed, vol in zip(keys, *row)
+            if cc >= 0 or speed == speed or vol >= 0  # NaN != NaN
+        )
+        yield f'{{"edges":{{{edges}}},"record_id":{json.dumps(record_id)}}}\n'
+
+
 def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
     """Write a dataset to a canonical directory; bytes are deterministic."""
     dir_path = Path(dir_path)
@@ -677,13 +709,7 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
     with open(dir_path / "labels.jsonl", "w", encoding="utf-8") as fh:
-        for row, record_id in enumerate(labels.record_ids):
-            edges = {
-                seg_id: {"cc": cc, "speed_kph": speed, "vol_class": vol}
-                for seg_id, cc, speed, vol in labels.labelled(row)
-            }
-            obj = {"record_id": record_id, "edges": edges}
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.writelines(_label_lines(labels))
 
     ss_obj = {
         "paths": {ss.ss_id: list(ss.path) for ss in supersegments},
@@ -827,7 +853,8 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
     """Generate a learnable synthetic dataset and write it to ``out_dir``.
 
     Deterministic given (spec, seed): two runs produce byte-identical
-    directories. Congestion probability increases with the record's total
+    directories. The order of the random draws is part of that output, so
+    every draw keeps its place and arguments. Congestion probability increases with the record's total
     volume and with the volume at the segment's nearest counter; speed
     labels are the segment flow speed scaled down under congestion; ETAs
     follow from the generated speeds plus noise.
@@ -904,13 +931,12 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
         node_ids[node]: cid for node, cid in counter_ids.items()
     })
 
-    # static congestion propensity, partially readable from the attributes
-    seg_bias = np.array(
-        [
-            0.5 * s.importance / 5.0 + 0.3 * (s.lanes - 1) / 3.0 + 0.2 * rng.random()
-            for s in segments
-        ]
-    )
+    random, normal, poisson = rng.random, rng.normal, rng.poisson  # the label loop draws six times per cell
+    # the static term of each segment's congestion score; the propensity is partially readable from the attributes
+    static_terms = [
+        _W_STATIC * (0.5 * s.importance / 5.0 + 0.3 * (s.lanes - 1) / 3.0 + 0.2 * random())
+        for s in segments
+    ]
     # nearest counter node for each segment (tail side wins ties)
     seg_counter = [
         nearest[tail] if hop_dist[tail] <= hop_dist[head] else nearest[head]
@@ -921,21 +947,18 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
     start_day = date(2022, 1, 3)
 
     records: list[VolumeRecord] = []
-    demand = np.empty(spec.num_records)
     for ridx in range(spec.num_records):
         g = float(rng.uniform(0.2, 1.8))
-        demand[ridx] = g
         volumes: dict[str, tuple[int, int, int, int]] = {}
         for node in counter_nodes:
-            if rng.random() < 0.1:  # vacant counter this hour -> implicit zeros
+            if random() < 0.1:  # vacant counter this hour -> implicit zeros
                 continue
             # per-counter multiplicative noise: one counter is only a noisy
             # witness of global demand, while the sum over all counters
             # (the clustering key) averages it out
-            local = math.exp(0.7 * float(rng.normal()))
+            local = math.exp(0.7 * normal())
             lam = g * base_rate[node] * local / 4.0
-            bins = tuple(int(v) for v in rng.poisson(lam, size=4))
-            volumes[node_ids[node]] = bins
+            volumes[node_ids[node]] = tuple(poisson(lam, size=4).tolist())
         records.append(
             VolumeRecord(
                 record_id=f"r{ridx:04d}",
@@ -951,39 +974,37 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
     ranks[order] = np.arange(len(records))
     q_global = ranks / max(len(records) - 1, 1)
 
+    # score = signal * ((global + local term) + static term) + (1 - signal) * noise
+    signal, noise_weight = spec.signal, 1.0 - spec.signal
+    flows = [s.flow_speed for s in segments]
     label_rows = []
-    true_speed = np.empty((spec.num_records, len(segments)))
-    for ridx, record in enumerate(records):
-        cc_row, speed_row, vol_row = row = _label_row(len(segments))
-        label_rows.append(row)
-        for sidx, seg in enumerate(segments):
-            counter_node = seg_counter[sidx]
-            vec = record.volumes.get(node_ids[counter_node])
-            local = sum(vec) if vec is not None else 0
-            q_local = min(local / (2.0 * base_rate[counter_node]), 1.0)
-            noise = rng.random()
-            score = (
-                spec.signal * (_W_GLOBAL * q_global[ridx] + _W_LOCAL * q_local + _W_STATIC * seg_bias[sidx])
-                + (1.0 - spec.signal) * noise
-            )
+    true_speeds: list[list[float]] = []  # per record, in segment order
+    for record, qg in zip(records, q_global.tolist()):
+        demand_terms = {
+            node: _W_GLOBAL * qg
+            + _W_LOCAL * min(sum(record.volumes.get(node_ids[node], ())) / (2.0 * base_rate[node]), 1.0)
+            for node in counter_nodes
+        }
+        cc_row, speed_row, vol_row, speeds = [], [], [], []
+        label_rows.append((cc_row, speed_row, vol_row))
+        true_speeds.append(speeds)
+        for node, static, flow in zip(seg_counter, static_terms, flows):
+            score = signal * (demand_terms[node] + static) + noise_weight * random()
             cls = 3 if score >= _THRESH_RED else (2 if score >= _THRESH_YELLOW else 1)
-            speed = seg.flow_speed * _SPEED_FACTOR[cls] * (1.0 + 0.08 * float(rng.normal()))
-            speed = max(round(speed, 2), 2.0)
-            true_speed[ridx, sidx] = speed
-
-            undefined = rng.random() < 0.03
-            cc_row[sidx] = -1 if rng.random() > 0.85 else (0 if undefined else cls)  # -1: no label, 0: undefined
-            if rng.random() < 0.7:
-                speed_row[sidx] = speed
-            latent_count = int(rng.poisson(0.8 + 5.0 * score))
-            if latent_count > 0:
-                vol_row[sidx] = 1 if latent_count <= 2 else (3 if latent_count <= 4 else 5)
+            speed = max(round(flow * _SPEED_FACTOR[cls] * (1.0 + 0.08 * normal()), 2), 2.0)
+            speeds.append(speed)
+            undefined, unlabelled, speed_kept = random(3).tolist()
+            cc_row.append(-1 if unlabelled > 0.85 else (0 if undefined < 0.03 else cls))  # -1: no label, 0: undefined
+            speed_row.append(speed if speed_kept < 0.7 else math.nan)
+            latent_count = poisson(0.8 + 5.0 * score)
+            vol_row.append(-1 if latent_count <= 0 else (1 if latent_count <= 2 else (3 if latent_count <= 4 else 5)))
     labels = _label_table([r.record_id for r in records], [s.segment_id for s in segments], label_rows)
 
     # supersegments: random chainable paths over the directed segments
     by_tail: dict[int, list[int]] = {}
     for sidx, (tail, _head) in enumerate(seg_dirs):
         by_tail.setdefault(tail, []).append(sidx)
+    lengths = [s.length_meters for s in segments]
     supersegments: list[SuperSegment] = []
     attempts = 0
     while len(supersegments) < spec.num_supersegments and attempts < spec.num_supersegments * 20:
@@ -1000,17 +1021,16 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
         if len(path) < 2:
             continue
         ss_id = f"ss{len(supersegments):02d}"
-        etas: dict[str, float] = {}
-        for ridx, record in enumerate(records):
-            if rng.random() < 0.1:
+        timed, raw_etas = [], []
+        for record, speeds in zip(records, true_speeds):
+            if random() < 0.1:
                 continue
-            total = sum(
-                segments[sidx].length_meters / (true_speed[ridx, sidx] / 3.6) for sidx in path
-            )
-            etas[record.record_id] = max(round(total * (1.0 + 0.05 * float(rng.normal())), 3), 0.001)
-        supersegments.append(
-            SuperSegment(ss_id, tuple(segments[s].segment_id for s in path), etas)
-        )
+            total = sum(lengths[sidx] / (speeds[sidx] / 3.6) for sidx in path)
+            timed.append(record.record_id)
+            raw_etas.append(total * (1.0 + 0.05 * normal()))
+        # numpy's rounding (scale, rint, unscale), not round(): the two differ in the last digit for some values
+        etas = dict(zip(timed, np.maximum(np.round(raw_etas, 3), 0.001).tolist()))
+        supersegments.append(SuperSegment(ss_id, tuple(segments[s].segment_id for s in path), etas))
 
     dataset = Dataset(graph, tuple(records), labels, tuple(supersegments))
     write_dataset(dataset, out_dir, city_name=spec.city_name)

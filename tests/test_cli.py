@@ -350,7 +350,7 @@ def test_report_on_damaged_ablation_file_exits_one(pipeline, capsys, content):
 @pytest.mark.parametrize("content", [
     '{"K": 5, "thresholds": [1.0,\n  "priors"', "[5, 1.0]", "\udcff",
     '{"K": "five", "thresholds": [], "priors": {}}', '{"K": 5, "thresholds": 3, "priors": {}}',
-    '{"K": 5, "thresholds": [], "priors": []}',
+    '{"K": 5, "thresholds": [1, 2, 3, 4], "priors": []}',
 ], ids=["truncated", "not_an_object", "not_utf8", "k_string", "thresholds_number", "priors_list"])
 def test_damaged_cluster_model_exits_one_naming_the_file(pipeline, capsys, stage, content):
     damaged = pipeline / "damaged_clusters.json"
@@ -363,6 +363,29 @@ def test_damaged_cluster_model_exits_one_naming_the_file(pipeline, capsys, stage
     err = capsys.readouterr().err
     assert str(damaged) in err and "t4c fit-clusters" in err
     assert not (pipeline / f"damaged_{stage}").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "predict"])
+@pytest.mark.parametrize("edit", ["appended", "decreasing", "k_float"])
+def test_cluster_model_with_bad_k_or_thresholds_exits_one_naming_the_file(pipeline, capsys, stage, edit):
+    """One threshold too many would pick a prior row the model does not have."""
+    obj = json.loads((pipeline / "cluster_model.json").read_text())
+    if edit == "appended":
+        obj["thresholds"].append(obj["thresholds"][-1] + 1.0)
+    elif edit == "decreasing":
+        obj["thresholds"].reverse()
+    else:
+        obj["K"] = 5.0
+    damaged = pipeline / f"clusters_{edit}.json"
+    damaged.write_text(json.dumps(obj))
+    capsys.readouterr()
+    argv = ["--run", "runs/demo"] if stage == "predict" else ["--k", "5"]
+    code = main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--cluster-model", damaged.name,
+                 "--out", f"bad_clusters_{stage}", *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(damaged) in err and "t4c fit-clusters" in err
+    assert not (pipeline / f"bad_clusters_{stage}").exists()
 
 
 def test_predict_on_truncated_checkpoint_exits_one(pipeline, capsys):

@@ -1,6 +1,7 @@
 """Equal-frequency binning, threshold assignment, and prior matrices
 against brute-force tallies."""
 
+import json
 from datetime import date
 
 import numpy as np
@@ -236,3 +237,48 @@ def test_cluster_model_json_round_trip(toy_graph, tmp_path):
     assert loaded_model.thresholds == model.thresholds
     for seg in priors:
         assert np.array_equal(loaded_priors[seg].matrix, priors[seg].matrix)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("K", 0),
+    ("K", -4),
+    ("K", 4.0),
+    ("K", "4"),
+    ("K", True),
+    ("thresholds", "appended"),
+    ("thresholds", "dropped"),
+    ("thresholds", "decreasing"),
+    ("thresholds", [5.0, "10.0", 15.0]),
+    ("thresholds", [5.0, None, 15.0]),
+    ("thresholds", [5.0, True, 15.0]),
+    ("thresholds", [5.0, float("nan"), 15.0]),
+    ("thresholds", [5.0, 10.0, float("inf")]),
+    ("thresholds", [5.0, 10.0, 10**400]),
+])
+def test_cluster_model_with_bad_k_or_thresholds_names_the_file(toy_graph, tmp_path, key, value):
+    """K is a positive JSON integer; thresholds are K - 1 finite, non-decreasing JSON numbers."""
+    records = [rec(f"r{i:02d}", i) for i in range(20)]
+    model = fit_clusters(records, 4)
+    priors = build_prior_matrices(model, label_table({f"r{i:02d}": {"e1": 1} for i in range(20)}), toy_graph)
+    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors)
+    obj = json.loads(path.read_text())
+    thresholds = obj["thresholds"]
+    edits = {"appended": thresholds + [thresholds[-1] + 1.0], "dropped": thresholds[:-1], "decreasing": thresholds[::-1]}
+    obj[key] = edits.get(value, value) if isinstance(value, str) else value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as err:
+        load_cluster_model(path)
+    assert str(path) in str(err.value) and "t4c fit-clusters" in str(err.value)
+
+
+def test_cluster_model_with_equal_integer_thresholds_loads(toy_graph, tmp_path):
+    records = [rec(f"r{i:02d}", i // 10) for i in range(20)]
+    model = fit_clusters(records, 4)
+    assert model.thresholds == (0.0, 1.0, 1.0)
+    priors = build_prior_matrices(model, label_table({f"r{i:02d}": {"e1": 1} for i in range(20)}), toy_graph)
+    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors)
+    obj = json.loads(path.read_text())
+    obj["thresholds"] = [0, 1, 1]
+    path.write_text(json.dumps(obj))
+    loaded, _ = load_cluster_model(path)
+    assert loaded.thresholds == model.thresholds

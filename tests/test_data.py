@@ -1,6 +1,7 @@
 """Dataset IO, validation errors, filtering, splitting, synthetic city."""
 
 import json
+import math
 import shutil
 import tempfile
 from datetime import date
@@ -13,7 +14,11 @@ from hypothesis import strategies as st
 
 from t4c.data import (
     DanglingReferenceError,
+    Dataset,
     DatasetError,
+    LabelTable,
+    NodeRec,
+    RoadGraph,
     SchemaError,
     SynthSpec,
     VolumeRecord,
@@ -23,6 +28,9 @@ from t4c.data import (
     split_train_validation,
     write_dataset,
 )
+
+
+from conftest import make_segment
 
 
 def make_record(record_id, day, t_index, volumes=None):
@@ -36,6 +44,55 @@ def test_write_then_load_round_trip(toy_dataset, tmp_path):
     write_dataset(toy_dataset, tmp_path / "city")
     loaded = load_dataset(tmp_path / "city")
     assert loaded == toy_dataset
+
+
+def reference_label_line(labels: LabelTable, row: int) -> str:
+    """One ``labels.jsonl`` line as a dict through ``json.dumps``: what the writer must reproduce byte for byte."""
+    edges = {seg_id: {"cc": cc, "speed_kph": speed, "vol_class": vol} for seg_id, cc, speed, vol in labels.labelled(row)}
+    return json.dumps({"record_id": labels.record_ids[row], "edges": edges}, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# ids that survive edges.csv (which strips each field) and volumes.jsonl, with quotes, backslashes and non-ASCII
+LABEL_ID = st.text(
+    st.one_of(st.sampled_from('"\\/\né漢\u2028'), st.characters(blacklist_characters="\x00")), min_size=1, max_size=4
+).filter(lambda text: text == text.strip())
+SPEED = st.one_of(
+    st.just(math.nan),  # no label
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, math.inf]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_label_lines_equal_the_json_dumps_reference_and_load_back(data):
+    segment_ids = data.draw(st.lists(LABEL_ID, unique=True, max_size=6), "segment_ids")
+    record_ids = data.draw(st.lists(LABEL_ID, unique=True, min_size=1, max_size=4), "record_ids")
+    shape = (len(record_ids), len(segment_ids))
+    cells = lambda values: st.lists(values, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])  # noqa: E731
+    cc = np.array(data.draw(cells(st.sampled_from([-1, -1, 0, 1, 2, 3])), "cc"), np.int8).reshape(shape)
+    speed = np.array(data.draw(cells(SPEED), "speed_kph"), float).reshape(shape)
+    vol = np.array(data.draw(cells(st.sampled_from([-1, -1, 1, 3, 5])), "vol_class"), np.int8).reshape(shape)
+    empty = data.draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]), "empty rows")
+    cc[empty], speed[empty], vol[empty] = -1, math.nan, -1
+    labels = LabelTable(tuple(record_ids), tuple(segment_ids), cc, speed, vol)
+    graph = RoadGraph(
+        nodes=(NodeRec("A", 48.1, 11.5, "c0"), NodeRec("B", 48.2, 11.6, None)),
+        segments=tuple(make_segment(seg_id, "A", "B") for seg_id in segment_ids),
+        counters={"A": "c0"},
+    )
+    records = tuple(VolumeRecord(record_id, date(2022, 1, 3), 30, {}) for record_id in record_ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = write_dataset(Dataset(graph, records, labels, ()), Path(tmp) / "city")
+        expected = "".join(reference_label_line(labels, row) for row in range(len(labels)))
+        assert (out / "labels.jsonl").read_bytes() == expected.encode("utf-8")
+        if not np.isinf(speed).any():  # the loader refuses an infinite speed
+            assert load_dataset(out).labels == labels
+
+
+def test_label_table_refuses_a_repeated_segment_id():
+    with pytest.raises(ValueError, match="repeated segment id"):
+        LabelTable(("r0",), ("e1", "e1"), np.full((1, 2), -1, np.int8), np.full((1, 2), math.nan), np.full((1, 2), -1, np.int8))
 
 
 def test_toy_directory_shapes(toy_dataset, tmp_path):
@@ -149,13 +206,18 @@ def test_unchainable_supersegment_rejected(toy_dataset, tmp_path):
     ("volumes.jsonl", "t_index", 34.9),
     ("volumes.jsonl", "t_index", True),
     ("volumes.jsonl", "t_index", "34"),
+    ("volumes.jsonl", "record_id", 0),
+    ("volumes.jsonl", "record_id", None),
+    ("labels.jsonl", "record_id", 0),
+    ("labels.jsonl", "record_id", None),
 ])
 def test_jsonl_value_of_the_wrong_json_type_names_file_line_and_field(toy_dataset, tmp_path, name, field, value):
-    """JSON integer fields take only integers (not bool); number fields refuse bool and strings."""
+    """JSON integer fields take only integers (not bool); number fields refuse bool and strings;
+    identifiers take only strings."""
     out = write_dataset(toy_dataset, tmp_path / "city")
     lines = (out / name).read_text().splitlines()
     obj = json.loads(lines[0])
-    target = obj["edges"][next(iter(obj["edges"]))] if name == "labels.jsonl" else obj
+    target = obj["edges"][next(iter(obj["edges"]))] if field in ("cc", "speed_kph", "vol_class") else obj
     target[field] = value
     lines[0] = json.dumps(obj)
     (out / name).write_text("\n".join(lines) + "\n")
@@ -175,6 +237,17 @@ def test_eta_that_is_not_a_json_number_names_the_file_and_field(toy_dataset, tmp
     assert (Path(err.value.path).name, err.value.fieldname) == ("supersegments.json", "eta_s")
 
 
+@pytest.mark.parametrize("field, value", [("record_id", 0), ("record_id", None), ("ss_id", 0), ("ss_id", None)])
+def test_eta_identifier_that_is_not_a_json_string_names_the_file_and_field(toy_dataset, tmp_path, field, value):
+    out = write_dataset(toy_dataset, tmp_path / "city")
+    obj = json.loads((out / "supersegments.json").read_text())
+    obj["etas"][0][field] = value
+    (out / "supersegments.json").write_text(json.dumps(obj))
+    with pytest.raises(SchemaError) as err:
+        load_dataset(out)
+    assert (Path(err.value.path).name, err.value.fieldname) == ("supersegments.json", field)
+
+
 def test_csv_integer_and_number_fields_still_parse_from_text(toy_dataset, tmp_path):
     out = write_dataset(toy_dataset, tmp_path / "city")
     assert "importance" in (out / "edges.csv").read_text().splitlines()[0]
@@ -186,6 +259,8 @@ def test_csv_integer_and_number_fields_still_parse_from_text(toy_dataset, tmp_pa
 @pytest.mark.parametrize("key, value", [
     ("paths", [["e1", "e2"]]),
     ("paths", "e1"),
+    ("paths", {"ss0": [["e1"], ["e2"]]}),
+    ("paths", {"ss0": ["e1", {"e2": 1}]}),
     ("etas", {"r0": 10.0}),
     ("etas", 10.0),
 ])

@@ -4,8 +4,11 @@ The digests below were recorded from a 1-member x 2-epoch run of the
 acceptance configuration, from the CLI's ``predict`` after a 2-member x
 1-epoch ``train`` of that configuration in each prior mode, and from the
 CLI's ``synth``, ``fit-clusters`` and ``eval-core`` (on the two counting
-baselines' predictions) with their defaults. Changes that claim to keep every bit (fused ops, reordered
-bookkeeping, the columnar label table) are held to them here. They assume
+baselines' predictions) with their defaults, and from the generator on a
+second spec that takes its other branches (every node a counter, weak
+signal, short days, few supersegments). The generator's draw order is part
+of its output, so these digests pin it too. Changes that claim to keep every bit (fused ops, reordered
+bookkeeping, the columnar label table, the generator's loops) are held to them here. They assume
 float64 numpy with the OpenBLAS build it was recorded with; a BLAS that
 rounds its products differently fails this test for that reason alone.
 """
@@ -21,7 +24,7 @@ from t4c import autodiff as ad
 from t4c.baselines import node_gnn_baseline
 from t4c.checkpoint import save_checkpoint
 from t4c.cli import main
-from t4c.data import labels_by_record
+from t4c.data import SynthSpec, generate_synthetic_city, labels_by_record
 from t4c.evaluation import PROB_CLIP, core_metric
 from t4c.model import compute_loss, forward, init_params
 from t4c.training import prepare_training, save_runlog, train_one
@@ -39,6 +42,17 @@ SYNTH_SHA256 = {
     "nodes.csv": "1098e82487cc1978181147d27e2939f5ecaa18b5b1dd24d9be316b9acb498042",
     "supersegments.json": "2ac2ac877bec866bae70f2fc646517bd3872870494ac8584af705070c7701070",
     "volumes.jsonl": "e9e76852bbe1b7440083ff91f9ce55412433c5d85ef40b048111fb20ad0a90ef",
+}
+SECOND_SPEC = SynthSpec(
+    num_nodes=15, counter_fraction=1.0, num_records=40, signal=0.3, records_per_day=5, num_supersegments=3
+)
+SECOND_SPEC_SHA256 = {  # seed 7
+    "edges.csv": "a51aff54e048ac62947d708386217cd1dc606ba148723940c7773006feba4a81",
+    "labels.jsonl": "f209d73fab6bafc2821139ac7f11337e138d928e454445e32a05a12e486bf24e",
+    "meta.json": "786befc991670bf1bf086507299c651ce9bcb4ca31a34edb98af0c632cdcc40a",
+    "nodes.csv": "81fc518900d34f0f903d68a30c822bb0e6c48dc633ecfbf780176bec50e0cc50",
+    "supersegments.json": "3e3f4318952102e5f2e28bdf2efdf05f80b9d9dde223657ba80be99266fe1033",
+    "volumes.jsonl": "6c225d4a43425625aae5dce54f2919f8bd277ad4d053f802e5dc9551176781b9",
 }
 PREDICT_SHA256 = {  # prior mode -> sha256 of predictions.jsonl over every daytime record
     "full": "1664e689035459e248ff7884a867f27d6025d45e0b6829e470b706440fe1ecfc",
@@ -153,3 +167,8 @@ def test_bundle_views_and_core_metric_over_bundles_read_the_label_table(ordering
         total += record_total
         n += record_n
     assert (score.score, score.n_scored, score.per_record) == (total / n, n, per_record)
+
+
+def test_synth_of_a_second_spec_reproduces_the_recorded_bits(tmp_path):
+    generate_synthetic_city(SECOND_SPEC, 7, tmp_path / "city")
+    assert {path.name: _sha256(path) for path in (tmp_path / "city").iterdir()} == SECOND_SPEC_SHA256
