@@ -3,7 +3,8 @@
 Build tensors, compose the ops the traffic model uses (a dense layer and
 a message-passing round, each one fused op), check an analytic gradient
 against central finite differences, and run a few Adam steps on a tiny
-least-squares problem.
+least-squares problem, first building the graph on every step, then
+tracing it once into a plan and replaying the plan.
 """
 
 import numpy as np
@@ -71,3 +72,21 @@ for step in range(200):
     fit.backward()
     ad.adam_step(store, lr=0.05)
 print("fitted slope (target 2.5):", slope.data[0])
+
+# --- the same fit, traced once and replayed -----------------------------------
+
+# Plan.trace runs the function once on Tensors holding the example inputs and
+# records its op sequence; each replay binds new inputs (same shapes) and runs
+# the same numpy expressions, adding the gradient into the store's flat buffer.
+store = ParamStore()
+slope = store.add("slope", np.array([0.0]))
+plan = ad.Plan.trace(lambda x, y: [ad.mse(ad.mul(slope, x), y)[0]], (xs, ys))
+print("plan ops:", plan.ops)
+rng = np.random.default_rng(0)
+for step in range(200):
+    batch = rng.uniform(-1, 1, size=20)
+    store.zero_grad()
+    (value,) = plan.forward(batch, 2.5 * batch)
+    plan.backward()
+    ad.adam_step(store, lr=0.05)
+print(f"replayed fit: slope {slope.data[0]:.4f}, last loss {float(value):.2e}")

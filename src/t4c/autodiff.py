@@ -1,10 +1,17 @@
 """Reverse-mode automatic differentiation on dense float64 numpy arrays.
 
 The engine is deliberately small. A :class:`Tensor` wraps a numpy array;
-every operation records its input tensors together with a closure that
-routes the upstream gradient back to them, and ``backward()`` walks the
-recorded graph once in reverse topological order. Everything runs in
-64-bit precision so that finite-difference checks stay sharp.
+every operation on a Tensor records the op and its operands in the
+Tensor it returns. A :class:`Plan` turns such a recorded graph into a
+flat op sequence once: one slot per value, the forward in topological
+order, the backward in its reverse, and for each op the slots its
+gradients go to. ``Tensor.backward()`` builds a plan and runs its
+backward once. Training traces one record's forward and loss into a plan
+(:meth:`Plan.trace`) and replays it for every record: each replay binds
+the record's input arrays to the plan's input slots and runs the same
+numpy expressions in the same order, with no Tensor built and no graph
+walked. Everything runs in 64-bit precision so that finite-difference
+checks stay sharp.
 
 Plain float64 arrays are constants. The graph ops (all but reduce_sum
 and the losses) called with no Tensor operand return the plain ndarray
@@ -24,22 +31,25 @@ reduction, the two masked losses (weighted cross entropy and mean
 squared error), a plain-array softmax for inference, and an Adam
 optimizer over a named parameter store.
 
-The store keeps every parameter as a view into one flat float64
-buffer, and Adam's moments as two flat buffers of the same layout:
-``adam_step`` gathers the gradients with one concatenate and updates
-all parameters in a handful of vector operations, with the same bits
-as a per-parameter update.
+The store keeps every parameter as a view into one flat float64 buffer,
+and its gradient (``.grad``) as a view into a second flat buffer of the
+same layout; Adam's moments are two more. ``zero_grad`` fills the
+gradient buffer with zeros, a backward adds into it, and ``adam_step``
+updates all parameters from it in a handful of vector operations, with
+the same bits as a per-parameter update.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "ShapeError",
     "Tensor",
+    "Plan",
     "add",
     "mul",
     "linear",
@@ -63,23 +73,37 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible; the message names both shapes."""
 
 
-class Tensor:
-    """A dense float64 array with an optional gradient buffer.
+class _Op(NamedTuple):
+    """One op kind: a forward and a backward over plain operand values.
 
-    Tensors produced by operations remember their parents and how to push
-    an upstream gradient back to them. Calling :meth:`backward` on a
-    scalar fills ``grad`` on every reachable tensor that requires it.
-    Leaf tensors default to ``requires_grad=False`` and act as constants.
+    ``forward(*operands)`` returns the output and a context for the backward.
+    ``backward(g, out, ctx, need, *operands)`` returns one gradient per
+    operand: None where ``need`` is false, or where the op passes no
+    gradient back (a loss with every row masked).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    name: str
+    forward: Callable
+    backward: Callable
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+
+class Tensor:
+    """A dense array with an optional gradient buffer.
+
+    A Tensor returned by an op remembers the op and its operands. Calling
+    :meth:`backward` on a scalar fills ``grad`` on every reachable tensor
+    that requires it. Leaf tensors default to ``requires_grad=False`` and
+    act as constants. ``dtype=None`` keeps the array's own dtype (a plan's
+    integer or boolean inputs); otherwise the data is cast to float64.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
+        self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: tuple[_Op, tuple, object] | None = None  # (op, operands, ctx) of an op's output
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,50 +115,35 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # the bits of zeros + g in one pass, in a buffer of its own
-            self.grad = g + 0.0
-        else:
-            self.grad += g
-
     def backward(self) -> None:
-        """Backpropagate from a scalar, accumulating into ``grad`` buffers."""
+        """Backpropagate from a scalar, accumulating into ``grad`` buffers.
+
+        Leaves add into the ``grad`` they have (a new zero buffer when it is
+        None); every other tensor on the way gets its own gradient array.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() expects a scalar, got shape {self.data.shape}")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                # leaves (parameters, constants) have no backward to run
-                if parent._parents and id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        plan = Plan([self])
+        grads = plan.backward()
+        for slot, tensor in plan._op_tensors:
+            if grads[slot] is not None:
+                tensor.grad = grads[slot] + 0.0
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(data, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    return out
+def _value(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _record(op: _Op, out, ctx, operands: tuple) -> Tensor:
+    """The Tensor an op returns when one of its operands is a Tensor."""
+    t = Tensor(out, dtype=None)
+    t.requires_grad = any(x.requires_grad for x in operands if isinstance(x, Tensor))
+    t._node = (op, operands, ctx)
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -149,48 +158,160 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+# -- op kinds: forward and backward over plain values ---------------------------
+
+
+def _add_backward(g, out, ctx, need, x, y):
+    return (_unbroadcast(g, np.shape(x)) if need[0] else None,
+            _unbroadcast(g, np.shape(y)) if need[1] else None)
+
+
+def _mul_backward(g, out, ctx, need, x, y):
+    return (_unbroadcast(g * y, np.shape(x)) if need[0] else None,
+            _unbroadcast(g * x, np.shape(y)) if need[1] else None)
+
+
+def _linear_forward(x, w, b, relu):
+    out = x @ w
+    out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out, None
+
+
+def _linear_backward(g, out, ctx, need, x, w, b, relu):
+    if relu:
+        g = g * (out > 0.0)  # the output is positive exactly where its pre-activation is
+    return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
+            g.sum(axis=0) if need[2] else None, None)
+
+
+def _gnn_round_forward(h, operator, w_self, w_nbr, b):
+    nbr = operator @ h
+    out = h @ w_self
+    out += nbr @ w_nbr
+    out += b
+    np.maximum(out, 0.0, out=out)
+    return out, nbr
+
+
+def _gnn_round_backward(g, out, nbr, need, h, operator, w_self, w_nbr, b):
+    g = g * (out > 0.0)
+    return (g @ w_self.T + operator.T @ (g @ w_nbr.T) if need[0] else None, None,
+            h.T @ g if need[2] else None, nbr.T @ g if need[3] else None,
+            g.sum(axis=0) if need[4] else None)
+
+
+def _concat_backward(g, out, ctx, need, axis, *parts):
+    grads, lo = [None], 0
+    for part, wanted in zip(parts, need[1:]):
+        hi = lo + np.shape(part)[axis]
+        if wanted:
+            index = [slice(None)] * g.ndim
+            index[axis] = slice(lo, hi)
+            grads.append(g[tuple(index)])
+        else:
+            grads.append(None)
+        lo = hi
+    return grads
+
+
+def _scatter_backward(g, out, ctx, need, a, index):
+    """Gather backward (embedding lookup, getitem): add each row of ``g`` back at its index."""
+    if not need[0]:
+        return None, None
+    buf = np.zeros(a.shape, a.dtype)
+    np.add.at(buf, index, g)
+    return buf, None
+
+
+def _wce_forward(logits, labels, weights):
+    mask = labels >= 0
+    n = int(mask.sum())
+    if n == 0:
+        return np.float64(0.0), (0,)
+    rows = np.where(mask)[0]
+    row_labels = labels[rows]
+    z = logits - logits.max(axis=1, keepdims=True)
+    exp_z = np.exp(z)
+    exp_sum = exp_z.sum(axis=1)
+    nll = np.log(exp_sum)[rows] - z[rows, row_labels]
+    row_w = weights[row_labels]
+    return np.float64((row_w * nll).sum() / n), (n, rows, row_labels, exp_z, exp_sum, row_w)
+
+
+def _wce_backward(g, out, ctx, need, logits, labels, weights):
+    n = ctx[0]
+    if n == 0 or not need[0]:
+        return None, None, None
+    _, rows, row_labels, exp_z, exp_sum, row_w = ctx
+    # softmax_np of the unmasked rows, taken from the forward's exponentials
+    probs = exp_z[rows] / exp_sum[rows, None]
+    grad = probs * row_w[:, None]
+    grad[np.arange(len(rows)), row_labels] -= row_w
+    buf = np.zeros(logits.shape)
+    buf[rows] = grad * (float(g) / n)
+    return buf, None, None
+
+
+def _mse_forward(pred, target, mask):
+    n = int(mask.sum())
+    if n == 0:
+        return np.float64(0.0), (0,)
+    diff = np.where(mask, pred - target, 0.0)
+    return np.float64((diff * diff).sum() / n), (n, diff)
+
+
+def _mse_backward(g, out, ctx, need, pred, target, mask):
+    n = ctx[0]
+    if n == 0 or not need[0]:
+        return None, None, None
+    return 2.0 * ctx[1] * (float(g) / n), None, None
+
+
+_ADD = _Op("add", lambda x, y: (x + y, None), _add_backward)
+_MUL = _Op("mul", lambda x, y: (x * y, None), _mul_backward)
+_LINEAR = _Op("linear", _linear_forward, _linear_backward)
+_GNN_ROUND = _Op("gnn_round", _gnn_round_forward, _gnn_round_backward)
+_CONCAT = _Op("concat", lambda axis, *parts: (np.concatenate(parts, axis=axis), None), _concat_backward)
+_EMBEDDING_LOOKUP = _Op("embedding_lookup", lambda table, idx: (table[idx], None), _scatter_backward)
+_GETITEM = _Op("getitem", lambda a, key: (np.array(a[key]), None), _scatter_backward)
+_RESHAPE = _Op(
+    "reshape", lambda a, shape: (a.reshape(shape), None),
+    lambda g, out, ctx, need, a, shape: (g.reshape(np.shape(a)), None),
+)
+_REDUCE_SUM = _Op(
+    "reduce_sum", lambda a: (a.sum(), None),
+    lambda g, out, ctx, need, a: (np.broadcast_to(g, np.shape(a)).copy(),),
+)
+_WCE = _Op("weighted_cross_entropy", _wce_forward, _wce_backward)
+_MSE = _Op("mse", _mse_forward, _mse_backward)
+
+
+def _apply(op: _Op, operands: tuple, values: Sequence | None = None):
+    """Run ``op`` on the operands' values; record it when an operand is a Tensor."""
+    out, ctx = op.forward(*(values if values is not None else [_value(x) for x in operands]))
+    return _record(op, out, ctx, operands) if Tensor in map(type, operands) else out
+
+
+# -- the ops --------------------------------------------------------------------
+
+
+def _broadcasting(op: _Op, a, b) -> Tensor | np.ndarray:
+    try:
+        return _apply(op, (a, b))
+    except ValueError:
+        raise ShapeError(f"{op.name}: cannot broadcast shapes {np.shape(_value(a))} and {np.shape(_value(b))}") from None
+
+
 def add(a, b) -> Tensor | np.ndarray:
     """Elementwise sum with numpy broadcasting (e.g. bias add)."""
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    x = a.data if ta else a
-    y = b.data if tb else b
-    try:
-        data = x + y
-    except ValueError:
-        raise ShapeError(f"add: cannot broadcast shapes {np.shape(x)} and {np.shape(y)}") from None
-    if not (ta or tb):
-        return data
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _result(data, (a, b), backward)
+    return _broadcasting(_ADD, a, b)
 
 
 def mul(a, b) -> Tensor | np.ndarray:
     """Elementwise product with numpy broadcasting; also scales by a scalar."""
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    x = a.data if ta else a
-    y = b.data if tb else b
-    try:
-        data = x * y
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast shapes {np.shape(x)} and {np.shape(y)}") from None
-    if not (ta or tb):
-        return data
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _result(data, (a, b), backward)
+    return _broadcasting(_MUL, a, b)
 
 
 def linear(x, w, b, relu: bool = False) -> Tensor | np.ndarray:
@@ -200,28 +321,10 @@ def linear(x, w, b, relu: bool = False) -> Tensor | np.ndarray:
     The ReLU runs in place on the layer's own output buffer; it maps a ``-0.0``
     pre-activation to ``+0.0`` and lets a NaN through (see the module docstring).
     """
-    tx, tw, tb = isinstance(x, Tensor), isinstance(w, Tensor), isinstance(b, Tensor)
-    xd, wd, bd = x.data if tx else x, w.data if tw else w, b.data if tb else b
+    xd, wd, bd = _value(x), _value(w), _value(b)
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, b {bd.shape}")
-    data = xd @ wd
-    data += bd
-    if relu:
-        np.maximum(data, 0.0, out=data)
-    if not (tx or tw or tb):
-        return data
-
-    def backward(g: np.ndarray) -> None:
-        if relu:
-            g = g * (data > 0.0)  # the output is positive exactly where its pre-activation is
-        if tx and x.requires_grad:
-            x._accumulate(g @ wd.T)
-        if tw and w.requires_grad:
-            w._accumulate(xd.T @ g)
-        if tb and b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return _result(data, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), backward)
+    return _apply(_LINEAR, (x, w, b, relu), (xd, wd, bd, relu))
 
 
 def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
@@ -231,90 +334,36 @@ def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
     matrix. ``h`` gets its self and neighbour gradients summed, in that order.
     The ReLU is that of :func:`linear`, NaN propagation included.
     """
-    th, ts, tn, tb = isinstance(h, Tensor), isinstance(w_self, Tensor), isinstance(w_nbr, Tensor), isinstance(b, Tensor)
-    hd, sd = h.data if th else h, w_self.data if ts else w_self
-    nd, bd = w_nbr.data if tn else w_nbr, b.data if tb else b
+    hd, sd, nd, bd = _value(h), _value(w_self), _value(w_nbr), _value(b)
     if (hd.ndim != 2 or operator.shape != (len(hd),) * 2 or sd.shape[:1] != hd.shape[1:]
             or nd.shape != sd.shape or bd.shape != sd.shape[1:]):
         raise ShapeError(f"gnn_round: incompatible shapes h {hd.shape}, operator {operator.shape}, "
                          f"w_self {sd.shape}, w_nbr {nd.shape}, b {bd.shape}")
-    nbr = operator @ hd
-    data = hd @ sd
-    data += nbr @ nd
-    data += bd
-    np.maximum(data, 0.0, out=data)
-    if not (th or ts or tn or tb):
-        return data
-
-    def backward(g: np.ndarray) -> None:
-        g = g * (data > 0.0)
-        if th and h.requires_grad:
-            h._accumulate(g @ sd.T + operator.T @ (g @ nd.T))
-        if ts and w_self.requires_grad:
-            w_self._accumulate(hd.T @ g)
-        if tn and w_nbr.requires_grad:
-            w_nbr._accumulate(nbr.T @ g)
-        if tb and b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return _result(data, tuple(t for t in (h, w_self, w_nbr, b) if isinstance(t, Tensor)), backward)
+    return _apply(_GNN_ROUND, (h, operator, w_self, w_nbr, b), (hd, operator, sd, nd, bd))
 
 
 def concat(tensors: Sequence, axis: int = 1) -> Tensor | np.ndarray:
     """Concatenate along ``axis``; all other dimensions must agree."""
     if not tensors:
         raise ValueError("concat: need at least one tensor")
-    values = []
-    any_tensor = False
-    for t in tensors:
-        if isinstance(t, Tensor):
-            any_tensor = True
-            values.append(t.data)
-        else:
-            values.append(t)
     try:
-        data = np.concatenate(values, axis=axis)
+        return _apply(_CONCAT, (axis, *tensors))
     except ValueError:
-        shapes = [np.shape(v) for v in values]
+        shapes = [np.shape(_value(t)) for t in tensors]
         raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}") from None
-    if not any_tensor:
-        return data
-    parts = tuple(_as_tensor(t) for t in tensors)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if part.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                part._accumulate(g[tuple(index)])
-
-    return _result(data, parts, backward)
 
 
 def embedding_lookup(table, indices) -> Tensor | np.ndarray:
     """Gather rows of ``table`` (V, D) at integer ``indices`` (N,)."""
-    tt = isinstance(table, Tensor)
-    x = table.data if tt else table
-    idx = np.asarray(indices, dtype=np.int64)
+    x = _value(table)
+    idx = np.asarray(_value(indices), dtype=np.int64)
     vocab = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         raise IndexError(
             f"embedding index out of range: values in [{idx.min()}, {idx.max()}] "
             f"for table of size {vocab}"
         )
-    data = x[idx]
-    if not tt:
-        return data
-
-    def backward(g: np.ndarray) -> None:
-        if table.requires_grad:
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, idx, g)
-            table._accumulate(buf)
-
-    return _result(data, (table,), backward)
+    return _apply(_EMBEDDING_LOOKUP, (table, indices if isinstance(indices, Tensor) else idx), (x, idx))
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -326,47 +375,18 @@ def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def getitem(a, key) -> Tensor | np.ndarray:
     """Basic or integer-array indexing; gradient scatters back with add.at."""
-    ta = isinstance(a, Tensor)
-    x = a.data if ta else a
-    data = np.array(x[key])
-    if not ta:
-        return data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, key, g)
-            a._accumulate(buf)
-
-    return _result(data, (a,), backward)
+    return _apply(_GETITEM, (a, key))
 
 
 def reshape(a, shape) -> Tensor | np.ndarray:
-    ta = isinstance(a, Tensor)
-    x = a.data if ta else a
     try:
-        data = x.reshape(shape)
+        return _apply(_RESHAPE, (a, shape))
     except ValueError:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from None
-    if not ta:
-        return data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
-
-    return _result(data, (a,), backward)
+        raise ShapeError(f"reshape: cannot view {np.shape(_value(a))} as {shape}") from None
 
 
 def reduce_sum(a) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.sum()
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _result(data, (a,), backward)
+    return _apply(_REDUCE_SUM, (_as_tensor(a),))
 
 
 def weighted_cross_entropy(logits, labels, class_weights) -> tuple[Tensor, int]:
@@ -380,12 +400,12 @@ def weighted_cross_entropy(logits, labels, class_weights) -> tuple[Tensor, int]:
     logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"weighted_cross_entropy: logits must be 2-D, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
+    label_values = np.asarray(_value(labels), dtype=np.int64)
     weights = np.asarray(class_weights, dtype=np.float64)
     n_rows, n_classes = logits.data.shape
-    if labels.shape != (n_rows,):
+    if label_values.shape != (n_rows,):
         raise ShapeError(
-            f"weighted_cross_entropy: labels {labels.shape} vs logits {logits.shape}"
+            f"weighted_cross_entropy: labels {label_values.shape} vs logits {logits.shape}"
         )
     if weights.shape != (n_classes,):
         raise ShapeError(
@@ -393,90 +413,207 @@ def weighted_cross_entropy(logits, labels, class_weights) -> tuple[Tensor, int]:
         )
     if np.any(weights <= 0.0):
         raise ValueError("weighted_cross_entropy: class weights must be positive")
-    if labels.max(initial=-1) >= n_classes:
-        raise IndexError(f"label {labels.max()} out of range for {n_classes} classes")
-
-    mask = labels >= 0
-    n = int(mask.sum())
-    if n == 0:
-        return _result(np.float64(0.0), (logits,), lambda g: None), 0
-
-    rows = np.where(mask)[0]
-    row_labels = labels[rows]
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    exp_z = np.exp(z)
-    exp_sum = exp_z.sum(axis=1)
-    nll = np.log(exp_sum)[rows] - z[rows, row_labels]
-    row_w = weights[row_labels]
-    value = (row_w * nll).sum() / n
-
-    def backward(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            # softmax_np of the unmasked rows, taken from the forward's exponentials
-            probs = exp_z[rows] / exp_sum[rows, None]
-            grad = probs * row_w[:, None]
-            grad[np.arange(len(rows)), row_labels] -= row_w
-            buf = np.zeros_like(logits.data)
-            buf[rows] = grad * (float(g) / n)
-            logits._accumulate(buf)
-
-    return _result(np.float64(value), (logits,), backward), n
+    if label_values.max(initial=-1) >= n_classes:
+        raise IndexError(f"label {label_values.max()} out of range for {n_classes} classes")
+    operands = (logits, labels if isinstance(labels, Tensor) else label_values, weights)
+    loss = _apply(_WCE, operands, (logits.data, label_values, weights))
+    return loss, loss._node[2][0]  # the context starts with the row count
 
 
 def mse(pred, target, mask=None) -> tuple[Tensor, int]:
     """Mean squared error over unmasked entries; (0, 0) when all masked."""
     pred = _as_tensor(pred)
-    target_arr = np.asarray(target, dtype=np.float64)
+    target_arr = np.asarray(_value(target), dtype=np.float64)
     if pred.data.shape != target_arr.shape:
         raise ShapeError(f"mse: pred {pred.shape} vs target {target_arr.shape}")
     if mask is None:
         mask_arr = np.ones(pred.data.shape, dtype=bool)
     else:
-        mask_arr = np.asarray(mask, dtype=bool)
+        mask_arr = np.asarray(_value(mask), dtype=bool)
         if mask_arr.shape != pred.data.shape:
             raise ShapeError(f"mse: mask {mask_arr.shape} vs pred {pred.shape}")
-    n = int(mask_arr.sum())
-    if n == 0:
-        return _result(np.float64(0.0), (pred,), lambda g: None), 0
+    operands = (pred, target if isinstance(target, Tensor) else target_arr,
+                mask if isinstance(mask, Tensor) else mask_arr)
+    loss = _apply(_MSE, operands, (pred.data, target_arr, mask_arr))
+    return loss, loss._node[2][0]
 
-    diff = np.where(mask_arr, pred.data - target_arr, 0.0)
-    value = (diff * diff).sum() / n
 
-    def backward(g: np.ndarray) -> None:
-        if pred.requires_grad:
-            pred._accumulate(2.0 * diff * (float(g) / n))
+# -- plans ------------------------------------------------------------------------
 
-    return _result(np.float64(value), (pred,), backward), n
+
+def _walk(outputs: Sequence[Tensor]) -> list[Tensor]:
+    """The op outputs that ``outputs`` were computed from, each after its operands.
+
+    A depth-first post-order from ``outputs[0]``: its reverse is the order in
+    which the backward runs the ops, and so the order in which a value used
+    by several ops sums their gradients. What only the other outputs reach
+    comes after it.
+    """
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(t, False) for t in reversed(outputs)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or node._node is None:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._node[1]:
+            if isinstance(parent, Tensor) and parent._node is not None and id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+class Plan:
+    """A recorded op sequence, replayed on new inputs.
+
+    ``Plan(outputs, inputs)`` walks the graph that computed ``outputs`` once
+    and gives every value a slot: each op output, leaf tensor and constant
+    operand. The ops run forward in the walk's order and backward in its
+    reverse. A leaf that requires a gradient adds its gradients into its
+    ``grad`` buffer (a new zero buffer when it has none), so the gradients of
+    a ParamStore's parameters land in its flat buffer; every other gradient
+    lives only during one backward.
+
+    Parameters and constants are read by reference, so each replay sees the
+    parameters' current values. :meth:`forward` binds one array to each of
+    ``inputs``, of the shape and dtype traced (its values are not checked),
+    and returns the outputs' values; :meth:`backward` then backpropagates
+    from the first output, a scalar.
+    """
+
+    def __init__(self, outputs: Sequence[Tensor], inputs: Sequence[Tensor] = ()):
+        values: list = []
+        slots: dict[int, int] = {}
+
+        def slot(x) -> int:
+            if not isinstance(x, Tensor):  # a constant operand
+                values.append(x)
+                return len(values) - 1
+            if id(x) not in slots:
+                slots[id(x)] = len(values)
+                values.append(x.data)
+            return slots[id(x)]
+
+        self._inputs = [(slot(x), x.shape, x.data.dtype) for x in inputs]
+        order = _walk(outputs)
+        self.ops = tuple(t._node[0].name for t in order)
+        self._forward = [(t._node[0].forward, _getter([slot(x) for x in t._node[1]]), slot(t)) for t in order]
+        self._ctx = [t._node[2] for t in order]
+        self._backward = []
+        self._op_tensors = []  # (slot, tensor) of each op output that requires a gradient
+        for k in reversed(range(len(order))):
+            t = order[k]
+            if not t.requires_grad:
+                continue
+            op, operands, _ctx = t._node
+            _fwd, args, out = self._forward[k]
+            need = tuple(isinstance(x, Tensor) and x.requires_grad for x in operands)
+            targets = tuple(
+                (pos, slots[id(x)], _grad_buffer(x) if x._node is None else None)
+                for pos, x in enumerate(operands) if need[pos]
+            )
+            self._backward.append((k, op.backward, args, out, need, targets))
+            self._op_tensors.append((out, t))
+        self._values = values
+        self._outputs = [slot(t) for t in outputs]
+        self._seed = np.ones_like(values[self._outputs[0]])
+
+    @classmethod
+    def trace(cls, fn: Callable[..., Sequence[Tensor]], inputs: Sequence[np.ndarray]) -> Plan:
+        """Run ``fn`` once on Tensors holding ``inputs`` and plan the outputs it returns (the loss first)."""
+        tensors = [Tensor(x, dtype=None) for x in inputs]
+        plan = cls(fn(*tensors), tensors)
+        plan._op_tensors = []  # the traced tensors are not handed out; let them go
+        return plan
+
+    def forward(self, *inputs: np.ndarray) -> list:
+        """Bind ``inputs`` and run every op; the outputs' values."""
+        if len(inputs) != len(self._inputs):
+            raise ValueError(f"plan takes {len(self._inputs)} inputs, got {len(inputs)}")
+        values, ctx = self._values, self._ctx
+        for (slot, shape, dtype), x in zip(self._inputs, inputs):
+            if x.shape != shape or x.dtype != dtype:
+                raise ShapeError(f"plan input {x.dtype}{x.shape} where {dtype}{shape} was traced")
+            values[slot] = x
+        for k, (fwd, args, out) in enumerate(self._forward):
+            values[out], ctx[k] = fwd(*args(values))
+        return [values[i] for i in self._outputs]
+
+    def backward(self) -> list:
+        """Backpropagate from the first output; the gradient of each slot (None where it got none)."""
+        values, ctx = self._values, self._ctx
+        grads: list = [None] * len(values)
+        grads[self._outputs[0]] = self._seed
+        for k, bwd, args, out, need, targets in self._backward:
+            g = grads[out]
+            if g is None:
+                continue
+            op_grads = bwd(g, values[out], ctx[k], need, *args(values))
+            for pos, slot, buffer in targets:
+                g_in = op_grads[pos]
+                if g_in is None:
+                    continue
+                if buffer is not None:
+                    buffer += g_in
+                elif grads[slot] is None:
+                    grads[slot] = g_in
+                else:
+                    grads[slot] = grads[slot] + g_in
+        return grads
+
+
+def _getter(slots: list[int]) -> Callable[[list], tuple]:
+    """The operand values of an op, as a tuple, from the list of slot values."""
+    return itemgetter(*slots) if len(slots) > 1 else lambda values: (values[slots[0]],)
+
+
+def _grad_buffer(leaf: Tensor) -> np.ndarray:
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    return leaf.grad
 
 
 class ParamStore:
     """Named trainable tensors, each a view into one flat float64 buffer.
 
-    Adam's first and second moments are two more flat buffers with the
-    same layout, so one update covers every parameter at once.
+    Each parameter's ``grad`` is a view into a second flat buffer of the same
+    layout, and Adam's first and second moments are two more, so one update
+    covers every parameter at once.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._flat = np.zeros(0)
+        self._grad = np.zeros(0)
+        self._grad_views: list[np.ndarray] = []
         self._m = np.zeros(0)
         self._v = np.zeros(0)
         self.step_count = 0
 
     def add(self, name: str, data) -> Tensor:
+        """Add a parameter; the gradients of all parameters start again from zero."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
-        # grow the buffers and point every parameter at its slice of the new one
+        # grow the buffers and point every parameter at its slice of the new ones
         size = t.data.size
         self._flat = np.concatenate([self._flat, t.data.ravel()])
+        self._grad = np.zeros(self._flat.size)
         self._m = np.concatenate([self._m, np.zeros(size)])
         self._v = np.concatenate([self._v, np.zeros(size)])
+        self._grad_views = []
         offset = 0
         for p in self._params.values():
-            p.data = self._flat[offset : offset + p.data.size].reshape(p.data.shape)
-            offset += p.data.size
+            end = offset + p.data.size
+            p.data = self._flat[offset:end].reshape(p.data.shape)
+            p.grad = self._grad[offset:end].reshape(p.data.shape)
+            self._grad_views.append(p.grad)
+            offset = end
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -489,13 +626,28 @@ class ParamStore:
         return self._params.items()
 
     def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
+        """Fill the gradient buffer with zeros; a ``grad`` assigned directly goes back to its view."""
+        self._grad.fill(0.0)
+        for t, view in zip(self._params.values(), self._grad_views):
+            t.grad = view
+
+    def _flat_grad(self) -> np.ndarray:
+        """The flat gradient buffer, with any ``grad`` assigned directly copied into it (None as zeros)."""
+        for (name, t), view in zip(self._params.items(), self._grad_views):
+            if t.grad is view:
+                continue
+            if t.grad is None:
+                view.fill(0.0)
+            elif np.size(t.grad) != view.size:
+                raise ShapeError(f"{name}: {np.size(t.grad)} gradient entries for {view.size} parameter entries")
+            else:
+                view[...] = np.reshape(t.grad, view.shape)
+            t.grad = view
+        return self._grad
 
     def scale_grads(self, factor: float) -> None:
-        for t in self._params.values():
-            if t.grad is not None:
-                t.grad *= factor
+        grad = self._flat_grad()
+        grad *= factor
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of the current parameter values, keyed by name."""
@@ -513,15 +665,10 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update over the flat buffer; missing gradients count as zero."""
+    """One bias-corrected Adam update over the flat buffers."""
     store.step_count += 1
     t = store.step_count
-    g = np.concatenate(
-        [p.grad if p.grad is not None else np.zeros(p.data.size) for p in store._params.values()],
-        axis=None,
-    )
-    if g.size != store._flat.size:
-        raise ShapeError(f"adam_step: {g.size} gradient entries for {store._flat.size} parameter entries")
+    g = store._flat_grad()
     m, v = store._m, store._v
     m *= beta1
     m += (1.0 - beta1) * g

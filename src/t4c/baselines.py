@@ -257,21 +257,27 @@ def node_gnn_baseline(
     store.add("edge_w", ad.glorot_uniform(rng, 2 * hidden, 3))
     store.add("edge_b", np.zeros(3))
 
-    def forward_logits(params, record: VolumeRecord):
+    def forward_logits(params, x):
         """Tensors from the store (training), arrays from ``store.arrays()`` (validation)."""
-        h = ad.linear(feats[record.record_id], params["in_w"], params["in_b"])
+        h = ad.linear(x, params["in_w"], params["in_b"])
         for layer in range(layers):
             weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
             h = ad.gnn_round(h, node_mean, *weights)
         pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
         return ad.linear(pair, params["edge_w"], params["edge_b"])
 
-    def record_loss(record: VolumeRecord):
-        loss, _n = ad.weighted_cross_entropy(forward_logits(store, record), targets[record.record_id], weights)
-        return loss, ()
+    def record_inputs(record: VolumeRecord):
+        return feats[record.record_id], targets[record.record_id]
 
-    def val_cc_probs(record: VolumeRecord) -> np.ndarray:
-        return ad.softmax_np(forward_logits(store.arrays(), record), axis=1)
+    def record_loss(x, target):
+        loss, _n = ad.weighted_cross_entropy(forward_logits(store, x), target, weights)
+        return (loss,)
 
-    fit = fit_loop(store, train_cfg, seed, train_records, val_records, labels, record_loss, val_cc_probs)
+    def val_cc_probs(records):
+        params = store.arrays()
+        return {r.record_id: ad.softmax_np(forward_logits(params, feats[r.record_id]), axis=1) for r in records}
+
+    fit = fit_loop(
+        store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss, val_cc_probs
+    )
     return fit.val_scores[fit.best_epoch]

@@ -147,8 +147,9 @@ def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
     """Inverse of :func:`save_cluster_model`; the assignment is not stored.
 
     A damaged file raises ValueError naming it and `t4c fit-clusters`; so does
-    a K that is not a positive integer, or thresholds that are not K - 1
-    finite, non-decreasing numbers.
+    a K that is not a positive integer, thresholds that are not K - 1
+    finite, non-decreasing numbers, or a prior entry that is not a finite,
+    non-negative JSON number.
     """
     path = Path(path)
     try:
@@ -173,6 +174,9 @@ def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
             matrix = np.asarray(rows, dtype=np.float64)
             if matrix.shape != (k, 3):
                 raise ValueError(f"prior for {seg_id!r} has shape {matrix.shape}, expected ({k}, 3)")
+            numbers = all(type(p) in (int, float) for row in rows for p in row)
+            if not numbers or not np.isfinite(matrix).all() or (matrix < 0.0).any():
+                raise ValueError(f"prior for {seg_id!r} must hold finite, non-negative numbers, got {rows!r}")
             priors[seg_id] = PriorMatrix(segment_id=seg_id, matrix=matrix, support=None)
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: damaged cluster model ({exc}); produce it again with `t4c fit-clusters`") from None

@@ -874,7 +874,7 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
         j = int(rng.integers(0, i))
         pairs.append((j, i))
         pair_set.add(frozenset((j, i)))
-    target_pairs = max(n - 1, int(math.ceil(n * 5 / 3)))
+    target_pairs = min(max(n - 1, int(math.ceil(n * 5 / 3))), n * (n - 1) // 2)  # at most every pair
     while len(pairs) < target_pairs:
         a = int(rng.integers(0, n))
         b = int(rng.integers(0, n))

@@ -8,14 +8,15 @@ through L rounds of message passing over the segment graph (each round
 mixes the node's own state with the mean of its neighbors); three
 residual-block head stacks then emit congestion logits, a speed value in
 normalized space, and volume-class logits. ``forward`` is ``static_branch``
-on the static ``FeatureBundle`` (it reads no counter volume, so it is the
-same for every record of one cluster) followed by ``record_branch`` on the
-record's normalized counter slice.
+on the ``static_inputs`` of the static ``FeatureBundle`` (it reads no
+counter volume, so it is the same for every record of one cluster)
+followed by ``record_branch`` on the record's normalized counter slice.
 
 Losses: class-weighted cross entropy for congestion and volume class
 (rows without a label are masked out), mean squared error on normalized
 speed, combined as lambda1 * L_c + lambda2 * L_s + lambda3 * L_v with the
-training default (0.03, 1, 1).
+training default (0.03, 1, 1) (``loss_terms``). Training traces these
+functions once on Tensors (``autodiff.Plan.trace``) and replays the plan.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,10 +41,13 @@ __all__ = [
     "LossReport",
     "VOCAB_SIZES",
     "init_params",
+    "static_inputs",
     "static_branch",
     "record_branch",
+    "congestion_probs",
     "forward",
     "make_label_arrays",
+    "loss_terms",
     "compute_loss",
     "predict_probabilities",
     "inverse_frequency_weights",
@@ -219,38 +223,40 @@ def _head(params: Params, config: ModelConfig, task: str, x):
     return ad.linear(x, params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
 
 
-def static_branch(params: Params, config: ModelConfig, features: FeatureBundle):
-    """Each segment's static feature: embeddings, continuous attributes and prior block through the static MLP.
-
-    No counter volume is read, so the result is the same for every record with
-    the same prior block: in ``full`` mode for every record, in ``active_row``
-    mode for every record of one cluster.
-    """
+def static_inputs(config: ModelConfig, features: FeatureBundle) -> tuple[np.ndarray, ...]:
+    """What the static branch's ops read of a bundle: the four categorical index
+    columns (in ``VOCAB_SIZES`` order), then the continuous attributes and the
+    prior block, each times its ablation gate."""
     if features.prior_block.shape[1] != config.prior_width:
         raise ad.ShapeError(
             f"prior block width {features.prior_block.shape[1]} vs config {config.prior_width}"
         )
-    if config.use_static:  # categorical columns in VOCAB_SIZES order
-        lookups = [ad.embedding_lookup(params[f"emb_{name}"], features.categorical[:, col])
-                   for col, name in enumerate(VOCAB_SIZES)]
-        embedded = ad.concat(lookups, axis=1)
-    else:  # the ablation gate: a zero block in place of the embeddings
-        embedded = np.zeros((len(features.categorical), config.embedding_width))
     static_gate = 1.0 if config.use_static else 0.0
     prior_gate = 1.0 if config.use_prior_block else 0.0
-    static_in = ad.concat([embedded, features.continuous * static_gate, features.prior_block * prior_gate], axis=1)
+    columns = tuple(features.categorical[:, col] for col in range(len(VOCAB_SIZES)))
+    return (*columns, features.continuous * static_gate, features.prior_block * prior_gate)
+
+
+def static_branch(params: Params, config: ModelConfig, inputs: Sequence):
+    """Each segment's static feature: embeddings, continuous attributes and prior block through the static MLP.
+
+    ``inputs`` are a bundle's ``static_inputs``. No counter volume is read, so
+    the result is the same for every record with the same prior block: in
+    ``full`` mode for every record, in ``active_row`` mode for every record of
+    one cluster.
+    """
+    *columns, continuous, prior_block = inputs
+    if config.use_static:
+        lookups = [ad.embedding_lookup(params[f"emb_{name}"], idx) for name, idx in zip(VOCAB_SIZES, columns)]
+        embedded = ad.concat(lookups, axis=1)
+    else:  # the ablation gate: a zero block in place of the embeddings
+        embedded = np.zeros((continuous.shape[0], config.embedding_width))
+    static_in = ad.concat([embedded, continuous, prior_block], axis=1)
     return _mlp(params, "static", len(config.static_hidden), static_in)
 
 
-def record_branch(
-    params: Params,
-    config: ModelConfig,
-    seg_graph: SegmentGraph,
-    counter_slice: np.ndarray,
-    static_feat,
-) -> PredictionBundle:
-    """The rest of the network: the volume MLP on the record's (N, 8) counter slice,
-    the combine layer with ``static_feat``, the message-passing rounds and the heads."""
+def _trunk(params: Params, config: ModelConfig, seg_graph: SegmentGraph, counter_slice, static_feat):
+    """The volume MLP on the (N, 8) counter slice, the combine layer with ``static_feat``, and the message passing."""
     n = seg_graph.num_segments
     if counter_slice.shape[0] != n:
         raise ad.ShapeError(f"features for {counter_slice.shape[0]} segments vs graph with {n}")
@@ -259,11 +265,34 @@ def record_branch(
     for layer in range(config.gnn_layers):
         weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
         h = ad.gnn_round(h, seg_graph.mean_operator, *weights)
+    return h
 
+
+def record_branch(
+    params: Params,
+    config: ModelConfig,
+    seg_graph: SegmentGraph,
+    counter_slice,
+    static_feat,
+) -> PredictionBundle:
+    """The rest of the network: the volume MLP on the record's (N, 8) counter slice,
+    the combine layer with ``static_feat``, the message-passing rounds and the heads."""
+    h = _trunk(params, config, seg_graph, counter_slice, static_feat)
     cc_logits = _head(params, config, "cc", h)
-    speed = ad.reshape(_head(params, config, "speed", h), (n,))
+    speed = ad.reshape(_head(params, config, "speed", h), (seg_graph.num_segments,))
     vol_logits = _head(params, config, "vol", h)
     return PredictionBundle(cc_logits=cc_logits, speed_pred=speed, vol_logits=vol_logits)
+
+
+def congestion_probs(
+    params: Mapping[str, np.ndarray],
+    config: ModelConfig,
+    seg_graph: SegmentGraph,
+    counter_slice: np.ndarray,
+    static_feat: np.ndarray,
+) -> np.ndarray:
+    """``predict_probabilities(record_branch(...)).cc`` with the same bits, without the speed and volume heads."""
+    return _cc_probs(_head(params, config, "cc", _trunk(params, config, seg_graph, counter_slice, static_feat)))
 
 
 def forward(
@@ -285,7 +314,7 @@ def forward(
         raise ad.ShapeError(
             f"features for {features.categorical.shape[0]} segments vs graph with {n}"
         )
-    static_feat = static_branch(params, config, features)
+    static_feat = static_branch(params, config, static_inputs(config, features))
     return record_branch(params, config, seg_graph, counter_slice, static_feat)
 
 
@@ -318,6 +347,28 @@ def make_label_arrays(
     return LabelArrays(cc=cc, speed=speed, speed_mask=speed_mask, vol=vol)
 
 
+def loss_terms(
+    pred: PredictionBundle,
+    labels: LabelArrays,
+    cc_weights: np.ndarray,
+    vol_weights: np.ndarray,
+    lambdas: tuple[float, float, float] = (0.03, 1.0, 1.0),
+) -> tuple[tuple[Tensor, Tensor, Tensor, Tensor], tuple[int, int, int]]:
+    """The combined loss and the congestion, speed and volume losses, then each task's count of labeled rows.
+
+    ``labels`` may hold Tensors: the inputs of a traced plan.
+    """
+    lam1, lam2, lam3 = lambdas
+    loss_cc, n_cc = ad.weighted_cross_entropy(pred.cc_logits, labels.cc, cc_weights)
+    loss_speed, n_speed = ad.mse(pred.speed_pred, labels.speed, labels.speed_mask)
+    loss_vol, n_vol = ad.weighted_cross_entropy(pred.vol_logits, labels.vol, vol_weights)
+    total = ad.add(
+        ad.add(ad.mul(loss_cc, Tensor(np.float64(lam1))), ad.mul(loss_speed, Tensor(np.float64(lam2)))),
+        ad.mul(loss_vol, Tensor(np.float64(lam3))),
+    )
+    return (total, loss_cc, loss_speed, loss_vol), (n_cc, n_speed, n_vol)
+
+
 def compute_loss(
     pred: PredictionBundle,
     labels: LabelArrays,
@@ -330,40 +381,29 @@ def compute_loss(
     Tasks with no labeled segments contribute exactly zero to the value
     and the gradient; their counts in the report flag the condition.
     """
-    lam1, lam2, lam3 = lambdas
-    loss_cc, n_cc = ad.weighted_cross_entropy(pred.cc_logits, labels.cc, cc_weights)
-    loss_speed, n_speed = ad.mse(pred.speed_pred, labels.speed, labels.speed_mask)
-    loss_vol, n_vol = ad.weighted_cross_entropy(pred.vol_logits, labels.vol, vol_weights)
-    total = ad.add(
-        ad.add(ad.mul(loss_cc, Tensor(np.float64(lam1))), ad.mul(loss_speed, Tensor(np.float64(lam2)))),
-        ad.mul(loss_vol, Tensor(np.float64(lam3))),
-    )
-    report = LossReport(
-        loss_cc=loss_cc.item(),
-        loss_speed=loss_speed.item(),
-        loss_vol=loss_vol.item(),
-        loss=total.item(),
-        n_cc=n_cc,
-        n_speed=n_speed,
-        n_vol=n_vol,
-    )
-    return total, report
+    (total, *parts), counts = loss_terms(pred, labels, cc_weights, vol_weights, lambdas)
+    return total, LossReport(*(t.item() for t in parts), total.item(), *counts)
+
+
+def _cc_probs(cc_logits: np.ndarray) -> np.ndarray:
+    """Congestion probabilities; a 4-class head (undefined kept) is reduced to the
+    three scored classes by dropping the undefined column and renormalizing."""
+    cc = ad.softmax_np(cc_logits, axis=1)
+    if cc.shape[1] == 4:
+        cc = cc[:, 1:4]
+        cc = cc / cc.sum(axis=1, keepdims=True)
+    return cc
 
 
 def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> PredictionProbs:
     """Softmax the logits and map speeds back to km/h.
 
     ``pred`` holds plain arrays: the output of ``forward`` on arrays.
-    A 4-class congestion head (undefined kept) is reduced to the three
-    scored classes by dropping the undefined column and renormalizing.
+    The congestion probabilities are those of the three scored classes.
     """
-    cc = ad.softmax_np(pred.cc_logits, axis=1)
-    if cc.shape[1] == 4:
-        cc = cc[:, 1:4]
-        cc = cc / cc.sum(axis=1, keepdims=True)
     vol = ad.softmax_np(pred.vol_logits, axis=1)
     speed = pred.speed_pred * norm_stats.speed_std + norm_stats.speed_mean
-    return PredictionProbs(cc=cc, speed_kph=speed, vol=vol)
+    return PredictionProbs(cc=_cc_probs(pred.cc_logits), speed_kph=speed, vol=vol)
 
 
 def inverse_frequency_weights(

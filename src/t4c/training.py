@@ -4,7 +4,10 @@ Each optimizer step accumulates gradients over a small batch of records
 (every record is one full-graph forward), averages them, and applies one
 Adam update. After every epoch the validation congestion score is
 computed and the best epoch's parameters are kept. One loop, ``fit_loop``,
-does this for the main model and for the node-GNN baseline. Ensemble members
+does this for the main model and for the node-GNN baseline: it traces one
+record's forward and loss into an autodiff plan once, and replays the plan
+for every record with that record's inputs bound. Validation runs the
+static branch once per cluster and only the congestion head. Ensemble members
 differ only by their seed, so a run builds its split, features, targets and
 class weights once (``prepare_training``) and trains every member from them:
 one static feature bundle per cluster, one counter slice per record.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -36,15 +40,17 @@ from .model import (
     LabelArrays,
     ModelConfig,
     PredictionProbs,
-    compute_loss,
     config_hash,
+    congestion_probs,
     forward,
     init_params,
     inverse_frequency_weights,
+    loss_terms,
     make_label_arrays,
     predict_probabilities,
     record_branch,
     static_branch,
+    static_inputs,
 )
 from .seggraph import (FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph,
                        counter_slice_matrix, fit_normalization)
@@ -167,10 +173,14 @@ def load_runlog(path) -> RunLog:
         epochs = tuple(EpochLog(**{f.name: e[f.name] for f in fields(EpochLog)}) for e in obj["epochs"])
         if not all(type(getattr(e, f.name)) in (int, float) for e in epochs for f in fields(EpochLog)):
             raise ValueError("every epoch entry must be a number")
-        best = obj["best_epoch"]
+        best, seed, order_hash = obj["best_epoch"], obj["seed"], obj["data_order_hash"]
         if type(best) is not int or not 0 <= best < len(epochs):
             raise ValueError(f"best_epoch {best!r} is not the index of one of {len(epochs)} epochs")
-        return RunLog(epochs=epochs, best_epoch=best, seed=obj["seed"], data_order_hash=obj["data_order_hash"])
+        if type(seed) is not int:
+            raise ValueError(f"seed {seed!r} is not an integer")
+        if type(order_hash) is not str or re.fullmatch(r"[0-9a-f]{64}", order_hash) is None:
+            raise ValueError(f"data_order_hash {order_hash!r} is not a 64-digit hex sha256")
+        return RunLog(epochs=epochs, best_epoch=best, seed=seed, data_order_hash=order_hash)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: damaged run log ({type(exc).__name__}: {exc})") from None
 
@@ -218,18 +228,22 @@ def fit_loop(
     train_records: Sequence[VolumeRecord],
     val_records: Sequence[VolumeRecord],
     labels: LabelTable,
-    record_loss: Callable[[VolumeRecord], tuple[ad.Tensor, Sequence[float]]],
-    val_cc_probs: Callable[[VolumeRecord], np.ndarray],
+    record_inputs: Callable[[VolumeRecord], tuple[np.ndarray, ...]],
+    record_loss: Callable[..., Sequence[ad.Tensor]],
+    val_cc_probs: Callable[[Sequence[VolumeRecord]], Mapping[str, np.ndarray]],
 ) -> FitResult:
     """Fit ``store`` by Adam on seeded shuffles of batched records.
 
-    ``record_loss`` maps a record to its scalar loss and the loss parts
-    to log; gradients are averaged over each batch. After every epoch
+    ``record_loss`` maps a record's inputs (``record_inputs(record)``, as
+    Tensors) to its scalar loss and any further loss parts to log; the loss
+    is logged first. It is traced once, on the first training record, into
+    an ``ad.Plan`` that every step replays on its records' inputs.
+    Gradients are averaged over each batch. After every epoch
     ``val_cc_probs`` gives each validation record's (segments, 3)
-    congestion probabilities in the order of ``labels.segment_ids``, and
-    the core score picks the best epoch (earliest wins ties). A non-finite
-    loss aborts at once with the seed and the last finite state in the
-    error message.
+    congestion probabilities in the order of ``labels.segment_ids``, by
+    record id, and the core score picks the best epoch (earliest wins
+    ties). A non-finite loss aborts at once with the seed and the last
+    finite state in the error message.
     """
     val_labels = labels.select(r.record_id for r in val_records)
     shuffler = random.Random(seed)
@@ -240,6 +254,7 @@ def fit_loop(
     best_score = float("inf")
     best_params: dict[str, np.ndarray] | None = None
     last_finite: tuple[int, float] | None = None
+    plan: ad.Plan | None = None
 
     for epoch in range(train_cfg.epochs):
         order = list(train_records)
@@ -250,20 +265,23 @@ def fit_loop(
         for batch in _chunks(order, train_cfg.batch_size):
             store.zero_grad()
             for record in batch:
-                loss, parts = record_loss(record)
-                value = loss.item()
+                inputs = record_inputs(record)
+                if plan is None:
+                    plan = ad.Plan.trace(record_loss, inputs)
+                parts = plan.forward(*inputs)
+                value = float(parts[0])
                 if not np.isfinite(value):
                     state = f"last finite state: {last_finite}" if last_finite else "no finite step yet"
                     raise TrainingDivergedError(
                         f"non-finite loss for seed {seed} at epoch {epoch}, record {record.record_id!r}; {state}"
                     )
                 last_finite = (epoch, value)
-                loss.backward()
+                plan.backward()
                 sums = sums + np.asarray(parts, dtype=np.float64)
             store.scale_grads(1.0 / len(batch))
             ad.adam_step(store, lr=train_cfg.learning_rate)
 
-        predictions = {record.record_id: val_cc_probs(record) for record in val_records}
+        predictions = val_cc_probs(val_records)
         score = core_metric(predictions, val_labels).score
         if score is None:
             raise ValueError("validation split has no scored congestion labels")
@@ -384,25 +402,35 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
         )
     seg_graph = ts.seg_graph
     store = init_params(model_cfg, seed)
+    # what the static branch reads, per feature bundle (per cluster)
+    bundles = {id(bundle): bundle for bundle in ts.features.values()}
+    static_in = {key: static_inputs(model_cfg, bundle) for key, bundle in bundles.items()}
 
-    def record_forward(params, record: VolumeRecord):
+    def record_inputs(record: VolumeRecord) -> tuple[np.ndarray, ...]:
         rid = record.record_id
-        return forward(params, model_cfg, seg_graph, ts.features[rid], ts.counter_slices[rid])
+        t = ts.targets[rid]
+        return (ts.counter_slices[rid], t.cc, t.speed, t.speed_mask, t.vol, *static_in[id(ts.features[rid])])
 
-    def record_loss(record: VolumeRecord):
-        loss, report = compute_loss(
-            record_forward(store, record),
-            ts.targets[record.record_id],
-            ts.cc_weights,
-            ts.vol_weights,
-            model_cfg.lambdas,
+    def record_loss(counter_slice, cc, speed, speed_mask, vol, *static):
+        pred = record_branch(store, model_cfg, seg_graph, counter_slice, static_branch(store, model_cfg, static))
+        losses, _counts = loss_terms(
+            pred, LabelArrays(cc, speed, speed_mask, vol), ts.cc_weights, ts.vol_weights, model_cfg.lambdas
         )
-        return loss, (report.loss, report.loss_cc, report.loss_speed, report.loss_vol)
+        return losses
 
-    def val_cc_probs(record: VolumeRecord) -> np.ndarray:
-        return predict_probabilities(record_forward(store.arrays(), record), ts.norm_stats).cc
+    def val_cc_probs(records: Sequence[VolumeRecord]) -> dict[str, np.ndarray]:
+        params = store.arrays()
+        static_feat = {key: static_branch(params, model_cfg, inputs) for key, inputs in static_in.items()}
+        return {
+            r.record_id: congestion_probs(
+                params, model_cfg, seg_graph, ts.counter_slices[r.record_id], static_feat[id(ts.features[r.record_id])]
+            )
+            for r in records
+        }
 
-    fit = fit_loop(store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.labels, record_loss, val_cc_probs)
+    fit = fit_loop(
+        store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.labels, record_inputs, record_loss, val_cc_probs
+    )
     ckpt = Checkpoint(
         params=fit.params,
         norm_stats=ts.norm_stats,
@@ -500,9 +528,9 @@ def prepare_ensemble(
         raise ValueError("prior_mode 'active_row' needs a cluster model")
     static = {
         row: tuple(
-            _read_only(static_branch(ckpt.params, ckpt.config, assemble_features(
+            _read_only(static_branch(ckpt.params, ckpt.config, static_inputs(ckpt.config, assemble_features(
                 dataset_graph, seg_graph, priors, ckpt.norm_stats, prior_mode, row
-            )))
+            ))))
             for ckpt in checkpoints
         )
         for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])

@@ -295,7 +295,9 @@ def test_num_clusters_config_key_drives_every_stage(pipeline, capsys):
     lambda text: text[: len(text) // 2],
     lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "best_epoch"}),
     lambda text: json.dumps([json.loads(text)]),
-], ids=["truncated", "no_best_epoch", "json_list"])
+    lambda text: json.dumps({**json.loads(text), "seed": "0"}),
+    lambda text: json.dumps({**json.loads(text), "data_order_hash": "not a digest"}),
+], ids=["truncated", "no_best_epoch", "json_list", "seed_string", "hash_not_hex"])
 def test_report_on_damaged_runlog_exits_one_naming_the_file(pipeline, capsys, damage, request):
     run = pipeline / "runs" / f"damaged_{request.node.callspec.id}"
     shutil.copytree(pipeline / "runs/demo", run)
@@ -386,6 +388,24 @@ def test_cluster_model_with_bad_k_or_thresholds_exits_one_naming_the_file(pipeli
     err = capsys.readouterr().err
     assert str(damaged) in err and "t4c fit-clusters" in err
     assert not (pipeline / f"bad_clusters_{stage}").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "predict"])
+@pytest.mark.parametrize("entry", [float("nan"), "0.2", True, -0.1], ids=["nan", "string", "true", "negative"])
+def test_cluster_model_with_a_bad_prior_entry_exits_one_naming_the_file(pipeline, capsys, stage, entry):
+    """A NaN prior used to reach predictions.jsonl; a string or a bool loaded as a number."""
+    obj = json.loads((pipeline / "cluster_model.json").read_text())
+    obj["priors"][min(obj["priors"])][1][2] = entry
+    damaged = pipeline / f"clusters_prior_{stage}.json"
+    damaged.write_text(json.dumps(obj))
+    capsys.readouterr()
+    argv = ["--run", "runs/demo"] if stage == "predict" else ["--k", "5"]
+    code = main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--cluster-model", damaged.name,
+                 "--out", f"bad_prior_{stage}", *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(damaged) in err and "t4c fit-clusters" in err
+    assert not (pipeline / f"bad_prior_{stage}").exists()
 
 
 def test_predict_on_truncated_checkpoint_exits_one(pipeline, capsys):

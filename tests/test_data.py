@@ -413,6 +413,15 @@ def test_synth_full_counter_fraction(tmp_path):
     assert len(dataset.graph.counters) == len(dataset.graph.nodes)
 
 
+def test_synth_of_the_smallest_city_joins_every_node_pair(tmp_path):
+    """Four nodes have six pairs: the chord target stops there instead of drawing forever."""
+    spec = SynthSpec(num_nodes=4, counter_fraction=0.5, num_records=3)
+    graph = generate_synthetic_city(spec, seed=0, out_dir=tmp_path / "tiny").graph
+    assert {frozenset(pair) for pair in graph.endpoint_rows.tolist()} == {
+        frozenset((a, b)) for a in range(4) for b in range(a + 1, 4)
+    }
+
+
 def test_synth_signal_zero_labels_independent_of_volumes(tmp_path):
     """Chi-square independence between volume-sum tertile and label counts."""
     from scipy.stats import chi2_contingency

@@ -102,24 +102,23 @@ def test_two_member_predictions_reproduce_the_recorded_bits(ordering_city, tmp_p
 
 
 def test_one_training_record_records_33_ops(ordering_city, ordering_fit, monkeypatch):
-    """Forward plus loss of one record: one op per linear layer and per GNN round."""
+    """Forward plus loss of one record: one op per linear layer and per GNN round, in the
+    plan a run traces and in the plan of a one-shot backward; the backward reaches every parameter."""
     dataset, _ = ordering_city
     ts = _training_set(dataset, ordering_fit)
+    plans = []
+    trace = ad.Plan.trace
+    monkeypatch.setattr(ad.Plan, "trace", lambda fn, inputs: plans.append(trace(fn, inputs)) or plans[-1])
+    train_one(replace(ts, train_cfg=replace(GOLDEN_TRAIN, epochs=1)), ORDERING_MODEL, seed=0)
+    assert [len(plan.ops) for plan in plans] == [33]
+
     record_id = ts.train_records[0].record_id
     store = init_params(ORDERING_MODEL, seed=0)
-    recorded = []
-    result = ad._result
-
-    def counting_result(data, parents, backward):
-        recorded.append(backward)
-        return result(data, parents, backward)
-
-    monkeypatch.setattr(ad, "_result", counting_result)
     pred = forward(store, ORDERING_MODEL, ts.seg_graph, ts.features[record_id], ts.counter_slices[record_id])
     loss, _ = compute_loss(pred, ts.targets[record_id], ts.cc_weights, ts.vol_weights, ORDERING_MODEL.lambdas)
-    assert len(recorded) == 33
+    assert ad.Plan([loss]).ops == plans[0].ops
     loss.backward()
-    assert all(p.grad is not None for _name, p in store.items())
+    assert all(p.grad.any() for _name, p in store.items())
 
 
 def test_synth_fit_clusters_and_eval_core_reproduce_the_recorded_bits(tmp_path):

@@ -109,7 +109,14 @@ def test_runlog_round_trip(tmp_path, trained):
     lambda text: json.dumps([json.loads(text)]),
     lambda text: json.dumps({**json.loads(text), "best_epoch": 99}),
     lambda text: json.dumps({**json.loads(text), "epochs": [{"val_core": "low"}]}),
-], ids=["truncated", "no_best_epoch", "json_list", "best_epoch_out_of_range", "epoch_without_numbers"])
+    lambda text: json.dumps({**json.loads(text), "seed": "1"}),
+    lambda text: json.dumps({**json.loads(text), "seed": 1.0}),
+    lambda text: json.dumps({**json.loads(text), "seed": True}),
+    lambda text: json.dumps({**json.loads(text), "data_order_hash": 7}),
+    lambda text: json.dumps({**json.loads(text), "data_order_hash": json.loads(text)["data_order_hash"][:63]}),
+    lambda text: json.dumps({**json.loads(text), "data_order_hash": json.loads(text)["data_order_hash"].upper()}),
+], ids=["truncated", "no_best_epoch", "json_list", "best_epoch_out_of_range", "epoch_without_numbers",
+        "seed_string", "seed_float", "seed_bool", "hash_number", "hash_short", "hash_not_lowercase_hex"])
 def test_damaged_runlog_raises_value_error_naming_the_file(tmp_path, trained, damage):
     path = save_runlog(tmp_path / "runlog.json", trained[1])
     path.write_text(damage(path.read_text()))
@@ -561,3 +568,125 @@ def test_ablation_builds_one_training_set_for_all_variants(small_city, monkeypat
     assert set(result.scores) == set(ABLATION_VARIANTS)
     assert len(built) == 1
     assert len(trained) == len(ABLATION_VARIANTS)
+
+
+# -- the training plan ------------------------------------------------------------------
+
+
+def _captured_fits(monkeypatch, module, run, times=2):
+    """What ``run()`` hands ``module.fit_loop`` (which is not run), ``times`` times: the
+    parameter store, the inputs of the first six training records and the record loss."""
+    from t4c.training import FitResult
+
+    captured = []
+
+    def fake_fit_loop(store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss,
+                      val_cc_probs):
+        captured.append((store, [record_inputs(r) for r in train_records[:6]], record_loss))
+        return FitResult(params=store.state_arrays(), best_epoch=0, val_scores=(0.5,),
+                         mean_losses=(np.zeros(4),), data_order_hash="0" * 64)
+
+    monkeypatch.setattr(module, "fit_loop", fake_fit_loop)
+    for _ in range(times):
+        run()
+    return captured
+
+
+def _assert_replay_equals_one_shot(fits):
+    """Three batches of two records: one store steps through a plan traced on the first record,
+    an identical store through a graph built and backpropagated per record; every bit agrees."""
+    (store, inputs, record_loss), (other, _, other_loss) = fits
+    plan = ad.Plan.trace(record_loss, inputs[0])
+    for batch in (inputs[0:2], inputs[2:4], inputs[4:6]):
+        store.zero_grad()
+        other.zero_grad()
+        for record_inputs in batch:
+            replayed = [np.float64(v).tobytes() for v in plan.forward(*record_inputs)]
+            plan.backward()
+            one_shot = other_loss(*record_inputs)
+            one_shot[0].backward()
+            assert replayed == [t.data.tobytes() for t in one_shot]
+        for name, p in store.items():
+            assert p.grad.tobytes() == other[name].grad.tobytes(), name
+        for s in (store, other):
+            s.scale_grads(0.5)
+            ad.adam_step(s, lr=1e-2)
+        for name, p in store.items():
+            assert p.data.tobytes() == other[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"prior_mode": "active_row"}, {"cc_classes": 4}, {"use_static": False}, {"use_prior_block": False},
+], ids=["full", "active_row", "cc_classes_4", "no_static", "no_prior_block"])
+def test_plan_replay_equals_a_one_shot_backward_bit_for_bit(small_city, monkeypatch, change):
+    """The batches hold a record with no labels (every loss has no row) and one with no speed."""
+    import t4c.training as training
+    from t4c.model import LabelArrays, make_label_arrays
+
+    model_cfg = replace(SMALL_MODEL, **change)
+    ts = _training_set(small_city, model_cfg=model_cfg)
+    rids = [r.record_id for r in ts.train_records[:6]]
+    if model_cfg.prior_mode == "active_row":  # the replays rebind another cluster's static inputs
+        assert len({id(ts.features[rid]) for rid in rids}) >= 2
+    no_speed = ts.targets[rids[4]]
+    targets = {
+        **ts.targets,
+        rids[2]: make_label_arrays(None, ts.seg_graph, ts.norm_stats, model_cfg.cc_classes),
+        rids[4]: LabelArrays(no_speed.cc, no_speed.speed, np.zeros_like(no_speed.speed_mask), no_speed.vol),
+    }
+    ts = replace(ts, targets=targets)
+    _assert_replay_equals_one_shot(_captured_fits(monkeypatch, training, lambda: train_one(ts, model_cfg, seed=0)))
+
+
+def test_node_gnn_plan_replay_equals_a_one_shot_backward_bit_for_bit(small_city, monkeypatch):
+    """The third training record has no labels."""
+    import t4c.baselines as baselines
+    from t4c.training import split_records
+
+    dataset = small_city[0]
+    unlabelled = split_records(dataset, SMALL_TRAIN)[1][2].record_id
+    dataset = dataset._replace(labels=dataset.labels.select(r for r in dataset.labels.record_ids if r != unlabelled))
+    fits = _captured_fits(monkeypatch, baselines, lambda: baselines.node_gnn_baseline(dataset, SMALL_TRAIN, seed=0))
+    _store, inputs, _loss = fits[0]
+    assert (inputs[2][1] == -1).all()  # the third record's (node volumes, targets): every target masked
+    _assert_replay_equals_one_shot(fits)
+
+
+def test_training_steps_build_no_tensor_and_walk_no_graph(small_city, monkeypatch):
+    """Once the plan of a run is traced, a step only replays it: three epochs build as many Tensors as one."""
+    made = {"tensors": 0, "walks": 0}
+    real_init, real_walk = ad.Tensor.__init__, ad._walk
+
+    def counting_init(self, *args, **kwargs):
+        made["tensors"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_walk(outputs):
+        made["walks"] += 1
+        return real_walk(outputs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(ad, "_walk", counting_walk)
+    ts = _training_set(small_city)
+    per_run = []
+    for epochs in (1, 3):
+        made.update(tensors=0, walks=0)
+        train_one(replace(ts, train_cfg=replace(SMALL_TRAIN, epochs=epochs)), SMALL_MODEL, seed=0)
+        per_run.append(dict(made))
+    assert per_run[0] == per_run[1]
+    assert per_run[0]["walks"] == 1
+
+
+def test_validation_builds_the_static_branch_once_per_cluster_and_only_the_congestion_head(small_city, monkeypatch):
+    import t4c.training as training
+
+    model_cfg = replace(SMALL_MODEL, prior_mode="active_row")
+    ts = _training_set(small_city, replace(SMALL_TRAIN, epochs=2), model_cfg)
+    counts = _count_calls(monkeypatch, training, ("static_branch", "congestion_probs", "record_branch"))
+    train_one(ts, model_cfg, seed=0)
+    clusters = len({id(bundle) for bundle in ts.features.values()})
+    assert clusters >= 2
+    # one trace of the training record, then each epoch: every cluster's static branch, every record's head
+    assert len(counts["static_branch"]) == 1 + 2 * clusters
+    assert len(counts["record_branch"]) == 1
+    assert len(counts["congestion_probs"]) == 2 * len(ts.val_records)
