@@ -31,12 +31,17 @@ reduction, the two masked losses (weighted cross entropy and mean
 squared error), a plain-array softmax for inference, and an Adam
 optimizer over a named parameter store.
 
+The softmaxes and the cross entropy reduce their 3- or 4-wide class axis
+with ``fold_classes``: one ufunc call per column, with the bits of
+numpy's far slower per-row reduction.
+
 The store keeps every parameter as a view into one flat float64 buffer,
 and its gradient (``.grad``) as a view into a second flat buffer of the
-same layout; Adam's moments are two more. ``zero_grad`` fills the
-gradient buffer with zeros, a backward adds into it, and ``adam_step``
-updates all parameters from it in a handful of vector operations, with
-the same bits as a per-parameter update.
+same layout; Adam's moments are two more, and two scratch rows hold its
+intermediates. ``zero_grad`` fills the gradient buffer with zeros, a
+backward adds into it, and ``adam_step`` updates all parameters from it
+in a handful of in-place vector operations, with the same bits as a
+per-parameter update.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ __all__ = [
     "gnn_round",
     "concat",
     "embedding_lookup",
+    "fold_classes",
     "softmax_np",
     "getitem",
     "reshape",
@@ -217,9 +223,18 @@ def _concat_backward(g, out, ctx, need, axis, *parts):
 
 
 def _scatter_backward(g, out, ctx, need, a, index):
-    """Gather backward (embedding lookup, getitem): add each row of ``g`` back at its index."""
+    """Gather backward (embedding lookup, getitem): add each row of ``g`` back at its index.
+
+    Every entry sums its rows from 0.0 in index order, as ``np.add.at`` does.
+    For row indices (a 1-D array of non-negative integers) ``np.bincount``
+    does the same additions in one pass over ``g``, at a fraction of the cost.
+    """
     if not need[0]:
         return None, None
+    if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu" and index.size and index.min() >= 0:
+        width = a.size // a.shape[0]
+        cells = (index[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(cells, weights=g.ravel(), minlength=a.size).reshape(a.shape), None
     buf = np.zeros(a.shape, a.dtype)
     np.add.at(buf, index, g)
     return buf, None
@@ -232,10 +247,10 @@ def _wce_forward(logits, labels, weights):
         return np.float64(0.0), (0,)
     rows = np.where(mask)[0]
     row_labels = labels[rows]
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - fold_classes(np.maximum, logits)
     exp_z = np.exp(z)
-    exp_sum = exp_z.sum(axis=1)
-    nll = np.log(exp_sum)[rows] - z[rows, row_labels]
+    exp_sum = fold_classes(np.add, exp_z)
+    nll = np.log(exp_sum[rows, 0]) - z[rows, row_labels]
     row_w = weights[row_labels]
     return np.float64((row_w * nll).sum() / n), (n, rows, row_labels, exp_z, exp_sum, row_w)
 
@@ -246,7 +261,7 @@ def _wce_backward(g, out, ctx, need, logits, labels, weights):
         return None, None, None
     _, rows, row_labels, exp_z, exp_sum, row_w = ctx
     # softmax_np of the unmasked rows, taken from the forward's exponentials
-    probs = exp_z[rows] / exp_sum[rows, None]
+    probs = exp_z[rows] / exp_sum[rows]
     grad = probs * row_w[:, None]
     grad[np.arange(len(rows)), row_labels] -= row_w
     buf = np.zeros(logits.shape)
@@ -366,11 +381,30 @@ def embedding_lookup(table, indices) -> Tensor | np.ndarray:
     return _apply(_EMBEDDING_LOOKUP, (table, indices if isinstance(indices, Tensor) else idx), (x, idx))
 
 
-def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of a plain array along ``axis``, stabilized by max subtraction."""
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def fold_classes(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1, keepdims=True)`` with its bits, one column at a time.
+
+    For ``np.add`` and ``np.maximum``, ±0 included. Numpy reduces an axis of
+    2 to 7 values left to right, so a chain of ``ufunc`` calls over the
+    columns gives its bits with a few calls on whole columns; any other width
+    goes to numpy, which sums 8 or more values pairwise. A NaN stays a NaN,
+    but of a NaN with its sign bit set (x86's ``inf - inf``) the two may
+    return different signs.
+    """
+    width = x.shape[-1]
+    if not 2 <= width < 8:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = ufunc(x[..., 0:1], x[..., 1:2])
+    for col in range(2, width):
+        ufunc(out, x[..., col : col + 1], out=out)
+    return out
+
+
+def softmax_np(x: np.ndarray) -> np.ndarray:
+    """Softmax of a plain array along its last axis, stabilized by max subtraction."""
+    e = np.exp(x - fold_classes(np.maximum, x))
+    e /= fold_classes(np.add, e)
+    return e
 
 
 def getitem(a, key) -> Tensor | np.ndarray:
@@ -582,7 +616,8 @@ class ParamStore:
 
     Each parameter's ``grad`` is a view into a second flat buffer of the same
     layout, and Adam's first and second moments are two more, so one update
-    covers every parameter at once.
+    covers every parameter at once. ``_work`` is two rows of that size for
+    Adam's intermediates.
     """
 
     def __init__(self):
@@ -592,6 +627,7 @@ class ParamStore:
         self._grad_views: list[np.ndarray] = []
         self._m = np.zeros(0)
         self._v = np.zeros(0)
+        self._work = np.zeros((2, 0))
         self.step_count = 0
 
     def add(self, name: str, data) -> Tensor:
@@ -606,6 +642,7 @@ class ParamStore:
         self._grad = np.zeros(self._flat.size)
         self._m = np.concatenate([self._m, np.zeros(size)])
         self._v = np.concatenate([self._v, np.zeros(size)])
+        self._work = np.zeros((2, self._flat.size))
         self._grad_views = []
         offset = 0
         for p in self._params.values():
@@ -665,18 +702,27 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update over the flat buffers."""
+    """One bias-corrected Adam update over the flat buffers, in place: the order
+    and bits of ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with no temporaries."""
     store.step_count += 1
     t = store.step_count
     g = store._flat_grad()
     m, v = store._m, store._v
+    a, b = store._work
     m *= beta1
-    m += (1.0 - beta1) * g
+    np.multiply(g, 1.0 - beta1, out=a)
+    m += a
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    store._flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(g, g, out=a)
+    a *= 1.0 - beta2
+    v += a
+    np.divide(m, 1.0 - beta1**t, out=a)  # m_hat
+    a *= lr
+    np.divide(v, 1.0 - beta2**t, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    store._flat -= a
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

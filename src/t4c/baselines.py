@@ -275,7 +275,7 @@ def node_gnn_baseline(
 
     def val_cc_probs(records):
         params = store.arrays()
-        return {r.record_id: ad.softmax_np(forward_logits(params, feats[r.record_id]), axis=1) for r in records}
+        return {r.record_id: ad.softmax_np(forward_logits(params, feats[r.record_id])) for r in records}
 
     fit = fit_loop(
         store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss, val_cc_probs

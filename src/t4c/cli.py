@@ -20,7 +20,8 @@ from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
 from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset
-from .evaluation import ABLATION_VARIANTS, AblationResult, core_metric, eta_from_speeds, eta_labels, eta_metric, run_ablation
+from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionError, core_metric, eta_from_speeds, eta_labels,
+                         eta_metric, run_ablation)
 from .model import ModelConfig
 from .seggraph import build_line_graph
 from .training import (TrainConfig, ensemble_predict, load_runlog, prepare_ensemble, prepare_training, save_runlog,
@@ -184,10 +185,13 @@ def _row_fault(row) -> str | None:
     return next((f"ETA {ss!r} is not a finite number" for ss, eta in etas.items() if not _finite_number(eta)), None)
 
 
-def _read_predictions(path: Path) -> list[dict]:
-    """Rows with a string ``record_id``, an object of segment objects under ``segments`` and
-    an object of finite numbers under ``etas`` where present; others are refused by line."""
-    rows = []
+_PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
+
+
+def _read_predictions(path: Path) -> dict[int, dict]:
+    """Rows by line number, each with a string ``record_id``, an object of segment objects under
+    ``segments`` and an object of finite numbers under ``etas`` where present; others are refused by line."""
+    rows = {}
     for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
@@ -201,8 +205,8 @@ def _read_predictions(path: Path) -> list[dict]:
         else:
             fault = _row_fault(row)
         if fault:
-            raise CLIError(f"{path}:{line_no}: {fault}; produce it with `t4c predict` (or `t4c baseline <name>`)")
-        rows.append(row)
+            raise CLIError(f"{path}:{line_no}: {fault}; {_PRODUCE_PREDICTIONS}")
+        rows[line_no] = row
     return rows
 
 
@@ -333,9 +337,13 @@ def cmd_predict(args, workdir: Path) -> int:
 def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: str) -> int:
     """Score the predictions with ``scorer(dataset, rows)``; print the score, then write its report and CSV when asked."""
     dataset = _load_data(_resolve(workdir, args.data))
-    rows = _read_predictions(_require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)"))
+    pred_path = _require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)")
+    rows = _read_predictions(pred_path)
     try:
-        score = scorer(dataset, rows)
+        score = scorer(dataset, list(rows.values()))
+    except PredictionError as exc:  # a record's predictions are the last line that holds it
+        line_no = max(n for n, row in rows.items() if row["record_id"] == exc.record_id)
+        raise CLIError(f"{pred_path}:{line_no}: {exc}; {_PRODUCE_PREDICTIONS}") from None
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     if score.score is None:

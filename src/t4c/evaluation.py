@@ -11,6 +11,7 @@ with a floor on the speed.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +22,7 @@ from .data import Dataset, LabelBundle, LabelTable, SuperSegment
 __all__ = [
     "CoreScore",
     "EtaScore",
+    "PredictionError",
     "core_metric",
     "eta_from_speeds",
     "eta_metric",
@@ -55,23 +57,42 @@ class EtaScore:
     n_scored: int
 
 
+class PredictionError(ValueError):
+    """One record's predictions cannot be scored; ``record_id`` names the record."""
+
+    def __init__(self, message: str, record_id: str):
+        super().__init__(message)
+        self.record_id = record_id
+
+
 def _scored_probs(record_preds, record_id: str, segment_ids: Sequence[str], scored: np.ndarray) -> np.ndarray:
-    """(len(scored), 3) probabilities of one record's scored table columns."""
+    """(len(scored), 3) probabilities of one record's scored table columns.
+
+    Read from a mapping, each must be three finite numbers: one array test
+    per record, and a walk over the segments only to name the first fault.
+    """
     if isinstance(record_preds, np.ndarray):  # (segments, 3), in table order
         return record_preds.reshape(len(segment_ids), 3)[scored]
     try:
         probs = np.array([record_preds[segment_ids[j]] for j in scored], dtype=np.float64)
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, TypeError):
         probs = None
-    if probs is None or probs.shape != (len(scored), 3):
-        for j in scored:  # name the first fault in segment order
-            seg_id = segment_ids[j]
-            if seg_id not in record_preds:
-                raise ValueError(f"record {record_id!r}: no prediction for segment {seg_id!r}")
-            shape = np.asarray(record_preds[seg_id], dtype=np.float64).shape
-            if shape != (3,):
-                raise ValueError(f"record {record_id!r}, segment {seg_id!r}: expected a 3-vector, got shape {shape}")
-    return probs
+    if probs is not None and probs.shape == (len(scored), 3) and np.isfinite(probs).all():
+        return probs
+    for j in scored:  # name the first fault in segment order
+        seg_id = segment_ids[j]
+        if seg_id not in record_preds:
+            raise PredictionError(f"record {record_id!r}: no prediction for segment {seg_id!r}", record_id)
+        value = record_preds[seg_id]
+        try:
+            vector = np.asarray(value, dtype=np.float64)
+            fine = vector.shape == (3,) and np.isfinite(vector).all()
+        except (ValueError, TypeError):
+            fine = False
+        if not fine:
+            message = f"record {record_id!r}, segment {seg_id!r}: expected 3 finite probabilities, got {reprlib.repr(value)}"
+            raise PredictionError(message, record_id)
+    raise PredictionError(f"record {record_id!r}: the scored probabilities do not form a (segments, 3) array", record_id)
 
 
 def core_metric(
@@ -82,8 +103,9 @@ def core_metric(
 
     ``predictions`` maps record_id to a segment_id -> 3-vector mapping over
     (green, yellow, red), or to a (segments, 3) array in the table's segment
-    order. Every labeled segment must be covered. Sums run left to right, over
-    a record's segments in table order, then over the records.
+    order. Every labeled segment must be covered, by three finite numbers in a
+    mapping; a record that is not raises ``PredictionError``. Sums run left to
+    right, over a record's segments in table order, then over the records.
     """
     if not isinstance(labels, LabelTable):  # bundles, each a row of one table
         bundles = list(labels)

@@ -40,10 +40,12 @@ __all__ = [
     "LabelArrays",
     "LossReport",
     "VOCAB_SIZES",
+    "HEADS",
     "init_params",
     "static_inputs",
     "static_branch",
     "record_branch",
+    "head_products",
     "congestion_probs",
     "forward",
     "make_label_arrays",
@@ -56,6 +58,7 @@ __all__ = [
 
 # categorical vocabularies: importance 0..5, oneway 0/1, tunnel 0/1, lanes 1..4
 VOCAB_SIZES = {"importance": 6, "oneway": 2, "tunnel": 2, "lanes": 4}
+HEADS = ("cc", "speed", "vol")  # the output heads, in PredictionBundle order
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,7 @@ def init_params(config: ModelConfig, seed: int) -> ParamStore:
         store.add(f"gnn{layer}_nbr_w", ad.glorot_uniform(rng, config.hidden, config.hidden))
         store.add(f"gnn{layer}_b", np.zeros(config.hidden))
 
-    head_dims = {"cc": config.cc_classes, "speed": 1, "vol": 3}
-    for task, out_dim in head_dims.items():
+    for task, out_dim in zip(HEADS, (config.cc_classes, 1, 3)):
         for block in range(config.head_blocks):
             _add_linear(store, rng, f"head_{task}_block{block}_a", config.hidden, config.hidden)
             _add_linear(store, rng, f"head_{task}_block{block}_b", config.hidden, config.hidden)
@@ -215,12 +217,17 @@ def _mlp(params: Params, prefix: str, count: int, x):
     return x
 
 
-def _head(params: Params, config: ModelConfig, task: str, x):
+def _head_body(params: Params, config: ModelConfig, task: str, x):
+    """A head's residual blocks: everything but its output layer."""
     for block in range(config.head_blocks):
         name = f"head_{task}_block{block}"
         inner = ad.linear(x, params[f"{name}_a_w"], params[f"{name}_a_b"], relu=True)
         x = ad.add(x, ad.linear(inner, params[f"{name}_b_w"], params[f"{name}_b_b"]))  # identity skip
-    return ad.linear(x, params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
+    return x
+
+
+def _head(params: Params, config: ModelConfig, task: str, x):
+    return ad.linear(_head_body(params, config, task, x), params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
 
 
 def static_inputs(config: ModelConfig, features: FeatureBundle) -> tuple[np.ndarray, ...]:
@@ -282,6 +289,22 @@ def record_branch(
     speed = ad.reshape(_head(params, config, "speed", h), (seg_graph.num_segments,))
     vol_logits = _head(params, config, "vol", h)
     return PredictionBundle(cc_logits=cc_logits, speed_pred=speed, vol_logits=vol_logits)
+
+
+def head_products(
+    params: Mapping[str, np.ndarray],
+    config: ModelConfig,
+    seg_graph: SegmentGraph,
+    counter_slice: np.ndarray,
+    static_feat: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """``record_branch`` on arrays up to the output layers' biases: writes each head's
+    ``x @ out_w`` into ``out``, three (N, width) arrays in ``HEADS`` order (such as one
+    member's rows of stacked buffers). Adding ``out_b`` gives ``record_branch``'s bits."""
+    h = _trunk(params, config, seg_graph, counter_slice, static_feat)
+    for task, buffer in zip(HEADS, out):
+        np.matmul(_head_body(params, config, task, h), params[f"head_{task}_out_w"], out=buffer)
 
 
 def congestion_probs(
@@ -386,22 +409,25 @@ def compute_loss(
 
 
 def _cc_probs(cc_logits: np.ndarray) -> np.ndarray:
-    """Congestion probabilities; a 4-class head (undefined kept) is reduced to the
-    three scored classes by dropping the undefined column and renormalizing."""
-    cc = ad.softmax_np(cc_logits, axis=1)
-    if cc.shape[1] == 4:
-        cc = cc[:, 1:4]
-        cc = cc / cc.sum(axis=1, keepdims=True)
+    """Congestion probabilities over the last axis; a 4-class head (undefined kept) is
+    reduced to the three scored classes by dropping the undefined column and renormalizing."""
+    cc = ad.softmax_np(cc_logits)
+    if cc.shape[-1] == 4:
+        cc = cc[..., 1:4]
+        cc = cc / ad.fold_classes(np.add, cc)
     return cc
 
 
 def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> PredictionProbs:
     """Softmax the logits and map speeds back to km/h.
 
-    ``pred`` holds plain arrays: the output of ``forward`` on arrays.
+    ``pred`` holds plain arrays: the output of ``forward`` on arrays, or a
+    stack of members' outputs with leading axes (logits (M, N, C), speeds
+    (M, N)). ``norm_stats`` gives ``speed_mean`` and ``speed_std``: a
+    member's floats, or (M, 1) stacks of them (as an ``Ensemble`` holds).
     The congestion probabilities are those of the three scored classes.
     """
-    vol = ad.softmax_np(pred.vol_logits, axis=1)
+    vol = ad.softmax_np(pred.vol_logits)
     speed = pred.speed_pred * norm_stats.speed_std + norm_stats.speed_mean
     return PredictionProbs(cc=_cc_probs(pred.cc_logits), speed_kph=speed, vol=vol)
 

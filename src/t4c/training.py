@@ -13,8 +13,13 @@ class weights once (``prepare_training``) and trains every member from them:
 one static feature bundle per cluster, one counter slice per record.
 Ensemble prediction (``prepare_ensemble`` once per stage, then
 ``ensemble_predict`` per record) builds each member's static branch for
-every cluster up front and averages the members' probabilities (and
-de-normalized speeds) in a fixed summation order.
+every cluster up front, with the members' norm stats and output-layer
+biases stacked. Per record it normalizes the counter slice for every
+member in one op, runs each member's trunk and head bodies into one
+(members, segments, width) buffer per head, and runs the rest once over
+the stack: the biases, the softmaxes, the de-normalized speeds and the
+member mean, summed in member order. Every value has the bits of the
+members' separate ``predict_record`` outputs averaged in that order.
 """
 
 from __future__ import annotations
@@ -37,12 +42,15 @@ from .clustering import ClusterModel, PriorMatrix, assign_cluster
 from .data import Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
 from .evaluation import core_metric
 from .model import (
+    HEADS,
     LabelArrays,
     ModelConfig,
+    PredictionBundle,
     PredictionProbs,
     config_hash,
     congestion_probs,
     forward,
+    head_products,
     init_params,
     inverse_frequency_weights,
     loss_terms,
@@ -496,8 +504,12 @@ class Ensemble:
     ``prepare_ensemble`` builds it once per stage, and nothing in it is
     written after that. ``static[row][k]`` is member k's static branch for
     the records that read prior row ``row``: each cluster index in
-    ``active_row`` prior mode, the one key None in ``full`` mode. Its
-    arrays are read-only.
+    ``active_row`` prior mode, the one key None in ``full`` mode. The
+    stacks hold each member's norm stats and output-layer biases, member k
+    at index k: ``counter_mean`` and ``counter_std`` (M, 1, 8),
+    ``speed_mean`` and ``speed_std`` (M, 1), and ``out_bias`` one
+    (M, 1, width) array per head in ``HEADS`` order. Every array is
+    read-only.
     """
 
     checkpoints: tuple[Checkpoint, ...]
@@ -505,6 +517,11 @@ class Ensemble:
     seg_graph: SegmentGraph
     cluster_model: ClusterModel | None
     static: Mapping[int | None, tuple[np.ndarray, ...]] = field(repr=False)
+    counter_mean: np.ndarray = field(repr=False)
+    counter_std: np.ndarray = field(repr=False)
+    speed_mean: np.ndarray = field(repr=False)
+    speed_std: np.ndarray = field(repr=False)
+    out_bias: tuple[np.ndarray, ...] = field(repr=False)
 
 
 def prepare_ensemble(
@@ -514,7 +531,8 @@ def prepare_ensemble(
     priors: Mapping[str, PriorMatrix],
     cluster_model: ClusterModel | None = None,
 ) -> Ensemble:
-    """Check that the members share one config, and build every member's static branch for every prior row."""
+    """Check that the members share one config, build every member's static branch
+    for every prior row, and stack the members' norm stats and output-layer biases."""
     if not checkpoints:
         raise ValueError("prepare_ensemble needs at least one checkpoint")
     first = checkpoints[0]
@@ -535,27 +553,41 @@ def prepare_ensemble(
         )
         for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])
     }
-    return Ensemble(tuple(checkpoints), dataset_graph, seg_graph, cluster_model, MappingProxyType(static))
+
+    def stack(member_values) -> np.ndarray:  # one (1, ...) row per member
+        return _read_only(np.stack([np.asarray(value, dtype=np.float64)[None] for value in member_values]))
+
+    stats = [ckpt.norm_stats for ckpt in checkpoints]
+    return Ensemble(
+        tuple(checkpoints), dataset_graph, seg_graph, cluster_model, MappingProxyType(static),
+        counter_mean=stack(s.counter_mean for s in stats),
+        counter_std=stack(s.counter_std for s in stats),
+        speed_mean=stack(s.speed_mean for s in stats),
+        speed_std=stack(s.speed_std for s in stats),
+        out_bias=tuple(stack(ckpt.params[f"head_{task}_out_b"] for ckpt in checkpoints) for task in HEADS),
+    )
 
 
 def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProbs:
     """Mean of member probabilities and speeds, summed in member order.
 
-    Per record, only the raw counter slice is built, once; each member
-    normalizes it with its own norm stats and runs its record branch on
-    the static branch of the record's prior row.
+    Per record, only the raw counter slice is built, once, and normalized
+    for every member in one op. Each member runs its trunk and head bodies
+    on the static branch of the record's prior row, into its row of one
+    buffer per head; the rest runs once over the stack, with the bits of
+    the members' ``predict_record`` outputs averaged in member order.
     """
     ens = ensemble
     row = _prior_row(ens.checkpoints[0].config.prior_mode, ens.cluster_model, record)
-    raw = counter_slice_matrix(ens.dataset_graph, record)
-    members = []
-    for ckpt, static in zip(ens.checkpoints, ens.static[row]):
-        counter_slice = ckpt.norm_stats.normalize_counters(raw)
-        pred = record_branch(ckpt.params, ckpt.config, ens.seg_graph, counter_slice, static)
-        members.append(predict_probabilities(pred, ckpt.norm_stats))
-    n = float(len(members))
-    return PredictionProbs(
-        cc=sum((m.cc for m in members[1:]), members[0].cc) / n,
-        speed_kph=sum((m.speed_kph for m in members[1:]), members[0].speed_kph) / n,
-        vol=sum((m.vol for m in members[1:]), members[0].vol) / n,
-    )
+    counter_slices = counter_slice_matrix(ens.dataset_graph, record) - ens.counter_mean
+    counter_slices /= ens.counter_std  # the bits of each member's ``normalize_counters``
+    members, segments = len(ens.checkpoints), ens.seg_graph.num_segments
+    logits = tuple(np.empty((members, segments, bias.shape[-1])) for bias in ens.out_bias)
+    for k, (ckpt, static) in enumerate(zip(ens.checkpoints, ens.static[row])):
+        head_products(ckpt.params, ckpt.config, ens.seg_graph, counter_slices[k], static, [out[k] for out in logits])
+    for out, bias in zip(logits, ens.out_bias):
+        out += bias
+    cc, speed, vol = logits
+    probs = predict_probabilities(PredictionBundle(cc, speed.reshape(members, segments), vol), ens)
+    # add.reduce over the leading axis adds the members in order, as a running sum does
+    return PredictionProbs(*(np.add.reduce(p, axis=0) / members for p in (probs.cc, probs.speed_kph, probs.vol)))

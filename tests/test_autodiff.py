@@ -113,6 +113,54 @@ def test_softmax_shift_invariance():
     assert np.array_equal(base, ad.softmax_np(x + 4.0))
 
 
+_MAX_VALUES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0**-1074])
+
+
+@given(st.integers(2, 7), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fold_classes_max_is_numpy_max_bit_for_bit(width, rows, data):
+    """±0, ±inf and NaN included: the column chain picks what numpy's reduction picks.
+
+    The NaN is numpy's, with the sign bit clear. Of a NaN with the sign bit set
+    (x86's inf - inf) either may return the other sign: both are NaN."""
+    values = data.draw(st.lists(_MAX_VALUES | st.floats(allow_nan=False), min_size=rows * width, max_size=rows * width))
+    x = np.array(values, dtype=np.float64).reshape(rows, width)
+    assert ad.fold_classes(np.maximum, x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+    stack = np.stack([x, x[::-1]])  # leading axes
+    assert ad.fold_classes(np.maximum, stack).tobytes() == stack.max(axis=-1, keepdims=True).tobytes()
+
+
+@given(st.integers(2, 7), st.integers(1, 6), st.integers(0, 2**31))
+@settings(max_examples=200, deadline=None)
+def test_fold_classes_sum_is_numpy_sum_bit_for_bit(width, rows, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, rows, width)) * 10.0 ** rng.integers(-8, 9, size=(3, rows, width))
+    assert ad.fold_classes(np.add, x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
+    assert ad.fold_classes(np.add, x[0]).tobytes() == x[0].sum(axis=-1, keepdims=True).tobytes()
+    view = x[..., ::-1]  # a strided class axis, as the 4-class head's last three columns
+    assert ad.fold_classes(np.add, view).tobytes() == view.sum(axis=-1, keepdims=True).tobytes()
+
+
+def test_fold_classes_hands_wide_axes_to_numpy():
+    x = np.random.default_rng(0).normal(size=(50, 9)) * 10.0 ** np.arange(-4, 5)
+    assert ad.fold_classes(np.add, x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
+
+
+@given(st.integers(0, 2**31), st.sampled_from([(6, 5), (2, 2), (50, 32), (7,)]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_gather_backward_adds_rows_in_index_order_as_add_at(seed, shape, negative):
+    """The scatter of an embedding lookup or getitem has ``np.add.at``'s bits, negative row indices included."""
+    rng = np.random.default_rng(seed)
+    table = Tensor(rng.normal(size=shape), requires_grad=True)
+    idx = rng.integers(-shape[0] if negative else 0, shape[0], size=rng.integers(1, 200))
+    g = rng.normal(size=(len(idx), *shape[1:])) * 10.0 ** rng.integers(-6, 7, size=(len(idx), *shape[1:]))
+    gathered = ad.getitem(table, idx)
+    ad.reduce_sum(ad.mul(gathered, g)).backward()
+    expected = np.zeros(shape)
+    np.add.at(expected, idx, g)
+    assert table.grad.tobytes() == expected.tobytes()
+
+
 # -- gradient checks per primitive -------------------------------------------
 
 
@@ -515,6 +563,7 @@ def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
     store = ParamStore()
     for name, value in init.items():
         store.add(name, value)
+        assert store._work.shape == (2, store._flat.size)  # Adam's scratch rows grow with the store
     values = {name: value.copy() for name, value in init.items()}
     moments = {name: (np.zeros_like(value), np.zeros_like(value)) for name, value in init.items()}
     x = rng.normal(size=(2, 3))

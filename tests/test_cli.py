@@ -309,32 +309,56 @@ def test_report_on_damaged_runlog_exits_one_naming_the_file(pipeline, capsys, da
     assert str(runlog) in err and "t4c train" in err
 
 
-@pytest.mark.parametrize("stage", ["eval-core", "eval-eta"])
-@pytest.mark.parametrize("line", [
-    "[1, 2]",
-    '{"segments": {}}',
-    '{"record_id": 7, "segments": {}}',
-    '{"record_id": "r0000", "segments": [1, 2]}',
-    '{"record_id": "r0000", "etas": 3.5}',
-    '{"record_id": "r0000", "segments": {"s0000": [0.2, 0.3, 0.5]}}',
-    '{"record_id": "r0000", "etas": {"ss00": [1]}}',
-    '{"record_id": "r0000", "etas": {"ss00": "fast"}}',
-    '{"record_id": "r0000", "etas": {"ss00": true}}',
-    '{"record_id": "r0000", "etas": {"ss00": 1' + "0" * 400 + '}}',
-    '{"record_id": "r0000", "etas": {"ss00": NaN}}',
-    '{"record_id": "r0000", "etas": {"ss00": Infinity}}',
-    b'{"record_id": "r0000\xff"}',
-    "{not json",
-], ids=["list", "no_record_id", "numeric_record_id", "segments_list", "etas_number", "segment_entry_list",
-        "eta_list", "eta_string", "eta_bool", "eta_huge_int", "eta_nan", "eta_infinity", "not_utf8", "invalid_json"])
+MALFORMED_ROWS = {
+    "list": "[1, 2]",
+    "no_record_id": '{"segments": {}}',
+    "numeric_record_id": '{"record_id": 7, "segments": {}}',
+    "segments_list": '{"record_id": "r0000", "segments": [1, 2]}',
+    "etas_number": '{"record_id": "r0000", "etas": 3.5}',
+    "segment_entry_list": '{"record_id": "r0000", "segments": {"s0000": [0.2, 0.3, 0.5]}}',
+    "eta_list": '{"record_id": "r0000", "etas": {"ss00": [1]}}',
+    "eta_string": '{"record_id": "r0000", "etas": {"ss00": "fast"}}',
+    "eta_bool": '{"record_id": "r0000", "etas": {"ss00": true}}',
+    "eta_huge_int": '{"record_id": "r0000", "etas": {"ss00": 1' + "0" * 400 + '}}',
+    "eta_nan": '{"record_id": "r0000", "etas": {"ss00": NaN}}',
+    "eta_infinity": '{"record_id": "r0000", "etas": {"ss00": Infinity}}',
+    "not_utf8": b'{"record_id": "r0000\xff"}',
+    "invalid_json": "{not json",
+}
+# congestion probabilities that eval-core reads and refuses: every segment of the row carries one
+BAD_CC = {"cc_nan": [float("nan"), 0.5, 0.5], "cc_infinity": [0.5, float("inf"), 0.5], "cc_string": "abc"}
+
+
+@pytest.mark.parametrize("stage, line", [
+    *(pytest.param(stage, line, id=f"{name}-{stage}")
+      for name, line in MALFORMED_ROWS.items() for stage in ("eval-core", "eval-eta")),
+    *(pytest.param("eval-core", {"cc": cc}, id=f"{name}-eval-core") for name, cc in BAD_CC.items()),
+])
 def test_eval_on_a_malformed_prediction_row_exits_one_naming_path_and_line(pipeline, capsys, stage, line):
     pred = pipeline / "malformed.jsonl"
-    good = b'{"record_id": "r0000", "segments": {"s0000": {"cc": [0.2, 0.3, 0.5]}}, "etas": {"ss00": 61.5}}\n'
-    pred.write_bytes(good + (line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" + good)
+    segments = [s.segment_id for s in load_dataset(pipeline / "data/toy").graph.segments]
+    uniform = {seg: {"cc": [0.2, 0.3, 0.5]} for seg in segments}
+    if isinstance(line, dict):  # r0000's row, with the entry on every segment
+        line = json.dumps({"record_id": "r0000", "segments": dict.fromkeys(segments, line)})
+    good = [json.dumps({"record_id": rid, "segments": uniform, "etas": {"ss00": 61.5}}).encode()
+            for rid in ("r0001", "r0002")]
+    pred.write_bytes(b"\n".join([good[0], line if isinstance(line, bytes) else line.encode("utf-8"), good[1]]) + b"\n")
     capsys.readouterr()
     assert main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--pred", "malformed.jsonl"]) == 1
     err = capsys.readouterr().err
     assert f"{pred}:2: " in err and "t4c predict" in err
+
+
+def test_eval_core_scores_the_rows_the_malformed_row_test_builds(pipeline, capsys):
+    """The rows around the malformed line score, so a refused cc row is refused for its probabilities."""
+    pred = pipeline / "wellformed.jsonl"
+    segments = [s.segment_id for s in load_dataset(pipeline / "data/toy").graph.segments]
+    uniform = {seg: {"cc": [0.2, 0.3, 0.5]} for seg in segments}
+    rows = [{"record_id": rid, "segments": uniform} for rid in ("r0001", "r0000", "r0002")]
+    pred.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(["--workdir", str(pipeline), "eval-core", "--data", "data/toy", "--pred", "wellformed.jsonl"]) == 0
+    assert float(capsys.readouterr().out) > 0.0
 
 
 @pytest.mark.parametrize("content", ['{"scores": {"full": 0.5}}', "not json"], ids=["missing_keys", "not_json"])

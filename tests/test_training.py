@@ -399,7 +399,8 @@ def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_reco
     {"prior_mode": "active_row"},
     {"prior_mode": "active_row", "use_static": False, "use_prior_block": False},
     {"use_static": False, "use_prior_block": False},
-], ids=["full", "active_row", "active_row_gates_off", "full_gates_off"])
+    {"cc_classes": 4},
+], ids=["full", "active_row", "active_row_gates_off", "full_gates_off", "four_classes"])
 def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, change, monkeypatch):
     import t4c.training as training
 
@@ -456,6 +457,13 @@ def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members
     served = [a for f in fields(ensemble) if f.name != "checkpoints" for a in _arrays(getattr(ensemble, f.name))]
     assert len(served) > len(ensemble.static)
     assert not [a.shape for a in served if a.flags.writeable]
+    stacks = [ensemble.counter_mean, ensemble.counter_std, ensemble.speed_mean, ensemble.speed_std, *ensemble.out_bias]
+    assert [a.shape for a in stacks] == [(3, 1, 8), (3, 1, 8), (3, 1), (3, 1), (3, 1, 3), (3, 1, 1), (3, 1, 3)]
+    assert all(any(a is b for b in served) for a in stacks)
+    for k, ckpt in enumerate(checkpoints):  # member k's own values, at index k
+        assert ensemble.counter_std[k, 0].tobytes() == ckpt.norm_stats.counter_std.tobytes()
+        assert ensemble.speed_mean[k, 0] == ckpt.norm_stats.speed_mean
+        assert ensemble.out_bias[0][k, 0].tobytes() == ckpt.params["head_cc_out_b"].tobytes()
     with pytest.raises(TypeError):
         ensemble.static[None] = ()
 
