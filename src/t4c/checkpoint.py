@@ -5,9 +5,10 @@ little-endian uint64 header length, the JSON header (sorted keys), then
 the concatenated raw little-endian float64 buffers of all tensors in
 header order. The same inputs always produce the same bytes, and values
 round-trip bit-exactly. Loading checks the header against what
-``save_checkpoint`` writes: every field present and well-typed, the
-config hash, tensor offsets as the running sum, and tensor names and
-shapes as ``init_params`` makes them for the config.
+``save_checkpoint`` writes: every field present and of its JSON type,
+positive norm-stat sigmas, the config hash, tensor offsets as the running
+sum, and tensor names and shapes as ``init_params`` makes them for the
+config.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_json
 from .model import ModelConfig, config_hash, init_params
 from .seggraph import NormStats
 
@@ -26,7 +28,6 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"T4CK"
 VERSION = 1
-HEADER_KEYS = {"tensors", "norm_stats", "config", "config_hash", "cc_weights", "vol_weights"}
 NORM_STATS_LENGTHS = {"cont_mean": 5, "cont_std": 5, "counter_mean": 8, "counter_std": 8}
 
 
@@ -60,15 +61,21 @@ def _norm_stats_obj(stats: NormStats) -> dict:
     }
 
 
-def _norm_stats_from(obj: dict) -> NormStats:
-    return NormStats(
-        cont_mean=np.asarray(obj["cont_mean"], dtype=np.float64),
-        cont_std=np.asarray(obj["cont_std"], dtype=np.float64),
-        counter_mean=np.asarray(obj["counter_mean"], dtype=np.float64),
-        counter_std=np.asarray(obj["counter_std"], dtype=np.float64),
-        speed_mean=float(obj["speed_mean"]),
-        speed_std=float(obj["speed_std"]),
-    )
+@dataclass(frozen=True)
+class _TensorEntry:
+    name: str
+    shape: tuple[int, ...]
+    offset: int
+
+
+@dataclass(frozen=True)
+class _Header:  # the JSON header save_checkpoint writes
+    tensors: tuple[_TensorEntry, ...]
+    norm_stats: NormStats
+    config: ModelConfig
+    config_hash: str
+    cc_weights: np.ndarray
+    vol_weights: np.ndarray
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> Path:
@@ -100,19 +107,19 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
     return path
 
 
-def _parse_header(header) -> tuple[ModelConfig, NormStats, dict[str, tuple[tuple[int, ...], int]]]:
-    """The config, norm stats and each tensor's (shape, offset) from a header as ``save_checkpoint`` writes it.
+def _parse_header(header) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]]]:
+    """The checkpoint's fields but its params, and each tensor's (shape, offset), from a header as
+    ``save_checkpoint`` writes it.
 
-    A missing or inconsistent field raises ValueError; one of the wrong type raises ValueError or TypeError.
+    ``read_json`` refuses a header that is not a ``_Header``; a field out of range or inconsistent raises ValueError.
     """
-    if not isinstance(header, dict) or set(header) != HEADER_KEYS:
-        raise ValueError(f"header fields are not {sorted(HEADER_KEYS)}")
+    read_json(_Header, header)
     config = ModelConfig(**header["config"])
     if header["config_hash"] != config_hash(config):
         raise ValueError(f"config_hash {header['config_hash']!r} is not the hash of its config")
-    if set(header["norm_stats"]) != {*NORM_STATS_LENGTHS, "speed_mean", "speed_std"}:
-        raise ValueError(f"norm_stats fields are not {sorted(NORM_STATS_LENGTHS)} and the speed mean and std")
-    norm_stats = _norm_stats_from(header["norm_stats"])
+    stats = header["norm_stats"]
+    norm_stats = NormStats(**{key: np.asarray(v, dtype=np.float64) if key in NORM_STATS_LENGTHS else float(v)
+                              for key, v in stats.items()})
     arrays = {
         **vars(norm_stats),
         "cc_weights": np.asarray(header["cc_weights"], dtype=np.float64),
@@ -121,26 +128,28 @@ def _parse_header(header) -> tuple[ModelConfig, NormStats, dict[str, tuple[tuple
     for key, length in {**NORM_STATS_LENGTHS, "cc_weights": config.cc_classes, "vol_weights": 3}.items():
         if arrays[key].shape != (length,):
             raise ValueError(f"{key} has shape {arrays[key].shape}, expected ({length},)")
+    for key in ("cont_std", "counter_std", "speed_std"):
+        if not np.all(arrays[key] > 0.0):
+            raise ValueError(f"norm_stats.{key} must be > 0, got {stats[key]!r}")
 
     expected = {name: t.shape for name, t in init_params(config, 0).items()}
     specs: dict[str, tuple[tuple[int, ...], int]] = {}
     offset = 0
     for spec in header["tensors"]:
-        if set(spec) != {"name", "shape", "offset"}:
-            raise ValueError(f"tensor entry {spec!r} is not {{name, shape, offset}}")
         name, shape = spec["name"], spec["shape"]
         if name not in expected or name in specs:
             raise ValueError(f"tensor {name!r} is listed twice or is not a parameter of the config")
-        if not all(type(d) is int for d in shape) or tuple(shape) != expected[name]:
+        if tuple(shape) != expected[name]:
             raise ValueError(f"tensor {name!r} has shape {shape!r}, the config makes {expected[name]}")
-        if type(spec["offset"]) is not int or spec["offset"] != offset:
+        if spec["offset"] != offset:
             raise ValueError(f"tensor {name!r} at offset {spec['offset']!r}, expected {offset}")
         specs[name] = (expected[name], offset)
         offset += 8 * math.prod(expected[name])
     missing = sorted(set(expected) - set(specs))
     if missing:
         raise ValueError(f"tensors missing for the config: {missing}")
-    return config, norm_stats, specs
+    weights = {key: arrays[key] for key in ("cc_weights", "vol_weights")}
+    return dict(norm_stats=norm_stats, config=config, config_hash=header["config_hash"], **weights), specs
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -159,8 +168,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: truncated checkpoint: header has {len(raw) - 16} of {header_len} bytes")
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        config, norm_stats, specs = _parse_header(header)
-    except (ValueError, TypeError) as exc:
+        fields, specs = _parse_header(header)
+    except ValueError as exc:  # not UTF-8 or JSON, or refused
         raise ValueError(f"{path}: damaged checkpoint header: {exc}") from None
     payload = raw[16 + header_len :]
     expected = sum(8 * math.prod(shape) for shape, _ in specs.values())
@@ -172,11 +181,4 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=offset).reshape(shape)
         params[name] = arr.astype(np.float64).copy()
 
-    return Checkpoint(
-        params=params,
-        norm_stats=norm_stats,
-        config=config,
-        cc_weights=np.asarray(header["cc_weights"], dtype=np.float64),
-        vol_weights=np.asarray(header["vol_weights"], dtype=np.float64),
-        config_hash=header["config_hash"],
-    )
+    return Checkpoint(params=params, **fields)

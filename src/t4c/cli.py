@@ -13,13 +13,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset
+from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset, read_json
 from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionError, core_metric, eta_from_speeds, eta_labels,
                          eta_metric, run_ablation)
 from .model import ModelConfig
@@ -41,13 +41,23 @@ class _Parser(argparse.ArgumentParser):
 
 # -- pipeline config -------------------------------------------------------------
 
-# The model and train sections take their dataclass's fields as keys.
 _DATACLASSES = {"model": ModelConfig, "train": TrainConfig}
-_CONFIG_SECTIONS = {
-    "data": str,
-    **{section: {f.name for f in fields(cls)} for section, cls in _DATACLASSES.items()},
-    "out": {"run_dir", "cluster_model"},
-}
+
+
+@dataclass(frozen=True)
+class _Out:
+    run_dir: str = "runs/run"
+    cluster_model: str = "cluster_model.json"
+
+
+@dataclass(frozen=True)
+class _PipelineConfig:  # the pipeline config file: every key is optional, and takes its field's JSON type
+    data: str = "data"
+    model: ModelConfig = ModelConfig()
+    train: TrainConfig = TrainConfig()
+    out: _Out = _Out()
+
+
 # Flags that set a dataclass field, per section: argparse dest -> field name,
 # or (field name, index) for one element of a tuple field.
 _FLAG_FIELDS = {
@@ -64,37 +74,22 @@ _FLAG_FIELDS = {
 }
 
 
-def load_pipeline_config(path) -> dict:
-    """Parse the JSON pipeline config, rejecting unknown keys."""
-    path = Path(path)
+def _pipeline_config(args, workdir: Path) -> dict:
+    """The pipeline config ``--config`` names, or {}; ``read_json`` refuses one that is not a ``_PipelineConfig``."""
+    if not args.config:
+        return {}
+    path = _resolve(workdir, args.config)
     if not path.is_file():
         raise CLIError(f"config file not found: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"{path}: invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise CLIError(f"{path}: config must be a JSON object")
-    for key, value in obj.items():
-        if key not in _CONFIG_SECTIONS:
-            raise CLIError(f"{path}: unknown config key {key!r}")
-        allowed = _CONFIG_SECTIONS[key]
-        if isinstance(allowed, set):
-            if not isinstance(value, dict):
-                raise CLIError(f"{path}: section {key!r} must be an object")
-            for sub in value:
-                if sub not in allowed:
-                    raise CLIError(f"{path}: unknown config key {key}.{sub}")
-    return obj
-
-
-def _default(section: str, name: str):
-    """The dataclass default of a config field."""
-    return next(f.default for f in fields(_DATACLASSES[section]) if f.name == name)
+        return read_json(_PipelineConfig, json.loads(path.read_text(encoding="utf-8")))
+    except ValueError as exc:  # not UTF-8 or JSON, or refused
+        raise CLIError(f"{path}: {exc}") from None
 
 
 def _config_from(args, config: dict, section: str):
-    """The section's dataclass: a flag beats the config, which beats the default."""
+    """The section's dataclass: a flag beats the config, which beats the default. A value out of range
+    raises CLIError naming the config file."""
     values = dict(config.get(section, {}))
     for dest, name in _FLAG_FIELDS[section].items():
         value = getattr(args, dest, None)
@@ -102,11 +97,14 @@ def _config_from(args, config: dict, section: str):
             continue
         if isinstance(name, tuple):  # one element of a tuple field
             name, index = name
-            items = list(values.get(name, _default(section, name)))
+            items = list(values.get(name, getattr(_DATACLASSES[section](), name)))
             items[index] = value
             value = items
         values[name] = value
-    return _DATACLASSES[section](**values)
+    try:
+        return _DATACLASSES[section](**values)
+    except ValueError as exc:
+        raise CLIError(f"{args.config}: {exc}" if args.config else str(exc)) from None
 
 
 # -- shared helpers -----------------------------------------------------------------
@@ -128,19 +126,18 @@ def _load_data(path: Path) -> Dataset:
     return load_dataset(path)
 
 
-def _pipeline_config(args, workdir: Path) -> dict:
-    return load_pipeline_config(_resolve(workdir, args.config)) if args.config else {}
-
-
 def _config_dataset(args, config: dict, workdir: Path) -> Dataset:
     return _load_data(_resolve(workdir, args.data or config.get("data") or "data"))
 
 
-def _load_clusters(args, config: dict, workdir: Path, num_clusters: int):
-    """The cluster model and priors; refused unless they have ``num_clusters`` clusters."""
-    path = _resolve(workdir, args.cluster_model or config.get("out", {}).get("cluster_model", "cluster_model.json"))
+def _load_clusters(args, config: dict, workdir: Path, num_clusters: int, graph):
+    """The cluster model and priors; refused unless they have ``num_clusters`` clusters and cover the graph."""
+    path = _resolve(workdir, args.cluster_model or _Out(**config.get("out", {})).cluster_model)
     _require_artifact(path, "fit-clusters")
     cluster_model, priors = load_cluster_model(path)
+    missing = next((s.segment_id for s in graph.segments if s.segment_id not in priors), None)
+    if missing is not None:
+        raise CLIError(f"{path} has no prior for segment {missing!r}; produce it again with `t4c fit-clusters`")
     if cluster_model.num_clusters != num_clusters:
         raise CLIError(
             f"{path} has K={cluster_model.num_clusters} but the model expects "
@@ -162,51 +159,51 @@ def _write_predictions(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _finite_number(value) -> bool:
-    """A JSON number that reads as a finite float: not a bool, NaN, an infinity or an int too large for a float."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
+@dataclass(frozen=True)
+class _PredictionRow:  # a predictions line; the core scorer reads each segment entry's "cc"
+    record_id: str
+    segments: dict[str, dict] = field(default_factory=dict)
+    etas: dict[str, float] = field(default_factory=dict)
+
+
+_ROW_KEYS = {f.name for f in fields(_PredictionRow)}
+
+
+def _plain_row(row) -> bool:
+    """A one-pass test that passes the rows ``predict`` and ``baseline`` write, and only rows ``read_json`` takes."""
+    if type(row) is not dict or not row.keys() <= _ROW_KEYS or type(row.get("record_id")) is not str:
         return False
-
-
-def _row_fault(row) -> str | None:
-    """What makes a predictions line unreadable, or None."""
-    if not isinstance(row, dict):
-        return "not a JSON object"
-    if not isinstance(row.get("record_id"), str):
-        return "no string 'record_id'"
     segments, etas = row.get("segments", {}), row.get("etas", {})
-    for key, value in (("segments", segments), ("etas", etas)):
-        if not isinstance(value, dict):
-            return f"{key!r} is not an object"
-    if not set(map(type, segments.values())) <= {dict}:
-        return next(f"segment {seg!r} is not an object" for seg, e in segments.items() if type(e) is not dict)
-    return next((f"ETA {ss!r} is not a finite number" for ss, eta in etas.items() if not _finite_number(eta)), None)
+    return (type(segments) is dict and set(map(type, segments.values())) <= {dict}
+            and type(etas) is dict and all(type(eta) is float and -math.inf < eta < math.inf for eta in etas.values()))
 
 
 _PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
 
 
-def _read_predictions(path: Path) -> dict[int, dict]:
-    """Rows by line number, each with a string ``record_id``, an object of segment objects under
-    ``segments`` and an object of finite numbers under ``etas`` where present; others are refused by line."""
-    rows = {}
+def _read_predictions(path: Path) -> dict[str, tuple[int, dict]]:
+    """Each record's line number and row, in file order; a line that is not a ``_PredictionRow``, or
+    that repeats a record, is refused by line."""
+    rows: dict[str, tuple[int, dict]] = {}
     for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
             row = json.loads(line)
+            if not _plain_row(row):  # the reader names the fault, if there is one
+                read_json(_PredictionRow, row)
         except UnicodeDecodeError as exc:
             fault = f"not UTF-8 ({exc.reason} at byte {exc.start})"
         except json.JSONDecodeError as exc:
             fault = f"invalid JSON: {exc.msg}"
+        except ValueError as exc:
+            fault = str(exc)
         else:
-            fault = _row_fault(row)
+            first = rows.setdefault(row["record_id"], (line_no, row))[0]
+            fault = f"record {row['record_id']!r} is also on {path}:{first}" if first != line_no else None
         if fault:
             raise CLIError(f"{path}:{line_no}: {fault}; {_PRODUCE_PREDICTIONS}")
-        rows[line_no] = row
     return rows
 
 
@@ -260,8 +257,8 @@ def cmd_train(args, workdir: Path) -> int:
     train_cfg = _config_from(args, config, "train")
     model_cfg = _config_from(args, config, "model")
     dataset = _config_dataset(args, config, workdir)
-    cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters)
-    run_dir = _resolve(workdir, args.out or config.get("out", {}).get("run_dir", "runs/run"))
+    cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters, dataset.graph)
+    run_dir = _resolve(workdir, args.out or _Out(**config.get("out", {})).run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     training_set = prepare_training(
@@ -293,15 +290,11 @@ def _member_dirs(run_dir: Path) -> list[Path]:
     return sorted(found, key=_member_index)
 
 
-def _load_member_checkpoint(member_dir: Path):
+def _member_checkpoints(run_dir: Path):
     try:
-        return load_checkpoint(_require_artifact(member_dir / "checkpoint.bin", "train"))
+        return [load_checkpoint(_require_artifact(d / "checkpoint.bin", "train")) for d in _member_dirs(run_dir)]
     except ValueError as exc:
         raise CLIError(f"{exc}; produce it again with `t4c train`") from None
-
-
-def _member_checkpoints(run_dir: Path):
-    return [_load_member_checkpoint(d) for d in _member_dirs(run_dir)]
 
 
 def cmd_predict(args, workdir: Path) -> int:
@@ -311,7 +304,7 @@ def cmd_predict(args, workdir: Path) -> int:
     run_dir = _resolve(workdir, args.run)
     _require_artifact(run_dir, "train")
     checkpoints = _member_checkpoints(run_dir)
-    cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters)
+    cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters, dataset.graph)
     seg_graph = build_line_graph(dataset.graph)
     records = _select_records(dataset, train_cfg, args.records)
     lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}  # once per stage
@@ -340,10 +333,9 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: st
     pred_path = _require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)")
     rows = _read_predictions(pred_path)
     try:
-        score = scorer(dataset, list(rows.values()))
-    except PredictionError as exc:  # a record's predictions are the last line that holds it
-        line_no = max(n for n, row in rows.items() if row["record_id"] == exc.record_id)
-        raise CLIError(f"{pred_path}:{line_no}: {exc}; {_PRODUCE_PREDICTIONS}") from None
+        score = scorer(dataset, [row for _, row in rows.values()])
+    except PredictionError as exc:
+        raise CLIError(f"{pred_path}:{rows[exc.record_id][0]}: {exc}; {_PRODUCE_PREDICTIONS}") from None
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     if score.score is None:
@@ -438,7 +430,7 @@ def cmd_ablate(args, workdir: Path) -> int:
     train_cfg = _config_from(args, config, "train")
     model_cfg = _config_from(args, config, "model")
     dataset = _config_dataset(args, config, workdir)
-    cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters)
+    cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters, dataset.graph)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
         result = run_ablation(
@@ -510,12 +502,13 @@ def cmd_report(args, workdir: Path) -> int:
     if args.ablation:
         ablation_path = _require_artifact(_resolve(workdir, args.ablation), "ablate")
         try:
-            table = AblationResult(**json.loads(ablation_path.read_text(encoding="utf-8"))).as_csv()
-        except (TypeError, KeyError, ValueError) as exc:
-            raise CLIError(
-                f"{ablation_path}: damaged ablation result ({type(exc).__name__}: {exc}); "
-                "produce it again with `t4c ablate`"
-            ) from None
+            result = AblationResult(**read_json(AblationResult, json.loads(ablation_path.read_text(encoding="utf-8"))))
+            variants = [set(by_variant) for by_variant in vars(result).values()]
+            if variants[0] - set(ABLATION_VARIANTS) or any(v != variants[0] for v in variants):
+                raise ValueError(f"the variants of each table are not one subset of {ABLATION_VARIANTS}")
+            table = result.as_csv()
+        except ValueError as exc:  # not UTF-8 or JSON, or refused
+            raise CLIError(f"{ablation_path}: damaged ablation result ({exc}); produce it again with `t4c ablate`") from None
         (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
     print(f"wrote report.csv and val_curves.svg -> {out_dir}")
     return 0
@@ -527,10 +520,9 @@ def cmd_report(args, workdir: Path) -> int:
 def _field_flag(sub, flag: str, section: str, help: str, **kwargs) -> None:
     """Add a flag that sets a config field; its help shows the field's default."""
     name = _FLAG_FIELDS[section][flag.lstrip("-").replace("-", "_")]
-    if isinstance(name, tuple):
-        default = _default(section, name[0])[name[1]]
-    else:
-        default = _default(section, name)
+    name, index = name if isinstance(name, tuple) else (name, None)
+    default = getattr(_DATACLASSES[section](), name)
+    default = default if index is None else default[index]
     sub.add_argument(flag, help=f"{help} (default: {default})", **kwargs)
 
 

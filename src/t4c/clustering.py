@@ -10,7 +10,6 @@ code feeds to the network as prior knowledge.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LabelTable, RoadGraph, VolumeRecord
+from .data import LabelTable, RoadGraph, VolumeRecord, read_json
 
 __all__ = [
     "ClusterModel",
@@ -62,6 +61,13 @@ class PriorMatrix:
     segment_id: str
     matrix: np.ndarray  # (K, 3)
     support: np.ndarray | None = None  # (K,) int; None when loaded from disk
+
+
+@dataclass(frozen=True)
+class _ClusterFile:  # the JSON object save_cluster_model writes
+    K: int
+    thresholds: tuple[float, ...]
+    priors: dict[str, np.ndarray]
 
 
 def volume_sum(record: VolumeRecord) -> float:
@@ -146,38 +152,29 @@ def save_cluster_model(path, model: ClusterModel, priors: Mapping[str, PriorMatr
 def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
     """Inverse of :func:`save_cluster_model`; the assignment is not stored.
 
-    A damaged file raises ValueError naming it and `t4c fit-clusters`; so does
-    a K that is not a positive integer, thresholds that are not K - 1
-    finite, non-decreasing numbers, or a prior entry that is not a finite,
-    non-negative JSON number.
+    A damaged file raises ValueError naming it and `t4c fit-clusters`: one
+    ``read_json`` refuses as ``_ClusterFile``, a K below 1, thresholds that
+    are not K - 1 non-decreasing numbers, or a prior that is not a K x 3
+    matrix of non-negative numbers.
     """
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))  # invalid JSON or not UTF-8: a ValueError
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object")
-        for key in ("K", "thresholds", "priors"):
-            if key not in obj:
-                raise ValueError(f"missing key {key!r}")
+        obj = read_json(_ClusterFile, json.loads(path.read_text(encoding="utf-8")))  # not UTF-8 or JSON: a ValueError
         k = obj["K"]
-        if type(k) is not int or k < 1:
+        if k < 1:
             raise ValueError(f"'K' must be a positive integer, got {k!r}")
-        raw = obj["thresholds"]
-        if not isinstance(raw, list) or len(raw) != k - 1:
-            raise ValueError(f"'thresholds' must be a list of K - 1 = {k - 1} numbers, got {raw!r}")
-        thresholds = tuple(float(t) if type(t) in (int, float) else math.nan for t in raw)
-        if not all(map(math.isfinite, thresholds)) or any(b < a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError(f"'thresholds' must be finite and non-decreasing, got {raw!r}")
+        thresholds = tuple(map(float, obj["thresholds"]))
+        if len(thresholds) != k - 1 or any(b < a for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError(f"'thresholds' must be K - 1 = {k - 1} non-decreasing numbers, got {obj['thresholds']!r}")
         model = ClusterModel(num_clusters=k, thresholds=thresholds, assignment={})
         priors: dict[str, PriorMatrix] = {}
         for seg_id, rows in obj["priors"].items():
-            matrix = np.asarray(rows, dtype=np.float64)
+            matrix = np.asarray(rows, dtype=np.float64)  # ragged rows: a ValueError
             if matrix.shape != (k, 3):
                 raise ValueError(f"prior for {seg_id!r} has shape {matrix.shape}, expected ({k}, 3)")
-            numbers = all(type(p) in (int, float) for row in rows for p in row)
-            if not numbers or not np.isfinite(matrix).all() or (matrix < 0.0).any():
-                raise ValueError(f"prior for {seg_id!r} must hold finite, non-negative numbers, got {rows!r}")
+            if (matrix < 0.0).any():
+                raise ValueError(f"prior for {seg_id!r} must hold non-negative numbers, got {rows!r}")
             priors[seg_id] = PriorMatrix(segment_id=seg_id, matrix=matrix, support=None)
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: damaged cluster model ({exc}); produce it again with `t4c fit-clusters`") from None
     return model, priors

@@ -20,13 +20,15 @@ import io
 import json
 import math
 import random
+import reprlib
+import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from types import MappingProxyType, UnionType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -51,6 +53,7 @@ __all__ = [
     "split_train_validation",
     "generate_synthetic_city",
     "labels_by_record",
+    "read_json",
 ]
 
 FORMAT_VERSION = 1
@@ -318,28 +321,68 @@ def _parse_float(raw, path, line, fieldname) -> float:
     return value
 
 
-def _json_number(raw, path, line, fieldname, integer: bool = False, valid: tuple = (), minimum: float | None = None):
-    """A finite JSON number, or with ``integer`` a JSON integer, that is one of ``valid``
-    and at least ``minimum`` where given; booleans and strings are refused."""
-    kind = type(raw)  # exact, so a bool is not an int here
-    if kind is int:
-        value = raw if integer else _parse_float(raw, path, line, fieldname)
-    elif kind is float and not integer and math.isfinite(raw):
-        value = raw
-    else:
-        raise SchemaError(path, line, fieldname, f"expected {'an integer' if integer else 'a finite number'}, got {raw!r}")
+_SCALARS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false", dict: "an object"}
+_hints = cache(get_type_hints)
+
+
+def read_json(kind, value, where: str = ""):
+    """``value`` unchanged if it is a parsed JSON value of type ``kind``; else a ValueError naming its JSON path.
+
+    ``int`` takes an integer (not ``true``), ``float`` a finite number, ``str`` a string, ``bool`` true or false,
+    ``dict`` any object, ``X | None`` also null, ``tuple[X, ...]`` a list and ``tuple[X, Y]`` a list of two,
+    ``dict[str, X]`` an object, ``np.ndarray`` a list (or nested lists) of finite numbers, and a dataclass an
+    object of its fields, each read by its type hint and required unless it has a default. ``where`` is the
+    JSON path of ``value``, such as ``train.member_seeds[0]``.
+    """
+    at, key = (f"{where}: ", f"{where}.") if where else ("", "")
+    if kind in _SCALARS:  # a float also takes an int that a float holds; abs(NaN) is not <= anything
+        if type(value) is kind or kind is float and type(value) is int:
+            if kind is not float or abs(value) <= sys.float_info.max:
+                return value
+        raise ValueError(f"{at}expected {_SCALARS[kind]}, got {reprlib.repr(value)}")
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):  # X | None
+        return value if value is None else read_json(next(a for a in args if a is not type(None)), value, where)
+    if origin is dict or is_dataclass(kind):
+        if type(value) is not dict:
+            raise ValueError(f"{at}expected an object, got {reprlib.repr(value)}")
+        if origin is dict:
+            for name, item in value.items():
+                read_json(args[1], item, key + name)
+            return value
+        hints = _hints(kind)
+        for f in fields(kind):
+            if f.name in value:
+                read_json(hints[f.name], value[f.name], key + f.name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"missing key {key + f.name!r}")
+        unknown = [name for name in value if name not in hints]
+        if unknown:
+            raise ValueError(f"unknown key {key + unknown[0]!r}")
+        return value
+    fixed = bool(args) and args[-1] is not ...  # a tuple of fixed length; np.ndarray has no args
+    if type(value) is not list or fixed and len(value) != len(args):
+        raise ValueError(f"{at}expected a list{f' of {len(args)}' if fixed else ''}, got {reprlib.repr(value)}")
+    for i, item in enumerate(value):
+        if args:
+            read_json(args[i] if fixed else args[0], item, f"{where}[{i}]")
+        else:  # an array's numbers, or its rows
+            read_json(np.ndarray if type(item) is list else float, item, f"{where}[{i}]")
+    return value
+
+
+def _field(kind, raw, path, line, fieldname, valid: tuple = (), minimum: float | None = None):
+    """``raw`` read as ``kind`` by ``read_json``, one of ``valid`` and at least ``minimum`` where given;
+    anything else raises a SchemaError naming the file, line and field."""
+    try:
+        value = read_json(kind, raw)
+    except ValueError as exc:
+        raise SchemaError(path, line, fieldname, str(exc)) from None
     if valid and value not in valid:
         raise SchemaError(path, line, fieldname, f"must be one of {valid}, got {value}")
     if minimum is not None and value < minimum:
         raise SchemaError(path, line, fieldname, f"must be >= {minimum:g}, got {value}")
     return value
-
-
-def _json_string(raw, path, line, fieldname) -> str:
-    """An identifier, which must be a JSON string: a number or null is refused, not converted."""
-    if type(raw) is not str:
-        raise SchemaError(path, line, fieldname, f"expected a string, got {raw!r}")
-    return raw
 
 
 def _load_meta(path: Path) -> dict:
@@ -348,17 +391,9 @@ def _load_meta(path: Path) -> dict:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(meta, dict):
-        raise SchemaError(path, None, None, "meta must be a JSON object")
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise SchemaError(
-            path, None, "format_version", f"expected {FORMAT_VERSION}, got {version!r}"
-        )
-    if meta.get("num_day_slots") != NUM_DAY_SLOTS:
-        raise SchemaError(
-            path, None, "num_day_slots", f"expected {NUM_DAY_SLOTS}, got {meta.get('num_day_slots')!r}"
-        )
+    _field(dict, meta, path, None, None)
+    for key, expected in (("format_version", FORMAT_VERSION), ("num_day_slots", NUM_DAY_SLOTS)):
+        _field(int, meta.get(key), path, None, key, valid=(expected,))
     return meta
 
 
@@ -480,9 +515,7 @@ def _jsonl_objects(path: Path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(path, line_no, None, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise SchemaError(path, line_no, None, "expected a JSON object")
-            yield line_no, obj
+            yield line_no, _field(dict, obj, path, line_no, None)
 
 
 def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> tuple[VolumeRecord, ...]:
@@ -492,39 +525,29 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
         for key in ("record_id", "day", "t_index", "volumes"):
             if key not in obj:
                 raise SchemaError(path, line_no, key, "required key missing")
-        record_id = _json_string(obj["record_id"], path, line_no, "record_id")
+        record_id = _field(str, obj["record_id"], path, line_no, "record_id")
         if record_id in seen:
             raise SchemaError(path, line_no, "record_id", f"duplicate record id {record_id!r}")
         seen.add(record_id)
         try:
-            day = date.fromisoformat(obj["day"])
-        except (TypeError, ValueError):
+            day = date.fromisoformat(_field(str, obj["day"], path, line_no, "day"))
+        except ValueError:
             raise SchemaError(path, line_no, "day", f"expected YYYY-MM-DD, got {obj['day']!r}") from None
-        t_index = _json_number(obj["t_index"], path, line_no, "t_index", integer=True)
+        t_index = _field(int, obj["t_index"], path, line_no, "t_index")
         if not 0 <= t_index < NUM_DAY_SLOTS:
             raise SchemaError(path, line_no, "t_index", f"must be in 0..95, got {t_index}")
-        if not isinstance(obj["volumes"], dict):
-            raise SchemaError(path, line_no, "volumes", "must be an object")
         volumes: dict[str, tuple[int, int, int, int]] = {}
-        for node_id, vec in obj["volumes"].items():
+        for node_id, vec in _field(dict, obj["volumes"], path, line_no, "volumes").items():
             if node_id not in node_ids:
                 raise DanglingReferenceError(path, line_no, "volumes", f"unknown node {node_id!r}")
             if node_id not in counters:
                 raise SchemaError(path, line_no, "volumes", f"node {node_id!r} has no counter")
-            if not isinstance(vec, list) or len(vec) != 4:
-                raise SchemaError(
-                    path, line_no, "volumes",
-                    f"volume vector for {node_id!r} must have exactly 4 bins (one hour), got {vec!r}",
-                )
-            counts = []
-            for v in vec:
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise SchemaError(
-                        path, line_no, "volumes",
-                        f"counts must be nonnegative integers, got {v!r} for {node_id!r}",
-                    )
-                counts.append(v)
-            volumes[node_id] = tuple(counts)
+            # a valid vector passes the inline test; any other goes to the reader that names its fault
+            if not (type(vec) is list and len(vec) == 4 and all(type(v) is int and v >= 0 for v in vec)):
+                _field(dict[str, tuple[int, ...]], {node_id: vec}, path, line_no, "volumes")  # names the node
+                message = f"volume vector for {node_id!r} must have exactly 4 bins (one hour) of nonnegative counts"
+                raise SchemaError(path, line_no, "volumes", f"{message}, got {vec!r}")
+            volumes[node_id] = tuple(vec)
         records.append(VolumeRecord(record_id, day, t_index, volumes))
     return tuple(records)
 
@@ -534,32 +557,30 @@ def _load_labels(path: Path, record_ids: set[str], segment_ids: Sequence[str]) -
     width = len(segment_ids)
     rows: dict[str, tuple[list, list, list]] = {}
     for line_no, obj in _jsonl_objects(path):
-        record_id = _json_string(obj.get("record_id"), path, line_no, "record_id")
+        record_id = _field(str, obj.get("record_id"), path, line_no, "record_id")
         if record_id not in record_ids:
             raise DanglingReferenceError(path, line_no, "record_id", f"unknown record {record_id!r}")
         if record_id in rows:
             raise SchemaError(path, line_no, "record_id", f"duplicate label bundle for {record_id!r}")
-        edges_obj = obj.get("edges")
-        if not isinstance(edges_obj, dict):
-            raise SchemaError(path, line_no, "edges", "must be an object")
+        edges_obj = _field(dict, obj.get("edges"), path, line_no, "edges")
         cc_row, speed_row, vol_row = rows[record_id] = [-1] * width, [math.nan] * width, [-1] * width  # no labels yet
         at = (path, line_no)
         for seg_id, lab in edges_obj.items():
             j = column.get(seg_id)
             if j is None:
                 raise DanglingReferenceError(path, line_no, "edges", f"unknown segment {seg_id!r}")
-            if not isinstance(lab, dict):
-                raise SchemaError(path, line_no, "edges", f"label for {seg_id!r} must be an object")
-            # a valid value passes the inline test; any other goes to the checker that names its fault
+            if type(lab) is not dict:
+                _field(dict[str, dict], {seg_id: lab}, path, line_no, "edges")  # names the segment
+            # a valid value passes the inline test; any other goes to the reader that names its fault
             cc, speed, vol = lab.get("cc"), lab.get("speed_kph"), lab.get("vol_class")
             if cc is not None:
-                cc_row[j] = cc if type(cc) is int and cc in VALID_CC else _json_number(cc, *at, "cc", True, VALID_CC)
+                cc_row[j] = cc if type(cc) is int and cc in VALID_CC else _field(int, cc, *at, "cc", VALID_CC)
             if speed is not None:
                 ok = type(speed) is float and 0.0 <= speed < math.inf
-                speed_row[j] = speed if ok else _json_number(speed, *at, "speed_kph", minimum=0.0)
+                speed_row[j] = speed if ok else _field(float, speed, *at, "speed_kph", minimum=0.0)
             if vol is not None:
                 ok = type(vol) is int and vol in VALID_VOL_CLASS
-                vol_row[j] = vol if ok else _json_number(vol, *at, "vol_class", True, VALID_VOL_CLASS)
+                vol_row[j] = vol if ok else _field(int, vol, *at, "vol_class", VALID_VOL_CLASS)
     return _label_table(rows, segment_ids, list(rows.values()))
 
 
@@ -572,39 +593,28 @@ def _load_supersegments(
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict) or "paths" not in obj or "etas" not in obj:
+    if "paths" not in _field(dict, obj, path, None, None) or "etas" not in obj:
         raise SchemaError(path, None, None, 'expected {"paths": ..., "etas": ...}')
-    if not isinstance(obj["paths"], dict):
-        raise SchemaError(path, None, "paths", "must be an object of supersegment paths")
-    if not isinstance(obj["etas"], list):
-        raise SchemaError(path, None, "etas", "must be a list of ETA entries")
     paths: dict[str, tuple[str, ...]] = {}
-    for ss_id, raw_path in obj["paths"].items():
-        if not isinstance(raw_path, list) or not raw_path:
+    for ss_id, raw_path in _field(dict[str, tuple[str, ...]], obj["paths"], path, None, "paths").items():
+        if not raw_path:
             raise SchemaError(path, None, "paths", f"path for {ss_id!r} must be a non-empty list")
         for seg_id in raw_path:
-            if type(seg_id) is not str:
-                raise SchemaError(path, None, "paths", f"path for {ss_id!r} must list segment ids, got {seg_id!r}")
             if seg_id not in seg_by_id:
                 raise DanglingReferenceError(path, None, "paths", f"unknown segment {seg_id!r}")
         for a, b in zip(raw_path, raw_path[1:]):
             if seg_by_id[a].head_node != seg_by_id[b].tail_node:
-                raise SchemaError(
-                    path, None, "paths",
-                    f"supersegment {ss_id!r}: {a!r} -> {b!r} is not chainable",
-                )
+                raise SchemaError(path, None, "paths", f"supersegment {ss_id!r}: {a!r} -> {b!r} is not chainable")
         paths[ss_id] = tuple(raw_path)
     etas: dict[str, dict[str, float]] = {ss_id: {} for ss_id in paths}
-    for entry in obj["etas"]:
-        if not isinstance(entry, dict):
-            raise SchemaError(path, None, "etas", f"expected objects, got {entry!r}")
-        record_id = _json_string(entry.get("record_id"), path, None, "record_id")
-        ss_id = _json_string(entry.get("ss_id"), path, None, "ss_id")
+    for entry in _field(tuple[dict, ...], obj["etas"], path, None, "etas"):
+        record_id = _field(str, entry.get("record_id"), path, None, "record_id")
+        ss_id = _field(str, entry.get("ss_id"), path, None, "ss_id")
         if record_id not in record_ids:
             raise DanglingReferenceError(path, None, "etas", f"unknown record {record_id!r}")
         if ss_id not in paths:
             raise DanglingReferenceError(path, None, "etas", f"unknown supersegment {ss_id!r}")
-        eta = _json_number(entry.get("eta_s"), path, None, "eta_s")
+        eta = float(_field(float, entry.get("eta_s"), path, None, "eta_s"))
         if eta <= 0:
             raise SchemaError(path, None, "eta_s", f"must be > 0, got {eta}")
         if record_id in etas[ss_id]:

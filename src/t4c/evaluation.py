@@ -163,7 +163,7 @@ def eta_metric(
     per_record_n: dict[str, int] = {}
     for key, truth in labeled.items():
         if key not in predicted:
-            raise ValueError(f"no predicted eta for (record, supersegment) {key!r}")
+            raise PredictionError(f"no predicted eta for (record, supersegment) {key!r}", key[0])
         err = abs(float(predicted[key]) - float(truth))
         total += err
         n += 1

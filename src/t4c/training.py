@@ -39,7 +39,8 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, PriorMatrix, assign_cluster
-from .data import Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, labels_by_record, split_train_validation
+from .data import (Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, labels_by_record, read_json,
+                   split_train_validation)
 from .evaluation import core_metric
 from .model import (
     HEADS,
@@ -117,14 +118,12 @@ class TrainConfig:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if self.member_seeds is not None and len(self.member_seeds) != self.ensemble_size:
+            raise ValueError(f"{len(self.member_seeds)} member seeds for ensemble of {self.ensemble_size}")
 
     def seeds(self) -> tuple[int, ...]:
         if self.member_seeds is not None:
-            if len(self.member_seeds) != self.ensemble_size:
-                raise ValueError(
-                    f"{len(self.member_seeds)} member seeds for ensemble of {self.ensemble_size}"
-                )
-            return tuple(self.member_seeds)
+            return self.member_seeds
         return tuple(self.base_seed + k for k in range(self.ensemble_size))
 
 
@@ -174,23 +173,20 @@ def save_runlog(path, runlog: RunLog) -> Path:
 
 
 def load_runlog(path) -> RunLog:
-    """Inverse of :func:`save_runlog`; a damaged file raises ValueError naming it."""
+    """Inverse of :func:`save_runlog`; a damaged file, or one ``read_json`` refuses as a ``RunLog``, raises
+    ValueError naming it."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        epochs = tuple(EpochLog(**{f.name: e[f.name] for f in fields(EpochLog)}) for e in obj["epochs"])
-        if not all(type(getattr(e, f.name)) in (int, float) for e in epochs for f in fields(EpochLog)):
-            raise ValueError("every epoch entry must be a number")
+        obj = read_json(RunLog, json.loads(path.read_text(encoding="utf-8")))
+        epochs = tuple(EpochLog(**e) for e in obj["epochs"])
         best, seed, order_hash = obj["best_epoch"], obj["seed"], obj["data_order_hash"]
-        if type(best) is not int or not 0 <= best < len(epochs):
+        if not 0 <= best < len(epochs):
             raise ValueError(f"best_epoch {best!r} is not the index of one of {len(epochs)} epochs")
-        if type(seed) is not int:
-            raise ValueError(f"seed {seed!r} is not an integer")
-        if type(order_hash) is not str or re.fullmatch(r"[0-9a-f]{64}", order_hash) is None:
+        if re.fullmatch(r"[0-9a-f]{64}", order_hash) is None:
             raise ValueError(f"data_order_hash {order_hash!r} is not a 64-digit hex sha256")
         return RunLog(epochs=epochs, best_epoch=best, seed=seed, data_order_hash=order_hash)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: damaged run log ({type(exc).__name__}: {exc})") from None
+    except ValueError as exc:  # not UTF-8 or JSON, or refused
+        raise ValueError(f"{path}: damaged run log ({exc})") from None
 
 
 def _chunks(items: list, size: int):

@@ -1,11 +1,15 @@
 """Pipeline contracts: stage chaining, file formats, exit codes,
 determinism of artifacts, and flag/config precedence."""
 
+import contextlib
+import io
 import json
 import shutil
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t4c.cli import main
 from t4c.data import load_dataset
@@ -297,7 +301,8 @@ def test_num_clusters_config_key_drives_every_stage(pipeline, capsys):
     lambda text: json.dumps([json.loads(text)]),
     lambda text: json.dumps({**json.loads(text), "seed": "0"}),
     lambda text: json.dumps({**json.loads(text), "data_order_hash": "not a digest"}),
-], ids=["truncated", "no_best_epoch", "json_list", "seed_string", "hash_not_hex"])
+    lambda text: text.replace('"val_core": ', '"val_core": NaN, "_": ', 1),
+], ids=["truncated", "no_best_epoch", "json_list", "seed_string", "hash_not_hex", "val_core_nan"])
 def test_report_on_damaged_runlog_exits_one_naming_the_file(pipeline, capsys, damage, request):
     run = pipeline / "runs" / f"damaged_{request.node.callspec.id}"
     shutil.copytree(pipeline / "runs/demo", run)
@@ -361,7 +366,40 @@ def test_eval_core_scores_the_rows_the_malformed_row_test_builds(pipeline, capsy
     assert float(capsys.readouterr().out) > 0.0
 
 
-@pytest.mark.parametrize("content", ['{"scores": {"full": 0.5}}', "not json"], ids=["missing_keys", "not_json"])
+@pytest.mark.parametrize("stage", ["eval-core", "eval-eta"])
+def test_eval_refuses_a_record_on_two_lines_naming_both(pipeline, capsys, stage):
+    """The repeat used to be scored twice: a file with its first line written twice scored more segments."""
+    assert main(["--workdir", str(pipeline), "baseline", "naive", "--data", "data/toy", "--out", "twice_bl"]) == 0
+    lines = (pipeline / "twice_bl/predictions_naive.jsonl").read_text().splitlines()
+    pred = pipeline / "twice.jsonl"
+    pred.write_text("\n".join([lines[0], *lines]) + "\n")
+    capsys.readouterr()
+    assert main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--pred", "twice.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert f"{pred}:2: " in err and f"{pred}:1" in err and "t4c predict" in err
+
+
+def test_eval_eta_on_a_row_without_an_eta_names_its_line(pipeline, capsys):
+    assert main(["--workdir", str(pipeline), "baseline", "naive", "--data", "data/toy", "--out", "no_eta_bl"]) == 0
+    rows = [json.loads(line) for line in (pipeline / "no_eta_bl/predictions_naive.jsonl").read_text().splitlines()]
+    labelled = {rid for ss in load_dataset(pipeline / "data/toy").supersegments for rid in ss.etas}
+    line = next(n for n, row in enumerate(rows, start=1) if row["record_id"] in labelled)
+    rows[line - 1]["etas"] = {}
+    pred = pipeline / "no_eta.jsonl"
+    pred.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(["--workdir", str(pipeline), "eval-eta", "--data", "data/toy", "--pred", "no_eta.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert f"{pred}:{line}: " in err and "t4c predict" in err
+
+
+_ABLATION = '{"scores": {"full": %s}, "best_epochs": {"full": %s}, "data_order_hashes": {"full": "ab"}}'
+
+
+@pytest.mark.parametrize("content", [
+    '{"scores": {"full": 0.5}}', "not json", _ABLATION % ("NaN", "0"), _ABLATION % ("0.5", '"0"'),
+    _ABLATION.replace('"full"', '"bogus"') % ("0.5", "0"), _ABLATION.replace('"full": "ab"', '"no_gnn": "ab"') % ("0.5", "0"),
+], ids=["missing_keys", "not_json", "score_nan", "epoch_string", "unknown_variant", "variants_unlike"])
 def test_report_on_damaged_ablation_file_exits_one(pipeline, capsys, content):
     (pipeline / "damaged_ablation.json").write_text(content)
     capsys.readouterr()
@@ -392,7 +430,7 @@ def test_damaged_cluster_model_exits_one_naming_the_file(pipeline, capsys, stage
 
 
 @pytest.mark.parametrize("stage", ["train", "predict"])
-@pytest.mark.parametrize("edit", ["appended", "decreasing", "k_float"])
+@pytest.mark.parametrize("edit", ["appended", "decreasing", "k_float", "prior_dropped"])
 def test_cluster_model_with_bad_k_or_thresholds_exits_one_naming_the_file(pipeline, capsys, stage, edit):
     """One threshold too many would pick a prior row the model does not have."""
     obj = json.loads((pipeline / "cluster_model.json").read_text())
@@ -400,6 +438,8 @@ def test_cluster_model_with_bad_k_or_thresholds_exits_one_naming_the_file(pipeli
         obj["thresholds"].append(obj["thresholds"][-1] + 1.0)
     elif edit == "decreasing":
         obj["thresholds"].reverse()
+    elif edit == "prior_dropped":  # the file loads, but lacks a segment of the dataset
+        del obj["priors"][min(obj["priors"])]
     else:
         obj["K"] = 5.0
     damaged = pipeline / f"clusters_{edit}.json"
@@ -445,17 +485,24 @@ def test_predict_on_truncated_checkpoint_exits_one(pipeline, capsys):
     assert not (pipeline / "cut.jsonl").exists()
 
 
-def test_predict_on_checkpoint_header_without_norm_stats_exits_one(pipeline, capsys):
-    shutil.copytree(pipeline / "runs/demo", pipeline / "runs/no_stats")
-    checkpoint = pipeline / "runs/no_stats/member_0/checkpoint.bin"
-    rewrite_checkpoint_header(checkpoint, checkpoint, lambda header: header.pop("norm_stats"))
+@pytest.mark.parametrize("edit, detail", [
+    (lambda header: header.pop("norm_stats"), "norm_stats"),
+    (lambda header: header["norm_stats"].update(speed_std=float("nan")), "norm_stats.speed_std"),
+    (lambda header: header["norm_stats"].update(counter_std=[0.0] * 8), "norm_stats.counter_std"),
+], ids=["no_norm_stats", "speed_std_nan", "counter_std_zero"])
+def test_predict_on_checkpoint_header_with_damaged_norm_stats_exits_one(pipeline, capsys, edit, detail, request):
+    """A NaN or zero sigma used to reach predictions.jsonl as NaN or Infinity."""
+    run = pipeline / "runs" / f"stats_{request.node.callspec.id}"
+    shutil.copytree(pipeline / "runs/demo", run)
+    checkpoint = run / "member_0/checkpoint.bin"
+    rewrite_checkpoint_header(checkpoint, checkpoint, edit)
     capsys.readouterr()
     code = main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
-                 "--run", "runs/no_stats", "--out", "no_stats.jsonl"])
+                 "--run", str(run), "--out", "damaged_stats.jsonl"])
     assert code == 1
     err = capsys.readouterr().err
-    assert str(checkpoint) in err and "norm_stats" in err and "t4c train" in err
-    assert not (pipeline / "no_stats.jsonl").exists()
+    assert str(checkpoint) in err and detail in err and "t4c train" in err
+    assert not (pipeline / "damaged_stats.jsonl").exists()
 
 
 def _every_field_config():
@@ -475,6 +522,7 @@ def _every_field_config():
 
 
 _TRAIN, _MODEL = TrainConfig(), ModelConfig()
+_FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  # leaves the pipeline's model alone
 
 
 @pytest.mark.parametrize("config, argv, code, expected", [
@@ -482,9 +530,16 @@ _TRAIN, _MODEL = TrainConfig(), ModelConfig()
     (_every_field_config(), ["train", "--cluster-model", "cluster_model.json", "--out", "runs/fields"], 0, []),
     ({"workdir": "."}, ["fit-clusters", "--data", "data/toy"], 1, ["'workdir'"]),
     ({"out": {"predictions": "p.jsonl"}}, ["fit-clusters", "--data", "data/toy"], 1, ["out.predictions"]),
-    ({"cluster": {"k": 5}}, ["fit-clusters", "--data", "data/toy"], 1, ["unknown config key 'cluster'"]),
+    ({"cluster": {"k": 5}}, ["fit-clusters", "--data", "data/toy"], 1, ["unknown key 'cluster'"]),
     (None, ["fit-clusters", "--data", "data/toy", "--epochs", "1"], 1, ["--epochs"]),
     (None, ["predict", "--run", "runs/demo", "--out", "p.jsonl", "--seed", "1"], 1, ["--seed"]),
+    # a key of the wrong JSON type, named by its path, and a value the dataclass refuses, named by the file
+    ({"train": {"epochs": "5"}}, _FIT, 1, ["schema.json: train.epochs: expected an integer"]),
+    ({"model": {"hidden": True}}, _FIT, 1, ["schema.json: model.hidden"]),
+    ({"model": {"num_clusters": 3.0}}, _FIT, 1, ["schema.json: model.num_clusters"]),
+    ({"train": {"member_seeds": [1.5]}}, _FIT, 1, ["train.member_seeds[0]"]),
+    ({"out": {"run_dir": 7}}, _FIT, 1, ["schema.json: out.run_dir: expected a string"]),
+    ({"train": {"member_seeds": [1, 2]}}, _FIT, 1, ["schema.json: 2 member seeds"]),
     (None, ["train", "--help"], 0, [
         f"(default: {value})" for value in (
             _TRAIN.epochs, _TRAIN.batch_size, _TRAIN.learning_rate, _TRAIN.ensemble_size,
@@ -492,7 +547,9 @@ _TRAIN, _MODEL = TrainConfig(), ModelConfig()
             _MODEL.gnn_layers, _MODEL.hidden, _MODEL.prior_mode, _MODEL.cc_classes, _MODEL.num_clusters,
         )
     ]),
-], ids=["every_field", "workdir", "out.predictions", "cluster", "fit_clusters_epochs", "predict_seed", "train_help"])
+], ids=["every_field", "workdir", "out.predictions", "cluster", "fit_clusters_epochs", "predict_seed", "epochs_string",
+        "hidden_true", "num_clusters_float", "member_seed_float", "run_dir_number", "member_seeds_unlike_members",
+        "train_help"])
 def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, code, expected):
     if config is not None:
         (pipeline / "schema.json").write_text(json.dumps(config))
@@ -569,3 +626,141 @@ def test_eval_stages_call_load_read_and_score_once_in_order(pipeline, monkeypatc
         monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
     assert main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--pred", "hook_bl/predictions_naive.jsonl"]) == 0
     assert calls == ["load_dataset", "_read_predictions", scorer]
+
+
+# -- every JSON artifact a stage reads: one mutation, then exit 0 with finite outputs or exit 1 ------------------
+
+# The config's values are small where the default is not. The stage runs with --members 1 and --epochs 1, so that
+# a dropped key or an emptied section asks for little training: nine members of twenty epochs take seconds.
+HYPOTHESIS_CONFIG = {
+    "data": "data",
+    "model": {
+        "importance_dim": 5, "oneway_dim": 2, "tunnel_dim": 2, "lanes_dim": 3, "volume_hidden": [4],
+        "static_hidden": [4], "gnn_layers": 1, "hidden": 4, "head_blocks": 1, "lambdas": [0.03, 1.0, 1.0],
+        "prior_mode": "full", "num_clusters": 10, "cc_classes": 3, "use_prior_block": True, "use_static": True,
+    },
+    "train": {
+        "epochs": 1, "batch_size": 2, "learning_rate": 1e-3, "ensemble_size": 1, "base_seed": 0, "member_seeds": [3],
+        "daytime": [24, 88], "val_fraction": 0.2, "split_seed": 0,
+    },
+    "out": {"run_dir": "runs/run", "cluster_model": "cluster_model.json"},
+}
+# a value of each JSON type; an int where a number is read is no wrong type, a fraction where an integer is read is
+WRONG_TYPES = {"str": "x", "bool": True, "null": None, "int": 2, "fraction": 0.5, "list": [], "object": {}}
+
+
+def _json_type(value) -> set[str]:
+    """The WRONG_TYPES keys that are not a wrong type for ``value``."""
+    if type(value) is int:
+        return {"int"}
+    if type(value) is float:
+        return {"int", "fraction"}
+    return {{str: "str", bool: "bool", type(None): "null", list: "list", dict: "object"}[type(value)]}
+
+
+def _mutate(data, obj):
+    """Walk from the root of ``obj`` to a drawn node and change it once, in place: a value of another JSON type,
+    NaN, an infinity, the node dropped, an unknown key added or the container emptied."""
+    parent, key, node = None, None, obj
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans(), label="descend"):
+        parent, key = node, data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    kinds = ["nan", "inf", "-inf", "wrong_type"]
+    kinds += ["drop"] * (parent is not None) + ["unknown_key"] * isinstance(node, dict)
+    kinds += ["empty"] * (isinstance(node, (dict, list)) and bool(node))
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind == "drop":
+        del parent[key]
+    elif kind == "unknown_key":
+        node["zz_unknown"] = 0
+    else:
+        if kind == "wrong_type":
+            value = WRONG_TYPES[data.draw(st.sampled_from(sorted(WRONG_TYPES.keys() - _json_type(node))))]
+        else:
+            value = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "empty": type(node)()}[kind]
+        if parent is None:
+            return value
+        parent[key] = value
+    return obj
+
+
+def _assert_finite_outputs(directory):
+    """Every file under ``directory`` holds only finite numbers: its JSON parses without NaN or Infinity, and no
+    text file spells them."""
+    for path in directory.rglob("*"):
+        if path.suffix in (".json", ".jsonl"):
+            for line in path.read_text().splitlines() if path.suffix == ".jsonl" else [path.read_text()]:
+                json.loads(line, parse_constant=lambda name: pytest.fail(f"{path}: {name}"))
+        elif path.suffix in (".csv", ".svg"):
+            assert not {"nan", "inf"} & set(path.read_text().lower().replace(",", " ").split()), path
+
+
+@pytest.fixture(scope="module")
+def mutation_workdir(pipeline, tmp_path_factory):
+    """A workdir whose default paths exist: a dataset at ``data`` and a 10-cluster model at ``cluster_model.json``,
+    with the toy pipeline's run, predictions and a two-variant ablation."""
+    root = tmp_path_factory.mktemp("mutations")
+    shutil.copytree(pipeline / "data/toy", root / "data")
+    shutil.copytree(pipeline / "runs/demo", root / "runs/demo")
+    wd = ["--workdir", str(root)]
+    assert main(wd + ["fit-clusters", "--data", "data", "--out", "cluster_model.json"]) == 0
+    assert main(wd + ["fit-clusters", "--data", "data", "--k", "5", "--out", "clusters_k5.json"]) == 0
+    assert main(wd + ["predict", "--cluster-model", "clusters_k5.json", "--run", "runs/demo", "--out", "pred.jsonl"]) == 0
+    assert main(wd + ["ablate", "--cluster-model", "clusters_k5.json", "--variants", "full,no_gnn", "--epochs", "1",
+                      "--hidden", "8", "--gnn-layers", "1", "--k", "5", "--out", "ablation"]) == 0
+    return root
+
+
+ARTIFACTS = ["config", "checkpoint", "runlog", "cluster_model", "ablation", "predictions"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_json_artifact_exits_0_with_finite_outputs_or_1_naming_file_and_producer(mutation_workdir, data):
+    root = mutation_workdir
+    artifact = data.draw(st.sampled_from(ARTIFACTS), label="artifact")
+    out = root / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.rmtree(root / "runs/mutated", ignore_errors=True)
+    out.mkdir()
+    run = ["--run", "runs/demo", "--cluster-model", "clusters_k5.json", "--out", "out/pred.jsonl"]
+    if artifact == "config":  # written by hand, so no stage produces it
+        path, producer = root / "config.json", ""
+        path.write_text(json.dumps(_mutate(data, json.loads(json.dumps(HYPOTHESIS_CONFIG)))))
+        argv = ["train", "--config", str(path), "--out", "out/run", "--members", "1", "--epochs", "1"]
+    elif artifact == "checkpoint":
+        shutil.copytree(root / "runs/demo", root / "runs/mutated")
+        path, producer = root / "runs/mutated/member_1/checkpoint.bin", "t4c train"
+        raw = path.read_bytes()
+        end = 16 + int.from_bytes(raw[8:16], "little")
+        header = json.dumps(_mutate(data, json.loads(raw[16:end]))).encode()
+        path.write_bytes(raw[:8] + len(header).to_bytes(8, "little") + header + raw[end:])
+        argv = ["predict", *run[2:], "--run", "runs/mutated"]
+    elif artifact == "runlog":
+        shutil.copytree(root / "runs/demo", root / "runs/mutated")
+        path, producer = root / "runs/mutated/member_1/runlog.json", "t4c train"
+        path.write_text(json.dumps(_mutate(data, json.loads(path.read_text()))))
+        argv = ["report", "--runs", "runs/mutated", "--out", "out/report"]
+    elif artifact == "cluster_model":
+        path, producer = root / "mutated_clusters.json", "t4c fit-clusters"
+        path.write_text(json.dumps(_mutate(data, json.loads((root / "clusters_k5.json").read_text()))))
+        argv = ["predict", *run[:2], "--cluster-model", path.name, "--out", "out/pred.jsonl"]
+    elif artifact == "ablation":
+        path, producer = root / "mutated_ablation.json", "t4c ablate"
+        path.write_text(json.dumps(_mutate(data, json.loads((root / "ablation/ablation.json").read_text()))))
+        argv = ["report", "--runs", "runs/demo", "--ablation", path.name, "--out", "out/report"]
+    else:
+        path, producer = root / "mutated_pred.jsonl", "t4c predict"
+        lines = (root / "pred.jsonl").read_text().splitlines()
+        lines[0] = json.dumps(_mutate(data, json.loads(lines[0])))
+        path.write_text("\n".join(lines) + "\n")
+        stage = data.draw(st.sampled_from(["eval-core", "eval-eta"]), label="stage")
+        argv = [stage, "--data", "data", "--pred", path.name, "--out", "out/score.json", "--csv", "out/score.csv"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--workdir", str(root), *argv])
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        _assert_finite_outputs(out)
+    else:
+        assert str(path) in err.getvalue() and producer in err.getvalue(), err.getvalue()

@@ -274,14 +274,19 @@ def test_supersegments_with_a_section_of_the_wrong_type_is_named(toy_dataset, tm
     assert (Path(err.value.path).name, err.value.fieldname) == ("supersegments.json", key)
 
 
-def test_bad_format_version_rejected(toy_dataset, tmp_path):
+@pytest.mark.parametrize("key, value", [
+    ("format_version", 2), ("format_version", True), ("format_version", 1.0), ("num_day_slots", 96.0),
+    ("num_day_slots", None),
+])
+def test_bad_format_version_rejected(toy_dataset, tmp_path, key, value):
+    """Each is a JSON integer: true and 1.0 are not the version 1."""
     out = write_dataset(toy_dataset, tmp_path / "city")
     meta = json.loads((out / "meta.json").read_text())
-    meta["format_version"] = 2
+    meta[key] = value
     (out / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(SchemaError) as err:
         load_dataset(out)
-    assert "format_version" in str(err.value)
+    assert (Path(err.value.path).name, err.value.fieldname) == ("meta.json", key)
 
 
 def test_missing_continuous_attribute_imputed_with_median(toy_dataset, tmp_path):

@@ -115,8 +115,11 @@ def test_runlog_round_trip(tmp_path, trained):
     lambda text: json.dumps({**json.loads(text), "data_order_hash": 7}),
     lambda text: json.dumps({**json.loads(text), "data_order_hash": json.loads(text)["data_order_hash"][:63]}),
     lambda text: json.dumps({**json.loads(text), "data_order_hash": json.loads(text)["data_order_hash"].upper()}),
+    lambda text: text.replace('"val_core": ', '"val_core": NaN, "_": ', 1),
+    lambda text: text.replace('"train_loss": ', '"train_loss": Infinity, "_": ', 1),
 ], ids=["truncated", "no_best_epoch", "json_list", "best_epoch_out_of_range", "epoch_without_numbers",
-        "seed_string", "seed_float", "seed_bool", "hash_number", "hash_short", "hash_not_lowercase_hex"])
+        "seed_string", "seed_float", "seed_bool", "hash_number", "hash_short", "hash_not_lowercase_hex",
+        "val_core_nan", "train_loss_infinite"])
 def test_damaged_runlog_raises_value_error_naming_the_file(tmp_path, trained, damage):
     path = save_runlog(tmp_path / "runlog.json", trained[1])
     path.write_text(damage(path.read_text()))
@@ -172,6 +175,12 @@ HEADER_DAMAGE = {
     "shifted_offset": (lambda header: header["tensors"][1].update(offset=header["tensors"][1]["offset"] + 8), "offset"),
     "config_unlike_its_hash": (lambda header: header["config"].update(lambdas=[0.05, 1.0, 1.0]), "config_hash"),
     "short_cc_weights": (lambda header: header["cc_weights"].pop(), "cc_weights"),
+    # values of the right JSON type that no training writes
+    "nan_speed_std": (lambda header: header["norm_stats"].update(speed_std=float("nan")), "norm_stats.speed_std"),
+    "zero_counter_std": (lambda header: header["norm_stats"].update(counter_std=[0.0] * 8), "norm_stats.counter_std"),
+    "negative_cont_std": (lambda header: header["norm_stats"]["cont_std"].__setitem__(0, -1.0), "norm_stats.cont_std"),
+    "infinite_cc_weight": (lambda header: header["cc_weights"].__setitem__(0, float("inf")), "cc_weights[0]"),
+    "nan_weight_in_a_string": (lambda header: header["vol_weights"].__setitem__(0, "NaN"), "vol_weights[0]"),
 }
 
 
