@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .clustering import CC_COLUMN, ClusterModel, build_prior_matrices
-from .data import Dataset, LabelTable, SuperSegment, VolumeRecord
+from .data import Dataset, LabelTable, SuperSegment, VolumeRecord, parse_json
 from .model import inverse_frequency_weights
 from .seggraph import column_moments, mean_aggregation_matrix
 from .training import fit_loop, split_records
@@ -189,7 +189,7 @@ def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
 
 
 def load_baseline(path) -> NaiveCountModel | VolumeClusterModel:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = parse_json(Path(path).read_text(encoding="utf-8"))
     if obj["kind"] == "naive":
         return _naive_from(obj)
     return VolumeClusterModel(

@@ -1,26 +1,24 @@
 """Deterministic binary checkpoint container.
 
-Layout: a 4-byte magic, a little-endian uint32 format version, a
-little-endian uint64 header length, the JSON header (sorted keys), then
-the concatenated raw little-endian float64 buffers of all tensors in
-header order. The same inputs always produce the same bytes, and values
-round-trip bit-exactly. Loading checks the header against what
-``save_checkpoint`` writes: every field present and of its JSON type,
-positive norm-stat sigmas, the config hash, tensor offsets as the running
-sum, and tensor names and shapes as ``init_params`` makes them for the
-config.
+A ``data.pack_container`` container: magic ``T4CK``, format version 1, a
+JSON header, then the concatenated raw little-endian float64 buffers of
+all tensors in header order. The same inputs always produce the same
+bytes, and values round-trip bit-exactly. Loading checks the header
+against what ``save_checkpoint`` writes: every field present and of its
+JSON type, positive norm-stat sigmas, the config hash, tensor offsets as
+the running sum, and tensor names and shapes as ``init_params`` makes
+them for the config. Every parameter value must be finite.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import read_json
+from .data import pack_container, read_json, unpack_container
 from .model import ModelConfig, config_hash, init_params
 from .seggraph import NormStats
 
@@ -95,15 +93,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
         "cc_weights": ckpt.cc_weights.tolist(),
         "vol_weights": ckpt.vol_weights.tolist(),
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(VERSION.to_bytes(4, "little"))
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        for name in names:
-            arr = np.ascontiguousarray(ckpt.params[name], dtype=np.float64)
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+    buffers = (np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes() for name in names)
+    path.write_bytes(pack_container(MAGIC, VERSION, header, buffers))
     return path
 
 
@@ -155,23 +146,14 @@ def _parse_header(header) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]]]
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a cut, damaged or inconsistent file raises ValueError naming ``path``."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated checkpoint: {len(raw)} bytes, the preamble alone is 16")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header_len = int.from_bytes(raw[8:16], "little")
-    if len(raw) < 16 + header_len:
-        raise ValueError(f"{path}: truncated checkpoint: header has {len(raw) - 16} of {header_len} bytes")
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        header, payload = unpack_container(path.read_bytes(), MAGIC, VERSION, "checkpoint")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
         fields, specs = _parse_header(header)
-    except ValueError as exc:  # not UTF-8 or JSON, or refused
+    except ValueError as exc:
         raise ValueError(f"{path}: damaged checkpoint header: {exc}") from None
-    payload = raw[16 + header_len :]
     expected = sum(8 * math.prod(shape) for shape, _ in specs.values())
     if len(payload) != expected:
         raise ValueError(f"{path}: truncated checkpoint: payload has {len(payload)} bytes, its header lists {expected}")
@@ -179,6 +161,8 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     for name, (shape, offset) in specs.items():
         arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=offset).reshape(shape)
-        params[name] = arr.astype(np.float64).copy()
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: damaged checkpoint body: tensor {name!r} holds a non-finite value")
+        params[name] = arr.astype(np.float64)
 
     return Checkpoint(params=params, **fields)

@@ -2,24 +2,29 @@
 ablation, and report rendering.
 
 Stages communicate through files only (dataset directory, cluster model
-JSON, binary checkpoints, prediction JSONL), so each one is independently
-rerunnable; with unchanged inputs every stage rewrites byte-identical
-artifacts. Exit codes: 0 success, 1 validation error, 2 runtime failure.
+JSON, binary checkpoints, prediction JSONL and its verified binary copy),
+so each one is independently rerunnable; with unchanged inputs every stage
+rewrites byte-identical artifacts. Exit codes: 0 success, 1 validation
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset, read_json
+from .data import (DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset, pack_container,
+                   parse_json, read_json, unpack_container)
 from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionError, core_metric, eta_from_speeds, eta_labels,
                          eta_metric, run_ablation)
 from .model import ModelConfig
@@ -82,7 +87,7 @@ def _pipeline_config(args, workdir: Path) -> dict:
     if not path.is_file():
         raise CLIError(f"config file not found: {path}")
     try:
-        return read_json(_PipelineConfig, json.loads(path.read_text(encoding="utf-8")))
+        return read_json(_PipelineConfig, parse_json(path.read_text(encoding="utf-8")))
     except ValueError as exc:  # not UTF-8 or JSON, or refused
         raise CLIError(f"{path}: {exc}") from None
 
@@ -153,10 +158,70 @@ def _select_records(dataset, train_cfg: TrainConfig, subset: str):
     return train_records if subset == "train" else val_records
 
 
+# A predictions file's binary copy, ``<predictions>.bin``: a ``pack_container`` container whose header lists the
+# record, segment and super-segment ids and whose payload is cc as (records, segments, 3) then the ETAs as
+# (records, super-segments), raw little-endian float64; then the SHA-256 of the JSONL's bytes and the container.
+_SIDECAR = (b"T4CP", 1)  # magic, version
+
+
+@dataclass(frozen=True)
+class _SidecarHeader:
+    record_ids: tuple[str, ...]
+    segment_ids: tuple[str, ...]
+    supersegment_ids: tuple[str, ...]
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + ".bin")
+
+
+def _digest(data: bytes, body: bytes) -> bytes:
+    digest = hashlib.sha256(data)
+    digest.update(body)
+    return digest.digest()
+
+
 def _write_predictions(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    """The JSONL, one row a line, and its binary copy. Rows that differ in their segments or super-segments, or hold
+    a cc that is not three floats or an ETA that is not a float, get none."""
+    data = "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows).encode("utf-8")
+    path.write_bytes(data)
+    first = rows[0] if rows else {"segments": {}, "etas": {}}
+    seg_ids, ss_ids = list(first["segments"]), list(first["etas"])
+    cc = [entry["cc"] for row in rows for entry in row["segments"].values()]
+    etas = [eta for row in rows for eta in row["etas"].values()]
+    if (any(list(row["segments"]) != seg_ids or list(row["etas"]) != ss_ids for row in rows)
+            or any(type(probs) is not list or len(probs) != 3 for probs in cc)
+            or {type(value) for value in chain(etas, *cc)} - {float}):
+        _sidecar_path(path).unlink(missing_ok=True)
+        return
+    header = {"record_ids": [row["record_id"] for row in rows], "segment_ids": seg_ids, "supersegment_ids": ss_ids}
+    body = pack_container(*_SIDECAR, header, [np.array(cc, "<f8").tobytes(), np.array(etas, "<f8").tobytes()])
+    _sidecar_path(path).write_bytes(body + _digest(data, body))
+
+
+def _sidecar_rows(path: Path, data: bytes) -> dict[str, tuple[int, dict]] | None:
+    """``_read_predictions``'s result for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
+    None unless that copy is whole, was written for exactly ``data``, names each record once and holds only finite
+    numbers. A row holds its "cc" as a (segments, 3) array in the order of its "segment_ids"."""
+    try:
+        raw = _sidecar_path(path).read_bytes()
+        if len(raw) < 32 or _digest(data, raw[:-32]) != raw[-32:]:
+            return None
+        header, payload = unpack_container(raw[:-32], *_SIDECAR, "predictions sidecar")
+        read_json(_SidecarHeader, header)
+    except (OSError, ValueError):  # absent or damaged
+        return None
+    ids, seg_ids, ss_ids = header["record_ids"], tuple(header["segment_ids"]), header["supersegment_ids"]
+    if len(payload) != 8 * len(ids) * (3 * len(seg_ids) + len(ss_ids)) or len(set(ids)) != len(ids):
+        return None
+    values = np.frombuffer(payload, "<f8")
+    if not np.isfinite(values).all():  # the JSONL's parse names the fault
+        return None
+    cc = values[: 3 * len(ids) * len(seg_ids)].reshape(len(ids), len(seg_ids), 3)
+    etas = values[cc.size :].reshape(len(ids), len(ss_ids)).tolist()
+    return {rid: (k + 1, {"record_id": rid, "segment_ids": seg_ids, "cc": cc[k], "etas": dict(zip(ss_ids, etas[k]))})
+            for k, rid in enumerate(ids)}
 
 
 @dataclass(frozen=True)
@@ -166,33 +231,23 @@ class _PredictionRow:  # a predictions line; the core scorer reads each segment 
     etas: dict[str, float] = field(default_factory=dict)
 
 
-_ROW_KEYS = {f.name for f in fields(_PredictionRow)}
-
-
-def _plain_row(row) -> bool:
-    """A one-pass test that passes the rows ``predict`` and ``baseline`` write, and only rows ``read_json`` takes."""
-    if type(row) is not dict or not row.keys() <= _ROW_KEYS or type(row.get("record_id")) is not str:
-        return False
-    segments, etas = row.get("segments", {}), row.get("etas", {})
-    return (type(segments) is dict and set(map(type, segments.values())) <= {dict}
-            and type(etas) is dict and all(type(eta) is float and -math.inf < eta < math.inf for eta in etas.values()))
-
-
 _PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
 
 
 def _read_predictions(path: Path) -> dict[str, tuple[int, dict]]:
-    """Each record's line number and row, in file order; a line that is not a ``_PredictionRow``, or
-    that repeats a record, is refused by line."""
-    rows: dict[str, tuple[int, dict]] = {}
-    for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
+    """Each record's line number and row, in file order: from the file's binary copy when it matches the file, else
+    parsed. A line that is not a ``_PredictionRow``, or that repeats a record, is refused by line."""
+    data = path.read_bytes()
+    rows = _sidecar_rows(path, data)
+    if rows is not None:
+        return rows
+    rows = {}
+    for line_no, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            row = json.loads(line)
-            if not _plain_row(row):  # the reader names the fault, if there is one
-                read_json(_PredictionRow, row)
+            row = read_json(_PredictionRow, parse_json(line))
         except UnicodeDecodeError as exc:
             fault = f"not UTF-8 ({exc.reason} at byte {exc.start})"
         except json.JSONDecodeError as exc:
@@ -351,12 +406,17 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: st
     return 0
 
 
+def _cc_predictions(row: dict, segment_ids: tuple[str, ...]):
+    """A row's congestion probabilities as ``core_metric`` reads them: a binary copy's array when its segments are
+    the table's, else a segment -> cc mapping."""
+    if "cc" not in row:  # parsed from the JSONL
+        return {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
+    return row["cc"] if row["segment_ids"] == segment_ids else dict(zip(row["segment_ids"], row["cc"].tolist()))
+
+
 def cmd_eval_core(args, workdir: Path) -> int:
     def score(dataset, rows):
-        predictions = {
-            row["record_id"]: {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
-            for row in rows
-        }
+        predictions = {row["record_id"]: _cc_predictions(row, dataset.labels.segment_ids) for row in rows}
         return core_metric(predictions, dataset.labels.select(row["record_id"] for row in rows))
 
     nothing_scored = "no scored segments: predictions cover no labeled records"
@@ -502,7 +562,7 @@ def cmd_report(args, workdir: Path) -> int:
     if args.ablation:
         ablation_path = _require_artifact(_resolve(workdir, args.ablation), "ablate")
         try:
-            result = AblationResult(**read_json(AblationResult, json.loads(ablation_path.read_text(encoding="utf-8"))))
+            result = AblationResult(**read_json(AblationResult, parse_json(ablation_path.read_text(encoding="utf-8"))))
             variants = [set(by_variant) for by_variant in vars(result).values()]
             if variants[0] - set(ABLATION_VARIANTS) or any(v != variants[0] for v in variants):
                 raise ValueError(f"the variants of each table are not one subset of {ABLATION_VARIANTS}")

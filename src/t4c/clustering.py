@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LabelTable, RoadGraph, VolumeRecord, read_json
+from .data import LabelTable, RoadGraph, VolumeRecord, parse_json, read_json
 
 __all__ = [
     "ClusterModel",
@@ -159,7 +159,7 @@ def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
     """
     path = Path(path)
     try:
-        obj = read_json(_ClusterFile, json.loads(path.read_text(encoding="utf-8")))  # not UTF-8 or JSON: a ValueError
+        obj = read_json(_ClusterFile, parse_json(path.read_text(encoding="utf-8")))  # not UTF-8 or JSON: a ValueError
         k = obj["K"]
         if k < 1:
             raise ValueError(f"'K' must be a positive integer, got {k!r}")

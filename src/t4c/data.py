@@ -54,6 +54,9 @@ __all__ = [
     "generate_synthetic_city",
     "labels_by_record",
     "read_json",
+    "parse_json",
+    "pack_container",
+    "unpack_container",
 ]
 
 FORMAT_VERSION = 1
@@ -371,6 +374,45 @@ def read_json(kind, value, where: str = ""):
     return value
 
 
+def parse_json(text: str):
+    """``json.loads(text)``; a value nested too deeply to parse raises ``json.JSONDecodeError``, a ValueError, not
+    RecursionError, so that each loader names its file."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
+# A binary container: a 4-byte magic, a little-endian uint32 format version, a little-endian uint64 header length,
+# the JSON header (sorted keys, no spaces), then the payload.
+
+
+def pack_container(magic: bytes, version: int, header, payload: Iterable[bytes]) -> bytes:
+    """The container's bytes; the same arguments always give the same bytes."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join([magic, version.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head, *payload])
+
+
+def unpack_container(raw: bytes, magic: bytes, version: int, kind: str) -> tuple[object, memoryview]:
+    """The parsed header and the payload of a ``pack_container`` container. One that is cut, has another magic or
+    version, or whose header is not UTF-8 JSON, raises ValueError naming ``kind``."""
+    if raw[:4] != magic:
+        raise ValueError(f"not a {kind} file (bad magic)")
+    if len(raw) < 16:
+        raise ValueError(f"truncated {kind}: {len(raw)} bytes, the preamble alone is 16")
+    found = int.from_bytes(raw[4:8], "little")
+    if found != version:
+        raise ValueError(f"unsupported {kind} version {found}")
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    if len(raw) < end:
+        raise ValueError(f"truncated {kind}: header has {len(raw) - 16} of {end - 16} bytes")
+    try:
+        header = parse_json(raw[16:end].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8 or JSON
+        raise ValueError(f"damaged {kind} header: {exc}") from None
+    return header, memoryview(raw)[end:]
+
+
 def _field(kind, raw, path, line, fieldname, valid: tuple = (), minimum: float | None = None):
     """``raw`` read as ``kind`` by ``read_json``, one of ``valid`` and at least ``minimum`` where given;
     anything else raises a SchemaError naming the file, line and field."""
@@ -388,7 +430,7 @@ def _field(kind, raw, path, line, fieldname, valid: tuple = (), minimum: float |
 def _load_meta(path: Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            meta = json.load(fh)
+            meta = parse_json(fh.read())
         except json.JSONDecodeError as exc:
             raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
     _field(dict, meta, path, None, None)
@@ -512,7 +554,7 @@ def _jsonl_objects(path: Path):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(path, line_no, None, f"invalid JSON: {exc.msg}") from None
             yield line_no, _field(dict, obj, path, line_no, None)
@@ -590,7 +632,7 @@ def _load_supersegments(
     seg_by_id = {s.segment_id: s for s in segments}
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = parse_json(fh.read())
         except json.JSONDecodeError as exc:
             raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
     if "paths" not in _field(dict, obj, path, None, None) or "etas" not in obj:

@@ -65,6 +65,14 @@ class PredictionError(ValueError):
         self.record_id = record_id
 
 
+def _numbers(value) -> bool:
+    """A numeric array, or a list or tuple of numbers; a bool or a string is no number."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, (list, tuple)) and all(
+        type(x) in (int, float) or isinstance(x, (np.integer, np.floating)) for x in value)
+
+
 def _scored_probs(record_preds, record_id: str, segment_ids: Sequence[str], scored: np.ndarray) -> np.ndarray:
     """(len(scored), 3) probabilities of one record's scored table columns.
 
@@ -74,10 +82,11 @@ def _scored_probs(record_preds, record_id: str, segment_ids: Sequence[str], scor
     if isinstance(record_preds, np.ndarray):  # (segments, 3), in table order
         return record_preds.reshape(len(segment_ids), 3)[scored]
     try:
-        probs = np.array([record_preds[segment_ids[j]] for j in scored], dtype=np.float64)
-    except (KeyError, ValueError, TypeError):
+        values = [record_preds[segment_ids[j]] for j in scored]
+        probs = np.array(values, dtype=np.float64)
+    except (KeyError, ValueError, TypeError, OverflowError):
         probs = None
-    if probs is not None and probs.shape == (len(scored), 3) and np.isfinite(probs).all():
+    if probs is not None and probs.shape == (len(scored), 3) and np.isfinite(probs).all() and all(map(_numbers, values)):
         return probs
     for j in scored:  # name the first fault in segment order
         seg_id = segment_ids[j]
@@ -86,8 +95,8 @@ def _scored_probs(record_preds, record_id: str, segment_ids: Sequence[str], scor
         value = record_preds[seg_id]
         try:
             vector = np.asarray(value, dtype=np.float64)
-            fine = vector.shape == (3,) and np.isfinite(vector).all()
-        except (ValueError, TypeError):
+            fine = _numbers(value) and vector.shape == (3,) and np.isfinite(vector).all()
+        except (ValueError, TypeError, OverflowError):
             fine = False
         if not fine:
             message = f"record {record_id!r}, segment {seg_id!r}: expected 3 finite probabilities, got {reprlib.repr(value)}"

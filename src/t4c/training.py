@@ -39,8 +39,8 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, PriorMatrix, assign_cluster
-from .data import (Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, labels_by_record, read_json,
-                   split_train_validation)
+from .data import (Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, labels_by_record, parse_json,
+                   read_json, split_train_validation)
 from .evaluation import core_metric
 from .model import (
     HEADS,
@@ -177,7 +177,7 @@ def load_runlog(path) -> RunLog:
     ValueError naming it."""
     path = Path(path)
     try:
-        obj = read_json(RunLog, json.loads(path.read_text(encoding="utf-8")))
+        obj = read_json(RunLog, parse_json(path.read_text(encoding="utf-8")))
         epochs = tuple(EpochLog(**e) for e in obj["epochs"])
         best, seed, order_hash = obj["best_epoch"], obj["seed"], obj["data_order_hash"]
         if not 0 <= best < len(epochs):

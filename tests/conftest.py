@@ -139,3 +139,13 @@ def rewrite_checkpoint_header(src, dst, edit):
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     dst.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
     return dst
+
+
+def write_body_value(src, dst, tensor: str, value: float):
+    """Copy checkpoint ``src`` to ``dst`` with the first value of parameter ``tensor`` replaced by ``value``."""
+    raw = bytearray(src.read_bytes())
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    offset = end + next(t["offset"] for t in json.loads(raw[16:end])["tensors"] if t["name"] == tensor)
+    raw[offset : offset + 8] = np.float64(value).tobytes()
+    dst.write_bytes(bytes(raw))
+    return dst

@@ -16,7 +16,7 @@ from t4c.data import load_dataset
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig
 
-from conftest import rewrite_checkpoint_header
+from conftest import rewrite_checkpoint_header, write_body_value
 
 CITY_ARGS = [
     "synth", "--out", "data/toy", "--nodes", "25", "--counter-frac", "0.2",
@@ -331,7 +331,12 @@ MALFORMED_ROWS = {
     "invalid_json": "{not json",
 }
 # congestion probabilities that eval-core reads and refuses: every segment of the row carries one
-BAD_CC = {"cc_nan": [float("nan"), 0.5, 0.5], "cc_infinity": [0.5, float("inf"), 0.5], "cc_string": "abc"}
+BAD_CC = {
+    "cc_nan": [float("nan"), 0.5, 0.5], "cc_infinity": [0.5, float("inf"), 0.5], "cc_string": "abc",
+    # numpy reads these as numbers; JSON does not
+    "cc_strings": ["0.2", "0.3", "0.5"], "cc_bools": [True, False, False], "cc_bool_mixed": [True, 0.5, 0.5],
+    "cc_huge_int": [10**400, 0, 0],
+}
 
 
 @pytest.mark.parametrize("stage, line", [
@@ -503,6 +508,22 @@ def test_predict_on_checkpoint_header_with_damaged_norm_stats_exits_one(pipeline
     err = capsys.readouterr().err
     assert str(checkpoint) in err and detail in err and "t4c train" in err
     assert not (pipeline / "damaged_stats.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_predict_on_a_non_finite_checkpoint_parameter_exits_one(pipeline, capsys, value, request):
+    """One NaN parameter used to make predict exit 0 and write NaN into every speed and ETA."""
+    run = pipeline / "runs" / f"body_{request.node.callspec.id}"
+    shutil.copytree(pipeline / "runs/demo", run)
+    checkpoint = run / "member_1/checkpoint.bin"
+    write_body_value(checkpoint, checkpoint, "head_speed_out_w", value)
+    capsys.readouterr()
+    code = main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                 "--run", str(run), "--out", "damaged_body.jsonl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "head_speed_out_w" in err and "t4c train" in err
+    assert not (pipeline / "damaged_body.jsonl").exists()
 
 
 def _every_field_config():
@@ -764,3 +785,211 @@ def test_a_mutated_json_artifact_exits_0_with_finite_outputs_or_1_naming_file_an
         _assert_finite_outputs(out)
     else:
         assert str(path) in err.getvalue() and producer in err.getvalue(), err.getvalue()
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize("artifact", ["predictions", "config", "cluster_model"])
+def test_a_deeply_nested_json_value_exits_one_naming_the_file(pipeline, capsys, artifact):
+    """A nesting deeper than the parser recurses used to exit 2 with a bare RecursionError."""
+    path = pipeline / f"deep_{artifact}.json"
+    if artifact == "predictions":
+        path.write_text('{"record_id": "r0000", "etas": {"ss00": %s}}\n' % DEEP)
+        argv, producer = ["eval-eta", "--data", "data/toy", "--pred", path.name], "t4c predict"
+    elif artifact == "config":
+        path.write_text('{"model": {"lambdas": %s}}' % DEEP)
+        argv, producer = ["fit-clusters", "--data", "data/toy", "--config", path.name, "--out", "deep.json"], ""
+    else:
+        text = (pipeline / "cluster_model.json").read_text()
+        path.write_text(text.replace('"priors": {', '"priors": {"deep": %s, ' % DEEP, 1))
+        argv = ["predict", "--data", "data/toy", "--cluster-model", path.name, "--run", "runs/demo", "--out", "deep.jsonl"]
+        producer = "t4c fit-clusters"
+    capsys.readouterr()
+    assert main(["--workdir", str(pipeline), *argv]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "nested too deeply" in err and producer in err
+
+
+# -- the predictions' binary copy: it changes how fast an eval stage runs, never what it prints, writes or refuses --
+
+
+def _sidecar(pred):
+    return pred.with_name(pred.name + ".bin")
+
+
+def _evals(workdir, pred) -> dict:
+    """Each eval stage's exit code, output, error, report bytes and CSV bytes on ``pred``."""
+    results = {}
+    for stage in ("eval-core", "eval-eta"):
+        report, table = workdir / "sidecar_report.json", workdir / "sidecar_report.csv"
+        report.unlink(missing_ok=True)
+        table.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--workdir", str(workdir), stage, "--data", "data/toy", "--pred", str(pred),
+                         "--out", report.name, "--csv", table.name])
+        written = [path.read_bytes() if path.exists() else None for path in (report, table)]
+        results[stage] = (code, out.getvalue(), err.getvalue(), *written)
+    return results
+
+
+def _evals_of_the_jsonl(workdir, pred) -> dict:
+    """``_evals`` with the binary copy moved aside, so that the stages parse the JSONL."""
+    aside = pred.with_name(pred.name + ".aside")
+    _sidecar(pred).rename(aside)
+    try:
+        return _evals(workdir, pred)
+    finally:
+        aside.rename(_sidecar(pred))
+
+
+SIDECAR_PREDICTIONS = ["full_1", "full_9", "active_row_1", "active_row_9", "naive", "volume_cluster"]
+
+
+@pytest.fixture(scope="module")
+def sidecar_predictions(pipeline):
+    """Fresh predictions of 1 and 9 members in each prior mode, and of the naive and volume-cluster baselines."""
+    wd = ["--workdir", str(pipeline)]
+    preds = {}
+    for mode in ("full", "active_row"):
+        run = pipeline / f"runs/sidecar_{mode}_9"
+        assert main(wd + ["train", "--data", "data/toy", "--cluster-model", "cluster_model.json", "--out", str(run),
+                          "--members", "9", "--epochs", "1", "--hidden", "8", "--gnn-layers", "1", "--k", "5",
+                          "--prior-mode", mode]) == 0
+        shutil.copytree(run / "member_0", pipeline / f"runs/sidecar_{mode}_1/member_0")
+        for members in (1, 9):
+            preds[f"{mode}_{members}"] = pred = pipeline / f"sidecar_{mode}_{members}.jsonl"
+            assert main(wd + ["predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                              "--run", f"runs/sidecar_{mode}_{members}", "--out", pred.name]) == 0
+    for name in ("naive", "volume_cluster"):
+        assert main(wd + ["baseline", name, "--data", "data/toy", "--out", "sidecar_bl", "--k", "5"]) == 0
+        preds[name] = pipeline / f"sidecar_bl/predictions_{name}.jsonl"
+    assert all(_sidecar(pred).is_file() for pred in preds.values())
+    return preds
+
+
+@pytest.mark.parametrize("name", SIDECAR_PREDICTIONS)
+def test_eval_reads_fresh_predictions_from_their_binary_copy_with_the_jsonl_s_output(
+        pipeline, sidecar_predictions, monkeypatch, name):
+    import t4c.cli as cli
+
+    pred = sidecar_predictions[name]
+    expected = _evals_of_the_jsonl(pipeline, pred)
+    assert all(result[0] == 0 for result in expected.values())
+
+    def refuse(text):
+        raise AssertionError("parsed a predictions line")
+
+    monkeypatch.setattr(cli, "parse_json", refuse)  # the name the JSONL path parses each line through
+    assert _evals(pipeline, pred) == expected
+    assert all(result[0] == 2 for result in _evals_of_the_jsonl(pipeline, pred).values())  # the stub bites
+
+
+def test_rerun_of_predict_rewrites_the_binary_copy_byte_for_byte(pipeline, sidecar_predictions):
+    pred = pipeline / "sidecar_again.jsonl"
+    assert main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                 "--run", "runs/sidecar_full_9", "--out", pred.name]) == 0
+    assert pred.read_bytes() == sidecar_predictions["full_9"].read_bytes()
+    assert _sidecar(pred).read_bytes() == _sidecar(sidecar_predictions["full_9"]).read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["nan_cc", "nan_eta", "repeated_record"])
+def test_a_faulty_row_is_refused_alike_from_the_binary_copy(pipeline, sidecar_predictions, fault):
+    """Rows the writer takes but an eval stage refuses on line 2: the copy defers to the JSONL's message."""
+    import t4c.cli as cli
+
+    rows = [json.loads(line) for line in sidecar_predictions["naive"].read_text().splitlines()]
+    if fault == "nan_cc":
+        for entry in rows[1]["segments"].values():
+            entry["cc"] = [float("nan"), 0.5, 0.5]
+    elif fault == "nan_eta":
+        rows[1]["etas"] = dict.fromkeys(rows[1]["etas"], float("nan"))
+    else:
+        rows.insert(1, rows[0])
+    pred = pipeline / f"sidecar_{fault}.jsonl"
+    cli._write_predictions(pred, rows)
+    assert _sidecar(pred).is_file()
+    results = _evals(pipeline, pred)
+    assert results == _evals_of_the_jsonl(pipeline, pred)
+    code, _, err, *_ = results["eval-core" if fault == "nan_cc" else "eval-eta"]
+    assert code == 1 and f"{pred}:2: " in err and "t4c predict" in err
+
+
+def test_a_jsonl_edited_after_predict_is_scored_from_the_jsonl(pipeline, sidecar_predictions):
+    """The binary copy is then stale: written for other bytes."""
+    pred = pipeline / "sidecar_edited.jsonl"
+    shutil.copy(sidecar_predictions["full_9"], pred)
+    shutil.copy(_sidecar(sidecar_predictions["full_9"]), _sidecar(pred))
+    fresh = _evals(pipeline, pred)
+    rows = [json.loads(line) for line in pred.read_text().splitlines()]
+    rows[0]["segments"] = {seg: {**entry, "cc": [0.2, 0.3, 0.5]} for seg, entry in rows[0]["segments"].items()}
+    rows[0]["etas"] = dict.fromkeys(rows[0]["etas"], 100.0)
+    pred.write_text("".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows))
+    edited = _evals(pipeline, pred)
+    assert edited == _evals_of_the_jsonl(pipeline, pred)
+    assert all(edited[stage][3] != fresh[stage][3] for stage in edited)  # the edit moved both scores
+
+
+@pytest.fixture(scope="module")
+def damaged_sidecar(pipeline, sidecar_predictions):
+    """A copy of the 1-member predictions, their binary copy's bytes, and the eval output of the JSONL alone."""
+    pred = pipeline / "sidecar_damaged.jsonl"
+    shutil.copy(sidecar_predictions["active_row_1"], pred)
+    shutil.copy(_sidecar(sidecar_predictions["active_row_1"]), _sidecar(pred))
+    return pred, _sidecar(pred).read_bytes(), _evals_of_the_jsonl(pipeline, pred)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_damaged_binary_copy_leaves_the_output_of_the_jsonl(pipeline, sidecar_predictions, damaged_sidecar, data):
+    import t4c.cli as cli
+
+    pred, raw, expected = damaged_sidecar
+    damage = data.draw(st.sampled_from(["flip", "truncate", "other_run"]), label="damage")
+    if damage == "flip":
+        position = data.draw(st.integers(0, len(raw) - 1), label="position")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        damaged = raw[:position] + bytes([raw[position] ^ mask]) + raw[position + 1:]
+    elif damage == "truncate":
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        other = data.draw(st.sampled_from(sorted(set(SIDECAR_PREDICTIONS) - {"active_row_1"})), label="other")
+        damaged = _sidecar(sidecar_predictions[other]).read_bytes()
+    _sidecar(pred).write_bytes(damaged)
+    try:
+        assert cli._sidecar_rows(pred, pred.read_bytes()) is None
+        assert _evals(pipeline, pred) == expected
+    finally:
+        _sidecar(pred).write_bytes(raw)
+
+
+def test_rows_a_binary_copy_cannot_hold_get_none_and_a_stale_one_goes(pipeline, sidecar_predictions):
+    import t4c.cli as cli
+
+    rows = [json.loads(line) for line in sidecar_predictions["naive"].read_text().splitlines()]
+    pred = pipeline / "sidecar_none.jsonl"
+    cli._write_predictions(pred, rows)
+    assert _sidecar(pred).is_file()
+    rows[0]["etas"] = dict.fromkeys(rows[0]["etas"], 61)  # an int ETA parses as an int, not a float
+    cli._write_predictions(pred, rows)
+    assert not _sidecar(pred).exists()
+    assert pred.read_bytes() == b"".join(json.dumps(row, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+                                         for row in rows)
+
+
+@pytest.mark.parametrize("edit", ["reversed", "missing_segment"])
+def test_a_binary_copy_in_another_segment_order_scores_as_the_jsonl(pipeline, sidecar_predictions, edit):
+    """The copy's segments are not the table's: its array is read by segment id, as the JSONL's rows are."""
+    import t4c.cli as cli
+
+    rows = [json.loads(line) for line in sidecar_predictions["volume_cluster"].read_text().splitlines()]
+    for row in rows:
+        items = list(row["segments"].items())[::-1]
+        row["segments"] = dict(items if edit == "reversed" else items[1:])
+    pred = pipeline / f"sidecar_{edit}.jsonl"
+    cli._write_predictions(pred, rows)
+    assert _sidecar(pred).is_file()
+    results = _evals(pipeline, pred)
+    assert results == _evals_of_the_jsonl(pipeline, pred)
+    assert results["eval-core"][0] == (0 if edit == "reversed" else 1)

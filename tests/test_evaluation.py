@@ -9,6 +9,7 @@ from t4c.data import SuperSegment
 from t4c.evaluation import (
     PROB_CLIP,
     AblationResult,
+    PredictionError,
     core_metric,
     eta_from_speeds,
     eta_labels,
@@ -63,6 +64,19 @@ def test_missing_prediction_is_an_error():
         core_metric({}, labels)
     with pytest.raises(ValueError):
         core_metric({"r0": {}}, labels)
+
+
+@pytest.mark.parametrize("probs", [["0.2", "0.3", "0.5"], [True, False, False], [True, 0.5, 0.5],
+                                   np.array(["0.2", "0.3", "0.5"]), np.array([True, False, False])],
+                         ids=["strings", "bools", "bool_mixed", "string_array", "bool_array"])
+def test_probabilities_that_are_not_numbers_are_refused(probs):
+    """numpy would read strings and bools as numbers."""
+    with pytest.raises(PredictionError, match="expected 3 finite probabilities"):
+        core_metric({"r0": {"a": probs}}, label_table({"r0": {"a": 1}}))
+
+
+def test_integer_probabilities_count_as_numbers():
+    assert core_metric({"r0": {"a": [1, 0, 0]}}, label_table({"r0": {"a": 1}})).score == 0.0
 
 
 def test_naive_count_on_own_labels_equals_empirical_entropy():

@@ -29,7 +29,7 @@ from t4c.training import (
     train_one,
 )
 
-from conftest import record_inputs, rewrite_checkpoint_header
+from conftest import record_inputs, rewrite_checkpoint_header, write_body_value
 
 SMALL_MODEL = ModelConfig(
     volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16,
@@ -191,6 +191,17 @@ def test_inconsistent_checkpoint_header_raises_value_error_naming_the_path(check
     with pytest.raises(ValueError, match=re.escape(str(path))) as err:
         load_checkpoint(path)
     assert detail in str(err.value)
+
+
+BODY_DAMAGE = {"nan": float("nan"), "inf": float("inf")}  # one parameter value no training writes
+
+
+@pytest.mark.parametrize("value", sorted(BODY_DAMAGE))
+def test_non_finite_checkpoint_parameter_raises_value_error_naming_the_path(checkpoint_file, tmp_path, value):
+    path = write_body_value(checkpoint_file, tmp_path / "damaged.bin", "head_speed_out_w", BODY_DAMAGE[value])
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load_checkpoint(path)
+    assert "'head_speed_out_w'" in str(err.value) and "non-finite" in str(err.value)
 
 
 @settings(max_examples=150, deadline=None)
