@@ -14,22 +14,22 @@ walked. Everything runs in 64-bit precision so that finite-difference
 checks stay sharp.
 
 Plain float64 arrays are constants. The graph ops (all but reduce_sum
-and the losses) called with no Tensor operand return the plain ndarray
-their Tensor path would hold in ``.data`` and record nothing, so
-inference runs the same code without a graph.
+and the losses, weighted_sum included) called with no Tensor operand
+return the plain value their Tensor path would hold in ``.data`` and
+record nothing, so inference runs the same code without a graph.
 
-Only the operations the segment model actually needs are provided: the
-fused ``linear`` (``x @ w + b``, optional ReLU) and ``gnn_round`` (one
-message-passing round), each one recorded op with a hand-written
-backward. Their ReLU is ``np.maximum(z, 0.0)`` applied in place to the
-op's own output: a ``-0.0`` pre-activation gives ``+0.0``, and a NaN
-pre-activation propagates as NaN instead of being zeroed, so a diverging
-layer shows up in the loss. The backward takes its mask from the output
-(``out > 0``), which is positive exactly where the pre-activation is.
-Beside them sit add, mul, concat, embedding lookup, slicing, reshape, a sum
-reduction, the two masked losses (weighted cross entropy and mean
-squared error), a plain-array softmax for inference, and an Adam
-optimizer over a named parameter store.
+Only the operations the segment model actually needs are provided. Its
+blocks are fused ops with a hand-written backward that keeps the bits of
+the small ops they replace: ``linear`` (``x @ w + b``, then a ReLU or an
+identity ``skip``), ``gnn_round`` (one message-passing round),
+``embed_concat`` (embedding rows and further blocks side by side) and
+``weighted_sum`` (a weighted loss). The ReLU is ``np.maximum(z, 0.0)``
+in place on the op's own output: a ``-0.0`` pre-activation gives
+``+0.0``, and a NaN propagates instead of being zeroed, so a diverging
+layer shows up in the loss; the backward masks with ``out > 0``. Beside
+them sit add, mul, concat, slicing, reshape, a sum reduction, the two
+masked losses (weighted cross entropy and mean squared error), a
+plain-array softmax for inference, and Adam over a parameter store.
 
 The softmaxes and the cross entropy reduce their 3- or 4-wide class axis
 with ``fold_classes``: one ufunc call per column, with the bits of
@@ -46,7 +46,8 @@ per-parameter update.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, mul as _times
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,7 +61,9 @@ __all__ = [
     "linear",
     "gnn_round",
     "concat",
-    "embedding_lookup",
+    "embedding_cells",
+    "embed_concat",
+    "weighted_sum",
     "fold_classes",
     "softmax_np",
     "getitem",
@@ -177,19 +180,21 @@ def _mul_backward(g, out, ctx, need, x, y):
             _unbroadcast(g * x, np.shape(y)) if need[1] else None)
 
 
-def _linear_forward(x, w, b, relu):
+def _linear_forward(x, w, b, relu, skip):
     out = x @ w
     out += b
     if relu:
         np.maximum(out, 0.0, out=out)
+    elif skip is not None:
+        out += skip
     return out, None
 
 
-def _linear_backward(g, out, ctx, need, x, w, b, relu):
+def _linear_backward(g, out, ctx, need, x, w, b, relu, skip):
     if relu:
         g = g * (out > 0.0)  # the output is positive exactly where its pre-activation is
     return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
-            g.sum(axis=0) if need[2] else None, None)
+            g.sum(axis=0) if need[2] else None, None, g)
 
 
 def _gnn_round_forward(h, operator, w_self, w_nbr, b):
@@ -222,8 +227,19 @@ def _concat_backward(g, out, ctx, need, axis, *parts):
     return grads
 
 
+def _embed_concat_backward(g, out, ctx, need, cells, count, *parts):
+    """One ``np.bincount`` over all the tables' cells, cut into the tables: per cell the additions
+    from 0.0 in row order of one bincount per table. Each block gets its columns of ``g``."""
+    ends = [*accumulate((table.size for table in parts[:count]), initial=0)]
+    cols = [*accumulate((block.shape[1] for block in parts[count:]), initial=cells.shape[1])]
+    if any(need[2 : 2 + count]):
+        flat = np.bincount(cells.ravel(), weights=g[:, : cells.shape[1]].ravel(), minlength=ends[-1])
+    tables = (flat[lo:hi].reshape(t.shape) if n else None for t, lo, hi, n in zip(parts, ends, ends[1:], need[2:]))
+    return (None, None, *tables, *(g[:, lo:hi] if n else None for lo, hi, n in zip(cols, cols[1:], need[2 + count :])))
+
+
 def _scatter_backward(g, out, ctx, need, a, index):
-    """Gather backward (embedding lookup, getitem): add each row of ``g`` back at its index.
+    """Gather backward (getitem): add each row of ``g`` back at its index.
 
     Every entry sums its rows from 0.0 in index order, as ``np.add.at`` does.
     For row indices (a 1-D array of non-negative integers) ``np.bincount``
@@ -289,7 +305,11 @@ _MUL = _Op("mul", lambda x, y: (x * y, None), _mul_backward)
 _LINEAR = _Op("linear", _linear_forward, _linear_backward)
 _GNN_ROUND = _Op("gnn_round", _gnn_round_forward, _gnn_round_backward)
 _CONCAT = _Op("concat", lambda axis, *parts: (np.concatenate(parts, axis=axis), None), _concat_backward)
-_EMBEDDING_LOOKUP = _Op("embedding_lookup", lambda table, idx: (table[idx], None), _scatter_backward)
+_EMBED_CONCAT = _Op("embed_concat", lambda cells, count, *parts: (np.concatenate(
+    [np.concatenate([t.ravel() for t in parts[:count]])[cells], *parts[count:]], axis=1), None), _embed_concat_backward)
+_WEIGHTED_SUM = _Op("weighted_sum",  # sum() from the first product adds the others left to right
+    lambda weights, *terms: (sum(map(_times, terms[1:], weights[1:]), terms[0] * weights[0]), None),
+    lambda g, out, ctx, need, weights, *terms: (None, *(g * w for w in weights)))
 _GETITEM = _Op("getitem", lambda a, key: (np.array(a[key]), None), _scatter_backward)
 _RESHAPE = _Op(
     "reshape", lambda a, shape: (a.reshape(shape), None),
@@ -329,17 +349,21 @@ def mul(a, b) -> Tensor | np.ndarray:
     return _broadcasting(_MUL, a, b)
 
 
-def linear(x, w, b, relu: bool = False) -> Tensor | np.ndarray:
-    """One dense layer as one op: ``x @ w + b``, then the ReLU when ``relu``.
+def linear(x, w, b, relu: bool = False, skip=None) -> Tensor | np.ndarray:
+    """One dense layer as one op: ``x @ w + b``, then the ReLU when ``relu``, or ``+ skip`` when given.
 
-    x is (N, F), w (F, H) and b (H,). Value and gradients are those of matmul, add and relu in turn.
-    The ReLU runs in place on the layer's own output buffer; it maps a ``-0.0``
-    pre-activation to ``+0.0`` and lets a NaN through (see the module docstring).
+    x is (N, F), w (F, H), b (H,), skip (N, H). Value and gradients are those of matmul, add and relu,
+    then ``add(skip, ...)`` passing ``skip`` the incoming gradient; a skip after a ReLU is refused. The
+    ReLU runs in place on the output, maps a ``-0.0`` pre-activation to ``+0.0`` and lets a NaN through.
     """
-    xd, wd, bd = _value(x), _value(w), _value(b)
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
-        raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, b {bd.shape}")
-    return _apply(_LINEAR, (x, w, b, relu), (xd, wd, bd, relu))
+    xd, wd, bd, sd = _value(x), _value(w), _value(b), _value(skip)
+    if relu and skip is not None:
+        raise ValueError("linear: skip= with relu=True is not supported")
+    if (xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]
+            or skip is not None and np.shape(sd) != (len(xd), len(bd))):
+        skip_shape = "" if skip is None else f", skip {np.shape(sd)}"
+        raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, b {bd.shape}{skip_shape}")
+    return _apply(_LINEAR, (x, w, b, relu, skip), (xd, wd, bd, relu, sd))
 
 
 def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
@@ -368,17 +392,37 @@ def concat(tensors: Sequence, axis: int = 1) -> Tensor | np.ndarray:
         raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}") from None
 
 
-def embedding_lookup(table, indices) -> Tensor | np.ndarray:
-    """Gather rows of ``table`` (V, D) at integer ``indices`` (N,)."""
-    x = _value(table)
-    idx = np.asarray(_value(indices), dtype=np.int64)
-    vocab = x.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
-        raise IndexError(
-            f"embedding index out of range: values in [{idx.min()}, {idx.max()}] "
-            f"for table of size {vocab}"
-        )
-    return _apply(_EMBEDDING_LOOKUP, (table, indices if isinstance(indices, Tensor) else idx), (x, idx))
+def embedding_cells(shapes: Sequence[tuple[int, int]], index: np.ndarray) -> np.ndarray:
+    """The (N, sum D_t) index :func:`embed_concat` gathers through: for row i, the entries of row
+    ``index[i, t]`` of each (V_t, D_t) table ``shapes[t]`` within the tables' flattened concatenation.
+    A row outside its table raises IndexError naming the range and the table size."""
+    index, columns, offset = np.asarray(index, dtype=np.int64), [], 0
+    if index.ndim != 2 or index.shape[1] != len(shapes):
+        raise ShapeError(f"embedding_cells: index {index.shape} for {len(shapes)} tables")
+    for idx, (vocab, width) in zip(index.T, shapes):
+        if idx.size and (idx.min() < 0 or idx.max() >= vocab):
+            raise IndexError(f"embedding index out of range: values in [{idx.min()}, {idx.max()}] for table of size {vocab}")
+        columns.append(offset + idx[:, None] * width + np.arange(width))
+        offset += vocab * width
+    return np.concatenate(columns, axis=1)
+
+
+def embed_concat(tables: Sequence, cells, blocks: Sequence = ()) -> Tensor | np.ndarray:
+    """The rows of ``tables`` at their ``embedding_cells`` index, then the (N, F_k) ``blocks``, side by side:
+    one op with the value and gradients of a row gather per table and a ``concat``."""
+    shapes, block_shapes = [np.shape(_value(t)) for t in tables], [np.shape(_value(b)) for b in blocks]
+    cd = _value(cells)
+    if cd.ndim != 2 or cd.shape[1] != sum(s[1] for s in shapes) or any(s[0] != len(cd) for s in block_shapes):
+        raise ShapeError(f"embed_concat: incompatible shapes tables {shapes}, cells {cd.shape}, blocks {block_shapes}")
+    return _apply(_EMBED_CONCAT, (cells, len(tables), *tables, *blocks))
+
+
+def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor | np.ndarray:
+    """``terms[0] * weights[0] + terms[1] * weights[1] + ...`` of scalar terms, summed left to right,
+    as one op with the value and gradients of a ``mul`` per term and a chain of ``add``s."""
+    if len(terms) != len(weights) or any(np.shape(_value(t)) != () for t in terms) or not terms:
+        raise ShapeError(f"weighted_sum: terms of shapes {[np.shape(_value(t)) for t in terms]} for {len(weights)} weights")
+    return _apply(_WEIGHTED_SUM, (tuple(map(float, weights)), *terms))
 
 
 def fold_classes(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:

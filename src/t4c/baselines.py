@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .clustering import CC_COLUMN, ClusterModel, build_prior_matrices
-from .data import Dataset, LabelTable, SuperSegment, VolumeRecord, parse_json
+from .data import Dataset, LabelTable, SuperSegment, VolumeRecord
 from .model import inverse_frequency_weights
 from .seggraph import column_moments, mean_aggregation_matrix
 from .training import fit_loop, split_records
@@ -34,7 +34,6 @@ __all__ = [
     "fit_volume_cluster",
     "node_gnn_baseline",
     "save_baseline",
-    "load_baseline",
 ]
 
 def _lower_median(values: Sequence[float]) -> float:
@@ -162,15 +161,6 @@ def _naive_obj(model: NaiveCountModel) -> dict:
     }
 
 
-def _naive_from(obj: dict) -> NaiveCountModel:
-    return NaiveCountModel(
-        cc_probs={k: np.asarray(v, dtype=np.float64) for k, v in obj["cc_probs"].items()},
-        global_probs=np.asarray(obj["global_probs"], dtype=np.float64),
-        eta_median=dict(obj["eta_median"]),
-        per_segment=obj["per_segment"],
-    )
-
-
 def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
     path = Path(path)
     if isinstance(model, NaiveCountModel):
@@ -186,19 +176,6 @@ def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
         }
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-def load_baseline(path) -> NaiveCountModel | VolumeClusterModel:
-    obj = parse_json(Path(path).read_text(encoding="utf-8"))
-    if obj["kind"] == "naive":
-        return _naive_from(obj)
-    return VolumeClusterModel(
-        num_clusters=obj["K"],
-        thresholds=tuple(obj["thresholds"]),
-        cc_probs={k: np.asarray(v, dtype=np.float64) for k, v in obj["cc_probs"].items()},
-        eta_median={k: np.asarray(v, dtype=np.float64) for k, v in obj["eta_median"].items()},
-        naive=_naive_from(obj["naive"]),
-    )
 
 
 # ---------------------------------------------------------------------------

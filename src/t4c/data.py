@@ -723,6 +723,16 @@ def _label_lines(labels: LabelTable) -> Iterator[str]:
         yield f'{{"edges":{{{edges}}},"record_id":{json.dumps(record_id)}}}\n'
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV lines that end in "\\n". The csv module quotes a field only for the characters of that
+    line end, so a row with a carriage return in a text field (read back as a line break) is quoted whole."""
+    buf = io.StringIO()
+    plain, quoted = (csv.writer(buf, lineterminator="\n", quoting=q) for q in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+    for row in rows:
+        (quoted if any("\r" in v for v in row if isinstance(v, str)) else plain).writerow(row)
+    return buf.getvalue()
+
+
 def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
     """Write a dataset to a canonical directory; bytes are deterministic."""
     dir_path = Path(dir_path)
@@ -732,23 +742,13 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
     meta = {"format_version": FORMAT_VERSION, "city_name": city_name, "num_day_slots": NUM_DAY_SLOTS}
     (dir_path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node_id", "lat", "lon", "counter_id"])
-    for n in graph.nodes:
-        writer.writerow([n.node_id, _fmt(n.lat), _fmt(n.lon), n.counter_id or ""])
-    (dir_path / "nodes.csv").write_text(buf.getvalue(), encoding="utf-8")
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EDGE_COLUMNS)
-    for s in graph.segments:
-        writer.writerow([
-            s.segment_id, s.tail_node, s.head_node, s.importance, s.oneway, s.tunnel,
-            s.lanes, _fmt(s.parsed_maxspeed), _fmt(s.flow_speed), _fmt(s.length_meters),
-            _fmt(s.counter_distance), _fmt(s.limit_speed),
-        ])
-    (dir_path / "edges.csv").write_text(buf.getvalue(), encoding="utf-8")
+    nodes = [[n.node_id, _fmt(n.lat), _fmt(n.lon), n.counter_id or ""] for n in graph.nodes]
+    (dir_path / "nodes.csv").write_text(_csv_text([["node_id", "lat", "lon", "counter_id"], *nodes]), encoding="utf-8")
+    edges = [[
+        s.segment_id, s.tail_node, s.head_node, s.importance, s.oneway, s.tunnel, s.lanes, _fmt(s.parsed_maxspeed),
+        _fmt(s.flow_speed), _fmt(s.length_meters), _fmt(s.counter_distance), _fmt(s.limit_speed),
+    ] for s in graph.segments]
+    (dir_path / "edges.csv").write_text(_csv_text([EDGE_COLUMNS, *edges]), encoding="utf-8")
 
     with open(dir_path / "volumes.jsonl", "w", encoding="utf-8") as fh:
         for r in records:

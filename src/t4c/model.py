@@ -17,6 +17,9 @@ Losses: class-weighted cross entropy for congestion and volume class
 speed, combined as lambda1 * L_c + lambda2 * L_s + lambda3 * L_v with the
 training default (0.03, 1, 1) (``loss_terms``). Training traces these
 functions once on Tensors (``autodiff.Plan.trace``) and replays the plan.
+Each block is one fused op: ``embed_concat`` (static inputs), ``linear``
+(its ``skip=`` adds a residual block's identity), ``gnn_round`` and
+``weighted_sum`` (the loss).
 """
 
 from __future__ import annotations
@@ -222,7 +225,7 @@ def _head_body(params: Params, config: ModelConfig, task: str, x):
     for block in range(config.head_blocks):
         name = f"head_{task}_block{block}"
         inner = ad.linear(x, params[f"{name}_a_w"], params[f"{name}_a_b"], relu=True)
-        x = ad.add(x, ad.linear(inner, params[f"{name}_b_w"], params[f"{name}_b_b"]))  # identity skip
+        x = ad.linear(inner, params[f"{name}_b_w"], params[f"{name}_b_b"], skip=x)  # identity skip
     return x
 
 
@@ -231,34 +234,30 @@ def _head(params: Params, config: ModelConfig, task: str, x):
 
 
 def static_inputs(config: ModelConfig, features: FeatureBundle) -> tuple[np.ndarray, ...]:
-    """What the static branch's ops read of a bundle: the four categorical index
-    columns (in ``VOCAB_SIZES`` order), then the continuous attributes and the
-    prior block, each times its ablation gate."""
+    """What the static branch's ops read of a bundle: the ``ad.embedding_cells`` of the four categorical
+    columns (``VOCAB_SIZES`` order; a code outside its vocabulary raises IndexError), then the
+    continuous attributes and the prior block, each times its ablation gate."""
     if features.prior_block.shape[1] != config.prior_width:
-        raise ad.ShapeError(
-            f"prior block width {features.prior_block.shape[1]} vs config {config.prior_width}"
-        )
+        raise ad.ShapeError(f"prior block width {features.prior_block.shape[1]} vs config {config.prior_width}")
     static_gate = 1.0 if config.use_static else 0.0
     prior_gate = 1.0 if config.use_prior_block else 0.0
-    columns = tuple(features.categorical[:, col] for col in range(len(VOCAB_SIZES)))
-    return (*columns, features.continuous * static_gate, features.prior_block * prior_gate)
+    shapes = [(vocab, getattr(config, f"{name}_dim")) for name, vocab in VOCAB_SIZES.items()]
+    cells = ad.embedding_cells(shapes, features.categorical)
+    return (cells, features.continuous * static_gate, features.prior_block * prior_gate)
 
 
 def static_branch(params: Params, config: ModelConfig, inputs: Sequence):
     """Each segment's static feature: embeddings, continuous attributes and prior block through the static MLP.
 
-    ``inputs`` are a bundle's ``static_inputs``. No counter volume is read, so
-    the result is the same for every record with the same prior block: in
-    ``full`` mode for every record, in ``active_row`` mode for every record of
-    one cluster.
+    ``inputs`` are a bundle's ``static_inputs``, put side by side by one ``ad.embed_concat``.
+    No counter volume is read, so the result is the same for every record with the same prior
+    block: in ``full`` mode for every record, in ``active_row`` mode for every record of one cluster.
     """
-    *columns, continuous, prior_block = inputs
+    cells, continuous, prior_block = inputs
     if config.use_static:
-        lookups = [ad.embedding_lookup(params[f"emb_{name}"], idx) for name, idx in zip(VOCAB_SIZES, columns)]
-        embedded = ad.concat(lookups, axis=1)
+        static_in = ad.embed_concat([params[f"emb_{name}"] for name in VOCAB_SIZES], cells, [continuous, prior_block])
     else:  # the ablation gate: a zero block in place of the embeddings
-        embedded = np.zeros((continuous.shape[0], config.embedding_width))
-    static_in = ad.concat([embedded, continuous, prior_block], axis=1)
+        static_in = ad.concat([np.zeros((continuous.shape[0], config.embedding_width)), continuous, prior_block], axis=1)
     return _mlp(params, "static", len(config.static_hidden), static_in)
 
 
@@ -334,9 +333,7 @@ def forward(
     """
     n = seg_graph.num_segments
     if features.categorical.shape[0] != n:
-        raise ad.ShapeError(
-            f"features for {features.categorical.shape[0]} segments vs graph with {n}"
-        )
+        raise ad.ShapeError(f"features for {features.categorical.shape[0]} segments vs graph with {n}")
     static_feat = static_branch(params, config, static_inputs(config, features))
     return record_branch(params, config, seg_graph, counter_slice, static_feat)
 
@@ -381,14 +378,10 @@ def loss_terms(
 
     ``labels`` may hold Tensors: the inputs of a traced plan.
     """
-    lam1, lam2, lam3 = lambdas
     loss_cc, n_cc = ad.weighted_cross_entropy(pred.cc_logits, labels.cc, cc_weights)
     loss_speed, n_speed = ad.mse(pred.speed_pred, labels.speed, labels.speed_mask)
     loss_vol, n_vol = ad.weighted_cross_entropy(pred.vol_logits, labels.vol, vol_weights)
-    total = ad.add(
-        ad.add(ad.mul(loss_cc, Tensor(np.float64(lam1))), ad.mul(loss_speed, Tensor(np.float64(lam2)))),
-        ad.mul(loss_vol, Tensor(np.float64(lam3))),
-    )
+    total = ad.weighted_sum((loss_cc, loss_speed, loss_vol), lambdas)  # (L_c * l1 + L_s * l2) + L_v * l3
     return (total, loss_cc, loss_speed, loss_vol), (n_cc, n_speed, n_vol)
 
 

@@ -37,6 +37,19 @@ def test_fused_op_shape_errors_name_the_operands():
         ad.gnn_round(np.ones((4, 2)), operator, np.ones((2, 2)), np.ones((2, 2)), np.zeros(2))
     with pytest.raises(ShapeError, match=r"w_nbr \(2, 3\)"):
         ad.gnn_round(np.ones((3, 2)), operator, np.ones((2, 2)), np.ones((2, 3)), np.zeros(2))
+    tables, cells = [np.ones((3, 2)), np.ones((2, 1))], ad.embedding_cells([(3, 2), (2, 1)], np.zeros((4, 2), int))
+    with pytest.raises(ShapeError, match=r"cells \(4, 2\)"):
+        ad.embed_concat(tables, cells[:, :2])
+    with pytest.raises(ShapeError, match=r"blocks \[\(4, 2\), \(3, 1\)\]"):
+        ad.embed_concat(tables, cells, [np.ones((4, 2)), np.ones((3, 1))])
+    with pytest.raises(ShapeError, match=r"index \(4, 3\) for 2 tables"):
+        ad.embedding_cells([(3, 2), (2, 1)], np.zeros((4, 3), int))
+    with pytest.raises(ShapeError, match=r"skip \(2, 3\)"):
+        ad.linear(np.ones((2, 4)), np.ones((4, 2)), np.zeros(2), skip=np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=r"terms of shapes \[\(\), \(2,\)\]"):
+        ad.weighted_sum([np.float64(1.0), np.ones(2)], (1.0, 2.0))
+    with pytest.raises(ShapeError, match=r"for 1 weights"):
+        ad.weighted_sum([np.float64(1.0), np.float64(2.0)], (1.0,))
 
 
 def test_add_broadcast_shape_error():
@@ -45,9 +58,16 @@ def test_add_broadcast_shape_error():
 
 
 def test_embedding_index_out_of_range():
-    table = Tensor(np.ones((3, 2)), requires_grad=True)
-    with pytest.raises(IndexError):
-        ad.embedding_lookup(table, [0, 3])
+    with pytest.raises(IndexError, match=r"values in \[0, 3\] for table of size 3"):
+        ad.embedding_cells([(4, 1), (3, 2)], np.array([[0, 0], [1, 3]]))
+    with pytest.raises(IndexError, match=r"values in \[-1, 0\] for table of size 4"):
+        ad.embedding_cells([(4, 1), (3, 2)], np.array([[0, 0], [-1, 2]]))
+
+
+def test_linear_refuses_a_skip_after_a_relu():
+    with pytest.raises(ValueError, match="skip= with relu=True"):
+        ad.linear(Tensor(np.ones((2, 3)), requires_grad=True), np.ones((3, 3)), np.zeros(3), relu=True,
+                  skip=np.ones((2, 3)))
 
 
 def _constant_op_calls(rng):
@@ -58,15 +78,18 @@ def _constant_op_calls(rng):
     d = rng.normal(size=(3, 2))
     bias = rng.normal(size=3)
     bias2 = rng.normal(size=2)
+    skip = rng.normal(size=(4, 2))
     operator = mean_aggregation_matrix([(1, 3), (0, 2), (1,), ()])
+    cells = ad.embedding_cells([(4, 3), (3, 2)], np.array([[3, 0], [0, 2], [0, 1], [2, 2]]))
     return {
         "add": lambda wrap: ad.add(wrap(a), wrap(bias)),
         "mul": lambda wrap: ad.mul(wrap(a), wrap(c)),
         "linear": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2)),
         "linear_relu": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2), relu=True),
+        "linear_skip": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2), skip=wrap(skip)),
         "gnn_round": lambda wrap: ad.gnn_round(wrap(a), operator, wrap(b), wrap(d), wrap(bias2)),
         "concat": lambda wrap: ad.concat([wrap(a), wrap(c)], axis=1),
-        "embedding_lookup": lambda wrap: ad.embedding_lookup(wrap(a), np.array([3, 0, 0, 2])),
+        "embed_concat": lambda wrap: ad.embed_concat([wrap(a), wrap(b)], cells, [wrap(c)]),
         "reshape": lambda wrap: ad.reshape(wrap(a), (3, 4)),
         "getitem": lambda wrap: ad.getitem(wrap(a), np.array([1, 1, 3])),
     }
@@ -149,7 +172,7 @@ def test_fold_classes_hands_wide_axes_to_numpy():
 @given(st.integers(0, 2**31), st.sampled_from([(6, 5), (2, 2), (50, 32), (7,)]), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_gather_backward_adds_rows_in_index_order_as_add_at(seed, shape, negative):
-    """The scatter of an embedding lookup or getitem has ``np.add.at``'s bits, negative row indices included."""
+    """The scatter of a getitem has ``np.add.at``'s bits, negative row indices included."""
     rng = np.random.default_rng(seed)
     table = Tensor(rng.normal(size=shape), requires_grad=True)
     idx = rng.integers(-shape[0] if negative else 0, shape[0], size=rng.integers(1, 200))
@@ -215,15 +238,29 @@ def test_grad_concat_and_slice():
     _check_grad(build, rng.normal(size=(3, 4)))
 
 
-def test_grad_embedding_lookup():
+@pytest.mark.parametrize("trainable", [("t0",), ("t1",), ("block",), ("t0", "t1", "block")])
+def test_grad_embed_concat(trainable):
     rng = np.random.default_rng(4)
-    idx = np.array([0, 2, 2, 1])
+    values = {"t0": rng.normal(size=(3, 5)), "t1": rng.normal(size=(2, 2)), "block": rng.normal(size=(4, 3))}
+    cells = ad.embedding_cells([(3, 5), (2, 2)], np.array([[0, 1], [2, 1], [2, 0], [1, 1]]))
 
     def build(t):
-        rows = ad.embedding_lookup(t, idx)
+        rows = ad.embed_concat([t["t0"], t["t1"]], cells, [t["block"]])
         return ad.reduce_sum(ad.mul(rows, rows))
 
-    _check_grad(build, rng.normal(size=(3, 5)))
+    _check_operand_grads(build, values, trainable)
+
+
+@pytest.mark.parametrize("trainable", [("a",), ("c",), ("a", "b", "c")])
+def test_grad_weighted_sum(trainable):
+    rng = np.random.default_rng(5)
+    values = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "c": rng.normal(size=(2, 2))}
+
+    def build(t):
+        terms = [ad.reduce_sum(ad.mul(t[name], t[name])) for name in ("a", "b", "c")]
+        return ad.weighted_sum(terms, (0.03, 1.5, 2.0))
+
+    _check_operand_grads(build, values, trainable)
 
 
 def test_grad_reshape():
@@ -261,6 +298,19 @@ def test_grad_linear(relu, trainable):
 
     def build(t):
         return ad.reduce_sum(ad.mul(ad.linear(t["x"], t["w"], t["b"], relu=relu), weights))
+
+    _check_operand_grads(build, values, trainable)
+
+
+@pytest.mark.parametrize("trainable", [("skip",), ("x", "skip"), ("x", "w", "b", "skip")])
+def test_grad_linear_with_skip(trainable):
+    rng = np.random.default_rng(16)
+    values = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(4, 3)), "b": rng.normal(size=3),
+              "skip": rng.normal(size=(5, 3))}
+
+    def build(t):
+        out = ad.linear(t["x"], t["w"], t["b"], skip=t["skip"])
+        return ad.reduce_sum(ad.mul(out, out))
 
     _check_operand_grads(build, values, trainable)
 
@@ -337,6 +387,82 @@ def test_gnn_round_equals_the_unfused_chain_bit_for_bit():
     assert tb.grad.tobytes() == (g_z.sum(axis=0) + 0.0).tobytes()
 
 
+def _scaled_normal(rng, shape):
+    """Normal draws spread over twelve decades, so that a change in summation order changes bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_embed_concat_equals_four_lookups_and_two_concats_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(6, 5), (2, 2), (2, 2), (4, 3)]  # the model's four tables
+    index = np.stack([rng.integers(0, vocab, size=148) for vocab, _ in shapes], axis=1)
+    tables = [rng.normal(size=shape) for shape in shapes]
+    continuous, prior = rng.normal(size=(148, 5)), rng.normal(size=(148, 15))
+    g = _scaled_normal(rng, (148, 32))
+
+    fused = [Tensor(v, requires_grad=True) for v in (*tables, continuous, prior)]
+    out = ad.embed_concat(fused[:4], ad.embedding_cells(shapes, index), fused[4:])
+    _upstream(out, g)
+
+    # the chain it replaces: one row gather per table (whose backward is a bincount per table), two concats
+    chain = [Tensor(v, requires_grad=True) for v in (*tables, continuous, prior)]
+    lookups = [ad.getitem(table, index[:, k]) for k, table in enumerate(chain[:4])]
+    expected = ad.concat([ad.concat(lookups, axis=1), *chain[4:]], axis=1)
+    _upstream(expected, g)
+    assert out.data.tobytes() == expected.data.tobytes()
+    for a, b in zip(fused, chain):
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_linear_skip_equals_add_after_linear_bit_for_bit():
+    """A residual block on an ``h`` that feeds three heads: ``h`` sums its six gradients in the same order."""
+    rng = np.random.default_rng(17)
+    x, w_h, b_h = rng.normal(size=(7, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    heads = [[rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=(5, 5)), rng.normal(size=5)] for _ in range(3)]
+    gs = [_scaled_normal(rng, (7, 5)) for _ in range(3)]
+
+    def run(block):
+        leaves = [Tensor(v, requires_grad=True) for v in (x, w_h, b_h, *(p for head in heads for p in head))]
+        h = ad.linear(*leaves[:3])
+        outs = [block(h, *leaves[3 + 4 * k : 7 + 4 * k]) for k in range(3)]
+        terms = [ad.reduce_sum(ad.mul(out, g)) for out, g in zip(outs, gs)]
+        ad.add(ad.add(terms[0], terms[1]), terms[2]).backward()
+        return [out.data for out in outs], [leaf.grad for leaf in leaves]
+
+    def fused(h, a_w, a_b, b_w, b_b):
+        return ad.linear(ad.linear(h, a_w, a_b, relu=True), b_w, b_b, skip=h)
+
+    def unfused(h, a_w, a_b, b_w, b_b):
+        return ad.add(h, ad.linear(ad.linear(h, a_w, a_b, relu=True), b_w, b_b))
+
+    (fused_outs, fused_grads), (outs, grads) = run(fused), run(unfused)
+    assert [o.tobytes() for o in fused_outs] == [o.tobytes() for o in outs]
+    assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in grads]
+
+
+def test_weighted_sum_equals_the_mul_add_chain_bit_for_bit():
+    rng = np.random.default_rng(18)
+    values = [_scaled_normal(rng, (9,)) for _ in range(3)]
+    lambdas = (0.03, 1.0, 1.0)
+
+    def run(weigh):
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        losses = [ad.mse(leaf, np.zeros(9))[0] for leaf in leaves]
+        total = weigh(losses)
+        total.backward()
+        return total.data, [leaf.grad for leaf in leaves]
+
+    def chain(losses):
+        l1, l2, l3 = (Tensor(np.float64(lam)) for lam in lambdas)
+        return ad.add(ad.add(ad.mul(losses[0], l1), ad.mul(losses[1], l2)), ad.mul(losses[2], l3))
+
+    (fused_total, fused_grads), (total, grads) = run(lambda losses: ad.weighted_sum(losses, lambdas)), run(chain)
+    assert fused_total.tobytes() == total.tobytes()
+    assert fused_total == (values[0] ** 2).mean() * 0.03 + (values[1] ** 2).mean() + (values[2] ** 2).mean()
+    assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in grads]
+
+
 # times _W, every product underflows to -0.0; with the -0.0 bias every pre-activation is -0.0
 _TINY = np.full((5, 3), -1e-300)
 _W, _B = np.full((3, 4), 1e-300), np.full(4, -0.0)
@@ -377,11 +503,11 @@ def test_random_five_parameter_graph_matches_finite_differences():
     w2 = store.add("w2", rng.normal(size=(4, 2)))
     emb = store.add("emb", rng.normal(size=(5, 3)))
     scale = store.add("scale", rng.normal(size=(2,)))
-    idx = np.array([0, 4, 2, 2])
+    cells = ad.embedding_cells([(5, 3)], np.array([[0], [4], [2], [2]]))
     mean_operator = mean_aggregation_matrix([(1, 3), (0, 2), (1,), ()])
 
     def compute() -> Tensor:
-        x = ad.embedding_lookup(emb, idx)
+        x = ad.embed_concat([emb], cells)
         h = ad.gnn_round(x, mean_operator, w1, w1, b1)  # one weight in both roles
         out = ad.mul(ad.linear(h, w2, scale), scale)
         return ad.reduce_sum(ad.mul(out, out))

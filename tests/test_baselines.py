@@ -1,6 +1,7 @@
 """Counting baselines against brute-force tallies, the K=1 degeneracy,
 serialization, and node-GNN ordering runs."""
 
+import json
 from datetime import date
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from t4c.baselines import (
     fit_naive,
     fit_volume_cluster,
-    load_baseline,
     naive_segment_probs,
     node_gnn_baseline,
     save_baseline,
@@ -162,23 +162,33 @@ def test_volume_cluster_zero_support_cc_falls_back_to_naive(toy_graph):
     assert np.array_equal(vc.cc_probs["e3"][2], naive_probs)
 
 
-def test_baseline_json_round_trip(toy_graph, tmp_path):
+def test_save_baseline_writes_each_model_as_sorted_json(toy_graph, tmp_path):
     records, model, cc_by_record, sss = _clustered_fixture(toy_graph)
     labels = label_table(cc_by_record, SEGS)
     naive = fit_naive(labels, sss)
+    naive_obj = {
+        "per_segment": naive.per_segment,
+        "global_probs": naive.global_probs.tolist(),
+        "cc_probs": {seg: probs.tolist() for seg, probs in naive.cc_probs.items()},
+        "eta_median": naive.eta_median,
+    }
     path = save_baseline(tmp_path / "baseline_naive.json", naive)
-    loaded = load_baseline(path)
-    for seg in naive.cc_probs:
-        assert np.array_equal(loaded.cc_probs[seg], naive.cc_probs[seg])
-    assert loaded.eta_median == naive.eta_median
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == {"kind": "naive", **naive_obj}
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
     vc = fit_volume_cluster(model, labels, sss, toy_graph)
     path = save_baseline(tmp_path / "baseline_vc.json", vc)
-    loaded_vc = load_baseline(path)
-    assert loaded_vc.num_clusters == vc.num_clusters
-    assert loaded_vc.thresholds == vc.thresholds
-    for seg in vc.cc_probs:
-        assert np.array_equal(loaded_vc.cc_probs[seg], vc.cc_probs[seg])
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == {
+        "kind": "volume_cluster",
+        "K": vc.num_clusters,
+        "thresholds": list(vc.thresholds),
+        "cc_probs": {seg: probs.tolist() for seg, probs in vc.cc_probs.items()},
+        "eta_median": {ss: medians.tolist() for ss, medians in vc.eta_median.items()},
+        "naive": naive_obj,
+    }
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 # -- node GNN -------------------------------------------------------------------------

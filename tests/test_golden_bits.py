@@ -101,16 +101,30 @@ def test_two_member_predictions_reproduce_the_recorded_bits(ordering_city, tmp_p
     assert _sha256(tmp_path / "predictions.jsonl") == PREDICT_SHA256[prior_mode]
 
 
-def test_one_training_record_records_33_ops(ordering_city, ordering_fit, monkeypatch):
-    """Forward plus loss of one record: one op per linear layer and per GNN round, in the
-    plan a run traces and in the plan of a one-shot backward; the backward reaches every parameter."""
+# The ops of one acceptance-config record, in the order its plan runs them forward: the static
+# block and its layer, the volume layer, the combine layer on both, two GNN rounds, then each
+# head (a residual block of two layers, the second adding its skip, and the output layer) with
+# its loss, the last head first, and the loss weighting.
+RECORD_OPS = (
+    "embed_concat", "linear", "linear", "concat", "linear", "gnn_round", "gnn_round",
+    "linear", "linear", "linear", "weighted_cross_entropy",
+    "linear", "linear", "linear", "reshape", "mse",
+    "linear", "linear", "linear", "weighted_cross_entropy",
+    "weighted_sum",
+)
+
+
+def test_one_training_record_runs_the_fused_ops(ordering_city, ordering_fit, monkeypatch):
+    """Forward plus loss of one record: one op per block (static input block, linear layer with
+    or without its skip, GNN round, loss weighting), in the plan a run traces and in the plan of a
+    one-shot backward; the backward reaches every parameter."""
     dataset, _ = ordering_city
     ts = _training_set(dataset, ordering_fit)
     plans = []
     trace = ad.Plan.trace
     monkeypatch.setattr(ad.Plan, "trace", lambda fn, inputs: plans.append(trace(fn, inputs)) or plans[-1])
     train_one(replace(ts, train_cfg=replace(GOLDEN_TRAIN, epochs=1)), ORDERING_MODEL, seed=0)
-    assert [len(plan.ops) for plan in plans] == [33]
+    assert [plan.ops for plan in plans] == [RECORD_OPS]
 
     record_id = ts.train_records[0].record_id
     store = init_params(ORDERING_MODEL, seed=0)
