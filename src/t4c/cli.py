@@ -17,6 +17,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
 from .data import (DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset, pack_container,
                    parse_json, read_json, unpack_container)
-from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionError, core_metric, eta_from_speeds, eta_labels,
-                         eta_metric, run_ablation)
+from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionBlock, PredictionError, core_metric,
+                         eta_from_speeds, eta_labels, eta_metric, run_ablation)
 from .model import ModelConfig
 from .seggraph import build_line_graph
 from .training import (TrainConfig, ensemble_predict, load_runlog, prepare_ensemble, prepare_training, save_runlog,
@@ -200,15 +201,22 @@ def _write_predictions(path: Path, rows: list[dict]) -> None:
     _sidecar_path(path).write_bytes(body + _digest(data, body))
 
 
-def _sidecar_rows(path: Path, data: bytes) -> dict[str, tuple[int, dict]] | None:
+class _Predictions(NamedTuple):  # a predictions file as the eval stages score it
+    lines: dict[str, int]  # record id -> its line, in file order
+    cc: PredictionBlock | dict[str, dict]  # core_metric's input: a block, or record -> segment -> cc
+    etas: PredictionBlock | dict[tuple[str, str], float]  # eta_metric's input: a block, or (record, ss) -> ETA
+
+
+def _sidecar_rows(path: Path, data: bytes) -> _Predictions | None:
     """``_read_predictions``'s result for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
     None unless that copy is whole, was written for exactly ``data``, names each record once and holds only finite
-    numbers. A row holds its "cc" as a (segments, 3) array in the order of its "segment_ids"."""
+    numbers. Its cc and ETA blocks go to the scorers as they are."""
     try:
         raw = _sidecar_path(path).read_bytes()
-        if len(raw) < 32 or _digest(data, raw[:-32]) != raw[-32:]:
+        body = memoryview(raw)[:-32]
+        if len(raw) < 32 or _digest(data, body) != raw[-32:]:
             return None
-        header, payload = unpack_container(raw[:-32], *_SIDECAR, "predictions sidecar")
+        header, payload = unpack_container(body, *_SIDECAR, "predictions sidecar")
         read_json(_SidecarHeader, header)
     except (OSError, ValueError):  # absent or damaged
         return None
@@ -219,9 +227,9 @@ def _sidecar_rows(path: Path, data: bytes) -> dict[str, tuple[int, dict]] | None
     if not np.isfinite(values).all():  # the JSONL's parse names the fault
         return None
     cc = values[: 3 * len(ids) * len(seg_ids)].reshape(len(ids), len(seg_ids), 3)
-    etas = values[cc.size :].reshape(len(ids), len(ss_ids)).tolist()
-    return {rid: (k + 1, {"record_id": rid, "segment_ids": seg_ids, "cc": cc[k], "etas": dict(zip(ss_ids, etas[k]))})
-            for k, rid in enumerate(ids)}
+    etas = values[cc.size :].reshape(len(ids), len(ss_ids))
+    lines = {rid: k + 1 for k, rid in enumerate(ids)}
+    return _Predictions(lines, PredictionBlock(ids, seg_ids, cc), PredictionBlock(ids, ss_ids, etas))
 
 
 @dataclass(frozen=True)
@@ -234,14 +242,14 @@ class _PredictionRow:  # a predictions line; the core scorer reads each segment 
 _PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
 
 
-def _read_predictions(path: Path) -> dict[str, tuple[int, dict]]:
-    """Each record's line number and row, in file order: from the file's binary copy when it matches the file, else
-    parsed. A line that is not a ``_PredictionRow``, or that repeats a record, is refused by line."""
+def _read_predictions(path: Path) -> _Predictions:
+    """Each record's line number and predictions, in file order: from the file's binary copy when it matches the
+    file, else parsed. A line that is not a ``_PredictionRow``, or that repeats a record, is refused by line."""
     data = path.read_bytes()
-    rows = _sidecar_rows(path, data)
-    if rows is not None:
-        return rows
-    rows = {}
+    predictions = _sidecar_rows(path, data)
+    if predictions is not None:
+        return predictions
+    predictions = _Predictions({}, {}, {})
     for line_no, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
@@ -255,11 +263,14 @@ def _read_predictions(path: Path) -> dict[str, tuple[int, dict]]:
         except ValueError as exc:
             fault = str(exc)
         else:
-            first = rows.setdefault(row["record_id"], (line_no, row))[0]
-            fault = f"record {row['record_id']!r} is also on {path}:{first}" if first != line_no else None
+            rid = row["record_id"]
+            first = predictions.lines.setdefault(rid, line_no)
+            fault = f"record {rid!r} is also on {path}:{first}" if first != line_no else None
+            predictions.cc[rid] = {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
+            predictions.etas.update(((rid, ss_id), eta) for ss_id, eta in row.get("etas", {}).items())
         if fault:
             raise CLIError(f"{path}:{line_no}: {fault}; {_PRODUCE_PREDICTIONS}")
-    return rows
+    return predictions
 
 
 def _write_json(path: Path, obj) -> None:
@@ -383,14 +394,14 @@ def cmd_predict(args, workdir: Path) -> int:
 
 
 def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: str) -> int:
-    """Score the predictions with ``scorer(dataset, rows)``; print the score, then write its report and CSV when asked."""
+    """Score ``_read_predictions``' result with ``scorer``; print the score, then write its report and CSV when asked."""
     dataset = _load_data(_resolve(workdir, args.data))
     pred_path = _require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)")
-    rows = _read_predictions(pred_path)
+    predictions = _read_predictions(pred_path)
     try:
-        score = scorer(dataset, [row for _, row in rows.values()])
+        score = scorer(dataset, predictions)
     except PredictionError as exc:
-        raise CLIError(f"{pred_path}:{rows[exc.record_id][0]}: {exc}; {_PRODUCE_PREDICTIONS}") from None
+        raise CLIError(f"{pred_path}:{predictions.lines[exc.record_id]}: {exc}; {_PRODUCE_PREDICTIONS}") from None
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     if score.score is None:
@@ -406,27 +417,17 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: st
     return 0
 
 
-def _cc_predictions(row: dict, segment_ids: tuple[str, ...]):
-    """A row's congestion probabilities as ``core_metric`` reads them: a binary copy's array when its segments are
-    the table's, else a segment -> cc mapping."""
-    if "cc" not in row:  # parsed from the JSONL
-        return {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
-    return row["cc"] if row["segment_ids"] == segment_ids else dict(zip(row["segment_ids"], row["cc"].tolist()))
-
-
 def cmd_eval_core(args, workdir: Path) -> int:
-    def score(dataset, rows):
-        predictions = {row["record_id"]: _cc_predictions(row, dataset.labels.segment_ids) for row in rows}
-        return core_metric(predictions, dataset.labels.select(row["record_id"] for row in rows))
+    def score(dataset, predictions: _Predictions):
+        return core_metric(predictions.cc, dataset.labels.select(predictions.lines))
 
     nothing_scored = "no scored segments: predictions cover no labeled records"
     return _eval_stage(args, workdir, score, nothing_scored, "record_id,core_score")
 
 
 def cmd_eval_eta(args, workdir: Path) -> int:
-    def score(dataset, rows):
-        predicted = {(row["record_id"], ss_id): float(eta) for row in rows for ss_id, eta in row.get("etas", {}).items()}
-        return eta_metric(predicted, eta_labels(dataset.supersegments, {row["record_id"] for row in rows}))
+    def score(dataset, predictions: _Predictions):
+        return eta_metric(predictions.etas, eta_labels(dataset.supersegments, predictions.lines))
 
     return _eval_stage(args, workdir, score, "no labeled (record, supersegment) pairs to score", "record_id,eta_mae_s")
 
@@ -716,7 +717,8 @@ def main(argv=None) -> int:
         workdir = Path(args.workdir)
         return _HANDLERS[args.command](args, workdir)
     except (CLIError, DatasetError, FileNotFoundError, ValueError) as exc:
-        print(f"t4c: error: {exc}", file=sys.stderr)
+        producer = "; produce it again with `t4c synth`" if isinstance(exc, DatasetError) else ""  # a dataset file's fault
+        print(f"t4c: error: {exc}{producer}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

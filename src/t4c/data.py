@@ -366,6 +366,8 @@ def read_json(kind, value, where: str = ""):
     fixed = bool(args) and args[-1] is not ...  # a tuple of fixed length; np.ndarray has no args
     if type(value) is not list or fixed and len(value) != len(args):
         raise ValueError(f"{at}expected a list{f' of {len(args)}' if fixed else ''}, got {reprlib.repr(value)}")
+    if args == (str, ...) and all(type(item) is str for item in value):  # ids: one pass, no call per item
+        return value
     for i, item in enumerate(value):
         if args:
             read_json(args[i] if fixed else args[0], item, f"{where}[{i}]")
@@ -407,7 +409,7 @@ def unpack_container(raw: bytes, magic: bytes, version: int, kind: str) -> tuple
     if len(raw) < end:
         raise ValueError(f"truncated {kind}: header has {len(raw) - 16} of {end - 16} bytes")
     try:
-        header = parse_json(raw[16:end].decode("utf-8"))
+        header = parse_json(str(raw[16:end], "utf-8"))
     except ValueError as exc:  # not UTF-8 or JSON
         raise ValueError(f"damaged {kind} header: {exc}") from None
     return header, memoryview(raw)[end:]
@@ -427,12 +429,21 @@ def _field(kind, raw, path, line, fieldname, valid: tuple = (), minimum: float |
     return value
 
 
+def _read_text(path: Path, as_json: bool = False):
+    """The file's text, or with ``as_json`` its parsed JSON; a byte that is not UTF-8, or text that is not JSON,
+    raises a SchemaError naming the file and the line."""
+    data = path.read_bytes()
+    try:
+        return parse_json(data.decode("utf-8")) if as_json else data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the line and byte within it, as _jsonl_objects names them
+        line, byte = data.count(b"\n", 0, exc.start) + 1, exc.start - data.rfind(b"\n", 0, exc.start) - 1
+        raise SchemaError(path, line, None, f"invalid UTF-8 at byte {byte}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
+
+
 def _load_meta(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            meta = parse_json(fh.read())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
+    meta = _read_text(path, as_json=True)
     _field(dict, meta, path, None, None)
     for key, expected in (("format_version", FORMAT_VERSION), ("num_day_slots", NUM_DAY_SLOTS)):
         _field(int, meta.get(key), path, None, key, valid=(expected,))
@@ -443,7 +454,7 @@ def _load_nodes(path: Path) -> tuple[tuple[NodeRec, ...], dict[str, str]]:
     nodes: list[NodeRec] = []
     counters: dict[str, str] = {}
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         expected = ["node_id", "lat", "lon", "counter_id"]
         if reader.fieldnames != expected:
@@ -470,7 +481,7 @@ def _load_edges(path: Path, node_ids: set[str]) -> tuple[tuple[SegmentRec, ...],
     rows: list[dict] = []
     seen: set[str] = set()
     missing: dict[str, list[int]] = {name: [] for name in CONTINUOUS_FIELDS}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != EDGE_COLUMNS:
             raise SchemaError(path, 1, None, f"expected header {EDGE_COLUMNS}, got {reader.fieldnames}")
@@ -585,9 +596,9 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
             if node_id not in counters:
                 raise SchemaError(path, line_no, "volumes", f"node {node_id!r} has no counter")
             # a valid vector passes the inline test; any other goes to the reader that names its fault
-            if not (type(vec) is list and len(vec) == 4 and all(type(v) is int and v >= 0 for v in vec)):
+            if not (type(vec) is list and len(vec) == 4 and all(type(v) is int and 0 <= v <= 1e308 for v in vec)):
                 _field(dict[str, tuple[int, ...]], {node_id: vec}, path, line_no, "volumes")  # names the node
-                message = f"volume vector for {node_id!r} must have exactly 4 bins (one hour) of nonnegative counts"
+                message = f"volume vector for {node_id!r} must have exactly 4 bins (one hour) of counts in 0..1e308"
                 raise SchemaError(path, line_no, "volumes", f"{message}, got {vec!r}")
             volumes[node_id] = tuple(vec)
         records.append(VolumeRecord(record_id, day, t_index, volumes))
@@ -630,11 +641,7 @@ def _load_supersegments(
     path: Path, record_ids: set[str], segments: Sequence[SegmentRec]
 ) -> tuple[SuperSegment, ...]:
     seg_by_id = {s.segment_id: s for s in segments}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = parse_json(fh.read())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(path, exc.lineno, None, f"invalid JSON: {exc.msg}") from None
+    obj = _read_text(path, as_json=True)
     if "paths" not in _field(dict, obj, path, None, None) or "etas" not in obj:
         raise SchemaError(path, None, None, 'expected {"paths": ..., "etas": ...}')
     paths: dict[str, tuple[str, ...]] = {}

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .data import Dataset, LabelBundle, LabelTable, SuperSegment
 __all__ = [
     "CoreScore",
     "EtaScore",
+    "PredictionBlock",
     "PredictionError",
     "core_metric",
     "eta_from_speeds",
@@ -73,14 +75,20 @@ def _numbers(value) -> bool:
         type(x) in (int, float) or isinstance(x, (np.integer, np.floating)) for x in value)
 
 
-def _scored_probs(record_preds, record_id: str, segment_ids: Sequence[str], scored: np.ndarray) -> np.ndarray:
-    """(len(scored), 3) probabilities of one record's scored table columns.
+class PredictionBlock(NamedTuple):
+    """Predictions as one array: ``values[k, j]`` is record ``record_ids[k]``'s cc or ETA for ``ids[j]``."""
 
-    Read from a mapping, each must be three finite numbers: one array test
-    per record, and a walk over the segments only to name the first fault.
+    record_ids: Sequence[str]
+    ids: Sequence[str]
+    values: np.ndarray
+
+
+def _scored_probs(record_preds: Mapping, record_id: str, segment_ids: Sequence[str], scored: np.ndarray) -> np.ndarray:
+    """(len(scored), 3) probabilities of one record's scored table columns, read from a mapping.
+
+    Each must be three finite numbers: one array test per record, and a walk
+    over the segments only to name the first fault.
     """
-    if isinstance(record_preds, np.ndarray):  # (segments, 3), in table order
-        return record_preds.reshape(len(segment_ids), 3)[scored]
     try:
         values = [record_preds[segment_ids[j]] for j in scored]
         probs = np.array(values, dtype=np.float64)
@@ -105,16 +113,18 @@ def _scored_probs(record_preds, record_id: str, segment_ids: Sequence[str], scor
 
 
 def core_metric(
-    predictions: Mapping[str, Mapping[str, np.ndarray] | np.ndarray],
+    predictions: Mapping[str, Mapping[str, np.ndarray] | np.ndarray] | PredictionBlock,
     labels: LabelTable | Iterable[LabelBundle],
 ) -> CoreScore:
     """Score per-segment class probabilities against congestion labels.
 
     ``predictions`` maps record_id to a segment_id -> 3-vector mapping over
     (green, yellow, red), or to a (segments, 3) array in the table's segment
-    order. Every labeled segment must be covered, by three finite numbers in a
-    mapping; a record that is not raises ``PredictionError``. Sums run left to
-    right, over a record's segments in table order, then over the records.
+    order; or it is a ``PredictionBlock``, its segments in any order. Every
+    labeled segment must be covered, by three finite numbers in a mapping; the
+    first record in table order that is not raises ``PredictionError``. The
+    table is scored whole, and summed as a loop would: a cumsum adds each row
+    left to right, an unscored segment adding 0.0, then the records in order.
     """
     if not isinstance(labels, LabelTable):  # bundles, each a row of one table
         bundles = list(labels)
@@ -123,23 +133,33 @@ def core_metric(
         if any(bundle.table is not bundles[0].table for bundle in bundles):
             raise ValueError("core_metric: the label bundles view more than one LabelTable")
         labels = bundles[0].table.select(bundle.record_id for bundle in bundles)
-    total = 0.0
-    n = 0
-    per_record: dict[str, float] = {}
+    if isinstance(predictions, PredictionBlock):  # arrays in table order; mappings if a segment is missing, to name it
+        ids, rows = tuple(predictions.ids), predictions.values
+        if ids != labels.segment_ids:
+            column = dict(zip(ids, range(len(ids))))
+            cols = [column.get(seg_id) for seg_id in labels.segment_ids]
+            rows = [dict(zip(ids, row)) for row in rows.tolist()] if None in cols else rows[:, cols]
+        predictions = dict(zip(predictions.record_ids, rows))
+    scored = labels.cc > 0
+    counts = np.count_nonzero(scored, axis=1).tolist()
+    probs = np.ones((*scored.shape, 3))
     for row, record_id in enumerate(labels.record_ids):
         if record_id not in predictions:
             raise ValueError(f"no predictions for record {record_id!r}")
-        cc = labels.cc[row]
-        scored = np.flatnonzero(cc > 0)
-        if scored.size == 0:
-            continue
-        probs = _scored_probs(predictions[record_id], record_id, labels.segment_ids, scored)
-        p = np.clip(probs[np.arange(scored.size), cc[scored] - 1], PROB_CLIP, 1.0)
-        # cumsum adds left to right, unlike sum; 0.0 + turns an all -0.0 sum into 0.0, as a loop from 0.0 would
-        rec_total = 0.0 + float(np.cumsum(-np.log(p))[-1])
-        per_record[record_id] = rec_total / scored.size
-        total += rec_total
-        n += scored.size
+        record_preds = predictions[record_id]
+        if counts[row] and isinstance(record_preds, np.ndarray):
+            probs[row] = record_preds.reshape(probs.shape[1:])
+        elif counts[row]:
+            probs[row, scored[row]] = _scored_probs(record_preds, record_id, labels.segment_ids, np.flatnonzero(scored[row]))
+    p = np.where(labels.cc <= 1, probs[..., 0], np.where(labels.cc == 2, probs[..., 1], probs[..., 2]))  # true class
+    nll = np.where(scored, -np.log(np.clip(p, PROB_CLIP, 1.0)), 0.0)
+    sums = np.cumsum(nll, axis=1)[:, -1].tolist() if nll.size else []  # cumsum adds left to right, unlike sum
+    total, n, per_record = 0.0, sum(counts), {}
+    for record_id, rec_sum, count in zip(labels.record_ids, sums, counts):
+        if count:
+            rec_total = 0.0 + rec_sum  # turns an all -0.0 sum into 0.0, as a loop from 0.0 would
+            per_record[record_id] = rec_total / count
+            total += rec_total
     return CoreScore(score=(total / n) if n > 0 else None, per_record=per_record, n_scored=n)
 
 
@@ -162,35 +182,40 @@ def eta_from_speeds(
 
 
 def eta_metric(
-    predicted: Mapping[tuple[str, str], float],
+    predicted: Mapping[tuple[str, str], float] | PredictionBlock,
     labeled: Mapping[tuple[str, str], float],
 ) -> EtaScore:
-    """Mean absolute error in seconds over the labeled (record, ss) pairs."""
-    total = 0.0
-    n = 0
-    per_record_sum: dict[str, float] = {}
-    per_record_n: dict[str, int] = {}
-    for key, truth in labeled.items():
-        if key not in predicted:
-            raise PredictionError(f"no predicted eta for (record, supersegment) {key!r}", key[0])
-        err = abs(float(predicted[key]) - float(truth))
-        total += err
-        n += 1
-        record_id = key[0]
-        per_record_sum[record_id] = per_record_sum.get(record_id, 0.0) + err
-        per_record_n[record_id] = per_record_n.get(record_id, 0) + 1
-    per_record = {rid: per_record_sum[rid] / per_record_n[rid] for rid in per_record_sum}
-    return EtaScore(score=(total / n) if n > 0 else None, per_record=per_record, n_scored=n)
+    """Mean absolute error in seconds over the labeled (record, ss) pairs.
+
+    ``predicted`` maps (record, ss) to seconds, or is a ``PredictionBlock``; the first labeled pair without one, in
+    ``labeled`` order, raises ``PredictionError``. The errors are summed in that order, as a loop would: a cumsum
+    adds the total left to right, ``np.bincount`` each record's.
+    """
+    keys = list(labeled)
+    rids, ss_ids = zip(*keys) if keys else ((), ())
+    if isinstance(predicted, PredictionBlock):  # each pair's row and column, -1 where the block has none
+        at = tuple(np.fromiter(map(dict(zip(ids, range(len(ids)))).get, pairs, repeat(-1)), np.intp, len(keys))
+                   for ids, pairs in ((predicted.record_ids, rids), (predicted.ids, ss_ids)))
+        found = (at[0] >= 0) & (at[1] >= 0)
+    else:
+        found = np.fromiter(map(predicted.__contains__, keys), bool, len(keys))
+    if not found.all():
+        key = keys[int(np.argmin(found))]
+        raise PredictionError(f"no predicted eta for (record, supersegment) {key!r}", key[0])
+    values = predicted.values[at] if isinstance(predicted, PredictionBlock) else np.fromiter(
+        map(predicted.__getitem__, keys), np.float64, len(keys))
+    errors = np.abs(values - np.fromiter(labeled.values(), np.float64, len(keys)))
+    record_of = {rid: k for k, rid in enumerate(dict.fromkeys(rids))}
+    codes = np.fromiter(map(record_of.__getitem__, rids), np.intp, len(keys))
+    per_record = dict(zip(record_of, (np.bincount(codes, weights=errors) / np.bincount(codes)).tolist()))
+    score = float(np.cumsum(errors)[-1]) / len(keys) if keys else None
+    return EtaScore(score=score, per_record=per_record, n_scored=len(keys))
 
 
 def eta_labels(supersegments: Sequence[SuperSegment], record_ids=None) -> dict[tuple[str, str], float]:
     """Flatten supersegment ETA labels to a (record_id, ss_id) -> seconds map."""
-    out: dict[tuple[str, str], float] = {}
-    for ss in supersegments:
-        for record_id, eta in ss.etas.items():
-            if record_ids is None or record_id in record_ids:
-                out[(record_id, ss.ss_id)] = eta
-    return out
+    return {(record_id, ss.ss_id): eta for ss in supersegments for record_id, eta in ss.etas.items()
+            if record_ids is None or record_id in record_ids}
 
 
 @dataclass(frozen=True)
@@ -236,20 +261,9 @@ def run_ablation(
     training_set = prepare_training(
         train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
     )
-    scores: dict[str, float] = {}
-    best_epochs: dict[str, int] = {}
-    hashes: dict[str, str] = {}
-    for variant in variants:
-        if variant == "full":
-            cfg = model_cfg
-        elif variant == "no_cluster":
-            cfg = replace(model_cfg, use_prior_block=False)
-        elif variant == "no_static":
-            cfg = replace(model_cfg, use_static=False)
-        else:  # no_gnn
-            cfg = replace(model_cfg, gnn_layers=0)
-        _ckpt, runlog = train_one(training_set, cfg, seed)
-        scores[variant] = runlog.epochs[runlog.best_epoch].val_core
-        best_epochs[variant] = runlog.best_epoch
-        hashes[variant] = runlog.data_order_hash
-    return AblationResult(scores=scores, best_epochs=best_epochs, data_order_hashes=hashes)
+    configs = {"full": model_cfg, "no_cluster": replace(model_cfg, use_prior_block=False),
+               "no_static": replace(model_cfg, use_static=False), "no_gnn": replace(model_cfg, gnn_layers=0)}
+    runlogs = {variant: train_one(training_set, configs[variant], seed)[1] for variant in variants}
+    return AblationResult(scores={v: log.epochs[log.best_epoch].val_core for v, log in runlogs.items()},
+                          best_epochs={v: log.best_epoch for v, log in runlogs.items()},
+                          data_order_hashes={v: log.data_order_hash for v, log in runlogs.items()})

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import PriorMatrix
-from .data import LabelTable, RoadGraph, VolumeRecord
+from .data import CONTINUOUS_FIELDS, LabelTable, RoadGraph, VolumeRecord
 
 __all__ = [
     "SegmentGraph",
@@ -131,16 +131,25 @@ def counter_slice_matrix(graph: RoadGraph, record: VolumeRecord) -> np.ndarray:
     return graph.node_volumes(record).take(graph.endpoint_rows, axis=0).reshape(len(graph.segments), 8)
 
 
+def _refuse_overflow(field: str, *moments) -> None:
+    if not np.isfinite(moments).all():
+        raise ValueError(f"{field}: values too large to normalize: their mean or spread overflows float64")
+
+
 def column_moments(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and floored sigma of each column over the rows of every (rows, columns) block, by running sums."""
+    """Mean and floored sigma of each column over the rows of every (rows, columns) block of counter volumes, by
+    running sums."""
     total = total_sq = 0.0
     count = 0
-    for x in blocks:
-        total = total + x.sum(axis=0)
-        total_sq = total_sq + (x * x).sum(axis=0)
-        count += x.shape[0]
-    mean = total / count
-    return mean, np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), SIGMA_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for x in blocks:
+            total = total + x.sum(axis=0)
+            total_sq = total_sq + (x * x).sum(axis=0)
+            count += x.shape[0]
+        mean = total / count
+        std = np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), SIGMA_FLOOR)
+    _refuse_overflow("volumes.jsonl field 'volumes'", mean, std)
+    return mean, std
 
 
 def fit_normalization(
@@ -154,26 +163,24 @@ def fit_normalization(
     all (record, segment) pairs. Speed statistics come from the training
     speed labels when given, otherwise from the segments' flow speeds, and
     are used both to normalize the regression target and to map the speed
-    head's output back to km/h.
+    head's output back to km/h. A moment that overflows raises a ValueError.
     """
     if len(train_records) == 0:
         raise ValueError("cannot fit normalization on an empty training set")
     cont = graph.continuous_matrix
     counter_mean, counter_std = column_moments(counter_slice_matrix(graph, r) for r in train_records)
-
-    speed_arr = np.empty(0)
-    if train_labels is not None:
-        speed_arr = train_labels.speed_kph[~np.isnan(train_labels.speed_kph)]  # row by row, each in segment order
+    # row by row, each in segment order
+    speed_arr = np.empty(0) if train_labels is None else train_labels.speed_kph[~np.isnan(train_labels.speed_kph)]
+    speed_field = "labels.jsonl field 'speed_kph'" if speed_arr.size else "edges.csv field 'flow_speed'"
     if not speed_arr.size:
         speed_arr = np.array([s.flow_speed for s in graph.segments], dtype=np.float64)
-    return NormStats(
-        cont_mean=cont.mean(axis=0),
-        cont_std=np.maximum(cont.std(axis=0), SIGMA_FLOOR),
-        counter_mean=counter_mean,
-        counter_std=counter_std,
-        speed_mean=float(speed_arr.mean()),
-        speed_std=float(max(speed_arr.std(), SIGMA_FLOOR)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        cont_mean, cont_std = cont.mean(axis=0), np.maximum(cont.std(axis=0), SIGMA_FLOOR)
+        speed_mean, speed_std = float(speed_arr.mean()), float(max(speed_arr.std(), SIGMA_FLOOR))
+    for name, mean, std in zip(CONTINUOUS_FIELDS, cont_mean, cont_std):
+        _refuse_overflow(f"edges.csv field {name!r}", mean, std)
+    _refuse_overflow(speed_field, speed_mean, speed_std)
+    return NormStats(cont_mean, cont_std, counter_mean, counter_std, speed_mean, speed_std)
 
 
 def assemble_features(

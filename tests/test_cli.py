@@ -993,3 +993,95 @@ def test_a_binary_copy_in_another_segment_order_scores_as_the_jsonl(pipeline, si
     results = _evals(pipeline, pred)
     assert results == _evals_of_the_jsonl(pipeline, pred)
     assert results["eval-core"][0] == (0 if edit == "reversed" else 1)
+
+
+# -- a dataset value the pipeline cannot hold: exit 1 naming the file, its line where it has one, and the field --
+
+
+def _dataset_copy(pipeline, tmp_path):
+    city = tmp_path / "city"
+    shutil.copytree(pipeline / "data/toy", city)
+    return city
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+def _edit_jsonl_line(path, edit) -> int:
+    """Apply ``edit`` to the first line's object for which it returns True; that line's number."""
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines):
+        obj = json.loads(line)
+        if edit(obj):
+            lines[k] = json.dumps(obj)
+            path.write_text("\n".join(lines) + "\n")
+            return k + 1
+    raise AssertionError(f"no line of {path} to edit")
+
+
+def _set_first_count(obj, count) -> bool:
+    for vector in obj["volumes"].values():
+        vector[1] = count
+        return True
+    return False
+
+
+def test_a_volume_count_a_float64_cannot_hold_exits_1_naming_the_line(pipeline, tmp_path):
+    """10**400 is a JSON integer, so it passed the loader; fit-clusters then exited 2 converting it to a float."""
+    city = _dataset_copy(pipeline, tmp_path)
+    line = _edit_jsonl_line(city / "volumes.jsonl", lambda obj: _set_first_count(obj, 10**400))
+    code, err = _run(["fit-clusters", "--data", city, "--k", "5", "--out", tmp_path / "clusters.json"])
+    assert code == 1, err
+    assert f"{city / 'volumes.jsonl'}:{line}: field 'volumes'" in err and "`t4c synth`" in err
+
+
+@pytest.mark.parametrize("name, line", [("edges.csv", 3), ("nodes.csv", 2), ("meta.json", 2), ("supersegments.json", 4)])
+def test_a_byte_that_is_not_utf8_exits_1_naming_the_dataset_file_and_line(pipeline, tmp_path, name, line):
+    city = _dataset_copy(pipeline, tmp_path)
+    lines = (city / name).read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][3:]
+    (city / name).write_bytes(b"\n".join(lines))
+    code, err = _run(["fit-clusters", "--data", city, "--k", "5", "--out", tmp_path / "clusters.json"])
+    assert code == 1, err
+    assert f"{city / name}:{line}: invalid UTF-8 at byte 2; produce it again with `t4c synth`" in err
+
+
+def _set_first_speed(obj) -> bool:
+    for label in obj["edges"].values():
+        if label.get("speed_kph") is not None:
+            label["speed_kph"] = 1e300
+            return True
+    return False
+
+
+@pytest.mark.parametrize("source", ["edges.csv", "labels.jsonl", "volumes.jsonl"])
+def test_train_refuses_values_whose_normalization_overflows_and_writes_no_checkpoint(pipeline, tmp_path, source):
+    """Each value is finite, so it passed the loader; train then wrote norm_stats that predict refused as damaged
+    (an infinite sigma), or exited 2 on the counters' overflow."""
+    city = _dataset_copy(pipeline, tmp_path)
+    if source == "edges.csv":
+        text = (city / "edges.csv").read_text().splitlines()
+        row = text[1].split(",")
+        row[text[0].split(",").index("parsed_maxspeed")] = "1e308"
+        text[1] = ",".join(row)
+        (city / "edges.csv").write_text("\n".join(text) + "\n")
+        field = "edges.csv field 'parsed_maxspeed'"
+    elif source == "labels.jsonl":
+        _edit_jsonl_line(city / "labels.jsonl", _set_first_speed)
+        field = "labels.jsonl field 'speed_kph'"
+    else:
+        _edit_jsonl_line(city / "volumes.jsonl", lambda obj: _set_first_count(obj, 10**200))
+        field = "volumes.jsonl field 'volumes'"
+    run = tmp_path / "run"
+    code, err = _run(["train", "--data", city, "--cluster-model", pipeline / "cluster_model.json", "--out", run,
+                      "--members", "1", "--epochs", "1", "--hidden", "8", "--gnn-layers", "1", "--k", "5"])
+    assert code == 1, err
+    assert f"{field}: values too large to normalize" in err
+    assert not list(run.rglob("checkpoint.bin"))
+    if source == "volumes.jsonl":  # the node-GNN baseline normalizes the same counts
+        code, err = _run(["baseline", "node_gnn", "--data", city, "--out", tmp_path / "bl", "--epochs", "1"])
+        assert code == 1 and f"{field}: values too large to normalize" in err, err

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from t4c.data import SuperSegment
 from t4c.evaluation import (
     PROB_CLIP,
     AblationResult,
+    CoreScore,
+    EtaScore,
+    PredictionBlock,
     PredictionError,
     core_metric,
     eta_from_speeds,
@@ -232,3 +236,98 @@ def test_ablation_csv_rows_follow_the_variant_order():
     assert result.as_csv() == (
         "variant,val_core,best_epoch\nfull,0.250000,2\nno_static,0.500000,1\nno_gnn,0.750000,0\n"
     )
+
+
+# -- the whole-table scorers against a per-record loop, bit for bit -----------------------------------------------
+
+# probabilities at the edges: exactly 1.0 (-log gives -0.0), 0.0 and values below PROB_CLIP (clipped), a subnormal
+EDGE_PROBS = st.one_of(st.sampled_from([1.0, 0.0, PROB_CLIP, PROB_CLIP / 2, 5e-324, 0.5]), st.floats(0.0, 1.0))
+
+
+def reference_core(probs: dict[str, np.ndarray], table) -> tuple:
+    """The score, per-record means and count by a loop: each record's -log probabilities added left to right in
+    segment order from 0.0, then the records' sums in table order."""
+    total, n, per_record = 0.0, 0, {}
+    for row, record_id in enumerate(table.record_ids):
+        scored = [j for j in range(len(table.segment_ids)) if table.cc[row, j] > 0]
+        if not scored:
+            continue
+        picked = np.array([probs[record_id][j, table.cc[row, j] - 1] for j in scored])
+        record_total = 0.0
+        for value in (-np.log(np.clip(picked, PROB_CLIP, 1.0))).tolist():
+            record_total += value
+        per_record[record_id] = record_total / len(scored)
+        total += record_total
+        n += len(scored)
+    return (total / n if n else None), per_record, n
+
+
+def bits(score) -> tuple:
+    """A score as exact bits: ``float.hex`` of the score and of every per-record value, and the count."""
+    hexed = None if score.score is None else float.hex(score.score)
+    return hexed, {rid: float.hex(value) for rid, value in score.per_record.items()}, score.n_scored
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_core_metric_equals_a_per_record_loop_in_every_input_form(data):
+    n_segments = data.draw(st.integers(0, 40), "segments")  # 8 and more: np.sum would add in another order
+    record_ids = [f"r{k}" for k in range(data.draw(st.integers(0, 5), "records"))]
+    segment_ids = [f"s{j}" for j in range(n_segments)]
+    cc = data.draw(arrays(np.int8, (len(record_ids), n_segments), elements=st.sampled_from([-1, 0, 1, 2, 3])), "cc")
+    table = label_table({rid: dict(zip(segment_ids, row)) for rid, row in zip(record_ids, cc.tolist())}, segment_ids)
+    values = data.draw(arrays(np.float64, (len(record_ids), n_segments, 3), elements=EDGE_PROBS), "probabilities")
+    probs = dict(zip(record_ids, values))
+    expected_score, expected_per_record, expected_n = reference_core(probs, table)
+    expected = CoreScore(expected_score, expected_per_record, expected_n)
+
+    order = data.draw(st.permutations(range(n_segments)), "block segment order")
+    block = PredictionBlock(tuple(record_ids), tuple(segment_ids[j] for j in order), values[:, order])
+    mapping = {rid: dict(zip(segment_ids, rows.tolist())) for rid, rows in probs.items()}
+    for form in (probs, block, mapping):
+        assert bits(core_metric(form, table)) == bits(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eta_metric_equals_a_per_record_loop_for_a_mapping_and_a_block(data):
+    record_ids = [f"r{k}" for k in range(data.draw(st.integers(1, 5), "records"))]
+    ss_ids = [f"ss{j}" for j in range(data.draw(st.integers(1, 8), "supersegments"))]
+    pairs = data.draw(st.permutations([(rid, ss) for rid in record_ids for ss in ss_ids]), "pair order")
+    pairs = pairs[:data.draw(st.integers(0, len(pairs)), "labeled pairs")]  # 8 and more: np.sum adds in another order
+    seconds = st.one_of(st.sampled_from([0.0, 1e-300, 1e300]), st.floats(0.0, 1e6))
+    labeled = dict(zip(pairs, data.draw(arrays(np.float64, len(pairs), elements=seconds), "truth").tolist()))
+    values = data.draw(arrays(np.float64, (len(record_ids), len(ss_ids)), elements=seconds), "predicted")
+    predicted = {(rid, ss): values[k, j] for k, rid in enumerate(record_ids) for j, ss in enumerate(ss_ids)}
+
+    total, sums, counts = 0.0, {}, {}
+    for (rid, ss), truth in labeled.items():  # the loop the array sums replace
+        error = abs(float(predicted[rid, ss]) - float(truth))
+        total += error
+        sums[rid] = sums.get(rid, 0.0) + error
+        counts[rid] = counts.get(rid, 0) + 1
+    n = len(labeled)
+    expected = EtaScore(total / n if n else None, {rid: sums[rid] / counts[rid] for rid in sums}, n)
+    block = PredictionBlock(tuple(record_ids), tuple(ss_ids), values)
+    for form in (predicted, block):
+        assert bits(eta_metric(form, labeled)) == bits(expected)
+
+
+def test_a_block_missing_a_segment_names_the_fault_the_mapping_names():
+    table = label_table({"r0": {"a": 0, "b": 2}, "r1": {"a": 1, "b": 3}})
+    block = PredictionBlock(("r0", "r1"), ("b",), np.full((2, 1, 3), 1.0 / 3.0))
+    mapping = {rid: {"b": [1.0 / 3.0] * 3} for rid in ("r0", "r1")}
+    for form in (block, mapping):
+        with pytest.raises(PredictionError, match="record 'r1': no prediction for segment 'a'") as caught:
+            core_metric(form, table)
+        assert caught.value.record_id == "r1"
+
+
+def test_the_first_labeled_pair_without_a_predicted_eta_is_named_for_a_mapping_and_a_block():
+    labeled = {("r1", "ss0"): 5.0, ("r0", "ss1"): 6.0, ("r0", "ss0"): 7.0}
+    block = PredictionBlock(("r0", "r1"), ("ss0",), np.ones((2, 1)))
+    mapping = {("r0", "ss0"): 1.0, ("r1", "ss0"): 1.0}
+    for form in (block, mapping):
+        with pytest.raises(PredictionError, match=r"\('r0', 'ss1'\)") as caught:
+            eta_metric(form, labeled)
+        assert caught.value.record_id == "r0"
