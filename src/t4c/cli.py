@@ -15,9 +15,8 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
 from .data import (DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset, pack_container,
                    parse_json, read_json, unpack_container)
-from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionBlock, PredictionError, core_metric,
-                         eta_from_speeds, eta_labels, eta_metric, run_ablation)
+from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionBlock, PredictionError, core_metric, eta_labels,
+                         eta_metric, etas_from_speeds, run_ablation)
 from .model import ModelConfig
 from .seggraph import build_line_graph
 from .training import (TrainConfig, ensemble_predict, load_runlog, prepare_ensemble, prepare_training, save_runlog,
@@ -182,22 +181,50 @@ def _digest(data: bytes, body: bytes) -> bytes:
     return digest.digest()
 
 
-def _write_predictions(path: Path, rows: list[dict]) -> None:
-    """The JSONL, one row a line, and its binary copy. Rows that differ in their segments or super-segments, or hold
-    a cc that is not three floats or an ETA that is not a float, get none."""
-    data = "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows).encode("utf-8")
+class _PredictionTable(NamedTuple):
+    """What a predictions file holds: ``[k, j]`` of a block is record ``record_ids[k]``'s value for ``segment_ids[j]``
+    (or for ``supersegment_ids[j]``), in the order the ids are listed."""
+
+    record_ids: Sequence[str]
+    segment_ids: Sequence[str]
+    supersegment_ids: Sequence[str]
+    cc: np.ndarray  # (records, segments, 3)
+    etas: np.ndarray  # (records, super-segments), seconds
+    speed: np.ndarray | None = None  # (records, segments) km/h; None writes null
+    vol: np.ndarray | None = None  # (records, segments, 3)
+
+
+def _jsonl_lines(table: _PredictionTable) -> Iterator[str]:
+    """Each record's line, formatted from the blocks: the bytes of ``json.dumps`` with ``sort_keys=True`` and
+    ``separators=(",", ":")`` over the row dict. One template per stage holds every key, each id escaped once; a
+    record fills it with its values, whose ``%s`` is ``float.__repr__``, as ``json.dumps`` writes a finite float."""
+    seg_order = sorted(range(len(table.segment_ids)), key=table.segment_ids.__getitem__)
+    ss_order = sorted(range(len(table.supersegment_ids)), key=table.supersegment_ids.__getitem__)
+    speed, vol = ("%s" if table.speed is not None else "null"), ("[%s,%s,%s]" if table.vol is not None else "null")
+    entry = f':{{"cc":[%s,%s,%s],"speed":{speed},"vol":{vol}}}'
+    template = "".join([
+        '{"etas":{', ",".join(json.dumps(table.supersegment_ids[i]).replace("%", "%%") + ":%s" for i in ss_order),
+        '},"record_id":%s,"segments":{', ",".join(json.dumps(table.segment_ids[j]).replace("%", "%%") + entry
+                                                  for j in seg_order), "}}\n",
+    ])
+    segments = np.concatenate([(b if b.ndim == 3 else b[..., None])[:, seg_order]
+                               for b in (table.cc, table.speed, table.vol) if b is not None], axis=2)
+    values = np.concatenate([table.etas[:, ss_order], segments.reshape(len(segments), -1)], axis=1)
+    rows = values.tolist()
+    if not np.isfinite(values).all():  # NaN, Infinity and -Infinity, as json.dumps names them
+        rows = [list(map(json.dumps, row)) for row in rows]
+    cut = len(ss_order)
+    for record_id, row in zip(table.record_ids, rows):
+        yield template % (*row[:cut], json.dumps(record_id), *row[cut:])
+
+
+def _write_predictions(path: Path, table: _PredictionTable) -> None:
+    """The JSONL, one record a line, and its binary copy, both from the table's blocks."""
+    data = "".join(_jsonl_lines(table)).encode("utf-8")
     path.write_bytes(data)
-    first = rows[0] if rows else {"segments": {}, "etas": {}}
-    seg_ids, ss_ids = list(first["segments"]), list(first["etas"])
-    cc = [entry["cc"] for row in rows for entry in row["segments"].values()]
-    etas = [eta for row in rows for eta in row["etas"].values()]
-    if (any(list(row["segments"]) != seg_ids or list(row["etas"]) != ss_ids for row in rows)
-            or any(type(probs) is not list or len(probs) != 3 for probs in cc)
-            or {type(value) for value in chain(etas, *cc)} - {float}):
-        _sidecar_path(path).unlink(missing_ok=True)
-        return
-    header = {"record_ids": [row["record_id"] for row in rows], "segment_ids": seg_ids, "supersegment_ids": ss_ids}
-    body = pack_container(*_SIDECAR, header, [np.array(cc, "<f8").tobytes(), np.array(etas, "<f8").tobytes()])
+    header = {"record_ids": table.record_ids, "segment_ids": table.segment_ids,
+              "supersegment_ids": table.supersegment_ids}
+    body = pack_container(*_SIDECAR, header, [np.asarray(block, "<f8").tobytes() for block in (table.cc, table.etas)])
     _sidecar_path(path).write_bytes(body + _digest(data, body))
 
 
@@ -373,23 +400,20 @@ def cmd_predict(args, workdir: Path) -> int:
     cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters, dataset.graph)
     seg_graph = build_line_graph(dataset.graph)
     records = _select_records(dataset, train_cfg, args.records)
-    lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}  # once per stage
     ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
 
-    rows = []
-    for record in records:
+    shape = (len(records), seg_graph.num_segments)
+    cc, speed, vol = np.empty((*shape, 3)), np.empty(shape), np.empty((*shape, 3))
+    for k, record in enumerate(records):  # each record's outputs go into its row of the blocks
         probs = ensemble_predict(ensemble, record)
-        speed = probs.speed_kph.tolist()
-        segments = {
-            seg_id: {"cc": cc, "speed": kph, "vol": vol}
-            for seg_id, cc, kph, vol in zip(seg_graph.seg_ids, probs.cc.tolist(), speed, probs.vol.tolist())
-        }
-        speeds = dict(zip(seg_graph.seg_ids, speed))
-        etas = {ss.ss_id: eta_from_speeds(ss, speeds, lengths) for ss in dataset.supersegments}
-        rows.append({"record_id": record.record_id, "segments": segments, "etas": etas})
+        cc[k], speed[k], vol[k] = probs.cc, probs.speed_kph, probs.vol
+    lengths = [s.length_meters for s in dataset.graph.segments]  # the line graph's segment order
+    etas = etas_from_speeds(dataset.supersegments, seg_graph.seg_ids, lengths, speed)
+    table = _PredictionTable([r.record_id for r in records], seg_graph.seg_ids,
+                             [ss.ss_id for ss in dataset.supersegments], cc, etas, speed, vol)
     out = _resolve(workdir, args.out)
-    _write_predictions(out, rows)
-    print(f"wrote predictions for {len(rows)} records ({len(checkpoints)} members) -> {out}")
+    _write_predictions(out, table)
+    print(f"wrote predictions for {len(records)} records ({len(checkpoints)} members) -> {out}")
     return 0
 
 
@@ -448,41 +472,26 @@ def cmd_baseline(args, workdir: Path) -> int:
         print(f"node gnn validation core: {score:.6f}")
         return 0
 
-    try:
+    try:  # cc (rows, segments, 3) and ETAs (rows, super-segments), and each validation record's row
         if args.name == "naive":
             model = fit_naive(train_labels, dataset.supersegments, per_segment=not args.global_probs)
-            seg_probs = {seg: naive_segment_probs(model, seg) for seg in seg_ids}
-
-            def probs_for(record):
-                return seg_probs
-
-            def etas_for(record):
-                return dict(model.eta_median)
-
-        else:  # volume_cluster
+            cc = np.array([[naive_segment_probs(model, seg) for seg in seg_ids]])
+            etas = np.array([list(model.eta_median.values())], np.float64)
+            rows = [0] * len(val_records)
+        else:  # volume_cluster: a row per cluster
             cluster_model = fit_clusters(train_records, _config_from(args, config, "model").num_clusters)
             model = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
-
-            def probs_for(record):
-                cluster = assign_cluster(cluster_model, record)
-                return {seg: model.cc_probs[seg][cluster] for seg in seg_ids}
-
-            def etas_for(record):
-                cluster = assign_cluster(cluster_model, record)
-                return {ss_id: float(m[cluster]) for ss_id, m in model.eta_median.items()}
-
+            cc = np.stack([model.cc_probs[seg] for seg in seg_ids], axis=1)
+            etas = np.array(list(model.eta_median.values()), np.float64).reshape(-1, cluster_model.num_clusters).T
+            rows = [assign_cluster(cluster_model, record) for record in val_records]
     except ValueError as exc:
         raise CLIError(str(exc)) from None
 
     save_baseline(out_dir / f"baseline_{args.name}.json", model)
-    rows = []
-    for record in val_records:
-        probs = probs_for(record)
-        segments = {seg: {"cc": probs[seg].tolist(), "speed": None, "vol": None} for seg in seg_ids}
-        rows.append({"record_id": record.record_id, "segments": segments, "etas": etas_for(record)})
     pred_path = out_dir / f"predictions_{args.name}.jsonl"
-    _write_predictions(pred_path, rows)
-    print(f"wrote baseline_{args.name}.json and {pred_path.name} ({len(rows)} validation records)")
+    table = _PredictionTable([r.record_id for r in val_records], seg_ids, list(model.eta_median), cc[rows], etas[rows])
+    _write_predictions(pred_path, table)
+    print(f"wrote baseline_{args.name}.json and {pred_path.name} ({len(val_records)} validation records)")
     return 0
 
 

@@ -20,6 +20,7 @@ import io
 import json
 import math
 import random
+import re
 import reprlib
 import sys
 from collections import deque
@@ -377,12 +378,19 @@ def read_json(kind, value, where: str = ""):
 
 
 def parse_json(text: str):
-    """``json.loads(text)``; a value nested too deeply to parse raises ``json.JSONDecodeError``, a ValueError, not
-    RecursionError, so that each loader names its file."""
+    """``json.loads(text)``; a value nested too deeply to parse, or an integer longer than ``int()`` takes, raises
+    ``json.JSONDecodeError`` (not RecursionError or a plain ValueError), so that each loader names its file and line."""
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refused an integer literal of more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        found = re.search(r"(?<![\d.eE+])(?<![eE]-)\d{%d,}(?![\d.eE])" % (limit + 1), text)  # not a float's part
+        position = found.start() if found else 0
+        raise json.JSONDecodeError(f"an integer of more than {limit} digits", text, position) from None
 
 
 # A binary container: a 4-byte magic, a little-endian uint32 format version, a little-endian uint64 header length,
@@ -740,11 +748,27 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points that UTF-8 cannot encode
+
+
 def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
-    """Write a dataset to a canonical directory; bytes are deterministic."""
+    """Write a dataset to a canonical directory; bytes are deterministic. An id that UTF-8 cannot encode raises
+    ValueError naming it, before any file is written."""
+    graph, records, labels, supersegments = dataset
+    ids = [*labels.record_ids, *labels.segment_ids]
+    for n in graph.nodes:
+        ids += n.node_id, n.counter_id or ""
+    for s in graph.segments:
+        ids += s.segment_id, s.tail_node, s.head_node
+    for r in records:
+        ids += r.record_id, *r.volumes
+    for ss in supersegments:
+        ids += ss.ss_id, *ss.path, *ss.etas
+    bad = next(filter(_SURROGATE.search, ids), None)
+    if bad is not None:
+        raise ValueError(f"write_dataset: the id {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    graph, records, labels, supersegments = dataset
 
     meta = {"format_version": FORMAT_VERSION, "city_name": city_name, "num_day_slots": NUM_DAY_SLOTS}
     (dir_path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")

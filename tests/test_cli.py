@@ -4,9 +4,11 @@ determinism of artifacts, and flag/config precedence."""
 import contextlib
 import io
 import json
+import math
 import shutil
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -894,21 +896,37 @@ def test_rerun_of_predict_rewrites_the_binary_copy_byte_for_byte(pipeline, sidec
     assert _sidecar(pred).read_bytes() == _sidecar(sidecar_predictions["full_9"]).read_bytes()
 
 
-@pytest.mark.parametrize("fault", ["nan_cc", "nan_eta", "repeated_record"])
-def test_a_faulty_row_is_refused_alike_from_the_binary_copy(pipeline, sidecar_predictions, fault):
-    """Rows the writer takes but an eval stage refuses on line 2: the copy defers to the JSONL's message."""
+def _table_of(pred):
+    """The table a predictions JSONL holds, its segments and super-segments in the file's (sorted) order."""
     import t4c.cli as cli
 
-    rows = [json.loads(line) for line in sidecar_predictions["naive"].read_text().splitlines()]
+    rows = [json.loads(line) for line in pred.read_text().splitlines()]
+    seg_ids, ss_ids = list(rows[0]["segments"]), list(rows[0]["etas"])
+
+    def block(key):  # None where the file holds null, as a baseline's speed and vol
+        values = [[row["segments"][seg][key] for seg in seg_ids] for row in rows]
+        return None if values[0][0] is None else np.array(values)
+
+    etas = np.array([[row["etas"][ss] for ss in ss_ids] for row in rows])
+    return cli._PredictionTable([row["record_id"] for row in rows], seg_ids, ss_ids, block("cc"), etas,
+                                block("speed"), block("vol"))
+
+
+@pytest.mark.parametrize("fault", ["nan_cc", "nan_eta", "repeated_record"])
+def test_a_faulty_row_is_refused_alike_from_the_binary_copy(pipeline, sidecar_predictions, fault):
+    """Tables the writer takes but an eval stage refuses on line 2: the copy defers to the JSONL's message."""
+    import t4c.cli as cli
+
+    table = _table_of(sidecar_predictions["naive"])
     if fault == "nan_cc":
-        for entry in rows[1]["segments"].values():
-            entry["cc"] = [float("nan"), 0.5, 0.5]
+        table.cc[1] = [math.nan, 0.5, 0.5]
     elif fault == "nan_eta":
-        rows[1]["etas"] = dict.fromkeys(rows[1]["etas"], float("nan"))
+        table.etas[1] = math.nan
     else:
-        rows.insert(1, rows[0])
+        take = [0, *range(len(table.record_ids))]  # record 0 again on line 2
+        table = table._replace(record_ids=[table.record_ids[k] for k in take], cc=table.cc[take], etas=table.etas[take])
     pred = pipeline / f"sidecar_{fault}.jsonl"
-    cli._write_predictions(pred, rows)
+    cli._write_predictions(pred, table)
     assert _sidecar(pred).is_file()
     results = _evals(pipeline, pred)
     assert results == _evals_of_the_jsonl(pipeline, pred)
@@ -964,18 +982,23 @@ def test_a_damaged_binary_copy_leaves_the_output_of_the_jsonl(pipeline, sidecar_
         _sidecar(pred).write_bytes(raw)
 
 
-def test_rows_a_binary_copy_cannot_hold_get_none_and_a_stale_one_goes(pipeline, sidecar_predictions):
+def test_a_hand_written_jsonl_beside_a_stale_binary_copy_is_scored_from_it(pipeline, sidecar_predictions):
+    """An int ETA parses as an int, which no float64 copy holds: its lines are scored from the JSONL, and a table
+    written again over them gets a fresh copy."""
     import t4c.cli as cli
 
-    rows = [json.loads(line) for line in sidecar_predictions["naive"].read_text().splitlines()]
-    pred = pipeline / "sidecar_none.jsonl"
-    cli._write_predictions(pred, rows)
-    assert _sidecar(pred).is_file()
-    rows[0]["etas"] = dict.fromkeys(rows[0]["etas"], 61)  # an int ETA parses as an int, not a float
-    cli._write_predictions(pred, rows)
-    assert not _sidecar(pred).exists()
-    assert pred.read_bytes() == b"".join(json.dumps(row, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-                                         for row in rows)
+    table = _table_of(sidecar_predictions["naive"])
+    pred = pipeline / "sidecar_stale.jsonl"
+    cli._write_predictions(pred, table)
+    fresh = _evals(pipeline, pred)
+    rows = [json.loads(line) for line in pred.read_text().splitlines()]
+    rows[0]["etas"] = dict.fromkeys(rows[0]["etas"], 61)
+    pred.write_text("".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows))
+    assert cli._sidecar_rows(pred, pred.read_bytes()) is None
+    edited = _evals(pipeline, pred)
+    assert edited == _evals_of_the_jsonl(pipeline, pred) and edited["eval-eta"] != fresh["eval-eta"]
+    cli._write_predictions(pred, table)
+    assert cli._sidecar_rows(pred, pred.read_bytes()) is not None and _evals(pipeline, pred) == fresh
 
 
 @pytest.mark.parametrize("edit", ["reversed", "missing_segment"])
@@ -983,16 +1006,87 @@ def test_a_binary_copy_in_another_segment_order_scores_as_the_jsonl(pipeline, si
     """The copy's segments are not the table's: its array is read by segment id, as the JSONL's rows are."""
     import t4c.cli as cli
 
-    rows = [json.loads(line) for line in sidecar_predictions["volume_cluster"].read_text().splitlines()]
-    for row in rows:
-        items = list(row["segments"].items())[::-1]
-        row["segments"] = dict(items if edit == "reversed" else items[1:])
+    table = _table_of(sidecar_predictions["volume_cluster"])
+    keep = slice(None, None, -1) if edit == "reversed" else slice(-2, None, -1)
+    table = table._replace(segment_ids=table.segment_ids[keep], cc=table.cc[:, keep])
     pred = pipeline / f"sidecar_{edit}.jsonl"
-    cli._write_predictions(pred, rows)
+    cli._write_predictions(pred, table)
     assert _sidecar(pred).is_file()
     results = _evals(pipeline, pred)
     assert results == _evals_of_the_jsonl(pipeline, pred)
     assert results["eval-core"][0] == (0 if edit == "reversed" else 1)
+
+
+# ids with quotes, backslashes, a "%" (the writer's template escapes it), non-ASCII, U+2028 and a lone surrogate
+TABLE_ID = st.text(st.one_of(st.sampled_from('"\\%é漢\u2028\ud800'), st.characters()), min_size=1, max_size=3)
+TABLE_FLOAT = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]), st.floats())
+
+
+def _drawn_ids(data, label, min_size=0):
+    """Unique ids in an order other than sorted where two or more are drawn."""
+    ids = data.draw(st.lists(TABLE_ID, unique=True, min_size=min_size, max_size=4), label)
+    return ids[::-1] if len(ids) > 1 and ids == sorted(ids) else ids
+
+
+def _draw_table(data, finite: bool):
+    import t4c.cli as cli
+
+    record_ids, seg_ids = _drawn_ids(data, "record_ids", 1), _drawn_ids(data, "segment_ids")
+    ss_ids = _drawn_ids(data, "supersegment_ids")
+    values = st.floats(allow_nan=False, allow_infinity=False) if finite else TABLE_FLOAT
+
+    def block(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), np.float64).reshape(shape)
+
+    records, segments = len(record_ids), len(seg_ids)
+    speed = vol = None
+    if data.draw(st.booleans(), "model"):  # a model's table; a baseline's has no speed or vol
+        speed, vol = block(records, segments), block(records, segments, 3)
+    return cli._PredictionTable(record_ids, seg_ids, ss_ids, block(records, segments, 3),
+                                block(records, len(ss_ids)), speed, vol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_table_writer_writes_the_bytes_of_json_dumps_over_the_rows(data, tmp_path_factory):
+    import t4c.cli as cli
+
+    table = _draw_table(data, finite=False)
+    rows = [{
+        "record_id": record_id,
+        "segments": {seg_id: {"cc": table.cc[k, j].tolist(),
+                              "speed": None if table.speed is None else table.speed[k, j].item(),
+                              "vol": None if table.vol is None else table.vol[k, j].tolist()}
+                     for j, seg_id in enumerate(table.segment_ids)},
+        "etas": dict(zip(table.supersegment_ids, table.etas[k].tolist())),
+    } for k, record_id in enumerate(table.record_ids)]
+    pred = tmp_path_factory.mktemp("table") / "predictions.jsonl"
+    cli._write_predictions(pred, table)
+    assert pred.read_bytes() == "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+                                        for row in rows).encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_written_table_reads_back_alike_from_its_binary_copy_and_from_the_jsonl(data, tmp_path_factory):
+    """The copy's blocks hold, bit for bit, the values the JSONL's lines parse to, in the table's id order."""
+    import t4c.cli as cli
+
+    table = _draw_table(data, finite=True)
+    pred = tmp_path_factory.mktemp("table") / "predictions.jsonl"
+    cli._write_predictions(pred, table)
+    copy = cli._read_predictions(pred)
+    _sidecar(pred).unlink()
+    parsed = cli._read_predictions(pred)
+    assert isinstance(copy.cc, cli.PredictionBlock) and isinstance(parsed.cc, dict)
+    assert copy.lines == parsed.lines == {record_id: k + 1 for k, record_id in enumerate(table.record_ids)}
+    assert (tuple(copy.cc.record_ids), tuple(copy.cc.ids)) == (tuple(table.record_ids), tuple(table.segment_ids))
+    assert (tuple(copy.etas.record_ids), tuple(copy.etas.ids)) == (tuple(table.record_ids), tuple(table.supersegment_ids))
+    cc = np.array([[parsed.cc[rid][seg] for seg in table.segment_ids] for rid in table.record_ids], np.float64)
+    etas = np.array([[parsed.etas[rid, ss] for ss in table.supersegment_ids] for rid in table.record_ids], np.float64)
+    for ours, theirs, written in ((copy.cc.values, cc, table.cc), (copy.etas.values, etas, table.etas)):
+        assert ours.tobytes() == theirs.tobytes() == written.tobytes()  # bit for bit, -0.0 and subnormals too
 
 
 # -- a dataset value the pipeline cannot hold: exit 1 naming the file, its line where it has one, and the field --
@@ -1037,6 +1131,19 @@ def test_a_volume_count_a_float64_cannot_hold_exits_1_naming_the_line(pipeline, 
     code, err = _run(["fit-clusters", "--data", city, "--k", "5", "--out", tmp_path / "clusters.json"])
     assert code == 1, err
     assert f"{city / 'volumes.jsonl'}:{line}: field 'volumes'" in err and "`t4c synth`" in err
+
+
+def test_an_integer_longer_than_int_takes_exits_1_naming_the_line(pipeline, tmp_path):
+    """json.loads raised a plain ValueError for a JSON integer of more than 4,300 digits, which no loader caught:
+    fit-clusters exited 1 naming no file."""
+    city = _dataset_copy(pipeline, tmp_path)
+    _edit_jsonl_line(city / "volumes.jsonl", lambda obj: _set_first_count(obj, 987654321))
+    lines = (city / "volumes.jsonl").read_text().split("\n")
+    lines[0] = lines[0].replace("987654321", "7" * 5000)
+    (city / "volumes.jsonl").write_text("\n".join(lines))
+    code, err = _run(["fit-clusters", "--data", city, "--k", "5", "--out", tmp_path / "clusters.json"])
+    assert code == 1, err
+    assert f"{city / 'volumes.jsonl'}:1: invalid JSON: an integer of more than" in err and "`t4c synth`" in err
 
 
 @pytest.mark.parametrize("name, line", [("edges.csv", 3), ("nodes.csv", 2), ("meta.json", 2), ("supersegments.json", 4)])

@@ -3,9 +3,11 @@
 import contextlib
 import json
 import math
+import re
 import shutil
 import signal
 import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -85,11 +87,38 @@ def test_label_lines_equal_the_json_dumps_reference_and_load_back(data):
     )
     records = tuple(VolumeRecord(record_id, date(2022, 1, 3), 30, {}) for record_id in record_ids)
     with tempfile.TemporaryDirectory() as tmp:
+        lone = next((text for text in [*record_ids, *segment_ids] if any("\ud800" <= c <= "\udfff" for c in text)), None)
+        if lone is not None:  # a lone surrogate, which UTF-8 cannot encode: refused before any file is written
+            with pytest.raises(ValueError, match=re.escape(repr(lone))):
+                write_dataset(Dataset(graph, records, labels, ()), Path(tmp) / "city")
+            assert not list(Path(tmp).rglob("*"))
+            return
         out = write_dataset(Dataset(graph, records, labels, ()), Path(tmp) / "city")
         expected = "".join(reference_label_line(labels, row) for row in range(len(labels)))
         assert (out / "labels.jsonl").read_bytes() == expected.encode("utf-8")
         if not np.isinf(speed).any():  # the loader refuses an infinite speed
             assert load_dataset(out).labels == labels
+
+
+@pytest.mark.parametrize("where", ["node", "counter", "segment", "record", "supersegment"])
+def test_an_id_utf8_cannot_encode_is_refused_before_any_file_is_written(toy_dataset, tmp_path, where):
+    """write_dataset raised a bare UnicodeEncodeError on a lone surrogate, after writing meta.json and nodes.csv and
+    part of edges.csv."""
+    graph, records, labels, supersegments = toy_dataset
+    bad = "x\ud800"
+    if where == "node":
+        graph = replace(graph, nodes=(replace(graph.nodes[0], node_id=bad), *graph.nodes[1:]))
+    elif where == "counter":
+        records = (replace(records[0], volumes={bad: (1, 2, 3, 4)}), *records[1:])
+    elif where == "segment":
+        graph = replace(graph, segments=(*graph.segments[:-1], replace(graph.segments[-1], segment_id=bad)))
+    elif where == "record":
+        records = (*records[:-1], replace(records[-1], record_id=bad))
+    else:
+        supersegments = (replace(supersegments[0], ss_id=bad), *supersegments[1:])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        write_dataset(Dataset(graph, records, labels, supersegments), tmp_path / "city")
+    assert not (tmp_path / "city").exists()
 
 
 def test_ids_with_a_carriage_return_load_back_from_the_csv_files():

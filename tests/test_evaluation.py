@@ -1,5 +1,8 @@
 """Metric anchors, ETA synthesis arithmetic, and scoring properties."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from t4c.evaluation import (
     eta_from_speeds,
     eta_labels,
     eta_metric,
+    etas_from_speeds,
 )
 
 from conftest import label_table
@@ -174,6 +178,58 @@ def test_eta_additivity_over_path_splits(seed):
     left = eta_from_speeds(path_ss(*seg_ids[:cut]), speeds, lengths)
     right = eta_from_speeds(path_ss(*seg_ids[cut:]), speeds, lengths)
     assert whole == pytest.approx(left + right, rel=1e-12)
+
+
+def loop_eta(path, speeds_kph, lengths_m, floor=5.0) -> float:
+    """The reference: each segment's travel time added to a running total from 0.0, in path order."""
+    total = 0.0
+    for seg_id in path:
+        total += float(lengths_m[seg_id]) / (max(float(speeds_kph[seg_id]), floor) / 3.6)
+    return total
+
+
+def float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+ETA_SPEED = st.one_of(st.sampled_from([0.0, -0.0, 4.999, 5.0, 5e-324, math.nan, math.inf, 1e300]),
+                      st.floats(min_value=-10.0, max_value=200.0), st.floats(allow_infinity=False))
+ETA_LENGTH = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300]), st.floats(min_value=0.0, max_value=1e300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_etas_equal_the_loop_bit_for_bit(data):
+    """Every record's every super-segment in one array pass, against a loop per (record, super-segment): speeds
+    under the 5 km/h floor, NaN, infinite and signed-zero speeds, zero and subnormal lengths, repeated segments."""
+    seg_ids = [f"s{j}" for j in range(data.draw(st.integers(1, 6), "segments"))]
+    paths = data.draw(st.lists(st.lists(st.sampled_from(seg_ids), min_size=1, max_size=8), max_size=5), "paths")
+    supersegments = [SuperSegment(f"ss{i}", tuple(path), {}) for i, path in enumerate(paths)]
+    records = data.draw(st.integers(0, 4), "records")
+    speeds = np.array(data.draw(st.lists(ETA_SPEED, min_size=records * len(seg_ids), max_size=records * len(seg_ids)),
+                                "speeds"), np.float64).reshape(records, len(seg_ids))
+    lengths = data.draw(st.lists(ETA_LENGTH, min_size=len(seg_ids), max_size=len(seg_ids)), "lengths")
+    etas = etas_from_speeds(supersegments, seg_ids, lengths, speeds)
+    assert etas.shape == (records, len(supersegments))
+    for k in range(records):
+        by_id = dict(zip(seg_ids, speeds[k].tolist()))
+        for i, ss in enumerate(supersegments):
+            expected = loop_eta(ss.path, by_id, dict(zip(seg_ids, lengths)))
+            one_row = eta_from_speeds(ss, by_id, dict(zip(seg_ids, lengths)))
+            assert float_bits(etas[k, i]) == float_bits(expected) == float_bits(one_row)
+
+
+def test_one_pass_eta_of_negative_zero_times_is_the_loop_s_0_0():
+    """The loop's running total starts at 0.0, and 0.0 + -0.0 is 0.0: a cumsum from the first term would keep -0.0."""
+    eta = etas_from_speeds([path_ss("a", "a")], ["a"], [-0.0], np.array([[36.0]]))[0, 0]
+    assert float_bits(eta) == float_bits(loop_eta(("a", "a"), {"a": 36.0}, {"a": -0.0})) == float_bits(0.0)
+
+
+def test_one_pass_etas_refuse_an_empty_path_and_a_segment_without_a_speed():
+    with pytest.raises(ValueError, match="'ss' has an empty path"):
+        etas_from_speeds([SuperSegment("ss", (), {})], ["a"], [1.0], np.ones((2, 1)))
+    with pytest.raises(ValueError, match="no predicted speed for segment 'b'"):
+        etas_from_speeds([path_ss("a", "b", "c")], ["a", "c"], [1.0, 1.0], np.ones((2, 2)))
 
 
 # -- eta metric ---------------------------------------------------------------------
