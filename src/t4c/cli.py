@@ -209,7 +209,7 @@ def _jsonl_lines(table: _PredictionTable) -> Iterator[str]:
     ])
     segments = np.concatenate([(b if b.ndim == 3 else b[..., None])[:, seg_order]
                                for b in (table.cc, table.speed, table.vol) if b is not None], axis=2)
-    values = np.concatenate([table.etas[:, ss_order], segments.reshape(len(segments), -1)], axis=1)
+    values = np.concatenate([table.etas[:, ss_order], segments.reshape(segments.shape[0], segments.shape[1] * segments.shape[2])], axis=1)
     rows = values.tolist()
     if not np.isfinite(values).all():  # NaN, Infinity and -Infinity, as json.dumps names them
         rows = [list(map(json.dumps, row)) for row in rows]

@@ -169,14 +169,14 @@ def etas_from_speeds(
     segment_ids: Sequence[str],
     lengths_m: Sequence[float],
     speeds_kph: np.ndarray,
-    speed_floor_kph: float = SPEED_FLOOR_KPH,
 ) -> np.ndarray:
     """(records, super-segments) ETAs in seconds, in one array pass over every record.
 
     ``speeds_kph`` is (records, segments) and ``lengths_m`` (segments,), both
-    in ``segment_ids`` order. Each ETA sums length / (max(speed, floor) / 3.6)
-    along the path as a loop from 0.0 would: each path's row starts with a
-    0.0 and is padded with 0.0 to one width, and a cumsum adds left to right.
+    in ``segment_ids`` order. Each ETA sums
+    length / (max(speed, SPEED_FLOOR_KPH) / 3.6) along the path as a loop
+    from 0.0 would: each path's row starts with a 0.0 and is padded with 0.0
+    to one width, and a cumsum adds left to right.
     An empty path, or a segment without a speed, raises ValueError.
     """
     column = {seg_id: j for j, seg_id in enumerate(segment_ids)}
@@ -189,7 +189,7 @@ def etas_from_speeds(
         if missing is not None:
             raise ValueError(f"no predicted speed for segment {missing!r}")
         at[i, 1 : 1 + len(ss.path)], on[i, 1 : 1 + len(ss.path)] = [column[seg_id] for seg_id in ss.path], True
-    speeds = np.maximum(np.asarray(speeds_kph, np.float64)[:, at], speed_floor_kph)  # max(NaN, floor) is NaN
+    speeds = np.maximum(np.asarray(speeds_kph, np.float64)[:, at], SPEED_FLOOR_KPH)  # max(NaN, floor) is NaN
     times = np.where(on, np.asarray(lengths_m, np.float64)[at] / (speeds / 3.6), 0.0)
     return np.cumsum(times, axis=-1)[..., -1]
 
@@ -198,12 +198,11 @@ def eta_from_speeds(
     supersegment: SuperSegment,
     speeds_kph: Mapping[str, float],
     lengths_m: Mapping[str, float],
-    speed_floor_kph: float = SPEED_FLOOR_KPH,
 ) -> float:
     """One super-segment's ETA from per-segment mappings: the one-row case of ``etas_from_speeds``."""
     path = list(dict.fromkeys(seg_id for seg_id in supersegment.path if seg_id in speeds_kph))
     lengths, speeds = [float(lengths_m[seg_id]) for seg_id in path], [[float(speeds_kph[seg_id]) for seg_id in path]]
-    return float(etas_from_speeds([supersegment], path, lengths, speeds, speed_floor_kph)[0, 0])
+    return float(etas_from_speeds([supersegment], path, lengths, speeds)[0, 0])
 
 
 def eta_metric(

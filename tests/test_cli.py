@@ -896,6 +896,24 @@ def test_rerun_of_predict_rewrites_the_binary_copy_byte_for_byte(pipeline, sidec
     assert _sidecar(pred).read_bytes() == _sidecar(sidecar_predictions["full_9"]).read_bytes()
 
 
+def test_predict_of_no_records_writes_an_empty_jsonl_and_its_copy(pipeline):
+    """``--records all`` with a daytime window that holds no record: the eval stages read the empty file from its
+    copy as from the JSONL."""
+    import t4c.cli as cli
+
+    dataset = load_dataset(pipeline / "data/toy")
+    assert min(r.t_index for r in dataset.records) > 0  # slot 0 holds no record
+    pred = pipeline / "predictions_none.jsonl"
+    assert main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                 "--run", "runs/demo", "--records", "all", "--daytime-start", "0", "--daytime-end", "1",
+                 "--out", pred.name]) == 0
+    assert pred.read_bytes() == b""
+    copy = cli._sidecar_rows(pred, b"")
+    assert copy is not None and copy.lines == {}
+    assert copy.cc.values.shape == (0, len(dataset.graph.segments), 3)
+    assert copy.etas.values.shape == (0, len(dataset.supersegments))
+    assert _evals(pipeline, pred) == _evals_of_the_jsonl(pipeline, pred)
+
 def _table_of(pred):
     """The table a predictions JSONL holds, its segments and super-segments in the file's (sorted) order."""
     import t4c.cli as cli
@@ -1022,16 +1040,16 @@ TABLE_ID = st.text(st.one_of(st.sampled_from('"\\%é漢\u2028\ud800'), st.charac
 TABLE_FLOAT = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]), st.floats())
 
 
-def _drawn_ids(data, label, min_size=0):
-    """Unique ids in an order other than sorted where two or more are drawn."""
-    ids = data.draw(st.lists(TABLE_ID, unique=True, min_size=min_size, max_size=4), label)
+def _drawn_ids(data, label):
+    """Unique ids, none to four, in an order other than sorted where two or more are drawn."""
+    ids = data.draw(st.lists(TABLE_ID, unique=True, max_size=4), label)
     return ids[::-1] if len(ids) > 1 and ids == sorted(ids) else ids
 
 
 def _draw_table(data, finite: bool):
     import t4c.cli as cli
 
-    record_ids, seg_ids = _drawn_ids(data, "record_ids", 1), _drawn_ids(data, "segment_ids")
+    record_ids, seg_ids = _drawn_ids(data, "record_ids"), _drawn_ids(data, "segment_ids")
     ss_ids = _drawn_ids(data, "supersegment_ids")
     values = st.floats(allow_nan=False, allow_infinity=False) if finite else TABLE_FLOAT
 
