@@ -13,7 +13,7 @@ them for the config. Every parameter value must be finite.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +49,7 @@ class Checkpoint:
 
 
 def _norm_stats_obj(stats: NormStats) -> dict:
-    return {
-        "cont_mean": stats.cont_mean.tolist(),
-        "cont_std": stats.cont_std.tolist(),
-        "counter_mean": stats.counter_mean.tolist(),
-        "counter_std": stats.counter_std.tolist(),
-        "speed_mean": stats.speed_mean,
-        "speed_std": stats.speed_std,
-    }
+    return {f.name: np.asarray(getattr(stats, f.name)).tolist() for f in fields(stats)}
 
 
 @dataclass(frozen=True)

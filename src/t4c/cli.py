@@ -16,15 +16,15 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, get_args
 
 import numpy as np
 
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import (DatasetError, Dataset, SynthSpec, daytime_filter, generate_synthetic_city, load_dataset, pack_container,
-                   parse_json, read_json, unpack_container)
+from .data import (DatasetError, Dataset, SynthSpec, _hints, daytime_filter, generate_synthetic_city, load_dataset,
+                   pack_container, parse_json, read_json, unpack_container)
 from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionBlock, PredictionError, core_metric, eta_labels,
                          eta_metric, etas_from_speeds, run_ablation)
 from .model import ModelConfig
@@ -46,7 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 # -- pipeline config -------------------------------------------------------------
 
-_DATACLASSES = {"model": ModelConfig, "train": TrainConfig}
+# A flag that sets a config field has the field's path as its argparse dest: ``section.field``, or
+# ``section.field.index`` for one element of a tuple field.
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "synth": SynthSpec}
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,6 @@ class _PipelineConfig:  # the pipeline config file: every key is optional, and t
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     out: _Out = _Out()
-
-
-# Flags that set a dataclass field, per section: argparse dest -> field name,
-# or (field name, index) for one element of a tuple field.
-_FLAG_FIELDS = {
-    "train": {
-        "epochs": "epochs", "batch": "batch_size", "lr": "learning_rate",
-        "members": "ensemble_size", "seed": "base_seed",
-        "daytime_start": ("daytime", 0), "daytime_end": ("daytime", 1),
-        "val_fraction": "val_fraction", "split_seed": "split_seed",
-    },
-    "model": {
-        "gnn_layers": "gnn_layers", "hidden": "hidden", "prior_mode": "prior_mode",
-        "cc_classes": "cc_classes", "k": "num_clusters",
-    },
-}
 
 
 def _pipeline_config(args, workdir: Path) -> dict:
@@ -94,22 +80,21 @@ def _pipeline_config(args, workdir: Path) -> dict:
 
 def _config_from(args, config: dict, section: str):
     """The section's dataclass: a flag beats the config, which beats the default. A value out of range
-    raises CLIError naming the config file."""
-    values = dict(config.get(section, {}))
-    for dest, name in _FLAG_FIELDS[section].items():
-        value = getattr(args, dest, None)
-        if value is None:
+    raises CLIError, naming the config file when it sets any of the section's fields."""
+    kind, values, prefix = _SECTIONS[section], dict(config.get(section, {})), section + "."
+    for dest, value in vars(args).items():
+        if not dest.startswith(prefix) or value is None:
             continue
-        if isinstance(name, tuple):  # one element of a tuple field
-            name, index = name
-            items = list(values.get(name, getattr(_DATACLASSES[section](), name)))
-            items[index] = value
+        name, _, index = dest[len(prefix):].partition(".")
+        if index:  # one element of a tuple field
+            items = list(values.get(name, getattr(kind, name)))  # the config's, or the field's default
+            items[int(index)] = value
             value = items
         values[name] = value
     try:
-        return _DATACLASSES[section](**values)
+        return kind(**values)
     except ValueError as exc:
-        raise CLIError(f"{args.config}: {exc}" if args.config else str(exc)) from None
+        raise CLIError(f"{args.config}: {exc}" if config.get(section) else str(exc)) from None
 
 
 # -- shared helpers -----------------------------------------------------------------
@@ -132,7 +117,7 @@ def _load_data(path: Path) -> Dataset:
 
 
 def _config_dataset(args, config: dict, workdir: Path) -> Dataset:
-    return _load_data(_resolve(workdir, args.data or config.get("data") or "data"))
+    return _load_data(_resolve(workdir, args.data or config.get("data") or _PipelineConfig.data))
 
 
 def _load_clusters(args, config: dict, workdir: Path, num_clusters: int, graph):
@@ -308,19 +293,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_synth(args, workdir: Path) -> int:
-    spec = SynthSpec(
-        num_nodes=args.nodes,
-        counter_fraction=args.counter_frac,
-        num_records=args.records,
-        signal=args.signal,
-        records_per_day=args.records_per_day,
-        num_supersegments=args.supersegments,
-        city_name=args.name,
-    )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    spec = _config_from(args, {}, "synth")
     out = _resolve(workdir, args.out)
     generate_synthetic_city(spec, args.seed, out)
     print(f"wrote synthetic city to {out}")
@@ -496,12 +469,15 @@ def cmd_baseline(args, workdir: Path) -> int:
 
 
 def cmd_ablate(args, workdir: Path) -> int:
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants or len(set(variants)) != len(variants):
+        options = ",".join(ABLATION_VARIANTS)
+        raise CLIError(f"--variants: expected one or more distinct variants of {options}, got {args.variants!r}")
     config = _pipeline_config(args, workdir)
     train_cfg = _config_from(args, config, "train")
     model_cfg = _config_from(args, config, "model")
     dataset = _config_dataset(args, config, workdir)
     cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters, dataset.graph)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
         result = run_ablation(
             dataset, variants, cluster_model, priors, train_cfg, model_cfg,
@@ -587,39 +563,41 @@ def cmd_report(args, workdir: Path) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def _field_flag(sub, flag: str, section: str, help: str, **kwargs) -> None:
-    """Add a flag that sets a config field; its help shows the field's default."""
-    name = _FLAG_FIELDS[section][flag.lstrip("-").replace("-", "_")]
-    name, index = name if isinstance(name, tuple) else (name, None)
-    default = getattr(_DATACLASSES[section](), name)
-    default = default if index is None else default[index]
-    sub.add_argument(flag, help=f"{help} (default: {default})", **kwargs)
+def _field_flag(sub, flag: str, dest: str, help: str, **kwargs) -> None:
+    """Add a flag that sets the config field ``dest`` (see ``_SECTIONS``); its type and the default its help
+    shows are the field's, and its metavar is the flag's name, as argparse makes it from a plain dest."""
+    section, name, *index = dest.split(".")
+    kind, default = _hints(_SECTIONS[section])[name], getattr(_SECTIONS[section], name)
+    if index:
+        kind, default = get_args(kind)[int(index[0])], default[int(index[0])]
+    metavar = None if "choices" in kwargs else flag.lstrip("-").replace("-", "_").upper()
+    sub.add_argument(flag, dest=dest, type=kind, metavar=metavar, help=f"{help} (default: {default})", **kwargs)
 
 
 def _add_split_flags(sub):
-    _field_flag(sub, "--daytime-start", "train", "first daytime slot", type=int)
-    _field_flag(sub, "--daytime-end", "train", "one past the last daytime slot", type=int)
-    _field_flag(sub, "--val-fraction", "train", "validation day share", type=float)
-    _field_flag(sub, "--split-seed", "train", "day split shuffle seed", type=int)
+    _field_flag(sub, "--daytime-start", "train.daytime.0", "first daytime slot")
+    _field_flag(sub, "--daytime-end", "train.daytime.1", "one past the last daytime slot")
+    _field_flag(sub, "--val-fraction", "train.val_fraction", "validation day share")
+    _field_flag(sub, "--split-seed", "train.split_seed", "day split shuffle seed")
 
 
 def _add_train_flags(sub):
-    _field_flag(sub, "--epochs", "train", "training epochs", type=int)
-    _field_flag(sub, "--batch", "train", "records per optimizer step", type=int)
-    _field_flag(sub, "--lr", "train", "Adam learning rate", type=float)
-    _field_flag(sub, "--members", "train", "ensemble size", type=int)
-    _field_flag(sub, "--seed", "train", "base seed; member k uses seed+k", type=int)
+    _field_flag(sub, "--epochs", "train.epochs", "training epochs")
+    _field_flag(sub, "--batch", "train.batch_size", "records per optimizer step")
+    _field_flag(sub, "--lr", "train.learning_rate", "Adam learning rate")
+    _field_flag(sub, "--members", "train.ensemble_size", "ensemble size")
+    _field_flag(sub, "--seed", "train.base_seed", "base seed; member k uses seed+k")
     _add_split_flags(sub)
 
 
 def _add_model_flags(sub):
-    _field_flag(sub, "--gnn-layers", "model", "message passing rounds", type=int)
-    _field_flag(sub, "--hidden", "model", "hidden width", type=int)
-    _field_flag(sub, "--prior-mode", "model", "feed the whole prior matrix or only the record's cluster row",
+    _field_flag(sub, "--gnn-layers", "model.gnn_layers", "message passing rounds")
+    _field_flag(sub, "--hidden", "model.hidden", "hidden width")
+    _field_flag(sub, "--prior-mode", "model.prior_mode", "feed the whole prior matrix or only the record's cluster row",
                 choices=["full", "active_row"])
-    _field_flag(sub, "--cc-classes", "model", "congestion head size; 4 keeps the undefined code",
-                type=int, choices=[3, 4])
-    _field_flag(sub, "--k", "model", "number of volume clusters", type=int)
+    _field_flag(sub, "--cc-classes", "model.cc_classes", "congestion head size; 4 keeps the undefined code",
+                choices=[3, 4])
+    _field_flag(sub, "--k", "model.num_clusters", "number of volume clusters")
 
 
 def build_parser() -> _Parser:
@@ -631,29 +609,28 @@ def build_parser() -> _Parser:
     parser.add_argument("--workdir", default=".", help="base directory for all relative paths")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("synth", help="generate a deterministic synthetic city",
-                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    sub = commands.add_parser("synth", help="generate a deterministic synthetic city")
     sub.add_argument("--out", required=True, help="dataset directory to write")
-    sub.add_argument("--nodes", type=int, default=50, help="number of intersections")
-    sub.add_argument("--counter-frac", type=float, default=0.1, help="fraction of nodes with counters")
-    sub.add_argument("--records", type=int, default=200, help="number of volume records")
-    sub.add_argument("--signal", type=float, default=0.9, help="label signal strength in [0, 1]")
-    sub.add_argument("--seed", type=int, default=1, help="generator seed")
-    sub.add_argument("--records-per-day", type=int, default=16, help="records per calendar day")
-    sub.add_argument("--supersegments", type=int, default=8, help="number of supersegments")
-    sub.add_argument("--name", default="synthville", help="city name in meta.json")
+    _field_flag(sub, "--nodes", "synth.num_nodes", "number of intersections")
+    _field_flag(sub, "--counter-frac", "synth.counter_fraction", "fraction of nodes with counters")
+    _field_flag(sub, "--records", "synth.num_records", "number of volume records")
+    _field_flag(sub, "--signal", "synth.signal", "label signal strength in [0, 1]")
+    sub.add_argument("--seed", type=int, default=1, help="generator seed (default: %(default)s)")
+    _field_flag(sub, "--records-per-day", "synth.records_per_day", "records per calendar day")
+    _field_flag(sub, "--supersegments", "synth.num_supersegments", "number of supersegments")
+    _field_flag(sub, "--name", "synth.city_name", "city name in meta.json")
 
     sub = commands.add_parser("fit-clusters", help="fit volume clusters and congestion priors")
     sub.add_argument("--data", default=None, help="dataset directory")
-    sub.add_argument("--out", default="cluster_model.json", help="cluster model file to write")
+    sub.add_argument("--out", default=_Out.cluster_model, help="cluster model file to write")
     sub.add_argument("--config", default=None, help="pipeline config JSON")
-    _field_flag(sub, "--k", "model", "number of volume clusters", type=int)
+    _field_flag(sub, "--k", "model.num_clusters", "number of volume clusters")
     _add_split_flags(sub)
 
     sub = commands.add_parser("train", help="train the ensemble")
     sub.add_argument("--data", default=None, help="dataset directory")
     sub.add_argument("--cluster-model", default=None, help="cluster model JSON from fit-clusters")
-    sub.add_argument("--out", default=None, help="run directory (default: runs/run)")
+    sub.add_argument("--out", default=None, help=f"run directory (default: {_Out.run_dir})")
     sub.add_argument("--config", default=None, help="pipeline config JSON")
     _add_train_flags(sub)
     _add_model_flags(sub)
@@ -681,7 +658,7 @@ def build_parser() -> _Parser:
     sub.add_argument("name", choices=["naive", "volume_cluster", "node_gnn"])
     sub.add_argument("--data", default=None, help="dataset directory")
     sub.add_argument("--out", default="baselines", help="output directory")
-    _field_flag(sub, "--k", "model", "volume_cluster: number of volume clusters", type=int)
+    _field_flag(sub, "--k", "model.num_clusters", "volume_cluster: number of volume clusters")
     sub.add_argument("--global", dest="global_probs", action="store_true",
                      help="naive: one pooled distribution for every segment")
     sub.add_argument("--config", default=None, help="pipeline config JSON")

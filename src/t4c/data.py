@@ -71,6 +71,7 @@ CONTINUOUS_FIELDS = (
     "counter_distance",
     "limit_speed",
 )
+NODE_COLUMNS = ["node_id", "lat", "lon", "counter_id"]
 EDGE_COLUMNS = ["segment_id", "tail_node", "head_node", "importance", "oneway", "tunnel", "lanes", *CONTINUOUS_FIELDS]
 
 VALID_CC = (0, 1, 2, 3)
@@ -437,6 +438,18 @@ def _field(kind, raw, path, line, fieldname, valid: tuple = (), minimum: float |
     return value
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points that UTF-8 cannot encode
+
+
+def _new_id(raw, path, line, fieldname) -> str:
+    """``raw`` read as an id the dataset introduces: a string that UTF-8 can encode, since the stages write their
+    outputs as UTF-8; anything else raises a SchemaError naming the file, line and field."""
+    value = _field(str, raw, path, line, fieldname)
+    if _SURROGATE.search(value):
+        raise SchemaError(path, line, fieldname, f"{value!r} holds a lone surrogate, which UTF-8 cannot encode")
+    return value
+
+
 def _read_text(path: Path, as_json: bool = False):
     """The file's text, or with ``as_json`` its parsed JSON; a byte that is not UTF-8, or text that is not JSON,
     raises a SchemaError naming the file and the line."""
@@ -464,9 +477,8 @@ def _load_nodes(path: Path) -> tuple[tuple[NodeRec, ...], dict[str, str]]:
     seen: set[str] = set()
     with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = ["node_id", "lat", "lon", "counter_id"]
-        if reader.fieldnames != expected:
-            raise SchemaError(path, 1, None, f"expected header {expected}, got {reader.fieldnames}")
+        if reader.fieldnames != NODE_COLUMNS:
+            raise SchemaError(path, 1, None, f"expected header {NODE_COLUMNS}, got {reader.fieldnames}")
         for row in reader:
             line = reader.line_num
             node_id = (row["node_id"] or "").strip()
@@ -586,7 +598,7 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
         for key in ("record_id", "day", "t_index", "volumes"):
             if key not in obj:
                 raise SchemaError(path, line_no, key, "required key missing")
-        record_id = _field(str, obj["record_id"], path, line_no, "record_id")
+        record_id = _new_id(obj["record_id"], path, line_no, "record_id")
         if record_id in seen:
             raise SchemaError(path, line_no, "record_id", f"duplicate record id {record_id!r}")
         seen.add(record_id)
@@ -654,6 +666,7 @@ def _load_supersegments(
         raise SchemaError(path, None, None, 'expected {"paths": ..., "etas": ...}')
     paths: dict[str, tuple[str, ...]] = {}
     for ss_id, raw_path in _field(dict[str, tuple[str, ...]], obj["paths"], path, None, "paths").items():
+        _new_id(ss_id, path, None, "paths")
         if not raw_path:
             raise SchemaError(path, None, "paths", f"path for {ss_id!r} must be a non-empty list")
         for seg_id in raw_path:
@@ -707,10 +720,10 @@ def load_dataset(dir_path) -> Dataset:
 
 
 def _fmt(value) -> str:
-    # repr of a float round-trips exactly; ints stay ints
+    # repr of a float round-trips exactly; ints stay ints; None is an empty cell
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _json_speed(speed: float) -> str:
@@ -748,9 +761,6 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points that UTF-8 cannot encode
-
-
 def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
     """Write a dataset to a canonical directory; bytes are deterministic. An id that UTF-8 cannot encode raises
     ValueError naming it, before any file is written."""
@@ -773,13 +783,9 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
     meta = {"format_version": FORMAT_VERSION, "city_name": city_name, "num_day_slots": NUM_DAY_SLOTS}
     (dir_path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
-    nodes = [[n.node_id, _fmt(n.lat), _fmt(n.lon), n.counter_id or ""] for n in graph.nodes]
-    (dir_path / "nodes.csv").write_text(_csv_text([["node_id", "lat", "lon", "counter_id"], *nodes]), encoding="utf-8")
-    edges = [[
-        s.segment_id, s.tail_node, s.head_node, s.importance, s.oneway, s.tunnel, s.lanes, _fmt(s.parsed_maxspeed),
-        _fmt(s.flow_speed), _fmt(s.length_meters), _fmt(s.counter_distance), _fmt(s.limit_speed),
-    ] for s in graph.segments]
-    (dir_path / "edges.csv").write_text(_csv_text([EDGE_COLUMNS, *edges]), encoding="utf-8")
+    for name, columns, rows in (("nodes.csv", NODE_COLUMNS, graph.nodes), ("edges.csv", EDGE_COLUMNS, graph.segments)):
+        cells = [[_fmt(getattr(row, column)) for column in columns] for row in rows]
+        (dir_path / name).write_text(_csv_text([columns, *cells]), encoding="utf-8")
 
     with open(dir_path / "volumes.jsonl", "w", encoding="utf-8") as fh:
         for r in records:
@@ -871,6 +877,9 @@ class SynthSpec:
     num_supersegments: int = 8
     city_name: str = "synthville"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.num_nodes < 4:
             raise ValueError(f"num_nodes must be >= 4, got {self.num_nodes}")
@@ -942,7 +951,6 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
     labels are the segment flow speed scaled down under congestion; ETAs
     follow from the generated speeds plus noise.
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     n = spec.num_nodes
 

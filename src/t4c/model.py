@@ -103,6 +103,12 @@ class ModelConfig:
             raise ValueError(f"lambda components must be > 0, got {self.lambdas}")
         if self.gnn_layers < 0:
             raise ValueError(f"gnn_layers must be >= 0, got {self.gnn_layers}")
+        for name in ("hidden", "num_clusters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("volume_hidden", "static_hidden"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"each {name} width must be >= 1, got {getattr(self, name)}")
 
     @property
     def prior_width(self) -> int:

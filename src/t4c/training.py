@@ -29,7 +29,7 @@ import json
 import random
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -114,6 +114,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN compares false
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -153,21 +155,8 @@ class RunLog:
 
 def save_runlog(path, runlog: RunLog) -> Path:
     path = Path(path)
-    obj = {
-        "epochs": [
-            {
-                "train_loss": e.train_loss,
-                "train_loss_cc": e.train_loss_cc,
-                "train_loss_speed": e.train_loss_speed,
-                "train_loss_vol": e.train_loss_vol,
-                "val_core": e.val_core,
-            }
-            for e in runlog.epochs
-        ],
-        "best_epoch": runlog.best_epoch,
-        "seed": runlog.seed,
-        "data_order_hash": runlog.data_order_hash,
-    }
+    obj = asdict(runlog)
+    del obj["wall_time_s"]  # informational only
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
 
@@ -444,16 +433,7 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
         config_hash=config_hash(model_cfg),
     )
     runlog = RunLog(
-        epochs=tuple(
-            EpochLog(
-                train_loss=float(mean[0]),
-                train_loss_cc=float(mean[1]),
-                train_loss_speed=float(mean[2]),
-                train_loss_vol=float(mean[3]),
-                val_core=val_core,
-            )
-            for mean, val_core in zip(fit.mean_losses, fit.val_scores)
-        ),
+        epochs=tuple(EpochLog(*mean.tolist(), val_core) for mean, val_core in zip(fit.mean_losses, fit.val_scores)),
         best_epoch=fit.best_epoch,
         seed=seed,
         data_order_hash=fit.data_order_hash,

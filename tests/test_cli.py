@@ -1,20 +1,21 @@
 """Pipeline contracts: stage chaining, file formats, exit codes,
 determinism of artifacts, and flag/config precedence."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t4c.cli import main
-from t4c.data import load_dataset
+from t4c.cli import _SECTIONS, _config_from, build_parser, main
+from t4c.data import SynthSpec, load_dataset
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig
 
@@ -246,6 +247,51 @@ def test_help_lists_flags_with_defaults(capsys):
                  "--hidden", "--prior-mode", "--val-fraction", "--split-seed"):
         assert flag in out
     assert "default" in out
+    assert main(["synth", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())  # help text wraps lines
+    for value in asdict(SynthSpec()).values():  # each default is SynthSpec's, shown once
+        assert out.count(f"(default: {value})") == 1
+    assert "None" not in out
+
+
+def _field_flags():
+    """(subcommand, its parser, the flag's action) for every flag whose dest is a config field's path."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if "." in action.dest:
+                yield name, sub, action
+
+
+def _required_argv(sub) -> list[str]:
+    argv = []
+    for action in sub._actions:
+        if not action.option_strings:  # a positional
+            argv.append(action.choices[0])
+        elif action.required:
+            argv += [action.option_strings[0], "x"]
+    return argv
+
+
+def test_every_field_flag_sets_the_field_its_dest_names():
+    flags = list(_field_flags())
+    assert {name for name, _, _ in flags} == {"synth", "fit-clusters", "train", "predict", "baseline", "ablate"}
+    for name, sub, action in flags:
+        section, field, *index = action.dest.split(".")
+        assert field in {f.name for f in fields(_SECTIONS[section])}, action.dest
+        default = getattr(_SECTIONS[section](), field)
+        if index:
+            assert isinstance(default, tuple) and 0 <= int(index[0]) < len(default), action.dest
+            default = default[int(index[0])]
+        if action.choices:
+            value = next(c for c in action.choices if c != default)
+        else:  # a valid value other than the default, of the field's type
+            value = default + 1 if type(default) is int else default / 2 if type(default) is float else default + "x"
+        args = build_parser().parse_args([name, *_required_argv(sub), action.option_strings[0], str(value)])
+        config = _config_from(args, {}, section)
+        got = getattr(config, field)[int(index[0])] if index else getattr(config, field)
+        assert got == value and type(got) is type(value), (name, action.dest)
+        assert config == replace(_SECTIONS[section](), **{field: getattr(config, field)})  # no other field moved
 
 
 def test_config_file_unknown_key_rejected(pipeline, capsys):
@@ -587,6 +633,48 @@ def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, c
         written = json.loads((pipeline / "runs/fields/train_config.json").read_text())
         assert written == json.loads(json.dumps({"model": config["model"], "train": config["train"]}))
 
+
+
+_BAD_VALUES = [  # (section, field, value, its flag or None)
+    ("model", "hidden", 0, "--hidden"),
+    ("model", "hidden", -2, "--hidden"),
+    ("model", "num_clusters", 0, "--k"),
+    ("model", "volume_hidden", [32, 0], None),
+    ("model", "static_hidden", [-1], None),
+    ("train", "learning_rate", -1.0, "--lr"),
+    ("train", "learning_rate", math.nan, "--lr"),
+    ("train", "learning_rate", math.inf, "--lr"),
+]
+
+
+@pytest.mark.parametrize("section, field, value, flag, route", [
+    (*case, route) for case in _BAD_VALUES for route in ("flag", "config") if route == "config" or case[3]
+])
+def test_a_config_value_out_of_range_exits_1_naming_the_field_and_trains_nothing(
+    pipeline, tmp_path, section, field, value, flag, route
+):
+    """A zero width divided by zero (exit 2), a negative one failed in numpy naming no flag (exit 1), a negative
+    learning rate trained by gradient ascent (exit 0), and a NaN or infinite one diverged (exit 2)."""
+    argv = ["train", "--data", pipeline / "data/toy", "--cluster-model", pipeline / "cluster_model.json",
+            "--out", tmp_path / "run"]
+    if route == "flag":  # beside a config file that sets none of the section's fields, which is not named
+        config, argv = {"data": "data/toy"}, [*argv, flag, value]
+    else:  # JSON has no NaN or Infinity; Python writes them, and the reader refuses them by path
+        config = {section: {field: value}}
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    code, err = _run([*argv, "--config", tmp_path / "bad.json"])
+    assert code == 1, err
+    assert field in err and ("bad.json" in err) == (route == "config"), err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("variants", ["", " , ", "full,full", "no_gnn,full,no_gnn"])
+def test_ablate_refuses_an_empty_or_repeated_variant_list(pipeline, tmp_path, variants):
+    code, err = _run(["ablate", "--data", pipeline / "data/toy", "--cluster-model", pipeline / "cluster_model.json",
+                      "--variants", variants, "--out", tmp_path / "ablation", *SMALL_TRAIN_ARGS])
+    assert code == 1, err
+    assert "--variants" in err and repr(variants) in err
+    assert not (tmp_path / "ablation").exists()
 
 
 def _count_calls(monkeypatch, attr, *modules) -> list:
@@ -1210,3 +1298,28 @@ def test_train_refuses_values_whose_normalization_overflows_and_writes_no_checkp
     if source == "volumes.jsonl":  # the node-GNN baseline normalizes the same counts
         code, err = _run(["baseline", "node_gnn", "--data", city, "--out", tmp_path / "bl", "--epochs", "1"])
         assert code == 1 and f"{field}: values too large to normalize" in err, err
+
+
+@pytest.mark.parametrize("stage", ["fit-clusters", "baseline", "eval-core", "eval-eta"])
+def test_a_record_id_with_a_lone_surrogate_exits_1_naming_the_file_line_and_field(pipeline, tmp_path, stage):
+    """The loaders took such an id, written as a JSON escape; eval-core and eval-eta with --csv then exited 1 with a
+    bare "'utf-8' codec can't encode character" that named no file."""
+    city = _dataset_copy(pipeline, tmp_path)
+    assert _run(["baseline", "naive", "--data", city, "--out", tmp_path / "bl"])[0] == 0
+    pred = tmp_path / "bl/predictions_naive.jsonl"
+    rid = json.loads(pred.read_text().splitlines()[0])["record_id"]  # a validation record
+    for name in ("volumes.jsonl", "labels.jsonl", "supersegments.json"):
+        text = (city / name).read_text()
+        assert f'"{rid}"' in text
+        (city / name).write_text(text.replace(f'"{rid}"', f'"{rid}\\ud800"'))
+    line = next(k for k, text in enumerate((city / "volumes.jsonl").read_text().splitlines(), 1) if rid in text)
+    argv = {
+        "fit-clusters": ["fit-clusters", "--data", city, "--k", "5", "--out", tmp_path / "clusters.json"],
+        "baseline": ["baseline", "naive", "--data", city, "--out", tmp_path / "bl2"],
+        "eval-core": ["eval-core", "--data", city, "--pred", pred, "--csv", tmp_path / "core.csv"],
+        "eval-eta": ["eval-eta", "--data", city, "--pred", pred, "--csv", tmp_path / "eta.csv"],
+    }[stage]
+    code, err = _run(argv)
+    assert code == 1, err
+    assert f"{city / 'volumes.jsonl'}:{line}: field 'record_id': '{rid}\\ud800' holds a lone surrogate" in err, err
+    assert not any((tmp_path / name).exists() for name in ("clusters.json", "bl2", "core.csv", "eta.csv"))
