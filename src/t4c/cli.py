@@ -11,7 +11,6 @@ error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -23,8 +22,8 @@ import numpy as np
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import (DatasetError, Dataset, SynthSpec, _hints, daytime_filter, generate_synthetic_city, load_dataset,
-                   pack_container, parse_json, read_json, unpack_container)
+from .data import (DatasetError, Dataset, SynthSpec, _TableHeader, _hints, _read_copy, _write_with_copy,
+                   daytime_filter, generate_synthetic_city, load_dataset, parse_json, read_json)
 from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionBlock, PredictionError, core_metric, eta_labels,
                          eta_metric, etas_from_speeds, run_ablation)
 from .model import ModelConfig
@@ -143,27 +142,13 @@ def _select_records(dataset, train_cfg: TrainConfig, subset: str):
     return train_records if subset == "train" else val_records
 
 
-# A predictions file's binary copy, ``<predictions>.bin``: a ``pack_container`` container whose header lists the
-# record, segment and super-segment ids and whose payload is cc as (records, segments, 3) then the ETAs as
-# (records, super-segments), raw little-endian float64; then the SHA-256 of the JSONL's bytes and the container.
+# <predictions>.bin (``data._write_with_copy``): cc as (records, segments, 3), then ETAs as (records, super-segments)
 _SIDECAR = (b"T4CP", 1)  # magic, version
 
 
 @dataclass(frozen=True)
-class _SidecarHeader:
-    record_ids: tuple[str, ...]
-    segment_ids: tuple[str, ...]
+class _SidecarHeader(_TableHeader):
     supersegment_ids: tuple[str, ...]
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_name(path.name + ".bin")
-
-
-def _digest(data: bytes, body: bytes) -> bytes:
-    digest = hashlib.sha256(data)
-    digest.update(body)
-    return digest.digest()
 
 
 class _PredictionTable(NamedTuple):
@@ -205,12 +190,9 @@ def _jsonl_lines(table: _PredictionTable) -> Iterator[str]:
 
 def _write_predictions(path: Path, table: _PredictionTable) -> None:
     """The JSONL, one record a line, and its binary copy, both from the table's blocks."""
-    data = "".join(_jsonl_lines(table)).encode("utf-8")
-    path.write_bytes(data)
-    header = {"record_ids": table.record_ids, "segment_ids": table.segment_ids,
-              "supersegment_ids": table.supersegment_ids}
-    body = pack_container(*_SIDECAR, header, [np.asarray(block, "<f8").tobytes() for block in (table.cc, table.etas)])
-    _sidecar_path(path).write_bytes(body + _digest(data, body))
+    header = asdict(_SidecarHeader(table.record_ids, table.segment_ids, table.supersegment_ids))
+    payload = [np.asarray(block, "<f8").tobytes() for block in (table.cc, table.etas)]
+    _write_with_copy(path, map(str.encode, _jsonl_lines(table)), _SIDECAR, header, payload)
 
 
 class _Predictions(NamedTuple):  # a predictions file as the eval stages score it
@@ -223,14 +205,8 @@ def _sidecar_rows(path: Path, data: bytes) -> _Predictions | None:
     """``_read_predictions``'s result for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
     None unless that copy is whole, was written for exactly ``data``, names each record once and holds only finite
     numbers. Its cc and ETA blocks go to the scorers as they are."""
-    try:
-        raw = _sidecar_path(path).read_bytes()
-        body = memoryview(raw)[:-32]
-        if len(raw) < 32 or _digest(data, body) != raw[-32:]:
-            return None
-        header, payload = unpack_container(body, *_SIDECAR, "predictions sidecar")
-        read_json(_SidecarHeader, header)
-    except (OSError, ValueError):  # absent or damaged
+    header, payload = _read_copy(path, data, _SIDECAR, _SidecarHeader)
+    if header is None:
         return None
     ids, seg_ids, ss_ids = header["record_ids"], tuple(header["segment_ids"]), header["supersegment_ids"]
     if len(payload) != 8 * len(ids) * (3 * len(seg_ids) + len(ss_ids)) or len(set(ids)) != len(ids):
@@ -470,7 +446,7 @@ def cmd_baseline(args, workdir: Path) -> int:
 
 def cmd_ablate(args, workdir: Path) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if not variants or len(set(variants)) != len(variants):
+    if not variants or len(set(variants)) != len(variants) or not set(variants) <= set(ABLATION_VARIANTS):
         options = ",".join(ABLATION_VARIANTS)
         raise CLIError(f"--variants: expected one or more distinct variants of {options}, got {args.variants!r}")
     config = _pipeline_config(args, workdir)
@@ -702,7 +678,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         workdir = Path(args.workdir)
         return _HANDLERS[args.command](args, workdir)
-    except (CLIError, DatasetError, FileNotFoundError, ValueError) as exc:
+    except (CLIError, DatasetError, OSError, ValueError) as exc:  # an OSError names the path it could not use
         producer = "; produce it again with `t4c synth`" if isinstance(exc, DatasetError) else ""  # a dataset file's fault
         print(f"t4c: error: {exc}{producer}", file=sys.stderr)
         return 1

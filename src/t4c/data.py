@@ -11,11 +11,17 @@ A dataset directory holds six text files (UTF-8, LF):
 
 Loading validates the schema strictly and reports file, line and field on
 violations. All loaded structures are immutable; the labels are one ``LabelTable``.
+
+``labels.jsonl.bin`` is the labels' binary copy: a ``pack_container`` container (magic ``T4CL``, version 1) of the
+record and segment ids, then cc (int8), speed_kph (<f8) and vol_class (int8), each (records, segments) row-major; then
+the SHA-256 of ``labels.jsonl`` and the container. ``load_dataset`` reads the copy only when it holds what parsing the
+JSONL gives (``_labels_copy``), else parses it: a stale or damaged copy is ignored, and deleting it is always safe.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -24,7 +30,7 @@ import re
 import reprlib
 import sys
 from collections import deque
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
 from functools import cache, cached_property
 from pathlib import Path
@@ -221,9 +227,10 @@ class LabelTable:
     def __post_init__(self):
         if len(set(self.segment_ids)) != len(self.segment_ids):
             raise ValueError("label table with a repeated segment id")
-        for column in (self.cc, self.speed_kph, self.vol_class):
-            if column.shape != (len(self.record_ids), len(self.segment_ids)):
-                raise ValueError(f"label column of shape {column.shape} for {len(self)} by {len(self.segment_ids)} labels")
+        shape = (len(self.record_ids), len(self.segment_ids))
+        for column, dtype in zip((self.cc, self.speed_kph, self.vol_class), (np.int8, np.float64, np.int8)):
+            if (column.shape, column.dtype) != (shape, dtype):
+                raise ValueError(f"label column of {column.dtype} {column.shape} for {shape[0]} by {shape[1]} labels")
             column.setflags(write=False)
 
     def __len__(self) -> int:
@@ -422,6 +429,38 @@ def unpack_container(raw: bytes, magic: bytes, version: int, kind: str) -> tuple
     except ValueError as exc:  # not UTF-8 or JSON
         raise ValueError(f"damaged {kind} header: {exc}") from None
     return header, memoryview(raw)[end:]
+
+
+@dataclass(frozen=True)
+class _TableHeader:  # the ids of a binary copy's (records, segments) blocks
+    record_ids: tuple[str, ...]
+    segment_ids: tuple[str, ...]
+
+
+def _write_with_copy(path: Path, chunks: Iterable[bytes], kind: tuple[bytes, int], header, payload) -> None:
+    """Write ``chunks`` to ``path``, then ``<path>.bin``: the container, then the SHA-256 of the file and the container."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    body = pack_container(*kind, header, payload)
+    digest.update(body)
+    path.with_name(path.name + ".bin").write_bytes(body + digest.digest())
+
+
+def _read_copy(path: Path, data: bytes, kind: tuple[bytes, int], header_type) -> tuple[dict | None, memoryview]:
+    """``<path>.bin``'s header and payload if it is whole, written for ``data`` and of ``header_type``; else no header."""
+    try:
+        raw = path.with_name(path.name + ".bin").read_bytes()
+        digest = hashlib.sha256(data)
+        digest.update(memoryview(raw)[:-32])
+        if digest.digest() == raw[-32:]:  # a cut copy has fewer than 32 bytes there
+            header, payload = unpack_container(memoryview(raw)[:-32], *kind, "binary copy")
+            return read_json(header_type, header), payload
+    except (OSError, ValueError):  # absent or damaged
+        pass
+    return None, memoryview(b"")
 
 
 def _field(kind, raw, path, line, fieldname, valid: tuple = (), minimum: float | None = None):
@@ -625,7 +664,31 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
     return tuple(records)
 
 
-def _load_labels(path: Path, record_ids: set[str], segment_ids: Sequence[str]) -> LabelTable:
+_LABELS_COPY = (b"T4CL", 1)  # magic, version
+
+
+def _labels_copy(path: Path, data: bytes, record_ids: set[str], segment_ids: list[str]) -> LabelTable | None:
+    """The table of ``labels.jsonl``'s copy if it holds what the parse of ``data`` gives, else None: the graph's
+    segment ids in order, distinct records of ``volumes.jsonl``, 10 bytes a cell and only values the parse takes."""
+    header, payload = _read_copy(path, data, _LABELS_COPY, _TableHeader)
+    if header is None:
+        return None
+    ids, cells = header["record_ids"], len(header["record_ids"]) * len(segment_ids)
+    if header["segment_ids"] != segment_ids or len(set(ids)) != len(ids) or not record_ids.issuperset(ids) \
+            or len(payload) != 10 * cells:  # cc int8, speed_kph float64, vol_class int8
+        return None
+    cc, vol = np.frombuffer(payload, np.int8, cells), np.frombuffer(payload, np.int8, cells, 9 * cells)
+    speed = np.frombuffer(payload, "<f8", cells, cells)  # NaN (no label) checks as a valid 0, an infinity as -1
+    if not (((cc >= -1) & (cc <= 3)).all() and np.isin(vol, (-1, *VALID_VOL_CLASS)).all()
+            and (np.nan_to_num(speed, nan=0.0, posinf=-1, neginf=-1) >= 0).all()):
+        return None
+    return _label_table(ids, segment_ids, [(cc, speed, vol)])
+
+
+def _load_labels(path: Path, record_ids: set[str], segment_ids: list[str]) -> LabelTable:
+    table = _labels_copy(path, path.read_bytes(), record_ids, segment_ids)
+    if table is not None:
+        return table
     column = {seg_id: j for j, seg_id in enumerate(segment_ids)}
     width = len(segment_ids)
     rows: dict[str, tuple[list, list, list]] = {}
@@ -797,8 +860,9 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
             }
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
-    with open(dir_path / "labels.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(_label_lines(labels))
+    header = asdict(_TableHeader(labels.record_ids, labels.segment_ids))
+    payload = [labels.cc.tobytes(), np.asarray(labels.speed_kph, "<f8").tobytes(), labels.vol_class.tobytes()]
+    _write_with_copy(dir_path / "labels.jsonl", map(str.encode, _label_lines(labels)), _LABELS_COPY, header, payload)
 
     ss_obj = {
         "paths": {ss.ss_id: list(ss.path) for ss in supersegments},

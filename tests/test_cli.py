@@ -677,6 +677,50 @@ def test_ablate_refuses_an_empty_or_repeated_variant_list(pipeline, tmp_path, va
     assert not (tmp_path / "ablation").exists()
 
 
+def test_ablate_refuses_an_unknown_variant_before_loading_anything(pipeline, tmp_path, monkeypatch):
+    """``run_ablation`` refused the name, after the dataset and the cluster model had loaded."""
+    import t4c.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded an input")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(cli, "load_cluster_model", refuse)
+    code, err = _run(["ablate", "--data", pipeline / "data/toy", "--cluster-model", pipeline / "cluster_model.json",
+                      "--variants", "full,bogus", "--out", tmp_path / "ablation", *SMALL_TRAIN_ARGS])
+    assert code == 1, err
+    assert "--variants: expected one or more distinct variants of full,no_cluster,no_static,no_gnn, got 'full,bogus'" in err
+    assert not (tmp_path / "ablation").exists()
+
+
+# case -> (the argv, with {dir} a directory, {file} a file and {pred} a predictions file; the path it names)
+BAD_PATHS = {
+    "eval-core --pred": (["eval-core", "--data", "{data}", "--pred", "{dir}"], "{dir}"),
+    "eval-eta --pred": (["eval-eta", "--data", "{data}", "--pred", "{dir}"], "{dir}"),
+    "train --cluster-model": (["train", "--data", "{data}", "--cluster-model", "{dir}", "--out", "{tmp}/run",
+                               *SMALL_TRAIN_ARGS], "{dir}"),
+    "fit-clusters --out": (["fit-clusters", "--data", "{data}", "--k", "5", "--out", "{dir}"], "{dir}"),
+    "eval-core --out": (["eval-core", "--data", "{data}", "--pred", "{pred}", "--out", "{dir}"], "{dir}"),
+    "baseline naive --out": (["baseline", "naive", "--data", "{data}", "--out", "{file}"], "{file}"),
+    "report --runs": (["report", "--runs", "{file}", "--out", "{tmp}/report"], "{file}"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PATHS))
+def test_a_path_a_stage_cannot_use_exits_1_naming_it(pipeline, tmp_path, case):
+    """Each exited 2 with "runtime failure: IsADirectoryError" (or FileExistsError, NotADirectoryError)."""
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("")
+    paths = {"data": pipeline / "data/toy", "dir": tmp_path / "a_directory", "file": tmp_path / "a_file", "tmp": tmp_path,
+             "pred": tmp_path / "bl/predictions_naive.jsonl"}
+    if case == "eval-core --out":
+        assert _run(["baseline", "naive", "--data", paths["data"], "--out", tmp_path / "bl"])[0] == 0
+    argv, named = BAD_PATHS[case]
+    code, err = _run([arg.format(**paths) for arg in argv])
+    assert code == 1, err
+    assert named.format(**paths) in err and "runtime failure" not in err, err
+
+
 def _count_calls(monkeypatch, attr, *modules) -> list:
     """Count the calls of ``attr`` made through the named attributes of ``modules``."""
     calls = []
@@ -1323,3 +1367,51 @@ def test_a_record_id_with_a_lone_surrogate_exits_1_naming_the_file_line_and_fiel
     assert code == 1, err
     assert f"{city / 'volumes.jsonl'}:{line}: field 'record_id': '{rid}\\ud800' holds a lone surrogate" in err, err
     assert not any((tmp_path / name).exists() for name in ("clusters.json", "bl2", "core.csv", "eta.csv"))
+
+
+# -- the labels' binary copy: every stage that loads the dataset prints and writes the same with it as without it ---
+
+
+def test_each_stage_gives_the_same_output_with_the_labels_copy_as_without_it(pipeline, tmp_path, monkeypatch):
+    import t4c.data as data
+    from t4c.data import LabelTable
+
+    city = _dataset_copy(pipeline, tmp_path)
+    taken, real = [], data._labels_copy
+
+    def counted(*args):
+        taken.append(real(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(data, "_labels_copy", counted)
+    stages = [
+        ["fit-clusters", "--data", city, "--k", "5", "--out", "out/clusters.json"],
+        ["train", "--data", city, "--cluster-model", "out/clusters.json", "--out", "out/run", "--members", "2",
+         "--epochs", "1", "--hidden", "8", "--gnn-layers", "1", "--k", "5"],
+        ["predict", "--data", city, "--cluster-model", "out/clusters.json", "--run", "out/run", "--out", "out/pred.jsonl"],
+        ["eval-core", "--data", city, "--pred", "out/pred.jsonl", "--out", "out/core.json", "--csv", "out/core.csv"],
+        ["eval-eta", "--data", city, "--pred", "out/pred.jsonl", "--out", "out/eta.json", "--csv", "out/eta.csv"],
+        ["baseline", "naive", "--data", city, "--out", "out/bl"],
+    ]
+
+    def run_stages():
+        """Each stage's exit code and output, and the bytes of every file the stages wrote."""
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        (tmp_path / "out").mkdir()
+        results = []
+        for argv in stages:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                results.append((main(["--workdir", str(tmp_path), *map(str, argv)]), out.getvalue(), err.getvalue()))
+        written = sorted(path for path in (tmp_path / "out").rglob("*") if path.is_file())
+        return results, {path.relative_to(tmp_path).as_posix(): path.read_bytes() for path in written}
+
+    with_copy = run_stages()
+    assert len(taken) == len(stages) and all(isinstance(table, LabelTable) for table in taken)
+    (city / "labels.jsonl.bin").rename(tmp_path / "labels.jsonl.bin.aside")
+    taken.clear()
+    parsed = run_stages()
+    assert taken == [None] * len(stages)
+    assert with_copy == parsed
+    assert [code for code, _, _ in parsed[0]] == [0] * len(stages)
+    assert {"out/clusters.json", "out/pred.jsonl", "out/pred.jsonl.bin", "out/core.csv", "out/eta.json"} <= set(parsed[1])

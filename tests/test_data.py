@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import t4c.data as data_module
 from t4c.data import (
     DanglingReferenceError,
     Dataset,
@@ -141,6 +142,15 @@ def test_ids_with_a_carriage_return_load_back_from_the_csv_files():
 def test_label_table_refuses_a_repeated_segment_id():
     with pytest.raises(ValueError, match="repeated segment id"):
         LabelTable(("r0",), ("e1", "e1"), np.full((1, 2), -1, np.int8), np.full((1, 2), math.nan), np.full((1, 2), -1, np.int8))
+
+
+@pytest.mark.parametrize("column, dtype", [(0, np.int64), (1, np.float32), (2, np.float64)])
+def test_label_table_refuses_a_column_of_another_type(column, dtype):
+    """A cc of 1.0 is written to labels.jsonl as 1.0, which the loader refuses; the binary copy would hold 1."""
+    columns = [np.full((1, 2), -1, np.int8), np.full((1, 2), math.nan), np.full((1, 2), -1, np.int8)]
+    columns[column] = columns[column].astype(dtype)
+    with pytest.raises(ValueError, match=f"label column of {np.dtype(dtype)}"):
+        LabelTable(("r0",), ("e1", "e2"), *columns)
 
 
 def test_toy_directory_shapes(toy_dataset, tmp_path):
@@ -639,3 +649,134 @@ def test_every_accepted_small_spec_generates_and_loads_in_bounded_time(spec, see
         loaded = load_dataset(Path(tmp) / "city")
     assert [r.record_id for r in loaded.records] == [r.record_id for r in generated.records]
     assert len(loaded.records) == spec.num_records
+
+
+# -- the labels' binary copy: it changes how fast a dataset loads, never what it loads or refuses ----------------
+
+
+@pytest.fixture(scope="module")
+def copy_cities(tmp_path_factory):
+    """Two small synthetic cities, each with its ``labels.jsonl.bin``."""
+    root = tmp_path_factory.mktemp("labels_copy")
+    spec = SynthSpec(num_nodes=12, counter_fraction=0.25, num_records=24, records_per_day=8, num_supersegments=2)
+    for seed in (1, 2):
+        generate_synthetic_city(spec, seed, root / f"city{seed}")
+    return root
+
+
+def _load_outcome(city):
+    """``load_dataset``'s labels, or the type and message of what it raised."""
+    try:
+        return load_dataset(city).labels
+    except Exception as exc:  # the exact exception is the outcome
+        return type(exc), str(exc)
+
+
+def _parse_outcome(city):
+    """``_load_outcome`` with the copy moved aside, so that the labels are parsed."""
+    copy = city / "labels.jsonl.bin"
+    aside = copy.with_name("aside.bin")
+    copy.rename(aside)
+    try:
+        return _load_outcome(city)
+    finally:
+        aside.rename(copy)
+
+
+def _copy_taken(city, dataset) -> bool:
+    """Whether ``load_dataset`` takes the labels of ``city``, with the graph and records of ``dataset``, from the copy."""
+    jsonl = city / "labels.jsonl"
+    ids, seg_ids = {r.record_id for r in dataset.records}, [s.segment_id for s in dataset.graph.segments]
+    return data_module._labels_copy(jsonl, jsonl.read_bytes(), ids, seg_ids) is not None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_fresh_labels_copy_is_taken_and_holds_the_parsed_table(copy_cities, seed):
+    city = copy_cities / f"city{seed}"
+    labels = load_dataset(city).labels
+    assert _copy_taken(city, load_dataset(city))
+    assert labels == _parse_outcome(city)
+    assert [column.dtype for column in (labels.cc, labels.speed_kph, labels.vol_class)] == [np.int8, np.float64, np.int8]
+    assert not any(column.flags.writeable for column in (labels.cc, labels.speed_kph, labels.vol_class))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_damaged_or_stale_labels_copy_loads_as_the_parse(copy_cities, data):
+    city = copy_cities / "city1"
+    city1 = load_dataset(city)
+    jsonl, copy = city / "labels.jsonl", city / "labels.jsonl.bin"
+    text, raw = jsonl.read_bytes(), copy.read_bytes()
+    damage = data.draw(st.sampled_from(["flip", "cut", "other_city", "stale"]), label="damage")
+    if damage == "flip":
+        position, mask = data.draw(st.integers(0, len(raw) - 1), "position"), data.draw(st.integers(1, 255), "mask")
+        copy.write_bytes(raw[:position] + bytes([raw[position] ^ mask]) + raw[position + 1:])
+    elif damage == "cut":
+        copy.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+    elif damage == "other_city":
+        copy.write_bytes((copy_cities / "city2/labels.jsonl.bin").read_bytes())
+    else:  # one byte of the JSONL edited after the copy was written
+        position, value = data.draw(st.integers(0, len(text) - 1), "position"), data.draw(st.integers(0, 255), "byte")
+        value = value if value != text[position] else (value + 1) % 256
+        jsonl.write_bytes(text[:position] + bytes([value]) + text[position + 1:])
+    try:
+        assert not _copy_taken(city, city1)
+        assert _load_outcome(city) == _parse_outcome(city)
+    finally:
+        jsonl.write_bytes(text)
+        copy.write_bytes(raw)
+
+
+def _edit_labels(labels: LabelTable, edit: str) -> LabelTable:
+    """``labels`` with one fault (or one unusual value) that ``write_dataset`` writes to the JSONL and the copy alike."""
+    record_ids, segment_ids = list(labels.record_ids), list(labels.segment_ids)
+    cc, speed, vol = labels.cc.copy(), labels.speed_kph.copy(), labels.vol_class.copy()
+    if edit == "segment_order":  # the parse puts each label in its graph column
+        return LabelTable(labels.record_ids, labels.segment_ids[::-1], cc[:, ::-1], speed[:, ::-1], vol[:, ::-1])
+    if edit in ("unknown_record", "repeated_record"):
+        record_ids[1] = "zz_unknown" if edit == "unknown_record" else record_ids[0]
+    else:
+        column, value = {"cc": (cc, 7), "cc_below_the_sentinel": (cc, -5), "vol_class": (vol, 2),
+                         "vol_below_the_sentinel": (vol, -3), "negative_speed": (speed, -1.0),
+                         "infinite_speed": (speed, math.inf), "negative_infinite_speed": (speed, -math.inf)}[edit]
+        column[1, 2] = value
+    return LabelTable(tuple(record_ids), tuple(segment_ids), cc, speed, vol)
+
+
+LABEL_EDITS = ["segment_order", "unknown_record", "repeated_record", "cc", "cc_below_the_sentinel", "vol_class",
+               "vol_below_the_sentinel", "negative_speed", "infinite_speed", "negative_infinite_speed"]
+
+
+@pytest.mark.parametrize("edit", LABEL_EDITS)
+def test_a_copy_bound_to_its_jsonl_that_the_parse_would_not_give_is_not_taken(copy_cities, tmp_path, edit):
+    """A table the loader refuses, or reads otherwise: the writer binds a copy of it to its JSONL, and the loader
+    takes the parse's table or raises the parse's exception."""
+    city1 = load_dataset(copy_cities / "city1")
+    graph, records, labels, supersegments = city1
+    city = write_dataset(Dataset(graph, records, _edit_labels(labels, edit), supersegments), tmp_path / "city")
+    assert not _copy_taken(city, city1)
+    outcome = _load_outcome(city)
+    assert outcome == _parse_outcome(city)
+    assert isinstance(outcome, LabelTable) == (edit in ("segment_order", "cc_below_the_sentinel",
+                                                        "vol_below_the_sentinel"))
+
+
+@pytest.mark.parametrize("fault", ["header_type", "unknown_header_key", "short_payload", "long_payload"])
+def test_a_copy_with_a_bad_header_or_payload_length_is_not_taken(copy_cities, tmp_path, fault):
+    """Copies that no writer makes, bound to the JSONL by a digest all the same."""
+    city = tmp_path / "city"
+    shutil.copytree(copy_cities / "city1", city)
+    jsonl = city / "labels.jsonl"
+    header, payload = data_module._read_copy(jsonl, jsonl.read_bytes(), data_module._LABELS_COPY, dict)
+    header, payload = dict(header), bytes(payload)
+    if fault == "header_type":
+        header["record_ids"] = [1, *header["record_ids"][1:]]
+    elif fault == "unknown_header_key":
+        header["supersegment_ids"] = []
+    else:
+        payload = payload[:-1] if fault == "short_payload" else payload + b"\0"
+    data_module._write_with_copy(jsonl, [jsonl.read_bytes()], data_module._LABELS_COPY, header, [payload])
+    assert data_module._read_copy(jsonl, jsonl.read_bytes(), data_module._LABELS_COPY, dict)[0] == header
+    city1 = load_dataset(copy_cities / "city1")
+    assert not _copy_taken(city, city1)
+    assert load_dataset(city).labels == _parse_outcome(city) == city1.labels
