@@ -9,10 +9,12 @@ Runs in well under a minute.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
-from t4c.evaluation import core_metric, eta_from_speeds, eta_labels, eta_metric
+from t4c.evaluation import PredictionTable, core_metric, eta_labels, eta_metric, etas_from_speeds
 from t4c.model import ModelConfig
 from t4c.seggraph import build_line_graph
 from t4c.training import TrainConfig, ensemble_predict, prepare_ensemble, train_ensemble
@@ -43,22 +45,21 @@ for ckpt, runlog in members:
     print(f"member seed={runlog.seed}: best epoch {runlog.best_epoch}, "
           f"val core {runlog.epochs[runlog.best_epoch].val_core:.4f}")
 
-# ensemble predictions on the validation records
+# ensemble predictions on the validation records, as one table: (records, segments) blocks in the line graph's order
 checkpoints = [ckpt for ckpt, _ in members]
 seg_graph = build_line_graph(dataset.graph)
 seg_ids = list(seg_graph.seg_ids)
-lengths = {s.segment_id: s.length_meters for s in dataset.graph.segments}
+lengths = [s.length_meters for s in dataset.graph.segments]  # the line graph's segment order
 # once per stage: checks the members' configs and builds each member's static branch for every cluster
 ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
 
-predictions = {}
-predicted_etas = {}
-for record in val_records:
+cc, speed = np.empty((len(val_records), len(seg_ids), 3)), np.empty((len(val_records), len(seg_ids)))
+for k, record in enumerate(val_records):
     probs = ensemble_predict(ensemble, record)
-    predictions[record.record_id] = {seg: probs.cc[i] for i, seg in enumerate(seg_ids)}
-    speeds = {seg: probs.speed_kph[i] for i, seg in enumerate(seg_ids)}
-    for ss in dataset.supersegments:
-        predicted_etas[(record.record_id, ss.ss_id)] = eta_from_speeds(ss, speeds, lengths)
+    cc[k], speed[k] = probs.cc, probs.speed_kph
+etas = etas_from_speeds(dataset.supersegments, seg_ids, lengths, speed)  # every record's ETAs in one pass
+predictions = PredictionTable([r.record_id for r in val_records], seg_ids, [ss.ss_id for ss in dataset.supersegments],
+                              cc, etas, speed)
 
 model_core = core_metric(predictions, val_labels).score
 
@@ -84,7 +85,7 @@ print(f"  ensemble model  {model_core:.4f}")
 
 # extended task: mean absolute ETA error from the predicted speeds
 labeled = eta_labels(dataset.supersegments, {r.record_id for r in val_records})
-model_eta = eta_metric(predicted_etas, labeled).score
+model_eta = eta_metric(predictions, labeled).score
 naive_eta = eta_metric(
     {key: naive.eta_median[key[1]] for key in labeled}, labeled
 ).score

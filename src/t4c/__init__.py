@@ -37,7 +37,7 @@ from .data import (
     split_train_validation,
     write_dataset,
 )
-from .evaluation import CoreScore, EtaScore, core_metric, eta_from_speeds, eta_metric, run_ablation
+from .evaluation import CoreScore, EtaScore, PredictionTable, core_metric, eta_metric, etas_from_speeds, run_ablation
 from .baselines import fit_naive, fit_volume_cluster, node_gnn_baseline
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .model import ModelConfig, compute_loss, forward, init_params, predict_probabilities

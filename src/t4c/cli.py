@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, get_args
+from typing import Iterator, get_args
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
 from .data import (DatasetError, Dataset, SynthSpec, _TableHeader, _hints, _read_copy, _write_with_copy,
                    daytime_filter, generate_synthetic_city, load_dataset, parse_json, read_json)
-from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionBlock, PredictionError, core_metric, eta_labels,
-                         eta_metric, etas_from_speeds, run_ablation)
+from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionError, PredictionTable, _table_of, core_metric,
+                         eta_labels, eta_metric, etas_from_speeds, run_ablation)
 from .model import ModelConfig
 from .seggraph import build_line_graph
 from .training import (TrainConfig, ensemble_predict, load_runlog, prepare_ensemble, prepare_training, save_runlog,
@@ -151,20 +151,7 @@ class _SidecarHeader(_TableHeader):
     supersegment_ids: tuple[str, ...]
 
 
-class _PredictionTable(NamedTuple):
-    """What a predictions file holds: ``[k, j]`` of a block is record ``record_ids[k]``'s value for ``segment_ids[j]``
-    (or for ``supersegment_ids[j]``), in the order the ids are listed."""
-
-    record_ids: Sequence[str]
-    segment_ids: Sequence[str]
-    supersegment_ids: Sequence[str]
-    cc: np.ndarray  # (records, segments, 3)
-    etas: np.ndarray  # (records, super-segments), seconds
-    speed: np.ndarray | None = None  # (records, segments) km/h; None writes null
-    vol: np.ndarray | None = None  # (records, segments, 3)
-
-
-def _jsonl_lines(table: _PredictionTable) -> Iterator[str]:
+def _jsonl_lines(table: PredictionTable) -> Iterator[str]:
     """Each record's line, formatted from the blocks: the bytes of ``json.dumps`` with ``sort_keys=True`` and
     ``separators=(",", ":")`` over the row dict. One template per stage holds every key, each id escaped once; a
     record fills it with its values, whose ``%s`` is ``float.__repr__``, as ``json.dumps`` writes a finite float."""
@@ -188,40 +175,32 @@ def _jsonl_lines(table: _PredictionTable) -> Iterator[str]:
         yield template % (*row[:cut], json.dumps(record_id), *row[cut:])
 
 
-def _write_predictions(path: Path, table: _PredictionTable) -> None:
+def _write_predictions(path: Path, table: PredictionTable) -> None:
     """The JSONL, one record a line, and its binary copy, both from the table's blocks."""
     header = asdict(_SidecarHeader(table.record_ids, table.segment_ids, table.supersegment_ids))
     payload = [np.asarray(block, "<f8").tobytes() for block in (table.cc, table.etas)]
     _write_with_copy(path, map(str.encode, _jsonl_lines(table)), _SIDECAR, header, payload)
 
 
-class _Predictions(NamedTuple):  # a predictions file as the eval stages score it
-    lines: dict[str, int]  # record id -> its line, in file order
-    cc: PredictionBlock | dict[str, dict]  # core_metric's input: a block, or record -> segment -> cc
-    etas: PredictionBlock | dict[tuple[str, str], float]  # eta_metric's input: a block, or (record, ss) -> ETA
-
-
-def _sidecar_rows(path: Path, data: bytes) -> _Predictions | None:
-    """``_read_predictions``'s result for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
+def _sidecar_rows(path: Path, data: bytes) -> PredictionTable | None:
+    """``_read_predictions``'s table for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
     None unless that copy is whole, was written for exactly ``data``, names each record once and holds only finite
-    numbers. Its cc and ETA blocks go to the scorers as they are."""
+    numbers."""
     header, payload = _read_copy(path, data, _SIDECAR, _SidecarHeader)
     if header is None:
         return None
-    ids, seg_ids, ss_ids = header["record_ids"], tuple(header["segment_ids"]), header["supersegment_ids"]
+    ids, seg_ids, ss_ids = header["record_ids"], header["segment_ids"], header["supersegment_ids"]
     if len(payload) != 8 * len(ids) * (3 * len(seg_ids) + len(ss_ids)) or len(set(ids)) != len(ids):
         return None
     values = np.frombuffer(payload, "<f8")
     if not np.isfinite(values).all():  # the JSONL's parse names the fault
         return None
     cc = values[: 3 * len(ids) * len(seg_ids)].reshape(len(ids), len(seg_ids), 3)
-    etas = values[cc.size :].reshape(len(ids), len(ss_ids))
-    lines = {rid: k + 1 for k, rid in enumerate(ids)}
-    return _Predictions(lines, PredictionBlock(ids, seg_ids, cc), PredictionBlock(ids, ss_ids, etas))
+    return PredictionTable(ids, seg_ids, ss_ids, cc, values[cc.size :].reshape(len(ids), len(ss_ids)))
 
 
 @dataclass(frozen=True)
-class _PredictionRow:  # a predictions line; the core scorer reads each segment entry's "cc"
+class _PredictionRow:  # a predictions line; ``_table_of`` reads each segment entry's "cc"
     record_id: str
     segments: dict[str, dict] = field(default_factory=dict)
     etas: dict[str, float] = field(default_factory=dict)
@@ -230,15 +209,16 @@ class _PredictionRow:  # a predictions line; the core scorer reads each segment 
 _PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
 
 
-def _read_predictions(path: Path) -> _Predictions:
-    """Each record's line number and predictions, in file order: from the file's binary copy when it matches the
-    file, else parsed. A line that is not a ``_PredictionRow``, or that repeats a record, is refused by line."""
+def _read_predictions(path: Path) -> PredictionTable:
+    """The file's table, its records in file order: from the file's binary copy when it matches the file, else parsed.
+    Lines split at LF only. A line that is not a ``_PredictionRow`` or that repeats a record is refused by line, then
+    one whose ``cc`` on a segment is neither null nor three finite numbers; a value a line lacks is NaN."""
     data = path.read_bytes()
-    predictions = _sidecar_rows(path, data)
-    if predictions is not None:
-        return predictions
-    predictions = _Predictions({}, {}, {})
-    for line_no, raw in enumerate(data.splitlines(), start=1):
+    table = _sidecar_rows(path, data)
+    if table is not None:
+        return table
+    lines, cc, etas = {}, {}, {}  # record id -> its line, record -> segment -> cc and (record, ss) -> ETA
+    for line_no, raw in enumerate(data.split(b"\n"), start=1):
         try:
             line = raw.decode("utf-8")
             if not line.strip():
@@ -252,13 +232,16 @@ def _read_predictions(path: Path) -> _Predictions:
             fault = str(exc)
         else:
             rid = row["record_id"]
-            first = predictions.lines.setdefault(rid, line_no)
+            first = lines.setdefault(rid, line_no)
             fault = f"record {rid!r} is also on {path}:{first}" if first != line_no else None
-            predictions.cc[rid] = {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
-            predictions.etas.update(((rid, ss_id), eta) for ss_id, eta in row.get("etas", {}).items())
+            cc[rid] = {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
+            etas.update(((rid, ss_id), eta) for ss_id, eta in row.get("etas", {}).items())
         if fault:
             raise CLIError(f"{path}:{line_no}: {fault}; {_PRODUCE_PREDICTIONS}")
-    return predictions
+    try:
+        return _table_of(cc, etas, ())
+    except PredictionError as exc:
+        raise CLIError(f"{path}:{lines[exc.record_id]}: {exc}; {_PRODUCE_PREDICTIONS}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -358,8 +341,8 @@ def cmd_predict(args, workdir: Path) -> int:
         cc[k], speed[k], vol[k] = probs.cc, probs.speed_kph, probs.vol
     lengths = [s.length_meters for s in dataset.graph.segments]  # the line graph's segment order
     etas = etas_from_speeds(dataset.supersegments, seg_graph.seg_ids, lengths, speed)
-    table = _PredictionTable([r.record_id for r in records], seg_graph.seg_ids,
-                             [ss.ss_id for ss in dataset.supersegments], cc, etas, speed, vol)
+    table = PredictionTable([r.record_id for r in records], seg_graph.seg_ids,
+                            [ss.ss_id for ss in dataset.supersegments], cc, etas, speed, vol)
     out = _resolve(workdir, args.out)
     _write_predictions(out, table)
     print(f"wrote predictions for {len(records)} records ({len(checkpoints)} members) -> {out}")
@@ -373,8 +356,10 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: st
     predictions = _read_predictions(pred_path)
     try:
         score = scorer(dataset, predictions)
-    except PredictionError as exc:
-        raise CLIError(f"{pred_path}:{predictions.lines[exc.record_id]}: {exc}; {_PRODUCE_PREDICTIONS}") from None
+    except PredictionError as exc:  # record k is on the file's (k + 1)-th line that is not blank
+        lines = [n for n, raw in enumerate(pred_path.read_bytes().split(b"\n"), start=1) if raw.decode("utf-8").strip()]
+        line = lines[list(predictions.record_ids).index(exc.record_id)]
+        raise CLIError(f"{pred_path}:{line}: {exc}; {_PRODUCE_PREDICTIONS}") from None
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     if score.score is None:
@@ -391,16 +376,16 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: st
 
 
 def cmd_eval_core(args, workdir: Path) -> int:
-    def score(dataset, predictions: _Predictions):
-        return core_metric(predictions.cc, dataset.labels.select(predictions.lines))
+    def score(dataset, predictions: PredictionTable):
+        return core_metric(predictions, dataset.labels.select(predictions.record_ids))
 
     nothing_scored = "no scored segments: predictions cover no labeled records"
     return _eval_stage(args, workdir, score, nothing_scored, "record_id,core_score")
 
 
 def cmd_eval_eta(args, workdir: Path) -> int:
-    def score(dataset, predictions: _Predictions):
-        return eta_metric(predictions.etas, eta_labels(dataset.supersegments, predictions.lines))
+    def score(dataset, predictions: PredictionTable):
+        return eta_metric(predictions, eta_labels(dataset.supersegments, set(predictions.record_ids)))
 
     return _eval_stage(args, workdir, score, "no labeled (record, supersegment) pairs to score", "record_id,eta_mae_s")
 
@@ -438,7 +423,7 @@ def cmd_baseline(args, workdir: Path) -> int:
 
     save_baseline(out_dir / f"baseline_{args.name}.json", model)
     pred_path = out_dir / f"predictions_{args.name}.jsonl"
-    table = _PredictionTable([r.record_id for r in val_records], seg_ids, list(model.eta_median), cc[rows], etas[rows])
+    table = PredictionTable([r.record_id for r in val_records], seg_ids, list(model.eta_median), cc[rows], etas[rows])
     _write_predictions(pred_path, table)
     print(f"wrote baseline_{args.name}.json and {pred_path.name} ({len(val_records)} validation records)")
     return 0

@@ -7,6 +7,11 @@ class (clipped to [1e-15, 1]); undefined and missing labels are skipped.
 The extended score is the mean absolute ETA error in seconds. ETAs are
 synthesized from predicted speeds by summing per-segment travel times
 with a floor on the speed.
+
+Both scorers score a ``PredictionTable``, the one in-memory form of a predictions file: (records, ids) blocks with NaN
+for no prediction. Each also takes a mapping, which it turns into a table on entry: ``core_metric`` record -> segment
+-> 3-vector, or record -> (segments, 3) array in the label table's segment order, with its labels a ``LabelTable`` or
+a list of ``LabelBundle`` rows of one; ``eta_metric`` (record, ss) -> seconds.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ from .data import Dataset, LabelBundle, LabelTable, SuperSegment
 __all__ = [
     "CoreScore",
     "EtaScore",
-    "PredictionBlock",
     "PredictionError",
+    "PredictionTable",
     "core_metric",
-    "eta_from_speeds",
     "etas_from_speeds",
     "eta_metric",
     "run_ablation",
@@ -68,64 +72,83 @@ class PredictionError(ValueError):
         self.record_id = record_id
 
 
-def _numbers(value) -> bool:
-    """A numeric array, or a list or tuple of numbers; a bool or a string is no number."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iuf"
-    return isinstance(value, (list, tuple)) and all(
-        type(x) in (int, float) or isinstance(x, (np.integer, np.floating)) for x in value)
-
-
-class PredictionBlock(NamedTuple):
-    """Predictions as one array: ``values[k, j]`` is record ``record_ids[k]``'s cc or ETA for ``ids[j]``."""
+class PredictionTable(NamedTuple):
+    """A predictions file in memory, laid out like ``LabelTable`` with NaN for no prediction: ``[k, j]`` of a block is
+    record ``record_ids[k]``'s value for ``segment_ids[j]`` (or for ``supersegment_ids[j]``), in the order the ids are
+    listed."""
 
     record_ids: Sequence[str]
-    ids: Sequence[str]
-    values: np.ndarray
+    segment_ids: Sequence[str]
+    supersegment_ids: Sequence[str]
+    cc: np.ndarray  # (records, segments, 3) over (green, yellow, red)
+    etas: np.ndarray  # (records, super-segments), seconds
+    speed: np.ndarray | None = None  # (records, segments) km/h; None writes null
+    vol: np.ndarray | None = None  # (records, segments, 3)
 
 
-def _scored_probs(record_preds: Mapping, record_id: str, segment_ids: Sequence[str], scored: np.ndarray) -> np.ndarray:
-    """(len(scored), 3) probabilities of one record's scored table columns, read from a mapping.
-
-    Each must be three finite numbers: one array test per record, and a walk
-    over the segments only to name the first fault.
-    """
+def _checked_cc(value, record_id: str, seg_id: str):
+    """``value`` if it is three finite numbers: a numeric array, or a list or tuple of numbers (a bool or a string is
+    no number). Anything else raises a PredictionError naming the record and the segment."""
     try:
-        values = [record_preds[segment_ids[j]] for j in scored]
-        probs = np.array(values, dtype=np.float64)
-    except (KeyError, ValueError, TypeError, OverflowError):
-        probs = None
-    if probs is not None and probs.shape == (len(scored), 3) and np.isfinite(probs).all() and all(map(_numbers, values)):
-        return probs
-    for j in scored:  # name the first fault in segment order
-        seg_id = segment_ids[j]
-        if seg_id not in record_preds:
-            raise PredictionError(f"record {record_id!r}: no prediction for segment {seg_id!r}", record_id)
-        value = record_preds[seg_id]
-        try:
-            vector = np.asarray(value, dtype=np.float64)
-            fine = _numbers(value) and vector.shape == (3,) and np.isfinite(vector).all()
-        except (ValueError, TypeError, OverflowError):
-            fine = False
-        if not fine:
-            message = f"record {record_id!r}, segment {seg_id!r}: expected 3 finite probabilities, got {reprlib.repr(value)}"
-            raise PredictionError(message, record_id)
-    raise PredictionError(f"record {record_id!r}: the scored probabilities do not form a (segments, 3) array", record_id)
+        numbers = value.dtype.kind in "iuf" if isinstance(value, np.ndarray) else isinstance(value, (list, tuple)) and all(
+            type(x) in (int, float) or isinstance(x, (np.integer, np.floating)) for x in value)
+        if numbers and np.shape(value) == (3,) and np.isfinite(np.asarray(value, np.float64)).all():
+            return value
+    except (ValueError, TypeError, OverflowError):
+        pass
+    message = f"record {record_id!r}, segment {seg_id!r}: expected 3 finite probabilities, got {reprlib.repr(value)}"
+    raise PredictionError(message, record_id)
+
+
+def _table_of(cc: Mapping, etas: Mapping[tuple[str, str], float], segment_ids: Sequence[str]) -> PredictionTable:
+    """The table of predictions held in mappings, NaN where they hold none.
+
+    ``cc`` maps record_id to a segment_id -> 3-vector mapping, each vector read by ``_checked_cc``, or to a
+    (segments, 3) array of finite numbers in ``segment_ids`` order; ``etas`` maps (record_id, ss_id) to seconds.
+    Ids are listed as first seen, ``segment_ids`` first.
+    """
+    seg_col = dict(zip(segment_ids, range(len(segment_ids))))
+    for preds in cc.values():
+        for seg_id in () if isinstance(preds, np.ndarray) else preds:
+            seg_col.setdefault(seg_id, len(seg_col))
+    ss_col = dict(zip(dict.fromkeys(ss_id for _, ss_id in etas), range(len(etas))))
+    row = {rid: k for k, rid in enumerate(dict.fromkeys([*cc, *(rid for rid, _ in etas)]))}
+    table = PredictionTable(list(row), list(seg_col), list(ss_col), np.full((len(row), len(seg_col), 3), np.nan),
+                            np.full((len(row), len(ss_col)), np.nan))
+    for record_id, preds in cc.items():
+        if isinstance(preds, np.ndarray):  # the columns of segment_ids
+            seg_ids, cols, vectors = segment_ids, slice(len(segment_ids)), preds.reshape(len(segment_ids), 3)
+        else:  # one test of a row of lists of three floats, as JSON gives
+            seg_ids, vectors = list(preds), list(preds.values())
+            cols = [seg_col[seg_id] for seg_id in seg_ids]
+            if all(type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float for v in vectors):
+                vectors = np.array(vectors).reshape(len(seg_ids), 3)
+        if not (isinstance(vectors, np.ndarray) and np.isfinite(vectors).all()):  # any other row is read by vector
+            vectors = [_checked_cc(value, record_id, seg_id) for seg_id, value in zip(seg_ids, vectors)]
+        table.cc[row[record_id], cols] = vectors
+    at = [row[rid] for rid, _ in etas], [ss_col[ss_id] for _, ss_id in etas]
+    table.etas[at] = np.fromiter(etas.values(), np.float64, len(etas))
+    return table
+
+
+def _nan_padded(block: np.ndarray) -> np.ndarray:
+    """``block`` with a row and a column of NaN after its last, which index -1 reads."""
+    padded = np.full((block.shape[0] + 1, block.shape[1] + 1, *block.shape[2:]), np.nan)
+    padded[:-1, :-1] = block
+    return padded
 
 
 def core_metric(
-    predictions: Mapping[str, Mapping[str, np.ndarray] | np.ndarray] | PredictionBlock,
+    predictions: PredictionTable | Mapping[str, Mapping[str, np.ndarray] | np.ndarray],
     labels: LabelTable | Iterable[LabelBundle],
 ) -> CoreScore:
     """Score per-segment class probabilities against congestion labels.
 
-    ``predictions`` maps record_id to a segment_id -> 3-vector mapping over
-    (green, yellow, red), or to a (segments, 3) array in the table's segment
-    order; or it is a ``PredictionBlock``, its segments in any order. Every
-    labeled segment must be covered, by three finite numbers in a mapping; the
-    first record in table order that is not raises ``PredictionError``. The
-    table is scored whole, and summed as a loop would: a cumsum adds each row
-    left to right, an unscored segment adding 0.0, then the records in order.
+    ``predictions`` is a ``PredictionTable``, its records and segments in any order, or the mapping that
+    ``_table_of`` reads with the label table's segment ids. The first record in label table order with no
+    row, or with NaN for a scored segment's labelled class, raises ValueError or ``PredictionError``. The table is scored whole, and
+    summed as a loop would: a cumsum adds each row left to right, an unscored segment adding 0.0, then the records in
+    order.
     """
     if not isinstance(labels, LabelTable):  # bundles, each a row of one table
         bundles = list(labels)
@@ -134,25 +157,28 @@ def core_metric(
         if any(bundle.table is not bundles[0].table for bundle in bundles):
             raise ValueError("core_metric: the label bundles view more than one LabelTable")
         labels = bundles[0].table.select(bundle.record_id for bundle in bundles)
-    if isinstance(predictions, PredictionBlock):  # arrays in table order; mappings if a segment is missing, to name it
-        ids, rows = tuple(predictions.ids), predictions.values
-        if ids != labels.segment_ids:
-            column = dict(zip(ids, range(len(ids))))
-            cols = [column.get(seg_id) for seg_id in labels.segment_ids]
-            rows = [dict(zip(ids, row)) for row in rows.tolist()] if None in cols else rows[:, cols]
-        predictions = dict(zip(predictions.record_ids, rows))
+    if not isinstance(predictions, PredictionTable):
+        predictions = _table_of(predictions, {}, labels.segment_ids)
+    row_of = dict(zip(predictions.record_ids, range(len(predictions.record_ids))))
+    rows = np.fromiter(map(row_of.get, labels.record_ids, repeat(-1)), np.intp, len(labels.record_ids))
+    if tuple(predictions.segment_ids) == labels.segment_ids and (rows >= 0).all():  # as predict writes: one gather
+        probs = predictions.cc[rows]
+    else:  # a record or a segment the table lacks, at -1, reads the NaN pad
+        column = dict(zip(predictions.segment_ids, range(len(predictions.segment_ids))))
+        cols = np.fromiter(map(column.get, labels.segment_ids, repeat(-1)), np.intp, len(labels.segment_ids))
+        probs = _nan_padded(predictions.cc)[rows[:, None], cols]
     scored = labels.cc > 0
-    counts = np.count_nonzero(scored, axis=1).tolist()
-    probs = np.ones((*scored.shape, 3))
-    for row, record_id in enumerate(labels.record_ids):
-        if record_id not in predictions:
-            raise ValueError(f"no predictions for record {record_id!r}")
-        record_preds = predictions[record_id]
-        if counts[row] and isinstance(record_preds, np.ndarray):
-            probs[row] = record_preds.reshape(probs.shape[1:])
-        elif counts[row]:
-            probs[row, scored[row]] = _scored_probs(record_preds, record_id, labels.segment_ids, np.flatnonzero(scored[row]))
     p = np.where(labels.cc <= 1, probs[..., 0], np.where(labels.cc == 2, probs[..., 1], probs[..., 2]))  # true class
+    holes = scored & np.isnan(p)
+    faulty = (rows < 0) | holes.any(axis=1)
+    if faulty.any():
+        row = int(np.argmax(faulty))
+        record_id = labels.record_ids[row]
+        if rows[row] < 0:
+            raise ValueError(f"no predictions for record {record_id!r}")
+        seg_id = labels.segment_ids[int(np.argmax(holes[row]))]
+        raise PredictionError(f"record {record_id!r}: no prediction for segment {seg_id!r}", record_id)
+    counts = np.count_nonzero(scored, axis=1).tolist()
     nll = np.where(scored, -np.log(np.clip(p, PROB_CLIP, 1.0)), 0.0)
     sums = np.cumsum(nll, axis=1)[:, -1].tolist() if nll.size else []  # cumsum adds left to right, unlike sum
     total, n, per_record = 0.0, sum(counts), {}
@@ -194,40 +220,26 @@ def etas_from_speeds(
     return np.cumsum(times, axis=-1)[..., -1]
 
 
-def eta_from_speeds(
-    supersegment: SuperSegment,
-    speeds_kph: Mapping[str, float],
-    lengths_m: Mapping[str, float],
-) -> float:
-    """One super-segment's ETA from per-segment mappings: the one-row case of ``etas_from_speeds``."""
-    path = list(dict.fromkeys(seg_id for seg_id in supersegment.path if seg_id in speeds_kph))
-    lengths, speeds = [float(lengths_m[seg_id]) for seg_id in path], [[float(speeds_kph[seg_id]) for seg_id in path]]
-    return float(etas_from_speeds([supersegment], path, lengths, speeds)[0, 0])
-
-
 def eta_metric(
-    predicted: Mapping[tuple[str, str], float] | PredictionBlock,
+    predicted: PredictionTable | Mapping[tuple[str, str], float],
     labeled: Mapping[tuple[str, str], float],
 ) -> EtaScore:
     """Mean absolute error in seconds over the labeled (record, ss) pairs.
 
-    ``predicted`` maps (record, ss) to seconds, or is a ``PredictionBlock``; the first labeled pair without one, in
-    ``labeled`` order, raises ``PredictionError``. The errors are summed in that order, as a loop would: a cumsum
+    ``predicted`` is a ``PredictionTable``, or maps (record, ss) to seconds; the first labeled pair without a number,
+    in ``labeled`` order, raises ``PredictionError``. The errors are summed in that order, as a loop would: a cumsum
     adds the total left to right, ``np.bincount`` each record's.
     """
+    if not isinstance(predicted, PredictionTable):
+        predicted = _table_of({}, predicted, ())
     keys = list(labeled)
     rids, ss_ids = zip(*keys) if keys else ((), ())
-    if isinstance(predicted, PredictionBlock):  # each pair's row and column, -1 where the block has none
-        at = tuple(np.fromiter(map(dict(zip(ids, range(len(ids)))).get, pairs, repeat(-1)), np.intp, len(keys))
-                   for ids, pairs in ((predicted.record_ids, rids), (predicted.ids, ss_ids)))
-        found = (at[0] >= 0) & (at[1] >= 0)
-    else:
-        found = np.fromiter(map(predicted.__contains__, keys), bool, len(keys))
-    if not found.all():
-        key = keys[int(np.argmin(found))]
+    at = tuple(np.fromiter(map(dict(zip(ids, range(len(ids)))).get, pairs, repeat(-1)), np.intp, len(keys))
+               for ids, pairs in ((predicted.record_ids, rids), (predicted.supersegment_ids, ss_ids)))
+    values = _nan_padded(predicted.etas)[at]  # -1, a record or a super-segment the table lacks, reads the pad
+    if np.isnan(values).any():
+        key = keys[int(np.argmax(np.isnan(values)))]
         raise PredictionError(f"no predicted eta for (record, supersegment) {key!r}", key[0])
-    values = predicted.values[at] if isinstance(predicted, PredictionBlock) else np.fromiter(
-        map(predicted.__getitem__, keys), np.float64, len(keys))
     errors = np.abs(values - np.fromiter(labeled.values(), np.float64, len(keys)))
     record_of = {rid: k for k, rid in enumerate(dict.fromkeys(rids))}
     codes = np.fromiter(map(record_of.__getitem__, rids), np.intp, len(keys))

@@ -26,7 +26,7 @@ from t4c.data import (
     split_train_validation,
     write_dataset,
 )
-from t4c.evaluation import core_metric, eta_from_speeds, run_ablation
+from t4c.evaluation import core_metric, etas_from_speeds, run_ablation
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
 from t4c.model import ModelConfig, compute_loss, forward, init_params
 from t4c.seggraph import build_line_graph
@@ -165,11 +165,7 @@ def test_criterion_4_metric_anchors():
     score = core_metric({"r": {"a": uniform, "b": uniform}}, labels)
     assert abs(score.score - np.log(3.0)) <= 1e-9
 
-    eta = eta_from_speeds(
-        SuperSegment("ss", ("a", "b"), {}),
-        {"a": 36.0, "b": 72.0},
-        {"a": 100.0, "b": 200.0},
-    )
+    eta = etas_from_speeds([SuperSegment("ss", ("a", "b"), {})], ["a", "b"], [100.0, 200.0], np.array([[36.0, 72.0]]))[0, 0]
     assert eta == 20.0
 
     rng = np.random.default_rng(42)
@@ -179,9 +175,10 @@ def test_criterion_4_metric_anchors():
         speeds = {s: float(rng.uniform(0.0, 100.0)) for s in seg_ids}
         lengths = {s: float(rng.uniform(10.0, 800.0)) for s in seg_ids}
         cut = int(rng.integers(1, n))
-        whole = eta_from_speeds(SuperSegment("w", tuple(seg_ids), {}), speeds, lengths)
-        left = eta_from_speeds(SuperSegment("l", tuple(seg_ids[:cut]), {}), speeds, lengths)
-        right = eta_from_speeds(SuperSegment("r", tuple(seg_ids[cut:]), {}), speeds, lengths)
+        paths = [SuperSegment("w", tuple(seg_ids), {}), SuperSegment("l", tuple(seg_ids[:cut]), {}),
+                 SuperSegment("r", tuple(seg_ids[cut:]), {})]
+        whole, left, right = etas_from_speeds(paths, seg_ids, [lengths[s] for s in seg_ids],
+                                              np.array([[speeds[s] for s in seg_ids]]))[0].tolist()
         assert abs(whole - (left + right)) <= 1e-9 * max(whole, 1.0)
     print(f"ACCEPTANCE 4 PASS: uniform predictor ln3, 20 s path anchor, 100 additive splits")
 

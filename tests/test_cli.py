@@ -432,6 +432,24 @@ def test_eval_refuses_a_record_on_two_lines_naming_both(pipeline, capsys, stage)
     assert f"{pred}:2: " in err and f"{pred}:1" in err and "t4c predict" in err
 
 
+def test_a_carriage_return_inside_a_line_is_json_whitespace(pipeline, capsys):
+    """Lines split at LF only: a bare CR in a line is whitespace to JSON, and a later line keeps its number."""
+    assert main(["--workdir", str(pipeline), "baseline", "naive", "--data", "data/toy", "--out", "cr_bl"]) == 0
+    lines = (pipeline / "cr_bl/predictions_naive.jsonl").read_bytes().split(b"\n")
+    pred = pipeline / "cr.jsonl"
+    scores = []
+    for tail in ([], [b"{not json"]):
+        pred.write_bytes(b"\n".join([lines[0].replace(b",", b",\r", 1), *lines[1:-1], *tail]) + b"\n")
+        capsys.readouterr()
+        scores.append((main(["--workdir", str(pipeline), "eval-eta", "--data", "data/toy", "--pred", "cr.jsonl"]),
+                       capsys.readouterr()))
+    assert main(["--workdir", str(pipeline), "eval-eta", "--data", "data/toy",
+                 "--pred", "cr_bl/predictions_naive.jsonl"]) == 0
+    assert scores[0] == (0, capsys.readouterr())
+    code, (_, err) = scores[1]
+    assert code == 1 and f"{pred}:{len(lines)}: invalid JSON" in err
+
+
 def test_eval_eta_on_a_row_without_an_eta_names_its_line(pipeline, capsys):
     assert main(["--workdir", str(pipeline), "baseline", "naive", "--data", "data/toy", "--out", "no_eta_bl"]) == 0
     rows = [json.loads(line) for line in (pipeline / "no_eta_bl/predictions_naive.jsonl").read_text().splitlines()]
@@ -1041,9 +1059,9 @@ def test_predict_of_no_records_writes_an_empty_jsonl_and_its_copy(pipeline):
                  "--out", pred.name]) == 0
     assert pred.read_bytes() == b""
     copy = cli._sidecar_rows(pred, b"")
-    assert copy is not None and copy.lines == {}
-    assert copy.cc.values.shape == (0, len(dataset.graph.segments), 3)
-    assert copy.etas.values.shape == (0, len(dataset.supersegments))
+    assert copy is not None and copy.record_ids == []
+    assert copy.cc.shape == (0, len(dataset.graph.segments), 3)
+    assert copy.etas.shape == (0, len(dataset.supersegments))
     assert _evals(pipeline, pred) == _evals_of_the_jsonl(pipeline, pred)
 
 def _table_of(pred):
@@ -1058,13 +1076,14 @@ def _table_of(pred):
         return None if values[0][0] is None else np.array(values)
 
     etas = np.array([[row["etas"][ss] for ss in ss_ids] for row in rows])
-    return cli._PredictionTable([row["record_id"] for row in rows], seg_ids, ss_ids, block("cc"), etas,
-                                block("speed"), block("vol"))
+    return cli.PredictionTable([row["record_id"] for row in rows], seg_ids, ss_ids, block("cc"), etas,
+                               block("speed"), block("vol"))
 
 
-@pytest.mark.parametrize("fault", ["nan_cc", "nan_eta", "repeated_record"])
+@pytest.mark.parametrize("fault", ["nan_cc", "nan_eta", "repeated_record", "nan_cc_unscored", "string_cc_unscored"])
 def test_a_faulty_row_is_refused_alike_from_the_binary_copy(pipeline, sidecar_predictions, fault):
-    """Tables the writer takes but an eval stage refuses on line 2: the copy defers to the JSONL's message."""
+    """Tables the writer takes but an eval stage refuses on line 2: the copy defers to the JSONL's message. A bad cc
+    is refused on a segment whose label the record's score skips too, by both stages."""
     import t4c.cli as cli
 
     table = _table_of(sidecar_predictions["naive"])
@@ -1072,16 +1091,55 @@ def test_a_faulty_row_is_refused_alike_from_the_binary_copy(pipeline, sidecar_pr
         table.cc[1] = [math.nan, 0.5, 0.5]
     elif fault == "nan_eta":
         table.etas[1] = math.nan
-    else:
+    elif fault == "repeated_record":
         take = [0, *range(len(table.record_ids))]  # record 0 again on line 2
         table = table._replace(record_ids=[table.record_ids[k] for k in take], cc=table.cc[take], etas=table.etas[take])
+    else:  # the first segment that record 1's labels do not score
+        labels = load_dataset(pipeline / "data/toy").labels.select(table.record_ids[1:2])
+        scored = {seg for seg, cc in zip(labels.segment_ids, labels.cc[0].tolist()) if cc > 0} if len(labels) else set()
+        table.cc[1, next(j for j, seg in enumerate(table.segment_ids) if seg not in scored)] = math.nan
     pred = pipeline / f"sidecar_{fault}.jsonl"
     cli._write_predictions(pred, table)
     assert _sidecar(pred).is_file()
+    if fault == "string_cc_unscored":  # the copy is then stale
+        lines = pred.read_text().split("\n")
+        lines[1] = lines[1].replace("[NaN,NaN,NaN]", '"abc"')
+        pred.write_text("\n".join(lines))
     results = _evals(pipeline, pred)
     assert results == _evals_of_the_jsonl(pipeline, pred)
-    code, _, err, *_ = results["eval-core" if fault == "nan_cc" else "eval-eta"]
-    assert code == 1 and f"{pred}:2: " in err and "t4c predict" in err
+    stages = {"nan_cc": ["eval-core"], "nan_eta": ["eval-eta"], "repeated_record": ["eval-eta"]}.get(fault, list(results))
+    for stage in stages:
+        code, _, err, *_ = results[stage]
+        assert code == 1 and f"{pred}:2: " in err and "t4c predict" in err
+
+
+def test_a_jsonl_of_rows_over_other_segments_scores_as_its_mappings(pipeline, sidecar_predictions):
+    """Rows that list other segments and super-segments, in other orders, parse to one table, NaN where a row lists
+    none, which both stages score exactly as the same predictions in mapping form."""
+    from t4c.evaluation import core_metric, eta_labels, eta_metric
+
+    dataset = load_dataset(pipeline / "data/toy")
+    rows = [json.loads(line) for line in sidecar_predictions["full_1"].read_text().splitlines()]
+    labels = dataset.labels.select(row["record_id"] for row in rows)
+    rng = np.random.default_rng(0)
+    for row in rows:
+        rid = row["record_id"]
+        scored = {seg for seg, cc in zip(labels.segment_ids, labels.cc[labels.rows[rid]].tolist()) if cc > 0} \
+            if rid in labels.rows else set()
+        labelled = {ss.ss_id for ss in dataset.supersegments if rid in ss.etas}
+        for key, needed in (("segments", scored), ("etas", labelled)):
+            keep = [k for k in row[key] if k in needed or rng.random() < 0.5]
+            row[key] = {k: row[key][k] for k in rng.permutation(keep).tolist()}
+    pred = pipeline / "subsets.jsonl"
+    pred.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    results = _evals(pipeline, pred)
+    cc = {row["record_id"]: {seg: entry["cc"] for seg, entry in row["segments"].items()} for row in rows}
+    etas = {(row["record_id"], ss): eta for row in rows for ss, eta in row["etas"].items()}
+    for stage, score in (("eval-core", core_metric(cc, labels)),
+                         ("eval-eta", eta_metric(etas, eta_labels(dataset.supersegments, set(cc))))):
+        per_record = {rid: score.per_record[rid] for rid in sorted(score.per_record)}
+        assert results[stage][0] == 0 and json.loads(results[stage][3]) == {
+            "metric": score.score, "per_record": per_record, "n_scored": score.n_scored}
 
 
 def test_a_jsonl_edited_after_predict_is_scored_from_the_jsonl(pipeline, sidecar_predictions):
@@ -1193,8 +1251,8 @@ def _draw_table(data, finite: bool):
     speed = vol = None
     if data.draw(st.booleans(), "model"):  # a model's table; a baseline's has no speed or vol
         speed, vol = block(records, segments), block(records, segments, 3)
-    return cli._PredictionTable(record_ids, seg_ids, ss_ids, block(records, segments, 3),
-                                block(records, len(ss_ids)), speed, vol)
+    return cli.PredictionTable(record_ids, seg_ids, ss_ids, block(records, segments, 3),
+                               block(records, len(ss_ids)), speed, vol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1220,7 +1278,8 @@ def test_the_table_writer_writes_the_bytes_of_json_dumps_over_the_rows(data, tmp
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_written_table_reads_back_alike_from_its_binary_copy_and_from_the_jsonl(data, tmp_path_factory):
-    """The copy's blocks hold, bit for bit, the values the JSONL's lines parse to, in the table's id order."""
+    """Both routes give a ``PredictionTable`` of the records in file order, and cc and ETA blocks that hold, bit for
+    bit, the written values: the copy's columns in the table's id order, the parse's in the JSONL's (sorted) order."""
     import t4c.cli as cli
 
     table = _draw_table(data, finite=True)
@@ -1229,14 +1288,19 @@ def test_a_written_table_reads_back_alike_from_its_binary_copy_and_from_the_json
     copy = cli._read_predictions(pred)
     _sidecar(pred).unlink()
     parsed = cli._read_predictions(pred)
-    assert isinstance(copy.cc, cli.PredictionBlock) and isinstance(parsed.cc, dict)
-    assert copy.lines == parsed.lines == {record_id: k + 1 for k, record_id in enumerate(table.record_ids)}
-    assert (tuple(copy.cc.record_ids), tuple(copy.cc.ids)) == (tuple(table.record_ids), tuple(table.segment_ids))
-    assert (tuple(copy.etas.record_ids), tuple(copy.etas.ids)) == (tuple(table.record_ids), tuple(table.supersegment_ids))
-    cc = np.array([[parsed.cc[rid][seg] for seg in table.segment_ids] for rid in table.record_ids], np.float64)
-    etas = np.array([[parsed.etas[rid, ss] for ss in table.supersegment_ids] for rid in table.record_ids], np.float64)
-    for ours, theirs, written in ((copy.cc.values, cc, table.cc), (copy.etas.values, etas, table.etas)):
-        assert ours.tobytes() == theirs.tobytes() == written.tobytes()  # bit for bit, -0.0 and subnormals too
+    assert isinstance(copy, cli.PredictionTable) and isinstance(parsed, cli.PredictionTable)
+    assert list(copy.record_ids) == list(parsed.record_ids) == list(table.record_ids)
+    assert (list(copy.segment_ids), list(copy.supersegment_ids)) == (list(table.segment_ids), list(table.supersegment_ids))
+    seg_order = sorted(range(len(table.segment_ids)), key=table.segment_ids.__getitem__)
+    ss_order = sorted(range(len(table.supersegment_ids)), key=table.supersegment_ids.__getitem__)
+    if table.record_ids:  # a file of no lines names no segment
+        assert list(parsed.segment_ids) == [table.segment_ids[j] for j in seg_order]
+        assert list(parsed.supersegment_ids) == [table.supersegment_ids[i] for i in ss_order]
+    for block in ("cc", "etas"):  # bit for bit, -0.0 and subnormals too
+        written, order = getattr(table, block), seg_order if block == "cc" else ss_order
+        assert getattr(copy, block).tobytes() == written.tobytes()
+        assert getattr(parsed, block).tobytes() == written[:, order].reshape(getattr(parsed, block).shape).tobytes()
+    assert copy.speed is copy.vol is parsed.speed is parsed.vol is None  # the copy holds no speed or vol
 
 
 # -- a dataset value the pipeline cannot hold: exit 1 naming the file, its line where it has one, and the field --

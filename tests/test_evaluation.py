@@ -15,10 +15,9 @@ from t4c.evaluation import (
     AblationResult,
     CoreScore,
     EtaScore,
-    PredictionBlock,
     PredictionError,
+    PredictionTable,
     core_metric,
-    eta_from_speeds,
     eta_labels,
     eta_metric,
     etas_from_speeds,
@@ -137,8 +136,15 @@ def path_ss(*seg_ids):
     return SuperSegment("ss", tuple(seg_ids), {})
 
 
+def one_eta(supersegment, speeds_kph: dict, lengths_m: dict) -> float:
+    """One path's ETA by ``etas_from_speeds`` over one record, whose segments are those with a speed."""
+    seg_ids = list(speeds_kph)
+    speeds = np.array([list(speeds_kph.values())], np.float64).reshape(1, len(seg_ids))
+    return float(etas_from_speeds([supersegment], seg_ids, [lengths_m[s] for s in seg_ids], speeds)[0, 0])
+
+
 def test_eta_two_segments_exact():
-    eta = eta_from_speeds(
+    eta = one_eta(
         path_ss("a", "b"),
         speeds_kph={"a": 36.0, "b": 72.0},
         lengths_m={"a": 100.0, "b": 200.0},
@@ -147,22 +153,22 @@ def test_eta_two_segments_exact():
 
 
 def test_eta_zero_speed_floored():
-    eta = eta_from_speeds(path_ss("a"), {"a": 0.0}, {"a": 100.0})
+    eta = one_eta(path_ss("a"), {"a": 0.0}, {"a": 100.0})
     assert eta == pytest.approx(100.0 / (5.0 / 3.6))
 
 
 def test_eta_single_kilometer():
-    assert eta_from_speeds(path_ss("a"), {"a": 36.0}, {"a": 1000.0}) == pytest.approx(100.0)
+    assert one_eta(path_ss("a"), {"a": 36.0}, {"a": 1000.0}) == pytest.approx(100.0)
 
 
 def test_eta_empty_path_rejected():
     with pytest.raises(ValueError):
-        eta_from_speeds(SuperSegment("ss", (), {}), {}, {})
+        one_eta(SuperSegment("ss", (), {}), {}, {})
 
 
 def test_eta_missing_speed_rejected():
     with pytest.raises(ValueError):
-        eta_from_speeds(path_ss("a"), {}, {"a": 100.0})
+        one_eta(path_ss("a"), {}, {"a": 100.0})
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,9 +180,9 @@ def test_eta_additivity_over_path_splits(seed):
     speeds = {s: float(rng.uniform(0.0, 90.0)) for s in seg_ids}
     lengths = {s: float(rng.uniform(10.0, 500.0)) for s in seg_ids}
     cut = int(rng.integers(1, n))
-    whole = eta_from_speeds(path_ss(*seg_ids), speeds, lengths)
-    left = eta_from_speeds(path_ss(*seg_ids[:cut]), speeds, lengths)
-    right = eta_from_speeds(path_ss(*seg_ids[cut:]), speeds, lengths)
+    whole = one_eta(path_ss(*seg_ids), speeds, lengths)
+    left = one_eta(path_ss(*seg_ids[:cut]), speeds, lengths)
+    right = one_eta(path_ss(*seg_ids[cut:]), speeds, lengths)
     assert whole == pytest.approx(left + right, rel=1e-12)
 
 
@@ -215,8 +221,7 @@ def test_one_pass_etas_equal_the_loop_bit_for_bit(data):
         by_id = dict(zip(seg_ids, speeds[k].tolist()))
         for i, ss in enumerate(supersegments):
             expected = loop_eta(ss.path, by_id, dict(zip(seg_ids, lengths)))
-            one_row = eta_from_speeds(ss, by_id, dict(zip(seg_ids, lengths)))
-            assert float_bits(etas[k, i]) == float_bits(expected) == float_bits(one_row)
+            assert float_bits(etas[k, i]) == float_bits(expected)
 
 
 def test_one_pass_eta_of_negative_zero_times_is_the_loop_s_0_0():
@@ -338,7 +343,8 @@ def test_core_metric_equals_a_per_record_loop_in_every_input_form(data):
     expected = CoreScore(expected_score, expected_per_record, expected_n)
 
     order = data.draw(st.permutations(range(n_segments)), "block segment order")
-    block = PredictionBlock(tuple(record_ids), tuple(segment_ids[j] for j in order), values[:, order])
+    block = PredictionTable(record_ids, [segment_ids[j] for j in order], [], values[:, order],
+                            np.empty((len(record_ids), 0)))
     mapping = {rid: dict(zip(segment_ids, rows.tolist())) for rid, rows in probs.items()}
     for form in (probs, block, mapping):
         assert bits(core_metric(form, table)) == bits(expected)
@@ -364,14 +370,14 @@ def test_eta_metric_equals_a_per_record_loop_for_a_mapping_and_a_block(data):
         counts[rid] = counts.get(rid, 0) + 1
     n = len(labeled)
     expected = EtaScore(total / n if n else None, {rid: sums[rid] / counts[rid] for rid in sums}, n)
-    block = PredictionBlock(tuple(record_ids), tuple(ss_ids), values)
+    block = PredictionTable(record_ids, [], ss_ids, np.empty((len(record_ids), 0, 3)), values)
     for form in (predicted, block):
         assert bits(eta_metric(form, labeled)) == bits(expected)
 
 
 def test_a_block_missing_a_segment_names_the_fault_the_mapping_names():
     table = label_table({"r0": {"a": 0, "b": 2}, "r1": {"a": 1, "b": 3}})
-    block = PredictionBlock(("r0", "r1"), ("b",), np.full((2, 1, 3), 1.0 / 3.0))
+    block = PredictionTable(("r0", "r1"), ("b",), (), np.full((2, 1, 3), 1.0 / 3.0), np.empty((2, 0)))
     mapping = {rid: {"b": [1.0 / 3.0] * 3} for rid in ("r0", "r1")}
     for form in (block, mapping):
         with pytest.raises(PredictionError, match="record 'r1': no prediction for segment 'a'") as caught:
@@ -381,9 +387,25 @@ def test_a_block_missing_a_segment_names_the_fault_the_mapping_names():
 
 def test_the_first_labeled_pair_without_a_predicted_eta_is_named_for_a_mapping_and_a_block():
     labeled = {("r1", "ss0"): 5.0, ("r0", "ss1"): 6.0, ("r0", "ss0"): 7.0}
-    block = PredictionBlock(("r0", "r1"), ("ss0",), np.ones((2, 1)))
+    block = PredictionTable(("r0", "r1"), (), ("ss0",), np.empty((2, 0, 3)), np.ones((2, 1)))
     mapping = {("r0", "ss0"): 1.0, ("r1", "ss0"): 1.0}
     for form in (block, mapping):
         with pytest.raises(PredictionError, match=r"\('r0', 'ss1'\)") as caught:
             eta_metric(form, labeled)
         assert caught.value.record_id == "r0"
+
+
+def test_every_vector_of_a_mapping_is_read_and_a_nan_in_a_table_is_no_prediction():
+    """The mapping form is read whole, so a bad vector on a segment the labels skip is refused too; in a table and in
+    the (segments, 3) array form NaN is no prediction, named only where a scored segment needs one."""
+    table = label_table({"r0": {"a": 0, "b": 2}})
+    with pytest.raises(PredictionError, match="record 'r0', segment 'a': expected 3 finite probabilities"):
+        core_metric({"r0": {"a": "abc", "b": UNIFORM}}, table)
+    with pytest.raises(PredictionError, match="record 'r0', segment 'b': expected 3 finite probabilities"):
+        core_metric({"r0": np.array([UNIFORM, [math.nan, 0.5, 0.5]])}, table)
+    holes = PredictionTable(["r0"], ["a", "b"], ["ss0"], np.array([[[math.nan] * 3, UNIFORM]]), np.array([[math.nan]]))
+    assert core_metric(holes, table).n_scored == 1
+    with pytest.raises(PredictionError, match="record 'r0': no prediction for segment 'b'"):
+        core_metric(holes._replace(segment_ids=["b", "a"]), table)
+    with pytest.raises(PredictionError, match=r"no predicted eta for \(record, supersegment\) \('r0', 'ss0'\)"):
+        eta_metric(holes, {("r0", "ss0"): 1.0})
