@@ -355,12 +355,16 @@ def linear(x, w, b, relu: bool = False, skip=None) -> Tensor | np.ndarray:
     x is (N, F), w (F, H), b (H,), skip (N, H). Value and gradients are those of matmul, add and relu,
     then ``add(skip, ...)`` passing ``skip`` the incoming gradient; a skip after a ReLU is refused. The
     ReLU runs in place on the output, maps a ``-0.0`` pre-activation to ``+0.0`` and lets a NaN through.
+    Plain arrays may be a stack of M members, member k at index k: x (M, N, F), w (M, F, H), b (M, 1, H),
+    skip (M, N, H). Each member's rows get the bits of its own call, as matmul runs one product per member.
     """
     xd, wd, bd, sd = _value(x), _value(w), _value(b), _value(skip)
     if relu and skip is not None:
         raise ValueError("linear: skip= with relu=True is not supported")
-    if (xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]
-            or skip is not None and np.shape(sd) != (len(xd), len(bd))):
+    m = xd.shape[:1] if xd.ndim == 3 and Tensor not in map(type, (x, w, b, skip)) else ()  # a member stack
+    width = wd.shape[-1:]
+    if (xd.ndim != 2 + len(m) or wd.shape[:-1] != (*m, xd.shape[-1]) or bd.shape != ((*m, 1, *width) if m else width)
+            or skip is not None and np.shape(sd) != (*xd.shape[:-1], *width)):
         skip_shape = "" if skip is None else f", skip {np.shape(sd)}"
         raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, b {bd.shape}{skip_shape}")
     return _apply(_LINEAR, (x, w, b, relu, skip), (xd, wd, bd, relu, sd))
@@ -371,11 +375,14 @@ def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
 
     ``operator`` is a constant (N, N) array, such as a graph's mean-aggregation
     matrix. ``h`` gets its self and neighbour gradients summed, in that order.
-    The ReLU is that of :func:`linear`, NaN propagation included.
+    The ReLU is that of :func:`linear`, NaN propagation included, and so is the member stack of plain
+    arrays: h (M, N, H), w_self and w_nbr (M, H, H'), b (M, 1, H'), one ``operator`` for every member.
     """
     hd, sd, nd, bd = _value(h), _value(w_self), _value(w_nbr), _value(b)
-    if (hd.ndim != 2 or operator.shape != (len(hd),) * 2 or sd.shape[:1] != hd.shape[1:]
-            or nd.shape != sd.shape or bd.shape != sd.shape[1:]):
+    m = hd.shape[:1] if hd.ndim == 3 and Tensor not in map(type, (h, w_self, w_nbr, b)) else ()  # a member stack
+    width = sd.shape[-1:]
+    if (hd.ndim != 2 + len(m) or operator.shape != (hd.shape[-2],) * 2 or sd.shape[:-1] != (*m, hd.shape[-1])
+            or nd.shape != sd.shape or bd.shape != ((*m, 1, *width) if m else width)):
         raise ShapeError(f"gnn_round: incompatible shapes h {hd.shape}, operator {operator.shape}, "
                          f"w_self {sd.shape}, w_nbr {nd.shape}, b {bd.shape}")
     return _apply(_GNN_ROUND, (h, operator, w_self, w_nbr, b), (hd, operator, sd, nd, bd))

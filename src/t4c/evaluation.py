@@ -103,8 +103,10 @@ def _checked_cc(value, record_id: str, seg_id: str):
 def _table_of(cc: Mapping, etas: Mapping[tuple[str, str], float], segment_ids: Sequence[str]) -> PredictionTable:
     """The table of predictions held in mappings, NaN where they hold none.
 
-    ``cc`` maps record_id to a segment_id -> 3-vector mapping, each vector read by ``_checked_cc``, or to a
-    (segments, 3) array of finite numbers in ``segment_ids`` order; ``etas`` maps (record_id, ss_id) to seconds.
+    ``cc`` maps record_id to a segment_id -> 3-vector mapping, or to a (segments, 3) array of finite numbers in
+    ``segment_ids`` order; ``etas`` maps (record_id, ss_id) to seconds. A mapping's vectors are read in one array pass
+    when they are all lists of three floats or all float arrays of three, and finite; any other row goes vector by
+    vector through ``_checked_cc``, which names the record and segment of the first it refuses.
     Ids are listed as first seen, ``segment_ids`` first.
     """
     seg_col = dict(zip(segment_ids, range(len(segment_ids))))
@@ -118,10 +120,11 @@ def _table_of(cc: Mapping, etas: Mapping[tuple[str, str], float], segment_ids: S
     for record_id, preds in cc.items():
         if isinstance(preds, np.ndarray):  # the columns of segment_ids
             seg_ids, cols, vectors = segment_ids, slice(len(segment_ids)), preds.reshape(len(segment_ids), 3)
-        else:  # one test of a row of lists of three floats, as JSON gives
+        else:  # one test of a row of lists of three floats, as JSON gives, or of float arrays of three
             seg_ids, vectors = list(preds), list(preds.values())
             cols = [seg_col[seg_id] for seg_id in seg_ids]
-            if all(type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float for v in vectors):
+            if (all(type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float for v in vectors)
+                    or all(type(v) is np.ndarray and v.shape == (3,) and v.dtype.char in "efd" for v in vectors)):
                 vectors = np.array(vectors).reshape(len(seg_ids), 3)
         if not (isinstance(vectors, np.ndarray) and np.isfinite(vectors).all()):  # any other row is read by vector
             vectors = [_checked_cc(value, record_id, seg_id) for seg_id, value in zip(seg_ids, vectors)]

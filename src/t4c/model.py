@@ -270,10 +270,10 @@ def static_branch(params: Params, config: ModelConfig, inputs: Sequence):
 def _trunk(params: Params, config: ModelConfig, seg_graph: SegmentGraph, counter_slice, static_feat):
     """The volume MLP on the (N, 8) counter slice, the combine layer with ``static_feat``, and the message passing."""
     n = seg_graph.num_segments
-    if counter_slice.shape[0] != n:
-        raise ad.ShapeError(f"features for {counter_slice.shape[0]} segments vs graph with {n}")
+    if counter_slice.shape[-2] != n:
+        raise ad.ShapeError(f"features for {counter_slice.shape[-2]} segments vs graph with {n}")
     volume_feat = _mlp(params, "vol", len(config.volume_hidden), counter_slice)
-    h = ad.linear(ad.concat([volume_feat, static_feat], axis=1), params["combine_w"], params["combine_b"])
+    h = ad.linear(ad.concat([volume_feat, static_feat], axis=-1), params["combine_w"], params["combine_b"])
     for layer in range(config.gnn_layers):
         weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
         h = ad.gnn_round(h, seg_graph.mean_operator, *weights)
@@ -302,14 +302,12 @@ def head_products(
     seg_graph: SegmentGraph,
     counter_slice: np.ndarray,
     static_feat: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """``record_branch`` on arrays up to the output layers' biases: writes each head's
-    ``x @ out_w`` into ``out``, three (N, width) arrays in ``HEADS`` order (such as one
-    member's rows of stacked buffers). Adding ``out_b`` gives ``record_branch``'s bits."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``record_branch`` on arrays, before the speed reshape: each head's (N, width) output in ``HEADS``
+    order. On a member stack (every weight (M, F, H), every bias (M, 1, H), the inputs (M, N, width))
+    one call runs every member, into (M, N, width) outputs with the bits of the members' own calls."""
     h = _trunk(params, config, seg_graph, counter_slice, static_feat)
-    for task, buffer in zip(HEADS, out):
-        np.matmul(_head_body(params, config, task, h), params[f"head_{task}_out_w"], out=buffer)
+    return tuple(_head(params, config, task, h) for task in HEADS)
 
 
 def congestion_probs(

@@ -12,14 +12,15 @@ differ only by their seed, so a run builds its split, features, targets and
 class weights once (``prepare_training``) and trains every member from them:
 one static feature bundle per cluster, one counter slice per record.
 Ensemble prediction (``prepare_ensemble`` once per stage, then
-``ensemble_predict`` per record) builds each member's static branch for
-every cluster up front, with the members' norm stats and output-layer
-biases stacked. Per record it normalizes the counter slice for every
-member in one op, runs each member's trunk and head bodies into one
-(members, segments, width) buffer per head, and runs the rest once over
-the stack: the biases, the softmaxes, the de-normalized speeds and the
-member mean, summed in member order. Every value has the bits of the
-members' separate ``predict_record`` outputs averaged in that order.
+``ensemble_predict`` per record) stacks the members once: every parameter
+(weights (members, F, H), biases (members, 1, H)), the norm stats, and
+each cluster's static branches as one (members, segments, width) array.
+Per record it normalizes the counter slice for every member in one op,
+runs the model's own trunk and heads once on the stack, where each
+batched product makes one call per member with that member's shapes,
+then the softmaxes, the de-normalized speeds and the member mean, summed
+in member order. Every value has the bits of the members' separate
+``predict_record`` outputs averaged in that order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .data import (Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter,
                    read_json, split_train_validation)
 from .evaluation import core_metric
 from .model import (
-    HEADS,
     LabelArrays,
     ModelConfig,
     PredictionBundle,
@@ -478,26 +478,27 @@ class Ensemble:
     """Checkpoints of one config, ready to serve records one at a time.
 
     ``prepare_ensemble`` builds it once per stage, and nothing in it is
-    written after that. ``static[row][k]`` is member k's static branch for
-    the records that read prior row ``row``: each cluster index in
-    ``active_row`` prior mode, the one key None in ``full`` mode. The
-    stacks hold each member's norm stats and output-layer biases, member k
-    at index k: ``counter_mean`` and ``counter_std`` (M, 1, 8),
-    ``speed_mean`` and ``speed_std`` (M, 1), and ``out_bias`` one
-    (M, 1, width) array per head in ``HEADS`` order. Every array is
-    read-only.
+    written after that. Each array stacks the members, member k at index
+    k. ``static[row]`` is one (M, N, width) array of the members' static
+    branches for the records that read prior row ``row``: each cluster
+    index in ``active_row`` prior mode, the one key None in ``full`` mode.
+    ``params`` holds every parameter, weights (M, F, H) and biases
+    (M, 1, H); the norm stats are ``counter_mean`` and ``counter_std``
+    (M, 1, 8), ``speed_mean`` and ``speed_std`` (M, 1). An ensemble of one
+    member holds that member's own arrays, with no member axis. Every array
+    is read-only.
     """
 
     checkpoints: tuple[Checkpoint, ...]
     dataset_graph: RoadGraph
     seg_graph: SegmentGraph
     cluster_model: ClusterModel | None
-    static: Mapping[int | None, tuple[np.ndarray, ...]] = field(repr=False)
+    static: Mapping[int | None, np.ndarray] = field(repr=False)
+    params: Mapping[str, np.ndarray] = field(repr=False)
     counter_mean: np.ndarray = field(repr=False)
     counter_std: np.ndarray = field(repr=False)
     speed_mean: np.ndarray = field(repr=False)
     speed_std: np.ndarray = field(repr=False)
-    out_bias: tuple[np.ndarray, ...] = field(repr=False)
 
 
 def prepare_ensemble(
@@ -508,7 +509,7 @@ def prepare_ensemble(
     cluster_model: ClusterModel | None = None,
 ) -> Ensemble:
     """Check that the members share one config, build every member's static branch
-    for every prior row, and stack the members' norm stats and output-layer biases."""
+    for every prior row, and stack the members' static branches, parameters and norm stats."""
     if not checkpoints:
         raise ValueError("prepare_ensemble needs at least one checkpoint")
     first = checkpoints[0]
@@ -520,27 +521,30 @@ def prepare_ensemble(
     prior_mode = first.config.prior_mode
     if prior_mode == "active_row" and cluster_model is None:
         raise ValueError("prior_mode 'active_row' needs a cluster model")
+
+    def stack(member_values) -> np.ndarray:  # a value of under two axes gets a leading 1: biases (M, 1, H)
+        values = [np.asarray(value) for value in member_values]
+        if len(values) == 1:  # one member serves its own shapes, at a single model's cost
+            return _read_only(values[0].view())
+        return _read_only(np.stack([value[None] if value.ndim < 2 else value for value in values]))
+
     static = {
-        row: tuple(
-            _read_only(static_branch(ckpt.params, ckpt.config, static_inputs(ckpt.config, assemble_features(
+        row: stack(
+            static_branch(ckpt.params, ckpt.config, static_inputs(ckpt.config, assemble_features(
                 dataset_graph, seg_graph, priors, ckpt.norm_stats, prior_mode, row
-            ))))
+            )))
             for ckpt in checkpoints
         )
         for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])
     }
-
-    def stack(member_values) -> np.ndarray:  # one (1, ...) row per member
-        return _read_only(np.stack([np.asarray(value, dtype=np.float64)[None] for value in member_values]))
-
     stats = [ckpt.norm_stats for ckpt in checkpoints]
     return Ensemble(
         tuple(checkpoints), dataset_graph, seg_graph, cluster_model, MappingProxyType(static),
+        params=MappingProxyType({name: stack(ckpt.params[name] for ckpt in checkpoints) for name in first.params}),
         counter_mean=stack(s.counter_mean for s in stats),
         counter_std=stack(s.counter_std for s in stats),
         speed_mean=stack(s.speed_mean for s in stats),
         speed_std=stack(s.speed_std for s in stats),
-        out_bias=tuple(stack(ckpt.params[f"head_{task}_out_b"] for ckpt in checkpoints) for task in HEADS),
     )
 
 
@@ -548,22 +552,18 @@ def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProb
     """Mean of member probabilities and speeds, summed in member order.
 
     Per record, only the raw counter slice is built, once, and normalized
-    for every member in one op. Each member runs its trunk and head bodies
-    on the static branch of the record's prior row, into its row of one
-    buffer per head; the rest runs once over the stack, with the bits of
-    the members' ``predict_record`` outputs averaged in member order.
+    for every member in one op. The model's trunk and heads run once on
+    the member stack, with the static branches of the record's prior row,
+    and so does the rest, with the bits of the members' ``predict_record``
+    outputs averaged in member order.
     """
-    ens = ensemble
-    row = _prior_row(ens.checkpoints[0].config.prior_mode, ens.cluster_model, record)
+    ens, config = ensemble, ensemble.checkpoints[0].config
+    row = _prior_row(config.prior_mode, ens.cluster_model, record)
     counter_slices = counter_slice_matrix(ens.dataset_graph, record) - ens.counter_mean
     counter_slices /= ens.counter_std  # the bits of each member's ``normalize_counters``
-    members, segments = len(ens.checkpoints), ens.seg_graph.num_segments
-    logits = tuple(np.empty((members, segments, bias.shape[-1])) for bias in ens.out_bias)
-    for k, (ckpt, static) in enumerate(zip(ens.checkpoints, ens.static[row])):
-        head_products(ckpt.params, ckpt.config, ens.seg_graph, counter_slices[k], static, [out[k] for out in logits])
-    for out, bias in zip(logits, ens.out_bias):
-        out += bias
-    cc, speed, vol = logits
-    probs = predict_probabilities(PredictionBundle(cc, speed.reshape(members, segments), vol), ens)
+    cc, speed, vol = head_products(ens.params, config, ens.seg_graph, counter_slices, ens.static[row])
+    probs = predict_probabilities(PredictionBundle(cc, speed[..., 0], vol), ens)
+    if cc.ndim == 2:  # one member
+        return probs
     # add.reduce over the leading axis adds the members in order, as a running sum does
-    return PredictionProbs(*(np.add.reduce(p, axis=0) / members for p in (probs.cc, probs.speed_kph, probs.vol)))
+    return PredictionProbs(*(np.add.reduce(p, axis=0) / len(cc) for p in (probs.cc, probs.speed_kph, probs.vol)))

@@ -52,6 +52,54 @@ def test_fused_op_shape_errors_name_the_operands():
         ad.weighted_sum([np.float64(1.0), np.float64(2.0)], (1.0,))
 
 
+def test_member_stacks_get_each_members_own_bits():
+    """Plain (M, N, F) stacks run every member in one call, with the bits of the members' own calls."""
+    rng = np.random.default_rng(3)
+    x, skip = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 2))
+    w, b = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 1, 2))
+    w_self, w_nbr, b_gnn = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 1, 4))
+    operator = mean_aggregation_matrix([(1, 2), (0,), (0, 3), (2, 4), (3,)])
+    stacked = (ad.linear(x, w, b, relu=True), ad.linear(x, w, b, skip=skip),
+               ad.gnn_round(x, operator, w_self, w_nbr, b_gnn))
+    for k in range(3):
+        own = (ad.linear(x[k], w[k], b[k, 0], relu=True), ad.linear(x[k], w[k], b[k, 0], skip=skip[k]),
+               ad.gnn_round(x[k], operator, w_self[k], w_nbr[k], b_gnn[k, 0]))
+        assert [out[k].tobytes() for out in stacked] == [out.tobytes() for out in own]
+
+
+def test_member_stack_shape_errors_name_the_operands():
+    x, w, b = np.ones((2, 4, 3)), np.ones((2, 3, 5)), np.zeros((2, 1, 5))
+    with pytest.raises(ShapeError, match=r"linear: incompatible shapes x \(2, 4, 3\), w \(3, 3, 5\), b \(2, 1, 5\)"):
+        ad.linear(x, np.ones((3, 3, 5)), b)  # three members' weights for two members' rows
+    for bias in (np.zeros(5), np.zeros((2, 5)), np.zeros((1, 1, 5)), np.zeros((2, 4, 5))):
+        with pytest.raises(ShapeError, match=rf"b \({', '.join(map(str, bias.shape))},?\)"):
+            ad.linear(x, w, bias)
+    for skip in (np.ones((4, 5)), np.ones((2, 4, 3)), np.ones((1, 4, 5))):
+        with pytest.raises(ShapeError, match=rf"skip \({', '.join(map(str, skip.shape))}\)"):
+            ad.linear(x, w, b, skip=skip)
+    for operands in ((Tensor(x, requires_grad=True), w, b), (x, Tensor(w, requires_grad=True), b),
+                     (x, w, Tensor(b, requires_grad=True))):  # a traced op takes no member axis
+        with pytest.raises(ShapeError, match=r"x \(2, 4, 3\), w \(2, 3, 5\), b \(2, 1, 5\)"):
+            ad.linear(*operands)
+    with pytest.raises(ShapeError, match=r"x \(4, 3\), w \(2, 3, 5\)"):
+        ad.linear(x[0], w, b)
+
+    operator = mean_aggregation_matrix([(1,), (0, 2), (1, 3), (2,)])
+    h, ws, bh = np.ones((2, 4, 3)), np.ones((2, 3, 3)), np.zeros((2, 1, 3))
+    with pytest.raises(ShapeError, match=r"h \(2, 4, 3\), operator \(4, 4\), w_self \(3, 3, 3\), w_nbr \(3, 3, 3\)"):
+        ad.gnn_round(h, operator, np.ones((3, 3, 3)), np.ones((3, 3, 3)), bh)
+    with pytest.raises(ShapeError, match=r"w_nbr \(1, 3, 3\)"):
+        ad.gnn_round(h, operator, ws, np.ones((1, 3, 3)), bh)
+    for bias in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 3))):
+        with pytest.raises(ShapeError, match=rf"b \({', '.join(map(str, bias.shape))},?\)"):
+            ad.gnn_round(h, operator, ws, ws, bias)
+    with pytest.raises(ShapeError, match=r"operator \(2, 4, 4\)"):
+        ad.gnn_round(h, np.stack([operator] * 2), ws, ws, bh)
+    for operands in ((Tensor(h, requires_grad=True), ws, ws, bh), (h, Tensor(ws, requires_grad=True), ws, bh)):
+        with pytest.raises(ShapeError, match=r"h \(2, 4, 3\), operator \(4, 4\), w_self \(2, 3, 3\)"):
+            ad.gnn_round(operands[0], operator, *operands[1:])
+
+
 def test_add_broadcast_shape_error():
     with pytest.raises(ShapeError):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
@@ -463,9 +511,23 @@ def test_weighted_sum_equals_the_mul_add_chain_bit_for_bit():
     assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in grads]
 
 
+class _FirstProductSums(np.ndarray):
+    """A float64 weight whose matrix products sum each entry from its first product, not from 0.0, with no BLAS call.
+
+    BLAS kernels differ in how they sum products that underflow to -0.0: the AVX2 ones add them to an output they
+    zero first, and so give +0.0 for every such product. Summed from the first product they give -0.0 on any machine.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is not np.matmul or method != "__call__" or kwargs:
+            return NotImplemented
+        a, b = (np.asarray(x) for x in inputs)
+        return sum((a[:, k, None] * b[k] for k in range(1, a.shape[1])), a[:, 0, None] * b[0])
+
+
 # times _W, every product underflows to -0.0; with the -0.0 bias every pre-activation is -0.0
 _TINY = np.full((5, 3), -1e-300)
-_W, _B = np.full((3, 4), 1e-300), np.full(4, -0.0)
+_W, _B = np.full((3, 4), 1e-300).view(_FirstProductSums), np.full(4, -0.0)
 _OPERATOR = mean_aggregation_matrix([(1, 2), (0,), (0, 3), (2, 4), (3,)])
 _RELU_OPS = {
     "linear": (lambda x: ad.linear(x, _W, _B, relu=True), lambda x: ad.linear(x, _W, _B)),

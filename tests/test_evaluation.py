@@ -86,6 +86,27 @@ def test_integer_probabilities_count_as_numbers():
     assert core_metric({"r0": {"a": [1, 0, 0]}}, label_table({"r0": {"a": 1}})).score == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_rows_of_float_arrays_score_as_their_lists_and_a_bad_vector_is_named(dtype):
+    """A row of float arrays is read in one pass, as a row of lists is; a row with one bad vector is read vector by
+    vector, so the error names its record and segment."""
+    rng = np.random.default_rng(11)
+    segments = [f"s{j}" for j in range(20)]
+    arrays = {f"r{k}": {seg: rng.dirichlet(np.ones(3)).astype(dtype) for seg in segments} for k in range(4)}
+    lists = {rid: {seg: value.astype(np.float64).tolist() for seg, value in row.items()} for rid, row in arrays.items()}
+    labels = label_table({rid: {seg: int(rng.integers(0, 4)) for seg in segments} for rid in arrays})
+    by_arrays, by_lists = core_metric(arrays, labels), core_metric(lists, labels)
+    assert (by_arrays.score, by_arrays.per_record, by_arrays.n_scored) == (by_lists.score, by_lists.per_record,
+                                                                          by_lists.n_scored)
+    for bad in (np.array([0.5, np.nan, 0.5], dtype), np.array([0.5, 0.5], dtype), np.array([1, 0, 0])):
+        mixed = {**arrays, "r2": {**arrays["r2"], "s7": bad}}
+        if bad.dtype.kind == "i":  # integers are numbers too, read vector by vector
+            assert core_metric(mixed, labels).n_scored == by_lists.n_scored
+            continue
+        with pytest.raises(PredictionError, match="record 'r2', segment 's7': expected 3 finite probabilities"):
+            core_metric(mixed, labels)
+
+
 def test_naive_count_on_own_labels_equals_empirical_entropy():
     """Oracle: predicting a segment's empirical distribution scores the
     entropy of that distribution (no cc=0 labels present)."""

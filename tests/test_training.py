@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t4c import autodiff as ad
-from t4c.checkpoint import load_checkpoint, save_checkpoint
+from t4c.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, labels_by_record, split_train_validation
 from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params
@@ -450,6 +450,41 @@ def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, 
     assert not any(static.flags.writeable for members in ensemble.static.values() for static in members)
 
 
+def _noisy_checkpoint(config, norm_stats, seed):
+    """Member ``seed`` of an untrained ensemble: every parameter, biases included, and its norm stats moved by
+    seeded noise, so no two members share a value."""
+    rng = np.random.default_rng(seed)
+    params = {name: value + rng.normal(scale=0.1, size=value.shape)
+              for name, value in init_params(config, seed).arrays().items()}
+    stats = replace(norm_stats, counter_mean=norm_stats.counter_mean + 0.1 * seed,
+                    speed_std=norm_stats.speed_std * (1 + 0.1 * seed))
+    return Checkpoint(params, stats, config, np.ones(config.cc_classes), np.ones(3), config_hash(config))
+
+
+@pytest.mark.parametrize("prior_mode", ["full", "active_row"])
+@pytest.mark.parametrize("head_blocks, gnn_layers", [(0, 0), (0, 3), (2, 0), (2, 3)])
+def test_stacked_ensemble_is_the_ordered_member_mean_at_every_depth(small_city, prior_mode, head_blocks, gnn_layers):
+    """One member-stacked forward serves 1, 2 and 3 members with the bits of their own forwards, over
+    trunks and heads of every depth the model takes: no round or block, and more than one of each."""
+    dataset, cluster_model, priors = small_city
+    config = replace(SMALL_MODEL, volume_hidden=(16, 8), head_blocks=head_blocks, gnn_layers=gnn_layers,
+                     prior_mode=prior_mode)
+    seg_graph = build_line_graph(dataset.graph)
+    norm_stats = _training_set(small_city).norm_stats
+    checkpoints = [_noisy_checkpoint(config, norm_stats, seed) for seed in range(3)]
+    records = dataset.records[:12]
+    assert len({assign_cluster(cluster_model, r) for r in records}) >= 2
+    singles = {r.record_id: [predict_record(c, dataset.graph, seg_graph, priors, r, cluster_model) for c in checkpoints]
+               for r in records}
+    for members in (1, 2, 3):
+        ensemble = prepare_ensemble(checkpoints[:members], dataset.graph, seg_graph, priors, cluster_model)
+        for record in records:
+            ensembled = ensemble_predict(ensemble, record)
+            for field in ("cc", "speed_kph", "vol"):
+                expected = _ordered_mean(singles[record.record_id][:members], field)
+                assert getattr(ensembled, field).tobytes() == expected.tobytes(), (members, record.record_id, field)
+
+
 def _arrays(obj, seen=None):
     """Every ndarray reachable from ``obj`` through dataclass fields, mappings, sequences and cached properties."""
     seen = set() if seen is None else seen
@@ -477,15 +512,31 @@ def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members
     served = [a for f in fields(ensemble) if f.name != "checkpoints" for a in _arrays(getattr(ensemble, f.name))]
     assert len(served) > len(ensemble.static)
     assert not [a.shape for a in served if a.flags.writeable]
-    stacks = [ensemble.counter_mean, ensemble.counter_std, ensemble.speed_mean, ensemble.speed_std, *ensemble.out_bias]
-    assert [a.shape for a in stacks] == [(3, 1, 8), (3, 1, 8), (3, 1), (3, 1), (3, 1, 3), (3, 1, 1), (3, 1, 3)]
+    params, segments = ensemble.params, ensemble.seg_graph.num_segments
+    stacks = [ensemble.counter_mean, ensemble.counter_std, ensemble.speed_mean, ensemble.speed_std,
+              *(params[f"head_{task}_out_b"] for task in ("cc", "speed", "vol")), params["head_cc_out_w"],
+              ensemble.static[None]]
+    assert [a.shape for a in stacks] == [(3, 1, 8), (3, 1, 8), (3, 1), (3, 1), (3, 1, 3), (3, 1, 1), (3, 1, 3),
+                                         (3, 16, 3), (3, segments, 16)]
     assert all(any(a is b for b in served) for a in stacks)
+    assert list(params) == list(checkpoints[0].params)
     for k, ckpt in enumerate(checkpoints):  # member k's own values, at index k
         assert ensemble.counter_std[k, 0].tobytes() == ckpt.norm_stats.counter_std.tobytes()
         assert ensemble.speed_mean[k, 0] == ckpt.norm_stats.speed_mean
-        assert ensemble.out_bias[0][k, 0].tobytes() == ckpt.params["head_cc_out_b"].tobytes()
+        assert all(params[name][k].tobytes() == value.tobytes() for name, value in ckpt.params.items())
     with pytest.raises(TypeError):
         ensemble.static[None] = ()
+    with pytest.raises(TypeError):
+        ensemble.params["combine_w"] = params["combine_w"]
+
+    # one member: its own arrays, read-only views with no member axis; the checkpoint's stay writable
+    solo = prepare_ensemble(checkpoints[:1], dataset.graph, build_line_graph(dataset.graph), priors, cluster_model)
+    ckpt = checkpoints[0]
+    assert all(np.shares_memory(solo.params[name], value) for name, value in ckpt.params.items())
+    assert (solo.counter_mean.shape, solo.static[None].shape) == ((8,), (segments, 16))
+    served = [a for f in fields(solo) if f.name != "checkpoints" for a in _arrays(getattr(solo, f.name))]
+    assert not [a.shape for a in served if a.flags.writeable]
+    assert all(value.flags.writeable for value in ckpt.params.values())
 
 
 def test_active_row_ensemble_needs_a_cluster_model(small_city, trained):
