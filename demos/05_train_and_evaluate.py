@@ -13,8 +13,8 @@ import numpy as np
 
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
-from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
-from t4c.evaluation import PredictionTable, core_metric, eta_labels, eta_metric, etas_from_speeds
+from t4c.data import PredictionTable, SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
+from t4c.evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
 from t4c.model import ModelConfig
 from t4c.seggraph import build_line_graph
 from t4c.training import TrainConfig, ensemble_predict, prepare_ensemble, train_ensemble

@@ -13,9 +13,8 @@ from pathlib import Path
 
 from t4c.clustering import build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
-from t4c.evaluation import run_ablation
 from t4c.model import ModelConfig
-from t4c.training import TrainConfig
+from t4c.training import TrainConfig, run_ablation
 
 out = Path(tempfile.mkdtemp()) / "city"
 dataset = generate_synthetic_city(

@@ -10,39 +10,17 @@ metrics, and a synthetic-city generator for end-to-end experiments.
 """
 
 from .autodiff import ParamStore, ShapeError, Tensor, adam_step
-from .clustering import (
-    ClusterModel,
-    PriorMatrix,
-    assign_cluster,
-    build_prior_matrices,
-    fit_clusters,
-    load_cluster_model,
-    save_cluster_model,
-    volume_sum,
-)
-from .data import (
-    Dataset,
-    DatasetError,
-    LabelBundle,
-    RoadGraph,
-    SchemaError,
-    SegmentLabel,
-    SegmentRec,
-    SuperSegment,
-    SynthSpec,
-    VolumeRecord,
-    daytime_filter,
-    generate_synthetic_city,
-    load_dataset,
-    split_train_validation,
-    write_dataset,
-)
-from .evaluation import CoreScore, EtaScore, PredictionTable, core_metric, eta_metric, etas_from_speeds, run_ablation
+from .clustering import (ClusterModel, PriorMatrix, assign_cluster, build_prior_matrices, fit_clusters,
+                         load_cluster_model, save_cluster_model, volume_sum)
+from .data import (Dataset, DatasetError, LabelBundle, PredictionTable, RoadGraph, SchemaError, SegmentLabel, SegmentRec,
+                   SuperSegment, SynthSpec, VolumeRecord, daytime_filter, generate_synthetic_city, load_dataset,
+                   read_predictions, split_train_validation, write_dataset, write_predictions)
+from .evaluation import CoreScore, EtaScore, core_metric, eta_metric, etas_from_speeds
 from .baselines import fit_naive, fit_volume_cluster, node_gnn_baseline
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .model import ModelConfig, compute_loss, forward, init_params, predict_probabilities
 from .seggraph import FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph, fit_normalization
 from .training import (Ensemble, RunLog, TrainConfig, TrainingSet, ensemble_predict, prepare_ensemble,
-                       prepare_training, train_ensemble, train_one)
+                       prepare_training, run_ablation, train_ensemble, train_one)
 
 __version__ = "0.1.0"

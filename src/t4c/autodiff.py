@@ -82,6 +82,14 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible; the message names both shapes."""
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _refuse_dtype(op: str, **operands) -> None:  # a TypeError naming op's first operand that is not float64
+    name, dtype = next((name, v.dtype) for name, v in operands.items() if v is not None and v.dtype is not _F64)
+    raise TypeError(f"{op}: operand {name} is {dtype}, expected float64")
+
+
 class _Op(NamedTuple):
     """One op kind: a forward and a backward over plain operand values.
 
@@ -357,6 +365,7 @@ def linear(x, w, b, relu: bool = False, skip=None) -> Tensor | np.ndarray:
     ReLU runs in place on the output, maps a ``-0.0`` pre-activation to ``+0.0`` and lets a NaN through.
     Plain arrays may be a stack of M members, member k at index k: x (M, N, F), w (M, F, H), b (M, 1, H),
     skip (M, N, H). Each member's rows get the bits of its own call, as matmul runs one product per member.
+    Every operand is float64; a TypeError names the first that is not.
     """
     xd, wd, bd, sd = _value(x), _value(w), _value(b), _value(skip)
     if relu and skip is not None:
@@ -367,6 +376,8 @@ def linear(x, w, b, relu: bool = False, skip=None) -> Tensor | np.ndarray:
             or skip is not None and np.shape(sd) != (*xd.shape[:-1], *width)):
         skip_shape = "" if skip is None else f", skip {np.shape(sd)}"
         raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, b {bd.shape}{skip_shape}")
+    if not xd.dtype is wd.dtype is bd.dtype is _F64 or skip is not None and sd.dtype is not _F64:
+        _refuse_dtype("linear", x=xd, w=wd, b=bd, skip=sd)
     return _apply(_LINEAR, (x, w, b, relu, skip), (xd, wd, bd, relu, sd))
 
 
@@ -375,8 +386,8 @@ def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
 
     ``operator`` is a constant (N, N) array, such as a graph's mean-aggregation
     matrix. ``h`` gets its self and neighbour gradients summed, in that order.
-    The ReLU is that of :func:`linear`, NaN propagation included, and so is the member stack of plain
-    arrays: h (M, N, H), w_self and w_nbr (M, H, H'), b (M, 1, H'), one ``operator`` for every member.
+    The ReLU is that of :func:`linear`, NaN propagation included, and so are the float64 check and the member stack
+    of plain arrays: h (M, N, H), w_self and w_nbr (M, H, H'), b (M, 1, H'), one ``operator`` for every member.
     """
     hd, sd, nd, bd = _value(h), _value(w_self), _value(w_nbr), _value(b)
     m = hd.shape[:1] if hd.ndim == 3 and Tensor not in map(type, (h, w_self, w_nbr, b)) else ()  # a member stack
@@ -385,6 +396,8 @@ def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
             or nd.shape != sd.shape or bd.shape != ((*m, 1, *width) if m else width)):
         raise ShapeError(f"gnn_round: incompatible shapes h {hd.shape}, operator {operator.shape}, "
                          f"w_self {sd.shape}, w_nbr {nd.shape}, b {bd.shape}")
+    if not hd.dtype is operator.dtype is sd.dtype is nd.dtype is bd.dtype is _F64:
+        _refuse_dtype("gnn_round", h=hd, operator=operator, w_self=sd, w_nbr=nd, b=bd)
     return _apply(_GNN_ROUND, (h, operator, w_self, w_nbr, b), (hd, operator, sd, nd, bd))
 
 

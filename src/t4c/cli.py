@@ -1,10 +1,10 @@
 """Command-line pipeline: synth, fit-clusters, train, predict, eval, baselines,
 ablation, and report rendering.
 
-Stages communicate through files only (dataset directory, cluster model
-JSON, binary checkpoints, prediction JSONL and its verified binary copy),
-so each one is independently rerunnable; with unchanged inputs every stage
-rewrites byte-identical artifacts. Exit codes: 0 success, 1 validation
+The CLI parses flags and glues the stages together; each file format is read and written by the module that owns it
+(the dataset and the predictions file by ``data``). Stages communicate through files only (dataset directory, cluster
+model JSON, binary checkpoints, prediction JSONL and its verified binary copy), so each one is independently
+rerunnable; with unchanged inputs every stage rewrites byte-identical artifacts. Exit codes: 0 success, 1 validation
 error, 2 runtime failure.
 """
 
@@ -13,23 +13,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, get_args
+from typing import get_args
 
 import numpy as np
 
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import (DatasetError, Dataset, SynthSpec, _TableHeader, _hints, _read_copy, _write_with_copy,
-                   daytime_filter, generate_synthetic_city, load_dataset, parse_json, read_json)
-from .evaluation import (ABLATION_VARIANTS, AblationResult, PredictionError, PredictionTable, _table_of, core_metric,
-                         eta_labels, eta_metric, etas_from_speeds, run_ablation)
+from .data import (DatasetError, Dataset, PredictionError, PredictionTable, SynthSpec, daytime_filter,
+                   generate_synthetic_city, load_dataset, parse_json, prediction_fault, read_json, type_hints,
+                   write_predictions)
+from .data import read_predictions as _read_predictions  # a name of this module, which perfbench wraps to time reads
+from .evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
 from .model import ModelConfig
 from .seggraph import build_line_graph
-from .training import (TrainConfig, ensemble_predict, load_runlog, prepare_ensemble, prepare_training, save_runlog,
-                        split_records, train_one)
+from .training import (ABLATION_VARIANTS, AblationResult, TrainConfig, ensemble_predict, load_runlog, prepare_ensemble,
+                       prepare_training, run_ablation, save_runlog, split_records, train_one)
 
 __all__ = ["main"]
 
@@ -142,108 +143,6 @@ def _select_records(dataset, train_cfg: TrainConfig, subset: str):
     return train_records if subset == "train" else val_records
 
 
-# <predictions>.bin (``data._write_with_copy``): cc as (records, segments, 3), then ETAs as (records, super-segments)
-_SIDECAR = (b"T4CP", 1)  # magic, version
-
-
-@dataclass(frozen=True)
-class _SidecarHeader(_TableHeader):
-    supersegment_ids: tuple[str, ...]
-
-
-def _jsonl_lines(table: PredictionTable) -> Iterator[str]:
-    """Each record's line, formatted from the blocks: the bytes of ``json.dumps`` with ``sort_keys=True`` and
-    ``separators=(",", ":")`` over the row dict. One template per stage holds every key, each id escaped once; a
-    record fills it with its values, whose ``%s`` is ``float.__repr__``, as ``json.dumps`` writes a finite float."""
-    seg_order = sorted(range(len(table.segment_ids)), key=table.segment_ids.__getitem__)
-    ss_order = sorted(range(len(table.supersegment_ids)), key=table.supersegment_ids.__getitem__)
-    speed, vol = ("%s" if table.speed is not None else "null"), ("[%s,%s,%s]" if table.vol is not None else "null")
-    entry = f':{{"cc":[%s,%s,%s],"speed":{speed},"vol":{vol}}}'
-    template = "".join([
-        '{"etas":{', ",".join(json.dumps(table.supersegment_ids[i]).replace("%", "%%") + ":%s" for i in ss_order),
-        '},"record_id":%s,"segments":{', ",".join(json.dumps(table.segment_ids[j]).replace("%", "%%") + entry
-                                                  for j in seg_order), "}}\n",
-    ])
-    segments = np.concatenate([(b if b.ndim == 3 else b[..., None])[:, seg_order]
-                               for b in (table.cc, table.speed, table.vol) if b is not None], axis=2)
-    values = np.concatenate([table.etas[:, ss_order], segments.reshape(segments.shape[0], segments.shape[1] * segments.shape[2])], axis=1)
-    rows = values.tolist()
-    if not np.isfinite(values).all():  # NaN, Infinity and -Infinity, as json.dumps names them
-        rows = [list(map(json.dumps, row)) for row in rows]
-    cut = len(ss_order)
-    for record_id, row in zip(table.record_ids, rows):
-        yield template % (*row[:cut], json.dumps(record_id), *row[cut:])
-
-
-def _write_predictions(path: Path, table: PredictionTable) -> None:
-    """The JSONL, one record a line, and its binary copy, both from the table's blocks."""
-    header = asdict(_SidecarHeader(table.record_ids, table.segment_ids, table.supersegment_ids))
-    payload = [np.asarray(block, "<f8").tobytes() for block in (table.cc, table.etas)]
-    _write_with_copy(path, map(str.encode, _jsonl_lines(table)), _SIDECAR, header, payload)
-
-
-def _sidecar_rows(path: Path, data: bytes) -> PredictionTable | None:
-    """``_read_predictions``'s table for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
-    None unless that copy is whole, was written for exactly ``data``, names each record once and holds only finite
-    numbers."""
-    header, payload = _read_copy(path, data, _SIDECAR, _SidecarHeader)
-    if header is None:
-        return None
-    ids, seg_ids, ss_ids = header["record_ids"], header["segment_ids"], header["supersegment_ids"]
-    if len(payload) != 8 * len(ids) * (3 * len(seg_ids) + len(ss_ids)) or len(set(ids)) != len(ids):
-        return None
-    values = np.frombuffer(payload, "<f8")
-    if not np.isfinite(values).all():  # the JSONL's parse names the fault
-        return None
-    cc = values[: 3 * len(ids) * len(seg_ids)].reshape(len(ids), len(seg_ids), 3)
-    return PredictionTable(ids, seg_ids, ss_ids, cc, values[cc.size :].reshape(len(ids), len(ss_ids)))
-
-
-@dataclass(frozen=True)
-class _PredictionRow:  # a predictions line; ``_table_of`` reads each segment entry's "cc"
-    record_id: str
-    segments: dict[str, dict] = field(default_factory=dict)
-    etas: dict[str, float] = field(default_factory=dict)
-
-
-_PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
-
-
-def _read_predictions(path: Path) -> PredictionTable:
-    """The file's table, its records in file order: from the file's binary copy when it matches the file, else parsed.
-    Lines split at LF only. A line that is not a ``_PredictionRow`` or that repeats a record is refused by line, then
-    one whose ``cc`` on a segment is neither null nor three finite numbers; a value a line lacks is NaN."""
-    data = path.read_bytes()
-    table = _sidecar_rows(path, data)
-    if table is not None:
-        return table
-    lines, cc, etas = {}, {}, {}  # record id -> its line, record -> segment -> cc and (record, ss) -> ETA
-    for line_no, raw in enumerate(data.split(b"\n"), start=1):
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            row = read_json(_PredictionRow, parse_json(line))
-        except UnicodeDecodeError as exc:
-            fault = f"not UTF-8 ({exc.reason} at byte {exc.start})"
-        except json.JSONDecodeError as exc:
-            fault = f"invalid JSON: {exc.msg}"
-        except ValueError as exc:
-            fault = str(exc)
-        else:
-            rid = row["record_id"]
-            first = lines.setdefault(rid, line_no)
-            fault = f"record {rid!r} is also on {path}:{first}" if first != line_no else None
-            cc[rid] = {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
-            etas.update(((rid, ss_id), eta) for ss_id, eta in row.get("etas", {}).items())
-        if fault:
-            raise CLIError(f"{path}:{line_no}: {fault}; {_PRODUCE_PREDICTIONS}")
-    try:
-        return _table_of(cc, etas, ())
-    except PredictionError as exc:
-        raise CLIError(f"{path}:{lines[exc.record_id]}: {exc}; {_PRODUCE_PREDICTIONS}") from None
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -344,7 +243,7 @@ def cmd_predict(args, workdir: Path) -> int:
     table = PredictionTable([r.record_id for r in records], seg_graph.seg_ids,
                             [ss.ss_id for ss in dataset.supersegments], cc, etas, speed, vol)
     out = _resolve(workdir, args.out)
-    _write_predictions(out, table)
+    write_predictions(out, table)
     print(f"wrote predictions for {len(records)} records ({len(checkpoints)} members) -> {out}")
     return 0
 
@@ -356,10 +255,8 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: st
     predictions = _read_predictions(pred_path)
     try:
         score = scorer(dataset, predictions)
-    except PredictionError as exc:  # record k is on the file's (k + 1)-th line that is not blank
-        lines = [n for n, raw in enumerate(pred_path.read_bytes().split(b"\n"), start=1) if raw.decode("utf-8").strip()]
-        line = lines[list(predictions.record_ids).index(exc.record_id)]
-        raise CLIError(f"{pred_path}:{line}: {exc}; {_PRODUCE_PREDICTIONS}") from None
+    except PredictionError as exc:
+        raise prediction_fault(pred_path, predictions, exc) from None
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     if score.score is None:
@@ -424,7 +321,7 @@ def cmd_baseline(args, workdir: Path) -> int:
     save_baseline(out_dir / f"baseline_{args.name}.json", model)
     pred_path = out_dir / f"predictions_{args.name}.jsonl"
     table = PredictionTable([r.record_id for r in val_records], seg_ids, list(model.eta_median), cc[rows], etas[rows])
-    _write_predictions(pred_path, table)
+    write_predictions(pred_path, table)
     print(f"wrote baseline_{args.name}.json and {pred_path.name} ({len(val_records)} validation records)")
     return 0
 
@@ -528,7 +425,7 @@ def _field_flag(sub, flag: str, dest: str, help: str, **kwargs) -> None:
     """Add a flag that sets the config field ``dest`` (see ``_SECTIONS``); its type and the default its help
     shows are the field's, and its metavar is the flag's name, as argparse makes it from a plain dest."""
     section, name, *index = dest.split(".")
-    kind, default = _hints(_SECTIONS[section])[name], getattr(_SECTIONS[section], name)
+    kind, default = type_hints(_SECTIONS[section])[name], getattr(_SECTIONS[section], name)
     if index:
         kind, default = get_args(kind)[int(index[0])], default[int(index[0])]
     metavar = None if "choices" in kwargs else flag.lstrip("-").replace("-", "_").upper()

@@ -16,6 +16,11 @@ violations. All loaded structures are immutable; the labels are one ``LabelTable
 record and segment ids, then cc (int8), speed_kph (<f8) and vol_class (int8), each (records, segments) row-major; then
 the SHA-256 of ``labels.jsonl`` and the container. ``load_dataset`` reads the copy only when it holds what parsing the
 JSONL gives (``_labels_copy``), else parses it: a stale or damaged copy is ignored, and deleting it is always safe.
+
+A predictions file is laid out the same way: one sorted-key JSON line per record (``{"etas": {ss_id: seconds},
+"record_id": ..., "segments": {seg_id: {"cc", "speed", "vol"}}}``) and ``<predictions>.bin`` (magic ``T4CP``, version
+1) of the record, segment and super-segment ids, then cc (records, segments, 3) and the ETAs (records, super-segments)
+as <f8. ``write_predictions`` writes both from a ``PredictionTable`` with its ids sorted; ``read_predictions`` gives it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,11 @@ __all__ = [
     "split_train_validation",
     "generate_synthetic_city",
     "labels_by_record",
+    "PredictionError",
+    "PredictionTable",
+    "prediction_fault",
+    "read_predictions",
+    "write_predictions",
     "read_json",
     "parse_json",
     "pack_container",
@@ -334,7 +344,7 @@ def _parse_float(raw, path, line, fieldname) -> float:
 
 
 _SCALARS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false", dict: "an object"}
-_hints = cache(get_type_hints)
+type_hints = cache(get_type_hints)  # a dataclass's field types, looked up once
 
 
 def read_json(kind, value, where: str = ""):
@@ -362,7 +372,7 @@ def read_json(kind, value, where: str = ""):
             for name, item in value.items():
                 read_json(args[1], item, key + name)
             return value
-        hints = _hints(kind)
+        hints = type_hints(kind)
         for f in fields(kind):
             if f.name in value:
                 read_json(hints[f.name], value[f.name], key + f.name)
@@ -610,30 +620,29 @@ def _load_edges(path: Path, node_ids: set[str]) -> tuple[tuple[SegmentRec, ...],
     return tuple(segments), tuple(imputed)
 
 
-def _jsonl_objects(path: Path):
-    """(line number, object) for every non-blank line of a JSON-lines file.
+def _jsonl_objects(path: Path, data: bytes):
+    """(line number, object) for every non-blank line of ``data``, the bytes of the JSON-lines file ``path``.
 
     Lines split at LF only, so a stray CR cannot shift the line numbers.
     """
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaError(path, line_no, None, f"invalid UTF-8 at byte {exc.start}") from None
-            if not line.strip():
-                continue
-            try:
-                obj = parse_json(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(path, line_no, None, f"invalid JSON: {exc.msg}") from None
-            yield line_no, _field(dict, obj, path, line_no, None)
+    for line_no, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(path, line_no, None, f"invalid UTF-8 at byte {exc.start}") from None
+        if not line.strip():
+            continue
+        try:
+            obj = parse_json(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(path, line_no, None, f"invalid JSON: {exc.msg}") from None
+        yield line_no, _field(dict, obj, path, line_no, None)
 
 
 def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> tuple[VolumeRecord, ...]:
     records: list[VolumeRecord] = []
     seen: set[str] = set()
-    for line_no, obj in _jsonl_objects(path):
+    for line_no, obj in _jsonl_objects(path, path.read_bytes()):
         for key in ("record_id", "day", "t_index", "volumes"):
             if key not in obj:
                 raise SchemaError(path, line_no, key, "required key missing")
@@ -686,13 +695,14 @@ def _labels_copy(path: Path, data: bytes, record_ids: set[str], segment_ids: lis
 
 
 def _load_labels(path: Path, record_ids: set[str], segment_ids: list[str]) -> LabelTable:
-    table = _labels_copy(path, path.read_bytes(), record_ids, segment_ids)
+    data = path.read_bytes()
+    table = _labels_copy(path, data, record_ids, segment_ids)
     if table is not None:
         return table
     column = {seg_id: j for j, seg_id in enumerate(segment_ids)}
     width = len(segment_ids)
     rows: dict[str, tuple[list, list, list]] = {}
-    for line_no, obj in _jsonl_objects(path):
+    for line_no, obj in _jsonl_objects(path, data):
         record_id = _field(str, obj.get("record_id"), path, line_no, "record_id")
         if record_id not in record_ids:
             raise DanglingReferenceError(path, line_no, "record_id", f"unknown record {record_id!r}")
@@ -876,6 +886,185 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
         json.dumps(ss_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return dir_path
+
+
+# ---------------------------------------------------------------------------
+# predictions files
+
+
+class PredictionError(ValueError):
+    """One record's predictions cannot be scored; ``record_id`` names the record."""
+
+    def __init__(self, message: str, record_id: str):
+        super().__init__(message)
+        self.record_id = record_id
+
+
+def _checked_cc(value, record_id: str, seg_id: str):
+    """``value`` if it is three finite numbers: a numeric array, or a list or tuple of numbers (a bool or a string is
+    no number). Anything else raises a PredictionError naming the record and the segment."""
+    try:
+        numbers = value.dtype.kind in "iuf" if isinstance(value, np.ndarray) else isinstance(value, (list, tuple)) and all(
+            type(x) in (int, float) or isinstance(x, (np.integer, np.floating)) for x in value)
+        if numbers and np.shape(value) == (3,) and np.isfinite(np.asarray(value, np.float64)).all():
+            return value
+    except (ValueError, TypeError, OverflowError):
+        pass
+    message = f"record {record_id!r}, segment {seg_id!r}: expected 3 finite probabilities, got {reprlib.repr(value)}"
+    raise PredictionError(message, record_id)
+
+
+class PredictionTable(NamedTuple):
+    """A predictions file in memory, laid out like ``LabelTable`` with NaN for no prediction: ``[k, j]`` of a block is
+    record ``record_ids[k]``'s value for ``segment_ids[j]`` (or for ``supersegment_ids[j]``), in the order the ids are
+    listed."""
+
+    record_ids: Sequence[str]
+    segment_ids: Sequence[str]
+    supersegment_ids: Sequence[str]
+    cc: np.ndarray  # (records, segments, 3) over (green, yellow, red)
+    etas: np.ndarray  # (records, super-segments), seconds
+    speed: np.ndarray | None = None  # (records, segments) km/h; None writes null
+    vol: np.ndarray | None = None  # (records, segments, 3)
+
+    @classmethod
+    def from_mappings(cls, cc: Mapping, etas: Mapping[tuple[str, str], float],
+                      segment_ids: Sequence[str]) -> PredictionTable:
+        """The table of predictions held in mappings, NaN where they hold none.
+
+        ``cc`` maps record_id to a segment_id -> 3-vector mapping, or to a (segments, 3) array of finite numbers in
+        ``segment_ids`` order; ``etas`` maps (record_id, ss_id) to seconds. A mapping's vectors are read in one array
+        pass when they are all lists of three floats or all float arrays of three, and finite; any other row goes vector
+        by vector through ``_checked_cc``, which names the record and segment of the first it refuses.
+        Ids are listed as first seen, ``segment_ids`` first.
+        """
+        seg_col = dict(zip(segment_ids, range(len(segment_ids))))
+        for preds in cc.values():
+            for seg_id in () if isinstance(preds, np.ndarray) else preds:
+                seg_col.setdefault(seg_id, len(seg_col))
+        ss_col = dict(zip(dict.fromkeys(ss_id for _, ss_id in etas), range(len(etas))))
+        row = {rid: k for k, rid in enumerate(dict.fromkeys([*cc, *(rid for rid, _ in etas)]))}
+        table = cls(list(row), list(seg_col), list(ss_col), np.full((len(row), len(seg_col), 3), np.nan),
+                    np.full((len(row), len(ss_col)), np.nan))
+        for record_id, preds in cc.items():
+            if isinstance(preds, np.ndarray):  # the columns of segment_ids
+                seg_ids, cols, vectors = segment_ids, slice(len(segment_ids)), preds.reshape(len(segment_ids), 3)
+            else:  # one test of a row of lists of three floats, as JSON gives, or of float arrays of three
+                seg_ids, vectors = list(preds), list(preds.values())
+                cols = [seg_col[seg_id] for seg_id in seg_ids]
+                if (all(type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float for v in vectors)
+                        or all(type(v) is np.ndarray and v.shape == (3,) and v.dtype.char in "efd" for v in vectors)):
+                    vectors = np.array(vectors).reshape(len(seg_ids), 3)
+            if not (isinstance(vectors, np.ndarray) and np.isfinite(vectors).all()):  # any other row is read by vector
+                vectors = [_checked_cc(value, record_id, seg_id) for seg_id, value in zip(seg_ids, vectors)]
+            table.cc[row[record_id], cols] = vectors
+        at = [row[rid] for rid, _ in etas], [ss_col[ss_id] for _, ss_id in etas]
+        table.etas[at] = np.fromiter(etas.values(), np.float64, len(etas))
+        return table
+
+
+_PREDICTIONS_COPY = (b"T4CP", 1)  # magic, version
+_PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
+
+
+@dataclass(frozen=True)
+class _PredictionsHeader(_TableHeader):
+    supersegment_ids: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _PredictionRow:  # a predictions line; ``PredictionTable.from_mappings`` reads each segment entry's "cc"
+    record_id: str
+    segments: dict[str, dict] = field(default_factory=dict)
+    etas: dict[str, float] = field(default_factory=dict)
+
+
+def _prediction_lines(table: PredictionTable) -> Iterator[str]:
+    """Each record's line, formatted from the blocks, whose ids are sorted: the bytes of ``json.dumps`` with
+    ``sort_keys=True`` and ``separators=(",", ":")`` over the row dict. One template per table holds every key, each id
+    escaped once; a record fills it with its values, whose ``%s`` is ``float.__repr__``, as ``json.dumps`` writes a
+    finite float."""
+    speed, vol = ("%s" if table.speed is not None else "null"), ("[%s,%s,%s]" if table.vol is not None else "null")
+    entry = f':{{"cc":[%s,%s,%s],"speed":{speed},"vol":{vol}}}'
+    template = "".join([
+        '{"etas":{', ",".join(json.dumps(ss_id).replace("%", "%%") + ":%s" for ss_id in table.supersegment_ids),
+        '},"record_id":%s,"segments":{', ",".join(json.dumps(seg_id).replace("%", "%%") + entry
+                                                  for seg_id in table.segment_ids), "}}\n",
+    ])
+    segments = np.concatenate([b if b.ndim == 3 else b[..., None] for b in (table.cc, table.speed, table.vol)
+                               if b is not None], axis=2)
+    values = np.concatenate([table.etas, segments.reshape(segments.shape[0], segments.shape[1] * segments.shape[2])], axis=1)
+    rows = values.tolist()
+    if not np.isfinite(values).all():  # NaN, Infinity and -Infinity, as json.dumps names them
+        rows = [list(map(json.dumps, row)) for row in rows]
+    cut = len(table.supersegment_ids)
+    for record_id, row in zip(table.record_ids, rows):
+        yield template % (*row[:cut], json.dumps(record_id), *row[cut:])
+
+
+def write_predictions(path, table: PredictionTable) -> None:
+    """Write the JSONL, one record a line, and its binary copy, both from the table with its segment and super-segment
+    ids sorted, as the JSONL's keys are: either read route then gives one table."""
+    seg = sorted(range(len(table.segment_ids)), key=table.segment_ids.__getitem__)
+    ss = sorted(range(len(table.supersegment_ids)), key=table.supersegment_ids.__getitem__)
+    table = table._replace(segment_ids=[table.segment_ids[j] for j in seg], cc=table.cc[:, seg],
+                           supersegment_ids=[table.supersegment_ids[i] for i in ss], etas=table.etas[:, ss],
+                           speed=None if table.speed is None else table.speed[:, seg],
+                           vol=None if table.vol is None else table.vol[:, seg])
+    header = asdict(_PredictionsHeader(table.record_ids, table.segment_ids, table.supersegment_ids))
+    payload = [np.asarray(block, "<f8").tobytes() for block in (table.cc, table.etas)]
+    _write_with_copy(Path(path), map(str.encode, _prediction_lines(table)), _PREDICTIONS_COPY, header, payload)
+
+
+def _predictions_copy(path: Path, data: bytes) -> PredictionTable | None:
+    """``read_predictions``' table for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
+    None unless that copy is whole, was written for exactly ``data``, names each record once and holds only finite
+    numbers."""
+    header, payload = _read_copy(path, data, _PREDICTIONS_COPY, _PredictionsHeader)
+    if header is None:
+        return None
+    ids, seg_ids, ss_ids = header["record_ids"], header["segment_ids"], header["supersegment_ids"]
+    if len(payload) != 8 * len(ids) * (3 * len(seg_ids) + len(ss_ids)) or len(set(ids)) != len(ids):
+        return None
+    values = np.frombuffer(payload, "<f8")
+    if not np.isfinite(values).all():  # the JSONL's parse names the fault
+        return None
+    cc = values[: 3 * len(ids) * len(seg_ids)].reshape(len(ids), len(seg_ids), 3)
+    return PredictionTable(ids, seg_ids, ss_ids, cc, values[cc.size :].reshape(len(ids), len(ss_ids)))
+
+
+def read_predictions(path) -> PredictionTable:
+    """The file's table, its records in file order: from the file's binary copy when it matches the file, else parsed.
+    Lines split at LF only. A line that is not a ``_PredictionRow`` or that repeats a record is refused by line, then
+    one whose ``cc`` on a segment is neither null nor three finite numbers; a value a line lacks is NaN. A refusal is a
+    ValueError naming ``path:line`` and the stages that write the file."""
+    path = Path(path)
+    data = path.read_bytes()
+    table = _predictions_copy(path, data)
+    if table is not None:
+        return table
+    lines, cc, etas = {}, {}, {}  # record id -> its line, record -> segment -> cc and (record, ss) -> ETA
+    try:
+        for line_no, obj in _jsonl_objects(path, data):
+            row = _field(_PredictionRow, obj, path, line_no, None)
+            rid = row["record_id"]
+            first = lines.setdefault(rid, line_no)
+            if first != line_no:
+                raise SchemaError(path, line_no, None, f"record {rid!r} is also on {path}:{first}")
+            cc[rid] = {seg: e["cc"] for seg, e in row.get("segments", {}).items() if e.get("cc") is not None}
+            etas.update(((rid, ss_id), eta) for ss_id, eta in row.get("etas", {}).items())
+        return PredictionTable.from_mappings(cc, etas, ())
+    except SchemaError as exc:
+        raise ValueError(f"{exc}; {_PRODUCE_PREDICTIONS}") from None
+    except PredictionError as exc:
+        raise ValueError(f"{path}:{lines[exc.record_id]}: {exc}; {_PRODUCE_PREDICTIONS}") from None
+
+
+def prediction_fault(path, table: PredictionTable, exc: PredictionError) -> ValueError:
+    """The error for ``exc``, raised on the table ``read_predictions`` gave for ``path``: it names the line that holds
+    the record (record k is on the file's (k + 1)-th line that is not blank) and the stages that write the file."""
+    lines = [line_no for line_no, _ in _jsonl_objects(Path(path), Path(path).read_bytes())]
+    return ValueError(f"{path}:{lines[list(table.record_ids).index(exc.record_id)]}: {exc}; {_PRODUCE_PREDICTIONS}")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .data import LabelBundle
+from .data import LabelTable
 from .seggraph import FeatureBundle, NormStats, SegmentGraph
 
 __all__ = [
@@ -342,23 +342,19 @@ def forward(
     return record_branch(params, config, seg_graph, counter_slice, static_feat)
 
 
-def make_label_arrays(
-    bundle: LabelBundle | None,
-    seg_graph: SegmentGraph,
-    norm_stats: NormStats,
-    cc_classes: int = 3,
-) -> LabelArrays:
-    """Map one record's labels (a row of its label table) onto the dense segment index.
+def make_label_arrays(table: LabelTable, row: int | None, seg_graph: SegmentGraph, norm_stats: NormStats,
+                      cc_classes: int = 3) -> LabelArrays:
+    """Map one record's labels (row ``row`` of its label table, None for a record without labels) onto the dense
+    segment index.
 
     With 3 congestion classes the codes 1/2/3 map to 0/1/2 and the
     undefined code 0 is masked; with 4 classes the code maps identically.
     Volume classes {1, 3, 5} map to {0, 1, 2}. Speeds are z-normalized.
     """
     n = seg_graph.num_segments
-    if bundle is None:  # no labels: every row masked
+    if row is None:  # no labels: every row masked
         masked = np.full(n, -1, dtype=np.int64)
         return LabelArrays(cc=masked, speed=np.zeros(n), speed_mask=np.zeros(n, dtype=bool), vol=masked.copy())
-    table, row = bundle.table, bundle.row
     if table.segment_ids != seg_graph.seg_ids:
         raise ValueError("the label table and the segment graph list different segments")
     cc = table.cc[row].astype(np.int64)

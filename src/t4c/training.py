@@ -20,7 +20,8 @@ runs the model's own trunk and heads once on the stack, where each
 batched product makes one call per member with that member's shapes,
 then the softmaxes, the de-normalized speeds and the member mean, summed
 in member order. Every value has the bits of the members' separate
-``predict_record`` outputs averaged in that order.
+``predict_record`` outputs averaged in that order. The ablation harness
+(``run_ablation``) trains one model per variant from one training set.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import random
 import re
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -40,8 +41,8 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, PriorMatrix, assign_cluster
-from .data import (Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, labels_by_record, parse_json,
-                   read_json, split_train_validation)
+from .data import (Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, parse_json, read_json,
+                   split_train_validation)
 from .evaluation import core_metric
 from .model import (
     LabelArrays,
@@ -82,7 +83,11 @@ __all__ = [
     "predict_record",
     "save_runlog",
     "load_runlog",
+    "run_ablation",
+    "ABLATION_VARIANTS",
 ]
+
+ABLATION_VARIANTS = ("full", "no_cluster", "no_static", "no_gnn")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -356,11 +361,8 @@ def prepare_training(
     counter_slices = {
         r.record_id: _read_only(norm_stats.normalize_counters(counter_slice_matrix(graph, r))) for r in records
     }
-    label_map = labels_by_record(labels)
-    targets = {
-        r.record_id: _read_only(make_label_arrays(label_map.get(r.record_id), seg_graph, norm_stats, cc_classes))
-        for r in records
-    }
+    targets = {r.record_id: _read_only(make_label_arrays(labels, labels.rows.get(r.record_id), seg_graph, norm_stats,
+                                                         cc_classes)) for r in records}
     train_targets = [targets[r.record_id] for r in train_records]
     return _read_only(TrainingSet(
         train_cfg=train_cfg,
@@ -454,6 +456,46 @@ def train_ensemble(
         train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
     )
     return [train_one(training_set, model_cfg, seed) for seed in train_cfg.seeds()]
+
+
+@dataclass(frozen=True)
+class AblationResult:
+    scores: dict[str, float]  # variant -> validation core score
+    best_epochs: dict[str, int]
+    data_order_hashes: dict[str, str]
+
+    def as_csv(self) -> str:
+        """One row per variant, in ``ABLATION_VARIANTS`` order, so that a
+        result read back from its key-sorted JSON renders the same bytes."""
+        lines = ["variant,val_core,best_epoch"]
+        for variant in sorted(self.scores, key=ABLATION_VARIANTS.index):
+            lines.append(f"{variant},{self.scores[variant]:.6f},{self.best_epochs[variant]}")
+        return "\n".join(lines) + "\n"
+
+
+def run_ablation(dataset: Dataset, variants: Sequence[str], cluster_model, priors, train_cfg: TrainConfig,
+                 model_cfg: ModelConfig, seed: int) -> AblationResult:
+    """Train one model per variant with identical seed/data and compare.
+
+    ``no_cluster`` zeroes the prior block, ``no_static`` zeroes the static
+    attribute inputs, ``no_gnn`` drops the message-passing layers so the
+    heads read the pre-aggregation features. Everything else (seed, data
+    order, epochs) is held fixed.
+    """
+    for variant in variants:
+        if variant not in ABLATION_VARIANTS:
+            raise ValueError(f"unknown ablation variant {variant!r}; options: {ABLATION_VARIANTS}")
+
+    # the variants differ only in gates and depth, so they share one training set
+    training_set = prepare_training(
+        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
+    )
+    configs = {"full": model_cfg, "no_cluster": replace(model_cfg, use_prior_block=False),
+               "no_static": replace(model_cfg, use_static=False), "no_gnn": replace(model_cfg, gnn_layers=0)}
+    runlogs = {variant: train_one(training_set, configs[variant], seed)[1] for variant in variants}
+    return AblationResult(scores={v: log.epochs[log.best_epoch].val_core for v, log in runlogs.items()},
+                          best_epochs={v: log.best_epoch for v, log in runlogs.items()},
+                          data_order_hashes={v: log.data_order_hash for v, log in runlogs.items()})
 
 
 def predict_record(

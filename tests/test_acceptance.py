@@ -26,12 +26,12 @@ from t4c.data import (
     split_train_validation,
     write_dataset,
 )
-from t4c.evaluation import core_metric, etas_from_speeds, run_ablation
+from t4c.evaluation import core_metric, etas_from_speeds
 from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
 from t4c.model import ModelConfig, compute_loss, forward, init_params
 from t4c.seggraph import build_line_graph
 from t4c.training import (TrainConfig, ensemble_predict, predict_record, prepare_ensemble, prepare_training,
-                          train_ensemble, train_one)
+                          run_ablation, train_ensemble, train_one)
 
 from conftest import central_diff_store, label_table, max_rel_error
 from test_model import TINY, six_segment_labels, six_segment_setup

@@ -556,6 +556,24 @@ def test_relu_maps_negative_zero_to_positive_zero_and_propagates_nan(name):
     assert np.all(tx.grad == 0.0)  # NaN > 0 is False, so the mask stops the gradient there too
 
 
+def test_linear_and_gnn_round_refuse_an_operand_that_is_not_float64():
+    """A float16 product keeps a -0.0 pre-activation through the ReLU, against the contract above: such an operand is
+    refused, named with its dtype, plain or held by a Tensor."""
+    half = np.float16
+    with pytest.raises(TypeError, match="linear: operand x is float16, expected float64"):
+        ad.linear(np.full((5, 3), -2.0**-14, half), np.full((3, 4), 2.0**-14, half), np.full(4, -0.0, half), relu=True)
+    x, w, b = np.ones((4, 3)), np.ones((3, 2)), np.zeros(2)
+    with pytest.raises(TypeError, match="linear: operand b is float32"):
+        ad.linear(Tensor(x), w, b.astype(np.float32))
+    with pytest.raises(TypeError, match="linear: operand skip is int64"):
+        ad.linear(x, w, b, skip=np.zeros((4, 2), np.int64))
+    h, op = np.ones((3, 2)), np.eye(3)
+    with pytest.raises(TypeError, match="gnn_round: operand operator is float32"):
+        ad.gnn_round(h, op.astype(np.float32), w[:2], w[:2], b)
+    with pytest.raises(TypeError, match="gnn_round: operand w_nbr is float16"):
+        ad.gnn_round(Tensor(h, requires_grad=True), op, w[:2], w[:2].astype(half), b)
+
+
 def test_random_five_parameter_graph_matches_finite_differences():
     """Small multi-op graph over five parameter tensors."""
     rng = np.random.default_rng(42)

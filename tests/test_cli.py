@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t4c.cli import _SECTIONS, _config_from, build_parser, main
-from t4c.data import SynthSpec, load_dataset
+from t4c.data import PredictionTable, SynthSpec, _predictions_copy, load_dataset, read_predictions, write_predictions
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig
 
@@ -1024,16 +1024,14 @@ def sidecar_predictions(pipeline):
 @pytest.mark.parametrize("name", SIDECAR_PREDICTIONS)
 def test_eval_reads_fresh_predictions_from_their_binary_copy_with_the_jsonl_s_output(
         pipeline, sidecar_predictions, monkeypatch, name):
-    import t4c.cli as cli
-
     pred = sidecar_predictions[name]
     expected = _evals_of_the_jsonl(pipeline, pred)
     assert all(result[0] == 0 for result in expected.values())
 
-    def refuse(text):
-        raise AssertionError("parsed a predictions line")
+    def refuse(*args):
+        raise AssertionError("parsed the predictions lines")
 
-    monkeypatch.setattr(cli, "parse_json", refuse)  # the name the JSONL path parses each line through
+    monkeypatch.setattr(PredictionTable, "from_mappings", refuse)  # where the JSONL route builds its table
     assert _evals(pipeline, pred) == expected
     assert all(result[0] == 2 for result in _evals_of_the_jsonl(pipeline, pred).values())  # the stub bites
 
@@ -1049,8 +1047,6 @@ def test_rerun_of_predict_rewrites_the_binary_copy_byte_for_byte(pipeline, sidec
 def test_predict_of_no_records_writes_an_empty_jsonl_and_its_copy(pipeline):
     """``--records all`` with a daytime window that holds no record: the eval stages read the empty file from its
     copy as from the JSONL."""
-    import t4c.cli as cli
-
     dataset = load_dataset(pipeline / "data/toy")
     assert min(r.t_index for r in dataset.records) > 0  # slot 0 holds no record
     pred = pipeline / "predictions_none.jsonl"
@@ -1058,7 +1054,7 @@ def test_predict_of_no_records_writes_an_empty_jsonl_and_its_copy(pipeline):
                  "--run", "runs/demo", "--records", "all", "--daytime-start", "0", "--daytime-end", "1",
                  "--out", pred.name]) == 0
     assert pred.read_bytes() == b""
-    copy = cli._sidecar_rows(pred, b"")
+    copy = _predictions_copy(pred, b"")
     assert copy is not None and copy.record_ids == []
     assert copy.cc.shape == (0, len(dataset.graph.segments), 3)
     assert copy.etas.shape == (0, len(dataset.supersegments))
@@ -1066,8 +1062,6 @@ def test_predict_of_no_records_writes_an_empty_jsonl_and_its_copy(pipeline):
 
 def _table_of(pred):
     """The table a predictions JSONL holds, its segments and super-segments in the file's (sorted) order."""
-    import t4c.cli as cli
-
     rows = [json.loads(line) for line in pred.read_text().splitlines()]
     seg_ids, ss_ids = list(rows[0]["segments"]), list(rows[0]["etas"])
 
@@ -1076,16 +1070,14 @@ def _table_of(pred):
         return None if values[0][0] is None else np.array(values)
 
     etas = np.array([[row["etas"][ss] for ss in ss_ids] for row in rows])
-    return cli.PredictionTable([row["record_id"] for row in rows], seg_ids, ss_ids, block("cc"), etas,
-                               block("speed"), block("vol"))
+    return PredictionTable([row["record_id"] for row in rows], seg_ids, ss_ids, block("cc"), etas,
+                           block("speed"), block("vol"))
 
 
 @pytest.mark.parametrize("fault", ["nan_cc", "nan_eta", "repeated_record", "nan_cc_unscored", "string_cc_unscored"])
 def test_a_faulty_row_is_refused_alike_from_the_binary_copy(pipeline, sidecar_predictions, fault):
     """Tables the writer takes but an eval stage refuses on line 2: the copy defers to the JSONL's message. A bad cc
     is refused on a segment whose label the record's score skips too, by both stages."""
-    import t4c.cli as cli
-
     table = _table_of(sidecar_predictions["naive"])
     if fault == "nan_cc":
         table.cc[1] = [math.nan, 0.5, 0.5]
@@ -1099,7 +1091,7 @@ def test_a_faulty_row_is_refused_alike_from_the_binary_copy(pipeline, sidecar_pr
         scored = {seg for seg, cc in zip(labels.segment_ids, labels.cc[0].tolist()) if cc > 0} if len(labels) else set()
         table.cc[1, next(j for j, seg in enumerate(table.segment_ids) if seg not in scored)] = math.nan
     pred = pipeline / f"sidecar_{fault}.jsonl"
-    cli._write_predictions(pred, table)
+    write_predictions(pred, table)
     assert _sidecar(pred).is_file()
     if fault == "string_cc_unscored":  # the copy is then stale
         lines = pred.read_text().split("\n")
@@ -1169,8 +1161,6 @@ def damaged_sidecar(pipeline, sidecar_predictions):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_damaged_binary_copy_leaves_the_output_of_the_jsonl(pipeline, sidecar_predictions, damaged_sidecar, data):
-    import t4c.cli as cli
-
     pred, raw, expected = damaged_sidecar
     damage = data.draw(st.sampled_from(["flip", "truncate", "other_run"]), label="damage")
     if damage == "flip":
@@ -1184,7 +1174,7 @@ def test_a_damaged_binary_copy_leaves_the_output_of_the_jsonl(pipeline, sidecar_
         damaged = _sidecar(sidecar_predictions[other]).read_bytes()
     _sidecar(pred).write_bytes(damaged)
     try:
-        assert cli._sidecar_rows(pred, pred.read_bytes()) is None
+        assert _predictions_copy(pred, pred.read_bytes()) is None
         assert _evals(pipeline, pred) == expected
     finally:
         _sidecar(pred).write_bytes(raw)
@@ -1193,32 +1183,28 @@ def test_a_damaged_binary_copy_leaves_the_output_of_the_jsonl(pipeline, sidecar_
 def test_a_hand_written_jsonl_beside_a_stale_binary_copy_is_scored_from_it(pipeline, sidecar_predictions):
     """An int ETA parses as an int, which no float64 copy holds: its lines are scored from the JSONL, and a table
     written again over them gets a fresh copy."""
-    import t4c.cli as cli
-
     table = _table_of(sidecar_predictions["naive"])
     pred = pipeline / "sidecar_stale.jsonl"
-    cli._write_predictions(pred, table)
+    write_predictions(pred, table)
     fresh = _evals(pipeline, pred)
     rows = [json.loads(line) for line in pred.read_text().splitlines()]
     rows[0]["etas"] = dict.fromkeys(rows[0]["etas"], 61)
     pred.write_text("".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows))
-    assert cli._sidecar_rows(pred, pred.read_bytes()) is None
+    assert _predictions_copy(pred, pred.read_bytes()) is None
     edited = _evals(pipeline, pred)
     assert edited == _evals_of_the_jsonl(pipeline, pred) and edited["eval-eta"] != fresh["eval-eta"]
-    cli._write_predictions(pred, table)
-    assert cli._sidecar_rows(pred, pred.read_bytes()) is not None and _evals(pipeline, pred) == fresh
+    write_predictions(pred, table)
+    assert _predictions_copy(pred, pred.read_bytes()) is not None and _evals(pipeline, pred) == fresh
 
 
 @pytest.mark.parametrize("edit", ["reversed", "missing_segment"])
 def test_a_binary_copy_in_another_segment_order_scores_as_the_jsonl(pipeline, sidecar_predictions, edit):
     """The copy's segments are not the table's: its array is read by segment id, as the JSONL's rows are."""
-    import t4c.cli as cli
-
     table = _table_of(sidecar_predictions["volume_cluster"])
     keep = slice(None, None, -1) if edit == "reversed" else slice(-2, None, -1)
     table = table._replace(segment_ids=table.segment_ids[keep], cc=table.cc[:, keep])
     pred = pipeline / f"sidecar_{edit}.jsonl"
-    cli._write_predictions(pred, table)
+    write_predictions(pred, table)
     assert _sidecar(pred).is_file()
     results = _evals(pipeline, pred)
     assert results == _evals_of_the_jsonl(pipeline, pred)
@@ -1237,8 +1223,6 @@ def _drawn_ids(data, label):
 
 
 def _draw_table(data, finite: bool):
-    import t4c.cli as cli
-
     record_ids, seg_ids = _drawn_ids(data, "record_ids"), _drawn_ids(data, "segment_ids")
     ss_ids = _drawn_ids(data, "supersegment_ids")
     values = st.floats(allow_nan=False, allow_infinity=False) if finite else TABLE_FLOAT
@@ -1251,15 +1235,13 @@ def _draw_table(data, finite: bool):
     speed = vol = None
     if data.draw(st.booleans(), "model"):  # a model's table; a baseline's has no speed or vol
         speed, vol = block(records, segments), block(records, segments, 3)
-    return cli.PredictionTable(record_ids, seg_ids, ss_ids, block(records, segments, 3),
-                               block(records, len(ss_ids)), speed, vol)
+    return PredictionTable(record_ids, seg_ids, ss_ids, block(records, segments, 3),
+                           block(records, len(ss_ids)), speed, vol)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_the_table_writer_writes_the_bytes_of_json_dumps_over_the_rows(data, tmp_path_factory):
-    import t4c.cli as cli
-
     table = _draw_table(data, finite=False)
     rows = [{
         "record_id": record_id,
@@ -1270,7 +1252,7 @@ def test_the_table_writer_writes_the_bytes_of_json_dumps_over_the_rows(data, tmp
         "etas": dict(zip(table.supersegment_ids, table.etas[k].tolist())),
     } for k, record_id in enumerate(table.record_ids)]
     pred = tmp_path_factory.mktemp("table") / "predictions.jsonl"
-    cli._write_predictions(pred, table)
+    write_predictions(pred, table)
     assert pred.read_bytes() == "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
                                         for row in rows).encode("utf-8")
 
@@ -1278,28 +1260,31 @@ def test_the_table_writer_writes_the_bytes_of_json_dumps_over_the_rows(data, tmp
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_written_table_reads_back_alike_from_its_binary_copy_and_from_the_jsonl(data, tmp_path_factory):
-    """Both routes give a ``PredictionTable`` of the records in file order, and cc and ETA blocks that hold, bit for
-    bit, the written values: the copy's columns in the table's id order, the parse's in the JSONL's (sorted) order."""
-    import t4c.cli as cli
-
+    """Both routes give one ``PredictionTable``: the records in file order, the segment and super-segment ids sorted
+    (the JSONL's key order, in which the writer writes the copy too), and cc and ETA blocks that hold, bit for bit, the
+    written values in that order. A file of no lines names no id; only its copy lists them."""
     table = _draw_table(data, finite=True)
     pred = tmp_path_factory.mktemp("table") / "predictions.jsonl"
-    cli._write_predictions(pred, table)
-    copy = cli._read_predictions(pred)
+    write_predictions(pred, table)
+    copy = read_predictions(pred)
     _sidecar(pred).unlink()
-    parsed = cli._read_predictions(pred)
-    assert isinstance(copy, cli.PredictionTable) and isinstance(parsed, cli.PredictionTable)
+    parsed = read_predictions(pred)
+    assert isinstance(copy, PredictionTable) and isinstance(parsed, PredictionTable)
     assert list(copy.record_ids) == list(parsed.record_ids) == list(table.record_ids)
-    assert (list(copy.segment_ids), list(copy.supersegment_ids)) == (list(table.segment_ids), list(table.supersegment_ids))
     seg_order = sorted(range(len(table.segment_ids)), key=table.segment_ids.__getitem__)
     ss_order = sorted(range(len(table.supersegment_ids)), key=table.supersegment_ids.__getitem__)
-    if table.record_ids:  # a file of no lines names no segment
-        assert list(parsed.segment_ids) == [table.segment_ids[j] for j in seg_order]
-        assert list(parsed.supersegment_ids) == [table.supersegment_ids[i] for i in ss_order]
-    for block in ("cc", "etas"):  # bit for bit, -0.0 and subnormals too
-        written, order = getattr(table, block), seg_order if block == "cc" else ss_order
-        assert getattr(copy, block).tobytes() == written.tobytes()
-        assert getattr(parsed, block).tobytes() == written[:, order].reshape(getattr(parsed, block).shape).tobytes()
+    assert list(copy.segment_ids) == [table.segment_ids[j] for j in seg_order]
+    assert list(copy.supersegment_ids) == [table.supersegment_ids[i] for i in ss_order]
+    for block, order in (("cc", seg_order), ("etas", ss_order)):  # bit for bit, -0.0 and subnormals too
+        assert getattr(copy, block).tobytes() == getattr(table, block)[:, order].tobytes()
+        if table.record_ids:
+            assert getattr(parsed, block).shape == getattr(copy, block).shape
+            assert getattr(parsed, block).tobytes() == getattr(copy, block).tobytes()
+    if table.record_ids:
+        assert list(parsed.segment_ids) == list(copy.segment_ids)
+        assert list(parsed.supersegment_ids) == list(copy.supersegment_ids)
+    else:
+        assert parsed.segment_ids == parsed.supersegment_ids == []
     assert copy.speed is copy.vol is parsed.speed is parsed.vol is None  # the copy holds no speed or vol
 
 

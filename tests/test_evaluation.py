@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from t4c.data import SuperSegment
+from t4c.data import PredictionError, PredictionTable, SuperSegment
 from t4c.evaluation import (
     PROB_CLIP,
-    AblationResult,
     CoreScore,
     EtaScore,
-    PredictionError,
-    PredictionTable,
     core_metric,
     eta_labels,
     eta_metric,
     etas_from_speeds,
 )
+
+from t4c.training import AblationResult
 
 from conftest import label_table
 

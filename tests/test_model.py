@@ -380,16 +380,16 @@ def test_make_label_arrays_codings(toy_dataset):
     graph = toy_dataset.graph
     seg_graph = build_line_graph(graph)
     stats = identity_stats()
-    arrays = make_label_arrays(toy_dataset.labels[0], seg_graph, stats)
+    arrays = make_label_arrays(toy_dataset.labels, 0, seg_graph, stats)
     assert arrays.cc.tolist() == [0, 1, 2]  # cc 1/2/3 -> 0/1/2
     assert arrays.vol.tolist() == [0, 1, 2]  # {1,3,5} -> {0,1,2}
     assert arrays.speed_mask.all()
     assert np.allclose(arrays.speed, (np.array([38.0, 20.0, 10.0]) - 30.0) / 10.0)
 
-    arrays1 = make_label_arrays(toy_dataset.labels[1], seg_graph, stats)
+    arrays1 = make_label_arrays(toy_dataset.labels, 1, seg_graph, stats)
     assert arrays1.cc.tolist() == [-1, 0, -1]  # cc=0 masked in 3-class mode
 
-    arrays4 = make_label_arrays(toy_dataset.labels[1], seg_graph, stats, cc_classes=4)
+    arrays4 = make_label_arrays(toy_dataset.labels, 1, seg_graph, stats, cc_classes=4)
     assert arrays4.cc.tolist() == [0, 1, -1]  # undefined kept as class 0
 
 

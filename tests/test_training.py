@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from t4c import autodiff as ad
 from t4c.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
-from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, labels_by_record, split_train_validation
+from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, split_train_validation
 from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params
 from t4c.seggraph import build_line_graph, fit_normalization
 from t4c.training import (
@@ -228,7 +228,6 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     dataset, cluster_model, priors = small_city
     records = daytime_filter(dataset.records, *SMALL_TRAIN.daytime)
     train_records, _ = split_train_validation(records, 0.8, SMALL_TRAIN.split_seed)
-    label_map = labels_by_record(dataset.labels)
     seg_graph = build_line_graph(dataset.graph)
     stats = fit_normalization(dataset.graph, train_records, dataset.labels.select(r.record_id for r in train_records))
 
@@ -240,7 +239,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
         for r in (r1, r2)
     }
     targets = {
-        r.record_id: make_label_arrays(label_map[r.record_id], seg_graph, stats)
+        r.record_id: make_label_arrays(dataset.labels, dataset.labels.rows[r.record_id], seg_graph, stats)
         for r in (r1, r2)
     }
     w = np.ones(3)
@@ -634,7 +633,7 @@ def test_train_one_refuses_a_config_unlike_its_training_set(small_city, change):
 
 def test_ablation_builds_one_training_set_for_all_variants(small_city, monkeypatch):
     import t4c.training as training
-    from t4c.evaluation import ABLATION_VARIANTS, run_ablation
+    from t4c.training import ABLATION_VARIANTS, run_ablation
 
     dataset, cluster_model, priors = small_city
     built, trained = [], []
@@ -710,7 +709,7 @@ def test_plan_replay_equals_a_one_shot_backward_bit_for_bit(small_city, monkeypa
     no_speed = ts.targets[rids[4]]
     targets = {
         **ts.targets,
-        rids[2]: make_label_arrays(None, ts.seg_graph, ts.norm_stats, model_cfg.cc_classes),
+        rids[2]: make_label_arrays(ts.labels, None, ts.seg_graph, ts.norm_stats, model_cfg.cc_classes),
         rids[4]: LabelArrays(no_speed.cc, no_speed.speed, np.zeros_like(no_speed.speed_mask), no_speed.vol),
     }
     ts = replace(ts, targets=targets)
