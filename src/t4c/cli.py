@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
-from .data import (DatasetError, Dataset, PredictionError, PredictionTable, SynthSpec, daytime_filter,
+from .data import (DatasetError, Dataset, PredictionError, PredictionTable, SynthSpec, csv_text, daytime_filter,
                    generate_synthetic_city, load_dataset, parse_json, prediction_fault, read_json, type_hints,
                    write_predictions)
 from .data import read_predictions as _read_predictions  # a name of this module, which perfbench wraps to time reads
@@ -248,7 +248,7 @@ def cmd_predict(args, workdir: Path) -> int:
     return 0
 
 
-def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: str) -> int:
+def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: tuple[str, str]) -> int:
     """Score ``_read_predictions``' result with ``scorer``; print the score, then write its report and CSV when asked."""
     dataset = _load_data(_resolve(workdir, args.data))
     pred_path = _require_artifact(_resolve(workdir, args.pred), "predict (or baseline <name>)")
@@ -267,8 +267,8 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: st
         report = {"metric": score.score, "per_record": per_record, "n_scored": score.n_scored}
         _write_json(_resolve(workdir, args.out), report)
     if args.csv:
-        lines = [csv_header] + [f"{rid},{value:.6f}" for rid, value in per_record.items()]
-        _resolve(workdir, args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [csv_header, *((rid, f"{value:.6f}") for rid, value in per_record.items())]
+        _resolve(workdir, args.csv).write_text(csv_text(rows), encoding="utf-8")
     return 0
 
 
@@ -277,14 +277,15 @@ def cmd_eval_core(args, workdir: Path) -> int:
         return core_metric(predictions, dataset.labels.select(predictions.record_ids))
 
     nothing_scored = "no scored segments: predictions cover no labeled records"
-    return _eval_stage(args, workdir, score, nothing_scored, "record_id,core_score")
+    return _eval_stage(args, workdir, score, nothing_scored, ("record_id", "core_score"))
 
 
 def cmd_eval_eta(args, workdir: Path) -> int:
     def score(dataset, predictions: PredictionTable):
         return eta_metric(predictions, eta_labels(dataset.supersegments, set(predictions.record_ids)))
 
-    return _eval_stage(args, workdir, score, "no labeled (record, supersegment) pairs to score", "record_id,eta_mae_s")
+    return _eval_stage(args, workdir, score, "no labeled (record, supersegment) pairs to score",
+                       ("record_id", "eta_mae_s"))
 
 
 def cmd_baseline(args, workdir: Path) -> int:

@@ -12,15 +12,18 @@ A dataset directory holds six text files (UTF-8, LF):
 Loading validates the schema strictly and reports file, line and field on
 violations. All loaded structures are immutable; the labels are one ``LabelTable``.
 
-``labels.jsonl.bin`` is the labels' binary copy: a ``pack_container`` container (magic ``T4CL``, version 1) of the
+``labels.jsonl.bin`` is the labels' binary copy: a ``pack_container`` container (magic ``T4CL``, version 2) of the
 record and segment ids, then cc (int8), speed_kph (<f8) and vol_class (int8), each (records, segments) row-major; then
-the SHA-256 of ``labels.jsonl`` and the container. ``load_dataset`` reads the copy only when it holds what parsing the
-JSONL gives (``_labels_copy``), else parses it: a stale or damaged copy is ignored, and deleting it is always safe.
+the SHA-256 of the container alone; then the bytes of ``labels.jsonl`` verbatim. ``load_dataset`` reads the copy only
+when the container's digest matches, the JSONL equals the copy's tail byte for byte (compared in chunks, the JSONL
+never read whole), and the container holds what parsing the JSONL gives (``_labels_copy``); else it parses the JSONL: a
+stale, damaged or version 1 copy is ignored, and deleting it is always safe.
 
 A predictions file is laid out the same way: one sorted-key JSON line per record (``{"etas": {ss_id: seconds},
 "record_id": ..., "segments": {seg_id: {"cc", "speed", "vol"}}}``) and ``<predictions>.bin`` (magic ``T4CP``, version
-1) of the record, segment and super-segment ids, then cc (records, segments, 3) and the ETAs (records, super-segments)
-as <f8. ``write_predictions`` writes both from a ``PredictionTable`` with its ids sorted; ``read_predictions`` gives it.
+2) of the record, segment and super-segment ids, then cc (records, segments, 3) and the ETAs (records, super-segments)
+as <f8, then the container's SHA-256 and the JSONL's bytes. ``write_predictions`` writes both from a
+``PredictionTable`` with its ids sorted; ``read_predictions`` gives it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 import reprlib
@@ -72,6 +76,7 @@ __all__ = [
     "write_predictions",
     "read_json",
     "parse_json",
+    "csv_text",
     "pack_container",
     "unpack_container",
 ]
@@ -447,27 +452,42 @@ class _TableHeader:  # the ids of a binary copy's (records, segments) blocks
     segment_ids: tuple[str, ...]
 
 
+_COPY_CHUNK = 1 << 16  # bytes a read compares at a time between a JSONL and its binary copy's tail
+
+
 def _write_with_copy(path: Path, chunks: Iterable[bytes], kind: tuple[bytes, int], header, payload) -> None:
-    """Write ``chunks`` to ``path``, then ``<path>.bin``: the container, then the SHA-256 of the file and the container."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    """Write ``chunks`` to ``path`` and to ``<path>.bin``, there after the container and the container's SHA-256."""
+    body = pack_container(*kind, header, payload)
+    with open(path, "wb") as fh, open(path.with_name(path.name + ".bin"), "wb") as copy:
+        copy.write(body)
+        copy.write(hashlib.sha256(body).digest())
         for chunk in chunks:
             fh.write(chunk)
-            digest.update(chunk)
-    body = pack_container(*kind, header, payload)
-    digest.update(body)
-    path.with_name(path.name + ".bin").write_bytes(body + digest.digest())
+            copy.write(chunk)
 
 
-def _read_copy(path: Path, data: bytes, kind: tuple[bytes, int], header_type) -> tuple[dict | None, memoryview]:
-    """``<path>.bin``'s header and payload if it is whole, written for ``data`` and of ``header_type``; else no header."""
-    try:
-        raw = path.with_name(path.name + ".bin").read_bytes()
-        digest = hashlib.sha256(data)
-        digest.update(memoryview(raw)[:-32])
-        if digest.digest() == raw[-32:]:  # a cut copy has fewer than 32 bytes there
-            header, payload = unpack_container(memoryview(raw)[:-32], *kind, "binary copy")
-            return read_json(header_type, header), payload
+def _same_tail(fh, copy) -> bool:
+    """Whether the open files ``fh`` and ``copy`` hold the same bytes from their positions to their ends."""
+    while True:
+        chunk = fh.read(_COPY_CHUNK)
+        if chunk != copy.read(_COPY_CHUNK):  # bytes ==: a memcmp, where memoryview == compares item by item
+            return False
+        if not chunk:
+            return True
+
+
+def _read_copy(path: Path, kind: tuple[bytes, int], header_type) -> tuple[dict | None, memoryview]:
+    """``<path>.bin``'s header and payload if its container is whole and of ``header_type``, and the rest of the copy is
+    the container's SHA-256 and then exactly the bytes of ``path``; else no header. Of the two files only the container
+    is read whole."""
+    try:  # unbuffered: each chunk is one read into its own bytes; a short read only makes the chunks differ
+        with open(path, "rb", buffering=0) as fh, open(path.with_name(path.name + ".bin"), "rb", buffering=0) as copy:
+            end = os.fstat(copy.fileno()).st_size - os.fstat(fh.fileno()).st_size - 32  # the container's length
+            if end >= 16:  # a container's preamble alone is 16 bytes
+                body = copy.read(end)
+                if hashlib.sha256(body).digest() == copy.read(32) and _same_tail(fh, copy):
+                    header, payload = unpack_container(body, *kind, "binary copy")
+                    return read_json(header_type, header), payload
     except (OSError, ValueError):  # absent or damaged
         pass
     return None, memoryview(b"")
@@ -673,13 +693,13 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
     return tuple(records)
 
 
-_LABELS_COPY = (b"T4CL", 1)  # magic, version
+_LABELS_COPY = (b"T4CL", 2)  # magic, version
 
 
-def _labels_copy(path: Path, data: bytes, record_ids: set[str], segment_ids: list[str]) -> LabelTable | None:
-    """The table of ``labels.jsonl``'s copy if it holds what the parse of ``data`` gives, else None: the graph's
+def _labels_copy(path: Path, record_ids: set[str], segment_ids: list[str]) -> LabelTable | None:
+    """The table of ``labels.jsonl``'s copy if it holds what the parse of the file gives, else None: the graph's
     segment ids in order, distinct records of ``volumes.jsonl``, 10 bytes a cell and only values the parse takes."""
-    header, payload = _read_copy(path, data, _LABELS_COPY, _TableHeader)
+    header, payload = _read_copy(path, _LABELS_COPY, _TableHeader)
     if header is None:
         return None
     ids, cells = header["record_ids"], len(header["record_ids"]) * len(segment_ids)
@@ -695,10 +715,10 @@ def _labels_copy(path: Path, data: bytes, record_ids: set[str], segment_ids: lis
 
 
 def _load_labels(path: Path, record_ids: set[str], segment_ids: list[str]) -> LabelTable:
-    data = path.read_bytes()
-    table = _labels_copy(path, data, record_ids, segment_ids)
+    table = _labels_copy(path, record_ids, segment_ids)
     if table is not None:
         return table
+    data = path.read_bytes()
     column = {seg_id: j for j, seg_id in enumerate(segment_ids)}
     width = len(segment_ids)
     rows: dict[str, tuple[list, list, list]] = {}
@@ -824,7 +844,7 @@ def _label_lines(labels: LabelTable) -> Iterator[str]:
         yield f'{{"edges":{{{edges}}},"record_id":{json.dumps(record_id)}}}\n'
 
 
-def _csv_text(rows) -> str:
+def csv_text(rows) -> str:
     """``rows`` as CSV lines that end in "\\n". The csv module quotes a field only for the characters of that
     line end, so a row with a carriage return in a text field (read back as a line break) is quoted whole."""
     buf = io.StringIO()
@@ -858,7 +878,7 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
 
     for name, columns, rows in (("nodes.csv", NODE_COLUMNS, graph.nodes), ("edges.csv", EDGE_COLUMNS, graph.segments)):
         cells = [[_fmt(getattr(row, column)) for column in columns] for row in rows]
-        (dir_path / name).write_text(_csv_text([columns, *cells]), encoding="utf-8")
+        (dir_path / name).write_text(csv_text([columns, *cells]), encoding="utf-8")
 
     with open(dir_path / "volumes.jsonl", "w", encoding="utf-8") as fh:
         for r in records:
@@ -963,7 +983,7 @@ class PredictionTable(NamedTuple):
         return table
 
 
-_PREDICTIONS_COPY = (b"T4CP", 1)  # magic, version
+_PREDICTIONS_COPY = (b"T4CP", 2)  # magic, version
 _PRODUCE_PREDICTIONS = "produce it with `t4c predict` (or `t4c baseline <name>`)"
 
 
@@ -1016,11 +1036,10 @@ def write_predictions(path, table: PredictionTable) -> None:
     _write_with_copy(Path(path), map(str.encode, _prediction_lines(table)), _PREDICTIONS_COPY, header, payload)
 
 
-def _predictions_copy(path: Path, data: bytes) -> PredictionTable | None:
-    """``read_predictions``' table for the JSONL bytes ``data``, record k on line k + 1, from their binary copy; or
-    None unless that copy is whole, was written for exactly ``data``, names each record once and holds only finite
-    numbers."""
-    header, payload = _read_copy(path, data, _PREDICTIONS_COPY, _PredictionsHeader)
+def _predictions_copy(path: Path) -> PredictionTable | None:
+    """``read_predictions``' table for the JSONL ``path``, record k on line k + 1, from its binary copy; or None unless
+    that copy is whole, ends in exactly the JSONL's bytes, names each record once and holds only finite numbers."""
+    header, payload = _read_copy(path, _PREDICTIONS_COPY, _PredictionsHeader)
     if header is None:
         return None
     ids, seg_ids, ss_ids = header["record_ids"], header["segment_ids"], header["supersegment_ids"]
@@ -1039,10 +1058,10 @@ def read_predictions(path) -> PredictionTable:
     one whose ``cc`` on a segment is neither null nor three finite numbers; a value a line lacks is NaN. A refusal is a
     ValueError naming ``path:line`` and the stages that write the file."""
     path = Path(path)
-    data = path.read_bytes()
-    table = _predictions_copy(path, data)
+    table = _predictions_copy(path)
     if table is not None:
         return table
+    data = path.read_bytes()
     lines, cc, etas = {}, {}, {}  # record id -> its line, record -> segment -> cc and (record, ss) -> ETA
     try:
         for line_no, obj in _jsonl_objects(path, data):

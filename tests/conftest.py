@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from datetime import date
 
 import numpy as np
 import pytest
 
+import t4c.data as data_module
 from t4c.data import (
     Dataset,
     LabelTable,
@@ -149,3 +151,11 @@ def write_body_value(src, dst, tensor: str, value: float):
     raw[offset : offset + 8] = np.float64(value).tobytes()
     dst.write_bytes(bytes(raw))
     return dst
+
+
+def write_version_1_copy(jsonl, kind: tuple[bytes, int]) -> None:
+    """Replace ``jsonl``'s copy with the one the version 1 writer made of the same container: its version field 1,
+    then the SHA-256 of the JSONL's bytes followed by the container."""
+    header, payload = data_module._read_copy(jsonl, kind, dict)
+    body = data_module.pack_container(kind[0], 1, header, [bytes(payload)])
+    jsonl.with_name(jsonl.name + ".bin").write_bytes(body + hashlib.sha256(jsonl.read_bytes() + body).digest())

@@ -3,6 +3,7 @@ determinism of artifacts, and flag/config precedence."""
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import t4c.data as data_module
 from t4c.cli import _SECTIONS, _config_from, build_parser, main
 from t4c.data import PredictionTable, SynthSpec, _predictions_copy, load_dataset, read_predictions, write_predictions
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig
 
-from conftest import rewrite_checkpoint_header, write_body_value
+from conftest import rewrite_checkpoint_header, write_body_value, write_version_1_copy
 
 CITY_ARGS = [
     "synth", "--out", "data/toy", "--nodes", "25", "--counter-frac", "0.2",
@@ -1054,7 +1056,7 @@ def test_predict_of_no_records_writes_an_empty_jsonl_and_its_copy(pipeline):
                  "--run", "runs/demo", "--records", "all", "--daytime-start", "0", "--daytime-end", "1",
                  "--out", pred.name]) == 0
     assert pred.read_bytes() == b""
-    copy = _predictions_copy(pred, b"")
+    copy = _predictions_copy(pred)
     assert copy is not None and copy.record_ids == []
     assert copy.cc.shape == (0, len(dataset.graph.segments), 3)
     assert copy.etas.shape == (0, len(dataset.supersegments))
@@ -1174,7 +1176,7 @@ def test_a_damaged_binary_copy_leaves_the_output_of_the_jsonl(pipeline, sidecar_
         damaged = _sidecar(sidecar_predictions[other]).read_bytes()
     _sidecar(pred).write_bytes(damaged)
     try:
-        assert _predictions_copy(pred, pred.read_bytes()) is None
+        assert _predictions_copy(pred) is None
         assert _evals(pipeline, pred) == expected
     finally:
         _sidecar(pred).write_bytes(raw)
@@ -1190,11 +1192,21 @@ def test_a_hand_written_jsonl_beside_a_stale_binary_copy_is_scored_from_it(pipel
     rows = [json.loads(line) for line in pred.read_text().splitlines()]
     rows[0]["etas"] = dict.fromkeys(rows[0]["etas"], 61)
     pred.write_text("".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows))
-    assert _predictions_copy(pred, pred.read_bytes()) is None
+    assert _predictions_copy(pred) is None
     edited = _evals(pipeline, pred)
     assert edited == _evals_of_the_jsonl(pipeline, pred) and edited["eval-eta"] != fresh["eval-eta"]
     write_predictions(pred, table)
-    assert _predictions_copy(pred, pred.read_bytes()) is not None and _evals(pipeline, pred) == fresh
+    assert _predictions_copy(pred) is not None and _evals(pipeline, pred) == fresh
+
+
+def test_a_version_1_binary_copy_leaves_the_output_of_the_jsonl(pipeline, sidecar_predictions):
+    """A copy in the layout of version 1, which bound the container to its JSONL by one SHA-256 over both."""
+    pred = pipeline / "sidecar_version_1.jsonl"
+    shutil.copy(sidecar_predictions["full_9"], pred)
+    shutil.copy(_sidecar(sidecar_predictions["full_9"]), _sidecar(pred))
+    write_version_1_copy(pred, data_module._PREDICTIONS_COPY)
+    assert _predictions_copy(pred) is None
+    assert _evals(pipeline, pred) == _evals_of_the_jsonl(pipeline, pred)
 
 
 @pytest.mark.parametrize("edit", ["reversed", "missing_segment"])
@@ -1416,6 +1428,31 @@ def test_a_record_id_with_a_lone_surrogate_exits_1_naming_the_file_line_and_fiel
     assert code == 1, err
     assert f"{city / 'volumes.jsonl'}:{line}: field 'record_id': '{rid}\\ud800' holds a lone surrogate" in err, err
     assert not any((tmp_path / name).exists() for name in ("clusters.json", "bl2", "core.csv", "eta.csv"))
+
+
+@pytest.mark.parametrize("suffix", [',"0\n16', '\r"'])
+def test_an_eval_csv_reads_back_a_record_id_that_needs_quoting(pipeline, tmp_path, suffix):
+    """A record id with a comma, a quote or a line break loads, and each eval stage's CSV quotes it, so that
+    ``csv.reader`` reads back the report's rows; written unquoted, the id ``r,"0\\n16`` read back as other rows. Every
+    other id keeps its bytes."""
+    city = _dataset_copy(pipeline, tmp_path)
+    assert _run(["baseline", "naive", "--data", city, "--out", tmp_path / "bl"])[0] == 0
+    pred = tmp_path / "bl/predictions_naive.jsonl"
+    rid = json.loads(pred.read_text().splitlines()[0])["record_id"]  # a validation record
+    for path in (city / "volumes.jsonl", city / "labels.jsonl", city / "supersegments.json", pred):
+        text = path.read_text()
+        assert f'"{rid}"' in text
+        path.write_text(text.replace(f'"{rid}"', json.dumps(rid + suffix)))
+    for stage, column in (("eval-core", "core_score"), ("eval-eta", "eta_mae_s")):
+        code, err = _run([stage, "--data", city, "--pred", pred, "--out", tmp_path / "report.json",
+                          "--csv", tmp_path / "report.csv"])
+        assert code == 0, err
+        per_record = json.loads((tmp_path / "report.json").read_text())["per_record"]
+        assert rid + suffix in per_record
+        with open(tmp_path / "report.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["record_id", column], *([r, f"{v:.6f}"] for r, v in per_record.items())]
+        text = (tmp_path / "report.csv").read_text(encoding="utf-8")
+        assert all(f"\n{r},{v:.6f}\n" in text for r, v in per_record.items() if r != rid + suffix)
 
 
 # -- the labels' binary copy: every stage that loads the dataset prints and writes the same with it as without it ---

@@ -1,6 +1,7 @@
 """Dataset IO, validation errors, filtering, splitting, synthetic city."""
 
 import contextlib
+import hashlib
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from t4c.data import (
     DatasetError,
     LabelTable,
     NodeRec,
+    PredictionTable,
     RoadGraph,
     SchemaError,
     SynthSpec,
@@ -30,12 +32,14 @@ from t4c.data import (
     daytime_filter,
     generate_synthetic_city,
     load_dataset,
+    read_predictions,
     split_train_validation,
     write_dataset,
+    write_predictions,
 )
 
 
-from conftest import make_segment
+from conftest import make_segment, write_version_1_copy
 
 
 def make_record(record_id, day, t_index, volumes=None):
@@ -683,11 +687,14 @@ def _parse_outcome(city):
         aside.rename(copy)
 
 
+def _ids(dataset) -> tuple[set[str], list[str]]:
+    """The record ids and the segment ids in graph order, with which ``load_dataset`` checks a labels copy."""
+    return {r.record_id for r in dataset.records}, [s.segment_id for s in dataset.graph.segments]
+
+
 def _copy_taken(city, dataset) -> bool:
     """Whether ``load_dataset`` takes the labels of ``city``, with the graph and records of ``dataset``, from the copy."""
-    jsonl = city / "labels.jsonl"
-    ids, seg_ids = {r.record_id for r in dataset.records}, [s.segment_id for s in dataset.graph.segments]
-    return data_module._labels_copy(jsonl, jsonl.read_bytes(), ids, seg_ids) is not None
+    return data_module._labels_copy(city / "labels.jsonl", *_ids(dataset)) is not None
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -767,7 +774,7 @@ def test_a_copy_with_a_bad_header_or_payload_length_is_not_taken(copy_cities, tm
     city = tmp_path / "city"
     shutil.copytree(copy_cities / "city1", city)
     jsonl = city / "labels.jsonl"
-    header, payload = data_module._read_copy(jsonl, jsonl.read_bytes(), data_module._LABELS_COPY, dict)
+    header, payload = data_module._read_copy(jsonl, data_module._LABELS_COPY, dict)
     header, payload = dict(header), bytes(payload)
     if fault == "header_type":
         header["record_ids"] = [1, *header["record_ids"][1:]]
@@ -776,7 +783,94 @@ def test_a_copy_with_a_bad_header_or_payload_length_is_not_taken(copy_cities, tm
     else:
         payload = payload[:-1] if fault == "short_payload" else payload + b"\0"
     data_module._write_with_copy(jsonl, [jsonl.read_bytes()], data_module._LABELS_COPY, header, [payload])
-    assert data_module._read_copy(jsonl, jsonl.read_bytes(), data_module._LABELS_COPY, dict)[0] == header
+    assert data_module._read_copy(jsonl, data_module._LABELS_COPY, dict)[0] == header
     city1 = load_dataset(copy_cities / "city1")
     assert not _copy_taken(city, city1)
     assert load_dataset(city).labels == _parse_outcome(city) == city1.labels
+
+
+# -- the check that binds a copy to its JSONL: the copy ends in the JSONL's bytes, compared chunk by chunk -----------
+
+
+@pytest.fixture(scope="module")
+def copy_predictions(copy_cities):
+    """A predictions file, with its binary copy, over the records, segments and super-segments of city1."""
+    city1 = load_dataset(copy_cities / "city1")
+    rng = np.random.default_rng(0)
+    records, segments = len(city1.records), len(city1.graph.segments)
+    table = PredictionTable([r.record_id for r in city1.records], [s.segment_id for s in city1.graph.segments],
+                            [ss.ss_id for ss in city1.supersegments], rng.dirichlet(np.ones(3), (records, segments)),
+                            rng.uniform(60.0, 600.0, (records, len(city1.supersegments))))
+    pred = copy_cities / "predictions.jsonl"
+    write_predictions(pred, table)
+    return pred
+
+
+def _read_outcome(pred):
+    """``read_predictions``' table as (dtype, shape, bytes) of each block and the ids, or what it raised."""
+    try:
+        table = read_predictions(pred)
+    except Exception as exc:  # the exact exception is the outcome
+        return type(exc), str(exc)
+    return [(v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in table]
+
+
+def _jsonl_outcomes(kind, city, pred):
+    """For the labels of ``city`` or the predictions ``pred``: the JSONL, whether its copy is taken, the load's outcome
+    and the parse's."""
+    if kind == "labels":
+        city1 = load_dataset(city)
+        return city / "labels.jsonl", lambda: _copy_taken(city, city1), lambda: _load_outcome(city), \
+            lambda: _parse_outcome(city)
+
+    def parse():
+        aside = pred.with_name("aside.bin")
+        pred.with_name(pred.name + ".bin").rename(aside)
+        try:
+            return _read_outcome(pred)
+        finally:
+            aside.rename(pred.with_name(pred.name + ".bin"))
+
+    return pred, lambda: data_module._predictions_copy(pred) is not None, lambda: _read_outcome(pred), parse
+
+
+CHUNK = 64  # a small _COPY_CHUNK, so that the files span many chunks
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+@pytest.mark.parametrize("edit", ["first_byte", "last_byte", "before_a_chunk_boundary", "after_a_chunk_boundary",
+                                  "appended_byte", "cut_byte"])
+def test_a_jsonl_edited_by_one_byte_loads_as_its_parse_and_not_from_its_copy(copy_cities, copy_predictions,
+                                                                               monkeypatch, kind, edit):
+    monkeypatch.setattr(data_module, "_COPY_CHUNK", CHUNK)
+    jsonl, taken, load, parse = _jsonl_outcomes(kind, copy_cities / "city1", copy_predictions)
+    text = jsonl.read_bytes()
+    assert len(text) > 4 * CHUNK and taken()
+    position = {"first_byte": 0, "last_byte": len(text) - 1, "before_a_chunk_boundary": 3 * CHUNK - 1,
+                "after_a_chunk_boundary": 3 * CHUNK}.get(edit)
+    if position is not None:  # the same length, one byte other
+        edited = text[:position] + bytes([text[position] ^ 1]) + text[position + 1:]
+    else:  # a line break more or less: the parse gives the same table, which the copy holds, but the bytes differ
+        edited = text + b"\n" if edit == "appended_byte" else text[:-1]
+    jsonl.write_bytes(edited)
+    try:
+        assert not taken()
+        assert load() == parse()
+    finally:
+        jsonl.write_bytes(text)
+    assert taken()
+
+
+VERSION_1_LABELS_COPY_SHA256 = "9855b8f46a3c0e12e142914e2bbb9c179ff5e86df78215423ee8970b11166222"  # `synth`'s city
+
+
+def test_a_version_1_labels_copy_is_ignored(tmp_path):
+    """The version 1 copy of ``synth``'s city, byte for byte as that writer made it, is not taken by this reader."""
+    city = tmp_path / "city"
+    generate_synthetic_city(SynthSpec(), 1, city)
+    assert data_module._labels_copy(city / "labels.jsonl", *_ids(load_dataset(city))) is not None
+    write_version_1_copy(city / "labels.jsonl", data_module._LABELS_COPY)
+    assert hashlib.sha256((city / "labels.jsonl.bin").read_bytes()).hexdigest() == VERSION_1_LABELS_COPY_SHA256
+    assert data_module._read_copy(city / "labels.jsonl", data_module._LABELS_COPY, dict)[0] is None
+    assert data_module._labels_copy(city / "labels.jsonl", *_ids(load_dataset(city))) is None
+    assert _load_outcome(city) == _parse_outcome(city)

@@ -38,7 +38,7 @@ NODE_GNN_SCORE_HEX = "0x1.a624f6b09c06bp-1"
 SYNTH_SHA256 = {
     "edges.csv": "a9b1acd80302db486420d6f09e12a391f2acbac49953f33740c7e48a8a221683",
     "labels.jsonl": "2352764c30d3d9dfd78492f78dd2dbc6fa5b4c9f0ed35d5e57d9c232f0f63815",
-    "labels.jsonl.bin": "9855b8f46a3c0e12e142914e2bbb9c179ff5e86df78215423ee8970b11166222",
+    "labels.jsonl.bin": "bfaff4a580424f21f102bcb949a7f794c822985e14cced338e01136d03d11b6f",
     "meta.json": "786befc991670bf1bf086507299c651ce9bcb4ca31a34edb98af0c632cdcc40a",
     "nodes.csv": "1098e82487cc1978181147d27e2939f5ecaa18b5b1dd24d9be316b9acb498042",
     "supersegments.json": "2ac2ac877bec866bae70f2fc646517bd3872870494ac8584af705070c7701070",
@@ -50,7 +50,7 @@ SECOND_SPEC = SynthSpec(
 SECOND_SPEC_SHA256 = {  # seed 7
     "edges.csv": "a51aff54e048ac62947d708386217cd1dc606ba148723940c7773006feba4a81",
     "labels.jsonl": "f209d73fab6bafc2821139ac7f11337e138d928e454445e32a05a12e486bf24e",
-    "labels.jsonl.bin": "97eab8142ef566404f5a83002d6b3c03d073430b2529d1a7eac7254bce5e8c45",
+    "labels.jsonl.bin": "6967686763473e0741f43c95e72bdba207d87bd70e5f460464fec9e4d4288153",
     "meta.json": "786befc991670bf1bf086507299c651ce9bcb4ca31a34edb98af0c632cdcc40a",
     "nodes.csv": "81fc518900d34f0f903d68a30c822bb0e6c48dc633ecfbf780176bec50e0cc50",
     "supersegments.json": "3e3f4318952102e5f2e28bdf2efdf05f80b9d9dde223657ba80be99266fe1033",
