@@ -1,10 +1,11 @@
 """A tour of the reverse-mode autodiff engine.
 
 Build tensors, compose the ops the traffic model uses (a dense layer and
-a message-passing round, each one fused op), check an analytic gradient
-against central finite differences, and run a few Adam steps on a tiny
-least-squares problem, first building the graph on every step, then
-tracing it once into a plan and replaying the plan.
+a message-passing round, each one fused op), check the gradient of a
+masked mean squared error against central finite differences, and run a
+few Adam steps on a tiny least-squares problem (a one-unit dense layer
+under that loss), first building the graph on every step, then tracing it
+once into a plan and replaying the plan.
 """
 
 import numpy as np
@@ -35,8 +36,16 @@ print("one round, Ws = 0 and Wn = I:\n", ad.gnn_round(feats, mean_operator, np.z
 
 # --- gradients vs finite differences -----------------------------------------
 
-loss = ad.reduce_sum(ad.mul(h, h))
-loss.backward()
+# the speed head's loss: a mean squared error over the entries the mask keeps
+target = np.array([[0.5, 0.0], [1.0, 2.0]])
+mask = np.array([[True, False], [True, True]])
+
+
+def loss_of(weight):
+    return ad.mse(ad.linear(x, weight, b, relu=True), target, mask)[0]
+
+
+loss_of(w).backward()
 analytic = w.grad.copy()
 
 h_step = 1e-5
@@ -45,9 +54,9 @@ for i in range(w.data.shape[0]):
     for j in range(w.data.shape[1]):
         orig = w.data[i, j]
         w.data[i, j] = orig + h_step
-        up = ad.reduce_sum(ad.mul(ad.linear(x, w, b, relu=True), ad.linear(x, w, b, relu=True))).item()
+        up = loss_of(w.data).item()
         w.data[i, j] = orig - h_step
-        down = ad.reduce_sum(ad.mul(ad.linear(x, w, b, relu=True), ad.linear(x, w, b, relu=True))).item()
+        down = loss_of(w.data).item()
         w.data[i, j] = orig
         numeric[i, j] = (up - down) / (2 * h_step)
 print("max |analytic - numeric|:", np.abs(analytic - numeric).max())
@@ -61,17 +70,18 @@ print(f"weighted CE over {n_rows} row(s): {ce.item():.6f}")
 
 # --- Adam on a one-parameter fit ----------------------------------------------
 
+# y = 2.5 x as a dense layer with one input, one unit and no bias: (20, 1) @ (1, 1)
 store = ParamStore()
-slope = store.add("slope", np.array([0.0]))
-xs = np.linspace(-1, 1, 20)
+slope = store.add("slope", np.array([[0.0]]))
+no_bias = np.zeros(1)
+xs = np.linspace(-1, 1, 20).reshape(20, 1)
 ys = 2.5 * xs
 for step in range(200):
-    pred = ad.mul(slope, Tensor(xs))
-    fit, _ = ad.mse(pred, ys)
+    fit, _ = ad.mse(ad.linear(xs, slope, no_bias), ys)
     store.zero_grad()
     fit.backward()
     ad.adam_step(store, lr=0.05)
-print("fitted slope (target 2.5):", slope.data[0])
+print("fitted slope (target 2.5):", slope.data[0, 0])
 
 # --- the same fit, traced once and replayed -----------------------------------
 
@@ -79,14 +89,14 @@ print("fitted slope (target 2.5):", slope.data[0])
 # records its op sequence; each replay binds new inputs (same shapes) and runs
 # the same numpy expressions, adding the gradient into the store's flat buffer.
 store = ParamStore()
-slope = store.add("slope", np.array([0.0]))
-plan = ad.Plan.trace(lambda x, y: [ad.mse(ad.mul(slope, x), y)[0]], (xs, ys))
+slope = store.add("slope", np.array([[0.0]]))
+plan = ad.Plan.trace(lambda x, y: [ad.mse(ad.linear(x, slope, no_bias), y)[0]], (xs, ys))
 print("plan ops:", plan.ops)
 rng = np.random.default_rng(0)
 for step in range(200):
-    batch = rng.uniform(-1, 1, size=20)
+    batch = rng.uniform(-1, 1, size=(20, 1))
     store.zero_grad()
     (value,) = plan.forward(batch, 2.5 * batch)
     plan.backward()
     ad.adam_step(store, lr=0.05)
-print(f"replayed fit: slope {slope.data[0]:.4f}, last loss {float(value):.2e}")
+print(f"replayed fit: slope {slope.data[0, 0]:.4f}, last loss {float(value):.2e}")

@@ -6,17 +6,18 @@ Tensor it returns. A :class:`Plan` turns such a recorded graph into a
 flat op sequence once: one slot per value, the forward in topological
 order, the backward in its reverse, and for each op the slots its
 gradients go to. ``Tensor.backward()`` builds a plan and runs its
-backward once. Training traces one record's forward and loss into a plan
+backward once, into the ``grad`` of each leaf that requires one.
+Training traces one record's forward and loss into a plan
 (:meth:`Plan.trace`) and replays it for every record: each replay binds
 the record's input arrays to the plan's input slots and runs the same
 numpy expressions in the same order, with no Tensor built and no graph
 walked. Everything runs in 64-bit precision so that finite-difference
 checks stay sharp.
 
-Plain float64 arrays are constants. The graph ops (all but reduce_sum
-and the losses, weighted_sum included) called with no Tensor operand
-return the plain value their Tensor path would hold in ``.data`` and
-record nothing, so inference runs the same code without a graph.
+Plain float64 arrays are constants. The graph ops (all but the losses,
+weighted_sum included) called with no Tensor operand return the plain
+value their Tensor path would hold in ``.data`` and record nothing, so
+inference runs the same code without a graph.
 
 Only the operations the segment model actually needs are provided. Its
 blocks are fused ops with a hand-written backward that keeps the bits of
@@ -27,9 +28,9 @@ identity ``skip``), ``gnn_round`` (one message-passing round),
 in place on the op's own output: a ``-0.0`` pre-activation gives
 ``+0.0``, and a NaN propagates instead of being zeroed, so a diverging
 layer shows up in the loss; the backward masks with ``out > 0``. Beside
-them sit add, mul, concat, slicing, reshape, a sum reduction, the two
-masked losses (weighted cross entropy and mean squared error), a
-plain-array softmax for inference, and Adam over a parameter store.
+them sit concat, a row gather, reshape, the two masked losses (weighted
+cross entropy and mean squared error), a plain-array softmax for
+inference, and Adam over a parameter store.
 
 The softmaxes and the cross entropy reduce their 3- or 4-wide class axis
 with ``fold_classes``: one ufunc call per column, with the bits of
@@ -56,8 +57,6 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Plan",
-    "add",
-    "mul",
     "linear",
     "gnn_round",
     "concat",
@@ -68,7 +67,6 @@ __all__ = [
     "softmax_np",
     "getitem",
     "reshape",
-    "reduce_sum",
     "weighted_cross_entropy",
     "mse",
     "ParamStore",
@@ -108,7 +106,7 @@ class Tensor:
     """A dense array with an optional gradient buffer.
 
     A Tensor returned by an op remembers the op and its operands. Calling
-    :meth:`backward` on a scalar fills ``grad`` on every reachable tensor
+    :meth:`backward` on a scalar fills ``grad`` on every reachable leaf
     that requires it. Leaf tensors default to ``requires_grad=False`` and
     act as constants. ``dtype=None`` keeps the array's own dtype (a plan's
     integer or boolean inputs); otherwise the data is cast to float64.
@@ -133,18 +131,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Backpropagate from a scalar, accumulating into ``grad`` buffers.
-
-        Leaves add into the ``grad`` they have (a new zero buffer when it is
-        None); every other tensor on the way gets its own gradient array.
-        """
+        """Backpropagate from a scalar: each leaf that requires a gradient adds its gradient into its ``grad``
+        (a new zero buffer when it is None). An op's output gets none."""
         if self.data.size != 1:
             raise ValueError(f"backward() expects a scalar, got shape {self.data.shape}")
-        plan = Plan([self])
-        grads = plan.backward()
-        for slot, tensor in plan._op_tensors:
-            if grads[slot] is not None:
-                tensor.grad = grads[slot] + 0.0
+        Plan([self]).backward()
 
 
 def _as_tensor(x) -> Tensor:
@@ -163,29 +154,7 @@ def _record(op: _Op, out, ctx, operands: tuple) -> Tensor:
     return t
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Sum the gradient down to the original operand shape.
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 # -- op kinds: forward and backward over plain values ---------------------------
-
-
-def _add_backward(g, out, ctx, need, x, y):
-    return (_unbroadcast(g, np.shape(x)) if need[0] else None,
-            _unbroadcast(g, np.shape(y)) if need[1] else None)
-
-
-def _mul_backward(g, out, ctx, need, x, y):
-    return (_unbroadcast(g * y, np.shape(x)) if need[0] else None,
-            _unbroadcast(g * x, np.shape(y)) if need[1] else None)
 
 
 def _linear_forward(x, w, b, relu, skip):
@@ -247,21 +216,13 @@ def _embed_concat_backward(g, out, ctx, need, cells, count, *parts):
 
 
 def _scatter_backward(g, out, ctx, need, a, index):
-    """Gather backward (getitem): add each row of ``g`` back at its index.
-
-    Every entry sums its rows from 0.0 in index order, as ``np.add.at`` does.
-    For row indices (a 1-D array of non-negative integers) ``np.bincount``
-    does the same additions in one pass over ``g``, at a fraction of the cost.
-    """
+    """Row gather backward (getitem): one ``np.bincount`` adds each row of ``g`` back at its index, every entry
+    summing its rows from 0.0 in index order, as ``np.add.at`` does."""
     if not need[0]:
         return None, None
-    if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu" and index.size and index.min() >= 0:
-        width = a.size // a.shape[0]
-        cells = (index[:, None] * width + np.arange(width)).ravel()
-        return np.bincount(cells, weights=g.ravel(), minlength=a.size).reshape(a.shape), None
-    buf = np.zeros(a.shape, a.dtype)
-    np.add.at(buf, index, g)
-    return buf, None
+    width = a.size // a.shape[0]
+    cells = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(cells, weights=g.ravel(), minlength=a.size).reshape(a.shape), None
 
 
 def _wce_forward(logits, labels, weights):
@@ -308,8 +269,6 @@ def _mse_backward(g, out, ctx, need, pred, target, mask):
     return 2.0 * ctx[1] * (float(g) / n), None, None
 
 
-_ADD = _Op("add", lambda x, y: (x + y, None), _add_backward)
-_MUL = _Op("mul", lambda x, y: (x * y, None), _mul_backward)
 _LINEAR = _Op("linear", _linear_forward, _linear_backward)
 _GNN_ROUND = _Op("gnn_round", _gnn_round_forward, _gnn_round_backward)
 _CONCAT = _Op("concat", lambda axis, *parts: (np.concatenate(parts, axis=axis), None), _concat_backward)
@@ -318,14 +277,10 @@ _EMBED_CONCAT = _Op("embed_concat", lambda cells, count, *parts: (np.concatenate
 _WEIGHTED_SUM = _Op("weighted_sum",  # sum() from the first product adds the others left to right
     lambda weights, *terms: (sum(map(_times, terms[1:], weights[1:]), terms[0] * weights[0]), None),
     lambda g, out, ctx, need, weights, *terms: (None, *(g * w for w in weights)))
-_GETITEM = _Op("getitem", lambda a, key: (np.array(a[key]), None), _scatter_backward)
+_GETITEM = _Op("getitem", lambda a, rows: (a[rows], None), _scatter_backward)
 _RESHAPE = _Op(
     "reshape", lambda a, shape: (a.reshape(shape), None),
     lambda g, out, ctx, need, a, shape: (g.reshape(np.shape(a)), None),
-)
-_REDUCE_SUM = _Op(
-    "reduce_sum", lambda a: (a.sum(), None),
-    lambda g, out, ctx, need, a: (np.broadcast_to(g, np.shape(a)).copy(),),
 )
 _WCE = _Op("weighted_cross_entropy", _wce_forward, _wce_backward)
 _MSE = _Op("mse", _mse_forward, _mse_backward)
@@ -340,28 +295,11 @@ def _apply(op: _Op, operands: tuple, values: Sequence | None = None):
 # -- the ops --------------------------------------------------------------------
 
 
-def _broadcasting(op: _Op, a, b) -> Tensor | np.ndarray:
-    try:
-        return _apply(op, (a, b))
-    except ValueError:
-        raise ShapeError(f"{op.name}: cannot broadcast shapes {np.shape(_value(a))} and {np.shape(_value(b))}") from None
-
-
-def add(a, b) -> Tensor | np.ndarray:
-    """Elementwise sum with numpy broadcasting (e.g. bias add)."""
-    return _broadcasting(_ADD, a, b)
-
-
-def mul(a, b) -> Tensor | np.ndarray:
-    """Elementwise product with numpy broadcasting; also scales by a scalar."""
-    return _broadcasting(_MUL, a, b)
-
-
 def linear(x, w, b, relu: bool = False, skip=None) -> Tensor | np.ndarray:
     """One dense layer as one op: ``x @ w + b``, then the ReLU when ``relu``, or ``+ skip`` when given.
 
-    x is (N, F), w (F, H), b (H,), skip (N, H). Value and gradients are those of matmul, add and relu,
-    then ``add(skip, ...)`` passing ``skip`` the incoming gradient; a skip after a ReLU is refused. The
+    x is (N, F), w (F, H), b (H,), skip (N, H). Value and gradients are those of a matmul, a bias add and
+    a relu, then ``skip + ...`` passing ``skip`` the incoming gradient; a skip after a ReLU is refused. The
     ReLU runs in place on the output, maps a ``-0.0`` pre-activation to ``+0.0`` and lets a NaN through.
     Plain arrays may be a stack of M members, member k at index k: x (M, N, F), w (M, F, H), b (M, 1, H),
     skip (M, N, H). Each member's rows get the bits of its own call, as matmul runs one product per member.
@@ -439,7 +377,7 @@ def embed_concat(tables: Sequence, cells, blocks: Sequence = ()) -> Tensor | np.
 
 def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor | np.ndarray:
     """``terms[0] * weights[0] + terms[1] * weights[1] + ...`` of scalar terms, summed left to right,
-    as one op with the value and gradients of a ``mul`` per term and a chain of ``add``s."""
+    as one op with the value and gradients of a product per term and a chain of sums."""
     if len(terms) != len(weights) or any(np.shape(_value(t)) != () for t in terms) or not terms:
         raise ShapeError(f"weighted_sum: terms of shapes {[np.shape(_value(t)) for t in terms]} for {len(weights)} weights")
     return _apply(_WEIGHTED_SUM, (tuple(map(float, weights)), *terms))
@@ -471,9 +409,11 @@ def softmax_np(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def getitem(a, key) -> Tensor | np.ndarray:
-    """Basic or integer-array indexing; gradient scatters back with add.at."""
-    return _apply(_GETITEM, (a, key))
+def getitem(a, rows: np.ndarray) -> Tensor | np.ndarray:
+    """The rows of ``a`` at ``rows``, a 1-D array of non-negative integers; any other key raises IndexError."""
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind == "i" and rows.min(initial=0) >= 0):
+        raise IndexError(f"getitem: takes a 1-D array of non-negative integer rows, not {rows!r}")
+    return _apply(_GETITEM, (a, rows))
 
 
 def reshape(a, shape) -> Tensor | np.ndarray:
@@ -481,10 +421,6 @@ def reshape(a, shape) -> Tensor | np.ndarray:
         return _apply(_RESHAPE, (a, shape))
     except ValueError:
         raise ShapeError(f"reshape: cannot view {np.shape(_value(a))} as {shape}") from None
-
-
-def reduce_sum(a) -> Tensor:
-    return _apply(_REDUCE_SUM, (_as_tensor(a),))
 
 
 def weighted_cross_entropy(logits, labels, class_weights) -> tuple[Tensor, int]:
@@ -573,8 +509,8 @@ class Plan:
     operand. The ops run forward in the walk's order and backward in its
     reverse. A leaf that requires a gradient adds its gradients into its
     ``grad`` buffer (a new zero buffer when it has none), so the gradients of
-    a ParamStore's parameters land in its flat buffer; every other gradient
-    lives only during one backward.
+    a ParamStore's parameters land in its flat buffer; an op output's
+    gradient lives only during one backward.
 
     Parameters and constants are read by reference, so each replay sees the
     parameters' current values. :meth:`forward` binds one array to each of
@@ -602,7 +538,6 @@ class Plan:
         self._forward = [(t._node[0].forward, _getter([slot(x) for x in t._node[1]]), slot(t)) for t in order]
         self._ctx = [t._node[2] for t in order]
         self._backward = []
-        self._op_tensors = []  # (slot, tensor) of each op output that requires a gradient
         for k in reversed(range(len(order))):
             t = order[k]
             if not t.requires_grad:
@@ -615,7 +550,6 @@ class Plan:
                 for pos, x in enumerate(operands) if need[pos]
             )
             self._backward.append((k, op.backward, args, out, need, targets))
-            self._op_tensors.append((out, t))
         self._values = values
         self._outputs = [slot(t) for t in outputs]
         self._seed = np.ones_like(values[self._outputs[0]])
@@ -624,9 +558,7 @@ class Plan:
     def trace(cls, fn: Callable[..., Sequence[Tensor]], inputs: Sequence[np.ndarray]) -> Plan:
         """Run ``fn`` once on Tensors holding ``inputs`` and plan the outputs it returns (the loss first)."""
         tensors = [Tensor(x, dtype=None) for x in inputs]
-        plan = cls(fn(*tensors), tensors)
-        plan._op_tensors = []  # the traced tensors are not handed out; let them go
-        return plan
+        return cls(fn(*tensors), tensors)
 
     def forward(self, *inputs: np.ndarray) -> list:
         """Bind ``inputs`` and run every op; the outputs' values."""
@@ -641,8 +573,8 @@ class Plan:
             values[out], ctx[k] = fwd(*args(values))
         return [values[i] for i in self._outputs]
 
-    def backward(self) -> list:
-        """Backpropagate from the first output; the gradient of each slot (None where it got none)."""
+    def backward(self) -> None:
+        """Backpropagate from the first output into the leaves' ``grad`` buffers."""
         values, ctx = self._values, self._ctx
         grads: list = [None] * len(values)
         grads[self._outputs[0]] = self._seed
@@ -661,7 +593,6 @@ class Plan:
                     grads[slot] = g_in
                 else:
                     grads[slot] = grads[slot] + g_in
-        return grads
 
 
 def _getter(slots: list[int]) -> Callable[[list], tuple]:

@@ -376,7 +376,9 @@ def _svg_curves(curves: dict[str, list[float]], width=640, height=360) -> str:
             points.append(f"{x:.1f},{y:.1f}")
         color = colors[idx % len(colors)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(points)}"/>')
-        parts.append(f'<text x="{width - pad + 4}" y="{20 + 14 * idx}" font-size="11" fill="{color}">{name}</text>')
+        # a directory name may hold &, < or >; xml.sax.saxutils.escape would import urllib (about 2 MB of RSS)
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{width - pad + 4}" y="{20 + 14 * idx}" font-size="11" fill="{color}">{label}</text>')
     parts.append(f'<text x="{pad}" y="{height - 8}" font-size="11">epoch 0..{max_len - 1}; score {lo:.4f}..{hi:.4f}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -389,7 +391,7 @@ def cmd_report(args, workdir: Path) -> int:
     out_dir = _resolve(workdir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = ["member,seed,best_epoch,best_val_core,final_train_loss"]
+    rows = [["member", "seed", "best_epoch", "best_val_core", "final_train_loss"]]
     curves: dict[str, list[float]] = {}
     for member in member_dirs:
         try:
@@ -397,12 +399,9 @@ def cmd_report(args, workdir: Path) -> int:
         except ValueError as exc:
             raise CLIError(f"{exc}; produce it again with `t4c train`") from None
         best = runlog.epochs[runlog.best_epoch].val_core
-        lines.append(
-            f"{member.name},{runlog.seed},{runlog.best_epoch},{best:.6f},"
-            f"{runlog.epochs[-1].train_loss:.6f}"
-        )
+        rows.append([member.name, runlog.seed, runlog.best_epoch, f"{best:.6f}", f"{runlog.epochs[-1].train_loss:.6f}"])
         curves[member.name] = [e.val_core for e in runlog.epochs]
-    (out_dir / "report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "report.csv").write_text(csv_text(rows), encoding="utf-8")
     (out_dir / "val_curves.svg").write_text(_svg_curves(curves), encoding="utf-8")
     if args.ablation:
         ablation_path = _require_artifact(_resolve(workdir, args.ablation), "ablate")

@@ -1,4 +1,4 @@
-"""Shared fixtures: a tiny hand-built city and finite-difference helpers."""
+"""Shared fixtures: a tiny hand-built city, finite-difference helpers and a scalar to backpropagate from."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import t4c.data as data_module
+from t4c import autodiff as ad
 from t4c.data import (
     Dataset,
     LabelTable,
@@ -101,6 +102,12 @@ def record_inputs(graph, seg_graph, record, priors, norm_stats, **kwargs):
     bundle (``kwargs`` pick the prior mode and row) and the normalized counter slice."""
     bundle = assemble_features(graph, seg_graph, priors, norm_stats, **kwargs)
     return bundle, norm_stats.normalize_counters(counter_slice_matrix(graph, record))
+
+
+def dot(out, g: np.ndarray):
+    """The scalar ``sum(out * g)`` from the model's own ops: its backward hands ``out`` exactly ``g``."""
+    size = np.size(g)
+    return ad.reshape(ad.linear(ad.reshape(out, (1, size)), g.reshape(size, 1), np.zeros(1)), ())
 
 
 def central_diff_tensor(f, tensor, h=1e-5) -> np.ndarray:

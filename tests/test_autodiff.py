@@ -10,7 +10,7 @@ from t4c import autodiff as ad
 from t4c.autodiff import ParamStore, ShapeError, Tensor
 from t4c.seggraph import mean_aggregation_matrix
 
-from conftest import central_diff_tensor, max_rel_error
+from conftest import central_diff_tensor, dot, max_rel_error
 
 GRAD_TOL = 1e-6
 
@@ -19,7 +19,7 @@ def test_relu_values_and_subgradient_at_zero():
     x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
     out = ad.linear(x, np.eye(3), np.zeros(3), relu=True)
     assert out.data.tolist() == [[0.0, 0.0, 2.0]]
-    ad.reduce_sum(out).backward()
+    dot(out, np.ones((1, 3))).backward()
     assert x.grad.tolist() == [[0.0, 0.0, 1.0]]
 
 
@@ -100,11 +100,6 @@ def test_member_stack_shape_errors_name_the_operands():
             ad.gnn_round(operands[0], operator, *operands[1:])
 
 
-def test_add_broadcast_shape_error():
-    with pytest.raises(ShapeError):
-        ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
-
-
 def test_embedding_index_out_of_range():
     with pytest.raises(IndexError, match=r"values in \[0, 3\] for table of size 3"):
         ad.embedding_cells([(4, 1), (3, 2)], np.array([[0, 0], [1, 3]]))
@@ -124,14 +119,11 @@ def _constant_op_calls(rng):
     b = rng.normal(size=(3, 2))
     c = rng.normal(size=(4, 3))
     d = rng.normal(size=(3, 2))
-    bias = rng.normal(size=3)
     bias2 = rng.normal(size=2)
     skip = rng.normal(size=(4, 2))
     operator = mean_aggregation_matrix([(1, 3), (0, 2), (1,), ()])
     cells = ad.embedding_cells([(4, 3), (3, 2)], np.array([[3, 0], [0, 2], [0, 1], [2, 2]]))
     return {
-        "add": lambda wrap: ad.add(wrap(a), wrap(bias)),
-        "mul": lambda wrap: ad.mul(wrap(a), wrap(c)),
         "linear": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2)),
         "linear_relu": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2), relu=True),
         "linear_skip": lambda wrap: ad.linear(wrap(a), wrap(b), wrap(bias2), skip=wrap(skip)),
@@ -161,7 +153,7 @@ def test_array_operands_give_a_plain_array_equal_to_the_tensor_path(op):
 
     mixed = call(first_only)
     assert mixed.data.tobytes() == plain.tobytes()
-    ad.reduce_sum(mixed).backward()
+    dot(mixed, np.ones(mixed.shape)).backward()
     assert leaves[0].grad is not None and leaves[0].grad.shape == leaves[0].shape
 
 
@@ -217,19 +209,30 @@ def test_fold_classes_hands_wide_axes_to_numpy():
     assert ad.fold_classes(np.add, x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
 
 
-@given(st.integers(0, 2**31), st.sampled_from([(6, 5), (2, 2), (50, 32), (7,)]), st.booleans())
+@given(st.integers(0, 2**31), st.sampled_from([(6, 5), (2, 2), (50, 32), (7,)]))
 @settings(max_examples=60, deadline=None)
-def test_gather_backward_adds_rows_in_index_order_as_add_at(seed, shape, negative):
-    """The scatter of a getitem has ``np.add.at``'s bits, negative row indices included."""
+def test_gather_backward_adds_rows_in_index_order_as_add_at(seed, shape):
+    """The scatter of a row getitem has ``np.add.at``'s bits."""
     rng = np.random.default_rng(seed)
     table = Tensor(rng.normal(size=shape), requires_grad=True)
-    idx = rng.integers(-shape[0] if negative else 0, shape[0], size=rng.integers(1, 200))
+    idx = rng.integers(0, shape[0], size=rng.integers(1, 200))
     g = rng.normal(size=(len(idx), *shape[1:])) * 10.0 ** rng.integers(-6, 7, size=(len(idx), *shape[1:]))
     gathered = ad.getitem(table, idx)
-    ad.reduce_sum(ad.mul(gathered, g)).backward()
+    dot(gathered, g).backward()
     expected = np.zeros(shape)
     np.add.at(expected, idx, g)
     assert table.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("key", [np.array([0, -1]), np.array([[0, 1]]), np.array([True, False, True]),
+                                 np.array([0.0, 1.0]), [0, 1], 1, (slice(None), slice(0, 2))],
+                         ids=["negative", "2-D", "mask", "float", "list", "int", "slices"])
+def test_getitem_refuses_a_key_that_is_not_a_row_index(key):
+    a = np.arange(12.0).reshape(3, 4)
+    for operand in (a, Tensor(a, requires_grad=True)):
+        with pytest.raises(IndexError, match="getitem: takes a 1-D array of non-negative integer rows, not "):
+            ad.getitem(operand, key)
+    assert ad.getitem(a, np.array([], np.int64)).shape == (0, 4)
 
 
 # -- gradient checks per primitive -------------------------------------------
@@ -248,7 +251,7 @@ def test_grad_matmul():
     rng = np.random.default_rng(0)
     b = Tensor(rng.normal(size=(4, 3)))
     c = rng.normal(size=(2, 3))
-    _check_grad(lambda t: ad.reduce_sum(ad.mul(ad.linear(t, b, np.zeros(3)), c)), rng.normal(size=(2, 4)))
+    _check_grad(lambda t: dot(ad.linear(t, b, np.zeros(3)), c), rng.normal(size=(2, 4)))
 
 
 def test_grad_add_with_bias_broadcast():
@@ -257,8 +260,8 @@ def test_grad_add_with_bias_broadcast():
     x = Tensor(rng.normal(size=(5, 3)))
 
     def build():
-        h = ad.add(x, bias)
-        return ad.reduce_sum(ad.mul(h, h))
+        h = ad.linear(x, np.eye(3), bias)  # every row gets the bias
+        return ad.mse(h, np.zeros((5, 3)))[0]
 
     def loss_fn():
         return build().item()
@@ -272,16 +275,16 @@ def test_grad_add_with_bias_broadcast():
 def test_grad_relu_away_from_kink():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 4)) + np.sign(rng.normal(size=(4, 4))) * 0.1
-    _check_grad(lambda t: ad.reduce_sum(ad.linear(t, np.eye(4), np.zeros(4), relu=True)), x)
+    _check_grad(lambda t: dot(ad.linear(t, np.eye(4), np.zeros(4), relu=True), np.ones((4, 4))), x)
 
 
-def test_grad_concat_and_slice():
+def test_grad_concat_and_row_gather():
     rng = np.random.default_rng(3)
 
     def build(t):
-        left = ad.getitem(t, (slice(None), slice(0, 2)))
-        pieces = ad.concat([left, ad.mul(t, 2.0)], axis=1)
-        return ad.reduce_sum(ad.mul(pieces, pieces))
+        rows = ad.getitem(t, np.array([2, 0, 0]))  # row 0 twice, row 1 not at all
+        pieces = ad.concat([rows, t], axis=1)
+        return ad.mse(pieces, np.ones((3, 8)))[0]
 
     _check_grad(build, rng.normal(size=(3, 4)))
 
@@ -294,7 +297,7 @@ def test_grad_embed_concat(trainable):
 
     def build(t):
         rows = ad.embed_concat([t["t0"], t["t1"]], cells, [t["block"]])
-        return ad.reduce_sum(ad.mul(rows, rows))
+        return ad.mse(rows, np.zeros((4, 10)))[0]
 
     _check_operand_grads(build, values, trainable)
 
@@ -305,7 +308,7 @@ def test_grad_weighted_sum(trainable):
     values = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "c": rng.normal(size=(2, 2))}
 
     def build(t):
-        terms = [ad.reduce_sum(ad.mul(t[name], t[name])) for name in ("a", "b", "c")]
+        terms = [ad.mse(t[name], np.zeros(np.shape(values[name])))[0] for name in ("a", "b", "c")]
         return ad.weighted_sum(terms, (0.03, 1.5, 2.0))
 
     _check_operand_grads(build, values, trainable)
@@ -313,7 +316,7 @@ def test_grad_weighted_sum(trainable):
 
 def test_grad_reshape():
     rng = np.random.default_rng(8)
-    _check_grad(lambda t: ad.reduce_sum(ad.mul(ad.reshape(t, (6,)), np.arange(6.0))), rng.normal(size=(2, 3)))
+    _check_grad(lambda t: ad.mse(ad.reshape(t, (6,)), np.arange(6.0))[0], rng.normal(size=(2, 3)))
 
 
 def _check_operand_grads(build, values, trainable):
@@ -345,7 +348,7 @@ def test_grad_linear(relu, trainable):
     weights = rng.normal(size=(5, 3))
 
     def build(t):
-        return ad.reduce_sum(ad.mul(ad.linear(t["x"], t["w"], t["b"], relu=relu), weights))
+        return dot(ad.linear(t["x"], t["w"], t["b"], relu=relu), weights)
 
     _check_operand_grads(build, values, trainable)
 
@@ -358,7 +361,7 @@ def test_grad_linear_with_skip(trainable):
 
     def build(t):
         out = ad.linear(t["x"], t["w"], t["b"], skip=t["skip"])
-        return ad.reduce_sum(ad.mul(out, out))
+        return ad.mse(out, np.zeros((5, 3)))[0]
 
     _check_operand_grads(build, values, trainable)
 
@@ -374,15 +377,9 @@ def test_grad_gnn_round(trainable):
     weights = rng.normal(size=(5, 4))
 
     def build(t):
-        out = ad.gnn_round(t["h"], operator, t["w_self"], t["w_nbr"], t["b"])
-        return ad.reduce_sum(ad.mul(out, weights))
+        return dot(ad.gnn_round(t["h"], operator, t["w_self"], t["w_nbr"], t["b"]), weights)
 
     _check_operand_grads(build, values, trainable)
-
-
-def _upstream(out, g):
-    """Backpropagate ``g`` into ``out`` exactly: d/d(out) of sum(out * g) is g."""
-    ad.reduce_sum(ad.mul(out, g)).backward()
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -392,7 +389,7 @@ def test_linear_equals_the_unfused_chain_bit_for_bit(relu):
     x[0, :] = 0.0  # a row whose units all sit on the ReLU's kink
     tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
     out = ad.linear(tx, tw, tb, relu=relu)
-    _upstream(out, g)
+    dot(out, g).backward()
 
     # the chain it replaces: matmul, bias add, relu; each gradient lands as g + 0.0
     z = x @ w
@@ -416,7 +413,7 @@ def test_gnn_round_equals_the_unfused_chain_bit_for_bit():
     b, g = rng.normal(size=4), rng.normal(size=(5, 4))
     th, tws, twn, tb = (Tensor(v, requires_grad=True) for v in (h, ws, wn, b))
     out = ad.gnn_round(th, operator, tws, twn, tb)
-    _upstream(out, g)
+    dot(out, g).backward()
 
     # the chain it replaces: relu(add(add(h @ ws, (A @ h) @ wn), b))
     self_part = h @ ws
@@ -451,64 +448,60 @@ def test_embed_concat_equals_four_lookups_and_two_concats_bit_for_bit(seed):
 
     fused = [Tensor(v, requires_grad=True) for v in (*tables, continuous, prior)]
     out = ad.embed_concat(fused[:4], ad.embedding_cells(shapes, index), fused[4:])
-    _upstream(out, g)
+    dot(out, g).backward()
 
     # the chain it replaces: one row gather per table (whose backward is a bincount per table), two concats
     chain = [Tensor(v, requires_grad=True) for v in (*tables, continuous, prior)]
     lookups = [ad.getitem(table, index[:, k]) for k, table in enumerate(chain[:4])]
     expected = ad.concat([ad.concat(lookups, axis=1), *chain[4:]], axis=1)
-    _upstream(expected, g)
+    dot(expected, g).backward()
     assert out.data.tobytes() == expected.data.tobytes()
     for a, b in zip(fused, chain):
         assert a.grad.tobytes() == b.grad.tobytes()
 
 
 def test_linear_skip_equals_add_after_linear_bit_for_bit():
-    """A residual block on an ``h`` that feeds three heads: ``h`` sums its six gradients in the same order."""
+    """A residual block on an ``h`` that feeds three heads, against the chain ``h + linear(relu(linear(h)))``:
+    ``h`` sums its six gradients as that chain did, head by head, each head's skip before its inner path."""
     rng = np.random.default_rng(17)
     x, w_h, b_h = rng.normal(size=(7, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
     heads = [[rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=(5, 5)), rng.normal(size=5)] for _ in range(3)]
     gs = [_scaled_normal(rng, (7, 5)) for _ in range(3)]
 
-    def run(block):
-        leaves = [Tensor(v, requires_grad=True) for v in (x, w_h, b_h, *(p for head in heads for p in head))]
-        h = ad.linear(*leaves[:3])
-        outs = [block(h, *leaves[3 + 4 * k : 7 + 4 * k]) for k in range(3)]
-        terms = [ad.reduce_sum(ad.mul(out, g)) for out, g in zip(outs, gs)]
-        ad.add(ad.add(terms[0], terms[1]), terms[2]).backward()
-        return [out.data for out in outs], [leaf.grad for leaf in leaves]
+    leaves = [Tensor(v, requires_grad=True) for v in (x, w_h, b_h, *(p for head in heads for p in head))]
+    h = ad.linear(*leaves[:3])
+    outs = [ad.linear(ad.linear(h, a_w, a_b, relu=True), b_w, b_b, skip=h)
+            for a_w, a_b, b_w, b_b in zip(*[iter(leaves[3:])] * 4)]
+    ad.weighted_sum([dot(out, g) for out, g in zip(outs, gs)], (1.0, 1.0, 1.0)).backward()
 
-    def fused(h, a_w, a_b, b_w, b_b):
-        return ad.linear(ad.linear(h, a_w, a_b, relu=True), b_w, b_b, skip=h)
-
-    def unfused(h, a_w, a_b, b_w, b_b):
-        return ad.add(h, ad.linear(ad.linear(h, a_w, a_b, relu=True), b_w, b_b))
-
-    (fused_outs, fused_grads), (outs, grads) = run(fused), run(unfused)
-    assert [o.tobytes() for o in fused_outs] == [o.tobytes() for o in outs]
-    assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in grads]
+    # the chain's forward and backward; each leaf's gradient lands in a zero buffer, as g + 0.0
+    h_value, g_h, head_grads = x @ w_h + b_h, [], []
+    for (a_w, a_b, b_w, b_b), g, out in zip(heads, gs, outs):
+        r = np.maximum(h_value @ a_w + a_b, 0.0)
+        assert out.data.tobytes() == (h_value + (r @ b_w + b_b)).tobytes()
+        g_z = (g @ b_w.T) * (r > 0.0)
+        g_h += [g, g_z @ a_w.T]  # the skip's, then the inner path's
+        head_grads += [h_value.T @ g_z, g_z.sum(axis=0), r.T @ g, g.sum(axis=0)]
+    g_h = sum(g_h[1:], g_h[0])
+    expected = [g_h @ w_h.T, x.T @ g_h, g_h.sum(axis=0), *head_grads]
+    assert [leaf.grad.tobytes() for leaf in leaves] == [(g + 0.0).tobytes() for g in expected]
 
 
 def test_weighted_sum_equals_the_mul_add_chain_bit_for_bit():
+    """Against ``(l1 * 0.03 + l2 * 1.0) + l3 * 1.0``: each loss gets its weight as its gradient."""
     rng = np.random.default_rng(18)
     values = [_scaled_normal(rng, (9,)) for _ in range(3)]
     lambdas = (0.03, 1.0, 1.0)
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    total = ad.weighted_sum([ad.mse(leaf, np.zeros(9))[0] for leaf in leaves], lambdas)
+    total.backward()
 
-    def run(weigh):
-        leaves = [Tensor(v, requires_grad=True) for v in values]
-        losses = [ad.mse(leaf, np.zeros(9))[0] for leaf in leaves]
-        total = weigh(losses)
-        total.backward()
-        return total.data, [leaf.grad for leaf in leaves]
-
-    def chain(losses):
-        l1, l2, l3 = (Tensor(np.float64(lam)) for lam in lambdas)
-        return ad.add(ad.add(ad.mul(losses[0], l1), ad.mul(losses[1], l2)), ad.mul(losses[2], l3))
-
-    (fused_total, fused_grads), (total, grads) = run(lambda losses: ad.weighted_sum(losses, lambdas)), run(chain)
-    assert fused_total.tobytes() == total.tobytes()
-    assert fused_total == (values[0] ** 2).mean() * 0.03 + (values[1] ** 2).mean() + (values[2] ** 2).mean()
-    assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in grads]
+    l1, l2, l3 = ((v * v).sum() / 9 for v in values)
+    assert total.data.tobytes() == ((l1 * 0.03 + l2 * 1.0) + l3 * 1.0).tobytes()
+    assert total.data == (values[0] ** 2).mean() * 0.03 + (values[1] ** 2).mean() + (values[2] ** 2).mean()
+    # mse's backward, 2 * diff * (g / n), with g the loss's weight; each lands in a zero buffer
+    assert [leaf.grad.tobytes() for leaf in leaves] == [(2.0 * v * (lam / 9) + 0.0).tobytes()
+                                                       for v, lam in zip(values, lambdas)]
 
 
 class _FirstProductSums(np.ndarray):
@@ -552,7 +545,7 @@ def test_relu_maps_negative_zero_to_positive_zero_and_propagates_nan(name):
     # a NaN pre-activation propagates instead of being zeroed, on both paths
     assert np.all(np.isnan(out.data[nan_rows])) and not np.isnan(out.data[~nan_rows]).any()
     assert out.data.tobytes() == op(x).tobytes()
-    ad.reduce_sum(out).backward()
+    dot(out, np.ones(out.shape)).backward()
     assert np.all(tx.grad == 0.0)  # NaN > 0 is False, so the mask stops the gradient there too
 
 
@@ -589,8 +582,8 @@ def test_random_five_parameter_graph_matches_finite_differences():
     def compute() -> Tensor:
         x = ad.embed_concat([emb], cells)
         h = ad.gnn_round(x, mean_operator, w1, w1, b1)  # one weight in both roles
-        out = ad.mul(ad.linear(h, w2, scale), scale)
-        return ad.reduce_sum(ad.mul(out, out))
+        out = ad.linear(ad.linear(h, w2, scale), ad.reshape(scale, (2, 1)), np.zeros(1))  # scale as bias and weight
+        return ad.mse(out, np.zeros((4, 1)))[0]
 
     loss = compute()
     loss.backward()
@@ -729,8 +722,7 @@ def test_adam_two_runs_bitwise_identical():
         p = store.add("p", rng.normal(size=(4, 3)))
         q = store.add("q", rng.normal(size=3))
         for step in range(25):
-            loss = ad.reduce_sum(ad.mul(ad.linear(p, ad.reshape(q, (3, 1)), np.array([0.5])),
-                                        ad.linear(p, ad.reshape(q, (3, 1)), np.array([0.5]))))
+            loss = ad.mse(ad.linear(p, ad.reshape(q, (3, 1)), np.array([0.5])), np.zeros((4, 1)))[0]
             store.zero_grad()
             loss.backward()
             ad.adam_step(store, lr=1e-2)
@@ -778,7 +770,7 @@ def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
         store.zero_grad()
         # "w" and "b" get their gradients from backward, "direct" by assignment, "idle" none
         h = ad.linear(x, store["w"], store["b"], relu=True)
-        ad.reduce_sum(ad.mul(h, h)).backward()
+        ad.mse(h, np.zeros((2, 4)))[0].backward()
         store["direct"].grad = rng.normal(size=5)
         grads = {name: store[name].grad.copy() for name in ("w", "b", "direct")}
         snapshot = store.state_arrays()
@@ -808,28 +800,29 @@ def test_adam_rejects_a_gradient_of_another_size():
 
 
 def test_gradient_buffers_never_alias():
+    """Each leaf gets a gradient buffer of its own, a skip too, whose op hands it the incoming gradient array itself;
+    an op's output gets no gradient."""
     x = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
     w = Tensor(np.array([[0.5, 1.0], [-1.0, 2.0]]), requires_grad=True)
-    y = ad.linear(x, w, np.zeros(2))  # consumed twice by one add and once by a third op
-    twice = ad.add(y, y)
-    third = ad.mul(y, Tensor(np.array(3.0)))
-    z = ad.add(twice, third)
-    ad.reduce_sum(ad.mul(z, z)).backward()
-    tensors = [x, w, y, twice, third, z]
-    grads = [t.grad for t in tensors]
-    assert all(g is not None for g in grads)
-    before = [g.copy() for g in grads]
-    for i, tensor in enumerate(tensors):
-        tensor.grad += 100.0
-        for j, other in enumerate(tensors):
+    skip = Tensor(np.array([[0.25, -1.0], [2.0, 1.5]]), requires_grad=True)
+    y = ad.linear(x, w, np.zeros(2), skip=skip)
+    z = ad.linear(y, w, np.zeros(2), skip=y)  # y consumed twice by one op, w by two
+    dot(z, np.array([[1.0, -2.0], [0.5, 3.0]])).backward()
+    assert y.grad is None and z.grad is None
+    leaves = [x, w, skip]
+    before = [leaf.grad.copy() for leaf in leaves]
+    for i, leaf in enumerate(leaves):
+        leaf.grad += 100.0
+        for j, other in enumerate(leaves):
             if j != i:
                 assert np.array_equal(other.grad, before[j]), (i, j)
-        tensor.grad -= 100.0
+        leaf.grad -= 100.0
 
 
 def test_a_leaf_used_by_several_ops_gets_every_gradient():
-    a = Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)
-    loss = ad.reduce_sum(ad.add(ad.mul(a, a), ad.add(ad.mul(a, 3.0), a)))
-    loss.backward()
-    # d/da (a^2 + 3a + a) = 2a + 3 + 1
-    assert a.grad.tolist() == [6.0, 8.0, -2.0]
+    a = Tensor(np.array([[1.0, 2.0, -3.0]]), requires_grad=True)
+    linear_terms = dot(ad.linear(a, 3.0 * np.eye(3), np.zeros(3), skip=a), np.ones((1, 3)))  # 3a + a
+    square = ad.mse(a, np.zeros((1, 3)))[0]  # sum(a^2) / 3
+    ad.weighted_sum([linear_terms, square], (1.0, 3.0)).backward()
+    # d/da (3a + a + 3 * sum(a^2) / 3) = 3 + 1 + 2a
+    assert a.grad.tolist() == [[6.0, 8.0, -2.0]]

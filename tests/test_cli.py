@@ -9,6 +9,7 @@ import json
 import math
 import shutil
 from dataclasses import asdict, fields, replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ def test_report_renders_csv_and_svg(pipeline):
     assert "member_0" in csv_text and "member_1" in csv_text
     svg = (pipeline / "report/val_curves.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_report_quotes_and_escapes_a_member_name(pipeline):
+    """A member directory named with a comma, ``&`` and ``<>`` stays one CSV field and one SVG text; the plain names'
+    rows keep the bytes of ``name,seed,best_epoch,{best:.6f},{loss:.6f}``."""
+    run = pipeline / "runs/odd_name"
+    shutil.copytree(pipeline / "runs/demo", run)
+    odd = "member_1,a&<b>"
+    (run / "member_1").rename(run / odd)
+    assert main(["--workdir", str(pipeline), "report", "--runs", "runs/odd_name", "--out", "report_odd_name"]) == 0
+    text = (pipeline / "report_odd_name/report.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(row) for row in rows] == [5, 5, 5] and [row[0] for row in rows] == ["member", odd, "member_0"]
+    plain = json.loads((run / "member_0/runlog.json").read_text())
+    best, last = plain["epochs"][plain["best_epoch"]]["val_core"], plain["epochs"][-1]["train_loss"]
+    assert text.endswith(f'"{odd}",{rows[1][1]},{rows[1][2]},{rows[1][3]},{rows[1][4]}\n'
+                         f'member_0,{plain["seed"]},{plain["best_epoch"]},{best:.6f},{last:.6f}\n')
+    svg = ElementTree.parse(pipeline / "report_odd_name/val_curves.svg").getroot()
+    assert odd in [node.text for node in svg.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def test_missing_prerequisite_names_producer(tmp_path, capsys):
