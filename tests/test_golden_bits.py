@@ -3,8 +3,9 @@
 The digests below were recorded from a 1-member x 2-epoch run of the
 acceptance configuration, from the CLI's ``predict`` after a 2-member x
 1-epoch ``train`` of that configuration in each prior mode, and from the
-CLI's ``synth``, ``fit-clusters`` and ``eval-core`` (on the two counting
-baselines' predictions) with their defaults, and from the generator on a
+CLI's ``synth``, ``fit-clusters``, ``baseline`` (the two counting
+baselines, and the naive one with ``--global``) and ``eval-core`` (on the
+two counting baselines' predictions) with their defaults, and from the generator on a
 second spec that takes its other branches (every node a counter, weak
 signal, short days, few supersegments). The generator's draw order is part
 of its output, so these digests pin it too. Changes that claim to keep every bit (fused ops, reordered
@@ -64,6 +65,14 @@ CLUSTERS_SHA256 = "8d9f63f9ec59b6970cbbfdea2aeea071f71b962190e2ec722e3b9da737846
 EVAL_CORE = {  # baseline -> (score hex, sha256 of the report with its per-record scores)
     "naive": ("0x1.0bfb8659c101ep+0", "08cd3ecb5d7f00aa0ad86111144d5b2e32b5ea79f96d8ae9f6965cfe24791eb6"),
     "volume_cluster": ("0x1.06044322eaae5p+0", "82db36e801c0efd2542280585c4c1e26d26c8691e6be554f53d0f6cf32ef21f6"),
+}
+BASELINE_SHA256 = {  # the counting baselines' files, and the naive baseline's with --global in global/
+    "baselines/baseline_naive.json": "6052c2ea7ddae8822ddd01690910e6bbaaca0c27e707d6ec9365225da2f688fb",
+    "baselines/predictions_naive.jsonl": "c5c047f74df1245de4cc0d9cbca191db1ae5e4ebdb2dc9a123471eed86c8eda0",
+    "baselines/baseline_volume_cluster.json": "bbd1250eb7f6a6178acfe5e813c661df5f3b70456723a6f06d1551e0e3f72e74",
+    "baselines/predictions_volume_cluster.jsonl": "d747a6bcf62ec70bb388dc72b4c803ec267ad56488db7bd93de1d45daefe3e3c",
+    "global/baseline_naive.json": "52b5b513048c4ebf5d717ff596c5dc9bd6f83800efc477c5cdd62bee970f9045",
+    "global/predictions_naive.jsonl": "b7aa2cd64fe1a7d283b2839b4a0081875785a77113ce2b32491f6d4d884bdf54",
 }
 
 
@@ -149,6 +158,8 @@ def test_synth_fit_clusters_and_eval_core_reproduce_the_recorded_bits(tmp_path):
         assert main(wd + ["eval-core", "--data", "city", "--pred", pred, "--out", f"core_{name}.json"]) == 0
         report = tmp_path / f"core_{name}.json"
         assert (float.hex(json.loads(report.read_text())["metric"]), _sha256(report)) == (score_hex, report_sha256)
+    assert main(wd + ["baseline", "naive", "--global", "--data", "city", "--out", "global"]) == 0
+    assert {name: _sha256(tmp_path / name) for name in BASELINE_SHA256} == BASELINE_SHA256
 
 
 def test_bundle_views_and_core_metric_over_bundles_read_the_label_table(ordering_city):
