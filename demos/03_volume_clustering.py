@@ -1,8 +1,8 @@
 """Volume clustering and the per-segment congestion priors.
 
 Records are ranked by their total counter volume and cut into K equal-
-frequency bins; for every segment, a K x 3 matrix then records how often
-it was green (undefined merged in), yellow or red within each bin. Those
+frequency bins; one (segments, K, 3) block then records, for every segment
+and bin, how often it was green (undefined merged in), yellow or red. Those
 rows are the prior knowledge the network receives.
 """
 
@@ -35,14 +35,14 @@ probe = records[17]
 print(f"record {probe.record_id}: volumeSum {volume_sum(probe):.0f} -> cluster {assign_cluster(model, probe)}")
 
 # the labels are one (records x segments) table; select() takes the rows of these records
-priors = build_prior_matrices(model, dataset.labels.select(r.record_id for r in records), dataset.graph)
+# priors (segments, K, 3) and support (segments, K), both in graph segment order
+priors, support = build_prior_matrices(model, dataset.labels.select(r.record_id for r in records), dataset.graph)
 
 seg_id = dataset.graph.segments[0].segment_id
-prior = priors[seg_id]
 print(f"\nprior matrix for {seg_id} (rows = clusters, cols = green/yellow/red):")
 for row in range(5):
-    green, yellow, red = prior.matrix[row]
-    print(f"  cluster {row} (n={int(prior.support[row]):3d}): {green:.2f} {yellow:.2f} {red:.2f}")
-print("every row sums to", prior.matrix.sum(axis=1).round(12).tolist())
+    green, yellow, red = priors[0, row]
+    print(f"  cluster {row} (n={int(support[0, row]):3d}): {green:.2f} {yellow:.2f} {red:.2f}")
+print("every row sums to", priors[0].sum(axis=1).round(12).tolist())
 print("\nnote how red probability grows with the cluster index: that is the")
 print("volume-congestion dependence the priors hand to the network.")

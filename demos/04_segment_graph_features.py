@@ -42,7 +42,7 @@ stats = fit_normalization(dataset.graph, records, labels)
 print(f"\nspeed labels: mean {stats.speed_mean:.1f} km/h, sigma {stats.speed_std:.1f}")
 
 model = fit_clusters(records, num_clusters=5)
-priors = build_prior_matrices(model, labels, dataset.graph)
+priors, _support = build_prior_matrices(model, labels, dataset.graph)  # (segments, 5, 3)
 
 feats = assemble_features(dataset.graph, seg_graph, priors, stats)  # the same for every record
 raw = counter_slice_matrix(dataset.graph, records[0])  # this record's counters at each segment's endpoints

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
+from t4c.baselines import fit_naive, fit_volume_cluster
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import PredictionTable, SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
 from t4c.evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
@@ -38,7 +38,7 @@ train_labels = dataset.labels.select(r.record_id for r in train_records)
 val_labels = dataset.labels.select(r.record_id for r in val_records)
 
 cluster_model = fit_clusters(train_records, model_cfg.num_clusters)
-priors = build_prior_matrices(cluster_model, train_labels, dataset.graph)
+priors, _support = build_prior_matrices(cluster_model, train_labels, dataset.graph)  # (segments, K, 3)
 
 members = train_ensemble(train_cfg, model_cfg, dataset, cluster_model, priors)
 for ckpt, runlog in members:
@@ -63,20 +63,16 @@ predictions = PredictionTable([r.record_id for r in val_records], seg_ids, [ss.s
 
 model_core = core_metric(predictions, val_labels).score
 
-# counting baselines on the same split
+# counting baselines on the same split, as tables: the naive block (segments, 3) serves every record, the
+# volume-cluster block (segments, K, 3) each record's cluster
 naive = fit_naive(train_labels, dataset.supersegments)
-naive_core = core_metric(
-    {r.record_id: {s: naive_segment_probs(naive, s) for s in seg_ids} for r in val_records},
-    val_labels,
-).score
 vc = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
-vc_core = core_metric(
-    {
-        r.record_id: {s: vc.cc_probs[s][assign_cluster(cluster_model, r)] for s in seg_ids}
-        for r in val_records
-    },
-    val_labels,
-).score
+clusters = [assign_cluster(cluster_model, r) for r in val_records]
+val_ids, no_etas = [r.record_id for r in val_records], np.empty((len(val_records), 0))
+naive_cc = np.array([naive.cc_probs] * len(val_ids))
+naive_core = core_metric(PredictionTable(val_ids, naive.segment_ids, [], naive_cc, no_etas), val_labels).score
+vc_cc = vc.cc_probs[:, clusters].swapaxes(0, 1)
+vc_core = core_metric(PredictionTable(val_ids, naive.segment_ids, [], vc_cc, no_etas), val_labels).score
 
 print(f"\ncongestion cross entropy (lower is better):")
 print(f"  naive count     {naive_core:.4f}")

@@ -32,7 +32,9 @@ model_cfg = ModelConfig(
 records = daytime_filter(dataset.records, *train_cfg.daytime)
 train_records, _ = split_train_validation(records, 1 - train_cfg.val_fraction, train_cfg.split_seed)
 cluster_model = fit_clusters(train_records, model_cfg.num_clusters)
-priors = build_prior_matrices(cluster_model, dataset.labels.select(r.record_id for r in train_records), dataset.graph)
+priors, _support = build_prior_matrices(
+    cluster_model, dataset.labels.select(r.record_id for r in train_records), dataset.graph
+)
 
 result = run_ablation(
     dataset,

@@ -10,8 +10,8 @@ metrics, and a synthetic-city generator for end-to-end experiments.
 """
 
 from .autodiff import ParamStore, ShapeError, Tensor, adam_step
-from .clustering import (ClusterModel, PriorMatrix, assign_cluster, build_prior_matrices, fit_clusters,
-                         load_cluster_model, save_cluster_model, volume_sum)
+from .clustering import (ClusterModel, assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model,
+                         save_cluster_model, volume_sum)
 from .data import (Dataset, DatasetError, LabelBundle, PredictionTable, RoadGraph, SchemaError, SegmentLabel, SegmentRec,
                    SuperSegment, SynthSpec, VolumeRecord, daytime_filter, generate_synthetic_city, load_dataset,
                    read_predictions, split_train_validation, write_dataset, write_predictions)

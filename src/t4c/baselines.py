@@ -2,9 +2,11 @@
 
 * Naive Count scores every record the same way: the per-segment empirical
   congestion distribution over the training labels (undefined merged into
-  green) and the per-supersegment median ETA (lower median).
+  green), a (segments, 3) block, and the per-supersegment median ETA
+  (lower median) over the labeled training records.
 * Volume Cluster conditions both statistics on the record's volume-sum
-  cluster and falls back to the naive model where a cell has no data.
+  cluster, a (segments, K, 3) block, and falls back to the naive model
+  where a cell has no data.
 * The node GNN works on the original intersection graph: counter volumes
   are the node inputs (zeros elsewhere), message passing runs over nodes,
   and each segment's congestion logits are read from the concatenation of
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -43,9 +46,16 @@ def _lower_median(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class NaiveCountModel:
-    """Global per-segment congestion distributions and per-ss median ETAs."""
+    """City-wide congestion distributions per segment and per-ss median ETAs.
 
-    cc_probs: dict[str, np.ndarray]  # segment_id -> (3,)
+    ``cc_probs`` is (segments, 3) in ``segment_ids`` order: each labeled
+    segment's own distribution, the pooled one elsewhere (and everywhere
+    when not ``per_segment``). ``labelled`` marks the segments with a label.
+    """
+
+    segment_ids: tuple[str, ...]
+    cc_probs: np.ndarray  # (S, 3)
+    labelled: np.ndarray  # (S,) bool
     global_probs: np.ndarray  # (3,) pooled over all segments
     eta_median: dict[str, float]  # ss_id -> seconds
     per_segment: bool = True
@@ -53,11 +63,11 @@ class NaiveCountModel:
 
 @dataclass(frozen=True, eq=False)
 class VolumeClusterModel:
-    """Cluster-conditioned distributions with naive fallback."""
+    """Cluster-conditioned distributions with naive fallback, in the naive model's segment order."""
 
     num_clusters: int
     thresholds: tuple[float, ...]
-    cc_probs: dict[str, np.ndarray]  # segment_id -> (K, 3)
+    cc_probs: np.ndarray  # (S, K, 3)
     eta_median: dict[str, np.ndarray]  # ss_id -> (K,)
     naive: NaiveCountModel
 
@@ -67,7 +77,7 @@ def fit_naive(
     supersegments: Sequence[SuperSegment],
     per_segment: bool = True,
 ) -> NaiveCountModel:
-    """Tally training congestion labels and ETA medians.
+    """Tally training congestion labels and the ETA medians of the labeled records.
 
     ``per_segment=False`` applies the pooled city-wide distribution to
     every segment instead of its own tally.
@@ -79,10 +89,9 @@ def fit_naive(
     counts = np.bincount(cells, minlength=len(labels.segment_ids) * 3).astype(np.float64).reshape(-1, 3)
     pooled = counts.sum(axis=0)
     global_probs = pooled / pooled.sum()
-    cc_probs = {
-        seg_id: (c / c.sum()) if per_segment else global_probs.copy()
-        for seg_id, c in zip(labels.segment_ids, counts) if c.sum() > 0
-    }
+    totals = counts.sum(axis=1, keepdims=True)
+    fallback = np.broadcast_to(global_probs, counts.shape).copy()
+    cc_probs = np.divide(counts, totals, out=fallback, where=(totals > 0) & per_segment)
 
     record_ids = set(labels.record_ids)
     eta_median: dict[str, float] = {}
@@ -90,15 +99,7 @@ def fit_naive(
         values = [eta for rid, eta in ss.etas.items() if rid in record_ids]
         if values:
             eta_median[ss.ss_id] = _lower_median(values)
-    return NaiveCountModel(
-        cc_probs=cc_probs, global_probs=global_probs, eta_median=eta_median, per_segment=per_segment
-    )
-
-
-def naive_segment_probs(model: NaiveCountModel, seg_id: str) -> np.ndarray:
-    """Per-segment distribution, falling back to the pooled one."""
-    probs = model.cc_probs.get(seg_id)
-    return probs if probs is not None else model.global_probs
+    return NaiveCountModel(labels.segment_ids, cc_probs, totals[:, 0] > 0, global_probs, eta_median, per_segment)
 
 
 def fit_volume_cluster(
@@ -109,59 +110,42 @@ def fit_volume_cluster(
 ) -> VolumeClusterModel:
     """Cluster-conditioned congestion and ETA statistics.
 
-    Congestion cells reuse the prior-matrix tally; cells without support
-    (and supersegment clusters without ETAs) take the naive values.
+    Congestion cells reuse the prior tally; cells without support (and
+    supersegment clusters without ETAs) take the naive values. Both count
+    the labeled records only, so a super-segment has cluster medians
+    exactly when it has a naive one.
     """
+    if labels.segment_ids != tuple(s.segment_id for s in graph.segments):
+        raise ValueError("the label table's segments are not the graph's, in graph order")
     naive = fit_naive(labels, supersegments)
-    priors = build_prior_matrices(cluster_model, labels, graph)
+    priors, support = build_prior_matrices(cluster_model, labels, graph)
     k = cluster_model.num_clusters
+    cc_probs = np.where(support[:, :, None] > 0, priors, naive.cc_probs[:, None])
 
-    cc_probs: dict[str, np.ndarray] = {}
-    for seg_id, prior in priors.items():
-        matrix = prior.matrix.copy()
-        for row in range(k):
-            if prior.support is None or prior.support[row] == 0:
-                matrix[row] = naive_segment_probs(naive, seg_id)
-        cc_probs[seg_id] = matrix
-
-    by_record_cluster = cluster_model.assignment
+    cluster_of = {rid: cluster_model.assignment[rid] for rid in labels.record_ids}
     eta_median: dict[str, np.ndarray] = {}
     for ss in supersegments:
         per_cluster: list[list[float]] = [[] for _ in range(k)]
         for rid, eta in ss.etas.items():
-            cluster = by_record_cluster.get(rid)
-            if cluster is not None:
-                per_cluster[cluster].append(eta)
+            if rid in cluster_of:
+                per_cluster[cluster_of[rid]].append(eta)
         fallback = naive.eta_median.get(ss.ss_id)
-        medians = np.empty(k, dtype=np.float64)
-        for cluster in range(k):
-            if per_cluster[cluster]:
-                medians[cluster] = _lower_median(per_cluster[cluster])
-            elif fallback is not None:
-                medians[cluster] = fallback
-            else:
-                medians[cluster] = np.nan
-        if not np.all(np.isnan(medians)):
-            eta_median[ss.ss_id] = medians
-    return VolumeClusterModel(
-        num_clusters=k,
-        thresholds=cluster_model.thresholds,
-        cc_probs=cc_probs,
-        eta_median=eta_median,
-        naive=naive,
-    )
+        if fallback is not None:
+            eta_median[ss.ss_id] = np.array([_lower_median(etas) if etas else fallback for etas in per_cluster])
+    return VolumeClusterModel(k, cluster_model.thresholds, cc_probs, eta_median, naive)
 
 
 def _naive_obj(model: NaiveCountModel) -> dict:
     return {
         "per_segment": model.per_segment,
         "global_probs": model.global_probs.tolist(),
-        "cc_probs": {k: model.cc_probs[k].tolist() for k in sorted(model.cc_probs)},
-        "eta_median": {k: model.eta_median[k] for k in sorted(model.eta_median)},
+        "cc_probs": dict(compress(zip(model.segment_ids, model.cc_probs.tolist()), model.labelled)),
+        "eta_median": model.eta_median,
     }
 
 
 def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
+    """Write the model as key-sorted JSON, a segment's or super-segment's statistics under its id."""
     path = Path(path)
     if isinstance(model, NaiveCountModel):
         obj = {"kind": "naive", **_naive_obj(model)}
@@ -170,8 +154,8 @@ def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
             "kind": "volume_cluster",
             "K": model.num_clusters,
             "thresholds": list(model.thresholds),
-            "cc_probs": {k: model.cc_probs[k].tolist() for k in sorted(model.cc_probs)},
-            "eta_median": {k: model.eta_median[k].tolist() for k in sorted(model.eta_median)},
+            "cc_probs": dict(zip(model.naive.segment_ids, model.cc_probs.tolist())),
+            "eta_median": {ss_id: medians.tolist() for ss_id, medians in model.eta_median.items()},
             "naive": _naive_obj(model.naive),
         }
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -252,7 +236,7 @@ def node_gnn_baseline(
 
     def val_cc_probs(records):
         params = store.arrays()
-        return {r.record_id: ad.softmax_np(forward_logits(params, feats[r.record_id])) for r in records}
+        return np.array([ad.softmax_np(forward_logits(params, feats[r.record_id])) for r in records])
 
     fit = fit_loop(
         store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss, val_cc_probs

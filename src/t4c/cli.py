@@ -19,7 +19,7 @@ from typing import get_args
 
 import numpy as np
 
-from .baselines import fit_naive, fit_volume_cluster, naive_segment_probs, node_gnn_baseline, save_baseline
+from .baselines import fit_naive, fit_volume_cluster, node_gnn_baseline, save_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
 from .data import (DatasetError, Dataset, PredictionError, PredictionTable, SynthSpec, csv_text, daytime_filter,
@@ -121,13 +121,10 @@ def _config_dataset(args, config: dict, workdir: Path) -> Dataset:
 
 
 def _load_clusters(args, config: dict, workdir: Path, num_clusters: int, graph):
-    """The cluster model and priors; refused unless they have ``num_clusters`` clusters and cover the graph."""
+    """The cluster model and the graph's priors; refused unless they have ``num_clusters`` clusters."""
     path = _resolve(workdir, args.cluster_model or _Out(**config.get("out", {})).cluster_model)
     _require_artifact(path, "fit-clusters")
-    cluster_model, priors = load_cluster_model(path)
-    missing = next((s.segment_id for s in graph.segments if s.segment_id not in priors), None)
-    if missing is not None:
-        raise CLIError(f"{path} has no prior for segment {missing!r}; produce it again with `t4c fit-clusters`")
+    cluster_model, priors = load_cluster_model(path, [s.segment_id for s in graph.segments])
     if cluster_model.num_clusters != num_clusters:
         raise CLIError(
             f"{path} has K={cluster_model.num_clusters} but the model expects "
@@ -169,9 +166,9 @@ def cmd_fit_clusters(args, workdir: Path) -> int:
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     train_labels = dataset.labels.select(r.record_id for r in train_records)
-    priors = build_prior_matrices(model, train_labels, dataset.graph)
+    priors, _support = build_prior_matrices(model, train_labels, dataset.graph)
     out = _resolve(workdir, args.out)
-    save_cluster_model(out, model, priors)
+    save_cluster_model(out, model, priors, [s.segment_id for s in dataset.graph.segments])
     print(f"fitted {k} clusters on {len(train_records)} training records -> {out}")
     return 0
 
@@ -183,6 +180,12 @@ def cmd_train(args, workdir: Path) -> int:
     dataset = _config_dataset(args, config, workdir)
     cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters, dataset.graph)
     run_dir = _resolve(workdir, args.out or _Out(**config.get("out", {})).run_dir)
+    members = range(train_cfg.ensemble_size)
+    stale = min((d for d in run_dir.glob("member_*") if d.is_dir() and _member_index(d) not in members), key=str,
+                default=None)
+    if stale is not None:
+        raise CLIError(f"{stale} is left from an earlier run, and `t4c predict` would average it in with these "
+                       f"{len(members)} members; train into a fresh --out")
     run_dir.mkdir(parents=True, exist_ok=True)
 
     training_set = prepare_training(
@@ -296,7 +299,6 @@ def cmd_baseline(args, workdir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, train_records, val_records = split_records(dataset, train_cfg)
     train_labels = dataset.labels.select(r.record_id for r in train_records)
-    seg_ids = [s.segment_id for s in dataset.graph.segments]
 
     if args.name == "node_gnn":
         score = node_gnn_baseline(dataset, train_cfg, seed=train_cfg.base_seed)
@@ -307,13 +309,13 @@ def cmd_baseline(args, workdir: Path) -> int:
     try:  # cc (rows, segments, 3) and ETAs (rows, super-segments), and each validation record's row
         if args.name == "naive":
             model = fit_naive(train_labels, dataset.supersegments, per_segment=not args.global_probs)
-            cc = np.array([[naive_segment_probs(model, seg) for seg in seg_ids]])
+            cc = model.cc_probs[None]
             etas = np.array([list(model.eta_median.values())], np.float64)
             rows = [0] * len(val_records)
         else:  # volume_cluster: a row per cluster
             cluster_model = fit_clusters(train_records, _config_from(args, config, "model").num_clusters)
             model = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
-            cc = np.stack([model.cc_probs[seg] for seg in seg_ids], axis=1)
+            cc = model.cc_probs.swapaxes(0, 1)
             etas = np.array(list(model.eta_median.values()), np.float64).reshape(-1, cluster_model.num_clusters).T
             rows = [assign_cluster(cluster_model, record) for record in val_records]
     except ValueError as exc:
@@ -321,7 +323,8 @@ def cmd_baseline(args, workdir: Path) -> int:
 
     save_baseline(out_dir / f"baseline_{args.name}.json", model)
     pred_path = out_dir / f"predictions_{args.name}.jsonl"
-    table = PredictionTable([r.record_id for r in val_records], seg_ids, list(model.eta_median), cc[rows], etas[rows])
+    table = PredictionTable([r.record_id for r in val_records], train_labels.segment_ids, list(model.eta_median),
+                            cc[rows], etas[rows])
     write_predictions(pred_path, table)
     print(f"wrote baseline_{args.name}.json and {pred_path.name} ({len(val_records)} validation records)")
     return 0

@@ -1,10 +1,11 @@
 """Equal-frequency volume clustering and per-segment congestion priors.
 
 Records are keyed by their total counter volume (``volume_sum``), sorted,
-and cut into K near-equal groups. For every road segment a K x 3 matrix
-then holds the empirical distribution of congestion states (undefined and
-green merged, yellow, red) conditioned on the cluster, which downstream
-code feeds to the network as prior knowledge.
+and cut into K near-equal groups. The priors are one (segments, K, 3)
+block in graph segment order: row [s, i] holds the empirical distribution
+of congestion states (undefined and green merged, yellow, red) of segment s
+over the records of cluster i, which downstream code feeds to the network
+as prior knowledge.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .data import LabelTable, RoadGraph, VolumeRecord, parse_json, read_json
 
 __all__ = [
     "ClusterModel",
-    "PriorMatrix",
     "volume_sum",
     "fit_clusters",
     "assign_cluster",
@@ -47,20 +47,6 @@ class ClusterModel:
     num_clusters: int
     thresholds: tuple[float, ...]
     assignment: dict[str, int]
-
-
-@dataclass(frozen=True, eq=False)
-class PriorMatrix:
-    """Per-segment K x 3 congestion distribution conditioned on cluster.
-
-    ``support[i]`` counts the labeled records behind row i; rows without
-    support carry the fallback distribution (the segment's all-cluster
-    distribution, or uniform if the segment was never labeled).
-    """
-
-    segment_id: str
-    matrix: np.ndarray  # (K, 3)
-    support: np.ndarray | None = None  # (K,) int; None when loaded from disk
 
 
 @dataclass(frozen=True)
@@ -109,13 +95,15 @@ def build_prior_matrices(
     model: ClusterModel,
     labels: LabelTable,
     graph: RoadGraph,
-) -> dict[str, PriorMatrix]:
-    """Tally congestion states per (segment, cluster) into K x 3 priors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tally congestion states per (segment, cluster) into the (S, K, 3) priors.
 
-    State columns merge undefined (0) into green (1); yellow (2) and red
-    (3) get their own columns. Each supported row is the plain empirical
-    distribution counts / n_i; unsupported rows fall back to the segment's
-    distribution over all clusters, or to uniform for unlabeled segments.
+    Returns the priors and the (S, K) support, the count of labeled records
+    behind each row, both in graph segment order. State columns merge
+    undefined (0) into green (1); yellow (2) and red (3) get their own
+    columns. Each supported row is the plain empirical distribution
+    counts / n; unsupported rows fall back to the segment's distribution
+    over all clusters, or to uniform for unlabeled segments.
     """
     k = model.num_clusters
     seg_index = {s.segment_id: i for i, s in enumerate(graph.segments)}
@@ -132,30 +120,31 @@ def build_prior_matrices(
     total = counts.sum(axis=1, keepdims=True)  # (S, 1, 3)
     grand = total.sum(axis=2, keepdims=True)
     fallback = np.divide(total, grand, out=np.broadcast_to(UNIFORM_ROW, total.shape).copy(), where=grand > 0)
-    matrix = np.divide(counts, support, out=np.broadcast_to(fallback, counts.shape).copy(), where=support > 0)
-    support = support[:, :, 0].astype(np.int64)
-    return {seg_id: PriorMatrix(seg_id, matrix[i], support[i]) for seg_id, i in seg_index.items()}
+    priors = np.divide(counts, support, out=np.broadcast_to(fallback, counts.shape).copy(), where=support > 0)
+    return priors, support[:, :, 0].astype(np.int64)
 
 
-def save_cluster_model(path, model: ClusterModel, priors: Mapping[str, PriorMatrix]) -> Path:
-    """Write ``{K, thresholds, priors}`` as deterministic JSON."""
+def save_cluster_model(path, model: ClusterModel, priors: np.ndarray, segment_ids: Sequence[str]) -> Path:
+    """Write ``{K, thresholds, priors}`` as deterministic JSON, each segment's K x 3 prior under its id."""
     path = Path(path)
     obj = {
         "K": model.num_clusters,
         "thresholds": list(model.thresholds),
-        "priors": {seg_id: priors[seg_id].matrix.tolist() for seg_id in sorted(priors)},
+        "priors": dict(zip(segment_ids, priors.tolist())),
     }
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
 
 
-def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
-    """Inverse of :func:`save_cluster_model`; the assignment is not stored.
+def load_cluster_model(path, segment_ids: Sequence[str]) -> tuple[ClusterModel, np.ndarray]:
+    """Inverse of :func:`save_cluster_model`: the model, and the (S, K, 3) priors of ``segment_ids`` in that order.
+    The assignment is not stored.
 
     A damaged file raises ValueError naming it and `t4c fit-clusters`: one
     ``read_json`` refuses as ``_ClusterFile``, a K below 1, thresholds that
     are not K - 1 non-decreasing numbers, or a prior that is not a K x 3
-    matrix of non-negative numbers.
+    matrix of non-negative numbers; so does a file without a prior for one
+    of ``segment_ids``, naming that segment.
     """
     path = Path(path)
     try:
@@ -166,15 +155,17 @@ def load_cluster_model(path) -> tuple[ClusterModel, dict[str, PriorMatrix]]:
         thresholds = tuple(map(float, obj["thresholds"]))
         if len(thresholds) != k - 1 or any(b < a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError(f"'thresholds' must be K - 1 = {k - 1} non-decreasing numbers, got {obj['thresholds']!r}")
-        model = ClusterModel(num_clusters=k, thresholds=thresholds, assignment={})
-        priors: dict[str, PriorMatrix] = {}
+        priors: dict[str, np.ndarray] = {}
         for seg_id, rows in obj["priors"].items():
-            matrix = np.asarray(rows, dtype=np.float64)  # ragged rows: a ValueError
+            priors[seg_id] = matrix = np.asarray(rows, dtype=np.float64)  # ragged rows: a ValueError
             if matrix.shape != (k, 3):
                 raise ValueError(f"prior for {seg_id!r} has shape {matrix.shape}, expected ({k}, 3)")
             if (matrix < 0.0).any():
                 raise ValueError(f"prior for {seg_id!r} must hold non-negative numbers, got {rows!r}")
-            priors[seg_id] = PriorMatrix(segment_id=seg_id, matrix=matrix, support=None)
     except ValueError as exc:
         raise ValueError(f"{path}: damaged cluster model ({exc}); produce it again with `t4c fit-clusters`") from None
-    return model, priors
+    missing = next((seg_id for seg_id in segment_ids if seg_id not in priors), None)
+    if missing is not None:
+        raise ValueError(f"{path} has no prior for segment {missing!r}; produce it again with `t4c fit-clusters`")
+    model = ClusterModel(num_clusters=k, thresholds=thresholds, assignment={})
+    return model, np.array([priors[seg_id] for seg_id in segment_ids]).reshape(len(segment_ids), k, 3)

@@ -952,32 +952,28 @@ class PredictionTable(NamedTuple):
                       segment_ids: Sequence[str]) -> PredictionTable:
         """The table of predictions held in mappings, NaN where they hold none.
 
-        ``cc`` maps record_id to a segment_id -> 3-vector mapping, or to a (segments, 3) array of finite numbers in
-        ``segment_ids`` order; ``etas`` maps (record_id, ss_id) to seconds. A mapping's vectors are read in one array
-        pass when they are all lists of three floats or all float arrays of three, and finite; any other row goes vector
-        by vector through ``_checked_cc``, which names the record and segment of the first it refuses.
-        Ids are listed as first seen, ``segment_ids`` first.
+        ``cc`` maps record_id to a segment_id -> 3-vector mapping; ``etas`` maps (record_id, ss_id) to seconds. A row's
+        vectors are read in one array pass when they are all lists of three floats or all float arrays of three, and
+        finite; any other row goes vector by vector through ``_checked_cc``, which names the record and segment of the
+        first it refuses. Ids are listed as first seen, ``segment_ids`` first.
         """
         seg_col = dict(zip(segment_ids, range(len(segment_ids))))
         for preds in cc.values():
-            for seg_id in () if isinstance(preds, np.ndarray) else preds:
+            for seg_id in preds:
                 seg_col.setdefault(seg_id, len(seg_col))
         ss_col = dict(zip(dict.fromkeys(ss_id for _, ss_id in etas), range(len(etas))))
         row = {rid: k for k, rid in enumerate(dict.fromkeys([*cc, *(rid for rid, _ in etas)]))}
         table = cls(list(row), list(seg_col), list(ss_col), np.full((len(row), len(seg_col), 3), np.nan),
                     np.full((len(row), len(ss_col)), np.nan))
         for record_id, preds in cc.items():
-            if isinstance(preds, np.ndarray):  # the columns of segment_ids
-                seg_ids, cols, vectors = segment_ids, slice(len(segment_ids)), preds.reshape(len(segment_ids), 3)
-            else:  # one test of a row of lists of three floats, as JSON gives, or of float arrays of three
-                seg_ids, vectors = list(preds), list(preds.values())
-                cols = [seg_col[seg_id] for seg_id in seg_ids]
-                if (all(type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float for v in vectors)
-                        or all(type(v) is np.ndarray and v.shape == (3,) and v.dtype.char in "efd" for v in vectors)):
-                    vectors = np.array(vectors).reshape(len(seg_ids), 3)
+            vectors = list(preds.values())
+            # one test of a row of lists of three floats, as JSON gives, or of float arrays of three
+            if (all(type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float for v in vectors)
+                    or all(type(v) is np.ndarray and v.shape == (3,) and v.dtype.char in "efd" for v in vectors)):
+                vectors = np.array(vectors).reshape(len(vectors), 3)
             if not (isinstance(vectors, np.ndarray) and np.isfinite(vectors).all()):  # any other row is read by vector
-                vectors = [_checked_cc(value, record_id, seg_id) for seg_id, value in zip(seg_ids, vectors)]
-            table.cc[row[record_id], cols] = vectors
+                vectors = [_checked_cc(value, record_id, seg_id) for seg_id, value in preds.items()]
+            table.cc[row[record_id], [seg_col[seg_id] for seg_id in preds]] = vectors
         at = [row[rid] for rid, _ in etas], [ss_col[ss_id] for _, ss_id in etas]
         table.etas[at] = np.fromiter(etas.values(), np.float64, len(etas))
         return table

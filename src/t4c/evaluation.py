@@ -10,8 +10,8 @@ with a floor on the speed.
 
 Both scorers score a ``data.PredictionTable``, the one in-memory form of a predictions file: (records, ids) blocks with
 NaN for no prediction. Each also takes a mapping, which ``PredictionTable.from_mappings`` turns into a table on entry:
-``core_metric`` record -> segment -> 3-vector, or record -> (segments, 3) array in the label table's segment order,
-with its labels a ``LabelTable`` or a list of ``LabelBundle`` rows of one; ``eta_metric`` (record, ss) -> seconds.
+``core_metric`` record -> segment -> 3-vector, with its labels a ``LabelTable`` or a list of ``LabelBundle`` rows of
+one; ``eta_metric`` (record, ss) -> seconds.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _nan_padded(block: np.ndarray) -> np.ndarray:
 
 
 def core_metric(
-    predictions: PredictionTable | Mapping[str, Mapping[str, np.ndarray] | np.ndarray],
+    predictions: PredictionTable | Mapping[str, Mapping[str, np.ndarray]],
     labels: LabelTable | Iterable[LabelBundle],
 ) -> CoreScore:
     """Score per-segment class probabilities against congestion labels.

@@ -5,8 +5,8 @@ adjacent when they share at least one endpoint intersection (direction
 ignored). Per segment, the model reads two kinds of input. Feature
 assembly builds the static ones, which read no counter volume: the four
 categorical codes, the z-normalized continuous attributes and the
-flattened congestion prior block. They change only with the volume
-cluster. The counter slice is built per record: the 8-vector of four bins
+congestion prior block, read from the (segments, K, 3) priors. They change
+only with the volume cluster. The counter slice is built per record: the 8-vector of four bins
 at the tail node and four at the head, zeros where no counter or no data.
 """
 
@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clustering import PriorMatrix
 from .data import CONTINUOUS_FIELDS, LabelTable, RoadGraph, VolumeRecord
 
 __all__ = [
@@ -186,13 +185,14 @@ def fit_normalization(
 def assemble_features(
     graph: RoadGraph,
     seg_graph: SegmentGraph,
-    priors: Mapping[str, PriorMatrix],
+    priors: np.ndarray,
     norm_stats: NormStats,
     prior_mode: str = "full",
     cluster_index: int | None = None,
 ) -> FeatureBundle:
     """Build the static per-segment inputs (pure function).
 
+    ``priors`` is the (segments, K, 3) block in the segment graph's order.
     ``prior_mode="full"`` flattens each segment's whole K x 3 prior matrix
     row-major, so cluster i's distribution sits at offset 3*i, and one
     bundle serves every record; ``"active_row"`` keeps only the row of
@@ -202,20 +202,13 @@ def assemble_features(
         raise ValueError(f"prior_mode must be 'full' or 'active_row', got {prior_mode!r}")
     if prior_mode == "active_row" and cluster_index is None:
         raise ValueError("prior_mode 'active_row' needs a cluster_index")
+    if priors.ndim != 3 or priors.shape[::2] != (seg_graph.num_segments, 3):
+        raise ValueError(f"priors of shape {priors.shape}, expected ({seg_graph.num_segments}, K, 3)")
 
     cont = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
-
-    rows: list[np.ndarray] = []
-    for seg_id in seg_graph.seg_ids:
-        prior = priors.get(seg_id)
-        if prior is None:
-            raise ValueError(f"missing prior matrix for segment {seg_id!r}")
-        if prior_mode == "full":
-            rows.append(prior.matrix.reshape(-1))
-        else:
-            rows.append(prior.matrix[cluster_index])
+    block = priors.reshape(len(priors), -1) if prior_mode == "full" else priors[:, cluster_index]
     return FeatureBundle(
         categorical=graph.categorical_matrix,
         continuous=cont,
-        prior_block=np.array(rows, dtype=np.float64),
+        prior_block=np.array(block, dtype=np.float64),  # a copy: the bundle is made read-only, the priors are not
     )

@@ -40,9 +40,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import Checkpoint
-from .clustering import ClusterModel, PriorMatrix, assign_cluster
-from .data import (Dataset, LabelTable, RoadGraph, VolumeRecord, daytime_filter, parse_json, read_json,
-                   split_train_validation)
+from .clustering import ClusterModel, assign_cluster
+from .data import (Dataset, LabelTable, PredictionTable, RoadGraph, VolumeRecord, daytime_filter, parse_json,
+                   read_json, split_train_validation)
 from .evaluation import core_metric
 from .model import (
     LabelArrays,
@@ -228,7 +228,7 @@ def fit_loop(
     labels: LabelTable,
     record_inputs: Callable[[VolumeRecord], tuple[np.ndarray, ...]],
     record_loss: Callable[..., Sequence[ad.Tensor]],
-    val_cc_probs: Callable[[Sequence[VolumeRecord]], Mapping[str, np.ndarray]],
+    val_cc_probs: Callable[[Sequence[VolumeRecord]], np.ndarray],
 ) -> FitResult:
     """Fit ``store`` by Adam on seeded shuffles of batched records.
 
@@ -237,13 +237,14 @@ def fit_loop(
     is logged first. It is traced once, on the first training record, into
     an ``ad.Plan`` that every step replays on its records' inputs.
     Gradients are averaged over each batch. After every epoch
-    ``val_cc_probs`` gives each validation record's (segments, 3)
-    congestion probabilities in the order of ``labels.segment_ids``, by
-    record id, and the core score picks the best epoch (earliest wins
-    ties). A non-finite loss aborts at once with the seed and the last
+    ``val_cc_probs`` gives the validation records' (records, segments, 3)
+    congestion probabilities, in record order and in the order of
+    ``labels.segment_ids``, and their core score picks the best epoch
+    (earliest wins ties). A non-finite loss aborts at once with the seed and the last
     finite state in the error message.
     """
-    val_labels = labels.select(r.record_id for r in val_records)
+    val_ids = [r.record_id for r in val_records]
+    val_labels, no_etas = labels.select(val_ids), np.empty((len(val_ids), 0))
     shuffler = random.Random(seed)
     order_hash = hashlib.sha256()
     val_scores: list[float] = []
@@ -279,7 +280,7 @@ def fit_loop(
             store.scale_grads(1.0 / len(batch))
             ad.adam_step(store, lr=train_cfg.learning_rate)
 
-        predictions = val_cc_probs(val_records)
+        predictions = PredictionTable(val_ids, labels.segment_ids, (), val_cc_probs(val_records), no_etas)
         score = core_metric(predictions, val_labels).score
         if score is None:
             raise ValueError("validation split has no scored congestion labels")
@@ -336,7 +337,7 @@ def prepare_training(
     train_cfg: TrainConfig,
     dataset: Dataset,
     cluster_model: ClusterModel | None,
-    priors: Mapping[str, PriorMatrix],
+    priors: np.ndarray,
     prior_mode: str,
     cc_classes: int,
 ) -> TrainingSet:
@@ -413,15 +414,15 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
         )
         return losses
 
-    def val_cc_probs(records: Sequence[VolumeRecord]) -> dict[str, np.ndarray]:
+    def val_cc_probs(records: Sequence[VolumeRecord]) -> np.ndarray:
         params = store.arrays()
         static_feat = {key: static_branch(params, model_cfg, inputs) for key, inputs in static_in.items()}
-        return {
-            r.record_id: congestion_probs(
+        return np.array([
+            congestion_probs(
                 params, model_cfg, seg_graph, ts.counter_slices[r.record_id], static_feat[id(ts.features[r.record_id])]
             )
             for r in records
-        }
+        ])
 
     fit = fit_loop(
         store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.labels, record_inputs, record_loss, val_cc_probs
@@ -449,7 +450,7 @@ def train_ensemble(
     model_cfg: ModelConfig,
     dataset: Dataset,
     cluster_model: ClusterModel,
-    priors: Mapping[str, PriorMatrix],
+    priors: np.ndarray,
 ) -> list[tuple[Checkpoint, RunLog]]:
     """Train the ensemble members sequentially from one training set; they differ only by seed."""
     training_set = prepare_training(
@@ -502,7 +503,7 @@ def predict_record(
     ckpt: Checkpoint,
     dataset_graph,
     seg_graph: SegmentGraph,
-    priors: Mapping[str, PriorMatrix],
+    priors: np.ndarray,
     record: VolumeRecord,
     cluster_model: ClusterModel | None = None,
 ) -> PredictionProbs:
@@ -547,7 +548,7 @@ def prepare_ensemble(
     checkpoints: Sequence[Checkpoint],
     dataset_graph: RoadGraph,
     seg_graph: SegmentGraph,
-    priors: Mapping[str, PriorMatrix],
+    priors: np.ndarray,
     cluster_model: ClusterModel | None = None,
 ) -> Ensemble:
     """Check that the members share one config, build every member's static branch

@@ -27,7 +27,7 @@ from t4c.data import (
     write_dataset,
 )
 from t4c.evaluation import core_metric, etas_from_speeds
-from t4c.baselines import fit_naive, fit_volume_cluster, naive_segment_probs
+from t4c.baselines import fit_naive, fit_volume_cluster
 from t4c.model import ModelConfig, compute_loss, forward, init_params
 from t4c.seggraph import build_line_graph
 from t4c.training import (TrainConfig, ensemble_predict, predict_record, prepare_ensemble, prepare_training,
@@ -72,7 +72,7 @@ def ordering_fit(ordering_city):
     train_labels = dataset.labels.select(r.record_id for r in train_records)
     val_labels = dataset.labels.select(r.record_id for r in val_records)
     cluster_model = fit_clusters(train_records, ORDERING_MODEL.num_clusters)
-    priors = build_prior_matrices(cluster_model, train_labels, dataset.graph)
+    priors, _support = build_prior_matrices(cluster_model, train_labels, dataset.graph)
     return cluster_model, priors, train_records, val_records, train_labels, val_labels
 
 
@@ -123,16 +123,15 @@ def test_criterion_2_clustering_properties(toy_graph):
                 edges[seg] = int(rng.integers(0, 4))
         cc_by_record[f"r{i:04d}"] = edges
     labels = label_table(cc_by_record, ("e1", "e2", "e3"))
-    priors = build_prior_matrices(model, labels, toy_graph)
-    for prior in priors.values():
-        assert np.all(np.abs(prior.matrix.sum(axis=1) - 1.0) <= 1e-9)
+    priors, _support = build_prior_matrices(model, labels, toy_graph)
+    assert np.all(np.abs(priors.sum(axis=2) - 1.0) <= 1e-9)
 
     # brute-force oracle on a 50-record subset, exact equality
     small = records[:50]
     small_model = fit_clusters(small, 10)
     small_labels = dict(list(cc_by_record.items())[:50])
-    small_priors = build_prior_matrices(small_model, labels.select(small_labels), toy_graph)
-    for seg in ("e1", "e2", "e3"):
+    small_priors, _support = build_prior_matrices(small_model, labels.select(small_labels), toy_graph)
+    for j, seg in enumerate(("e1", "e2", "e3")):  # the toy graph's segment order
         tally = np.zeros((10, 3))
         for record_id, edges in small_labels.items():
             if seg in edges:
@@ -141,7 +140,7 @@ def test_criterion_2_clustering_properties(toy_graph):
         fallback = totals / totals.sum() if totals.sum() else np.full(3, 1 / 3)
         for row in range(10):
             expected = tally[row] / tally[row].sum() if tally[row].sum() else fallback
-            assert np.array_equal(small_priors[seg].matrix[row], expected)
+            assert np.array_equal(small_priors[j, row], expected)
     print(f"ACCEPTANCE 2 PASS: equal-frequency sizes {sizes.min()}..{sizes.max()}, "
           f"prior rows sum to 1, 50-record oracle exact")
 
@@ -221,7 +220,7 @@ def test_criterion_6_ordering_reproduction(ordering_city, ordering_fit):
 
     naive = fit_naive(train_labels, dataset.supersegments)
     naive_score = core_metric(
-        {r.record_id: {s: naive_segment_probs(naive, s) for s in seg_ids} for r in val_records},
+        {r.record_id: dict(zip(seg_ids, naive.cc_probs)) for r in val_records},
         val_labels,
     ).score
 
@@ -229,7 +228,7 @@ def test_criterion_6_ordering_reproduction(ordering_city, ordering_fit):
     vc_preds = {}
     for r in val_records:
         cluster = assign_cluster(cluster_model, r)
-        vc_preds[r.record_id] = {s: vc.cc_probs[s][cluster] for s in seg_ids}
+        vc_preds[r.record_id] = dict(zip(seg_ids, vc.cc_probs[:, cluster]))
     vc_score = core_metric(vc_preds, val_labels).score
 
     result = run_ablation(

@@ -10,7 +10,6 @@ import pytest
 from t4c.baselines import (
     fit_naive,
     fit_volume_cluster,
-    naive_segment_probs,
     node_gnn_baseline,
     save_baseline,
 )
@@ -38,7 +37,8 @@ SEGS = ("e1", "e2", "e3")
 def test_naive_per_segment_distribution():
     labels = label_table({f"r{i}": {"s": c} for i, c in enumerate([1, 1, 2, 3, 1])})
     model = fit_naive(labels, [])
-    assert np.allclose(model.cc_probs["s"], [0.6, 0.2, 0.2])
+    assert model.segment_ids == ("s",)
+    assert np.allclose(model.cc_probs[0], [0.6, 0.2, 0.2])
 
 
 def test_naive_lower_median_eta():
@@ -49,16 +49,17 @@ def test_naive_lower_median_eta():
 
 
 def test_naive_unlabeled_segment_falls_back_to_global():
-    labels = label_table({"r0": {"a": 1}, "r1": {"a": 2}})
+    labels = label_table({"r0": {"a": 1}, "r1": {"a": 2}}, ("a", "never_seen"))
     model = fit_naive(labels, [])
-    assert np.allclose(naive_segment_probs(model, "never_seen"), model.global_probs)
+    assert model.labelled.tolist() == [True, False]
+    assert np.array_equal(model.cc_probs[1], model.global_probs)
     assert np.allclose(model.global_probs, [0.5, 0.5, 0.0])
 
 
 def test_naive_undefined_merges_into_green():
     labels = label_table({"r0": {"a": 0}, "r1": {"a": 3}})
     model = fit_naive(labels, [])
-    assert np.allclose(model.cc_probs["a"], [0.5, 0.0, 0.5])
+    assert np.allclose(model.cc_probs[0], [0.5, 0.0, 0.5])
 
 
 def test_naive_requires_labels():
@@ -69,8 +70,8 @@ def test_naive_requires_labels():
 def test_naive_global_mode_applies_pooled_distribution():
     labels = label_table({"r0": {"a": 1, "b": 3}, "r1": {"a": 1}})
     model = fit_naive(labels, [], per_segment=False)
-    assert np.allclose(model.cc_probs["a"], model.global_probs)
-    assert np.allclose(model.cc_probs["b"], model.global_probs)
+    assert model.segment_ids == ("a", "b")
+    assert np.allclose(model.cc_probs, model.global_probs)
 
 
 def test_naive_eta_restricted_to_training_records():
@@ -90,13 +91,14 @@ def test_naive_matches_brute_force_tally(toy_graph):
                 edges[seg] = int(rng.integers(0, 4))
         cc_by_record[f"r{i:02d}"] = edges
     model = fit_naive(label_table(cc_by_record, SEGS), [])
-    for seg in SEGS:
+    for j, seg in enumerate(SEGS):
         tally = np.zeros(3)
         for edges in cc_by_record.values():
             if seg in edges:
                 tally[{0: 0, 1: 0, 2: 1, 3: 2}[edges[seg]]] += 1
+        assert model.labelled[j] == (tally.sum() > 0)
         if tally.sum():
-            assert np.array_equal(model.cc_probs[seg], tally / tally.sum())
+            assert np.array_equal(model.cc_probs[j], tally / tally.sum())
 
 
 # -- volume cluster -----------------------------------------------------------------
@@ -126,8 +128,7 @@ def test_volume_cluster_k1_reproduces_naive(toy_graph):
     k1 = fit_clusters(records, 1)
     vc = fit_volume_cluster(k1, label_table(cc_by_record, SEGS), sss, toy_graph)
     naive = vc.naive
-    for seg in ("e1", "e2", "e3"):
-        assert np.array_equal(vc.cc_probs[seg][0], naive_segment_probs(naive, seg))
+    assert np.array_equal(vc.cc_probs[:, 0], naive.cc_probs)
     assert vc.eta_median["ss0"][0] == naive.eta_median["ss0"]
 
 
@@ -158,8 +159,14 @@ def test_volume_cluster_zero_support_cc_falls_back_to_naive(toy_graph):
         for record_id, edges in cc_by_record.items()
     }
     vc = fit_volume_cluster(model, label_table(filtered, SEGS), sss, toy_graph)
-    naive_probs = naive_segment_probs(vc.naive, "e3")
-    assert np.array_equal(vc.cc_probs["e3"][2], naive_probs)
+    assert np.array_equal(vc.cc_probs[2, 2], vc.naive.cc_probs[2])  # e3, cluster 2
+
+
+def test_volume_cluster_refuses_labels_in_another_segment_order(toy_graph):
+    """Its blocks stack the naive (label table order) and prior (graph order) rows by position."""
+    _records, model, cc_by_record, sss = _clustered_fixture(toy_graph)
+    with pytest.raises(ValueError, match="not the graph's, in graph order"):
+        fit_volume_cluster(model, label_table(cc_by_record, SEGS[::-1]), sss, toy_graph)
 
 
 def test_save_baseline_writes_each_model_as_sorted_json(toy_graph, tmp_path):
@@ -169,7 +176,7 @@ def test_save_baseline_writes_each_model_as_sorted_json(toy_graph, tmp_path):
     naive_obj = {
         "per_segment": naive.per_segment,
         "global_probs": naive.global_probs.tolist(),
-        "cc_probs": {seg: probs.tolist() for seg, probs in naive.cc_probs.items()},
+        "cc_probs": {seg: probs.tolist() for seg, probs in zip(SEGS, naive.cc_probs)},
         "eta_median": naive.eta_median,
     }
     path = save_baseline(tmp_path / "baseline_naive.json", naive)
@@ -184,7 +191,7 @@ def test_save_baseline_writes_each_model_as_sorted_json(toy_graph, tmp_path):
         "kind": "volume_cluster",
         "K": vc.num_clusters,
         "thresholds": list(vc.thresholds),
-        "cc_probs": {seg: probs.tolist() for seg, probs in vc.cc_probs.items()},
+        "cc_probs": {seg: probs.tolist() for seg, probs in zip(SEGS, vc.cc_probs)},
         "eta_median": {ss: medians.tolist() for ss, medians in vc.eta_median.items()},
         "naive": naive_obj,
     }
@@ -210,10 +217,7 @@ def _validation_core_of_naive(dataset, train_cfg):
     train_records, val_records = split_train_validation(records, 1.0 - train_cfg.val_fraction, train_cfg.split_seed)
     naive = fit_naive(dataset.labels.select(r.record_id for r in train_records), dataset.supersegments)
     seg_ids = [s.segment_id for s in dataset.graph.segments]
-    predictions = {
-        r.record_id: {seg: naive_segment_probs(naive, seg) for seg in seg_ids}
-        for r in val_records
-    }
+    predictions = {r.record_id: dict(zip(seg_ids, naive.cc_probs)) for r in val_records}
     return core_metric(predictions, dataset.labels.select(r.record_id for r in val_records)).score
 
 
@@ -227,7 +231,9 @@ def test_node_gnn_with_sparse_counters_loses_to_main_model(tmp_path):
     records = daytime_filter(dataset.records, *train_cfg.daytime)
     train_records, _ = split_train_validation(records, 0.8, train_cfg.split_seed)
     cluster_model = fit_clusters(train_records, 5)
-    priors = build_prior_matrices(cluster_model, dataset.labels.select(r.record_id for r in train_records), dataset.graph)
+    priors, _support = build_prior_matrices(
+        cluster_model, dataset.labels.select(r.record_id for r in train_records), dataset.graph
+    )
     model_cfg = ModelConfig(volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16, head_blocks=1, num_clusters=5)
     training_set = prepare_training(
         train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import t4c.data as data_module
 from t4c.cli import _SECTIONS, _config_from, build_parser, main
+from t4c.clustering import fit_clusters
 from t4c.data import PredictionTable, SynthSpec, _predictions_copy, load_dataset, read_predictions, write_predictions
 from t4c.model import ModelConfig
-from t4c.training import TrainConfig
+from t4c.training import TrainConfig, split_records
 
 from conftest import rewrite_checkpoint_header, write_body_value, write_version_1_copy
 
@@ -154,6 +155,48 @@ def test_baseline_subcommands(pipeline, capsys):
     assert main(wd + ["baseline", "node_gnn", "--data", "data/toy", "--out", "baselines", "--epochs", "2"]) == 0
     gnn = json.loads((pipeline / "baselines/baseline_node_gnn.json").read_text())
     assert gnn["val_core"] > 0
+
+
+def test_baseline_volume_cluster_counts_the_etas_of_the_records_the_naive_baseline_counts(tmp_path):
+    """A super-segment whose ETAs only training records without a label line carry, none in cluster 0, once gave
+    cluster 0 a NaN median: the naive fallback counts the labelled records' ETAs only, as both baselines now do."""
+    wd = ["--workdir", str(tmp_path)]
+    assert main(wd + ["synth", "--out", "city", "--nodes", "12", "--records", "32", "--records-per-day", "16"]) == 0
+    dataset = load_dataset(tmp_path / "city")
+    cluster_of = fit_clusters(split_records(dataset, TrainConfig())[1], 3).assignment
+    kept = max(cluster_of)  # the one record with a label line
+    labels = tmp_path / "city/labels.jsonl"
+    labels.write_text("".join(line for line in labels.read_text().splitlines(keepends=True)
+                              if json.loads(line)["record_id"] == kept))
+    ss_path = tmp_path / "city/supersegments.json"
+    obj = json.loads(ss_path.read_text())
+    obj["etas"] = [e for e in obj["etas"] if e["record_id"] != kept and cluster_of.get(e["record_id"]) != 0]
+    ss_path.write_text(json.dumps(obj))
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a baseline file")
+
+    for name in ("naive", "volume_cluster"):
+        assert main(wd + ["baseline", name, "--data", "city", "--out", "bl", "--k", "3"]) == 0
+        assert json.loads((tmp_path / f"bl/baseline_{name}.json").read_text(), parse_constant=refuse)["eta_median"] == {}
+        for line in (tmp_path / f"bl/predictions_{name}.jsonl").read_text().splitlines():
+            assert json.loads(line, parse_constant=refuse)["etas"] == {}
+
+
+def test_train_refuses_a_run_directory_with_more_members_and_deletes_nothing(pipeline, capsys):
+    """``predict`` averages every member_k it finds, so older members past the new count would join the ensemble."""
+    wd = ["--workdir", str(pipeline)]
+    run = pipeline / "runs/shrunk"
+    shutil.copytree(pipeline / "runs/demo", run)
+    before = sorted(path.name for path in run.rglob("*"))
+    capsys.readouterr()
+    code = main(wd + ["train", "--data", "data/toy", "--cluster-model", "cluster_model.json", "--out", "runs/shrunk",
+                      *SMALL_TRAIN_ARGS, "--members", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(run / "member_1") in err and "fresh --out" in err
+    assert sorted(path.name for path in run.rglob("*")) == before
+    assert (run / "member_0/checkpoint.bin").read_bytes() == (pipeline / "runs/demo/member_0/checkpoint.bin").read_bytes()
 
 
 def test_ablate_single_variant(pipeline):
@@ -545,6 +588,23 @@ def test_cluster_model_with_bad_k_or_thresholds_exits_one_naming_the_file(pipeli
     err = capsys.readouterr().err
     assert str(damaged) in err and "t4c fit-clusters" in err
     assert not (pipeline / f"bad_clusters_{stage}").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "predict"])
+def test_cluster_model_without_a_segment_of_the_graph_exits_one_naming_file_and_segment(pipeline, capsys, stage):
+    obj = json.loads((pipeline / "cluster_model.json").read_text())
+    missing = sorted(obj["priors"])[1]
+    del obj["priors"][missing]
+    partial = pipeline / f"clusters_without_{stage}.json"
+    partial.write_text(json.dumps(obj))
+    capsys.readouterr()
+    argv = ["--run", "runs/demo"] if stage == "predict" else ["--k", "5"]
+    code = main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--cluster-model", partial.name,
+                 "--out", f"without_segment_{stage}", *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(partial) in err and repr(missing) in err and "t4c fit-clusters" in err
+    assert not (pipeline / f"without_segment_{stage}").exists()
 
 
 @pytest.mark.parametrize("stage", ["train", "predict"])

@@ -22,6 +22,8 @@ from t4c.data import VolumeRecord
 
 from conftest import label_table
 
+SEG_IDS = ("e1", "e2", "e3")  # the toy graph's segments, in graph order
+
 
 def rec(record_id, total, bins=None):
     volumes = {"A": bins} if bins is not None else ({"A": (total, 0, 0, 0)} if total else {})
@@ -137,15 +139,15 @@ def test_prior_row_from_four_labels(toy_graph):
     records = [rec(f"r{i}", i) for i in range(4)]
     model = ClusterModel(1, (), {f"r{i}": 0 for i in range(4)})
     labels = label_table({"r0": {"e1": 1}, "r1": {"e1": 1}, "r2": {"e1": 2}, "r3": {"e1": 3}})
-    priors = build_prior_matrices(model, labels, toy_graph)
-    assert np.allclose(priors["e1"].matrix[0], [0.5, 0.25, 0.25])
+    priors, _support = build_prior_matrices(model, labels, toy_graph)
+    assert np.allclose(priors[0, 0], [0.5, 0.25, 0.25])  # e1
 
 
 def test_undefined_merges_into_green(toy_graph):
     model = ClusterModel(1, (), {"r0": 0, "r1": 0})
     labels = label_table({"r0": {"e1": 0}, "r1": {"e1": 1}})
-    priors = build_prior_matrices(model, labels, toy_graph)
-    assert priors["e1"].matrix[0].tolist() == [1.0, 0.0, 0.0]
+    priors, _support = build_prior_matrices(model, labels, toy_graph)
+    assert priors[0, 0].tolist() == [1.0, 0.0, 0.0]  # e1
 
 
 def test_zero_support_row_uses_global_distribution(toy_graph):
@@ -157,16 +159,16 @@ def test_zero_support_row_uses_global_distribution(toy_graph):
     cc_by_record = {f"r{i}": {"e1": cc_seq[i]} for i in range(10)}
     cc_by_record["r_other"] = {"e2": 1}  # cluster 1 never labels e1
     labels = label_table(cc_by_record)
-    priors = build_prior_matrices(model, labels, toy_graph)
-    assert np.allclose(priors["e1"].matrix[1], [0.7, 0.2, 0.1])
-    assert priors["e1"].support[1] == 0
+    priors, support = build_prior_matrices(model, labels, toy_graph)
+    assert np.allclose(priors[0, 1], [0.7, 0.2, 0.1])  # e1
+    assert support[0].tolist() == [10, 0]
 
 
 def test_never_labeled_segment_gets_uniform(toy_graph):
     model = ClusterModel(2, (5.0,), {"r0": 0})
     labels = label_table({"r0": {"e1": 1}})
-    priors = build_prior_matrices(model, labels, toy_graph)
-    assert np.allclose(priors["e3"].matrix, 1.0 / 3.0)
+    priors, _support = build_prior_matrices(model, labels, toy_graph)
+    assert np.allclose(priors[2], 1.0 / 3.0)  # e3
 
 
 def test_unknown_record_rejected(toy_graph):
@@ -187,10 +189,10 @@ def test_rows_are_probability_vectors(toy_graph):
             if rng.random() < 0.6:
                 edges[seg] = int(rng.integers(0, 4))
         cc_by_record[f"r{i:02d}"] = edges
-    priors = build_prior_matrices(model, label_table(cc_by_record, ("e1", "e2", "e3")), toy_graph)
-    for prior in priors.values():
-        assert np.all(prior.matrix >= 0)
-        assert np.all(np.abs(prior.matrix.sum(axis=1) - 1.0) <= 1e-9)
+    priors, _support = build_prior_matrices(model, label_table(cc_by_record, ("e1", "e2", "e3")), toy_graph)
+    assert priors.shape == (3, 5, 3)
+    assert np.all(priors >= 0)
+    assert np.all(np.abs(priors.sum(axis=2) - 1.0) <= 1e-9)
 
 
 def test_matches_brute_force_tally_exactly(toy_graph):
@@ -206,9 +208,9 @@ def test_matches_brute_force_tally_exactly(toy_graph):
             if rng.random() < 0.7:
                 edges[seg] = int(rng.integers(0, 4))
         cc_by_record[f"r{i:02d}"] = edges
-    priors = build_prior_matrices(model, label_table(cc_by_record, ("e1", "e2", "e3")), toy_graph)
+    priors, supports = build_prior_matrices(model, label_table(cc_by_record, ("e1", "e2", "e3")), toy_graph)
 
-    for seg in ("e1", "e2", "e3"):
+    for j, seg in enumerate(("e1", "e2", "e3")):  # the toy graph's segment order
         tally = np.zeros((10, 3))
         for record_id, edges in cc_by_record.items():
             if seg not in edges:
@@ -220,7 +222,8 @@ def test_matches_brute_force_tally_exactly(toy_graph):
         for row in range(10):
             support = tally[row].sum()
             expected = tally[row] / support if support else fallback
-            assert np.array_equal(priors[seg].matrix[row], expected), (seg, row)
+            assert np.array_equal(priors[j, row], expected), (seg, row)
+            assert supports[j, row] == support, (seg, row)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -230,13 +233,15 @@ def test_cluster_model_json_round_trip(toy_graph, tmp_path):
     records = [rec(f"r{i:02d}", i) for i in range(20)]
     model = fit_clusters(records, 4)
     labels = label_table({f"r{i:02d}": {"e1": (i % 3) + 1} for i in range(20)})
-    priors = build_prior_matrices(model, labels, toy_graph)
-    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors)
-    loaded_model, loaded_priors = load_cluster_model(path)
+    priors, _support = build_prior_matrices(model, labels, toy_graph)
+    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors, SEG_IDS)
+    loaded_model, loaded_priors = load_cluster_model(path, SEG_IDS)
     assert loaded_model.num_clusters == 4
     assert loaded_model.thresholds == model.thresholds
-    for seg in priors:
-        assert np.array_equal(loaded_priors[seg].matrix, priors[seg].matrix)
+    assert loaded_priors.tobytes() == priors.tobytes()
+    assert sorted(json.loads(path.read_text())["priors"]) == list(SEG_IDS)
+    reordered = load_cluster_model(path, SEG_IDS[::-1])[1]  # the block follows the ids asked for
+    assert reordered.tobytes() == priors[::-1].tobytes()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -259,15 +264,15 @@ def test_cluster_model_with_bad_k_or_thresholds_names_the_file(toy_graph, tmp_pa
     """K is a positive JSON integer; thresholds are K - 1 finite, non-decreasing JSON numbers."""
     records = [rec(f"r{i:02d}", i) for i in range(20)]
     model = fit_clusters(records, 4)
-    priors = build_prior_matrices(model, label_table({f"r{i:02d}": {"e1": 1} for i in range(20)}), toy_graph)
-    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors)
+    priors, _support = build_prior_matrices(model, label_table({f"r{i:02d}": {"e1": 1} for i in range(20)}), toy_graph)
+    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors, SEG_IDS)
     obj = json.loads(path.read_text())
     thresholds = obj["thresholds"]
     edits = {"appended": thresholds + [thresholds[-1] + 1.0], "dropped": thresholds[:-1], "decreasing": thresholds[::-1]}
     obj[key] = edits.get(value, value) if isinstance(value, str) else value
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError) as err:
-        load_cluster_model(path)
+        load_cluster_model(path, SEG_IDS)
     assert str(path) in str(err.value) and "t4c fit-clusters" in str(err.value)
 
 
@@ -275,10 +280,10 @@ def test_cluster_model_with_equal_integer_thresholds_loads(toy_graph, tmp_path):
     records = [rec(f"r{i:02d}", i // 10) for i in range(20)]
     model = fit_clusters(records, 4)
     assert model.thresholds == (0.0, 1.0, 1.0)
-    priors = build_prior_matrices(model, label_table({f"r{i:02d}": {"e1": 1} for i in range(20)}), toy_graph)
-    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors)
+    priors, _support = build_prior_matrices(model, label_table({f"r{i:02d}": {"e1": 1} for i in range(20)}), toy_graph)
+    path = save_cluster_model(tmp_path / "cluster_model.json", model, priors, SEG_IDS)
     obj = json.loads(path.read_text())
     obj["thresholds"] = [0, 1, 1]
     path.write_text(json.dumps(obj))
-    loaded, _ = load_cluster_model(path)
+    loaded, _ = load_cluster_model(path, SEG_IDS)
     assert loaded.thresholds == model.thresholds

@@ -363,10 +363,11 @@ def test_core_metric_equals_a_per_record_loop_in_every_input_form(data):
     expected = CoreScore(expected_score, expected_per_record, expected_n)
 
     order = data.draw(st.permutations(range(n_segments)), "block segment order")
-    block = PredictionTable(record_ids, [segment_ids[j] for j in order], [], values[:, order],
-                            np.empty((len(record_ids), 0)))
+    no_etas = np.empty((len(record_ids), 0))
+    in_order = PredictionTable(record_ids, segment_ids, [], values, no_etas)
+    block = PredictionTable(record_ids, [segment_ids[j] for j in order], [], values[:, order], no_etas)
     mapping = {rid: dict(zip(segment_ids, rows.tolist())) for rid, rows in probs.items()}
-    for form in (probs, block, mapping):
+    for form in (in_order, block, mapping):
         assert bits(core_metric(form, table)) == bits(expected)
 
 
@@ -416,13 +417,11 @@ def test_the_first_labeled_pair_without_a_predicted_eta_is_named_for_a_mapping_a
 
 
 def test_every_vector_of_a_mapping_is_read_and_a_nan_in_a_table_is_no_prediction():
-    """The mapping form is read whole, so a bad vector on a segment the labels skip is refused too; in a table and in
-    the (segments, 3) array form NaN is no prediction, named only where a scored segment needs one."""
+    """The mapping form is read whole, so a bad vector on a segment the labels skip is refused too; in a table NaN is
+    no prediction, named only where a scored segment needs one."""
     table = label_table({"r0": {"a": 0, "b": 2}})
     with pytest.raises(PredictionError, match="record 'r0', segment 'a': expected 3 finite probabilities"):
         core_metric({"r0": {"a": "abc", "b": UNIFORM}}, table)
-    with pytest.raises(PredictionError, match="record 'r0', segment 'b': expected 3 finite probabilities"):
-        core_metric({"r0": np.array([UNIFORM, [math.nan, 0.5, 0.5]])}, table)
     holes = PredictionTable(["r0"], ["a", "b"], ["ss0"], np.array([[[math.nan] * 3, UNIFORM]]), np.array([[math.nan]]))
     assert core_metric(holes, table).n_scored == 1
     with pytest.raises(PredictionError, match="record 'r0': no prediction for segment 'b'"):

@@ -25,7 +25,7 @@ from t4c import autodiff as ad
 from t4c.baselines import node_gnn_baseline
 from t4c.checkpoint import save_checkpoint
 from t4c.cli import main
-from t4c.data import SynthSpec, generate_synthetic_city, labels_by_record
+from t4c.data import PredictionTable, SynthSpec, generate_synthetic_city, labels_by_record
 from t4c.evaluation import PROB_CLIP, core_metric
 from t4c.model import compute_loss, forward, init_params
 from t4c.training import prepare_training, save_runlog, train_one
@@ -181,7 +181,8 @@ def test_bundle_views_and_core_metric_over_bundles_read_the_label_table(ordering
     probs = {rid: rng.dirichlet(np.ones(3), size=len(table.segment_ids)) for rid in table.record_ids}
     predictions = {rid: dict(zip(table.segment_ids, p)) for rid, p in probs.items()}
     score = core_metric(predictions, list(bundles.values()))
-    assert score == core_metric(probs, table)
+    block = PredictionTable(list(probs), table.segment_ids, (), np.array(list(probs.values())), np.empty((len(probs), 0)))
+    assert score == core_metric(block, table)
     total, n, per_record = 0.0, 0, {}
     for rid, bundle in bundles.items():  # the per-label loop the table replaced: per record, then over records
         record_total, record_n = 0.0, 0

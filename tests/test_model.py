@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from t4c import autodiff as ad
-from t4c.clustering import PriorMatrix
 from t4c.data import NodeRec, RoadGraph, VolumeRecord
 from t4c.model import (
     LabelArrays,
@@ -63,12 +62,8 @@ def graph_from_edges(edges, counters=None):
 
 
 def random_priors(graph, k, seed=0):
-    rng = np.random.default_rng(seed)
-    priors = {}
-    for s in graph.segments:
-        raw = rng.random((k, 3)) + 0.1
-        priors[s.segment_id] = PriorMatrix(s.segment_id, raw / raw.sum(axis=1, keepdims=True), None)
-    return priors
+    raw = np.random.default_rng(seed).random((len(graph.segments), k, 3)) + 0.1
+    return raw / raw.sum(axis=2, keepdims=True)
 
 
 def six_segment_setup(cfg=TINY, seed=0):
@@ -261,9 +256,8 @@ def test_unlabeled_segment_does_not_change_loss():
         counters={"A": "c0"},
     )
     seg_graph2 = build_line_graph(bigger)
-    priors2 = dict(random_priors(bigger, cfg.num_clusters, seed=8))
-    priors2["e0"] = priors["e0"]
-    priors2["e1"] = priors["e1"]
+    priors2 = random_priors(bigger, cfg.num_clusters, seed=8)
+    priors2[:2] = priors  # e0 and e1
     feats2, counter2 = record_inputs(bigger, seg_graph2, record, priors2, stats)
     labels2 = LabelArrays(
         cc=np.array([1, 2, -1]), speed=np.array([0.1, -0.4, 0.0]),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from t4c import autodiff as ad
 from t4c import seggraph
 from t4c.autodiff import Tensor
-from t4c.clustering import PriorMatrix
 from t4c.data import NodeRec, RoadGraph, SynthSpec, VolumeRecord, generate_synthetic_city
 from t4c.model import ModelConfig, forward, init_params
 from t4c.seggraph import (
@@ -223,10 +222,7 @@ def test_speed_stats_come_from_labels_when_given(toy_graph):
 
 
 def uniform_priors(graph, k=10):
-    return {
-        s.segment_id: PriorMatrix(s.segment_id, np.full((k, 3), 1 / 3), np.zeros(k, dtype=int))
-        for s in graph.segments
-    }
+    return np.full((len(graph.segments), k, 3), 1 / 3)
 
 
 def identity_stats():
@@ -281,9 +277,7 @@ def test_prior_row_lands_at_cluster_offset(toy_graph):
     seg_graph = build_line_graph(toy_graph)
     priors = uniform_priors(toy_graph, k=10)
     row = np.array([0.5, 0.25, 0.25])
-    matrix = priors["e1"].matrix.copy()
-    matrix[3] = row
-    priors["e1"] = PriorMatrix("e1", matrix, np.zeros(10, dtype=int))
+    priors[0, 3] = row  # e1
     bundle = assemble_features(
         toy_graph, seg_graph, priors, identity_stats()
     )
@@ -294,9 +288,7 @@ def test_prior_row_lands_at_cluster_offset(toy_graph):
 def test_active_row_mode_selects_single_row(toy_graph):
     seg_graph = build_line_graph(toy_graph)
     priors = uniform_priors(toy_graph, k=4)
-    matrix = priors["e2"].matrix.copy()
-    matrix[2] = [0.1, 0.2, 0.7]
-    priors["e2"] = PriorMatrix("e2", matrix, np.zeros(4, dtype=int))
+    priors[1, 2] = [0.1, 0.2, 0.7]  # e2
     bundle = assemble_features(
         toy_graph, seg_graph, priors, identity_stats(),
         prior_mode="active_row", cluster_index=2,
@@ -316,11 +308,10 @@ def test_active_row_requires_cluster_index(toy_graph):
 
 def test_missing_prior_rejected(toy_graph):
     seg_graph = build_line_graph(toy_graph)
-    priors = uniform_priors(toy_graph)
-    del priors["e2"]
+    priors = uniform_priors(toy_graph)[[0, 2]]  # e2's row dropped
     with pytest.raises(ValueError) as err:
         assemble_features(toy_graph, seg_graph, priors, identity_stats())
-    assert "e2" in str(err.value)
+    assert "priors of shape (2, 10, 3), expected (3, K, 3)" in str(err.value)
 
 
 def test_assembly_is_pure(toy_graph):

@@ -46,7 +46,7 @@ def small_city(tmp_path_factory):
     train_records, _val = split_train_validation(records, 1.0 - SMALL_TRAIN.val_fraction, SMALL_TRAIN.split_seed)
     cluster_model = fit_clusters(train_records, SMALL_MODEL.num_clusters)
     train_labels = dataset.labels.select(r.record_id for r in train_records)
-    priors = build_prior_matrices(cluster_model, train_labels, dataset.graph)
+    priors, _support = build_prior_matrices(cluster_model, train_labels, dataset.graph)
     return dataset, cluster_model, priors
 
 
