@@ -5,9 +5,10 @@ adjacent when they share at least one endpoint intersection (direction
 ignored). Per segment, the model reads two kinds of input. Feature
 assembly builds the static ones, which read no counter volume: the four
 categorical codes, the z-normalized continuous attributes and the
-congestion prior block, read from the (segments, K, 3) priors. They change
-only with the volume cluster. The counter slice is built per record: the 8-vector of four bins
-at the tail node and four at the head, zeros where no counter or no data.
+congestion prior block, read from the (segments, K, 3) priors. They
+change only with the volume cluster. The counter slice is built per
+record: the 8-vector of four bins at the tail node and four at the head,
+zeros where no counter or no data.
 """
 
 from __future__ import annotations

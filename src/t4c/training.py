@@ -240,8 +240,8 @@ def fit_loop(
     ``val_cc_probs`` gives the validation records' (records, segments, 3)
     congestion probabilities, in record order and in the order of
     ``labels.segment_ids``, and their core score picks the best epoch
-    (earliest wins ties). A non-finite loss aborts at once with the seed and the last
-    finite state in the error message.
+    (earliest wins ties). A non-finite loss aborts at once with the seed
+    and the last finite state in the error message.
     """
     val_ids = [r.record_id for r in val_records]
     val_labels, no_etas = labels.select(val_ids), np.empty((len(val_ids), 0))

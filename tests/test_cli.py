@@ -568,13 +568,15 @@ def test_damaged_cluster_model_exits_one_naming_the_file(pipeline, capsys, stage
 @pytest.mark.parametrize("stage", ["train", "predict"])
 @pytest.mark.parametrize("edit", ["appended", "decreasing", "k_float", "prior_dropped"])
 def test_cluster_model_with_bad_k_or_thresholds_exits_one_naming_the_file(pipeline, capsys, stage, edit):
-    """One threshold too many would pick a prior row the model does not have."""
+    """One threshold too many would pick a prior row the model does not have; a dropped prior is named by segment."""
     obj = json.loads((pipeline / "cluster_model.json").read_text())
+    named = ""
     if edit == "appended":
         obj["thresholds"].append(obj["thresholds"][-1] + 1.0)
     elif edit == "decreasing":
         obj["thresholds"].reverse()
     elif edit == "prior_dropped":  # the file loads, but lacks a segment of the dataset
+        named = repr(min(obj["priors"]))
         del obj["priors"][min(obj["priors"])]
     else:
         obj["K"] = 5.0
@@ -586,25 +588,8 @@ def test_cluster_model_with_bad_k_or_thresholds_exits_one_naming_the_file(pipeli
                  "--out", f"bad_clusters_{stage}", *argv])
     assert code == 1
     err = capsys.readouterr().err
-    assert str(damaged) in err and "t4c fit-clusters" in err
+    assert str(damaged) in err and "t4c fit-clusters" in err and named in err
     assert not (pipeline / f"bad_clusters_{stage}").exists()
-
-
-@pytest.mark.parametrize("stage", ["train", "predict"])
-def test_cluster_model_without_a_segment_of_the_graph_exits_one_naming_file_and_segment(pipeline, capsys, stage):
-    obj = json.loads((pipeline / "cluster_model.json").read_text())
-    missing = sorted(obj["priors"])[1]
-    del obj["priors"][missing]
-    partial = pipeline / f"clusters_without_{stage}.json"
-    partial.write_text(json.dumps(obj))
-    capsys.readouterr()
-    argv = ["--run", "runs/demo"] if stage == "predict" else ["--k", "5"]
-    code = main(["--workdir", str(pipeline), stage, "--data", "data/toy", "--cluster-model", partial.name,
-                 "--out", f"without_segment_{stage}", *argv])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert str(partial) in err and repr(missing) in err and "t4c fit-clusters" in err
-    assert not (pipeline / f"without_segment_{stage}").exists()
 
 
 @pytest.mark.parametrize("stage", ["train", "predict"])
