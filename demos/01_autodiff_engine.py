@@ -12,7 +12,7 @@ import numpy as np
 
 from t4c import autodiff as ad
 from t4c.autodiff import ParamStore, Tensor
-from t4c.seggraph import mean_aggregation_matrix
+from t4c.data import mean_aggregation_matrix
 
 # --- tensors and a few ops ---------------------------------------------------
 

@@ -1,12 +1,14 @@
 """The segments-as-nodes graph and the per-segment feature assembly.
 
-Two road segments become neighbors when they share an intersection, which
-lets message passing move information between adjacent roads even where
-no counter exists. The model reads four blocks per segment. Feature
-assembly builds the three static ones once per volume cluster: categorical
-codes, z-normalized continuous attributes and the congestion prior block.
-The fourth, the 8-dim counter slice of the segment's own endpoints, is
-gathered per record from the record's counter volumes by node.
+The road graph is the graph the model runs on: its segments are the
+nodes, in its segment order. Two road segments become neighbors when they
+share an intersection, which lets message passing move information between
+adjacent roads even where no counter exists. The model reads four blocks
+per segment. Feature assembly builds the three static ones once per volume
+cluster: categorical codes, z-normalized continuous attributes and the
+congestion prior block. The fourth, the 8-dim counter slice of the
+segment's own endpoints, is gathered per record from the record's counter
+volumes by node.
 """
 
 import tempfile
@@ -16,7 +18,7 @@ import numpy as np
 
 from t4c.clustering import build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter
-from t4c.seggraph import assemble_features, build_line_graph, counter_slice_matrix, fit_normalization
+from t4c.seggraph import assemble_features, counter_slice_matrix, fit_normalization
 
 out = Path(tempfile.mkdtemp()) / "city"
 dataset = generate_synthetic_city(
@@ -26,14 +28,13 @@ dataset = generate_synthetic_city(
 )
 records = daytime_filter(dataset.records)
 
-seg_graph = build_line_graph(dataset.graph)
-degrees = [len(n) for n in seg_graph.neighbors]
-print(f"{seg_graph.num_segments} segments; degree min/mean/max = "
+graph = dataset.graph
+degrees = [len(n) for n in graph.neighbors]  # adjacency built once, on first use
+print(f"{len(graph.segments)} segments; degree min/mean/max = "
       f"{min(degrees)}/{np.mean(degrees):.1f}/{max(degrees)}")
 
-first = dataset.graph.segments[0]
-idx = seg_graph.index[first.segment_id]
-nbr_ids = [seg_graph.seg_ids[j] for j in seg_graph.neighbors[idx]]
+first = graph.segments[0]
+nbr_ids = [graph.segment_ids[j] for j in graph.neighbors[0]]
 print(f"{first.segment_id} ({first.tail_node}->{first.head_node}) touches: {nbr_ids}")
 
 # normalization statistics come from the training records only
@@ -44,7 +45,7 @@ print(f"\nspeed labels: mean {stats.speed_mean:.1f} km/h, sigma {stats.speed_std
 model = fit_clusters(records, num_clusters=5)
 priors, _support = build_prior_matrices(model, labels, dataset.graph)  # (segments, 5, 3)
 
-feats = assemble_features(dataset.graph, seg_graph, priors, stats)  # the same for every record
+feats = assemble_features(graph, priors, stats)  # the same for every record
 raw = counter_slice_matrix(dataset.graph, records[0])  # this record's counters at each segment's endpoints
 counter_slice = stats.normalize_counters(raw)
 print("\nfeature blocks for one record:")
@@ -56,4 +57,4 @@ print("  prior block ", feats.prior_block.shape, "(5 clusters x 3 states, flatte
 
 # segments whose endpoints carry no counter see a zero (then normalized) slice
 print(f"\nsegments with live counter data this hour: {raw.any(axis=1).sum()} "
-      f"of {seg_graph.num_segments}")
+      f"of {len(graph.segments)}")

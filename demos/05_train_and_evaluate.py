@@ -16,7 +16,6 @@ from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import PredictionTable, SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
 from t4c.evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
 from t4c.model import ModelConfig
-from t4c.seggraph import build_line_graph
 from t4c.training import TrainConfig, ensemble_predict, prepare_ensemble, train_ensemble
 
 out = Path(tempfile.mkdtemp()) / "city"
@@ -45,13 +44,12 @@ for ckpt, runlog in members:
     print(f"member seed={runlog.seed}: best epoch {runlog.best_epoch}, "
           f"val core {runlog.epochs[runlog.best_epoch].val_core:.4f}")
 
-# ensemble predictions on the validation records, as one table: (records, segments) blocks in the line graph's order
+# ensemble predictions on the validation records, as one table: (records, segments) blocks in the graph's segment order
 checkpoints = [ckpt for ckpt, _ in members]
-seg_graph = build_line_graph(dataset.graph)
-seg_ids = list(seg_graph.seg_ids)
-lengths = [s.length_meters for s in dataset.graph.segments]  # the line graph's segment order
+seg_ids = dataset.graph.segment_ids
+lengths = [s.length_meters for s in dataset.graph.segments]
 # once per stage: checks the members' configs and builds each member's static branch for every cluster
-ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
+ensemble = prepare_ensemble(checkpoints, dataset.graph, priors, cluster_model)
 
 cc, speed = np.empty((len(val_records), len(seg_ids), 3)), np.empty((len(val_records), len(seg_ids)))
 for k, record in enumerate(val_records):
@@ -65,8 +63,9 @@ model_core = core_metric(predictions, val_labels).score
 
 # counting baselines on the same split, as tables: the naive block (segments, 3) serves every record, the
 # volume-cluster block (segments, K, 3) each record's cluster
-naive = fit_naive(train_labels, dataset.supersegments)
-vc = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
+train_ids = [r.record_id for r in train_records]  # the ETA medians count every training record
+naive = fit_naive(train_labels, dataset.supersegments, train_ids)
+vc = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, train_ids, dataset.graph)
 clusters = [assign_cluster(cluster_model, r) for r in val_records]
 val_ids, no_etas = [r.record_id for r in val_records], np.empty((len(val_records), 0))
 naive_cc = np.array([naive.cc_probs] * len(val_ids))

@@ -3,7 +3,7 @@
 * Naive Count scores every record the same way: the per-segment empirical
   congestion distribution over the training labels (undefined merged into
   green), a (segments, 3) block, and the per-supersegment median ETA
-  (lower median) over the labeled training records.
+  (lower median) over the training records, labeled or not.
 * Volume Cluster conditions both statistics on the record's volume-sum
   cluster, a (segments, K, 3) block, and falls back to the naive model
   where a cell has no data.
@@ -19,15 +19,15 @@ import json
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .clustering import CC_COLUMN, ClusterModel, build_prior_matrices
-from .data import Dataset, LabelTable, SuperSegment, VolumeRecord
+from .data import Dataset, LabelTable, RoadGraph, SuperSegment, VolumeRecord, mean_aggregation_matrix
 from .model import inverse_frequency_weights
-from .seggraph import column_moments, mean_aggregation_matrix
+from .seggraph import column_moments
 from .training import fit_loop, split_records
 
 __all__ = [
@@ -75,9 +75,10 @@ class VolumeClusterModel:
 def fit_naive(
     labels: LabelTable,
     supersegments: Sequence[SuperSegment],
+    record_ids: Iterable[str],
     per_segment: bool = True,
 ) -> NaiveCountModel:
-    """Tally training congestion labels and the ETA medians of the labeled records.
+    """Tally training congestion labels, and the ETA medians of the training records ``record_ids``, labeled or not.
 
     ``per_segment=False`` applies the pooled city-wide distribution to
     every segment instead of its own tally.
@@ -93,7 +94,7 @@ def fit_naive(
     fallback = np.broadcast_to(global_probs, counts.shape).copy()
     cc_probs = np.divide(counts, totals, out=fallback, where=(totals > 0) & per_segment)
 
-    record_ids = set(labels.record_ids)
+    record_ids = set(record_ids)
     eta_median: dict[str, float] = {}
     for ss in supersegments:
         values = [eta for rid, eta in ss.etas.items() if rid in record_ids]
@@ -106,23 +107,29 @@ def fit_volume_cluster(
     cluster_model: ClusterModel,
     labels: LabelTable,
     supersegments: Sequence[SuperSegment],
-    graph,
+    record_ids: Iterable[str],
+    graph: RoadGraph,
 ) -> VolumeClusterModel:
     """Cluster-conditioned congestion and ETA statistics.
 
     Congestion cells reuse the prior tally; cells without support (and
-    supersegment clusters without ETAs) take the naive values. Both count
-    the labeled records only, so a super-segment has cluster medians
-    exactly when it has a naive one.
+    supersegment clusters without ETAs) take the naive values. Both take
+    their ETA medians over the training records ``record_ids``, labeled or
+    not, each of which the cluster model must have assigned, so a
+    super-segment has cluster medians exactly when it has a naive one.
     """
-    if labels.segment_ids != tuple(s.segment_id for s in graph.segments):
+    if labels.segment_ids != graph.segment_ids:
         raise ValueError("the label table's segments are not the graph's, in graph order")
-    naive = fit_naive(labels, supersegments)
+    record_ids = list(record_ids)
+    unknown = [rid for rid in record_ids if rid not in cluster_model.assignment]
+    if unknown:
+        raise ValueError(f"record {unknown[0]!r} is not in the cluster model's training set")
+    cluster_of = {rid: cluster_model.assignment[rid] for rid in record_ids}
+    naive = fit_naive(labels, supersegments, cluster_of)
     priors, support = build_prior_matrices(cluster_model, labels, graph)
     k = cluster_model.num_clusters
     cc_probs = np.where(support[:, :, None] > 0, priors, naive.cc_probs[:, None])
 
-    cluster_of = {rid: cluster_model.assignment[rid] for rid in labels.record_ids}
     eta_median: dict[str, np.ndarray] = {}
     for ss in supersegments:
         per_cluster: list[list[float]] = [[] for _ in range(k)]

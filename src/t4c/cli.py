@@ -28,7 +28,6 @@ from .data import (DatasetError, Dataset, PredictionError, PredictionTable, Synt
 from .data import read_predictions as _read_predictions  # a name of this module, which perfbench wraps to time reads
 from .evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
 from .model import ModelConfig
-from .seggraph import build_line_graph
 from .training import (ABLATION_VARIANTS, AblationResult, TrainConfig, ensemble_predict, load_runlog, prepare_ensemble,
                        prepare_training, run_ablation, save_runlog, split_records, train_one)
 
@@ -124,7 +123,7 @@ def _load_clusters(args, config: dict, workdir: Path, num_clusters: int, graph):
     """The cluster model and the graph's priors; refused unless they have ``num_clusters`` clusters."""
     path = _resolve(workdir, args.cluster_model or _Out(**config.get("out", {})).cluster_model)
     _require_artifact(path, "fit-clusters")
-    cluster_model, priors = load_cluster_model(path, [s.segment_id for s in graph.segments])
+    cluster_model, priors = load_cluster_model(path, graph.segment_ids)
     if cluster_model.num_clusters != num_clusters:
         raise CLIError(
             f"{path} has K={cluster_model.num_clusters} but the model expects "
@@ -168,7 +167,7 @@ def cmd_fit_clusters(args, workdir: Path) -> int:
     train_labels = dataset.labels.select(r.record_id for r in train_records)
     priors, _support = build_prior_matrices(model, train_labels, dataset.graph)
     out = _resolve(workdir, args.out)
-    save_cluster_model(out, model, priors, [s.segment_id for s in dataset.graph.segments])
+    save_cluster_model(out, model, priors, dataset.graph.segment_ids)
     print(f"fitted {k} clusters on {len(train_records)} training records -> {out}")
     return 0
 
@@ -180,12 +179,7 @@ def cmd_train(args, workdir: Path) -> int:
     dataset = _config_dataset(args, config, workdir)
     cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters, dataset.graph)
     run_dir = _resolve(workdir, args.out or _Out(**config.get("out", {})).run_dir)
-    members = range(train_cfg.ensemble_size)
-    stale = min((d for d in run_dir.glob("member_*") if d.is_dir() and _member_index(d) not in members), key=str,
-                default=None)
-    if stale is not None:
-        raise CLIError(f"{stale} is left from an earlier run, and `t4c predict` would average it in with these "
-                       f"{len(members)} members; train into a fresh --out")
+    _member_dirs(run_dir, train_cfg.ensemble_size)  # refuses a member_* directory that is not one of these members
     run_dir.mkdir(parents=True, exist_ok=True)
 
     training_set = prepare_training(
@@ -203,18 +197,20 @@ def cmd_train(args, workdir: Path) -> int:
     return 0
 
 
-def _member_index(path: Path) -> int:
-    try:
-        return int(path.name.split("_", 1)[1])
-    except (IndexError, ValueError):
-        return -1
-
-
-def _member_dirs(run_dir: Path) -> list[Path]:
-    found = [d for d in run_dir.iterdir() if d.is_dir() and d.name.startswith("member_")]
-    if not found:
+def _member_dirs(run_dir: Path, count: int | None = None) -> list[Path]:
+    """A run's member directories in member order: ``member_0`` up to ``member_{n-1}``, where n is ``count`` (the
+    members ``train`` writes), or else the number of ``member_*`` directories under ``run_dir``. Any other
+    ``member_*`` directory there is refused: ``predict`` would average it in, and ``report`` would list it."""
+    found = [d for d in run_dir.glob("member_*") if d.is_dir()]
+    if count is None and not found:
         raise CLIError(f"no member_* directories under {run_dir}; produce them with `t4c train`")
-    return sorted(found, key=_member_index)
+    names = [f"member_{k}" for k in range(len(found) if count is None else count)]
+    stray = min((d for d in found if d.name not in names), key=str, default=None)
+    if stray is not None:
+        span = names[0] if len(names) == 1 else f"{names[0]} to {names[-1]}"
+        raise CLIError(f"{stray} is not one of the run's members ({span}), and `t4c predict` would average it in; "
+                       f"train into a fresh --out with `t4c train`")
+    return [run_dir / name for name in names]
 
 
 def _member_checkpoints(run_dir: Path):
@@ -231,19 +227,19 @@ def cmd_predict(args, workdir: Path) -> int:
     run_dir = _resolve(workdir, args.run)
     _require_artifact(run_dir, "train")
     checkpoints = _member_checkpoints(run_dir)
-    cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters, dataset.graph)
-    seg_graph = build_line_graph(dataset.graph)
+    graph = dataset.graph
+    cluster_model, priors = _load_clusters(args, config, workdir, checkpoints[0].config.num_clusters, graph)
     records = _select_records(dataset, train_cfg, args.records)
-    ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
+    ensemble = prepare_ensemble(checkpoints, graph, priors, cluster_model)
 
-    shape = (len(records), seg_graph.num_segments)
+    shape = (len(records), len(graph.segments))
     cc, speed, vol = np.empty((*shape, 3)), np.empty(shape), np.empty((*shape, 3))
     for k, record in enumerate(records):  # each record's outputs go into its row of the blocks
         probs = ensemble_predict(ensemble, record)
         cc[k], speed[k], vol[k] = probs.cc, probs.speed_kph, probs.vol
-    lengths = [s.length_meters for s in dataset.graph.segments]  # the line graph's segment order
-    etas = etas_from_speeds(dataset.supersegments, seg_graph.seg_ids, lengths, speed)
-    table = PredictionTable([r.record_id for r in records], seg_graph.seg_ids,
+    lengths = [s.length_meters for s in graph.segments]
+    etas = etas_from_speeds(dataset.supersegments, graph.segment_ids, lengths, speed)
+    table = PredictionTable([r.record_id for r in records], graph.segment_ids,
                             [ss.ss_id for ss in dataset.supersegments], cc, etas, speed, vol)
     out = _resolve(workdir, args.out)
     write_predictions(out, table)
@@ -298,7 +294,8 @@ def cmd_baseline(args, workdir: Path) -> int:
     out_dir = _resolve(workdir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, train_records, val_records = split_records(dataset, train_cfg)
-    train_labels = dataset.labels.select(r.record_id for r in train_records)
+    train_ids = [r.record_id for r in train_records]
+    train_labels = dataset.labels.select(train_ids)
 
     if args.name == "node_gnn":
         score = node_gnn_baseline(dataset, train_cfg, seed=train_cfg.base_seed)
@@ -308,13 +305,13 @@ def cmd_baseline(args, workdir: Path) -> int:
 
     try:  # cc (rows, segments, 3) and ETAs (rows, super-segments), and each validation record's row
         if args.name == "naive":
-            model = fit_naive(train_labels, dataset.supersegments, per_segment=not args.global_probs)
+            model = fit_naive(train_labels, dataset.supersegments, train_ids, per_segment=not args.global_probs)
             cc = model.cc_probs[None]
             etas = np.array([list(model.eta_median.values())], np.float64)
             rows = [0] * len(val_records)
         else:  # volume_cluster: a row per cluster
             cluster_model = fit_clusters(train_records, _config_from(args, config, "model").num_clusters)
-            model = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
+            model = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, train_ids, dataset.graph)
             cc = model.cc_probs.swapaxes(0, 1)
             etas = np.array(list(model.eta_median.values()), np.float64).reshape(-1, cluster_model.num_clusters).T
             rows = [assign_cluster(cluster_model, record) for record in val_records]
@@ -357,7 +354,7 @@ def cmd_ablate(args, workdir: Path) -> int:
 
 
 def _svg_curves(curves: dict[str, list[float]], width=640, height=360) -> str:
-    """Minimal SVG line chart of validation score per epoch per member."""
+    """Minimal SVG line chart of validation score per epoch per member (a name ``member_k`` needs no escape)."""
     pad = 40
     all_values = [v for series in curves.values() for v in series]
     lo, hi = min(all_values), max(all_values)
@@ -379,9 +376,7 @@ def _svg_curves(curves: dict[str, list[float]], width=640, height=360) -> str:
             points.append(f"{x:.1f},{y:.1f}")
         color = colors[idx % len(colors)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(points)}"/>')
-        # a directory name may hold &, < or >; xml.sax.saxutils.escape would import urllib (about 2 MB of RSS)
-        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(f'<text x="{width - pad + 4}" y="{20 + 14 * idx}" font-size="11" fill="{color}">{label}</text>')
+        parts.append(f'<text x="{width - pad + 4}" y="{20 + 14 * idx}" font-size="11" fill="{color}">{name}</text>')
     parts.append(f'<text x="{pad}" y="{height - 8}" font-size="11">epoch 0..{max_len - 1}; score {lo:.4f}..{hi:.4f}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -106,7 +106,7 @@ def build_prior_matrices(
     over all clusters, or to uniform for unlabeled segments.
     """
     k = model.num_clusters
-    seg_index = {s.segment_id: i for i, s in enumerate(graph.segments)}
+    seg_index = {seg_id: i for i, seg_id in enumerate(graph.segment_ids)}
     unknown = [rid for rid in labels.record_ids if rid not in model.assignment]
     if unknown:
         raise ValueError(f"record {unknown[0]!r} is not in the cluster model's training set")

@@ -11,6 +11,8 @@ A dataset directory holds six text files (UTF-8, LF):
 
 Loading validates the schema strictly and reports file, line and field on
 violations. All loaded structures are immutable; the labels are one ``LabelTable``.
+The ``RoadGraph`` is also the one graph the model runs on: it holds the segment order, adjacency and mean
+operator, each built once, on first use.
 
 ``labels.jsonl.bin`` is the labels' binary copy: a ``pack_container`` container (magic ``T4CL``, version 2) of the
 record and segment ids, then cc (int8), speed_kph (<f8) and vol_class (int8), each (records, segments) row-major; then
@@ -63,6 +65,7 @@ __all__ = [
     "Dataset",
     "SynthSpec",
     "CONTINUOUS_FIELDS",
+    "mean_aggregation_matrix",
     "load_dataset",
     "write_dataset",
     "daytime_filter",
@@ -149,8 +152,29 @@ class SegmentRec:
     limit_speed: float
 
 
+def mean_aggregation_matrix(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
+    """Dense (N, N) matrix whose row i averages the listed neighbors of i.
+
+    Rows with no neighbors are all zero, so isolated nodes aggregate to
+    the zero vector.
+    """
+    n = len(neighbors)
+    mat = np.zeros((n, n), dtype=np.float64)
+    for i, nbrs in enumerate(neighbors):
+        if len(nbrs) == 0:
+            continue
+        cols = np.asarray(list(nbrs), dtype=np.int64)
+        if cols.min() < 0 or cols.max() >= n:
+            raise IndexError(f"neighbor index out of range at node {i}: {list(nbrs)}")
+        mat[i, cols] = 1.0 / len(cols)
+    return mat
+
+
 @dataclass(frozen=True)
 class RoadGraph:
+    """The road network, and the graph the model runs on: its segments are the nodes, in ``segments`` order, and two
+    segments are adjacent when they share an endpoint intersection (direction ignored)."""
+
     nodes: tuple[NodeRec, ...]
     segments: tuple[SegmentRec, ...]
     counters: dict[str, str]  # node_id -> counter_id
@@ -191,6 +215,34 @@ class RoadGraph:
         index = self.node_index
         out = np.array([[index[s.tail_node], index[s.head_node]] for s in self.segments], dtype=np.int64)
         out = out.reshape(-1, 2)  # (0, 2) for a graph without segments
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def segment_ids(self) -> tuple[str, ...]:
+        """Each segment's id, in segment order: the order of every (segments, ...) block."""
+        return tuple(s.segment_id for s in self.segments)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each segment's sorted adjacent segment rows: those that share at least one endpoint node with it."""
+        touching: dict[str, list[int]] = {}
+        for i, seg in enumerate(self.segments):
+            touching.setdefault(seg.tail_node, []).append(i)
+            if seg.head_node != seg.tail_node:
+                touching.setdefault(seg.head_node, []).append(i)
+        neighbor_sets: list[set[int]] = [set() for _ in self.segments]
+        for incident in touching.values():
+            for i in incident:
+                for j in incident:
+                    if i != j:
+                        neighbor_sets[i].add(j)
+        return tuple(tuple(sorted(s)) for s in neighbor_sets)
+
+    @cached_property
+    def mean_operator(self) -> np.ndarray:
+        """The (N, N) segment neighbor-mean matrix of ``neighbors``; built on first use, read-only."""
+        out = mean_aggregation_matrix(self.neighbors)
         out.setflags(write=False)
         return out
 
@@ -696,14 +748,14 @@ def _load_volumes(path: Path, counters: dict[str, str], node_ids: set[str]) -> t
 _LABELS_COPY = (b"T4CL", 2)  # magic, version
 
 
-def _labels_copy(path: Path, record_ids: set[str], segment_ids: list[str]) -> LabelTable | None:
+def _labels_copy(path: Path, record_ids: set[str], segment_ids: Sequence[str]) -> LabelTable | None:
     """The table of ``labels.jsonl``'s copy if it holds what the parse of the file gives, else None: the graph's
     segment ids in order, distinct records of ``volumes.jsonl``, 10 bytes a cell and only values the parse takes."""
     header, payload = _read_copy(path, _LABELS_COPY, _TableHeader)
     if header is None:
         return None
     ids, cells = header["record_ids"], len(header["record_ids"]) * len(segment_ids)
-    if header["segment_ids"] != segment_ids or len(set(ids)) != len(ids) or not record_ids.issuperset(ids) \
+    if header["segment_ids"] != list(segment_ids) or len(set(ids)) != len(ids) or not record_ids.issuperset(ids) \
             or len(payload) != 10 * cells:  # cc int8, speed_kph float64, vol_class int8
         return None
     cc, vol = np.frombuffer(payload, np.int8, cells), np.frombuffer(payload, np.int8, cells, 9 * cells)
@@ -714,7 +766,7 @@ def _labels_copy(path: Path, record_ids: set[str], segment_ids: list[str]) -> La
     return _label_table(ids, segment_ids, [(cc, speed, vol)])
 
 
-def _load_labels(path: Path, record_ids: set[str], segment_ids: list[str]) -> LabelTable:
+def _load_labels(path: Path, record_ids: set[str], segment_ids: Sequence[str]) -> LabelTable:
     table = _labels_copy(path, record_ids, segment_ids)
     if table is not None:
         return table
@@ -803,7 +855,7 @@ def load_dataset(dir_path) -> Dataset:
     graph = RoadGraph(nodes=nodes, segments=segments, counters=counters, imputed=imputed)
     records = _load_volumes(volumes_path, counters, node_ids)
     record_ids = {r.record_id for r in records}
-    labels = _load_labels(labels_path, record_ids, [seg.segment_id for seg in segments])
+    labels = _load_labels(labels_path, record_ids, graph.segment_ids)
     supersegments = _load_supersegments(ss_path, record_ids, segments)
     return Dataset(graph, records, labels, supersegments)
 

@@ -4,13 +4,14 @@ Pipeline per record: the 8-dim counter slice runs through a small MLP
 (volume feature); categorical embeddings, normalized continuous
 attributes and the prior block are concatenated and encoded (static
 feature); both are concatenated, projected to the hidden width and passed
-through L rounds of message passing over the segment graph (each round
-mixes the node's own state with the mean of its neighbors); three
-residual-block head stacks then emit congestion logits, a speed value in
-normalized space, and volume-class logits. ``forward`` is ``static_branch``
-on the ``static_inputs`` of the static ``FeatureBundle`` (it reads no
-counter volume, so it is the same for every record of one cluster)
-followed by ``record_branch`` on the record's normalized counter slice.
+through L rounds of message passing over the road graph's segments
+(each round mixes a segment's own state with the mean of its neighbors',
+``RoadGraph.mean_operator``); three residual-block head stacks then emit
+congestion logits, a speed value in normalized space, and volume-class
+logits. ``forward`` is ``static_branch`` on the ``static_inputs`` of the
+static ``FeatureBundle`` (it reads no counter volume, so it is the same
+for every record of one cluster) followed by ``record_branch`` on the
+record's normalized counter slice.
 
 Losses: class-weighted cross entropy for congestion and volume class
 (rows without a label are masked out), mean squared error on normalized
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .data import LabelTable
-from .seggraph import FeatureBundle, NormStats, SegmentGraph
+from .data import LabelTable, RoadGraph
+from .seggraph import FeatureBundle, NormStats
 
 __all__ = [
     "ModelConfig",
@@ -267,31 +268,31 @@ def static_branch(params: Params, config: ModelConfig, inputs: Sequence):
     return _mlp(params, "static", len(config.static_hidden), static_in)
 
 
-def _trunk(params: Params, config: ModelConfig, seg_graph: SegmentGraph, counter_slice, static_feat):
+def _trunk(params: Params, config: ModelConfig, graph: RoadGraph, counter_slice, static_feat):
     """The volume MLP on the (N, 8) counter slice, the combine layer with ``static_feat``, and the message passing."""
-    n = seg_graph.num_segments
+    n = len(graph.segments)
     if counter_slice.shape[-2] != n:
         raise ad.ShapeError(f"features for {counter_slice.shape[-2]} segments vs graph with {n}")
     volume_feat = _mlp(params, "vol", len(config.volume_hidden), counter_slice)
     h = ad.linear(ad.concat([volume_feat, static_feat], axis=-1), params["combine_w"], params["combine_b"])
     for layer in range(config.gnn_layers):
         weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
-        h = ad.gnn_round(h, seg_graph.mean_operator, *weights)
+        h = ad.gnn_round(h, graph.mean_operator, *weights)
     return h
 
 
 def record_branch(
     params: Params,
     config: ModelConfig,
-    seg_graph: SegmentGraph,
+    graph: RoadGraph,
     counter_slice,
     static_feat,
 ) -> PredictionBundle:
     """The rest of the network: the volume MLP on the record's (N, 8) counter slice,
     the combine layer with ``static_feat``, the message-passing rounds and the heads."""
-    h = _trunk(params, config, seg_graph, counter_slice, static_feat)
+    h = _trunk(params, config, graph, counter_slice, static_feat)
     cc_logits = _head(params, config, "cc", h)
-    speed = ad.reshape(_head(params, config, "speed", h), (seg_graph.num_segments,))
+    speed = ad.reshape(_head(params, config, "speed", h), (len(graph.segments),))
     vol_logits = _head(params, config, "vol", h)
     return PredictionBundle(cc_logits=cc_logits, speed_pred=speed, vol_logits=vol_logits)
 
@@ -299,50 +300,50 @@ def record_branch(
 def head_products(
     params: Mapping[str, np.ndarray],
     config: ModelConfig,
-    seg_graph: SegmentGraph,
+    graph: RoadGraph,
     counter_slice: np.ndarray,
     static_feat: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``record_branch`` on arrays, before the speed reshape: each head's (N, width) output in ``HEADS``
     order. On a member stack (every weight (M, F, H), every bias (M, 1, H), the inputs (M, N, width))
     one call runs every member, into (M, N, width) outputs with the bits of the members' own calls."""
-    h = _trunk(params, config, seg_graph, counter_slice, static_feat)
+    h = _trunk(params, config, graph, counter_slice, static_feat)
     return tuple(_head(params, config, task, h) for task in HEADS)
 
 
 def congestion_probs(
     params: Mapping[str, np.ndarray],
     config: ModelConfig,
-    seg_graph: SegmentGraph,
+    graph: RoadGraph,
     counter_slice: np.ndarray,
     static_feat: np.ndarray,
 ) -> np.ndarray:
     """``predict_probabilities(record_branch(...)).cc`` with the same bits, without the speed and volume heads."""
-    return _cc_probs(_head(params, config, "cc", _trunk(params, config, seg_graph, counter_slice, static_feat)))
+    return _cc_probs(_head(params, config, "cc", _trunk(params, config, graph, counter_slice, static_feat)))
 
 
 def forward(
     params: Params,
     config: ModelConfig,
-    seg_graph: SegmentGraph,
+    graph: RoadGraph,
     features: FeatureBundle,
     counter_slice: np.ndarray,
 ) -> PredictionBundle:
     """Run the full network on one record: ``static_branch`` on ``features``, then
     ``record_branch`` on the record's (N, 8) normalized ``counter_slice``.
 
-    ``params`` is a ParamStore when training, which records the graph
+    ``params`` is a ParamStore when training, which records the computation
     for ``backward``, or a name-to-array mapping (a checkpoint's params,
     ``ParamStore.arrays()``) when predicting, which records none.
     """
-    n = seg_graph.num_segments
+    n = len(graph.segments)
     if features.categorical.shape[0] != n:
         raise ad.ShapeError(f"features for {features.categorical.shape[0]} segments vs graph with {n}")
     static_feat = static_branch(params, config, static_inputs(config, features))
-    return record_branch(params, config, seg_graph, counter_slice, static_feat)
+    return record_branch(params, config, graph, counter_slice, static_feat)
 
 
-def make_label_arrays(table: LabelTable, row: int | None, seg_graph: SegmentGraph, norm_stats: NormStats,
+def make_label_arrays(table: LabelTable, row: int | None, graph: RoadGraph, norm_stats: NormStats,
                       cc_classes: int = 3) -> LabelArrays:
     """Map one record's labels (row ``row`` of its label table, None for a record without labels) onto the dense
     segment index.
@@ -351,12 +352,12 @@ def make_label_arrays(table: LabelTable, row: int | None, seg_graph: SegmentGrap
     undefined code 0 is masked; with 4 classes the code maps identically.
     Volume classes {1, 3, 5} map to {0, 1, 2}. Speeds are z-normalized.
     """
-    n = seg_graph.num_segments
+    n = len(graph.segments)
     if row is None:  # no labels: every row masked
         masked = np.full(n, -1, dtype=np.int64)
         return LabelArrays(cc=masked, speed=np.zeros(n), speed_mask=np.zeros(n, dtype=bool), vol=masked.copy())
-    if table.segment_ids != seg_graph.seg_ids:
-        raise ValueError("the label table and the segment graph list different segments")
+    if table.segment_ids != graph.segment_ids:
+        raise ValueError("the label table and the graph list different segments")
     cc = table.cc[row].astype(np.int64)
     if cc_classes == 3:
         cc = np.where(cc > 0, cc - 1, -1)

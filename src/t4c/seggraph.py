@@ -1,20 +1,18 @@
-"""Segments-as-nodes graph and per-segment raw feature assembly.
+"""Per-segment raw feature assembly and normalization.
 
-The derived graph takes every road segment as a node; two segments are
-adjacent when they share at least one endpoint intersection (direction
-ignored). Per segment, the model reads two kinds of input. Feature
-assembly builds the static ones, which read no counter volume: the four
-categorical codes, the z-normalized continuous attributes and the
-congestion prior block, read from the (segments, K, 3) priors. They
-change only with the volume cluster. The counter slice is built per
-record: the 8-vector of four bins at the tail node and four at the head,
-zeros where no counter or no data.
+The model runs on the road graph (``data.RoadGraph``), which takes every
+road segment as a node, in its segment order. Per segment, the model reads
+two kinds of input. Feature assembly builds the static ones, which read no
+counter volume: the four categorical codes, the z-normalized continuous
+attributes and the congestion prior block, read from the (segments, K, 3)
+priors. They change only with the volume cluster. The counter slice is
+built per record: the 8-vector of four bins at the tail node and four at
+the head, zeros where no counter or no data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,11 +20,8 @@ import numpy as np
 from .data import CONTINUOUS_FIELDS, LabelTable, RoadGraph, VolumeRecord
 
 __all__ = [
-    "SegmentGraph",
     "FeatureBundle",
     "NormStats",
-    "build_line_graph",
-    "mean_aggregation_matrix",
     "column_moments",
     "fit_normalization",
     "assemble_features",
@@ -34,29 +29,6 @@ __all__ = [
 ]
 
 SIGMA_FLOOR = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class SegmentGraph:
-    """Dense-indexed segment adjacency (symmetric, no self-loops)."""
-
-    seg_ids: tuple[str, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {seg_id: i for i, seg_id in enumerate(self.seg_ids)}
-
-    @cached_property
-    def mean_operator(self) -> np.ndarray:
-        """The (N, N) neighbor-mean matrix, built on first use, read-only."""
-        out = mean_aggregation_matrix(self.neighbors)
-        out.setflags(write=False)
-        return out
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.seg_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,42 +56,6 @@ class NormStats:
         out = raw - self.counter_mean
         out /= self.counter_std  # in place: the bits of ``(raw - mean) / std``, one allocation fewer
         return out
-
-
-def mean_aggregation_matrix(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Dense (N, N) matrix whose row i averages the listed neighbors of i.
-
-    Rows with no neighbors are all zero, so isolated nodes aggregate to
-    the zero vector.
-    """
-    n = len(neighbors)
-    mat = np.zeros((n, n), dtype=np.float64)
-    for i, nbrs in enumerate(neighbors):
-        if len(nbrs) == 0:
-            continue
-        cols = np.asarray(list(nbrs), dtype=np.int64)
-        if cols.min() < 0 or cols.max() >= n:
-            raise IndexError(f"neighbor index out of range at node {i}: {list(nbrs)}")
-        mat[i, cols] = 1.0 / len(cols)
-    return mat
-
-
-def build_line_graph(graph: RoadGraph) -> SegmentGraph:
-    """Adjacency between segments that share at least one endpoint node."""
-    seg_ids = tuple(s.segment_id for s in graph.segments)
-    touching: dict[str, list[int]] = {}
-    for i, seg in enumerate(graph.segments):
-        touching.setdefault(seg.tail_node, []).append(i)
-        if seg.head_node != seg.tail_node:
-            touching.setdefault(seg.head_node, []).append(i)
-    neighbor_sets: list[set[int]] = [set() for _ in seg_ids]
-    for incident in touching.values():
-        for i in incident:
-            for j in incident:
-                if i != j:
-                    neighbor_sets[i].add(j)
-    neighbors = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    return SegmentGraph(seg_ids=seg_ids, neighbors=neighbors)
 
 
 def counter_slice_matrix(graph: RoadGraph, record: VolumeRecord) -> np.ndarray:
@@ -185,7 +121,6 @@ def fit_normalization(
 
 def assemble_features(
     graph: RoadGraph,
-    seg_graph: SegmentGraph,
     priors: np.ndarray,
     norm_stats: NormStats,
     prior_mode: str = "full",
@@ -193,7 +128,7 @@ def assemble_features(
 ) -> FeatureBundle:
     """Build the static per-segment inputs (pure function).
 
-    ``priors`` is the (segments, K, 3) block in the segment graph's order.
+    ``priors`` is the (segments, K, 3) block in the graph's segment order.
     ``prior_mode="full"`` flattens each segment's whole K x 3 prior matrix
     row-major, so cluster i's distribution sits at offset 3*i, and one
     bundle serves every record; ``"active_row"`` keeps only the row of
@@ -203,8 +138,8 @@ def assemble_features(
         raise ValueError(f"prior_mode must be 'full' or 'active_row', got {prior_mode!r}")
     if prior_mode == "active_row" and cluster_index is None:
         raise ValueError("prior_mode 'active_row' needs a cluster_index")
-    if priors.ndim != 3 or priors.shape[::2] != (seg_graph.num_segments, 3):
-        raise ValueError(f"priors of shape {priors.shape}, expected ({seg_graph.num_segments}, K, 3)")
+    if priors.ndim != 3 or priors.shape[::2] != (len(graph.segments), 3):
+        raise ValueError(f"priors of shape {priors.shape}, expected ({len(graph.segments)}, K, 3)")
 
     cont = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
     block = priors.reshape(len(priors), -1) if prior_mode == "full" else priors[:, cluster_index]

@@ -62,8 +62,7 @@ from .model import (
     static_branch,
     static_inputs,
 )
-from .seggraph import (FeatureBundle, NormStats, SegmentGraph, assemble_features, build_line_graph,
-                       counter_slice_matrix, fit_normalization)
+from .seggraph import FeatureBundle, NormStats, assemble_features, counter_slice_matrix, fit_normalization
 
 __all__ = [
     "TrainConfig",
@@ -316,9 +315,10 @@ class TrainingSet:
     train_records: tuple[VolumeRecord, ...]
     val_records: tuple[VolumeRecord, ...]
     labels: LabelTable
-    seg_graph: SegmentGraph
+    graph: RoadGraph
     norm_stats: NormStats
-    features: Mapping[str, FeatureBundle]  # by record id, for every daytime record; one bundle per cluster
+    rows: Mapping[str, int | None]  # by record id, for every daytime record: its prior row (see ``_prior_row``)
+    features: Mapping[int | None, FeatureBundle]  # by prior row: one bundle per cluster, as ``Ensemble.static``
     counter_slices: Mapping[str, np.ndarray]  # by record id, for every daytime record; normalized
     targets: Mapping[str, LabelArrays]  # by record id, for every daytime record
     cc_weights: np.ndarray
@@ -351,18 +351,17 @@ def prepare_training(
     records, train_records, val_records = split_records(dataset, train_cfg)
     labels = dataset.labels
     graph = dataset.graph
-    seg_graph = build_line_graph(graph)
     train_labels = labels.select(r.record_id for r in train_records)
     norm_stats = _read_only(fit_normalization(graph, train_records, train_labels))
     rows = {r.record_id: _prior_row(prior_mode, cluster_model, r) for r in records}
     bundles = {
-        row: _read_only(assemble_features(graph, seg_graph, priors, norm_stats, prior_mode, row))
+        row: _read_only(assemble_features(graph, priors, norm_stats, prior_mode, row))
         for row in dict.fromkeys(rows.values())
     }
     counter_slices = {
         r.record_id: _read_only(norm_stats.normalize_counters(counter_slice_matrix(graph, r))) for r in records
     }
-    targets = {r.record_id: _read_only(make_label_arrays(labels, labels.rows.get(r.record_id), seg_graph, norm_stats,
+    targets = {r.record_id: _read_only(make_label_arrays(labels, labels.rows.get(r.record_id), graph, norm_stats,
                                                          cc_classes)) for r in records}
     train_targets = [targets[r.record_id] for r in train_records]
     return _read_only(TrainingSet(
@@ -372,9 +371,10 @@ def prepare_training(
         train_records=train_records,
         val_records=val_records,
         labels=labels,
-        seg_graph=seg_graph,
+        graph=graph,
         norm_stats=norm_stats,
-        features={rid: bundles[row] for rid, row in rows.items()},
+        rows=rows,
+        features=bundles,
         counter_slices=counter_slices,
         targets=targets,
         cc_weights=inverse_frequency_weights([t.cc for t in train_targets], cc_classes),
@@ -396,19 +396,18 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
             f"model config has prior_mode={model_cfg.prior_mode!r}, cc_classes={model_cfg.cc_classes}; "
             f"the training set was prepared for prior_mode={ts.prior_mode!r}, cc_classes={ts.cc_classes}"
         )
-    seg_graph = ts.seg_graph
+    graph = ts.graph
     store = init_params(model_cfg, seed)
-    # what the static branch reads, per feature bundle (per cluster)
-    bundles = {id(bundle): bundle for bundle in ts.features.values()}
-    static_in = {key: static_inputs(model_cfg, bundle) for key, bundle in bundles.items()}
+    # what the static branch reads, per prior row (per cluster)
+    static_in = {row: static_inputs(model_cfg, bundle) for row, bundle in ts.features.items()}
 
     def record_inputs(record: VolumeRecord) -> tuple[np.ndarray, ...]:
         rid = record.record_id
         t = ts.targets[rid]
-        return (ts.counter_slices[rid], t.cc, t.speed, t.speed_mask, t.vol, *static_in[id(ts.features[rid])])
+        return (ts.counter_slices[rid], t.cc, t.speed, t.speed_mask, t.vol, *static_in[ts.rows[rid]])
 
     def record_loss(counter_slice, cc, speed, speed_mask, vol, *static):
-        pred = record_branch(store, model_cfg, seg_graph, counter_slice, static_branch(store, model_cfg, static))
+        pred = record_branch(store, model_cfg, graph, counter_slice, static_branch(store, model_cfg, static))
         losses, _counts = loss_terms(
             pred, LabelArrays(cc, speed, speed_mask, vol), ts.cc_weights, ts.vol_weights, model_cfg.lambdas
         )
@@ -416,11 +415,9 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
 
     def val_cc_probs(records: Sequence[VolumeRecord]) -> np.ndarray:
         params = store.arrays()
-        static_feat = {key: static_branch(params, model_cfg, inputs) for key, inputs in static_in.items()}
+        static_feat = {row: static_branch(params, model_cfg, inputs) for row, inputs in static_in.items()}
         return np.array([
-            congestion_probs(
-                params, model_cfg, seg_graph, ts.counter_slices[r.record_id], static_feat[id(ts.features[r.record_id])]
-            )
+            congestion_probs(params, model_cfg, graph, ts.counter_slices[r.record_id], static_feat[ts.rows[r.record_id]])
             for r in records
         ])
 
@@ -501,8 +498,7 @@ def run_ablation(dataset: Dataset, variants: Sequence[str], cluster_model, prior
 
 def predict_record(
     ckpt: Checkpoint,
-    dataset_graph,
-    seg_graph: SegmentGraph,
+    graph: RoadGraph,
     priors: np.ndarray,
     record: VolumeRecord,
     cluster_model: ClusterModel | None = None,
@@ -510,9 +506,9 @@ def predict_record(
     """Single-model probabilities for one record: the reference that ``ensemble_predict`` serves faster."""
     prior_mode, norm_stats = ckpt.config.prior_mode, ckpt.norm_stats
     row = _prior_row(prior_mode, cluster_model, record)
-    features = assemble_features(dataset_graph, seg_graph, priors, norm_stats, prior_mode, row)
-    counter_slice = norm_stats.normalize_counters(counter_slice_matrix(dataset_graph, record))
-    pred = forward(ckpt.params, ckpt.config, seg_graph, features, counter_slice)
+    features = assemble_features(graph, priors, norm_stats, prior_mode, row)
+    counter_slice = norm_stats.normalize_counters(counter_slice_matrix(graph, record))
+    pred = forward(ckpt.params, ckpt.config, graph, features, counter_slice)
     return predict_probabilities(pred, norm_stats)
 
 
@@ -533,8 +529,7 @@ class Ensemble:
     """
 
     checkpoints: tuple[Checkpoint, ...]
-    dataset_graph: RoadGraph
-    seg_graph: SegmentGraph
+    graph: RoadGraph
     cluster_model: ClusterModel | None
     static: Mapping[int | None, np.ndarray] = field(repr=False)
     params: Mapping[str, np.ndarray] = field(repr=False)
@@ -546,8 +541,7 @@ class Ensemble:
 
 def prepare_ensemble(
     checkpoints: Sequence[Checkpoint],
-    dataset_graph: RoadGraph,
-    seg_graph: SegmentGraph,
+    graph: RoadGraph,
     priors: np.ndarray,
     cluster_model: ClusterModel | None = None,
 ) -> Ensemble:
@@ -573,16 +567,15 @@ def prepare_ensemble(
 
     static = {
         row: stack(
-            static_branch(ckpt.params, ckpt.config, static_inputs(ckpt.config, assemble_features(
-                dataset_graph, seg_graph, priors, ckpt.norm_stats, prior_mode, row
-            )))
+            static_branch(ckpt.params, ckpt.config,
+                          static_inputs(ckpt.config, assemble_features(graph, priors, ckpt.norm_stats, prior_mode, row)))
             for ckpt in checkpoints
         )
         for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])
     }
     stats = [ckpt.norm_stats for ckpt in checkpoints]
     return Ensemble(
-        tuple(checkpoints), dataset_graph, seg_graph, cluster_model, MappingProxyType(static),
+        tuple(checkpoints), graph, cluster_model, MappingProxyType(static),
         params=MappingProxyType({name: stack(ckpt.params[name] for ckpt in checkpoints) for name in first.params}),
         counter_mean=stack(s.counter_mean for s in stats),
         counter_std=stack(s.counter_std for s in stats),
@@ -602,9 +595,9 @@ def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProb
     """
     ens, config = ensemble, ensemble.checkpoints[0].config
     row = _prior_row(config.prior_mode, ens.cluster_model, record)
-    counter_slices = counter_slice_matrix(ens.dataset_graph, record) - ens.counter_mean
+    counter_slices = counter_slice_matrix(ens.graph, record) - ens.counter_mean
     counter_slices /= ens.counter_std  # the bits of each member's ``normalize_counters``
-    cc, speed, vol = head_products(ens.params, config, ens.seg_graph, counter_slices, ens.static[row])
+    cc, speed, vol = head_products(ens.params, config, ens.graph, counter_slices, ens.static[row])
     probs = predict_probabilities(PredictionBundle(cc, speed[..., 0], vol), ens)
     if cc.ndim == 2:  # one member
         return probs

@@ -97,10 +97,10 @@ def toy_dataset(toy_graph) -> Dataset:
     return Dataset(toy_graph, records, labels, supersegments)
 
 
-def record_inputs(graph, seg_graph, record, priors, norm_stats, **kwargs):
+def record_inputs(graph, record, priors, norm_stats, **kwargs):
     """The two inputs ``model.forward`` takes for one record: the static feature
     bundle (``kwargs`` pick the prior mode and row) and the normalized counter slice."""
-    bundle = assemble_features(graph, seg_graph, priors, norm_stats, **kwargs)
+    bundle = assemble_features(graph, priors, norm_stats, **kwargs)
     return bundle, norm_stats.normalize_counters(counter_slice_matrix(graph, record))
 
 

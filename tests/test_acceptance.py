@@ -29,7 +29,6 @@ from t4c.data import (
 from t4c.evaluation import core_metric, etas_from_speeds
 from t4c.baselines import fit_naive, fit_volume_cluster
 from t4c.model import ModelConfig, compute_loss, forward, init_params
-from t4c.seggraph import build_line_graph
 from t4c.training import (TrainConfig, ensemble_predict, predict_record, prepare_ensemble, prepare_training,
                           run_ablation, train_ensemble, train_one)
 
@@ -79,7 +78,7 @@ def ordering_fit(ordering_city):
 def test_criterion_1_gradient_correctness():
     started = time.perf_counter()
     cfg = TINY
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     labels = six_segment_labels()
     cc_w = np.array([1.0, 2.0, 0.5])
     vol_w = np.array([0.7, 1.0, 1.3])
@@ -87,11 +86,11 @@ def test_criterion_1_gradient_correctness():
 
     def loss_value() -> float:
         loss, _ = compute_loss(
-            forward(store, cfg, seg_graph, feats, counter), labels, cc_w, vol_w, cfg.lambdas
+            forward(store, cfg, graph, feats, counter), labels, cc_w, vol_w, cfg.lambdas
         )
         return loss.item()
 
-    loss, _ = compute_loss(forward(store, cfg, seg_graph, feats, counter), labels, cc_w, vol_w, cfg.lambdas)
+    loss, _ = compute_loss(forward(store, cfg, graph, feats, counter), labels, cc_w, vol_w, cfg.lambdas)
     store.zero_grad()
     loss.backward()
     numeric = central_diff_store(loss_value, store, h=1e-5)
@@ -148,9 +147,9 @@ def test_criterion_2_clustering_properties(toy_graph):
 def test_criterion_3_loss_identity():
     cfg = TINY
     assert cfg.lambdas == (0.03, 1.0, 1.0)
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=5)
-    pred = forward(store, cfg, seg_graph, feats, counter)
+    pred = forward(store, cfg, graph, feats, counter)
     _, report = compute_loss(pred, six_segment_labels(), np.ones(3), np.ones(3), cfg.lambdas)
     recombined = (0.03 * report.loss_cc + 1.0 * report.loss_speed) + 1.0 * report.loss_vol
     gap = abs(report.loss - recombined)
@@ -188,10 +187,9 @@ def test_criterion_5_ensemble_exactness(ordering_city, ordering_fit):
     cfg = replace(ORDERING_TRAIN, epochs=2, ensemble_size=3)
     members = train_ensemble(cfg, ORDERING_MODEL, dataset, cluster_model, priors)
     checkpoints = [ckpt for ckpt, _ in members]
-    seg_graph = build_line_graph(dataset.graph)
     record = dataset.records[5]
     member_probs = [
-        predict_record(c, dataset.graph, seg_graph, priors, record, cluster_model)
+        predict_record(c, dataset.graph, priors, record, cluster_model)
         for c in checkpoints
     ]
     expected_cc = (member_probs[0].cc + member_probs[1].cc + member_probs[2].cc) / 3.0
@@ -199,13 +197,13 @@ def test_criterion_5_ensemble_exactness(ordering_city, ordering_fit):
     expected_speed = (
         member_probs[0].speed_kph + member_probs[1].speed_kph + member_probs[2].speed_kph
     ) / 3.0
-    ensembled = ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model), record)
+    ensembled = ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, priors, cluster_model), record)
     assert np.array_equal(ensembled.cc, expected_cc)
     assert np.array_equal(ensembled.vol, expected_vol)
     assert np.array_equal(ensembled.speed_kph, expected_speed)
 
-    single = predict_record(checkpoints[0], dataset.graph, seg_graph, priors, record, cluster_model)
-    solo = ensemble_predict(prepare_ensemble(checkpoints[:1], dataset.graph, seg_graph, priors, cluster_model), record)
+    single = predict_record(checkpoints[0], dataset.graph, priors, record, cluster_model)
+    solo = ensemble_predict(prepare_ensemble(checkpoints[:1], dataset.graph, priors, cluster_model), record)
     assert np.array_equal(single.cc, solo.cc)
     assert np.array_equal(single.speed_kph, solo.speed_kph)
     print("ACCEPTANCE 5 PASS: 3-member mean bit-for-bit, single member identical")
@@ -214,17 +212,17 @@ def test_criterion_5_ensemble_exactness(ordering_city, ordering_fit):
 def test_criterion_6_ordering_reproduction(ordering_city, ordering_fit):
     started = time.perf_counter()
     dataset, _ = ordering_city
-    cluster_model, priors, _train_records, val_records, train_labels, val_labels = ordering_fit
+    cluster_model, priors, train_records, val_records, train_labels, val_labels = ordering_fit
     assert 120 <= len(dataset.graph.segments) <= 180
-    seg_ids = [s.segment_id for s in dataset.graph.segments]
+    seg_ids, train_ids = dataset.graph.segment_ids, [r.record_id for r in train_records]
 
-    naive = fit_naive(train_labels, dataset.supersegments)
+    naive = fit_naive(train_labels, dataset.supersegments, train_ids)
     naive_score = core_metric(
         {r.record_id: dict(zip(seg_ids, naive.cc_probs)) for r in val_records},
         val_labels,
     ).score
 
-    vc = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, dataset.graph)
+    vc = fit_volume_cluster(cluster_model, train_labels, dataset.supersegments, train_ids, dataset.graph)
     vc_preds = {}
     for r in val_records:
         cluster = assign_cluster(cluster_model, r)

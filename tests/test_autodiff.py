@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from t4c import autodiff as ad
 from t4c.autodiff import ParamStore, ShapeError, Tensor
-from t4c.seggraph import mean_aggregation_matrix
+from t4c.data import mean_aggregation_matrix
 
 from conftest import central_diff_tensor, dot, max_rel_error
 

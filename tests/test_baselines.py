@@ -15,6 +15,8 @@ from t4c.baselines import (
 )
 from t4c.clustering import ClusterModel, fit_clusters, build_prior_matrices
 from t4c.data import (
+    NodeRec,
+    RoadGraph,
     SuperSegment,
     SynthSpec,
     VolumeRecord,
@@ -26,7 +28,7 @@ from t4c.evaluation import core_metric
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig, prepare_training, train_one
 
-from conftest import label_table
+from conftest import label_table, make_segment
 
 SEGS = ("e1", "e2", "e3")
 
@@ -36,7 +38,7 @@ SEGS = ("e1", "e2", "e3")
 
 def test_naive_per_segment_distribution():
     labels = label_table({f"r{i}": {"s": c} for i, c in enumerate([1, 1, 2, 3, 1])})
-    model = fit_naive(labels, [])
+    model = fit_naive(labels, [], labels.record_ids)
     assert model.segment_ids == ("s",)
     assert np.allclose(model.cc_probs[0], [0.6, 0.2, 0.2])
 
@@ -44,13 +46,13 @@ def test_naive_per_segment_distribution():
 def test_naive_lower_median_eta():
     labels = label_table({f"r{i}": {"s": 1} for i in range(4)})
     ss = SuperSegment("ss0", ("s",), {f"r{i}": eta for i, eta in enumerate([10.0, 20.0, 30.0, 40.0])})
-    model = fit_naive(labels, [ss])
+    model = fit_naive(labels, [ss], labels.record_ids)
     assert model.eta_median["ss0"] == 20.0
 
 
 def test_naive_unlabeled_segment_falls_back_to_global():
     labels = label_table({"r0": {"a": 1}, "r1": {"a": 2}}, ("a", "never_seen"))
-    model = fit_naive(labels, [])
+    model = fit_naive(labels, [], labels.record_ids)
     assert model.labelled.tolist() == [True, False]
     assert np.array_equal(model.cc_probs[1], model.global_probs)
     assert np.allclose(model.global_probs, [0.5, 0.5, 0.0])
@@ -58,18 +60,18 @@ def test_naive_unlabeled_segment_falls_back_to_global():
 
 def test_naive_undefined_merges_into_green():
     labels = label_table({"r0": {"a": 0}, "r1": {"a": 3}})
-    model = fit_naive(labels, [])
+    model = fit_naive(labels, [], labels.record_ids)
     assert np.allclose(model.cc_probs[0], [0.5, 0.0, 0.5])
 
 
 def test_naive_requires_labels():
     with pytest.raises(ValueError):
-        fit_naive(label_table({"r0": {}}, SEGS), [])
+        fit_naive(label_table({"r0": {}}, SEGS), [], ["r0"])
 
 
 def test_naive_global_mode_applies_pooled_distribution():
     labels = label_table({"r0": {"a": 1, "b": 3}, "r1": {"a": 1}})
-    model = fit_naive(labels, [], per_segment=False)
+    model = fit_naive(labels, [], labels.record_ids, per_segment=False)
     assert model.segment_ids == ("a", "b")
     assert np.allclose(model.cc_probs, model.global_probs)
 
@@ -77,8 +79,17 @@ def test_naive_global_mode_applies_pooled_distribution():
 def test_naive_eta_restricted_to_training_records():
     labels = label_table({"r0": {"a": 1}})
     ss = SuperSegment("ss0", ("a",), {"r0": 10.0, "r_val": 99999.0})
-    model = fit_naive(labels, [ss])
+    model = fit_naive(labels, [ss], ["r0"])
     assert model.eta_median["ss0"] == 10.0
+
+
+def test_naive_eta_counts_the_training_records_without_a_label_line():
+    """The ETAs come from the super-segments, so a training record counts whether or not it has labels."""
+    labels = label_table({"r0": {"a": 1}})
+    sss = [SuperSegment("ss0", ("a",), {"r1": 30.0, "r2": 10.0, "r_val": 99999.0}),
+           SuperSegment("ss1", ("a",), {"r0": 5.0, "r1": 7.0})]
+    model = fit_naive(labels, sss, ["r0", "r1", "r2"])
+    assert model.eta_median == {"ss0": 10.0, "ss1": 5.0}
 
 
 def test_naive_matches_brute_force_tally(toy_graph):
@@ -90,7 +101,7 @@ def test_naive_matches_brute_force_tally(toy_graph):
             if rng.random() < 0.6:
                 edges[seg] = int(rng.integers(0, 4))
         cc_by_record[f"r{i:02d}"] = edges
-    model = fit_naive(label_table(cc_by_record, SEGS), [])
+    model = fit_naive(label_table(cc_by_record, SEGS), [], cc_by_record)
     for j, seg in enumerate(SEGS):
         tally = np.zeros(3)
         for edges in cc_by_record.values():
@@ -126,29 +137,42 @@ def _clustered_fixture(toy_graph):
 def test_volume_cluster_k1_reproduces_naive(toy_graph):
     records, _model, cc_by_record, sss = _clustered_fixture(toy_graph)
     k1 = fit_clusters(records, 1)
-    vc = fit_volume_cluster(k1, label_table(cc_by_record, SEGS), sss, toy_graph)
+    vc = fit_volume_cluster(k1, label_table(cc_by_record, SEGS), sss, cc_by_record, toy_graph)
     naive = vc.naive
     assert np.array_equal(vc.cc_probs[:, 0], naive.cc_probs)
     assert vc.eta_median["ss0"][0] == naive.eta_median["ss0"]
+
+
+def _one_segment_graph():
+    return RoadGraph(nodes=(NodeRec("A", 0, 0, None), NodeRec("B", 0, 0, None)),
+                     segments=(make_segment("s", "A", "B"),), counters={})
 
 
 def test_volume_cluster_median_per_cluster():
     labels = label_table({f"r{i}": {"s": 1} for i in range(3)})
     model = ClusterModel(2, (100.0,), {"r0": 0, "r1": 0, "r2": 0})
     ss = SuperSegment("ss0", ("s",), {"r0": 100.0, "r1": 200.0, "r2": 300.0})
-
-    from t4c.data import NodeRec, RoadGraph
-    from conftest import make_segment
-
-    graph = RoadGraph(
-        nodes=(NodeRec("A", 0, 0, None), NodeRec("B", 0, 0, None)),
-        segments=(make_segment("s", "A", "B"),),
-        counters={},
-    )
-    vc = fit_volume_cluster(model, labels, [ss], graph)
+    vc = fit_volume_cluster(model, labels, [ss], labels.record_ids, _one_segment_graph())
     assert vc.eta_median["ss0"][0] == 200.0
     # cluster 1 has no data -> naive fallback
     assert vc.eta_median["ss0"][1] == vc.naive.eta_median["ss0"] == 200.0
+
+
+def test_volume_cluster_counts_the_etas_of_every_training_record_labelled_or_not():
+    """The medians count the records passed in, not every record the cluster model assigned (here also r_val)."""
+    labels = label_table({"r0": {"s": 1}})
+    model = ClusterModel(2, (100.0,), {"r0": 0, "r1": 1, "r2": 1, "r3": 0, "r_val": 0})
+    ss = SuperSegment("ss0", ("s",), {"r1": 100.0, "r2": 300.0, "r3": 50.0, "r_val": 5.0})
+    vc = fit_volume_cluster(model, labels, [ss], ["r0", "r1", "r2", "r3"], _one_segment_graph())
+    assert vc.naive.eta_median == {"ss0": 100.0}
+    assert vc.eta_median["ss0"].tolist() == [50.0, 100.0]
+
+
+def test_volume_cluster_refuses_a_training_record_without_a_cluster():
+    labels = label_table({"r0": {"s": 1}})
+    model = ClusterModel(2, (100.0,), {"r0": 0})
+    with pytest.raises(ValueError, match="record 'r1' is not in the cluster model's training set"):
+        fit_volume_cluster(model, labels, [], ["r0", "r1"], _one_segment_graph())
 
 
 def test_volume_cluster_zero_support_cc_falls_back_to_naive(toy_graph):
@@ -158,7 +182,7 @@ def test_volume_cluster_zero_support_cc_falls_back_to_naive(toy_graph):
         record_id: {seg: cc for seg, cc in edges.items() if seg != "e3" or model.assignment[record_id] != 2}
         for record_id, edges in cc_by_record.items()
     }
-    vc = fit_volume_cluster(model, label_table(filtered, SEGS), sss, toy_graph)
+    vc = fit_volume_cluster(model, label_table(filtered, SEGS), sss, filtered, toy_graph)
     assert np.array_equal(vc.cc_probs[2, 2], vc.naive.cc_probs[2])  # e3, cluster 2
 
 
@@ -166,13 +190,13 @@ def test_volume_cluster_refuses_labels_in_another_segment_order(toy_graph):
     """Its blocks stack the naive (label table order) and prior (graph order) rows by position."""
     _records, model, cc_by_record, sss = _clustered_fixture(toy_graph)
     with pytest.raises(ValueError, match="not the graph's, in graph order"):
-        fit_volume_cluster(model, label_table(cc_by_record, SEGS[::-1]), sss, toy_graph)
+        fit_volume_cluster(model, label_table(cc_by_record, SEGS[::-1]), sss, cc_by_record, toy_graph)
 
 
 def test_save_baseline_writes_each_model_as_sorted_json(toy_graph, tmp_path):
     records, model, cc_by_record, sss = _clustered_fixture(toy_graph)
     labels = label_table(cc_by_record, SEGS)
-    naive = fit_naive(labels, sss)
+    naive = fit_naive(labels, sss, labels.record_ids)
     naive_obj = {
         "per_segment": naive.per_segment,
         "global_probs": naive.global_probs.tolist(),
@@ -184,7 +208,7 @@ def test_save_baseline_writes_each_model_as_sorted_json(toy_graph, tmp_path):
     assert json.loads(text) == {"kind": "naive", **naive_obj}
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
-    vc = fit_volume_cluster(model, labels, sss, toy_graph)
+    vc = fit_volume_cluster(model, labels, sss, labels.record_ids, toy_graph)
     path = save_baseline(tmp_path / "baseline_vc.json", vc)
     text = path.read_text(encoding="utf-8")
     assert json.loads(text) == {
@@ -215,9 +239,9 @@ def test_node_gnn_deterministic(tmp_path):
 def _validation_core_of_naive(dataset, train_cfg):
     records = daytime_filter(dataset.records, *train_cfg.daytime)
     train_records, val_records = split_train_validation(records, 1.0 - train_cfg.val_fraction, train_cfg.split_seed)
-    naive = fit_naive(dataset.labels.select(r.record_id for r in train_records), dataset.supersegments)
-    seg_ids = [s.segment_id for s in dataset.graph.segments]
-    predictions = {r.record_id: dict(zip(seg_ids, naive.cc_probs)) for r in val_records}
+    train_ids = [r.record_id for r in train_records]
+    naive = fit_naive(dataset.labels.select(train_ids), dataset.supersegments, train_ids)
+    predictions = {r.record_id: dict(zip(dataset.graph.segment_ids, naive.cc_probs)) for r in val_records}
     return core_metric(predictions, dataset.labels.select(r.record_id for r in val_records)).score
 
 

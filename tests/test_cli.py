@@ -9,7 +9,6 @@ import json
 import math
 import shutil
 from dataclasses import asdict, fields, replace
-from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -159,7 +158,8 @@ def test_baseline_subcommands(pipeline, capsys):
 
 def test_baseline_volume_cluster_counts_the_etas_of_the_records_the_naive_baseline_counts(tmp_path):
     """A super-segment whose ETAs only training records without a label line carry, none in cluster 0, once gave
-    cluster 0 a NaN median: the naive fallback counts the labelled records' ETAs only, as both baselines now do."""
+    cluster 0 a NaN median, and then no median at all: both baselines now count every training record's ETAs, so
+    cluster 0 takes the naive median."""
     wd = ["--workdir", str(tmp_path)]
     assert main(wd + ["synth", "--out", "city", "--nodes", "12", "--records", "32", "--records-per-day", "16"]) == 0
     dataset = load_dataset(tmp_path / "city")
@@ -172,15 +172,44 @@ def test_baseline_volume_cluster_counts_the_etas_of_the_records_the_naive_baseli
     obj = json.loads(ss_path.read_text())
     obj["etas"] = [e for e in obj["etas"] if e["record_id"] != kept and cluster_of.get(e["record_id"]) != 0]
     ss_path.write_text(json.dumps(obj))
+    timed = {e["ss_id"] for e in obj["etas"] if e["record_id"] in cluster_of}  # by a training record
+    assert timed
 
     def refuse(constant):
         raise AssertionError(f"{constant} in a baseline file")
 
     for name in ("naive", "volume_cluster"):
         assert main(wd + ["baseline", name, "--data", "city", "--out", "bl", "--k", "3"]) == 0
-        assert json.loads((tmp_path / f"bl/baseline_{name}.json").read_text(), parse_constant=refuse)["eta_median"] == {}
+        assert set(json.loads((tmp_path / f"bl/baseline_{name}.json").read_text(), parse_constant=refuse)["eta_median"]) \
+            == timed
         for line in (tmp_path / f"bl/predictions_{name}.jsonl").read_text().splitlines():
-            assert json.loads(line, parse_constant=refuse)["etas"] == {}
+            assert set(json.loads(line, parse_constant=refuse)["etas"]) == timed
+
+
+def test_the_counting_baselines_count_the_etas_of_the_training_records_without_a_label_line(tmp_path, capsys):
+    """One training record keeps its label line and loses its ss00 ETA. The other training records' ss00 ETAs come
+    from supersegments.json, not from the labels, so both baselines predict ss00 and eval-eta scores their files."""
+    wd = ["--workdir", str(tmp_path)]
+    assert main(wd + ["synth", "--out", "city", "--nodes", "12", "--records", "32", "--records-per-day", "16"]) == 0
+    train_ids = {r.record_id for r in split_records(load_dataset(tmp_path / "city"), TrainConfig())[1]}
+    kept = min(train_ids)
+    labels = tmp_path / "city/labels.jsonl"
+    labels.write_text("".join(line for line in labels.read_text().splitlines(keepends=True)
+                              if json.loads(line)["record_id"] == kept))
+    ss_path = tmp_path / "city/supersegments.json"
+    obj = json.loads(ss_path.read_text())
+    obj["etas"] = [e for e in obj["etas"] if (e["record_id"], e["ss_id"]) != (kept, "ss00")]
+    ss_path.write_text(json.dumps(obj))
+    etas = sorted(e["eta_s"] for e in obj["etas"] if e["ss_id"] == "ss00" and e["record_id"] in train_ids)
+    assert len(etas) >= 2
+
+    for name in ("naive", "volume_cluster"):
+        assert main(wd + ["baseline", name, "--data", "city", "--out", "bl", "--k", "3"]) == 0
+        capsys.readouterr()
+        assert main(wd + ["eval-eta", "--data", "city", "--pred", f"bl/predictions_{name}.jsonl"]) == 0, \
+            capsys.readouterr().err
+    naive = json.loads((tmp_path / "bl/baseline_naive.json").read_text())
+    assert naive["eta_median"]["ss00"] == etas[(len(etas) - 1) // 2]  # the lower median
 
 
 def test_train_refuses_a_run_directory_with_more_members_and_deletes_nothing(pipeline, capsys):
@@ -220,29 +249,38 @@ def test_report_renders_csv_and_svg(pipeline):
     wd = ["--workdir", str(pipeline)]
     assert main(wd + ["report", "--runs", "runs/demo", "--out", "report"]) == 0
     csv_text = (pipeline / "report/report.csv").read_text()
-    assert csv_text.startswith("member,seed,best_epoch,best_val_core,final_train_loss")
-    assert "member_0" in csv_text and "member_1" in csv_text
+    expected = "member,seed,best_epoch,best_val_core,final_train_loss\n"
+    for member in ("member_0", "member_1"):  # each row keeps the bytes of name,seed,best_epoch,{best:.6f},{loss:.6f}
+        log = json.loads((pipeline / f"runs/demo/{member}/runlog.json").read_text())
+        best, last = log["epochs"][log["best_epoch"]]["val_core"], log["epochs"][-1]["train_loss"]
+        expected += f"{member},{log['seed']},{log['best_epoch']},{best:.6f},{last:.6f}\n"
+    assert csv_text == expected
     svg = (pipeline / "report/val_curves.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_report_quotes_and_escapes_a_member_name(pipeline):
-    """A member directory named with a comma, ``&`` and ``<>`` stays one CSV field and one SVG text; the plain names'
-    rows keep the bytes of ``name,seed,best_epoch,{best:.6f},{loss:.6f}``."""
-    run = pipeline / "runs/odd_name"
+def test_predict_and_report_refuse_a_member_directory_that_is_not_a_member(pipeline, capsys):
+    """A run's members are exactly member_0 up to member_{n-1}, as train writes them. Any other member_* directory (an
+    older run's copy, a name that CSV or SVG would have to quote, a number written another way, a gap) is refused,
+    where predict once averaged it in and report listed it."""
+    wd = ["--workdir", str(pipeline)]
+    run = pipeline / "runs/stray"
     shutil.copytree(pipeline / "runs/demo", run)
-    odd = "member_1,a&<b>"
-    (run / "member_1").rename(run / odd)
-    assert main(["--workdir", str(pipeline), "report", "--runs", "runs/odd_name", "--out", "report_odd_name"]) == 0
-    text = (pipeline / "report_odd_name/report.csv").read_text()
-    rows = list(csv.reader(io.StringIO(text)))
-    assert [len(row) for row in rows] == [5, 5, 5] and [row[0] for row in rows] == ["member", odd, "member_0"]
-    plain = json.loads((run / "member_0/runlog.json").read_text())
-    best, last = plain["epochs"][plain["best_epoch"]]["val_core"], plain["epochs"][-1]["train_loss"]
-    assert text.endswith(f'"{odd}",{rows[1][1]},{rows[1][2]},{rows[1][3]},{rows[1][4]}\n'
-                         f'member_0,{plain["seed"]},{plain["best_epoch"]},{best:.6f},{last:.6f}\n')
-    svg = ElementTree.parse(pipeline / "report_odd_name/val_curves.svg").getroot()
-    assert odd in [node.text for node in svg.iter("{http://www.w3.org/2000/svg}text")]
+    stages = (["predict", "--data", "data/toy", "--cluster-model", "cluster_model.json", "--run", "runs/stray",
+               "--out", "stray.jsonl"], ["report", "--runs", "runs/stray", "--out", "report_stray"])
+    for stray in ("member_0_old", "member_1,a&<b>", "member_01", "member_-1", "member_2"):
+        if stray == "member_2":  # member_0 and member_2: member_1 is missing
+            (run / "member_1").rename(run / stray)
+        else:
+            shutil.copytree(run / "member_0", run / stray)
+        for stage in stages:
+            capsys.readouterr()
+            assert main(wd + stage) == 1, (stray, stage[0])
+            err = capsys.readouterr().err
+            assert str(run / stray) in err and "`t4c train`" in err, err
+        if stray != "member_2":
+            shutil.rmtree(run / stray)
+    assert not (pipeline / "stray.jsonl").exists() and not (pipeline / "report_stray").exists()
 
 
 def test_missing_prerequisite_names_producer(tmp_path, capsys):

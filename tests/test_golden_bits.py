@@ -139,7 +139,7 @@ def test_one_training_record_runs_the_fused_ops(ordering_city, ordering_fit, mon
 
     record_id = ts.train_records[0].record_id
     store = init_params(ORDERING_MODEL, seed=0)
-    pred = forward(store, ORDERING_MODEL, ts.seg_graph, ts.features[record_id], ts.counter_slices[record_id])
+    pred = forward(store, ORDERING_MODEL, ts.graph, ts.features[ts.rows[record_id]], ts.counter_slices[record_id])
     loss, _ = compute_loss(pred, ts.targets[record_id], ts.cc_weights, ts.vol_weights, ORDERING_MODEL.lambdas)
     assert ad.Plan([loss]).ops == plans[0].ops
     loss.backward()

@@ -21,7 +21,7 @@ from t4c.model import (
     make_label_arrays,
     predict_probabilities,
 )
-from t4c.seggraph import NormStats, SegmentGraph, build_line_graph
+from t4c.seggraph import NormStats
 
 from conftest import central_diff_store, make_segment, max_rel_error, record_inputs
 
@@ -71,16 +71,15 @@ def six_segment_setup(cfg=TINY, seed=0):
         [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"), ("B", "D"), ("A", "C")],
         counters={"A": "c0", "C": "c1"},
     )
-    seg_graph = build_line_graph(graph)
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (3, 1, 4, 1), "C": (2, 7, 1, 8)})
     from t4c.seggraph import fit_normalization
 
     stats = fit_normalization(graph, [record])
     feats, counter = record_inputs(
-        graph, seg_graph, record, random_priors(graph, cfg.num_clusters, seed), stats,
+        graph, record, random_priors(graph, cfg.num_clusters, seed), stats,
         prior_mode=cfg.prior_mode, cluster_index=1 if cfg.prior_mode == "active_row" else None,
     )
-    return graph, seg_graph, feats, counter
+    return graph, feats, counter
 
 
 def six_segment_labels():
@@ -116,12 +115,11 @@ def test_isolated_segment_matches_manual_layer_oracle():
     """One segment, no neighbors: replay the pipeline with plain numpy."""
     cfg = TINY
     graph = graph_from_edges([("A", "B")], counters={"A": "c0"})
-    seg_graph = build_line_graph(graph)
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (5, 2, 0, 7)})
     priors = random_priors(graph, cfg.num_clusters, seed=3)
-    feats, counter = record_inputs(graph, seg_graph, record, priors, identity_stats())
+    feats, counter = record_inputs(graph, record, priors, identity_stats())
     store = init_params(cfg, seed=9)
-    pred = forward(store, cfg, seg_graph, feats, counter)
+    pred = forward(store, cfg, graph, feats, counter)
 
     def p(name):
         return store[name].data
@@ -160,18 +158,15 @@ def test_isolated_segment_matches_manual_layer_oracle():
 
 def test_permutation_equivariance():
     cfg = TINY
-    graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=4)
-    base = forward(store, cfg, seg_graph, feats, counter)
+    base = forward(store, cfg, graph, feats, counter)
 
     perm = np.array([3, 0, 5, 1, 4, 2])
     inv = np.argsort(perm)
-    permuted_graph = SegmentGraph(
-        seg_ids=tuple(seg_graph.seg_ids[i] for i in perm),
-        neighbors=tuple(
-            tuple(sorted(int(inv[j]) for j in seg_graph.neighbors[i])) for i in perm
-        ),
-    )
+    permuted_graph = RoadGraph(graph.nodes, tuple(graph.segments[i] for i in perm), graph.counters)
+    assert permuted_graph.segment_ids == tuple(graph.segment_ids[i] for i in perm)
+    assert permuted_graph.neighbors == tuple(tuple(sorted(int(inv[j]) for j in graph.neighbors[i])) for i in perm)
     from t4c.seggraph import FeatureBundle
 
     permuted_feats = FeatureBundle(
@@ -198,9 +193,9 @@ def test_permutation_equivariance():
 
 def test_loss_decomposition_identity():
     cfg = TINY
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=5)
-    pred = forward(store, cfg, seg_graph, feats, counter)
+    pred = forward(store, cfg, graph, feats, counter)
     w = np.ones(3)
     lambdas = (0.03, 1.0, 1.0)
     _, report = compute_loss(pred, six_segment_labels(), w, w, lambdas)
@@ -218,10 +213,10 @@ def test_lambda_arithmetic_example():
 
 def test_all_masked_labels_give_zero_loss():
     cfg = TINY
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=6)
-    pred = forward(store, cfg, seg_graph, feats, counter)
-    n = seg_graph.num_segments
+    pred = forward(store, cfg, graph, feats, counter)
+    n = len(graph.segments)
     empty = LabelArrays(
         cc=np.full(n, -1), speed=np.zeros(n), speed_mask=np.zeros(n, bool), vol=np.full(n, -1)
     )
@@ -235,18 +230,17 @@ def test_unlabeled_segment_does_not_change_loss():
     loss component untouched."""
     cfg = TINY
     graph = graph_from_edges([("A", "B"), ("B", "C")], counters={"A": "c0"})
-    seg_graph = build_line_graph(graph)
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (1, 2, 3, 4)})
     priors = random_priors(graph, cfg.num_clusters, seed=8)
     stats = identity_stats()
-    feats, counter = record_inputs(graph, seg_graph, record, priors, stats)
+    feats, counter = record_inputs(graph, record, priors, stats)
     store = init_params(cfg, seed=7)
     labels = LabelArrays(
         cc=np.array([1, 2]), speed=np.array([0.1, -0.4]),
         speed_mask=np.array([True, True]), vol=np.array([0, 2]),
     )
     w = np.ones(3)
-    _, before = compute_loss(forward(store, cfg, seg_graph, feats, counter), labels, w, w)
+    _, before = compute_loss(forward(store, cfg, graph, feats, counter), labels, w, w)
 
     bigger = graph_from_edges([("A", "B"), ("B", "C"), ("X", "Y")], counters={"A": "c0"})
     # keep the original two segments' attributes identical
@@ -255,15 +249,14 @@ def test_unlabeled_segment_does_not_change_loss():
         segments=(graph.segments[0], graph.segments[1], bigger.segments[2]),
         counters={"A": "c0"},
     )
-    seg_graph2 = build_line_graph(bigger)
     priors2 = random_priors(bigger, cfg.num_clusters, seed=8)
     priors2[:2] = priors  # e0 and e1
-    feats2, counter2 = record_inputs(bigger, seg_graph2, record, priors2, stats)
+    feats2, counter2 = record_inputs(bigger, record, priors2, stats)
     labels2 = LabelArrays(
         cc=np.array([1, 2, -1]), speed=np.array([0.1, -0.4, 0.0]),
         speed_mask=np.array([True, True, False]), vol=np.array([0, 2, -1]),
     )
-    _, after = compute_loss(forward(store, cfg, seg_graph2, feats2, counter2), labels2, w, w)
+    _, after = compute_loss(forward(store, cfg, bigger, feats2, counter2), labels2, w, w)
     assert abs(before.loss - after.loss) <= 1e-12
     assert abs(before.loss_cc - after.loss_cc) <= 1e-12
     assert abs(before.loss_speed - after.loss_speed) <= 1e-12
@@ -272,18 +265,18 @@ def test_unlabeled_segment_does_not_change_loss():
 
 def test_end_to_end_gradient_check_six_segments():
     cfg = TINY
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     labels = six_segment_labels()
     cc_w = np.array([1.0, 2.0, 0.5])
     vol_w = np.array([0.7, 1.0, 1.3])
     store = init_params(cfg, seed=11)
 
     def loss_value() -> float:
-        pred = forward(store, cfg, seg_graph, feats, counter)
+        pred = forward(store, cfg, graph, feats, counter)
         loss, _ = compute_loss(pred, labels, cc_w, vol_w, cfg.lambdas)
         return loss.item()
 
-    pred = forward(store, cfg, seg_graph, feats, counter)
+    pred = forward(store, cfg, graph, feats, counter)
     loss, _ = compute_loss(pred, labels, cc_w, vol_w, cfg.lambdas)
     store.zero_grad()
     loss.backward()
@@ -295,9 +288,9 @@ def test_end_to_end_gradient_check_six_segments():
 
 def test_ablation_gates_zero_the_right_slices():
     cfg = TINY
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=12)
-    base = forward(store, cfg, seg_graph, feats, counter)
+    base = forward(store, cfg, graph, feats, counter)
 
     from t4c.seggraph import FeatureBundle
 
@@ -306,8 +299,8 @@ def test_ablation_gates_zero_the_right_slices():
         categorical=feats.categorical, continuous=feats.continuous,
         prior_block=np.zeros_like(feats.prior_block),
     )
-    gated = forward(store, no_prior_cfg, seg_graph, feats, counter)
-    explicit = forward(store, cfg, seg_graph, zeroed_feats, counter)
+    gated = forward(store, no_prior_cfg, graph, feats, counter)
+    explicit = forward(store, cfg, graph, zeroed_feats, counter)
     assert np.allclose(gated.cc_logits.data, explicit.cc_logits.data, atol=1e-12)
     # and it actually differs from the full model
     assert not np.allclose(gated.cc_logits.data, base.cc_logits.data)
@@ -317,16 +310,16 @@ def test_ablation_gates_zero_the_right_slices():
         categorical=np.zeros_like(feats.categorical), continuous=np.zeros_like(feats.continuous),
         prior_block=feats.prior_block,
     )
-    gated_static = forward(store, no_static_cfg, seg_graph, feats, counter)
-    explicit_static = forward(store, no_static_cfg, seg_graph, blanked, counter)
+    gated_static = forward(store, no_static_cfg, graph, feats, counter)
+    explicit_static = forward(store, no_static_cfg, graph, blanked, counter)
     assert np.allclose(gated_static.cc_logits.data, explicit_static.cc_logits.data, atol=1e-12)
 
 
 def test_no_gnn_heads_read_pre_aggregation_features():
     cfg = replace(TINY, gnn_layers=0)
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=13)
-    pred = forward(store, cfg, seg_graph, feats, counter)
+    pred = forward(store, cfg, graph, feats, counter)
     assert np.all(np.isfinite(pred.cc_logits.data))
     assert not any(name.startswith("gnn") for name in store.names())
 
@@ -338,10 +331,10 @@ def test_no_gnn_heads_read_pre_aggregation_features():
 )
 def test_forward_on_arrays_equals_forward_on_a_param_store(overrides):
     cfg = replace(TINY, **overrides)
-    _graph, seg_graph, feats, counter = six_segment_setup(cfg)
+    graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=4)
-    traced = forward(store, cfg, seg_graph, feats, counter)
-    plain = forward(store.arrays(), cfg, seg_graph, feats, counter)
+    traced = forward(store, cfg, graph, feats, counter)
+    plain = forward(store.arrays(), cfg, graph, feats, counter)
     for name in ("cc_logits", "speed_pred", "vol_logits"):
         value = getattr(plain, name)
         assert type(value) is np.ndarray
@@ -373,18 +366,17 @@ def test_predict_probabilities_four_class_renormalizes():
 
 def test_make_label_arrays_codings(toy_dataset):
     graph = toy_dataset.graph
-    seg_graph = build_line_graph(graph)
     stats = identity_stats()
-    arrays = make_label_arrays(toy_dataset.labels, 0, seg_graph, stats)
+    arrays = make_label_arrays(toy_dataset.labels, 0, graph, stats)
     assert arrays.cc.tolist() == [0, 1, 2]  # cc 1/2/3 -> 0/1/2
     assert arrays.vol.tolist() == [0, 1, 2]  # {1,3,5} -> {0,1,2}
     assert arrays.speed_mask.all()
     assert np.allclose(arrays.speed, (np.array([38.0, 20.0, 10.0]) - 30.0) / 10.0)
 
-    arrays1 = make_label_arrays(toy_dataset.labels, 1, seg_graph, stats)
+    arrays1 = make_label_arrays(toy_dataset.labels, 1, graph, stats)
     assert arrays1.cc.tolist() == [-1, 0, -1]  # cc=0 masked in 3-class mode
 
-    arrays4 = make_label_arrays(toy_dataset.labels, 1, seg_graph, stats, cc_classes=4)
+    arrays4 = make_label_arrays(toy_dataset.labels, 1, graph, stats, cc_classes=4)
     assert arrays4.cc.tolist() == [0, 1, -1]  # undefined kept as class 0
 
 
@@ -409,12 +401,11 @@ def test_overfit_small_instance_memorizes():
     edges += [(f"N{(i + 1) % 10}", f"N{i}") for i in range(10)]
     graph = graph_from_edges(edges, counters={"N0": "c0", "N5": "c1"})
     assert len(graph.segments) == 20
-    seg_graph = build_line_graph(graph)
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"N0": (3, 1, 4, 1), "N5": (2, 7, 1, 8)})
     from t4c.seggraph import fit_normalization
 
     feats, counter = record_inputs(
-        graph, seg_graph, record, random_priors(graph, 3, seed=2),
+        graph, record, random_priors(graph, 3, seed=2),
         fit_normalization(graph, [record]),
     )
     rng = np.random.default_rng(0)
@@ -428,7 +419,7 @@ def test_overfit_small_instance_memorizes():
     w = np.ones(3)
     final_cc = None
     for _ in range(500):
-        pred = forward(store, cfg, seg_graph, feats, counter)
+        pred = forward(store, cfg, graph, feats, counter)
         loss, report = compute_loss(pred, labels, w, w, cfg.lambdas)
         store.zero_grad()
         loss.backward()

@@ -1,6 +1,7 @@
-"""Line-graph construction against a brute-force endpoint oracle, plus
-normalization and feature assembly contracts."""
+"""The road graph's segment adjacency against a brute-force endpoint oracle, its mean
+operator, plus normalization and feature assembly contracts."""
 
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -9,17 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t4c import autodiff as ad
-from t4c import seggraph
+from t4c import data as data_module
 from t4c.autodiff import Tensor
-from t4c.data import NodeRec, RoadGraph, SynthSpec, VolumeRecord, generate_synthetic_city
+from t4c.data import NodeRec, RoadGraph, SynthSpec, VolumeRecord, generate_synthetic_city, mean_aggregation_matrix
 from t4c.model import ModelConfig, forward, init_params
 from t4c.seggraph import (
     NormStats,
     assemble_features,
-    build_line_graph,
     counter_slice_matrix,
     fit_normalization,
-    mean_aggregation_matrix,
 )
 
 from conftest import central_diff_tensor, label_table, make_segment, max_rel_error, record_inputs
@@ -55,22 +54,20 @@ def brute_force_adjacency(segments):
 
 def test_three_edges_through_one_node_all_adjacent():
     graph = graph_from_edges([("A", "B"), ("B", "C"), ("B", "A")])
-    seg_graph = build_line_graph(graph)
-    assert seg_graph.neighbors == ((1, 2), (0, 2), (0, 1))
+    assert graph.segment_ids == ("e0", "e1", "e2")
+    assert graph.neighbors == ((1, 2), (0, 2), (0, 1))
 
 
 def test_disconnected_edges_have_no_neighbors():
     graph = graph_from_edges([("A", "B"), ("C", "D")])
-    seg_graph = build_line_graph(graph)
-    assert seg_graph.neighbors == ((), ())
+    assert graph.neighbors == ((), ())
 
 
 def test_star_spokes_all_pairwise_adjacent():
     spokes = [("X", f"L{i}") for i in range(5)]
     graph = graph_from_edges(spokes)
-    seg_graph = build_line_graph(graph)
-    assert seg_graph.neighbors == tuple(brute_force_adjacency(graph.segments))
-    assert all(len(nbrs) == 4 for nbrs in seg_graph.neighbors)
+    assert graph.neighbors == tuple(brute_force_adjacency(graph.segments))
+    assert all(len(nbrs) == 4 for nbrs in graph.neighbors)
 
 
 @settings(max_examples=50, deadline=None)
@@ -83,13 +80,12 @@ def test_line_graph_matches_brute_force(seed, n_nodes, n_edges):
         a, b = rng.choice(n_nodes, size=2, replace=False)
         edges.append((names[a], names[b]))
     graph = graph_from_edges(edges)
-    seg_graph = build_line_graph(graph)
-    assert list(seg_graph.neighbors) == brute_force_adjacency(graph.segments)
+    assert list(graph.neighbors) == brute_force_adjacency(graph.segments)
     # symmetry and no self-loops
-    for i, nbrs in enumerate(seg_graph.neighbors):
+    for i, nbrs in enumerate(graph.neighbors):
         assert i not in nbrs
         for j in nbrs:
-            assert i in seg_graph.neighbors[j]
+            assert i in graph.neighbors[j]
 
 
 # -- mean-aggregation operator -------------------------------------------------------
@@ -150,17 +146,17 @@ def test_mean_operator_is_built_once_per_graph(toy_graph, monkeypatch):
         builds.append(neighbors)
         return mean_aggregation_matrix(neighbors)
 
-    monkeypatch.setattr(seggraph, "mean_aggregation_matrix", counting)
-    seg_graph = build_line_graph(toy_graph)
-    assert seg_graph.mean_operator is seg_graph.mean_operator
-    assert len(builds) == 1
+    monkeypatch.setattr(data_module, "mean_aggregation_matrix", counting)
+    assert toy_graph.mean_operator is toy_graph.mean_operator
+    assert len(builds) == 1 and builds[0] is toy_graph.neighbors
+    assert not toy_graph.mean_operator.flags.writeable
 
-    seg_graph = build_line_graph(toy_graph)
+    graph = replace(toy_graph)  # the same segments, nothing built yet
     config = ModelConfig(volume_hidden=(4,), static_hidden=(4,), hidden=4, head_blocks=1)
     store = init_params(config, seed=0)
-    features = record_inputs(toy_graph, seg_graph, record("r0", {}), uniform_priors(toy_graph), identity_stats())
-    first = forward(store, config, seg_graph, *features)
-    second = forward(store, config, seg_graph, *features)
+    features = record_inputs(graph, record("r0", {}), uniform_priors(graph), identity_stats())
+    first = forward(store, config, graph, *features)
+    second = forward(store, config, graph, *features)
     assert len(builds) == 2  # one more for the new graph, none for the second forward
     assert np.array_equal(first.cc_logits.data, second.cc_logits.data)
 
@@ -263,10 +259,9 @@ def test_gathered_counter_slice_equals_a_per_segment_loop_on_every_record(tmp_pa
 
 
 def test_feature_at_training_mean_normalizes_to_zero(toy_graph):
-    seg_graph = build_line_graph(toy_graph)
     stats = fit_normalization(toy_graph, [record("r0", {})])
     bundle = assemble_features(
-        toy_graph, seg_graph, uniform_priors(toy_graph), stats
+        toy_graph, uniform_priors(toy_graph), stats
     )
     # limit_speed is 50 everywhere -> z-score exactly 0
     col = 4
@@ -274,23 +269,21 @@ def test_feature_at_training_mean_normalizes_to_zero(toy_graph):
 
 
 def test_prior_row_lands_at_cluster_offset(toy_graph):
-    seg_graph = build_line_graph(toy_graph)
     priors = uniform_priors(toy_graph, k=10)
     row = np.array([0.5, 0.25, 0.25])
     priors[0, 3] = row  # e1
     bundle = assemble_features(
-        toy_graph, seg_graph, priors, identity_stats()
+        toy_graph, priors, identity_stats()
     )
     assert bundle.prior_block.shape == (3, 30)
     assert bundle.prior_block[0, 9:12].tolist() == [0.5, 0.25, 0.25]
 
 
 def test_active_row_mode_selects_single_row(toy_graph):
-    seg_graph = build_line_graph(toy_graph)
     priors = uniform_priors(toy_graph, k=4)
     priors[1, 2] = [0.1, 0.2, 0.7]  # e2
     bundle = assemble_features(
-        toy_graph, seg_graph, priors, identity_stats(),
+        toy_graph, priors, identity_stats(),
         prior_mode="active_row", cluster_index=2,
     )
     assert bundle.prior_block.shape == (3, 3)
@@ -298,29 +291,26 @@ def test_active_row_mode_selects_single_row(toy_graph):
 
 
 def test_active_row_requires_cluster_index(toy_graph):
-    seg_graph = build_line_graph(toy_graph)
     with pytest.raises(ValueError):
         assemble_features(
-            toy_graph, seg_graph, uniform_priors(toy_graph),
+            toy_graph, uniform_priors(toy_graph),
             identity_stats(), prior_mode="active_row",
         )
 
 
 def test_missing_prior_rejected(toy_graph):
-    seg_graph = build_line_graph(toy_graph)
     priors = uniform_priors(toy_graph)[[0, 2]]  # e2's row dropped
     with pytest.raises(ValueError) as err:
-        assemble_features(toy_graph, seg_graph, priors, identity_stats())
+        assemble_features(toy_graph, priors, identity_stats())
     assert "priors of shape (2, 10, 3), expected (3, K, 3)" in str(err.value)
 
 
 def test_assembly_is_pure(toy_graph):
-    seg_graph = build_line_graph(toy_graph)
     rec = record("r0", {"A": (1, 2, 3, 4)})
     stats = fit_normalization(toy_graph, [rec])
     priors = uniform_priors(toy_graph)
-    a, a_counter_slice = record_inputs(toy_graph, seg_graph, rec, priors, stats)
-    b, b_counter_slice = record_inputs(toy_graph, seg_graph, rec, priors, stats)
+    a, a_counter_slice = record_inputs(toy_graph, rec, priors, stats)
+    b, b_counter_slice = record_inputs(toy_graph, rec, priors, stats)
     assert np.array_equal(a.categorical, b.categorical)
     assert np.array_equal(a.continuous, b.continuous)
     assert np.array_equal(a_counter_slice, b_counter_slice)

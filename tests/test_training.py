@@ -16,7 +16,7 @@ from t4c.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, split_train_validation
 from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params
-from t4c.seggraph import build_line_graph, fit_normalization
+from t4c.seggraph import fit_normalization
 from t4c.training import (
     TrainConfig,
     ensemble_predict,
@@ -228,18 +228,17 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     dataset, cluster_model, priors = small_city
     records = daytime_filter(dataset.records, *SMALL_TRAIN.daytime)
     train_records, _ = split_train_validation(records, 0.8, SMALL_TRAIN.split_seed)
-    seg_graph = build_line_graph(dataset.graph)
     stats = fit_normalization(dataset.graph, train_records, dataset.labels.select(r.record_id for r in train_records))
 
     from t4c.model import make_label_arrays
 
     r1, r2 = train_records[0], train_records[1]
     feats = {
-        r.record_id: record_inputs(dataset.graph, seg_graph, r, priors, stats)
+        r.record_id: record_inputs(dataset.graph, r, priors, stats)
         for r in (r1, r2)
     }
     targets = {
-        r.record_id: make_label_arrays(dataset.labels, dataset.labels.rows[r.record_id], seg_graph, stats)
+        r.record_id: make_label_arrays(dataset.labels, dataset.labels.rows[r.record_id], dataset.graph, stats)
         for r in (r1, r2)
     }
     w = np.ones(3)
@@ -247,7 +246,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     def grads_for(record, store):
         store.zero_grad()
         loss, _ = compute_loss(
-            forward(store, SMALL_MODEL, seg_graph, *feats[record.record_id]),
+            forward(store, SMALL_MODEL, dataset.graph, *feats[record.record_id]),
             targets[record.record_id], w, w,
         )
         loss.backward()
@@ -267,7 +266,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     store_batch.zero_grad()
     for record in (r1, r2):
         loss, _ = compute_loss(
-            forward(store_batch, SMALL_MODEL, seg_graph, *feats[record.record_id]),
+            forward(store_batch, SMALL_MODEL, dataset.graph, *feats[record.record_id]),
             targets[record.record_id], w, w,
         )
         loss.backward()
@@ -298,10 +297,9 @@ def test_divergence_aborts_with_context(small_city):
 def test_ensemble_of_one_equals_member(small_city, trained):
     dataset, cluster_model, priors = small_city
     ckpt, _ = trained
-    seg_graph = build_line_graph(dataset.graph)
     record = dataset.records[0]
-    single = predict_record(ckpt, dataset.graph, seg_graph, priors, record)
-    ensembled = ensemble_predict(prepare_ensemble([ckpt], dataset.graph, seg_graph, priors), record)
+    single = predict_record(ckpt, dataset.graph, priors, record)
+    ensembled = ensemble_predict(prepare_ensemble([ckpt], dataset.graph, priors), record)
     assert np.array_equal(single.cc, ensembled.cc)
     assert np.array_equal(single.speed_kph, ensembled.speed_kph)
     assert np.array_equal(single.vol, ensembled.vol)
@@ -328,17 +326,16 @@ def test_ensemble_probabilities_are_exact_member_means(small_city, three_members
     seeds = [runlog.seed for _ckpt, runlog in members]
     assert len(set(seeds)) == 3
     checkpoints = [ckpt for ckpt, _ in members]
-    seg_graph = build_line_graph(dataset.graph)
     record = dataset.records[3]
 
     member_probs = [
-        predict_record(c, dataset.graph, seg_graph, priors, record) for c in checkpoints
+        predict_record(c, dataset.graph, priors, record) for c in checkpoints
     ]
     expected_cc = (member_probs[0].cc + member_probs[1].cc + member_probs[2].cc) / 3.0
     expected_speed = (
         member_probs[0].speed_kph + member_probs[1].speed_kph + member_probs[2].speed_kph
     ) / 3.0
-    ensembled = ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors), record)
+    ensembled = ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, priors), record)
     assert np.array_equal(ensembled.cc, expected_cc)
     assert np.array_equal(ensembled.speed_kph, expected_speed)
     assert np.array_equal(
@@ -356,10 +353,9 @@ def test_ensemble_of_any_member_subset_and_order_is_the_ordered_member_mean(
 ):
     dataset, _cluster_model, priors = small_city
     members = [three_members[i][0] for i in order]
-    seg_graph = build_line_graph(dataset.graph)
     record = dataset.records[record_index % len(dataset.records)]
-    singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in members]
-    ensembled = ensemble_predict(prepare_ensemble(members, dataset.graph, seg_graph, priors), record)
+    singles = [predict_record(c, dataset.graph, priors, record) for c in members]
+    ensembled = ensemble_predict(prepare_ensemble(members, dataset.graph, priors), record)
     for field in ("cc", "speed_kph", "vol"):
         value = getattr(ensembled, field)
         assert value.tobytes() == _ordered_mean(singles, field).tobytes()
@@ -387,7 +383,6 @@ def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_reco
 
     dataset, _cluster_model, priors = small_city
     checkpoints = [ckpt for ckpt, _ in three_members]
-    seg_graph = build_line_graph(dataset.graph)
     records = dataset.records[5:9]
     counts = _count_calls(monkeypatch, training, ("assemble_features", "static_branch", "counter_slice_matrix"))
 
@@ -397,7 +392,7 @@ def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_reco
     for members in (checkpoints, mixed):
         for calls in counts.values():
             calls.clear()
-        ensemble = prepare_ensemble(members, dataset.graph, seg_graph, priors)
+        ensemble = prepare_ensemble(members, dataset.graph, priors)
         # full prior mode: the static branch is the same for every record, so one prior row
         assert {name: len(calls) for name, calls in counts.items()} == {
             "assemble_features": 3, "static_branch": 3, "counter_slice_matrix": 0,
@@ -408,7 +403,7 @@ def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_reco
         }
         assert list(ensemble.static) == [None] and len(ensemble.static[None]) == 3
     for record, probs in zip(records, ensembled):
-        singles = [predict_record(c, dataset.graph, seg_graph, priors, record) for c in mixed]
+        singles = [predict_record(c, dataset.graph, priors, record) for c in mixed]
         for field in ("cc", "speed_kph", "vol"):
             assert getattr(probs, field).tobytes() == _ordered_mean(singles, field).tobytes()
 
@@ -427,13 +422,12 @@ def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, 
     model_cfg = replace(SMALL_MODEL, **change)
     cfg = replace(SMALL_TRAIN, epochs=1, ensemble_size=2)
     checkpoints = [ckpt for ckpt, _ in train_ensemble(cfg, model_cfg, dataset, cluster_model, priors)]
-    seg_graph = build_line_graph(dataset.graph)
     records = dataset.records[:24]
     clusters = {assign_cluster(cluster_model, r) for r in records}
     assert len(clusters) >= 2
 
     counts = _count_calls(monkeypatch, training, ("assemble_features", "static_branch", "counter_slice_matrix"))
-    ensemble = prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors, cluster_model)
+    ensemble = prepare_ensemble(checkpoints, dataset.graph, priors, cluster_model)
     prior_rows = list(range(cluster_model.num_clusters)) if model_cfg.prior_mode == "active_row" else [None]
     assert list(ensemble.static) == prior_rows
     assert (len(counts["static_branch"]), len(counts["counter_slice_matrix"])) == (2 * len(prior_rows), 0)
@@ -442,7 +436,7 @@ def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, 
         ensembled = ensemble_predict(ensemble, record)
         per_record = {name: len(calls) - before[name] for name, calls in counts.items()}
         assert per_record == {"assemble_features": 0, "static_branch": 0, "counter_slice_matrix": 1}
-        singles = [predict_record(c, dataset.graph, seg_graph, priors, record, cluster_model) for c in checkpoints]
+        singles = [predict_record(c, dataset.graph, priors, record, cluster_model) for c in checkpoints]
         for field in ("cc", "speed_kph", "vol"):
             assert getattr(ensembled, field).tobytes() == _ordered_mean(singles, field).tobytes(), (record, field)
     assert all(len(members) == 2 for members in ensemble.static.values())
@@ -468,15 +462,14 @@ def test_stacked_ensemble_is_the_ordered_member_mean_at_every_depth(small_city, 
     dataset, cluster_model, priors = small_city
     config = replace(SMALL_MODEL, volume_hidden=(16, 8), head_blocks=head_blocks, gnn_layers=gnn_layers,
                      prior_mode=prior_mode)
-    seg_graph = build_line_graph(dataset.graph)
     norm_stats = _training_set(small_city).norm_stats
     checkpoints = [_noisy_checkpoint(config, norm_stats, seed) for seed in range(3)]
     records = dataset.records[:12]
     assert len({assign_cluster(cluster_model, r) for r in records}) >= 2
-    singles = {r.record_id: [predict_record(c, dataset.graph, seg_graph, priors, r, cluster_model) for c in checkpoints]
+    singles = {r.record_id: [predict_record(c, dataset.graph, priors, r, cluster_model) for c in checkpoints]
                for r in records}
     for members in (1, 2, 3):
-        ensemble = prepare_ensemble(checkpoints[:members], dataset.graph, seg_graph, priors, cluster_model)
+        ensemble = prepare_ensemble(checkpoints[:members], dataset.graph, priors, cluster_model)
         for record in records:
             ensembled = ensemble_predict(ensemble, record)
             for field in ("cc", "speed_kph", "vol"):
@@ -506,12 +499,12 @@ def _arrays(obj, seen=None):
 def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members):
     dataset, cluster_model, priors = small_city
     checkpoints = [ckpt for ckpt, _ in three_members]
-    ensemble = prepare_ensemble(checkpoints, dataset.graph, build_line_graph(dataset.graph), priors, cluster_model)
+    ensemble = prepare_ensemble(checkpoints, dataset.graph, priors, cluster_model)
     ensemble_predict(ensemble, dataset.records[0])
     served = [a for f in fields(ensemble) if f.name != "checkpoints" for a in _arrays(getattr(ensemble, f.name))]
     assert len(served) > len(ensemble.static)
     assert not [a.shape for a in served if a.flags.writeable]
-    params, segments = ensemble.params, ensemble.seg_graph.num_segments
+    params, segments = ensemble.params, len(ensemble.graph.segments)
     stacks = [ensemble.counter_mean, ensemble.counter_std, ensemble.speed_mean, ensemble.speed_std,
               *(params[f"head_{task}_out_b"] for task in ("cc", "speed", "vol")), params["head_cc_out_w"],
               ensemble.static[None]]
@@ -529,7 +522,7 @@ def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members
         ensemble.params["combine_w"] = params["combine_w"]
 
     # one member: its own arrays, read-only views with no member axis; the checkpoint's stay writable
-    solo = prepare_ensemble(checkpoints[:1], dataset.graph, build_line_graph(dataset.graph), priors, cluster_model)
+    solo = prepare_ensemble(checkpoints[:1], dataset.graph, priors, cluster_model)
     ckpt = checkpoints[0]
     assert all(np.shares_memory(solo.params[name], value) for name, value in ckpt.params.items())
     assert (solo.counter_mean.shape, solo.static[None].shape) == ((8,), (segments, 16))
@@ -542,13 +535,12 @@ def test_active_row_ensemble_needs_a_cluster_model(small_city, trained):
     dataset, _cluster_model, priors = small_city
     ckpt = replace(trained[0], config=replace(SMALL_MODEL, prior_mode="active_row"))
     with pytest.raises(ValueError, match="needs a cluster model"):
-        prepare_ensemble([ckpt], dataset.graph, build_line_graph(dataset.graph), priors)
+        prepare_ensemble([ckpt], dataset.graph, priors)
 
 
 def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch):
     dataset, cluster_model, priors = small_city
     checkpoints = [ckpt for ckpt, _ in three_members]
-    seg_graph = build_line_graph(dataset.graph)
     made = []
     real_init = ad.Tensor.__init__
 
@@ -557,8 +549,8 @@ def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch)
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
-    predict_record(checkpoints[0], dataset.graph, seg_graph, priors, dataset.records[0])
-    ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, seg_graph, priors), dataset.records[0])
+    predict_record(checkpoints[0], dataset.graph, priors, dataset.records[0])
+    ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, priors), dataset.records[0])
     assert made == []
     ad.Tensor(np.zeros(1))  # the counter itself works
     assert made == [1]
@@ -577,9 +569,8 @@ def test_config_hash_mismatch_rejected(small_city, trained):
     ckpt, _ = trained
     other_cfg = replace(SMALL_MODEL, hidden=24)
     other = train_one(_training_set(small_city, replace(SMALL_TRAIN, epochs=1), other_cfg), other_cfg, seed=0)[0]
-    seg_graph = build_line_graph(dataset.graph)
     with pytest.raises(ValueError) as err:
-        prepare_ensemble([ckpt, other], dataset.graph, seg_graph, priors)
+        prepare_ensemble([ckpt, other], dataset.graph, priors)
     assert "hash" in str(err.value)
 
 
@@ -619,10 +610,9 @@ def test_training_set_builds_one_feature_bundle_per_cluster(small_city, prior_mo
     assert len(by_cluster) == 1 if prior_mode == "full" else len(by_cluster) >= 2
     assert len(counts["assemble_features"]) == len(by_cluster)
     assert len(counts["counter_slice_matrix"]) == len(records)
-    for rids in by_cluster.values():
-        assert all(ts.features[rid] is ts.features[rids[0]] for rid in rids)
-    assert len({id(bundle) for bundle in ts.features.values()}) == len(by_cluster)
-    assert set(ts.counter_slices) == set(ts.features) == {r.record_id for r in records}
+    assert ts.rows == {rid: row for row, rids in by_cluster.items() for rid in rids}
+    assert set(ts.features) == set(by_cluster)
+    assert set(ts.counter_slices) == set(ts.rows) == {r.record_id for r in records}
 
 
 @pytest.mark.parametrize("change", [{"prior_mode": "active_row"}, {"cc_classes": 4}])
@@ -705,11 +695,11 @@ def test_plan_replay_equals_a_one_shot_backward_bit_for_bit(small_city, monkeypa
     ts = _training_set(small_city, model_cfg=model_cfg)
     rids = [r.record_id for r in ts.train_records[:6]]
     if model_cfg.prior_mode == "active_row":  # the replays rebind another cluster's static inputs
-        assert len({id(ts.features[rid]) for rid in rids}) >= 2
+        assert len({ts.rows[rid] for rid in rids}) >= 2
     no_speed = ts.targets[rids[4]]
     targets = {
         **ts.targets,
-        rids[2]: make_label_arrays(ts.labels, None, ts.seg_graph, ts.norm_stats, model_cfg.cc_classes),
+        rids[2]: make_label_arrays(ts.labels, None, ts.graph, ts.norm_stats, model_cfg.cc_classes),
         rids[4]: LabelArrays(no_speed.cc, no_speed.speed, np.zeros_like(no_speed.speed_mask), no_speed.vol),
     }
     ts = replace(ts, targets=targets)
@@ -762,7 +752,7 @@ def test_validation_builds_the_static_branch_once_per_cluster_and_only_the_conge
     ts = _training_set(small_city, replace(SMALL_TRAIN, epochs=2), model_cfg)
     counts = _count_calls(monkeypatch, training, ("static_branch", "congestion_probs", "record_branch"))
     train_one(ts, model_cfg, seed=0)
-    clusters = len({id(bundle) for bundle in ts.features.values()})
+    clusters = len(ts.features)
     assert clusters >= 2
     # one trace of the training record, then each epoch: every cluster's static branch, every record's head
     assert len(counts["static_branch"]) == 1 + 2 * clusters
