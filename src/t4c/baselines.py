@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -25,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .clustering import CC_COLUMN, ClusterModel, build_prior_matrices
-from .data import Dataset, LabelTable, RoadGraph, SuperSegment, VolumeRecord, mean_aggregation_matrix
+from .data import (Dataset, LabelTable, RoadGraph, SuperSegment, VolumeRecord, mean_aggregation_matrix,
+                   write_json)
 from .model import inverse_frequency_weights
 from .seggraph import column_moments
 from .training import fit_loop, split_records
@@ -165,7 +165,7 @@ def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
             "eta_median": {ss_id: medians.tolist() for ss_id, medians in model.eta_median.items()},
             "naive": _naive_obj(model.naive),
         }
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, obj)
     return path
 
 

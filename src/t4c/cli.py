@@ -11,7 +11,6 @@ error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import assign_cluster, build_prior_matrices, fit_clusters, load_cluster_model, save_cluster_model
 from .data import (DatasetError, Dataset, PredictionError, PredictionTable, SynthSpec, csv_text, daytime_filter,
                    generate_synthetic_city, load_dataset, parse_json, prediction_fault, read_json, type_hints,
-                   write_predictions)
+                   write_json, write_predictions)
 from .data import read_predictions as _read_predictions  # a name of this module, which perfbench wraps to time reads
 from .evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
 from .model import ModelConfig
@@ -139,10 +138,6 @@ def _select_records(dataset, train_cfg: TrainConfig, subset: str):
     return train_records if subset == "train" else val_records
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 # -- subcommands ---------------------------------------------------------------------
 
 
@@ -193,7 +188,7 @@ def cmd_train(args, workdir: Path) -> int:
         save_runlog(member_dir / "runlog.json", runlog)
         best = runlog.epochs[runlog.best_epoch].val_core
         print(f"member seed={seed}: best epoch {runlog.best_epoch}, val core {best:.6f}")
-    _write_json(run_dir / "train_config.json", {"train": asdict(train_cfg), "model": asdict(model_cfg)})
+    write_json(run_dir / "train_config.json", {"train": asdict(train_cfg), "model": asdict(model_cfg)})
     return 0
 
 
@@ -264,7 +259,7 @@ def _eval_stage(args, workdir: Path, scorer, nothing_scored: str, csv_header: tu
     per_record = {rid: score.per_record[rid] for rid in sorted(score.per_record)}
     if args.out:
         report = {"metric": score.score, "per_record": per_record, "n_scored": score.n_scored}
-        _write_json(_resolve(workdir, args.out), report)
+        write_json(_resolve(workdir, args.out), report)
     if args.csv:
         rows = [csv_header, *((rid, f"{value:.6f}") for rid, value in per_record.items())]
         _resolve(workdir, args.csv).write_text(csv_text(rows), encoding="utf-8")
@@ -299,7 +294,7 @@ def cmd_baseline(args, workdir: Path) -> int:
 
     if args.name == "node_gnn":
         score = node_gnn_baseline(dataset, train_cfg, seed=train_cfg.base_seed)
-        _write_json(out_dir / "baseline_node_gnn.json", {"val_core": score})
+        write_json(out_dir / "baseline_node_gnn.json", {"val_core": score})
         print(f"node gnn validation core: {score:.6f}")
         return 0
 
@@ -346,7 +341,7 @@ def cmd_ablate(args, workdir: Path) -> int:
         raise CLIError(str(exc)) from None
     out_dir = _resolve(workdir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "ablation.json", asdict(result))
+    write_json(out_dir / "ablation.json", asdict(result))
     (out_dir / "ablation.csv").write_text(result.as_csv(), encoding="utf-8")
     for variant in variants:
         print(f"{variant}: {result.scores[variant]:.6f}")
@@ -441,7 +436,6 @@ def _add_train_flags(sub):
     _field_flag(sub, "--epochs", "train.epochs", "training epochs")
     _field_flag(sub, "--batch", "train.batch_size", "records per optimizer step")
     _field_flag(sub, "--lr", "train.learning_rate", "Adam learning rate")
-    _field_flag(sub, "--members", "train.ensemble_size", "ensemble size")
     _field_flag(sub, "--seed", "train.base_seed", "base seed; member k uses seed+k")
     _add_split_flags(sub)
 
@@ -488,6 +482,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--cluster-model", default=None, help="cluster model JSON from fit-clusters")
     sub.add_argument("--out", default=None, help=f"run directory (default: {_Out.run_dir})")
     sub.add_argument("--config", default=None, help="pipeline config JSON")
+    _field_flag(sub, "--members", "train.ensemble_size", "ensemble size")
     _add_train_flags(sub)
     _add_model_flags(sub)
 

@@ -10,7 +10,6 @@ as prior knowledge.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LabelTable, RoadGraph, VolumeRecord, parse_json, read_json
+from .data import LabelTable, RoadGraph, VolumeRecord, parse_json, read_json, write_json
 
 __all__ = [
     "ClusterModel",
@@ -132,7 +131,7 @@ def save_cluster_model(path, model: ClusterModel, priors: np.ndarray, segment_id
         "thresholds": list(model.thresholds),
         "priors": dict(zip(segment_ids, priors.tolist())),
     }
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, obj)
     return path
 
 

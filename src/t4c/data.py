@@ -80,6 +80,7 @@ __all__ = [
     "read_json",
     "parse_json",
     "csv_text",
+    "write_json",
     "pack_container",
     "unpack_container",
 ]
@@ -896,6 +897,11 @@ def _label_lines(labels: LabelTable) -> Iterator[str]:
         yield f'{{"edges":{{{edges}}},"record_id":{json.dumps(record_id)}}}\n'
 
 
+def write_json(path, obj) -> None:
+    """Write ``obj`` as key-sorted JSON indented by 2, with a final newline, in UTF-8: every JSON artifact's form."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def csv_text(rows) -> str:
     """``rows`` as CSV lines that end in "\\n". The csv module quotes a field only for the characters of that
     line end, so a row with a carriage return in a text field (read back as a line break) is quoted whole."""
@@ -926,7 +932,7 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
     dir_path.mkdir(parents=True, exist_ok=True)
 
     meta = {"format_version": FORMAT_VERSION, "city_name": city_name, "num_day_slots": NUM_DAY_SLOTS}
-    (dir_path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(dir_path / "meta.json", meta)
 
     for name, columns, rows in (("nodes.csv", NODE_COLUMNS, graph.nodes), ("edges.csv", EDGE_COLUMNS, graph.segments)):
         cells = [[_fmt(getattr(row, column)) for column in columns] for row in rows]
@@ -954,9 +960,7 @@ def write_dataset(dataset: Dataset, dir_path, city_name: str = "city") -> Path:
             for rid in sorted(ss.etas)
         ],
     }
-    (dir_path / "supersegments.json").write_text(
-        json.dumps(ss_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(dir_path / "supersegments.json", ss_obj)
     return dir_path
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "static_inputs",
     "static_branch",
     "record_branch",
-    "head_products",
     "congestion_probs",
     "forward",
     "make_label_arrays",
@@ -100,10 +99,11 @@ class ModelConfig:
             raise ValueError(f"prior_mode must be 'full' or 'active_row', got {self.prior_mode!r}")
         if self.cc_classes not in (3, 4):
             raise ValueError(f"cc_classes must be 3 or 4, got {self.cc_classes}")
-        if any(lam <= 0 for lam in self.lambdas):
-            raise ValueError(f"lambda components must be > 0, got {self.lambdas}")
-        if self.gnn_layers < 0:
-            raise ValueError(f"gnn_layers must be >= 0, got {self.gnn_layers}")
+        if len(self.lambdas) != 3 or not all(0.0 < lam < np.inf for lam in self.lambdas):  # NaN compares false
+            raise ValueError(f"lambdas must be three finite numbers > 0, got {self.lambdas}")
+        for name in ("gnn_layers", "head_blocks", *(f"{name}_dim" for name in VOCAB_SIZES)):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("hidden", "num_clusters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -289,26 +289,15 @@ def record_branch(
     static_feat,
 ) -> PredictionBundle:
     """The rest of the network: the volume MLP on the record's (N, 8) counter slice,
-    the combine layer with ``static_feat``, the message-passing rounds and the heads."""
+    the combine layer with ``static_feat``, the message-passing rounds and the heads.
+
+    On a member stack of arrays (every weight (M, F, H), every bias (M, 1, H), the inputs (M, N, width))
+    one call runs every member, into (M, N, C) logits and (M, N) speeds with the bits of the members' own calls."""
     h = _trunk(params, config, graph, counter_slice, static_feat)
     cc_logits = _head(params, config, "cc", h)
-    speed = ad.reshape(_head(params, config, "speed", h), (len(graph.segments),))
+    speed = _head(params, config, "speed", h)
     vol_logits = _head(params, config, "vol", h)
-    return PredictionBundle(cc_logits=cc_logits, speed_pred=speed, vol_logits=vol_logits)
-
-
-def head_products(
-    params: Mapping[str, np.ndarray],
-    config: ModelConfig,
-    graph: RoadGraph,
-    counter_slice: np.ndarray,
-    static_feat: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``record_branch`` on arrays, before the speed reshape: each head's (N, width) output in ``HEADS``
-    order. On a member stack (every weight (M, F, H), every bias (M, 1, H), the inputs (M, N, width))
-    one call runs every member, into (M, N, width) outputs with the bits of the members' own calls."""
-    h = _trunk(params, config, graph, counter_slice, static_feat)
-    return tuple(_head(params, config, task, h) for task in HEADS)
+    return PredictionBundle(cc_logits=cc_logits, speed_pred=ad.reshape(speed, speed.shape[:-1]), vol_logits=vol_logits)
 
 
 def congestion_probs(
@@ -415,11 +404,11 @@ def _cc_probs(cc_logits: np.ndarray) -> np.ndarray:
 def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> PredictionProbs:
     """Softmax the logits and map speeds back to km/h.
 
-    ``pred`` holds plain arrays: the output of ``forward`` on arrays, or a
-    stack of members' outputs with leading axes (logits (M, N, C), speeds
-    (M, N)). ``norm_stats`` gives ``speed_mean`` and ``speed_std``: a
-    member's floats, or (M, 1) stacks of them (as an ``Ensemble`` holds).
-    The congestion probabilities are those of the three scored classes.
+    ``pred`` holds plain arrays: ``record_branch``'s output for one model,
+    or for a member stack (logits (M, N, C), speeds (M, N)). ``norm_stats``
+    gives ``speed_mean`` and ``speed_std``: a member's floats, or the (M, 1)
+    stacks of an ``Ensemble``'s ``norm_stats``. The congestion
+    probabilities are those of the three scored classes.
     """
     vol = ad.softmax_np(pred.vol_logits)
     speed = pred.speed_pred * norm_stats.speed_std + norm_stats.speed_mean

@@ -13,21 +13,20 @@ class weights once (``prepare_training``) and trains every member from them:
 one static feature bundle per cluster, one counter slice per record.
 Ensemble prediction (``prepare_ensemble`` once per stage, then
 ``ensemble_predict`` per record) stacks the members once: every parameter
-(weights (members, F, H), biases (members, 1, H)), the norm stats, and
+(weights (members, F, H), biases (members, 1, H)), every norm stat, and
 each cluster's static branches as one (members, segments, width) array.
-Per record it normalizes the counter slice for every member in one op,
-runs the model's own trunk and heads once on the stack, where each
-batched product makes one call per member with that member's shapes,
-then the softmaxes, the de-normalized speeds and the member mean, summed
-in member order. Every value has the bits of the members' separate
-``predict_record`` outputs averaged in that order. The ablation harness
+Per record it makes ``predict_record``'s calls once on the stack:
+``normalize_counters``, ``record_branch`` (where each batched product
+makes one call per member with that member's shapes) and
+``predict_probabilities``, then the member mean, summed in member order.
+Every value has the bits of the members' separate ``predict_record``
+outputs averaged in that order. The ablation harness
 (``run_ablation``) trains one model per variant from one training set.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
 import time
@@ -42,17 +41,15 @@ from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, assign_cluster
 from .data import (Dataset, LabelTable, PredictionTable, RoadGraph, VolumeRecord, daytime_filter, parse_json,
-                   read_json, split_train_validation)
+                   read_json, split_train_validation, write_json)
 from .evaluation import core_metric
 from .model import (
     LabelArrays,
     ModelConfig,
-    PredictionBundle,
     PredictionProbs,
     config_hash,
     congestion_probs,
     forward,
-    head_products,
     init_params,
     inverse_frequency_weights,
     loss_terms,
@@ -161,7 +158,7 @@ def save_runlog(path, runlog: RunLog) -> Path:
     path = Path(path)
     obj = asdict(runlog)
     del obj["wall_time_s"]  # informational only
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, obj)
     return path
 
 
@@ -522,21 +519,18 @@ class Ensemble:
     branches for the records that read prior row ``row``: each cluster
     index in ``active_row`` prior mode, the one key None in ``full`` mode.
     ``params`` holds every parameter, weights (M, F, H) and biases
-    (M, 1, H); the norm stats are ``counter_mean`` and ``counter_std``
-    (M, 1, 8), ``speed_mean`` and ``speed_std`` (M, 1). An ensemble of one
-    member holds that member's own arrays, with no member axis. Every array
-    is read-only.
+    (M, 1, H). ``norm_stats`` is one ``NormStats`` of the members' stacks:
+    ``counter_mean`` (M, 1, 8), ``speed_mean`` (M, 1), and so on. An
+    ensemble of one member holds that member's own arrays, with no member
+    axis. Every array is read-only.
     """
 
-    checkpoints: tuple[Checkpoint, ...]
+    config: ModelConfig
     graph: RoadGraph
     cluster_model: ClusterModel | None
     static: Mapping[int | None, np.ndarray] = field(repr=False)
     params: Mapping[str, np.ndarray] = field(repr=False)
-    counter_mean: np.ndarray = field(repr=False)
-    counter_std: np.ndarray = field(repr=False)
-    speed_mean: np.ndarray = field(repr=False)
-    speed_std: np.ndarray = field(repr=False)
+    norm_stats: NormStats = field(repr=False)
 
 
 def prepare_ensemble(
@@ -573,33 +567,29 @@ def prepare_ensemble(
         )
         for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])
     }
-    stats = [ckpt.norm_stats for ckpt in checkpoints]
     return Ensemble(
-        tuple(checkpoints), graph, cluster_model, MappingProxyType(static),
+        first.config, graph, cluster_model, MappingProxyType(static),
         params=MappingProxyType({name: stack(ckpt.params[name] for ckpt in checkpoints) for name in first.params}),
-        counter_mean=stack(s.counter_mean for s in stats),
-        counter_std=stack(s.counter_std for s in stats),
-        speed_mean=stack(s.speed_mean for s in stats),
-        speed_std=stack(s.speed_std for s in stats),
+        norm_stats=NormStats(*(stack(getattr(ckpt.norm_stats, f.name) for ckpt in checkpoints)
+                               for f in fields(NormStats))),
     )
 
 
 def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProbs:
     """Mean of member probabilities and speeds, summed in member order.
 
-    Per record, only the raw counter slice is built, once, and normalized
-    for every member in one op. The model's trunk and heads run once on
-    the member stack, with the static branches of the record's prior row,
-    and so does the rest, with the bits of the members' ``predict_record``
-    outputs averaged in member order.
+    The calls of ``predict_record``, once on the member stack: per record,
+    the raw counter slice is built once and normalized for every member in
+    one op, and the model's trunk and heads run once, with the static
+    branches of the record's prior row. Every value has the bits of the
+    members' ``predict_record`` outputs averaged in member order.
     """
-    ens, config = ensemble, ensemble.checkpoints[0].config
-    row = _prior_row(config.prior_mode, ens.cluster_model, record)
-    counter_slices = counter_slice_matrix(ens.graph, record) - ens.counter_mean
-    counter_slices /= ens.counter_std  # the bits of each member's ``normalize_counters``
-    cc, speed, vol = head_products(ens.params, config, ens.graph, counter_slices, ens.static[row])
-    probs = predict_probabilities(PredictionBundle(cc, speed[..., 0], vol), ens)
-    if cc.ndim == 2:  # one member
+    ens = ensemble
+    row = _prior_row(ens.config.prior_mode, ens.cluster_model, record)
+    counter_slices = ens.norm_stats.normalize_counters(counter_slice_matrix(ens.graph, record))
+    pred = record_branch(ens.params, ens.config, ens.graph, counter_slices, ens.static[row])
+    probs = predict_probabilities(pred, ens.norm_stats)
+    if probs.cc.ndim == 2:  # one member
         return probs
     # add.reduce over the leading axis adds the members in order, as a running sum does
-    return PredictionProbs(*(np.add.reduce(p, axis=0) / len(cc) for p in (probs.cc, probs.speed_kph, probs.vol)))
+    return PredictionProbs(*(np.add.reduce(p, axis=0) / len(p) for p in (probs.cc, probs.speed_kph, probs.vol)))

@@ -28,9 +28,8 @@ CITY_ARGS = [
     "synth", "--out", "data/toy", "--nodes", "25", "--counter-frac", "0.2",
     "--records", "60", "--signal", "0.9", "--seed", "1", "--records-per-day", "10",
 ]
-SMALL_TRAIN_ARGS = [
-    "--members", "2", "--epochs", "2", "--hidden", "16", "--gnn-layers", "2", "--k", "5",
-]
+ONE_MODEL_ARGS = ["--epochs", "2", "--hidden", "16", "--gnn-layers", "2", "--k", "5"]  # ablate takes no --members
+SMALL_TRAIN_ARGS = ["--members", "2", *ONE_MODEL_ARGS]
 
 
 @pytest.fixture(scope="module")
@@ -764,6 +763,9 @@ _BAD_VALUES = [  # (section, field, value, its flag or None)
     ("model", "num_clusters", 0, "--k"),
     ("model", "volume_hidden", [32, 0], None),
     ("model", "static_hidden", [-1], None),
+    ("model", "head_blocks", -1, None),
+    ("model", "importance_dim", -1, None),
+    ("model", "lanes_dim", -3, None),
     ("train", "learning_rate", -1.0, "--lr"),
     ("train", "learning_rate", math.nan, "--lr"),
     ("train", "learning_rate", math.inf, "--lr"),
@@ -777,7 +779,8 @@ def test_a_config_value_out_of_range_exits_1_naming_the_field_and_trains_nothing
     pipeline, tmp_path, section, field, value, flag, route
 ):
     """A zero width divided by zero (exit 2), a negative one failed in numpy naming no flag (exit 1), a negative
-    learning rate trained by gradient ascent (exit 0), and a NaN or infinite one diverged (exit 2)."""
+    head block count trained as 0 blocks (exit 0), a negative learning rate trained by gradient ascent (exit 0),
+    and a NaN or infinite one diverged (exit 2)."""
     argv = ["train", "--data", pipeline / "data/toy", "--cluster-model", pipeline / "cluster_model.json",
             "--out", tmp_path / "run"]
     if route == "flag":  # beside a config file that sets none of the section's fields, which is not named
@@ -791,10 +794,24 @@ def test_a_config_value_out_of_range_exits_1_naming_the_field_and_trains_nothing
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("stage", [
+    ["ablate", "--cluster-model", "{dir}/cluster_model.json", "--variants", "full", *ONE_MODEL_ARGS],
+    ["baseline", "node_gnn", "--epochs", "1"],
+], ids=lambda stage: stage[0])
+def test_only_train_takes_members(pipeline, tmp_path, stage):
+    """``ablate`` and ``baseline`` parsed --members and never read it: ``ablate --members 9`` trained one model
+    per variant."""
+    argv = [arg.format(dir=pipeline) for arg in stage]
+    code, err = _run([*argv, "--data", pipeline / "data/toy", "--out", tmp_path / "out", "--members", "9"])
+    assert code == 1, err
+    assert "unrecognized arguments: --members 9" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("variants", ["", " , ", "full,full", "no_gnn,full,no_gnn"])
 def test_ablate_refuses_an_empty_or_repeated_variant_list(pipeline, tmp_path, variants):
     code, err = _run(["ablate", "--data", pipeline / "data/toy", "--cluster-model", pipeline / "cluster_model.json",
-                      "--variants", variants, "--out", tmp_path / "ablation", *SMALL_TRAIN_ARGS])
+                      "--variants", variants, "--out", tmp_path / "ablation", *ONE_MODEL_ARGS])
     assert code == 1, err
     assert "--variants" in err and repr(variants) in err
     assert not (tmp_path / "ablation").exists()
@@ -810,7 +827,7 @@ def test_ablate_refuses_an_unknown_variant_before_loading_anything(pipeline, tmp
     monkeypatch.setattr(cli, "load_dataset", refuse)
     monkeypatch.setattr(cli, "load_cluster_model", refuse)
     code, err = _run(["ablate", "--data", pipeline / "data/toy", "--cluster-model", pipeline / "cluster_model.json",
-                      "--variants", "full,bogus", "--out", tmp_path / "ablation", *SMALL_TRAIN_ARGS])
+                      "--variants", "full,bogus", "--out", tmp_path / "ablation", *ONE_MODEL_ARGS])
     assert code == 1, err
     assert "--variants: expected one or more distinct variants of full,no_cluster,no_static,no_gnn, got 'full,bogus'" in err
     assert not (tmp_path / "ablation").exists()

@@ -3,6 +3,7 @@ end-to-end gradients, and memorization capacity."""
 
 from dataclasses import replace
 from datetime import date
+import math
 import zlib
 
 import numpy as np
@@ -109,6 +110,21 @@ def test_config_validation():
         ModelConfig(cc_classes=5)
     with pytest.raises(ValueError):
         ModelConfig(lambdas=(0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("lambdas", [(1.0,), (1.0, 1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)])
+def test_lambdas_must_be_three_finite_positive_numbers(lambdas):
+    """A JSON config cannot carry these. A wrong count failed at the first loss, naming no field, and a NaN or
+    infinite lambda made the loss non-finite."""
+    with pytest.raises(ValueError, match="lambdas must be three finite numbers > 0"):
+        ModelConfig(lambdas=lambdas)
+
+
+@pytest.mark.parametrize("name", ["head_blocks", "importance_dim", "oneway_dim", "tunnel_dim", "lanes_dim"])
+def test_a_negative_block_count_or_embedding_width_is_refused_by_name(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        ModelConfig(**{name: -1})
+    assert getattr(ModelConfig(**{name: 0}), name) == 0  # width 0 still trains
 
 
 def test_isolated_segment_matches_manual_layer_oracle():

@@ -501,11 +501,12 @@ def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members
     checkpoints = [ckpt for ckpt, _ in three_members]
     ensemble = prepare_ensemble(checkpoints, dataset.graph, priors, cluster_model)
     ensemble_predict(ensemble, dataset.records[0])
-    served = [a for f in fields(ensemble) if f.name != "checkpoints" for a in _arrays(getattr(ensemble, f.name))]
+    assert ensemble.config == checkpoints[0].config
+    served = [a for f in fields(ensemble) for a in _arrays(getattr(ensemble, f.name))]
     assert len(served) > len(ensemble.static)
     assert not [a.shape for a in served if a.flags.writeable]
-    params, segments = ensemble.params, len(ensemble.graph.segments)
-    stacks = [ensemble.counter_mean, ensemble.counter_std, ensemble.speed_mean, ensemble.speed_std,
+    params, stats, segments = ensemble.params, ensemble.norm_stats, len(ensemble.graph.segments)
+    stacks = [stats.counter_mean, stats.counter_std, stats.speed_mean, stats.speed_std,
               *(params[f"head_{task}_out_b"] for task in ("cc", "speed", "vol")), params["head_cc_out_w"],
               ensemble.static[None]]
     assert [a.shape for a in stacks] == [(3, 1, 8), (3, 1, 8), (3, 1), (3, 1), (3, 1, 3), (3, 1, 1), (3, 1, 3),
@@ -513,8 +514,8 @@ def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members
     assert all(any(a is b for b in served) for a in stacks)
     assert list(params) == list(checkpoints[0].params)
     for k, ckpt in enumerate(checkpoints):  # member k's own values, at index k
-        assert ensemble.counter_std[k, 0].tobytes() == ckpt.norm_stats.counter_std.tobytes()
-        assert ensemble.speed_mean[k, 0] == ckpt.norm_stats.speed_mean
+        assert stats.counter_std[k, 0].tobytes() == ckpt.norm_stats.counter_std.tobytes()
+        assert stats.speed_mean[k, 0] == ckpt.norm_stats.speed_mean
         assert all(params[name][k].tobytes() == value.tobytes() for name, value in ckpt.params.items())
     with pytest.raises(TypeError):
         ensemble.static[None] = ()
@@ -525,8 +526,8 @@ def test_every_array_of_a_served_ensemble_is_read_only(small_city, three_members
     solo = prepare_ensemble(checkpoints[:1], dataset.graph, priors, cluster_model)
     ckpt = checkpoints[0]
     assert all(np.shares_memory(solo.params[name], value) for name, value in ckpt.params.items())
-    assert (solo.counter_mean.shape, solo.static[None].shape) == ((8,), (segments, 16))
-    served = [a for f in fields(solo) if f.name != "checkpoints" for a in _arrays(getattr(solo, f.name))]
+    assert (solo.norm_stats.counter_mean.shape, solo.static[None].shape) == ((8,), (segments, 16))
+    served = [a for f in fields(solo) for a in _arrays(getattr(solo, f.name))]
     assert not [a.shape for a in served if a.flags.writeable]
     assert all(value.flags.writeable for value in ckpt.params.values())
 
