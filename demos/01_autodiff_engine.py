@@ -71,8 +71,8 @@ print(f"weighted CE over {n_rows} row(s): {ce.item():.6f}")
 # --- Adam on a one-parameter fit ----------------------------------------------
 
 # y = 2.5 x as a dense layer with one input, one unit and no bias: (20, 1) @ (1, 1)
-store = ParamStore()
-slope = store.add("slope", np.array([[0.0]]))
+store = ParamStore({"slope": np.array([[0.0]])})
+slope = store["slope"]
 no_bias = np.zeros(1)
 xs = np.linspace(-1, 1, 20).reshape(20, 1)
 ys = 2.5 * xs
@@ -88,8 +88,10 @@ print("fitted slope (target 2.5):", slope.data[0, 0])
 # Plan.trace runs the function once on Tensors holding the example inputs and
 # records its op sequence; each replay binds new inputs (same shapes) and runs
 # the same numpy expressions, adding the gradient into the store's flat buffer.
-store = ParamStore()
-slope = store.add("slope", np.array([[0.0]]))
+# The store is built once from a mapping, so the views the plan traced stay
+# its weights and gradients for good.
+store = ParamStore({"slope": np.array([[0.0]])})
+slope = store["slope"]
 plan = ad.Plan.trace(lambda x, y: [ad.mse(ad.linear(x, slope, no_bias), y)[0]], (xs, ys))
 print("plan ops:", plan.ops)
 rng = np.random.default_rng(0)

@@ -36,20 +36,22 @@ The softmaxes and the cross entropy reduce their 3- or 4-wide class axis
 with ``fold_classes``: one ufunc call per column, with the bits of
 numpy's far slower per-row reduction.
 
-The store keeps every parameter as a view into one flat float64 buffer,
-and its gradient (``.grad``) as a view into a second flat buffer of the
-same layout; Adam's moments are two more, and two scratch rows hold its
-intermediates. ``zero_grad`` fills the gradient buffer with zeros, a
-backward adds into it, and ``adam_step`` updates all parameters from it
-in a handful of in-place vector operations, with the same bits as a
-per-parameter update.
+The store is built once, from a name -> array mapping: every parameter
+is a view into one flat float64 buffer, and its gradient (``.grad``) its
+view into a second flat buffer of the same layout, written in place;
+Adam's moments are two more, and two scratch rows hold its intermediates.
+The views stay fixed for the store's life, so a plan traced on the store
+keeps reading its weights and adding into its gradients. ``zero_grad`` is
+one fill of the gradient buffer, a backward adds into it, and
+``adam_step`` updates all parameters from it in a handful of in-place
+vector operations, with the same bits as a per-parameter update.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import itemgetter, mul as _times
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -607,46 +609,30 @@ def _grad_buffer(leaf: Tensor) -> np.ndarray:
 
 
 class ParamStore:
-    """Named trainable tensors, each a view into one flat float64 buffer.
+    """Named trainable tensors, built once from a name -> array mapping.
 
-    Each parameter's ``grad`` is a view into a second flat buffer of the same
-    layout, and Adam's first and second moments are two more, so one update
-    covers every parameter at once. ``_work`` is two rows of that size for
-    Adam's intermediates.
+    Each parameter's ``data`` is a fixed view of one flat float64 buffer, in
+    the mapping's order, and its ``grad`` a fixed view of a second flat buffer
+    of the same layout, which a backward adds into in place (write a gradient
+    with ``p.grad[...] = g``; an array assigned to ``p.grad`` is not read).
+    Adam's first and second moments are two more buffers, so one update covers
+    every parameter at once. ``_work`` is two rows of that size for Adam's
+    intermediates.
     """
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self._flat = np.zeros(0)
-        self._grad = np.zeros(0)
-        self._grad_views: list[np.ndarray] = []
-        self._m = np.zeros(0)
-        self._v = np.zeros(0)
-        self._work = np.zeros((2, 0))
-        self.step_count = 0
-
-    def add(self, name: str, data) -> Tensor:
-        """Add a parameter; the gradients of all parameters start again from zero."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name!r}")
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        # grow the buffers and point every parameter at its slice of the new ones
-        size = t.data.size
-        self._flat = np.concatenate([self._flat, t.data.ravel()])
-        self._grad = np.zeros(self._flat.size)
-        self._m = np.concatenate([self._m, np.zeros(size)])
-        self._v = np.concatenate([self._v, np.zeros(size)])
+    def __init__(self, arrays: Mapping[str, np.ndarray]):
+        values = [np.asarray(a, dtype=np.float64) for a in arrays.values()]
+        self._flat = np.concatenate([a.ravel() for a in values])
+        self._grad = np.zeros_like(self._flat)
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
         self._work = np.zeros((2, self._flat.size))
-        self._grad_views = []
-        offset = 0
-        for p in self._params.values():
-            end = offset + p.data.size
-            p.data = self._flat[offset:end].reshape(p.data.shape)
-            p.grad = self._grad[offset:end].reshape(p.data.shape)
-            self._grad_views.append(p.grad)
-            offset = end
-        return t
+        self.step_count = 0
+        self._params: dict[str, Tensor] = {}
+        bounds = list(accumulate(a.size for a in values))[:-1]
+        for name, a, data, grad in zip(arrays, values, np.split(self._flat, bounds), np.split(self._grad, bounds)):
+            self._params[name] = t = Tensor(data.reshape(a.shape), requires_grad=True)
+            t.grad = grad.reshape(a.shape)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -658,28 +644,10 @@ class ParamStore:
         return self._params.items()
 
     def zero_grad(self) -> None:
-        """Fill the gradient buffer with zeros; a ``grad`` assigned directly goes back to its view."""
         self._grad.fill(0.0)
-        for t, view in zip(self._params.values(), self._grad_views):
-            t.grad = view
-
-    def _flat_grad(self) -> np.ndarray:
-        """The flat gradient buffer, with any ``grad`` assigned directly copied into it (None as zeros)."""
-        for (name, t), view in zip(self._params.items(), self._grad_views):
-            if t.grad is view:
-                continue
-            if t.grad is None:
-                view.fill(0.0)
-            elif np.size(t.grad) != view.size:
-                raise ShapeError(f"{name}: {np.size(t.grad)} gradient entries for {view.size} parameter entries")
-            else:
-                view[...] = np.reshape(t.grad, view.shape)
-            t.grad = view
-        return self._grad
 
     def scale_grads(self, factor: float) -> None:
-        grad = self._flat_grad()
-        grad *= factor
+        self._grad *= factor
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of the current parameter values, keyed by name."""
@@ -701,7 +669,7 @@ def adam_step(
     and bits of ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with no temporaries."""
     store.step_count += 1
     t = store.step_count
-    g = store._flat_grad()
+    g = store._grad
     m, v = store._m, store._v
     a, b = store._work
     m *= beta1

@@ -215,15 +215,14 @@ def node_gnn_baseline(
     weights = inverse_frequency_weights([targets[r.record_id] for r in train_records], 3)
 
     rng = np.random.default_rng(seed)
-    store = ad.ParamStore()
-    store.add("in_w", ad.glorot_uniform(rng, 4, hidden))
-    store.add("in_b", np.zeros(hidden))
+    params = {"in_w": ad.glorot_uniform(rng, 4, hidden), "in_b": np.zeros(hidden)}
     for layer in range(layers):
-        store.add(f"gnn{layer}_self_w", ad.glorot_uniform(rng, hidden, hidden))
-        store.add(f"gnn{layer}_nbr_w", ad.glorot_uniform(rng, hidden, hidden))
-        store.add(f"gnn{layer}_b", np.zeros(hidden))
-    store.add("edge_w", ad.glorot_uniform(rng, 2 * hidden, 3))
-    store.add("edge_b", np.zeros(3))
+        params[f"gnn{layer}_self_w"] = ad.glorot_uniform(rng, hidden, hidden)
+        params[f"gnn{layer}_nbr_w"] = ad.glorot_uniform(rng, hidden, hidden)
+        params[f"gnn{layer}_b"] = np.zeros(hidden)
+    params["edge_w"] = ad.glorot_uniform(rng, 2 * hidden, 3)
+    params["edge_b"] = np.zeros(3)
+    store = ad.ParamStore(params)
 
     def forward_logits(params, x):
         """Tensors from the store (training), arrays from ``store.arrays()`` (validation)."""

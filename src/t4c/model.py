@@ -181,44 +181,41 @@ def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _add_linear(store: ParamStore, rng: np.random.Generator, name: str, fan_in: int, fan_out: int):
-    store.add(f"{name}_w", ad.glorot_uniform(rng, fan_in, fan_out))
-    store.add(f"{name}_b", np.zeros(fan_out))
+def _add_linear(params: dict, rng: np.random.Generator, name: str, fan_in: int, fan_out: int):
+    params[f"{name}_w"] = ad.glorot_uniform(rng, fan_in, fan_out)
+    params[f"{name}_b"] = np.zeros(fan_out)
 
 
 def init_params(config: ModelConfig, seed: int) -> ParamStore:
     """Create all parameters in a fixed order from one seeded generator."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    store.add("emb_importance", ad.embedding_normal(rng, VOCAB_SIZES["importance"], config.importance_dim))
-    store.add("emb_oneway", ad.embedding_normal(rng, VOCAB_SIZES["oneway"], config.oneway_dim))
-    store.add("emb_tunnel", ad.embedding_normal(rng, VOCAB_SIZES["tunnel"], config.tunnel_dim))
-    store.add("emb_lanes", ad.embedding_normal(rng, VOCAB_SIZES["lanes"], config.lanes_dim))
+    params = {f"emb_{name}": ad.embedding_normal(rng, vocab, getattr(config, f"{name}_dim"))
+              for name, vocab in VOCAB_SIZES.items()}
 
     width = 8
     for i, hidden in enumerate(config.volume_hidden):
-        _add_linear(store, rng, f"vol{i}", width, hidden)
+        _add_linear(params, rng, f"vol{i}", width, hidden)
         width = hidden
     vol_out = width
 
     width = config.static_input_width
     for i, hidden in enumerate(config.static_hidden):
-        _add_linear(store, rng, f"static{i}", width, hidden)
+        _add_linear(params, rng, f"static{i}", width, hidden)
         width = hidden
     static_out = width
 
-    _add_linear(store, rng, "combine", vol_out + static_out, config.hidden)
+    _add_linear(params, rng, "combine", vol_out + static_out, config.hidden)
     for layer in range(config.gnn_layers):
-        store.add(f"gnn{layer}_self_w", ad.glorot_uniform(rng, config.hidden, config.hidden))
-        store.add(f"gnn{layer}_nbr_w", ad.glorot_uniform(rng, config.hidden, config.hidden))
-        store.add(f"gnn{layer}_b", np.zeros(config.hidden))
+        params[f"gnn{layer}_self_w"] = ad.glorot_uniform(rng, config.hidden, config.hidden)
+        params[f"gnn{layer}_nbr_w"] = ad.glorot_uniform(rng, config.hidden, config.hidden)
+        params[f"gnn{layer}_b"] = np.zeros(config.hidden)
 
     for task, out_dim in zip(HEADS, (config.cc_classes, 1, 3)):
         for block in range(config.head_blocks):
-            _add_linear(store, rng, f"head_{task}_block{block}_a", config.hidden, config.hidden)
-            _add_linear(store, rng, f"head_{task}_block{block}_b", config.hidden, config.hidden)
-        _add_linear(store, rng, f"head_{task}_out", config.hidden, out_dim)
-    return store
+            _add_linear(params, rng, f"head_{task}_block{block}_a", config.hidden, config.hidden)
+            _add_linear(params, rng, f"head_{task}_block{block}_b", config.hidden, config.hidden)
+        _add_linear(params, rng, f"head_{task}_out", config.hidden, out_dim)
+    return ParamStore(params)
 
 
 def _mlp(params: Params, prefix: str, count: int, x):

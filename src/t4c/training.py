@@ -123,6 +123,9 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.member_seeds is not None and len(self.member_seeds) != self.ensemble_size:
             raise ValueError(f"{len(self.member_seeds)} member seeds for ensemble of {self.ensemble_size}")
+        for k, seed in enumerate(self.member_seeds or ()):
+            if seed in self.member_seeds[:k]:
+                raise ValueError(f"member seed {seed} is repeated: each member needs a seed of its own")
 
     def seeds(self) -> tuple[int, ...]:
         if self.member_seeds is not None:

@@ -731,6 +731,7 @@ _FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  
     ({"train": {"member_seeds": [1.5]}}, _FIT, 1, ["train.member_seeds[0]"]),
     ({"out": {"run_dir": 7}}, _FIT, 1, ["schema.json: out.run_dir: expected a string"]),
     ({"train": {"member_seeds": [1, 2]}}, _FIT, 1, ["schema.json: 2 member seeds"]),
+    ({"train": {"ensemble_size": 3, "member_seeds": [4, 0, 4]}}, _FIT, 1, ["schema.json: member seed 4 is repeated"]),
     (None, ["train", "--help"], 0, [
         f"(default: {value})" for value in (
             _TRAIN.epochs, _TRAIN.batch_size, _TRAIN.learning_rate, _TRAIN.ensemble_size,
@@ -740,7 +741,7 @@ _FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  
     ]),
 ], ids=["every_field", "workdir", "out.predictions", "cluster", "fit_clusters_epochs", "predict_seed", "epochs_string",
         "hidden_true", "num_clusters_float", "member_seed_float", "run_dir_number", "member_seeds_unlike_members",
-        "train_help"])
+        "member_seeds_repeated", "train_help"])
 def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, code, expected):
     if config is not None:
         (pipeline / "schema.json").write_text(json.dumps(config))

@@ -250,7 +250,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
             targets[record.record_id], w, w,
         )
         loss.backward()
-        return {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for n, p in store.items()}
+        return {n: p.grad.copy() for n, p in store.items()}
 
     # manual: mean of individual gradients, then one Adam step
     store_manual = init_params(SMALL_MODEL, seed=3)
@@ -258,7 +258,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     g2 = grads_for(r2, store_manual)
     store_manual.zero_grad()
     for name, p in store_manual.items():
-        p.grad = (g1[name] + g2[name]) / 2.0
+        p.grad[...] = (g1[name] + g2[name]) / 2.0
     ad.adam_step(store_manual, lr=1e-3)
 
     # accumulated: backward twice into the same buffers, scale, step
