@@ -6,8 +6,8 @@ all tensors in header order. The same inputs always produce the same
 bytes, and values round-trip bit-exactly. Loading checks the header
 against what ``save_checkpoint`` writes: every field present and of its
 JSON type, positive norm-stat sigmas, the config hash, tensor offsets as
-the running sum, and tensor names and shapes as ``init_params`` makes
-them for the config. Every parameter value must be finite.
+the running sum, and tensor names and shapes as ``model.param_shapes``
+gives them for the config. Every parameter value must be finite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import pack_container, read_json, unpack_container
-from .model import ModelConfig, config_hash, init_params
+from .model import ModelConfig, config_hash, param_shapes
 from .seggraph import NormStats
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
@@ -116,7 +116,7 @@ def _parse_header(header) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]]]
         if not np.all(arrays[key] > 0.0):
             raise ValueError(f"norm_stats.{key} must be > 0, got {stats[key]!r}")
 
-    expected = {name: t.shape for name, t in init_params(config, 0).items()}
+    expected = param_shapes(config)  # nothing drawn or allocated before the header and payload agree
     specs: dict[str, tuple[tuple[int, ...], int]] = {}
     offset = 0
     for spec in header["tensors"]:

@@ -505,15 +505,21 @@ def build_parser() -> _Parser:
         sub.add_argument("--out", default=None, help="JSON report to write")
         sub.add_argument("--csv", default=None, help="per-record CSV to write")
 
-    sub = commands.add_parser("baseline", help="fit a comparison system")
-    sub.add_argument("name", choices=["naive", "volume_cluster", "node_gnn"])
-    sub.add_argument("--data", default=None, help="dataset directory")
-    sub.add_argument("--out", default="baselines", help="output directory")
-    _field_flag(sub, "--k", "model.num_clusters", "volume_cluster: number of volume clusters")
-    sub.add_argument("--global", dest="global_probs", action="store_true",
-                     help="naive: one pooled distribution for every segment")
-    sub.add_argument("--config", default=None, help="pipeline config JSON")
-    _add_train_flags(sub)
+    baselines = commands.add_parser("baseline", help="fit a comparison system").add_subparsers(
+        dest="name", required=True)  # each baseline takes the flags it reads
+    for name, baseline_help in (("naive", "per-segment class frequencies"),
+                                ("volume_cluster", "class frequencies per volume cluster"),
+                                ("node_gnn", "a GNN on the intersections")):
+        sub = baselines.add_parser(name, help=baseline_help)
+        sub.add_argument("--data", default=None, help="dataset directory")
+        sub.add_argument("--out", default="baselines", help="output directory")
+        sub.add_argument("--config", default=None, help="pipeline config JSON")
+        if name == "naive":
+            sub.add_argument("--global", dest="global_probs", action="store_true",
+                             help="one pooled distribution for every segment")
+        elif name == "volume_cluster":
+            _field_flag(sub, "--k", "model.num_clusters", "number of volume clusters")
+        (_add_train_flags if name == "node_gnn" else _add_split_flags)(sub)
 
     sub = commands.add_parser("ablate", help="train ablation variants and compare")
     sub.add_argument("--data", default=None, help="dataset directory")

@@ -8,10 +8,10 @@ through L rounds of message passing over the road graph's segments
 (each round mixes a segment's own state with the mean of its neighbors',
 ``RoadGraph.mean_operator``); three residual-block head stacks then emit
 congestion logits, a speed value in normalized space, and volume-class
-logits. ``forward`` is ``static_branch`` on the ``static_inputs`` of the
-static ``FeatureBundle`` (it reads no counter volume, so it is the same
-for every record of one cluster) followed by ``record_branch`` on the
-record's normalized counter slice.
+logits. ``forward`` is ``static_branch`` on the ``static_inputs`` built
+from the road graph and the (segments, K, 3) priors (they read no counter
+volume, so they are the same for every record of one cluster) followed by
+``record_branch`` on the record's normalized counter slice.
 
 Losses: class-weighted cross entropy for congestion and volume class
 (rows without a label are masked out), mean squared error on normalized
@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .data import LabelTable, RoadGraph
-from .seggraph import FeatureBundle, NormStats
+from .seggraph import NormStats
 
 __all__ = [
     "ModelConfig",
@@ -45,6 +45,7 @@ __all__ = [
     "LossReport",
     "VOCAB_SIZES",
     "HEADS",
+    "param_shapes",
     "init_params",
     "static_inputs",
     "static_branch",
@@ -181,40 +182,43 @@ def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _add_linear(params: dict, rng: np.random.Generator, name: str, fan_in: int, fan_out: int):
-    params[f"{name}_w"] = ad.glorot_uniform(rng, fan_in, fan_out)
-    params[f"{name}_b"] = np.zeros(fan_out)
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's name and shape in ``init_params``'s draw order, with nothing drawn or allocated."""
+    shapes = {f"emb_{name}": (vocab, getattr(config, f"{name}_dim")) for name, vocab in VOCAB_SIZES.items()}
+
+    def linear(name: str, fan_in: int, fan_out: int) -> int:
+        shapes[f"{name}_w"], shapes[f"{name}_b"] = (fan_in, fan_out), (fan_out,)
+        return fan_out
+
+    vol_out = 8
+    for i, hidden in enumerate(config.volume_hidden):
+        vol_out = linear(f"vol{i}", vol_out, hidden)
+    static_out = config.static_input_width
+    for i, hidden in enumerate(config.static_hidden):
+        static_out = linear(f"static{i}", static_out, hidden)
+
+    width = linear("combine", vol_out + static_out, config.hidden)
+    for layer in range(config.gnn_layers):
+        shapes[f"gnn{layer}_self_w"] = shapes[f"gnn{layer}_nbr_w"] = (width, width)
+        shapes[f"gnn{layer}_b"] = (width,)
+    for task, out_dim in zip(HEADS, (config.cc_classes, 1, 3)):
+        for block in range(config.head_blocks):
+            linear(f"head_{task}_block{block}_a", width, width)
+            linear(f"head_{task}_block{block}_b", width, width)
+        linear(f"head_{task}_out", width, out_dim)
+    return shapes
 
 
 def init_params(config: ModelConfig, seed: int) -> ParamStore:
-    """Create all parameters in a fixed order from one seeded generator."""
+    """Create all parameters in ``param_shapes`` order from one seeded generator: embeddings
+    Normal(0, 0.1), weights Glorot-uniform, biases zero."""
     rng = np.random.default_rng(seed)
-    params = {f"emb_{name}": ad.embedding_normal(rng, vocab, getattr(config, f"{name}_dim"))
-              for name, vocab in VOCAB_SIZES.items()}
-
-    width = 8
-    for i, hidden in enumerate(config.volume_hidden):
-        _add_linear(params, rng, f"vol{i}", width, hidden)
-        width = hidden
-    vol_out = width
-
-    width = config.static_input_width
-    for i, hidden in enumerate(config.static_hidden):
-        _add_linear(params, rng, f"static{i}", width, hidden)
-        width = hidden
-    static_out = width
-
-    _add_linear(params, rng, "combine", vol_out + static_out, config.hidden)
-    for layer in range(config.gnn_layers):
-        params[f"gnn{layer}_self_w"] = ad.glorot_uniform(rng, config.hidden, config.hidden)
-        params[f"gnn{layer}_nbr_w"] = ad.glorot_uniform(rng, config.hidden, config.hidden)
-        params[f"gnn{layer}_b"] = np.zeros(config.hidden)
-
-    for task, out_dim in zip(HEADS, (config.cc_classes, 1, 3)):
-        for block in range(config.head_blocks):
-            _add_linear(params, rng, f"head_{task}_block{block}_a", config.hidden, config.hidden)
-            _add_linear(params, rng, f"head_{task}_block{block}_b", config.hidden, config.hidden)
-        _add_linear(params, rng, f"head_{task}_out", config.hidden, out_dim)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("emb_"):
+            params[name] = ad.embedding_normal(rng, *shape)
+        else:
+            params[name] = ad.glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
     return ParamStore(params)
 
 
@@ -237,23 +241,35 @@ def _head(params: Params, config: ModelConfig, task: str, x):
     return ad.linear(_head_body(params, config, task, x), params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
 
 
-def static_inputs(config: ModelConfig, features: FeatureBundle) -> tuple[np.ndarray, ...]:
-    """What the static branch's ops read of a bundle: the ``ad.embedding_cells`` of the four categorical
-    columns (``VOCAB_SIZES`` order; a code outside its vocabulary raises IndexError), then the
-    continuous attributes and the prior block, each times its ablation gate."""
-    if features.prior_block.shape[1] != config.prior_width:
-        raise ad.ShapeError(f"prior block width {features.prior_block.shape[1]} vs config {config.prior_width}")
+def static_inputs(config: ModelConfig, graph: RoadGraph, priors: np.ndarray, norm_stats: NormStats,
+                  row: int | None = None) -> tuple[np.ndarray, ...]:
+    """What the static branch's ops read, from the graph and the (segments, K, 3) priors in its segment order.
+
+    The ``ad.embedding_cells`` of the four categorical columns (``VOCAB_SIZES`` order; a code outside its
+    vocabulary raises IndexError), then the z-normalized continuous attributes and the prior block, each
+    times its ablation gate. In ``full`` prior mode the block flattens each segment's K x 3 priors
+    row-major, so cluster i's distribution sits at offset 3*i; in ``active_row`` mode it is prior row ``row``.
+    """
+    n = len(graph.segments)
+    if priors.ndim != 3 or priors.shape[::2] != (n, 3):
+        raise ValueError(f"priors of shape {priors.shape}, expected ({n}, K, 3)")
+    if config.prior_mode == "active_row" and row is None:
+        raise ValueError("prior_mode 'active_row' needs a prior row")
+    block = priors.reshape(n, -1) if config.prior_mode == "full" else priors[:, row]
+    if block.shape[1] != config.prior_width:
+        raise ad.ShapeError(f"prior block width {block.shape[1]} vs config {config.prior_width}")
     static_gate = 1.0 if config.use_static else 0.0
     prior_gate = 1.0 if config.use_prior_block else 0.0
+    continuous = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
     shapes = [(vocab, getattr(config, f"{name}_dim")) for name, vocab in VOCAB_SIZES.items()]
-    cells = ad.embedding_cells(shapes, features.categorical)
-    return (cells, features.continuous * static_gate, features.prior_block * prior_gate)
+    cells = ad.embedding_cells(shapes, graph.categorical_matrix)
+    return (cells, continuous * static_gate, np.asarray(block, dtype=np.float64) * prior_gate)
 
 
 def static_branch(params: Params, config: ModelConfig, inputs: Sequence):
     """Each segment's static feature: embeddings, continuous attributes and prior block through the static MLP.
 
-    ``inputs`` are a bundle's ``static_inputs``, put side by side by one ``ad.embed_concat``.
+    ``inputs`` are the ``static_inputs``, put side by side by one ``ad.embed_concat``.
     No counter volume is read, so the result is the same for every record with the same prior
     block: in ``full`` mode for every record, in ``active_row`` mode for every record of one cluster.
     """
@@ -312,21 +328,17 @@ def forward(
     params: Params,
     config: ModelConfig,
     graph: RoadGraph,
-    features: FeatureBundle,
+    static_in: Sequence,
     counter_slice: np.ndarray,
 ) -> PredictionBundle:
-    """Run the full network on one record: ``static_branch`` on ``features``, then
+    """Run the full network on one record: ``static_branch`` on ``static_in`` (``static_inputs``), then
     ``record_branch`` on the record's (N, 8) normalized ``counter_slice``.
 
     ``params`` is a ParamStore when training, which records the computation
     for ``backward``, or a name-to-array mapping (a checkpoint's params,
     ``ParamStore.arrays()``) when predicting, which records none.
     """
-    n = len(graph.segments)
-    if features.categorical.shape[0] != n:
-        raise ad.ShapeError(f"features for {features.categorical.shape[0]} segments vs graph with {n}")
-    static_feat = static_branch(params, config, static_inputs(config, features))
-    return record_branch(params, config, graph, counter_slice, static_feat)
+    return record_branch(params, config, graph, counter_slice, static_branch(params, config, static_in))
 
 
 def make_label_arrays(table: LabelTable, row: int | None, graph: RoadGraph, norm_stats: NormStats,

@@ -1,12 +1,11 @@
-"""Per-segment raw feature assembly and normalization.
+"""Per-segment counter slices and normalization statistics.
 
 The model runs on the road graph (``data.RoadGraph``), which takes every
 road segment as a node, in its segment order. Per segment, the model reads
-two kinds of input. Feature assembly builds the static ones, which read no
-counter volume: the four categorical codes, the z-normalized continuous
-attributes and the congestion prior block, read from the (segments, K, 3)
-priors. They change only with the volume cluster. The counter slice is
-built per record: the 8-vector of four bins at the tail node and four at
+two kinds of input. The static ones read no counter volume and change only
+with the volume cluster; ``model.static_inputs`` builds them from the graph,
+the priors and the continuous attributes' ``NormStats``. The counter slice
+is built per record: the 8-vector of four bins at the tail node and four at
 the head, zeros where no counter or no data.
 """
 
@@ -20,24 +19,13 @@ import numpy as np
 from .data import CONTINUOUS_FIELDS, LabelTable, RoadGraph, VolumeRecord
 
 __all__ = [
-    "FeatureBundle",
     "NormStats",
     "column_moments",
     "fit_normalization",
-    "assemble_features",
     "counter_slice_matrix",
 ]
 
 SIGMA_FLOOR = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureBundle:
-    """The per-segment model inputs that read no counter volume: one bundle serves every record of a cluster."""
-
-    categorical: np.ndarray  # (N, 4) int64: importance, oneway, tunnel, lanes-1
-    continuous: np.ndarray  # (N, 5) z-normalized
-    prior_block: np.ndarray  # (N, 3K) flattened priors, or (N, 3) active row
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,34 +105,3 @@ def fit_normalization(
         _refuse_overflow(f"edges.csv field {name!r}", mean, std)
     _refuse_overflow(speed_field, speed_mean, speed_std)
     return NormStats(cont_mean, cont_std, counter_mean, counter_std, speed_mean, speed_std)
-
-
-def assemble_features(
-    graph: RoadGraph,
-    priors: np.ndarray,
-    norm_stats: NormStats,
-    prior_mode: str = "full",
-    cluster_index: int | None = None,
-) -> FeatureBundle:
-    """Build the static per-segment inputs (pure function).
-
-    ``priors`` is the (segments, K, 3) block in the graph's segment order.
-    ``prior_mode="full"`` flattens each segment's whole K x 3 prior matrix
-    row-major, so cluster i's distribution sits at offset 3*i, and one
-    bundle serves every record; ``"active_row"`` keeps only the row of
-    ``cluster_index``, and one bundle serves the records of that cluster.
-    """
-    if prior_mode not in ("full", "active_row"):
-        raise ValueError(f"prior_mode must be 'full' or 'active_row', got {prior_mode!r}")
-    if prior_mode == "active_row" and cluster_index is None:
-        raise ValueError("prior_mode 'active_row' needs a cluster_index")
-    if priors.ndim != 3 or priors.shape[::2] != (len(graph.segments), 3):
-        raise ValueError(f"priors of shape {priors.shape}, expected ({len(graph.segments)}, K, 3)")
-
-    cont = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
-    block = priors.reshape(len(priors), -1) if prior_mode == "full" else priors[:, cluster_index]
-    return FeatureBundle(
-        categorical=graph.categorical_matrix,
-        continuous=cont,
-        prior_block=np.array(block, dtype=np.float64),  # a copy: the bundle is made read-only, the priors are not
-    )

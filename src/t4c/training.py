@@ -8,9 +8,10 @@ does this for the main model and for the node-GNN baseline: it traces one
 record's forward and loss into an autodiff plan once, and replays the plan
 for every record with that record's inputs bound. Validation runs the
 static branch once per cluster and only the congestion head. Ensemble members
-differ only by their seed, so a run builds its split, features, targets and
-class weights once (``prepare_training``) and trains every member from them:
-one static feature bundle per cluster, one counter slice per record.
+differ only by their seed, so a run builds its split, counter slices, targets
+and class weights once (``prepare_training``) and trains every member from
+them; each member builds its ``static_inputs`` once per cluster, from the
+graph and the set's read-only copy of the priors.
 Ensemble prediction (``prepare_ensemble`` once per stage, then
 ``ensemble_predict`` per record) stacks the members once: every parameter
 (weights (members, F, H), biases (members, 1, H)), every norm stat, and
@@ -59,7 +60,7 @@ from .model import (
     static_branch,
     static_inputs,
 )
-from .seggraph import FeatureBundle, NormStats, assemble_features, counter_slice_matrix, fit_normalization
+from .seggraph import NormStats, counter_slice_matrix, fit_normalization
 
 __all__ = [
     "TrainConfig",
@@ -318,7 +319,7 @@ class TrainingSet:
     graph: RoadGraph
     norm_stats: NormStats
     rows: Mapping[str, int | None]  # by record id, for every daytime record: its prior row (see ``_prior_row``)
-    features: Mapping[int | None, FeatureBundle]  # by prior row: one bundle per cluster, as ``Ensemble.static``
+    priors: np.ndarray  # (segments, K, 3), in the graph's segment order
     counter_slices: Mapping[str, np.ndarray]  # by record id, for every daytime record; normalized
     targets: Mapping[str, LabelArrays]  # by record id, for every daytime record
     cc_weights: np.ndarray
@@ -341,12 +342,12 @@ def prepare_training(
     prior_mode: str,
     cc_classes: int,
 ) -> TrainingSet:
-    """The split, graph, norm stats, features, counter slices, targets and class weights of a run.
+    """The split, graph, norm stats, priors, counter slices, targets and class weights of a run.
 
-    Only the prior mode (which features) and the congestion class count
-    (which targets and weights) of the model config enter the set; any
-    config that agrees on both can train from it. The records of one
-    cluster (every record in ``full`` mode) share one feature bundle.
+    Only the prior mode (which prior row each record reads) and the
+    congestion class count (which targets and weights) of the model config
+    enter the set; any config that agrees on both can train from it. The
+    set holds a read-only copy of ``priors``; the caller's array stays as it was.
     """
     records, train_records, val_records = split_records(dataset, train_cfg)
     labels = dataset.labels
@@ -354,10 +355,6 @@ def prepare_training(
     train_labels = labels.select(r.record_id for r in train_records)
     norm_stats = _read_only(fit_normalization(graph, train_records, train_labels))
     rows = {r.record_id: _prior_row(prior_mode, cluster_model, r) for r in records}
-    bundles = {
-        row: _read_only(assemble_features(graph, priors, norm_stats, prior_mode, row))
-        for row in dict.fromkeys(rows.values())
-    }
     counter_slices = {
         r.record_id: _read_only(norm_stats.normalize_counters(counter_slice_matrix(graph, r))) for r in records
     }
@@ -374,7 +371,7 @@ def prepare_training(
         graph=graph,
         norm_stats=norm_stats,
         rows=rows,
-        features=bundles,
+        priors=_read_only(np.array(priors, dtype=np.float64)),
         counter_slices=counter_slices,
         targets=targets,
         cc_weights=inverse_frequency_weights([t.cc for t in train_targets], cc_classes),
@@ -399,7 +396,8 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
     graph = ts.graph
     store = init_params(model_cfg, seed)
     # what the static branch reads, per prior row (per cluster)
-    static_in = {row: static_inputs(model_cfg, bundle) for row, bundle in ts.features.items()}
+    static_in = {row: static_inputs(model_cfg, graph, ts.priors, ts.norm_stats, row)
+                 for row in dict.fromkeys(ts.rows.values())}
 
     def record_inputs(record: VolumeRecord) -> tuple[np.ndarray, ...]:
         rid = record.record_id
@@ -504,11 +502,11 @@ def predict_record(
     cluster_model: ClusterModel | None = None,
 ) -> PredictionProbs:
     """Single-model probabilities for one record: the reference that ``ensemble_predict`` serves faster."""
-    prior_mode, norm_stats = ckpt.config.prior_mode, ckpt.norm_stats
-    row = _prior_row(prior_mode, cluster_model, record)
-    features = assemble_features(graph, priors, norm_stats, prior_mode, row)
+    norm_stats = ckpt.norm_stats
+    row = _prior_row(ckpt.config.prior_mode, cluster_model, record)
+    static_in = static_inputs(ckpt.config, graph, priors, norm_stats, row)
     counter_slice = norm_stats.normalize_counters(counter_slice_matrix(graph, record))
-    pred = forward(ckpt.params, ckpt.config, graph, features, counter_slice)
+    pred = forward(ckpt.params, ckpt.config, graph, static_in, counter_slice)
     return predict_probabilities(pred, norm_stats)
 
 
@@ -564,8 +562,7 @@ def prepare_ensemble(
 
     static = {
         row: stack(
-            static_branch(ckpt.params, ckpt.config,
-                          static_inputs(ckpt.config, assemble_features(graph, priors, ckpt.norm_stats, prior_mode, row)))
+            static_branch(ckpt.params, ckpt.config, static_inputs(ckpt.config, graph, priors, ckpt.norm_stats, row))
             for ckpt in checkpoints
         )
         for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])

@@ -20,7 +20,8 @@ from t4c.data import (
     SuperSegment,
     VolumeRecord,
 )
-from t4c.seggraph import assemble_features, counter_slice_matrix
+from t4c.model import static_inputs
+from t4c.seggraph import counter_slice_matrix
 
 
 def make_segment(seg_id, tail, head, **overrides):
@@ -97,11 +98,11 @@ def toy_dataset(toy_graph) -> Dataset:
     return Dataset(toy_graph, records, labels, supersegments)
 
 
-def record_inputs(graph, record, priors, norm_stats, **kwargs):
-    """The two inputs ``model.forward`` takes for one record: the static feature
-    bundle (``kwargs`` pick the prior mode and row) and the normalized counter slice."""
-    bundle = assemble_features(graph, priors, norm_stats, **kwargs)
-    return bundle, norm_stats.normalize_counters(counter_slice_matrix(graph, record))
+def record_inputs(config, graph, record, priors, norm_stats, row=None):
+    """The two inputs ``model.forward`` takes for one record under ``config``: the ``static_inputs``
+    (``row`` is the prior row in ``active_row`` mode) and the normalized counter slice."""
+    static_in = static_inputs(config, graph, priors, norm_stats, row)
+    return static_in, norm_stats.normalize_counters(counter_slice_matrix(graph, record))
 
 
 def dot(out, g: np.ndarray):

@@ -19,7 +19,7 @@ import t4c.data as data_module
 from t4c.cli import _SECTIONS, _config_from, build_parser, main
 from t4c.clustering import fit_clusters
 from t4c.data import PredictionTable, SynthSpec, _predictions_copy, load_dataset, read_predictions, write_predictions
-from t4c.model import ModelConfig
+from t4c.model import ModelConfig, config_hash
 from t4c.training import TrainConfig, split_records
 
 from conftest import rewrite_checkpoint_header, write_body_value, write_version_1_copy
@@ -155,6 +155,24 @@ def test_baseline_subcommands(pipeline, capsys):
     assert gnn["val_core"] > 0
 
 
+K_FLAG = {"naive": [], "volume_cluster": ["--k", "3"]}  # only the volume-cluster baseline takes --k
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("naive", ["--k", "3"]), ("naive", ["--epochs", "7"]), ("naive", ["--batch", "4"]), ("naive", ["--lr", "0.5"]),
+    ("naive", ["--seed", "9"]),
+    ("volume_cluster", ["--global"]), ("volume_cluster", ["--epochs", "7"]), ("volume_cluster", ["--lr", "0.5"]),
+    ("volume_cluster", ["--seed", "9"]),
+    ("node_gnn", ["--global"]), ("node_gnn", ["--k", "3"]),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_a_baseline_refuses_a_flag_it_does_not_read(pipeline, tmp_path, name, flag):
+    """``baseline naive --epochs 7 --lr 0.5 --seed 9 --k 3`` exited 0 with the bytes of a run without those flags."""
+    code, err = _run(["baseline", name, "--data", pipeline / "data/toy", "--out", tmp_path / "out", *flag])
+    assert code == 1, err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_baseline_volume_cluster_counts_the_etas_of_the_records_the_naive_baseline_counts(tmp_path):
     """A super-segment whose ETAs only training records without a label line carry, none in cluster 0, once gave
     cluster 0 a NaN median, and then no median at all: both baselines now count every training record's ETAs, so
@@ -178,7 +196,7 @@ def test_baseline_volume_cluster_counts_the_etas_of_the_records_the_naive_baseli
         raise AssertionError(f"{constant} in a baseline file")
 
     for name in ("naive", "volume_cluster"):
-        assert main(wd + ["baseline", name, "--data", "city", "--out", "bl", "--k", "3"]) == 0
+        assert main(wd + ["baseline", name, "--data", "city", "--out", "bl", *K_FLAG[name]]) == 0
         assert set(json.loads((tmp_path / f"bl/baseline_{name}.json").read_text(), parse_constant=refuse)["eta_median"]) \
             == timed
         for line in (tmp_path / f"bl/predictions_{name}.jsonl").read_text().splitlines():
@@ -203,7 +221,7 @@ def test_the_counting_baselines_count_the_etas_of_the_training_records_without_a
     assert len(etas) >= 2
 
     for name in ("naive", "volume_cluster"):
-        assert main(wd + ["baseline", name, "--data", "city", "--out", "bl", "--k", "3"]) == 0
+        assert main(wd + ["baseline", name, "--data", "city", "--out", "bl", *K_FLAG[name]]) == 0
         capsys.readouterr()
         assert main(wd + ["eval-eta", "--data", "city", "--pred", f"bl/predictions_{name}.jsonl"]) == 0, \
             capsys.readouterr().err
@@ -356,13 +374,16 @@ def test_help_lists_flags_with_defaults(capsys):
     assert "None" not in out
 
 
-def _field_flags():
-    """(subcommand, its parser, the flag's action) for every flag whose dest is a config field's path."""
-    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+def _field_flags(parser=None, words=()):
+    """(the words of a (sub)subcommand, its parser, the flag's action) for every flag whose dest is a config
+    field's path."""
+    commands = next(a for a in (parser or build_parser())._actions if isinstance(a, argparse._SubParsersAction))
     for name, sub in commands.choices.items():
         for action in sub._actions:
-            if "." in action.dest:
-                yield name, sub, action
+            if isinstance(action, argparse._SubParsersAction):  # baseline <name>
+                yield from _field_flags(sub, (*words, name))
+            elif "." in action.dest:
+                yield (*words, name), sub, action
 
 
 def _required_argv(sub) -> list[str]:
@@ -377,7 +398,9 @@ def _required_argv(sub) -> list[str]:
 
 def test_every_field_flag_sets_the_field_its_dest_names():
     flags = list(_field_flags())
-    assert {name for name, _, _ in flags} == {"synth", "fit-clusters", "train", "predict", "baseline", "ablate"}
+    assert {name for name, _, _ in flags} == {("synth",), ("fit-clusters",), ("train",), ("predict",), ("ablate",),
+                                              ("baseline", "naive"), ("baseline", "volume_cluster"),
+                                              ("baseline", "node_gnn")}
     for name, sub, action in flags:
         section, field, *index = action.dest.split(".")
         assert field in {f.name for f in fields(_SECTIONS[section])}, action.dest
@@ -389,7 +412,7 @@ def test_every_field_flag_sets_the_field_its_dest_names():
             value = next(c for c in action.choices if c != default)
         else:  # a valid value other than the default, of the field's type
             value = default + 1 if type(default) is int else default / 2 if type(default) is float else default + "x"
-        args = build_parser().parse_args([name, *_required_argv(sub), action.option_strings[0], str(value)])
+        args = build_parser().parse_args([*name, *_required_argv(sub), action.option_strings[0], str(value)])
         config = _config_from(args, {}, section)
         got = getattr(config, field)[int(index[0])] if index else getattr(config, field)
         assert got == value and type(got) is type(value), (name, action.dest)
@@ -678,6 +701,26 @@ def test_predict_on_checkpoint_header_with_damaged_norm_stats_exits_one(pipeline
     err = capsys.readouterr().err
     assert str(checkpoint) in err and detail in err and "t4c train" in err
     assert not (pipeline / "damaged_stats.jsonl").exists()
+
+
+def test_predict_on_a_checkpoint_header_naming_a_model_too_large_to_allocate_exits_one(pipeline, capsys):
+    """The header's config used to be instantiated to learn its shapes: a MemoryError, exit 2."""
+    run = pipeline / "runs/huge"
+    shutil.copytree(pipeline / "runs/demo", run)
+    checkpoint = run / "member_0/checkpoint.bin"
+
+    def edit(header):
+        header["config"]["hidden"] = 2**40
+        header["config_hash"] = config_hash(ModelConfig(**header["config"]))
+
+    rewrite_checkpoint_header(checkpoint, checkpoint, edit)
+    capsys.readouterr()
+    code = main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                 "--run", str(run), "--out", "huge.jsonl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "the config makes (1099511627776,)" in err and "t4c train" in err
+    assert not (pipeline / "huge.jsonl").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -1138,7 +1181,8 @@ def sidecar_predictions(pipeline):
             assert main(wd + ["predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
                               "--run", f"runs/sidecar_{mode}_{members}", "--out", pred.name]) == 0
     for name in ("naive", "volume_cluster"):
-        assert main(wd + ["baseline", name, "--data", "data/toy", "--out", "sidecar_bl", "--k", "5"]) == 0
+        assert main(wd + ["baseline", name, "--data", "data/toy", "--out", "sidecar_bl",
+                          *(["--k", "5"] if name == "volume_cluster" else [])]) == 0
         preds[name] = pipeline / f"sidecar_bl/predictions_{name}.jsonl"
     assert all(_sidecar(pred).is_file() for pred in preds.values())
     return preds

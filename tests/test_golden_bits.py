@@ -27,7 +27,7 @@ from t4c.checkpoint import save_checkpoint
 from t4c.cli import main
 from t4c.data import PredictionTable, SynthSpec, generate_synthetic_city, labels_by_record
 from t4c.evaluation import PROB_CLIP, core_metric
-from t4c.model import compute_loss, forward, init_params
+from t4c.model import compute_loss, forward, init_params, static_inputs
 from t4c.training import prepare_training, save_runlog, train_one
 
 from test_acceptance import ORDERING_MODEL, ORDERING_TRAIN, ordering_city, ordering_fit  # noqa: F401
@@ -139,7 +139,8 @@ def test_one_training_record_runs_the_fused_ops(ordering_city, ordering_fit, mon
 
     record_id = ts.train_records[0].record_id
     store = init_params(ORDERING_MODEL, seed=0)
-    pred = forward(store, ORDERING_MODEL, ts.graph, ts.features[ts.rows[record_id]], ts.counter_slices[record_id])
+    static_in = static_inputs(ORDERING_MODEL, ts.graph, ts.priors, ts.norm_stats, ts.rows[record_id])
+    pred = forward(store, ORDERING_MODEL, ts.graph, static_in, ts.counter_slices[record_id])
     loss, _ = compute_loss(pred, ts.targets[record_id], ts.cc_weights, ts.vol_weights, ORDERING_MODEL.lambdas)
     assert ad.Plan([loss]).ops == plans[0].ops
     loss.backward()

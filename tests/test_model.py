@@ -20,7 +20,9 @@ from t4c.model import (
     init_params,
     inverse_frequency_weights,
     make_label_arrays,
+    param_shapes,
     predict_probabilities,
+    static_inputs,
 )
 from t4c.seggraph import NormStats
 
@@ -67,7 +69,8 @@ def random_priors(graph, k, seed=0):
     return raw / raw.sum(axis=2, keepdims=True)
 
 
-def six_segment_setup(cfg=TINY, seed=0):
+def six_segment_city(cfg=TINY, seed=0):
+    """The six-segment graph, its one record, random priors and the record's norm stats."""
     graph = graph_from_edges(
         [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"), ("B", "D"), ("A", "C")],
         counters={"A": "c0", "C": "c1"},
@@ -75,11 +78,12 @@ def six_segment_setup(cfg=TINY, seed=0):
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (3, 1, 4, 1), "C": (2, 7, 1, 8)})
     from t4c.seggraph import fit_normalization
 
-    stats = fit_normalization(graph, [record])
-    feats, counter = record_inputs(
-        graph, record, random_priors(graph, cfg.num_clusters, seed), stats,
-        prior_mode=cfg.prior_mode, cluster_index=1 if cfg.prior_mode == "active_row" else None,
-    )
+    return graph, record, random_priors(graph, cfg.num_clusters, seed), fit_normalization(graph, [record])
+
+
+def six_segment_setup(cfg=TINY, seed=0):
+    graph, record, priors, stats = six_segment_city(cfg, seed)
+    feats, counter = record_inputs(cfg, graph, record, priors, stats, row=1 if cfg.prior_mode == "active_row" else None)
     return graph, feats, counter
 
 
@@ -97,6 +101,12 @@ def test_default_static_encoder_width_is_47():
     assert cfg.embedding_width == 5 + 2 + 2 + 3
     assert cfg.static_input_width == 12 + 5 + 30
     assert cfg.static_input_width == 47
+
+
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig(), replace(TINY, gnn_layers=0, head_blocks=0, cc_classes=4)],
+                         ids=["tiny", "default", "no_gnn_no_blocks"])
+def test_param_shapes_are_the_names_and_shapes_init_params_draws_in_its_order(cfg):
+    assert list(param_shapes(cfg).items()) == [(name, p.shape) for name, p in init_params(cfg, seed=0).items()]
 
 
 def test_default_lambdas_match_training_recipe():
@@ -133,7 +143,7 @@ def test_isolated_segment_matches_manual_layer_oracle():
     graph = graph_from_edges([("A", "B")], counters={"A": "c0"})
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (5, 2, 0, 7)})
     priors = random_priors(graph, cfg.num_clusters, seed=3)
-    feats, counter = record_inputs(graph, record, priors, identity_stats())
+    feats, counter = record_inputs(cfg, graph, record, priors, identity_stats())
     store = init_params(cfg, seed=9)
     pred = forward(store, cfg, graph, feats, counter)
 
@@ -143,16 +153,18 @@ def test_isolated_segment_matches_manual_layer_oracle():
     x = counter
     for i in range(len(cfg.volume_hidden)):
         x = np.maximum(x @ p(f"vol{i}_w") + p(f"vol{i}_b"), 0.0)
+    codes = graph.categorical_matrix
     emb = np.concatenate(
         [
-            p("emb_importance")[feats.categorical[:, 0]],
-            p("emb_oneway")[feats.categorical[:, 1]],
-            p("emb_tunnel")[feats.categorical[:, 2]],
-            p("emb_lanes")[feats.categorical[:, 3]],
+            p("emb_importance")[codes[:, 0]],
+            p("emb_oneway")[codes[:, 1]],
+            p("emb_tunnel")[codes[:, 2]],
+            p("emb_lanes")[codes[:, 3]],
         ],
         axis=1,
     )
-    s = np.concatenate([emb, feats.continuous, feats.prior_block], axis=1)
+    # identity stats: the continuous attributes enter as they are
+    s = np.concatenate([emb, graph.continuous_matrix, priors.reshape(1, -1)], axis=1)
     for i in range(len(cfg.static_hidden)):
         s = np.maximum(s @ p(f"static{i}_w") + p(f"static{i}_b"), 0.0)
     h = np.concatenate([x, s], axis=1) @ p("combine_w") + p("combine_b")
@@ -183,13 +195,7 @@ def test_permutation_equivariance():
     permuted_graph = RoadGraph(graph.nodes, tuple(graph.segments[i] for i in perm), graph.counters)
     assert permuted_graph.segment_ids == tuple(graph.segment_ids[i] for i in perm)
     assert permuted_graph.neighbors == tuple(tuple(sorted(int(inv[j]) for j in graph.neighbors[i])) for i in perm)
-    from t4c.seggraph import FeatureBundle
-
-    permuted_feats = FeatureBundle(
-        categorical=feats.categorical[perm],
-        continuous=feats.continuous[perm],
-        prior_block=feats.prior_block[perm],
-    )
+    permuted_feats = tuple(block[perm] for block in feats)  # each static input has one row per segment
     permuted = forward(store, cfg, permuted_graph, permuted_feats, counter[perm])
     assert np.allclose(permuted.cc_logits.data, base.cc_logits.data[perm], atol=1e-12)
     assert np.allclose(permuted.speed_pred.data, base.speed_pred.data[perm], atol=1e-12)
@@ -249,7 +255,7 @@ def test_unlabeled_segment_does_not_change_loss():
     record = VolumeRecord("r0", date(2022, 1, 3), 40, {"A": (1, 2, 3, 4)})
     priors = random_priors(graph, cfg.num_clusters, seed=8)
     stats = identity_stats()
-    feats, counter = record_inputs(graph, record, priors, stats)
+    feats, counter = record_inputs(cfg, graph, record, priors, stats)
     store = init_params(cfg, seed=7)
     labels = LabelArrays(
         cc=np.array([1, 2]), speed=np.array([0.1, -0.4]),
@@ -267,7 +273,7 @@ def test_unlabeled_segment_does_not_change_loss():
     )
     priors2 = random_priors(bigger, cfg.num_clusters, seed=8)
     priors2[:2] = priors  # e0 and e1
-    feats2, counter2 = record_inputs(bigger, record, priors2, stats)
+    feats2, counter2 = record_inputs(cfg, bigger, record, priors2, stats)
     labels2 = LabelArrays(
         cc=np.array([1, 2, -1]), speed=np.array([0.1, -0.4, 0.0]),
         speed_mask=np.array([True, True, False]), vol=np.array([0, 2, -1]),
@@ -304,29 +310,27 @@ def test_end_to_end_gradient_check_six_segments():
 
 def test_ablation_gates_zero_the_right_slices():
     cfg = TINY
-    graph, feats, counter = six_segment_setup(cfg)
+    graph, record, priors, stats = six_segment_city(cfg)
+    feats, counter = record_inputs(cfg, graph, record, priors, stats)
     store = init_params(cfg, seed=12)
     base = forward(store, cfg, graph, feats, counter)
 
-    from t4c.seggraph import FeatureBundle
-
     no_prior_cfg = replace(cfg, use_prior_block=False)
-    zeroed_feats = FeatureBundle(
-        categorical=feats.categorical, continuous=feats.continuous,
-        prior_block=np.zeros_like(feats.prior_block),
-    )
-    gated = forward(store, no_prior_cfg, graph, feats, counter)
+    cells, continuous, prior_block = static_inputs(no_prior_cfg, graph, priors, stats)
+    assert not prior_block.any() and prior_block.shape == feats[2].shape
+    assert np.array_equal(cells, feats[0]) and np.array_equal(continuous, feats[1])
+    zeroed_feats = (feats[0], feats[1], np.zeros_like(feats[2]))
+    gated = forward(store, no_prior_cfg, graph, (cells, continuous, prior_block), counter)
     explicit = forward(store, cfg, graph, zeroed_feats, counter)
     assert np.allclose(gated.cc_logits.data, explicit.cc_logits.data, atol=1e-12)
     # and it actually differs from the full model
     assert not np.allclose(gated.cc_logits.data, base.cc_logits.data)
 
     no_static_cfg = replace(cfg, use_static=False)
-    blanked = FeatureBundle(
-        categorical=np.zeros_like(feats.categorical), continuous=np.zeros_like(feats.continuous),
-        prior_block=feats.prior_block,
-    )
-    gated_static = forward(store, no_static_cfg, graph, feats, counter)
+    static_feats = static_inputs(no_static_cfg, graph, priors, stats)
+    assert not static_feats[1].any() and np.array_equal(static_feats[2], feats[2])
+    blanked = (np.zeros_like(feats[0]), np.zeros_like(feats[1]), feats[2])
+    gated_static = forward(store, no_static_cfg, graph, static_feats, counter)
     explicit_static = forward(store, no_static_cfg, graph, blanked, counter)
     assert np.allclose(gated_static.cc_logits.data, explicit_static.cc_logits.data, atol=1e-12)
 
@@ -421,7 +425,7 @@ def test_overfit_small_instance_memorizes():
     from t4c.seggraph import fit_normalization
 
     feats, counter = record_inputs(
-        graph, record, random_priors(graph, 3, seed=2),
+        cfg, graph, record, random_priors(graph, 3, seed=2),
         fit_normalization(graph, [record]),
     )
     rng = np.random.default_rng(0)

@@ -13,10 +13,9 @@ from t4c import autodiff as ad
 from t4c import data as data_module
 from t4c.autodiff import Tensor
 from t4c.data import NodeRec, RoadGraph, SynthSpec, VolumeRecord, generate_synthetic_city, mean_aggregation_matrix
-from t4c.model import ModelConfig, forward, init_params
+from t4c.model import ModelConfig, forward, init_params, static_inputs
 from t4c.seggraph import (
     NormStats,
-    assemble_features,
     counter_slice_matrix,
     fit_normalization,
 )
@@ -154,7 +153,7 @@ def test_mean_operator_is_built_once_per_graph(toy_graph, monkeypatch):
     graph = replace(toy_graph)  # the same segments, nothing built yet
     config = ModelConfig(volume_hidden=(4,), static_hidden=(4,), hidden=4, head_blocks=1)
     store = init_params(config, seed=0)
-    features = record_inputs(graph, record("r0", {}), uniform_priors(graph), identity_stats())
+    features = record_inputs(config, graph, record("r0", {}), uniform_priors(graph), identity_stats())
     first = forward(store, config, graph, *features)
     second = forward(store, config, graph, *features)
     assert len(builds) == 2  # one more for the new graph, none for the second forward
@@ -260,58 +259,59 @@ def test_gathered_counter_slice_equals_a_per_segment_loop_on_every_record(tmp_pa
 
 def test_feature_at_training_mean_normalizes_to_zero(toy_graph):
     stats = fit_normalization(toy_graph, [record("r0", {})])
-    bundle = assemble_features(
-        toy_graph, uniform_priors(toy_graph), stats
-    )
+    _cells, continuous, _prior_block = static_inputs(ModelConfig(), toy_graph, uniform_priors(toy_graph), stats)
     # limit_speed is 50 everywhere -> z-score exactly 0
     col = 4
-    assert np.all(bundle.continuous[:, col] == 0.0)
+    assert np.all(continuous[:, col] == 0.0)
 
 
 def test_prior_row_lands_at_cluster_offset(toy_graph):
     priors = uniform_priors(toy_graph, k=10)
     row = np.array([0.5, 0.25, 0.25])
     priors[0, 3] = row  # e1
-    bundle = assemble_features(
-        toy_graph, priors, identity_stats()
-    )
-    assert bundle.prior_block.shape == (3, 30)
-    assert bundle.prior_block[0, 9:12].tolist() == [0.5, 0.25, 0.25]
+    _cells, _continuous, prior_block = static_inputs(ModelConfig(num_clusters=10), toy_graph, priors, identity_stats())
+    assert prior_block.shape == (3, 30)
+    assert prior_block[0, 9:12].tolist() == [0.5, 0.25, 0.25]
 
 
 def test_active_row_mode_selects_single_row(toy_graph):
     priors = uniform_priors(toy_graph, k=4)
     priors[1, 2] = [0.1, 0.2, 0.7]  # e2
-    bundle = assemble_features(
-        toy_graph, priors, identity_stats(),
-        prior_mode="active_row", cluster_index=2,
-    )
-    assert bundle.prior_block.shape == (3, 3)
-    assert bundle.prior_block[1].tolist() == [0.1, 0.2, 0.7]
+    config = ModelConfig(num_clusters=4, prior_mode="active_row")
+    _cells, _continuous, prior_block = static_inputs(config, toy_graph, priors, identity_stats(), row=2)
+    assert prior_block.shape == (3, 3)
+    assert prior_block[1].tolist() == [0.1, 0.2, 0.7]
 
 
-def test_active_row_requires_cluster_index(toy_graph):
-    with pytest.raises(ValueError):
-        assemble_features(
-            toy_graph, uniform_priors(toy_graph),
-            identity_stats(), prior_mode="active_row",
-        )
+def test_active_row_requires_a_row(toy_graph):
+    config = ModelConfig(prior_mode="active_row")
+    with pytest.raises(ValueError, match="prior_mode 'active_row' needs a prior row"):
+        static_inputs(config, toy_graph, uniform_priors(toy_graph), identity_stats())
 
 
 def test_missing_prior_rejected(toy_graph):
     priors = uniform_priors(toy_graph)[[0, 2]]  # e2's row dropped
     with pytest.raises(ValueError) as err:
-        assemble_features(toy_graph, priors, identity_stats())
+        static_inputs(ModelConfig(), toy_graph, priors, identity_stats())
     assert "priors of shape (2, 10, 3), expected (3, K, 3)" in str(err.value)
+
+
+def test_prior_width_other_than_the_configs_and_a_code_outside_its_vocabulary_are_refused(toy_graph):
+    with pytest.raises(ad.ShapeError, match="prior block width 12 vs config 30"):
+        static_inputs(ModelConfig(num_clusters=10), toy_graph, uniform_priors(toy_graph, k=4), identity_stats())
+    wide_lanes = replace(toy_graph, segments=(make_segment("e1", "A", "B", lanes=5), *toy_graph.segments[1:]))
+    with pytest.raises(IndexError, match=r"values in \[1, 4\] for table of size 4"):
+        static_inputs(ModelConfig(), wide_lanes, uniform_priors(toy_graph), identity_stats())
 
 
 def test_assembly_is_pure(toy_graph):
     rec = record("r0", {"A": (1, 2, 3, 4)})
     stats = fit_normalization(toy_graph, [rec])
     priors = uniform_priors(toy_graph)
-    a, a_counter_slice = record_inputs(toy_graph, rec, priors, stats)
-    b, b_counter_slice = record_inputs(toy_graph, rec, priors, stats)
-    assert np.array_equal(a.categorical, b.categorical)
-    assert np.array_equal(a.continuous, b.continuous)
+    before = priors.copy()
+    a, a_counter_slice = record_inputs(ModelConfig(), toy_graph, rec, priors, stats)
+    b, b_counter_slice = record_inputs(ModelConfig(), toy_graph, rec, priors, stats)
+    for a_block, b_block in zip(a, b):
+        assert np.array_equal(a_block, b_block)
     assert np.array_equal(a_counter_slice, b_counter_slice)
-    assert np.array_equal(a.prior_block, b.prior_block)
+    assert np.array_equal(priors, before)

@@ -160,8 +160,8 @@ def test_truncated_checkpoint_raises_value_error_naming_the_path(checkpoint_file
         load_checkpoint(path)
 
 
-def _set_hidden_and_rehash(header):
-    header["config"]["hidden"] = 24
+def _set_hidden_and_rehash(header, hidden=24):
+    header["config"]["hidden"] = hidden
     header["config_hash"] = config_hash(ModelConfig(**header["config"]))
 
 
@@ -170,6 +170,9 @@ HEADER_DAMAGE = {
     "no_norm_stats": (lambda header: header.pop("norm_stats"), "norm_stats"),
     "float_shape": (lambda header: header["tensors"][0].update(shape=[2.0, 3.0]), "shape"),
     "hidden_unlike_tensors": (_set_hidden_and_rehash, "the config makes"),
+    # a model of 2**40 hidden units is refused by its shapes, not by allocating it (64 TiB)
+    "hidden_too_large_to_allocate": (lambda header: _set_hidden_and_rehash(header, 2**40),
+                                     "'combine_b' has shape [16], the config makes (1099511627776,)"),
     "unknown_tensor_name": (lambda header: header["tensors"][0].update(name="not_a_parameter"), "not_a_parameter"),
     "missing_tensor": (lambda header: header["tensors"].pop(), "missing"),
     "shifted_offset": (lambda header: header["tensors"][1].update(offset=header["tensors"][1]["offset"] + 8), "offset"),
@@ -234,7 +237,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
 
     r1, r2 = train_records[0], train_records[1]
     feats = {
-        r.record_id: record_inputs(dataset.graph, r, priors, stats)
+        r.record_id: record_inputs(SMALL_MODEL, dataset.graph, r, priors, stats)
         for r in (r1, r2)
     }
     targets = {
@@ -384,7 +387,7 @@ def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_reco
     dataset, _cluster_model, priors = small_city
     checkpoints = [ckpt for ckpt, _ in three_members]
     records = dataset.records[5:9]
-    counts = _count_calls(monkeypatch, training, ("assemble_features", "static_branch", "counter_slice_matrix"))
+    counts = _count_calls(monkeypatch, training, ("static_inputs", "static_branch", "counter_slice_matrix"))
 
     stats = checkpoints[1].norm_stats
     shifted = replace(checkpoints[1], norm_stats=replace(stats, counter_mean=stats.counter_mean + 0.5))
@@ -395,11 +398,11 @@ def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_reco
         ensemble = prepare_ensemble(members, dataset.graph, priors)
         # full prior mode: the static branch is the same for every record, so one prior row
         assert {name: len(calls) for name, calls in counts.items()} == {
-            "assemble_features": 3, "static_branch": 3, "counter_slice_matrix": 0,
+            "static_inputs": 3, "static_branch": 3, "counter_slice_matrix": 0,
         }
         ensembled = [ensemble_predict(ensemble, record) for record in records]
         assert {name: len(calls) for name, calls in counts.items()} == {
-            "assemble_features": 3, "static_branch": 3, "counter_slice_matrix": len(records),
+            "static_inputs": 3, "static_branch": 3, "counter_slice_matrix": len(records),
         }
         assert list(ensemble.static) == [None] and len(ensemble.static[None]) == 3
     for record, probs in zip(records, ensembled):
@@ -426,16 +429,18 @@ def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, 
     clusters = {assign_cluster(cluster_model, r) for r in records}
     assert len(clusters) >= 2
 
-    counts = _count_calls(monkeypatch, training, ("assemble_features", "static_branch", "counter_slice_matrix"))
+    counts = _count_calls(monkeypatch, training, ("static_inputs", "static_branch", "counter_slice_matrix"))
     ensemble = prepare_ensemble(checkpoints, dataset.graph, priors, cluster_model)
     prior_rows = list(range(cluster_model.num_clusters)) if model_cfg.prior_mode == "active_row" else [None]
     assert list(ensemble.static) == prior_rows
-    assert (len(counts["static_branch"]), len(counts["counter_slice_matrix"])) == (2 * len(prior_rows), 0)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "static_inputs": 2 * len(prior_rows), "static_branch": 2 * len(prior_rows), "counter_slice_matrix": 0,
+    }
     for record in records:
         before = {name: len(calls) for name, calls in counts.items()}
         ensembled = ensemble_predict(ensemble, record)
         per_record = {name: len(calls) - before[name] for name, calls in counts.items()}
-        assert per_record == {"assemble_features": 0, "static_branch": 0, "counter_slice_matrix": 1}
+        assert per_record == {"static_inputs": 0, "static_branch": 0, "counter_slice_matrix": 1}
         singles = [predict_record(c, dataset.graph, priors, record, cluster_model) for c in checkpoints]
         for field in ("cc", "speed_kph", "vol"):
             assert getattr(ensembled, field).tobytes() == _ordered_mean(singles, field).tobytes(), (record, field)
@@ -588,32 +593,44 @@ def test_members_from_one_training_set_equal_members_from_fresh_sets(small_city,
         fresh_ckpt, fresh_runlog = train_one(_training_set(small_city, cfg), SMALL_MODEL, seed)
         assert ckpt.equals(fresh_ckpt), seed
         assert runlog == fresh_runlog, seed
-    features = next(iter(shared.features.values()))
     counter_slice = next(iter(shared.counter_slices.values()))
     targets = next(iter(shared.targets.values()))
-    for array in (features.continuous, counter_slice, features.prior_block, features.categorical,
-                  targets.cc, targets.speed, shared.cc_weights, shared.norm_stats.counter_mean):
+    for array in (shared.priors, counter_slice, targets.cc, targets.speed, shared.cc_weights,
+                  shared.norm_stats.counter_mean):
         assert not array.flags.writeable
 
 
+def test_training_set_holds_a_read_only_copy_of_the_priors_and_leaves_the_callers_writable(small_city):
+    _dataset, _cluster_model, priors = small_city
+    before = priors.copy()
+    ts = _training_set(small_city)
+    assert priors.flags.writeable and np.array_equal(priors, before)
+    assert not ts.priors.flags.writeable and not np.shares_memory(ts.priors, priors)
+    assert ts.priors.tobytes() == priors.tobytes()
+
+
 @pytest.mark.parametrize("prior_mode", ["full", "active_row"])
-def test_training_set_builds_one_feature_bundle_per_cluster(small_city, prior_mode, monkeypatch):
+def test_train_one_builds_static_inputs_once_per_prior_row_its_records_use(small_city, prior_mode, monkeypatch):
     import t4c.training as training
 
-    dataset, cluster_model, _priors = small_city
-    counts = _count_calls(monkeypatch, training, ("assemble_features", "counter_slice_matrix"))
-    ts = _training_set(small_city, model_cfg=replace(SMALL_MODEL, prior_mode=prior_mode))
+    _dataset, cluster_model, _priors = small_city
+    model_cfg = replace(SMALL_MODEL, prior_mode=prior_mode)
+    built_rows, real = [], training.static_inputs
+    monkeypatch.setattr(training, "static_inputs", lambda *a: built_rows.append(a[4]) or real(*a))
+    counts = _count_calls(monkeypatch, training, ("counter_slice_matrix",))
+    ts = _training_set(small_city, replace(SMALL_TRAIN, epochs=1), model_cfg)
     records = ts.train_records + ts.val_records
     by_cluster = {}
     for r in records:
         row = assign_cluster(cluster_model, r) if prior_mode == "active_row" else None
         by_cluster.setdefault(row, []).append(r.record_id)
     assert len(by_cluster) == 1 if prior_mode == "full" else len(by_cluster) >= 2
-    assert len(counts["assemble_features"]) == len(by_cluster)
+    assert built_rows == []  # the training set builds no static inputs
     assert len(counts["counter_slice_matrix"]) == len(records)
     assert ts.rows == {rid: row for row, rids in by_cluster.items() for rid in rids}
-    assert set(ts.features) == set(by_cluster)
     assert set(ts.counter_slices) == set(ts.rows) == {r.record_id for r in records}
+    train_one(ts, model_cfg, seed=0)
+    assert len(built_rows) == len(by_cluster) and set(built_rows) == set(by_cluster)
 
 
 @pytest.mark.parametrize("change", [{"prior_mode": "active_row"}, {"cc_classes": 4}])
@@ -753,7 +770,7 @@ def test_validation_builds_the_static_branch_once_per_cluster_and_only_the_conge
     ts = _training_set(small_city, replace(SMALL_TRAIN, epochs=2), model_cfg)
     counts = _count_calls(monkeypatch, training, ("static_branch", "congestion_probs", "record_branch"))
     train_one(ts, model_cfg, seed=0)
-    clusters = len(ts.features)
+    clusters = len(set(ts.rows.values()))
     assert clusters >= 2
     # one trace of the training record, then each epoch: every cluster's static branch, every record's head
     assert len(counts["static_branch"]) == 1 + 2 * clusters
