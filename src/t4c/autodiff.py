@@ -32,7 +32,7 @@ them sit concat, a row gather, reshape, the two masked losses (weighted
 cross entropy and mean squared error), a plain-array softmax for
 inference, and Adam over a parameter store.
 
-The softmaxes and the cross entropy reduce their 3- or 4-wide class axis
+The softmaxes and the cross entropy reduce their 3-wide class axis
 with ``fold_classes``: one ufunc call per column, with the bits of
 numpy's far slower per-row reduction.
 
@@ -65,7 +65,6 @@ __all__ = [
     "embedding_cells",
     "embed_concat",
     "weighted_sum",
-    "fold_classes",
     "softmax_np",
     "getitem",
     "reshape",

@@ -177,9 +177,7 @@ def cmd_train(args, workdir: Path) -> int:
     _member_dirs(run_dir, train_cfg.ensemble_size)  # refuses a member_* directory that is not one of these members
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    training_set = prepare_training(
-        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
-    )
+    training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
     for k, seed in enumerate(train_cfg.seeds()):
         ckpt, runlog = train_one(training_set, model_cfg, seed)
         member_dir = run_dir / f"member_{k}"
@@ -445,8 +443,6 @@ def _add_model_flags(sub):
     _field_flag(sub, "--hidden", "model.hidden", "hidden width")
     _field_flag(sub, "--prior-mode", "model.prior_mode", "feed the whole prior matrix or only the record's cluster row",
                 choices=["full", "active_row"])
-    _field_flag(sub, "--cc-classes", "model.cc_classes", "congestion head size; 4 keeps the undefined code",
-                choices=[3, 4])
     _field_flag(sub, "--k", "model.num_clusters", "number of volume clusters")
 
 

@@ -70,10 +70,10 @@ class ModelConfig:
     """Architecture and loss-weighting knobs.
 
     The embedding widths (5/2/2/3) are the fixed defaults for the four
-    categorical attributes; ``cc_classes`` is 3 (green/yellow/red, the
-    undefined code masked) unless explicitly raised to 4 to keep the
-    undefined state as its own class. ``use_prior_block`` / ``use_static``
-    zero the matching feature slices for ablations.
+    categorical attributes. The congestion head has the three scored
+    classes (green/yellow/red); the undefined code is masked.
+    ``use_prior_block`` / ``use_static`` zero the matching feature slices
+    for ablations.
     """
 
     importance_dim: int = 5
@@ -88,7 +88,6 @@ class ModelConfig:
     lambdas: tuple[float, float, float] = (0.03, 1.0, 1.0)
     prior_mode: str = "full"  # or "active_row"
     num_clusters: int = 10
-    cc_classes: int = 3
     use_prior_block: bool = True
     use_static: bool = True
 
@@ -98,8 +97,6 @@ class ModelConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.prior_mode not in ("full", "active_row"):
             raise ValueError(f"prior_mode must be 'full' or 'active_row', got {self.prior_mode!r}")
-        if self.cc_classes not in (3, 4):
-            raise ValueError(f"cc_classes must be 3 or 4, got {self.cc_classes}")
         if len(self.lambdas) != 3 or not all(0.0 < lam < np.inf for lam in self.lambdas):  # NaN compares false
             raise ValueError(f"lambdas must be three finite numbers > 0, got {self.lambdas}")
         for name in ("gnn_layers", "head_blocks", *(f"{name}_dim" for name in VOCAB_SIZES)):
@@ -133,7 +130,7 @@ Params = ParamStore | Mapping[str, np.ndarray]
 class PredictionBundle:
     """Raw head outputs for one record: tensors from a ParamStore, arrays from plain arrays."""
 
-    cc_logits: Tensor | np.ndarray  # (N, cc_classes)
+    cc_logits: Tensor | np.ndarray  # (N, 3)
     speed_pred: Tensor | np.ndarray  # (N,), normalized space
     vol_logits: Tensor | np.ndarray  # (N, 3)
 
@@ -201,7 +198,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     for layer in range(config.gnn_layers):
         shapes[f"gnn{layer}_self_w"] = shapes[f"gnn{layer}_nbr_w"] = (width, width)
         shapes[f"gnn{layer}_b"] = (width,)
-    for task, out_dim in zip(HEADS, (config.cc_classes, 1, 3)):
+    for task, out_dim in zip(HEADS, (3, 1, 3)):
         for block in range(config.head_blocks):
             linear(f"head_{task}_block{block}_a", width, width)
             linear(f"head_{task}_block{block}_b", width, width)
@@ -321,7 +318,7 @@ def congestion_probs(
     static_feat: np.ndarray,
 ) -> np.ndarray:
     """``predict_probabilities(record_branch(...)).cc`` with the same bits, without the speed and volume heads."""
-    return _cc_probs(_head(params, config, "cc", _trunk(params, config, graph, counter_slice, static_feat)))
+    return ad.softmax_np(_head(params, config, "cc", _trunk(params, config, graph, counter_slice, static_feat)))
 
 
 def forward(
@@ -341,13 +338,11 @@ def forward(
     return record_branch(params, config, graph, counter_slice, static_branch(params, config, static_in))
 
 
-def make_label_arrays(table: LabelTable, row: int | None, graph: RoadGraph, norm_stats: NormStats,
-                      cc_classes: int = 3) -> LabelArrays:
+def make_label_arrays(table: LabelTable, row: int | None, graph: RoadGraph, norm_stats: NormStats) -> LabelArrays:
     """Map one record's labels (row ``row`` of its label table, None for a record without labels) onto the dense
     segment index.
 
-    With 3 congestion classes the codes 1/2/3 map to 0/1/2 and the
-    undefined code 0 is masked; with 4 classes the code maps identically.
+    Congestion codes 1/2/3 map to 0/1/2 and the undefined code 0 is masked.
     Volume classes {1, 3, 5} map to {0, 1, 2}. Speeds are z-normalized.
     """
     n = len(graph.segments)
@@ -357,8 +352,7 @@ def make_label_arrays(table: LabelTable, row: int | None, graph: RoadGraph, norm
     if table.segment_ids != graph.segment_ids:
         raise ValueError("the label table and the graph list different segments")
     cc = table.cc[row].astype(np.int64)
-    if cc_classes == 3:
-        cc = np.where(cc > 0, cc - 1, -1)
+    cc = np.where(cc > 0, cc - 1, -1)
     speed_kph = table.speed_kph[row]
     speed_mask = ~np.isnan(speed_kph)
     speed = np.where(speed_mask, (speed_kph - norm_stats.speed_mean) / norm_stats.speed_std, 0.0)
@@ -400,28 +394,17 @@ def compute_loss(
     return total, LossReport(*(t.item() for t in parts), total.item(), *counts)
 
 
-def _cc_probs(cc_logits: np.ndarray) -> np.ndarray:
-    """Congestion probabilities over the last axis; a 4-class head (undefined kept) is
-    reduced to the three scored classes by dropping the undefined column and renormalizing."""
-    cc = ad.softmax_np(cc_logits)
-    if cc.shape[-1] == 4:
-        cc = cc[..., 1:4]
-        cc = cc / ad.fold_classes(np.add, cc)
-    return cc
-
-
 def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> PredictionProbs:
     """Softmax the logits and map speeds back to km/h.
 
     ``pred`` holds plain arrays: ``record_branch``'s output for one model,
     or for a member stack (logits (M, N, C), speeds (M, N)). ``norm_stats``
     gives ``speed_mean`` and ``speed_std``: a member's floats, or the (M, 1)
-    stacks of an ``Ensemble``'s ``norm_stats``. The congestion
-    probabilities are those of the three scored classes.
+    stacks of an ``Ensemble``'s ``norm_stats``.
     """
     vol = ad.softmax_np(pred.vol_logits)
     speed = pred.speed_pred * norm_stats.speed_std + norm_stats.speed_mean
-    return PredictionProbs(cc=_cc_probs(pred.cc_logits), speed_kph=speed, vol=vol)
+    return PredictionProbs(cc=ad.softmax_np(pred.cc_logits), speed_kph=speed, vol=vol)
 
 
 def inverse_frequency_weights(

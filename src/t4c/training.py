@@ -312,7 +312,6 @@ class TrainingSet:
 
     train_cfg: TrainConfig
     prior_mode: str
-    cc_classes: int
     train_records: tuple[VolumeRecord, ...]
     val_records: tuple[VolumeRecord, ...]
     labels: LabelTable
@@ -339,32 +338,30 @@ def prepare_training(
     dataset: Dataset,
     cluster_model: ClusterModel | None,
     priors: np.ndarray,
-    prior_mode: str,
-    cc_classes: int,
+    model_cfg: ModelConfig,
 ) -> TrainingSet:
     """The split, graph, norm stats, priors, counter slices, targets and class weights of a run.
 
-    Only the prior mode (which prior row each record reads) and the
-    congestion class count (which targets and weights) of the model config
-    enter the set; any config that agrees on both can train from it. The
-    set holds a read-only copy of ``priors``; the caller's array stays as it was.
+    Only the prior mode of ``model_cfg`` (which prior row each record
+    reads) enters the set; any config with that prior mode can train from
+    it. The set holds a read-only copy of ``priors``; the caller's array
+    stays as it was.
     """
     records, train_records, val_records = split_records(dataset, train_cfg)
     labels = dataset.labels
     graph = dataset.graph
     train_labels = labels.select(r.record_id for r in train_records)
     norm_stats = _read_only(fit_normalization(graph, train_records, train_labels))
-    rows = {r.record_id: _prior_row(prior_mode, cluster_model, r) for r in records}
+    rows = {r.record_id: _prior_row(model_cfg.prior_mode, cluster_model, r) for r in records}
     counter_slices = {
         r.record_id: _read_only(norm_stats.normalize_counters(counter_slice_matrix(graph, r))) for r in records
     }
-    targets = {r.record_id: _read_only(make_label_arrays(labels, labels.rows.get(r.record_id), graph, norm_stats,
-                                                         cc_classes)) for r in records}
+    targets = {r.record_id: _read_only(make_label_arrays(labels, labels.rows.get(r.record_id), graph, norm_stats))
+               for r in records}
     train_targets = [targets[r.record_id] for r in train_records]
     return _read_only(TrainingSet(
         train_cfg=train_cfg,
-        prior_mode=prior_mode,
-        cc_classes=cc_classes,
+        prior_mode=model_cfg.prior_mode,
         train_records=train_records,
         val_records=val_records,
         labels=labels,
@@ -374,7 +371,7 @@ def prepare_training(
         priors=_read_only(np.array(priors, dtype=np.float64)),
         counter_slices=counter_slices,
         targets=targets,
-        cc_weights=inverse_frequency_weights([t.cc for t in train_targets], cc_classes),
+        cc_weights=inverse_frequency_weights([t.cc for t in train_targets], 3),
         vol_weights=inverse_frequency_weights([t.vol for t in train_targets], 3),
     ))
 
@@ -384,15 +381,13 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
 
     Returns the parameters of the epoch with the lowest validation
     congestion score and the full run history (see ``fit_loop``). The
-    config must have the set's prior mode and congestion class count.
+    config must have the set's prior mode.
     """
     t_start = time.perf_counter()
     ts = training_set
-    if (model_cfg.prior_mode, model_cfg.cc_classes) != (ts.prior_mode, ts.cc_classes):
-        raise ValueError(
-            f"model config has prior_mode={model_cfg.prior_mode!r}, cc_classes={model_cfg.cc_classes}; "
-            f"the training set was prepared for prior_mode={ts.prior_mode!r}, cc_classes={ts.cc_classes}"
-        )
+    if model_cfg.prior_mode != ts.prior_mode:
+        raise ValueError(f"model config has prior_mode={model_cfg.prior_mode!r}; "
+                         f"the training set was prepared for prior_mode={ts.prior_mode!r}")
     graph = ts.graph
     store = init_params(model_cfg, seed)
     # what the static branch reads, per prior row (per cluster)
@@ -448,9 +443,7 @@ def train_ensemble(
     priors: np.ndarray,
 ) -> list[tuple[Checkpoint, RunLog]]:
     """Train the ensemble members sequentially from one training set; they differ only by seed."""
-    training_set = prepare_training(
-        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
-    )
+    training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
     return [train_one(training_set, model_cfg, seed) for seed in train_cfg.seeds()]
 
 
@@ -483,9 +476,7 @@ def run_ablation(dataset: Dataset, variants: Sequence[str], cluster_model, prior
             raise ValueError(f"unknown ablation variant {variant!r}; options: {ABLATION_VARIANTS}")
 
     # the variants differ only in gates and depth, so they share one training set
-    training_set = prepare_training(
-        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
-    )
+    training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
     configs = {"full": model_cfg, "no_cluster": replace(model_cfg, use_prior_block=False),
                "no_static": replace(model_cfg, use_static=False), "no_gnn": replace(model_cfg, gnn_layers=0)}
     runlogs = {variant: train_one(training_set, configs[variant], seed)[1] for variant in variants}

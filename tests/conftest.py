@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import asdict, fields
 from datetime import date
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from t4c.data import (
     SuperSegment,
     VolumeRecord,
 )
-from t4c.model import static_inputs
+from t4c.model import ModelConfig, param_shapes, static_inputs
 from t4c.seggraph import counter_slice_matrix
 
 
@@ -152,13 +155,36 @@ def rewrite_checkpoint_header(src, dst, edit):
 
 
 def write_body_value(src, dst, tensor: str, value: float):
-    """Copy checkpoint ``src`` to ``dst`` with the first value of parameter ``tensor`` replaced by ``value``."""
+    """Copy checkpoint ``src`` to ``dst`` with the first value of parameter ``tensor`` replaced by ``value``. The
+    payload holds the parameters in the ``param_shapes`` order of the header's config."""
     raw = bytearray(src.read_bytes())
     end = 16 + int.from_bytes(raw[8:16], "little")
-    offset = end + next(t["offset"] for t in json.loads(raw[16:end])["tensors"] if t["name"] == tensor)
+    shapes = param_shapes(ModelConfig(**json.loads(raw[16:end])["config"]))
+    names = list(shapes)
+    offset = end + 8 * sum(math.prod(shapes[name]) for name in names[: names.index(tensor)])
     raw[offset : offset + 8] = np.float64(value).tobytes()
     dst.write_bytes(bytes(raw))
     return dst
+
+
+def write_version_1_checkpoint(ckpt, path):
+    """Write ``ckpt`` to ``path`` as the version 1 writer did: the header also listed each tensor's name, shape and
+    byte offset, in sorted name order, and its config held ``cc_classes``; the payload held the tensors in that order."""
+    config = {**asdict(ckpt.config), "cc_classes": 3}
+    names = sorted(ckpt.params)
+    offsets = accumulate((8 * ckpt.params[name].size for name in names), initial=0)
+    header = {
+        "tensors": [{"name": name, "shape": list(ckpt.params[name].shape), "offset": offset}
+                    for name, offset in zip(names, offsets)],
+        "norm_stats": {f.name: np.asarray(getattr(ckpt.norm_stats, f.name)).tolist() for f in fields(ckpt.norm_stats)},
+        "config": config,
+        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:16],
+        "cc_weights": ckpt.cc_weights.tolist(),
+        "vol_weights": ckpt.vol_weights.tolist(),
+    }
+    payload = [np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes() for name in names]
+    path.write_bytes(data_module.pack_container(b"T4CK", 1, header, payload))
+    return path
 
 
 def write_version_1_copy(jsonl, kind: tuple[bytes, int]) -> None:

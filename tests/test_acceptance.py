@@ -49,9 +49,7 @@ MARGIN = 0.005  # required relative separation between compared scores
 
 
 def _training_set(train_cfg, dataset, cluster_model, priors):
-    return prepare_training(
-        train_cfg, dataset, cluster_model, priors, ORDERING_MODEL.prior_mode, ORDERING_MODEL.cc_classes
-    )
+    return prepare_training(train_cfg, dataset, cluster_model, priors, ORDERING_MODEL)
 
 
 @pytest.fixture(scope="module")

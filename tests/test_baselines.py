@@ -259,9 +259,7 @@ def test_node_gnn_with_sparse_counters_loses_to_main_model(tmp_path):
         cluster_model, dataset.labels.select(r.record_id for r in train_records), dataset.graph
     )
     model_cfg = ModelConfig(volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16, head_blocks=1, num_clusters=5)
-    training_set = prepare_training(
-        train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes
-    )
+    training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
     _ckpt, runlog = train_one(training_set, model_cfg, seed=0)
     main_score = min(e.val_core for e in runlog.epochs)
     gnn_score = node_gnn_baseline(dataset, train_cfg, seed=0)

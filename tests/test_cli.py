@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import t4c.data as data_module
+from t4c.checkpoint import load_checkpoint
 from t4c.cli import _SECTIONS, _config_from, build_parser, main
 from t4c.clustering import fit_clusters
 from t4c.data import PredictionTable, SynthSpec, _predictions_copy, load_dataset, read_predictions, write_predictions
-from t4c.model import ModelConfig, config_hash
+from t4c.model import ModelConfig, config_hash, param_shapes
 from t4c.training import TrainConfig, split_records
 
-from conftest import rewrite_checkpoint_header, write_body_value, write_version_1_copy
+from conftest import rewrite_checkpoint_header, write_body_value, write_version_1_checkpoint, write_version_1_copy
 
 CITY_ARGS = [
     "synth", "--out", "data/toy", "--nodes", "25", "--counter-frac", "0.2",
@@ -709,9 +710,12 @@ def test_predict_on_a_checkpoint_header_naming_a_model_too_large_to_allocate_exi
     shutil.copytree(pipeline / "runs/demo", run)
     checkpoint = run / "member_0/checkpoint.bin"
 
+    huge = []
+
     def edit(header):
         header["config"]["hidden"] = 2**40
-        header["config_hash"] = config_hash(ModelConfig(**header["config"]))
+        huge.append(ModelConfig(**header["config"]))
+        header["config_hash"] = config_hash(huge[0])
 
     rewrite_checkpoint_header(checkpoint, checkpoint, edit)
     capsys.readouterr()
@@ -719,8 +723,29 @@ def test_predict_on_a_checkpoint_header_naming_a_model_too_large_to_allocate_exi
                  "--run", str(run), "--out", "huge.jsonl"])
     assert code == 1
     err = capsys.readouterr().err
-    assert str(checkpoint) in err and "the config makes (1099511627776,)" in err and "t4c train" in err
+    payload_bytes = 8 * sum(math.prod(shape) for shape in param_shapes(huge[0]).values())
+    assert str(checkpoint) in err and f"the config makes {payload_bytes}" in err and "t4c train" in err
     assert not (pipeline / "huge.jsonl").exists()
+
+
+@pytest.mark.parametrize("damage, detail", [
+    (lambda path: write_version_1_checkpoint(load_checkpoint(path), path), "unsupported checkpoint version 1"),
+    (lambda path: rewrite_checkpoint_header(path, path, lambda header: header["config"].update(cc_classes=3)),
+     "unknown key 'config.cc_classes'"),
+], ids=["version_1", "cc_classes_in_config"])
+def test_predict_on_a_checkpoint_of_an_older_writer_exits_one(pipeline, capsys, damage, detail, request):
+    """A version 1 file listed its tensors in its header, and its config held the removed ``cc_classes``."""
+    run = pipeline / "runs" / f"old_{request.node.callspec.id}"
+    shutil.copytree(pipeline / "runs/demo", run)
+    checkpoint = run / "member_0/checkpoint.bin"
+    damage(checkpoint)
+    capsys.readouterr()
+    code = main(["--workdir", str(pipeline), "predict", "--data", "data/toy", "--cluster-model", "cluster_model.json",
+                 "--run", str(run), "--out", "old.jsonl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and detail in err and "t4c train" in err
+    assert not (pipeline / "old.jsonl").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -746,7 +771,7 @@ def _every_field_config():
         "model": asdict(ModelConfig(
             importance_dim=4, oneway_dim=1, tunnel_dim=1, lanes_dim=2, volume_hidden=(8,),
             static_hidden=(8, 4), gnn_layers=1, hidden=8, head_blocks=1, lambdas=(0.05, 1.0, 2.0),
-            prior_mode="active_row", num_clusters=5, cc_classes=4, use_prior_block=False, use_static=False,
+            prior_mode="active_row", num_clusters=5, use_prior_block=False, use_static=False,
         )),
         "train": asdict(TrainConfig(
             epochs=1, batch_size=3, learning_rate=2e-3, ensemble_size=1, base_seed=4, member_seeds=(7,),
@@ -775,16 +800,20 @@ _FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  
     ({"out": {"run_dir": 7}}, _FIT, 1, ["schema.json: out.run_dir: expected a string"]),
     ({"train": {"member_seeds": [1, 2]}}, _FIT, 1, ["schema.json: 2 member seeds"]),
     ({"train": {"ensemble_size": 3, "member_seeds": [4, 0, 4]}}, _FIT, 1, ["schema.json: member seed 4 is repeated"]),
+    # the removed 4-class congestion head: its key and its flag are unknown
+    ({"model": {"cc_classes": 4}}, _FIT, 1, ["schema.json: unknown key 'model.cc_classes'"]),
+    (None, ["train", "--cluster-model", "cluster_model.json", "--out", "runs/cc", "--cc-classes", "4"], 1,
+     ["unrecognized arguments: --cc-classes 4"]),
     (None, ["train", "--help"], 0, [
         f"(default: {value})" for value in (
             _TRAIN.epochs, _TRAIN.batch_size, _TRAIN.learning_rate, _TRAIN.ensemble_size,
             _TRAIN.base_seed, *_TRAIN.daytime, _TRAIN.val_fraction, _TRAIN.split_seed,
-            _MODEL.gnn_layers, _MODEL.hidden, _MODEL.prior_mode, _MODEL.cc_classes, _MODEL.num_clusters,
+            _MODEL.gnn_layers, _MODEL.hidden, _MODEL.prior_mode, _MODEL.num_clusters,
         )
     ]),
 ], ids=["every_field", "workdir", "out.predictions", "cluster", "fit_clusters_epochs", "predict_seed", "epochs_string",
         "hidden_true", "num_clusters_float", "member_seed_float", "run_dir_number", "member_seeds_unlike_members",
-        "member_seeds_repeated", "train_help"])
+        "member_seeds_repeated", "cc_classes_key", "cc_classes_flag", "train_help"])
 def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, code, expected):
     if config is not None:
         (pipeline / "schema.json").write_text(json.dumps(config))
@@ -976,7 +1005,7 @@ HYPOTHESIS_CONFIG = {
     "model": {
         "importance_dim": 5, "oneway_dim": 2, "tunnel_dim": 2, "lanes_dim": 3, "volume_hidden": [4],
         "static_hidden": [4], "gnn_layers": 1, "hidden": 4, "head_blocks": 1, "lambdas": [0.03, 1.0, 1.0],
-        "prior_mode": "full", "num_clusters": 10, "cc_classes": 3, "use_prior_block": True, "use_static": True,
+        "prior_mode": "full", "num_clusters": 10, "use_prior_block": True, "use_static": True,
     },
     "train": {
         "epochs": 1, "batch_size": 2, "learning_rate": 1e-3, "ensemble_size": 1, "base_seed": 0, "member_seeds": [3],

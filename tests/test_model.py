@@ -103,7 +103,7 @@ def test_default_static_encoder_width_is_47():
     assert cfg.static_input_width == 47
 
 
-@pytest.mark.parametrize("cfg", [TINY, ModelConfig(), replace(TINY, gnn_layers=0, head_blocks=0, cc_classes=4)],
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig(), replace(TINY, gnn_layers=0, head_blocks=0)],
                          ids=["tiny", "default", "no_gnn_no_blocks"])
 def test_param_shapes_are_the_names_and_shapes_init_params_draws_in_its_order(cfg):
     assert list(param_shapes(cfg).items()) == [(name, p.shape) for name, p in init_params(cfg, seed=0).items()]
@@ -116,8 +116,6 @@ def test_default_lambdas_match_training_recipe():
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(prior_mode="bogus")
-    with pytest.raises(ValueError):
-        ModelConfig(cc_classes=5)
     with pytest.raises(ValueError):
         ModelConfig(lambdas=(0.0, 1.0, 1.0))
 
@@ -373,17 +371,6 @@ def test_predict_probabilities_examples():
     assert probs.speed_kph.tolist() == [30.0, 40.0]
 
 
-def test_predict_probabilities_four_class_renormalizes():
-    stats = identity_stats()
-    pred_like = type("P", (), {})()
-    pred_like.cc_logits = np.array([[0.0, 1.0, 1.0, 1.0]])
-    pred_like.vol_logits = np.zeros((1, 3))
-    pred_like.speed_pred = np.zeros(1)
-    probs = predict_probabilities(pred_like, stats)
-    assert probs.cc.shape == (1, 3)
-    assert np.allclose(probs.cc[0], 1 / 3)
-
-
 def test_make_label_arrays_codings(toy_dataset):
     graph = toy_dataset.graph
     stats = identity_stats()
@@ -394,10 +381,7 @@ def test_make_label_arrays_codings(toy_dataset):
     assert np.allclose(arrays.speed, (np.array([38.0, 20.0, 10.0]) - 30.0) / 10.0)
 
     arrays1 = make_label_arrays(toy_dataset.labels, 1, graph, stats)
-    assert arrays1.cc.tolist() == [-1, 0, -1]  # cc=0 masked in 3-class mode
-
-    arrays4 = make_label_arrays(toy_dataset.labels, 1, graph, stats, cc_classes=4)
-    assert arrays4.cc.tolist() == [0, 1, -1]  # undefined kept as class 0
+    assert arrays1.cc.tolist() == [-1, 0, -1]  # the undefined cc=0 masked
 
 
 def test_inverse_frequency_weights_clipped():

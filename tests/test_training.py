@@ -2,6 +2,7 @@
 selection, ensembling exactness, and checkpoint round-trips."""
 
 import json
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import fields, replace
@@ -15,7 +16,7 @@ from t4c import autodiff as ad
 from t4c.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, split_train_validation
-from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params
+from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params, param_shapes
 from t4c.seggraph import fit_normalization
 from t4c.training import (
     TrainConfig,
@@ -52,7 +53,7 @@ def small_city(tmp_path_factory):
 
 def _training_set(small_city, train_cfg=SMALL_TRAIN, model_cfg=SMALL_MODEL):
     dataset, cluster_model, priors = small_city
-    return prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg.prior_mode, model_cfg.cc_classes)
+    return prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -165,17 +166,19 @@ def _set_hidden_and_rehash(header, hidden=24):
     header["config_hash"] = config_hash(ModelConfig(**header["config"]))
 
 
+def _payload_bytes(config: ModelConfig) -> int:
+    return 8 * sum(math.prod(shape) for shape in param_shapes(config).values())
+
+
 HEADER_DAMAGE = {
-    # a header without a field, a non-integer shape, and tensors unlike the config
+    # a header without a field, a key of a removed option, and a config unlike the payload
     "no_norm_stats": (lambda header: header.pop("norm_stats"), "norm_stats"),
-    "float_shape": (lambda header: header["tensors"][0].update(shape=[2.0, 3.0]), "shape"),
-    "hidden_unlike_tensors": (_set_hidden_and_rehash, "the config makes"),
-    # a model of 2**40 hidden units is refused by its shapes, not by allocating it (64 TiB)
+    "cc_classes_in_config": (lambda header: header["config"].update(cc_classes=4), "unknown key 'config.cc_classes'"),
+    "hidden_unlike_tensors": (_set_hidden_and_rehash,
+                              f"the config makes {_payload_bytes(replace(SMALL_MODEL, hidden=24))}"),
+    # a model of 2**40 hidden units is refused by its payload length, not by allocating it (64 TiB)
     "hidden_too_large_to_allocate": (lambda header: _set_hidden_and_rehash(header, 2**40),
-                                     "'combine_b' has shape [16], the config makes (1099511627776,)"),
-    "unknown_tensor_name": (lambda header: header["tensors"][0].update(name="not_a_parameter"), "not_a_parameter"),
-    "missing_tensor": (lambda header: header["tensors"].pop(), "missing"),
-    "shifted_offset": (lambda header: header["tensors"][1].update(offset=header["tensors"][1]["offset"] + 8), "offset"),
+                                     f"the config makes {_payload_bytes(replace(SMALL_MODEL, hidden=2**40))}"),
     "config_unlike_its_hash": (lambda header: header["config"].update(lambdas=[0.05, 1.0, 1.0]), "config_hash"),
     "short_cc_weights": (lambda header: header["cc_weights"].pop(), "cc_weights"),
     # values of the right JSON type that no training writes
@@ -194,6 +197,44 @@ def test_inconsistent_checkpoint_header_raises_value_error_naming_the_path(check
     with pytest.raises(ValueError, match=re.escape(str(path))) as err:
         load_checkpoint(path)
     assert detail in str(err.value)
+
+
+def _last_tensor_bytes(config: ModelConfig) -> int:
+    return 8 * math.prod(list(param_shapes(config).values())[-1])
+
+
+PAYLOAD_DAMAGE = {  # payloads one or more values longer or shorter than the config's parameters
+    "part_of_a_value": lambda payload: payload + bytes(4),
+    "extra_tensor": lambda payload: payload + payload[:_last_tensor_bytes(SMALL_MODEL)],
+    "missing_last_tensor": lambda payload: payload[:-_last_tensor_bytes(SMALL_MODEL)],
+    "shifted_by_one_value": lambda payload: bytes(8) + payload,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(PAYLOAD_DAMAGE))
+def test_checkpoint_payload_unlike_its_config_raises_value_error_naming_the_path(checkpoint_file, tmp_path, damage):
+    raw = checkpoint_file.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    payload = PAYLOAD_DAMAGE[damage](raw[end:])
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(raw[:end] + payload)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load_checkpoint(path)
+    assert f"payload has {len(payload)} bytes, the config makes {_payload_bytes(SMALL_MODEL)}" in str(err.value)
+
+
+@pytest.mark.parametrize("change", [
+    lambda params: params.pop("head_cc_out_b"),
+    lambda params: params.update(not_a_parameter=np.zeros(1)),
+    lambda params: params.update(head_cc_out_b=np.zeros(4)),
+], ids=["missing_tensor", "unknown_tensor", "wrong_shape"])
+def test_save_checkpoint_refuses_params_unlike_its_config(trained, tmp_path, change):
+    """A version 2 file lists no names or shapes, so params unlike ``param_shapes`` could not be read back."""
+    params = dict(trained[0].params)
+    change(params)
+    with pytest.raises(ValueError, match="not the names and shapes its config makes"):
+        save_checkpoint(tmp_path / "checkpoint.bin", replace(trained[0], params=params))
+    assert not (tmp_path / "checkpoint.bin").exists()
 
 
 BODY_DAMAGE = {"nan": float("nan"), "inf": float("inf")}  # one parameter value no training writes
@@ -416,8 +457,7 @@ def test_ensemble_builds_static_branches_up_front_and_one_counter_slice_per_reco
     {"prior_mode": "active_row"},
     {"prior_mode": "active_row", "use_static": False, "use_prior_block": False},
     {"use_static": False, "use_prior_block": False},
-    {"cc_classes": 4},
-], ids=["full", "active_row", "active_row_gates_off", "full_gates_off", "four_classes"])
+], ids=["full", "active_row", "active_row_gates_off", "full_gates_off"])
 def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, change, monkeypatch):
     import t4c.training as training
 
@@ -456,7 +496,7 @@ def _noisy_checkpoint(config, norm_stats, seed):
               for name, value in init_params(config, seed).arrays().items()}
     stats = replace(norm_stats, counter_mean=norm_stats.counter_mean + 0.1 * seed,
                     speed_std=norm_stats.speed_std * (1 + 0.1 * seed))
-    return Checkpoint(params, stats, config, np.ones(config.cc_classes), np.ones(3), config_hash(config))
+    return Checkpoint(params, stats, config, np.ones(3), np.ones(3), config_hash(config))
 
 
 @pytest.mark.parametrize("prior_mode", ["full", "active_row"])
@@ -633,10 +673,9 @@ def test_train_one_builds_static_inputs_once_per_prior_row_its_records_use(small
     assert len(built_rows) == len(by_cluster) and set(built_rows) == set(by_cluster)
 
 
-@pytest.mark.parametrize("change", [{"prior_mode": "active_row"}, {"cc_classes": 4}])
-def test_train_one_refuses_a_config_unlike_its_training_set(small_city, change):
-    with pytest.raises(ValueError, match="training set"):
-        train_one(_training_set(small_city), replace(SMALL_MODEL, **change), seed=0)
+def test_train_one_refuses_a_config_unlike_its_training_set(small_city):
+    with pytest.raises(ValueError, match="training set was prepared for prior_mode='full'"):
+        train_one(_training_set(small_city), replace(SMALL_MODEL, prior_mode="active_row"), seed=0)
 
 
 def test_ablation_builds_one_training_set_for_all_variants(small_city, monkeypatch):
@@ -702,8 +741,8 @@ def _assert_replay_equals_one_shot(fits):
 
 
 @pytest.mark.parametrize("change", [
-    {}, {"prior_mode": "active_row"}, {"cc_classes": 4}, {"use_static": False}, {"use_prior_block": False},
-], ids=["full", "active_row", "cc_classes_4", "no_static", "no_prior_block"])
+    {}, {"prior_mode": "active_row"}, {"use_static": False}, {"use_prior_block": False},
+], ids=["full", "active_row", "no_static", "no_prior_block"])
 def test_plan_replay_equals_a_one_shot_backward_bit_for_bit(small_city, monkeypatch, change):
     """The batches hold a record with no labels (every loss has no row) and one with no speed."""
     import t4c.training as training
@@ -717,7 +756,7 @@ def test_plan_replay_equals_a_one_shot_backward_bit_for_bit(small_city, monkeypa
     no_speed = ts.targets[rids[4]]
     targets = {
         **ts.targets,
-        rids[2]: make_label_arrays(ts.labels, None, ts.graph, ts.norm_stats, model_cfg.cc_classes),
+        rids[2]: make_label_arrays(ts.labels, None, ts.graph, ts.norm_stats),
         rids[4]: LabelArrays(no_speed.cc, no_speed.speed, np.zeros_like(no_speed.speed_mask), no_speed.vol),
     }
     ts = replace(ts, targets=targets)
