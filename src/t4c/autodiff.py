@@ -17,7 +17,14 @@ checks stay sharp.
 Plain float64 arrays are constants. The graph ops (all but the losses,
 weighted_sum included) called with no Tensor operand return the plain
 value their Tensor path would hold in ``.data`` and record nothing, so
-inference runs the same code without a graph.
+inference runs the same code without a graph. ``linear`` and
+``gnn_round`` take a leading member axis (a stack of models, member k at
+index k) wherever no gradient flows: on plain arrays, and on Tensors of
+which none requires a gradient. A plan traced through such ops has
+nothing to differentiate, and is immutable: it holds its constants and no
+value of the trace, and each replay runs on a fresh copy of its slots,
+dropping each op output after its last reader. Serving an ensemble
+traces its member-stacked forward once and replays it per record.
 
 Only the operations the segment model actually needs are provided. Its
 blocks are fused ops with a hand-written backward that keeps the bits of
@@ -147,10 +154,14 @@ def _value(x):
     return x.data if isinstance(x, Tensor) else x
 
 
+def _requires_grad(*operands) -> bool:
+    return any(isinstance(x, Tensor) and x.requires_grad for x in operands)
+
+
 def _record(op: _Op, out, ctx, operands: tuple) -> Tensor:
     """The Tensor an op returns when one of its operands is a Tensor."""
     t = Tensor(out, dtype=None)
-    t.requires_grad = any(x.requires_grad for x in operands if isinstance(x, Tensor))
+    t.requires_grad = _requires_grad(*operands)
     t._node = (op, operands, ctx)
     return t
 
@@ -302,14 +313,15 @@ def linear(x, w, b, relu: bool = False, skip=None) -> Tensor | np.ndarray:
     x is (N, F), w (F, H), b (H,), skip (N, H). Value and gradients are those of a matmul, a bias add and
     a relu, then ``skip + ...`` passing ``skip`` the incoming gradient; a skip after a ReLU is refused. The
     ReLU runs in place on the output, maps a ``-0.0`` pre-activation to ``+0.0`` and lets a NaN through.
-    Plain arrays may be a stack of M members, member k at index k: x (M, N, F), w (M, F, H), b (M, 1, H),
-    skip (M, N, H). Each member's rows get the bits of its own call, as matmul runs one product per member.
+    Operands of which none requires a gradient may be a stack of M members, member k at index k: x (M, N, F),
+    w (M, F, H), b (M, 1, H), skip (M, N, H). Each member's rows get the bits of its own call, as matmul runs one
+    product per member.
     Every operand is float64; a TypeError names the first that is not.
     """
     xd, wd, bd, sd = _value(x), _value(w), _value(b), _value(skip)
     if relu and skip is not None:
         raise ValueError("linear: skip= with relu=True is not supported")
-    m = xd.shape[:1] if xd.ndim == 3 and Tensor not in map(type, (x, w, b, skip)) else ()  # a member stack
+    m = xd.shape[:1] if xd.ndim == 3 and not _requires_grad(x, w, b, skip) else ()  # a member stack
     width = wd.shape[-1:]
     if (xd.ndim != 2 + len(m) or wd.shape[:-1] != (*m, xd.shape[-1]) or bd.shape != ((*m, 1, *width) if m else width)
             or skip is not None and np.shape(sd) != (*xd.shape[:-1], *width)):
@@ -326,10 +338,11 @@ def gnn_round(h, operator: np.ndarray, w_self, w_nbr, b) -> Tensor | np.ndarray:
     ``operator`` is a constant (N, N) array, such as a graph's mean-aggregation
     matrix. ``h`` gets its self and neighbour gradients summed, in that order.
     The ReLU is that of :func:`linear`, NaN propagation included, and so are the float64 check and the member stack
-    of plain arrays: h (M, N, H), w_self and w_nbr (M, H, H'), b (M, 1, H'), one ``operator`` for every member.
+    of operands that require no gradient: h (M, N, H), w_self and w_nbr (M, H, H'), b (M, 1, H'), one ``operator``
+    for every member.
     """
     hd, sd, nd, bd = _value(h), _value(w_self), _value(w_nbr), _value(b)
-    m = hd.shape[:1] if hd.ndim == 3 and Tensor not in map(type, (h, w_self, w_nbr, b)) else ()  # a member stack
+    m = hd.shape[:1] if hd.ndim == 3 and not _requires_grad(h, w_self, w_nbr, b) else ()  # a member stack
     width = sd.shape[-1:]
     if (hd.ndim != 2 + len(m) or operator.shape != (hd.shape[-2],) * 2 or sd.shape[:-1] != (*m, hd.shape[-1])
             or nd.shape != sd.shape or bd.shape != ((*m, 1, *width) if m else width)):
@@ -518,6 +531,12 @@ class Plan:
     ``inputs``, of the shape and dtype traced (its values are not checked),
     and returns the outputs' values; :meth:`backward` then backpropagates
     from the first output, a scalar.
+
+    A plan with nothing to differentiate (no op output requires a gradient)
+    is immutable: it keeps its constants and no trace-time value, context or
+    gradient seed. Each :meth:`forward` runs on a fresh copy of its slots and
+    drops each op output after its last reader, so replays may overlap and
+    return arrays of their own; :meth:`backward` does nothing.
     """
 
     def __init__(self, outputs: Sequence[Tensor], inputs: Sequence[Tensor] = ()):
@@ -536,8 +555,8 @@ class Plan:
         self._inputs = [(slot(x), x.shape, x.data.dtype) for x in inputs]
         order = _walk(outputs)
         self.ops = tuple(t._node[0].name for t in order)
-        self._forward = [(t._node[0].forward, _getter([slot(x) for x in t._node[1]]), slot(t)) for t in order]
-        self._ctx = [t._node[2] for t in order]
+        reads = [[slot(x) for x in t._node[1]] for t in order]
+        self._forward = [(t._node[0].forward, _getter(args), slot(t)) for t, args in zip(order, reads)]
         self._backward = []
         for k in reversed(range(len(order))):
             t = order[k]
@@ -551,9 +570,22 @@ class Plan:
                 for pos, x in enumerate(operands) if need[pos]
             )
             self._backward.append((k, op.backward, args, out, need, targets))
-        self._values = values
         self._outputs = [slot(t) for t in outputs]
-        self._seed = np.ones_like(values[self._outputs[0]])
+        if self._backward:
+            self._values, self._ctx = values, [t._node[2] for t in order]
+            self._seed = np.ones_like(values[self._outputs[0]])
+            return
+        # forward-only: the slots of the inputs and op outputs stay empty, and
+        # each op output is dropped after the last op that reads it
+        for t in (*inputs, *order):
+            values[slots[id(t)]] = None
+        self._values = tuple(values)
+        last_reader = {i: k for k, args in enumerate(reads) for i in args}
+        drops: list[list[int]] = [[] for _ in order]
+        for _fwd, _args, out in self._forward:
+            if out in last_reader and out not in self._outputs:
+                drops[last_reader[out]].append(out)
+        self._drops = tuple(map(tuple, drops))
 
     @classmethod
     def trace(cls, fn: Callable[..., Sequence[Tensor]], inputs: Sequence[np.ndarray]) -> Plan:
@@ -565,17 +597,26 @@ class Plan:
         """Bind ``inputs`` and run every op; the outputs' values."""
         if len(inputs) != len(self._inputs):
             raise ValueError(f"plan takes {len(self._inputs)} inputs, got {len(inputs)}")
-        values, ctx = self._values, self._ctx
+        values = self._values if self._backward else list(self._values)
         for (slot, shape, dtype), x in zip(self._inputs, inputs):
             if x.shape != shape or x.dtype != dtype:
                 raise ShapeError(f"plan input {x.dtype}{x.shape} where {dtype}{shape} was traced")
             values[slot] = x
-        for k, (fwd, args, out) in enumerate(self._forward):
-            values[out], ctx[k] = fwd(*args(values))
+        if self._backward:  # the backward reads every value and context
+            ctx = self._ctx
+            for k, (fwd, args, out) in enumerate(self._forward):
+                values[out], ctx[k] = fwd(*args(values))
+        else:
+            for (fwd, args, out), drops in zip(self._forward, self._drops):
+                values[out] = fwd(*args(values))[0]
+                for slot in drops:
+                    values[slot] = None
         return [values[i] for i in self._outputs]
 
     def backward(self) -> None:
         """Backpropagate from the first output into the leaves' ``grad`` buffers."""
+        if not self._backward:
+            return
         values, ctx = self._values, self._ctx
         grads: list = [None] * len(values)
         grads[self._outputs[0]] = self._seed

@@ -44,11 +44,18 @@ class Checkpoint:
     config_hash: str
 
     def equals(self, other: "Checkpoint") -> bool:
-        if self.config != other.config or self.config_hash != other.config_hash:
+        """The same config and hash, and the same bits in every parameter, norm stat and class weight."""
+        if self.config != other.config or self.config_hash != other.config_hash or set(self.params) != set(other.params):
             return False
-        if set(self.params) != set(other.params):
-            return False
-        return all(np.array_equal(self.params[k], other.params[k]) for k in self.params)
+        pairs = [(self.params[k], other.params[k]) for k in self.params]
+        pairs += [(getattr(self.norm_stats, f.name), getattr(other.norm_stats, f.name)) for f in fields(NormStats)]
+        pairs += [(self.cc_weights, other.cc_weights), (self.vol_weights, other.vol_weights)]
+        return all(_same_bits(a, b) for a, b in pairs)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _norm_stats_obj(stats: NormStats) -> dict:

@@ -301,8 +301,9 @@ def record_branch(
     """The rest of the network: the volume MLP on the record's (N, 8) counter slice,
     the combine layer with ``static_feat``, the message-passing rounds and the heads.
 
-    On a member stack of arrays (every weight (M, F, H), every bias (M, 1, H), the inputs (M, N, width))
-    one call runs every member, into (M, N, C) logits and (M, N) speeds with the bits of the members' own calls."""
+    On a member stack (every weight (M, F, H), every bias (M, 1, H), the inputs (M, N, width)) of arrays, or of
+    Tensors that require no gradient (``prepare_ensemble`` traces it so), one call runs every member, into
+    (M, N, C) logits and (M, N) speeds with the bits of the members' own calls."""
     h = _trunk(params, config, graph, counter_slice, static_feat)
     cc_logits = _head(params, config, "cc", h)
     speed = _head(params, config, "speed", h)

@@ -16,9 +16,10 @@ Ensemble prediction (``prepare_ensemble`` once per stage, then
 ``ensemble_predict`` per record) stacks the members once: every parameter
 (weights (members, F, H), biases (members, 1, H)), every norm stat, and
 each cluster's static branches as one (members, segments, width) array.
-Per record it makes ``predict_record``'s calls once on the stack:
-``normalize_counters``, ``record_branch`` (where each batched product
-makes one call per member with that member's shapes) and
+It then traces ``record_branch`` on the stacks once into a forward-only
+``ad.Plan`` (each batched product makes one call per member with that
+member's shapes). Per record it makes ``predict_record``'s calls once on
+the stack: ``normalize_counters``, a replay of that plan and
 ``predict_probabilities``, then the member mean, summed in member order.
 Every value has the bits of the members' separate ``predict_record``
 outputs averaged in that order. The ablation harness
@@ -47,6 +48,7 @@ from .evaluation import core_metric
 from .model import (
     LabelArrays,
     ModelConfig,
+    PredictionBundle,
     PredictionProbs,
     config_hash,
     congestion_probs,
@@ -514,7 +516,10 @@ class Ensemble:
     (M, 1, H). ``norm_stats`` is one ``NormStats`` of the members' stacks:
     ``counter_mean`` (M, 1, 8), ``speed_mean`` (M, 1), and so on. An
     ensemble of one member holds that member's own arrays, with no member
-    axis. Every array is read-only.
+    axis. ``plan`` is ``record_branch`` on ``params``, traced once into a
+    forward-only ``ad.Plan`` whose inputs are the normalized counter slices
+    and a row's static branches, and whose outputs are the cc logits, the
+    speeds and the vol logits. Every array is read-only.
     """
 
     config: ModelConfig
@@ -523,6 +528,7 @@ class Ensemble:
     static: Mapping[int | None, np.ndarray] = field(repr=False)
     params: Mapping[str, np.ndarray] = field(repr=False)
     norm_stats: NormStats = field(repr=False)
+    plan: ad.Plan = field(repr=False)
 
 
 def prepare_ensemble(
@@ -531,8 +537,8 @@ def prepare_ensemble(
     priors: np.ndarray,
     cluster_model: ClusterModel | None = None,
 ) -> Ensemble:
-    """Check that the members share one config, build every member's static branch
-    for every prior row, and stack the members' static branches, parameters and norm stats."""
+    """Check that the members share one config, build every member's static branch for every prior row,
+    stack the members' static branches, parameters and norm stats, and trace ``record_branch`` on the stacks."""
     if not checkpoints:
         raise ValueError("prepare_ensemble needs at least one checkpoint")
     first = checkpoints[0]
@@ -558,12 +564,18 @@ def prepare_ensemble(
         )
         for row in (range(cluster_model.num_clusters) if prior_mode == "active_row" else [None])
     }
-    return Ensemble(
-        first.config, graph, cluster_model, MappingProxyType(static),
-        params=MappingProxyType({name: stack(ckpt.params[name] for ckpt in checkpoints) for name in first.params}),
-        norm_stats=NormStats(*(stack(getattr(ckpt.norm_stats, f.name) for ckpt in checkpoints)
-                               for f in fields(NormStats))),
-    )
+    params = MappingProxyType({name: stack(ckpt.params[name] for ckpt in checkpoints) for name in first.params})
+
+    def outputs(counter_slices, static_feat):
+        pred = record_branch(params, first.config, graph, counter_slices, static_feat)
+        return pred.cc_logits, pred.speed_pred, pred.vol_logits
+
+    norm_stats = NormStats(*(stack(getattr(ckpt.norm_stats, f.name) for ckpt in checkpoints) for f in fields(NormStats)))
+    static_feat = next(iter(static.values()))
+    # the normalized counter slices' shape, (M, N, 8) or (N, 8); the plan keeps no traced value
+    counter_slices = np.zeros((*static_feat.shape[:-1], norm_stats.counter_mean.shape[-1]))
+    plan = ad.Plan.trace(outputs, (counter_slices, static_feat))
+    return Ensemble(first.config, graph, cluster_model, MappingProxyType(static), params, norm_stats, plan)
 
 
 def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProbs:
@@ -571,15 +583,14 @@ def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProb
 
     The calls of ``predict_record``, once on the member stack: per record,
     the raw counter slice is built once and normalized for every member in
-    one op, and the model's trunk and heads run once, with the static
-    branches of the record's prior row. Every value has the bits of the
-    members' ``predict_record`` outputs averaged in member order.
+    one op, and the plan of the model's trunk and heads is replayed once,
+    with the static branches of the record's prior row. Every value has the
+    bits of the members' ``predict_record`` outputs averaged in member order.
     """
     ens = ensemble
     row = _prior_row(ens.config.prior_mode, ens.cluster_model, record)
     counter_slices = ens.norm_stats.normalize_counters(counter_slice_matrix(ens.graph, record))
-    pred = record_branch(ens.params, ens.config, ens.graph, counter_slices, ens.static[row])
-    probs = predict_probabilities(pred, ens.norm_stats)
+    probs = predict_probabilities(PredictionBundle(*ens.plan.forward(counter_slices, ens.static[row])), ens.norm_stats)
     if probs.cc.ndim == 2:  # one member
         return probs
     # add.reduce over the leading axis adds the members in order, as a running sum does

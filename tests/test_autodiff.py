@@ -101,6 +101,53 @@ def test_member_stack_shape_errors_name_the_operands():
             ad.gnn_round(operands[0], operator, *operands[1:])
 
 
+def _held_arrays(obj, seen):
+    """Every ndarray reachable from ``obj`` through attributes, mappings and sequences."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _held_arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _held_arrays(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _held_arrays(vars(obj), seen)
+
+
+def test_a_traced_member_stack_replays_with_the_bits_of_the_stacked_call():
+    """Operands that require no gradient may be Tensors of a member stack. Their forward-only plan replays with
+    the plain stacked calls' bits, holds only its constants, and gives each replay arrays of its own."""
+    rng = np.random.default_rng(4)
+    w, b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 1, 4))
+    w_self, w_nbr, b_gnn = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 1, 4))
+    operator = mean_aggregation_matrix([(1, 2), (0,), (0, 3), (2, 4), (3,)])
+    constants = (w, b, w_self, w_nbr, b_gnn, operator)
+
+    def block(x, skip):
+        h = ad.linear(x, w, b, relu=True)
+        return [ad.linear(h, w, b, skip=skip), ad.gnn_round(h, operator, w_self, w_nbr, b_gnn)]
+
+    x0, skip0 = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
+    plan = ad.Plan.trace(block, (x0, skip0))
+    assert plan.ops == ("linear", "linear", "gnn_round")
+    replays = []
+    for x, skip in ((rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))), (x0, skip0)):
+        outputs = plan.forward(x, skip)
+        assert [out.tobytes() for out in outputs] == [out.tobytes() for out in block(x, skip)]
+        replays.append(outputs)
+        held = list(_held_arrays(plan, set()))
+        assert held and all(any(a is c for c in constants) for a in held), [a.shape for a in held]
+    assert not any(np.shares_memory(a, b) for a, b in zip(replays[0], replays[1]))
+    before = [out.copy() for out in replays[0]]
+    plan.forward(x0 + 1.0, skip0)
+    assert [out.tobytes() for out in replays[0]] == [out.tobytes() for out in before]
+    plan.backward()  # nothing to differentiate: a no-op
+
+
 def test_embedding_index_out_of_range():
     with pytest.raises(IndexError, match=r"values in \[0, 3\] for table of size 3"):
         ad.embedding_cells([(4, 1), (3, 2)], np.array([[0, 0], [1, 3]]))

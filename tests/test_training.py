@@ -143,6 +143,21 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, trained):
     assert path.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("change", [
+    lambda c: {"norm_stats": replace(c.norm_stats, speed_mean=c.norm_stats.speed_mean + 0.5)},
+    lambda c: {"norm_stats": replace(c.norm_stats, counter_std=c.norm_stats.counter_std * 2.0)},
+    lambda c: {"cc_weights": c.cc_weights + np.array([0.0, 1.0, 0.0])},
+    lambda c: {"vol_weights": c.vol_weights * 2.0},
+], ids=["speed_mean", "counter_std", "cc_weights", "vol_weights"])
+def test_checkpoints_that_differ_only_in_a_norm_stat_or_a_class_weight_compare_unequal(trained, change):
+    ckpt, _runlog = trained
+    other = replace(ckpt, **change(ckpt))
+    assert not other.equals(ckpt) and not ckpt.equals(other)
+    copied = replace(ckpt, params={k: v.copy() for k, v in ckpt.params.items()}, cc_weights=ckpt.cc_weights.copy(),
+                     vol_weights=ckpt.vol_weights.copy(), norm_stats=replace(ckpt.norm_stats))
+    assert copied.equals(ckpt) and ckpt.equals(copied)
+
+
 @pytest.fixture(scope="module")
 def checkpoint_file(trained, tmp_path_factory):
     return save_checkpoint(tmp_path_factory.mktemp("ckpt") / "checkpoint.bin", trained[0])
@@ -522,6 +537,33 @@ def test_stacked_ensemble_is_the_ordered_member_mean_at_every_depth(small_city, 
                 assert getattr(ensembled, field).tobytes() == expected.tobytes(), (members, record.record_id, field)
 
 
+@pytest.mark.parametrize("prior_mode", ["full", "active_row"])
+def test_serving_replays_the_plan_traced_in_prepare_ensemble(small_city, prior_mode, monkeypatch):
+    """Once prepared, an ensemble serves without the recording ops: with ``ad.linear`` and ``ad.gnn_round``
+    raising, 1 and 3 members still give the bits of the members' own ``predict_record`` outputs."""
+    dataset, cluster_model, priors = small_city
+    config = replace(SMALL_MODEL, prior_mode=prior_mode)
+    norm_stats = _training_set(small_city).norm_stats
+    checkpoints = [_noisy_checkpoint(config, norm_stats, seed) for seed in range(3)]
+    records = dataset.records[:8]
+    singles = {r.record_id: [predict_record(c, dataset.graph, priors, r, cluster_model) for c in checkpoints]
+               for r in records}
+    ensembles = {members: prepare_ensemble(checkpoints[:members], dataset.graph, priors, cluster_model)
+                 for members in (1, 3)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an op wrapper ran while serving")
+
+    monkeypatch.setattr(ad, "linear", refuse)
+    monkeypatch.setattr(ad, "gnn_round", refuse)
+    for members, ensemble in ensembles.items():
+        for record in records:
+            ensembled = ensemble_predict(ensemble, record)
+            for field in ("cc", "speed_kph", "vol"):
+                expected = _ordered_mean(singles[record.record_id][:members], field)
+                assert getattr(ensembled, field).tobytes() == expected.tobytes(), (members, record.record_id, field)
+
+
 def _arrays(obj, seen=None):
     """Every ndarray reachable from ``obj`` through dataclass fields, mappings, sequences and cached properties."""
     seen = set() if seen is None else seen
@@ -585,8 +627,11 @@ def test_active_row_ensemble_needs_a_cluster_model(small_city, trained):
 
 
 def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch):
+    """``predict_record`` and every ``ensemble_predict`` build no Tensor; only ``prepare_ensemble``'s one
+    trace does, before any record."""
     dataset, cluster_model, priors = small_city
     checkpoints = [ckpt for ckpt, _ in three_members]
+    ensemble = prepare_ensemble(checkpoints, dataset.graph, priors)
     made = []
     real_init = ad.Tensor.__init__
 
@@ -596,7 +641,8 @@ def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch)
 
     monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
     predict_record(checkpoints[0], dataset.graph, priors, dataset.records[0])
-    ensemble_predict(prepare_ensemble(checkpoints, dataset.graph, priors), dataset.records[0])
+    for record in dataset.records[:3]:
+        ensemble_predict(ensemble, record)
     assert made == []
     ad.Tensor(np.zeros(1))  # the counter itself works
     assert made == [1]
