@@ -224,27 +224,17 @@ def node_gnn_baseline(
     params["edge_b"] = np.zeros(3)
     store = ad.ParamStore(params)
 
-    def forward_logits(params, x):
-        """Tensors from the store (training), arrays from ``store.arrays()`` (validation)."""
-        h = ad.linear(x, params["in_w"], params["in_b"])
-        for layer in range(layers):
-            weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
-            h = ad.gnn_round(h, node_mean, *weights)
-        pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
-        return ad.linear(pair, params["edge_w"], params["edge_b"])
-
     def record_inputs(record: VolumeRecord):
         return feats[record.record_id], targets[record.record_id]
 
     def record_loss(x, target):
-        loss, _n = ad.weighted_cross_entropy(forward_logits(store, x), target, weights)
-        return (loss,)
+        h = ad.linear(x, store["in_w"], store["in_b"])
+        for layer in range(layers):
+            h = ad.gnn_round(h, node_mean, *(store[f"gnn{layer}_{part}"] for part in ("self_w", "nbr_w", "b")))
+        pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
+        logits = ad.linear(pair, store["edge_w"], store["edge_b"])
+        loss, _n = ad.weighted_cross_entropy(logits, target, weights)
+        return loss, logits
 
-    def val_cc_probs(records):
-        params = store.arrays()
-        return np.array([ad.softmax_np(forward_logits(params, feats[r.record_id])) for r in records])
-
-    fit = fit_loop(
-        store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss, val_cc_probs
-    )
+    fit = fit_loop(store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss)
     return fit.val_scores[fit.best_epoch]

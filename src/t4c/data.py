@@ -1275,6 +1275,8 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
     labels are the segment flow speed scaled down under congestion; ETAs
     follow from the generated speeds plus noise.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = spec.num_nodes
 

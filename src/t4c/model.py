@@ -50,7 +50,6 @@ __all__ = [
     "static_inputs",
     "static_branch",
     "record_branch",
-    "congestion_probs",
     "forward",
     "make_label_arrays",
     "loss_terms",
@@ -225,22 +224,19 @@ def _mlp(params: Params, prefix: str, count: int, x):
     return x
 
 
-def _head_body(params: Params, config: ModelConfig, task: str, x):
-    """A head's residual blocks: everything but its output layer."""
+def _head(params: Params, config: ModelConfig, task: str, x):
+    """A head's residual blocks, then its output layer."""
     for block in range(config.head_blocks):
         name = f"head_{task}_block{block}"
         inner = ad.linear(x, params[f"{name}_a_w"], params[f"{name}_a_b"], relu=True)
         x = ad.linear(inner, params[f"{name}_b_w"], params[f"{name}_b_b"], skip=x)  # identity skip
-    return x
-
-
-def _head(params: Params, config: ModelConfig, task: str, x):
-    return ad.linear(_head_body(params, config, task, x), params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
+    return ad.linear(x, params[f"head_{task}_out_w"], params[f"head_{task}_out_b"])
 
 
 def static_inputs(config: ModelConfig, graph: RoadGraph, priors: np.ndarray, norm_stats: NormStats,
                   row: int | None = None) -> tuple[np.ndarray, ...]:
-    """What the static branch's ops read, from the graph and the (segments, K, 3) priors in its segment order.
+    """What the static branch's ops read, from the graph and the (segments, K, 3) priors in its segment order,
+    where K is ``config.num_clusters``.
 
     The ``ad.embedding_cells`` of the four categorical columns (``VOCAB_SIZES`` order; a code outside its
     vocabulary raises IndexError), then the z-normalized continuous attributes and the prior block, each
@@ -248,13 +244,11 @@ def static_inputs(config: ModelConfig, graph: RoadGraph, priors: np.ndarray, nor
     row-major, so cluster i's distribution sits at offset 3*i; in ``active_row`` mode it is prior row ``row``.
     """
     n = len(graph.segments)
-    if priors.ndim != 3 or priors.shape[::2] != (n, 3):
-        raise ValueError(f"priors of shape {priors.shape}, expected ({n}, K, 3)")
+    if priors.shape != (n, config.num_clusters, 3):
+        raise ValueError(f"priors of shape {priors.shape}, expected {(n, config.num_clusters, 3)}")
     if config.prior_mode == "active_row" and row is None:
         raise ValueError("prior_mode 'active_row' needs a prior row")
     block = priors.reshape(n, -1) if config.prior_mode == "full" else priors[:, row]
-    if block.shape[1] != config.prior_width:
-        raise ad.ShapeError(f"prior block width {block.shape[1]} vs config {config.prior_width}")
     static_gate = 1.0 if config.use_static else 0.0
     prior_gate = 1.0 if config.use_prior_block else 0.0
     continuous = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
@@ -278,19 +272,6 @@ def static_branch(params: Params, config: ModelConfig, inputs: Sequence):
     return _mlp(params, "static", len(config.static_hidden), static_in)
 
 
-def _trunk(params: Params, config: ModelConfig, graph: RoadGraph, counter_slice, static_feat):
-    """The volume MLP on the (N, 8) counter slice, the combine layer with ``static_feat``, and the message passing."""
-    n = len(graph.segments)
-    if counter_slice.shape[-2] != n:
-        raise ad.ShapeError(f"features for {counter_slice.shape[-2]} segments vs graph with {n}")
-    volume_feat = _mlp(params, "vol", len(config.volume_hidden), counter_slice)
-    h = ad.linear(ad.concat([volume_feat, static_feat], axis=-1), params["combine_w"], params["combine_b"])
-    for layer in range(config.gnn_layers):
-        weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
-        h = ad.gnn_round(h, graph.mean_operator, *weights)
-    return h
-
-
 def record_branch(
     params: Params,
     config: ModelConfig,
@@ -304,22 +285,18 @@ def record_branch(
     On a member stack (every weight (M, F, H), every bias (M, 1, H), the inputs (M, N, width)) of arrays, or of
     Tensors that require no gradient (``prepare_ensemble`` traces it so), one call runs every member, into
     (M, N, C) logits and (M, N) speeds with the bits of the members' own calls."""
-    h = _trunk(params, config, graph, counter_slice, static_feat)
+    n = len(graph.segments)
+    if counter_slice.shape[-2] != n:
+        raise ad.ShapeError(f"features for {counter_slice.shape[-2]} segments vs graph with {n}")
+    volume_feat = _mlp(params, "vol", len(config.volume_hidden), counter_slice)
+    h = ad.linear(ad.concat([volume_feat, static_feat], axis=-1), params["combine_w"], params["combine_b"])
+    for layer in range(config.gnn_layers):
+        weights = (params[f"gnn{layer}_self_w"], params[f"gnn{layer}_nbr_w"], params[f"gnn{layer}_b"])
+        h = ad.gnn_round(h, graph.mean_operator, *weights)
     cc_logits = _head(params, config, "cc", h)
     speed = _head(params, config, "speed", h)
     vol_logits = _head(params, config, "vol", h)
     return PredictionBundle(cc_logits=cc_logits, speed_pred=ad.reshape(speed, speed.shape[:-1]), vol_logits=vol_logits)
-
-
-def congestion_probs(
-    params: Mapping[str, np.ndarray],
-    config: ModelConfig,
-    graph: RoadGraph,
-    counter_slice: np.ndarray,
-    static_feat: np.ndarray,
-) -> np.ndarray:
-    """``predict_probabilities(record_branch(...)).cc`` with the same bits, without the speed and volume heads."""
-    return ad.softmax_np(_head(params, config, "cc", _trunk(params, config, graph, counter_slice, static_feat)))
 
 
 def forward(

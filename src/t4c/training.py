@@ -6,8 +6,9 @@ Adam update. After every epoch the validation congestion score is
 computed and the best epoch's parameters are kept. One loop, ``fit_loop``,
 does this for the main model and for the node-GNN baseline: it traces one
 record's forward and loss into an autodiff plan once, and replays the plan
-for every record with that record's inputs bound. Validation runs the
-static branch once per cluster and only the congestion head. Ensemble members
+for every record with that record's inputs bound; validation replays the same
+plan on each validation record and scores its congestion logits, so the best
+epoch is picked by the network that training fits. Ensemble members
 differ only by their seed, so a run builds its split, counter slices, targets
 and class weights once (``prepare_training``) and trains every member from
 them; each member builds its ``static_inputs`` once per cluster, from the
@@ -51,7 +52,6 @@ from .model import (
     PredictionBundle,
     PredictionProbs,
     config_hash,
-    congestion_probs,
     forward,
     init_params,
     inverse_frequency_weights,
@@ -124,6 +124,11 @@ class TrainConfig:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        for name in ("base_seed", "split_seed"):  # random.Random(-s) draws as random.Random(s)
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if any(seed < 0 for seed in self.member_seeds or ()):
+            raise ValueError(f"each member seed must be >= 0, got {self.member_seeds}")
         if self.member_seeds is not None and len(self.member_seeds) != self.ensemble_size:
             raise ValueError(f"{len(self.member_seeds)} member seeds for ensemble of {self.ensemble_size}")
         for k, seed in enumerate(self.member_seeds or ()):
@@ -190,6 +195,12 @@ def _chunks(items: list, size: int):
         yield items[i : i + size]
 
 
+def _check_clusters(cluster_model: ClusterModel | None, config: ModelConfig) -> None:
+    if cluster_model is not None and cluster_model.num_clusters != config.num_clusters:
+        raise ValueError(f"the cluster model has K={cluster_model.num_clusters} but the model config "
+                         f"num_clusters={config.num_clusters}")
+
+
 def _prior_row(prior_mode: str, cluster_model: ClusterModel | None, record: VolumeRecord) -> int | None:
     """The prior row a record reads: its cluster in ``active_row`` mode, None (every row) in ``full`` mode."""
     if prior_mode == "full":
@@ -230,20 +241,19 @@ def fit_loop(
     labels: LabelTable,
     record_inputs: Callable[[VolumeRecord], tuple[np.ndarray, ...]],
     record_loss: Callable[..., Sequence[ad.Tensor]],
-    val_cc_probs: Callable[[Sequence[VolumeRecord]], np.ndarray],
 ) -> FitResult:
     """Fit ``store`` by Adam on seeded shuffles of batched records.
 
     ``record_loss`` maps a record's inputs (``record_inputs(record)``, as
-    Tensors) to its scalar loss and any further loss parts to log; the loss
-    is logged first. It is traced once, on the first training record, into
-    an ``ad.Plan`` that every step replays on its records' inputs.
-    Gradients are averaged over each batch. After every epoch
-    ``val_cc_probs`` gives the validation records' (records, segments, 3)
-    congestion probabilities, in record order and in the order of
-    ``labels.segment_ids``, and their core score picks the best epoch
-    (earliest wins ties). A non-finite loss aborts at once with the seed
-    and the last finite state in the error message.
+    Tensors) to its scalar loss, any further loss parts to log, and last
+    the record's (segments, 3) congestion logits, in the order of
+    ``labels.segment_ids``; the loss is logged first. It is traced once, on
+    the first training record, into an ``ad.Plan`` that every step replays
+    on its records' inputs, ignoring the logits. Gradients are averaged
+    over each batch. After every epoch the plan is replayed on each
+    validation record, and the core score of the softmaxed logits picks
+    the best epoch (earliest wins ties). A non-finite loss aborts at once
+    with the seed and the last finite state in the error message.
     """
     val_ids = [r.record_id for r in val_records]
     val_labels, no_etas = labels.select(val_ids), np.empty((len(val_ids), 0))
@@ -255,7 +265,7 @@ def fit_loop(
     best_score = float("inf")
     best_params: dict[str, np.ndarray] | None = None
     last_finite: tuple[int, float] | None = None
-    plan: ad.Plan | None = None
+    plan = ad.Plan.trace(record_loss, record_inputs(train_records[0]))
 
     for epoch in range(train_cfg.epochs):
         order = list(train_records)
@@ -266,10 +276,7 @@ def fit_loop(
         for batch in _chunks(order, train_cfg.batch_size):
             store.zero_grad()
             for record in batch:
-                inputs = record_inputs(record)
-                if plan is None:
-                    plan = ad.Plan.trace(record_loss, inputs)
-                parts = plan.forward(*inputs)
+                *parts, _logits = plan.forward(*record_inputs(record))
                 value = float(parts[0])
                 if not np.isfinite(value):
                     state = f"last finite state: {last_finite}" if last_finite else "no finite step yet"
@@ -282,7 +289,8 @@ def fit_loop(
             store.scale_grads(1.0 / len(batch))
             ad.adam_step(store, lr=train_cfg.learning_rate)
 
-        predictions = PredictionTable(val_ids, labels.segment_ids, (), val_cc_probs(val_records), no_etas)
+        cc = np.array([ad.softmax_np(plan.forward(*record_inputs(r))[-1]) for r in val_records])
+        predictions = PredictionTable(val_ids, labels.segment_ids, (), cc, no_etas)
         score = core_metric(predictions, val_labels).score
         if score is None:
             raise ValueError("validation split has no scored congestion labels")
@@ -345,10 +353,11 @@ def prepare_training(
     """The split, graph, norm stats, priors, counter slices, targets and class weights of a run.
 
     Only the prior mode of ``model_cfg`` (which prior row each record
-    reads) enters the set; any config with that prior mode can train from
-    it. The set holds a read-only copy of ``priors``; the caller's array
-    stays as it was.
+    reads) enters the set; any config with that prior mode and the cluster
+    model's ``num_clusters`` can train from it. The set holds a read-only
+    copy of ``priors``; the caller's array stays as it was.
     """
+    _check_clusters(cluster_model, model_cfg)
     records, train_records, val_records = split_records(dataset, train_cfg)
     labels = dataset.labels
     graph = dataset.graph
@@ -406,19 +415,9 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
         losses, _counts = loss_terms(
             pred, LabelArrays(cc, speed, speed_mask, vol), ts.cc_weights, ts.vol_weights, model_cfg.lambdas
         )
-        return losses
+        return (*losses, pred.cc_logits)
 
-    def val_cc_probs(records: Sequence[VolumeRecord]) -> np.ndarray:
-        params = store.arrays()
-        static_feat = {row: static_branch(params, model_cfg, inputs) for row, inputs in static_in.items()}
-        return np.array([
-            congestion_probs(params, model_cfg, graph, ts.counter_slices[r.record_id], static_feat[ts.rows[r.record_id]])
-            for r in records
-        ])
-
-    fit = fit_loop(
-        store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.labels, record_inputs, record_loss, val_cc_probs
-    )
+    fit = fit_loop(store, ts.train_cfg, seed, ts.train_records, ts.val_records, ts.labels, record_inputs, record_loss)
     ckpt = Checkpoint(
         params=fit.params,
         norm_stats=ts.norm_stats,
@@ -537,8 +536,9 @@ def prepare_ensemble(
     priors: np.ndarray,
     cluster_model: ClusterModel | None = None,
 ) -> Ensemble:
-    """Check that the members share one config, build every member's static branch for every prior row,
-    stack the members' static branches, parameters and norm stats, and trace ``record_branch`` on the stacks."""
+    """Check that the members share one config and the cluster model has its ``num_clusters``, build every
+    member's static branch for every prior row, stack the members' static branches, parameters and norm stats,
+    and trace ``record_branch`` on the stacks."""
     if not checkpoints:
         raise ValueError("prepare_ensemble needs at least one checkpoint")
     first = checkpoints[0]
@@ -547,6 +547,7 @@ def prepare_ensemble(
             raise ValueError(
                 f"checkpoint config hash mismatch: {ckpt.config_hash} vs {first.config_hash}"
             )
+    _check_clusters(cluster_model, first.config)
     prior_mode = first.config.prior_mode
     if prior_mode == "active_row" and cluster_model is None:
         raise ValueError("prior_mode 'active_row' needs a cluster model")

@@ -351,6 +351,16 @@ def test_invalid_synth_spec_exits_one(tmp_path, capsys):
     assert "signal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", [["synth"], ["baseline", "node_gnn", "--data", "{dir}/data/toy"]], ids=lambda s: s[0])
+def test_a_negative_seed_exits_1_naming_it_and_writes_nothing(pipeline, tmp_path, stage):
+    """numpy refused it with a bare "expected non-negative integer", and ``baseline`` left an empty --out."""
+    argv = [arg.format(dir=pipeline) for arg in stage]
+    code, err = _run([*argv, "--out", tmp_path / "out", "--seed", "-1"])
+    assert code == 1, err
+    assert f"{'seed' if stage == ['synth'] else 'base_seed'} must be >= 0, got -1" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     assert main(["--workdir", str(tmp_path), "synth", "--out", "d", "--bogus"]) == 1
 
@@ -842,6 +852,8 @@ _BAD_VALUES = [  # (section, field, value, its flag or None)
     ("train", "learning_rate", -1.0, "--lr"),
     ("train", "learning_rate", math.nan, "--lr"),
     ("train", "learning_rate", math.inf, "--lr"),
+    ("train", "base_seed", -1, "--seed"),
+    ("train", "split_seed", -1, "--split-seed"),
 ]
 
 

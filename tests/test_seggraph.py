@@ -1,6 +1,7 @@
 """The road graph's segment adjacency against a brute-force endpoint oracle, its mean
 operator, plus normalization and feature assembly contracts."""
 
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -293,12 +294,13 @@ def test_missing_prior_rejected(toy_graph):
     priors = uniform_priors(toy_graph)[[0, 2]]  # e2's row dropped
     with pytest.raises(ValueError) as err:
         static_inputs(ModelConfig(), toy_graph, priors, identity_stats())
-    assert "priors of shape (2, 10, 3), expected (3, K, 3)" in str(err.value)
+    assert "priors of shape (2, 10, 3), expected (3, 10, 3)" in str(err.value)
 
 
 def test_prior_width_other_than_the_configs_and_a_code_outside_its_vocabulary_are_refused(toy_graph):
-    with pytest.raises(ad.ShapeError, match="prior block width 12 vs config 30"):
-        static_inputs(ModelConfig(num_clusters=10), toy_graph, uniform_priors(toy_graph, k=4), identity_stats())
+    for config in (ModelConfig(num_clusters=10), ModelConfig(num_clusters=10, prior_mode="active_row")):
+        with pytest.raises(ValueError, match=re.escape("priors of shape (3, 4, 3), expected (3, 10, 3)")):
+            static_inputs(config, toy_graph, uniform_priors(toy_graph, k=4), identity_stats(), row=0)
     wide_lanes = replace(toy_graph, segments=(make_segment("e1", "A", "B", lanes=5), *toy_graph.segments[1:]))
     with pytest.raises(IndexError, match=r"values in \[1, 4\] for table of size 4"):
         static_inputs(ModelConfig(), wide_lanes, uniform_priors(toy_graph), identity_stats())

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from t4c import autodiff as ad
 from t4c.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
-from t4c.data import SynthSpec, daytime_filter, generate_synthetic_city, split_train_validation
+from t4c.data import PredictionTable, SynthSpec, daytime_filter, generate_synthetic_city, split_train_validation
+from t4c.evaluation import core_metric
 from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params, param_shapes
 from t4c.seggraph import fit_normalization
 from t4c.training import (
@@ -70,6 +71,8 @@ def test_config_validation():
         TrainConfig(val_fraction=1.0)
     with pytest.raises(ValueError):
         TrainConfig(ensemble_size=2, member_seeds=(1,)).seeds()
+    with pytest.raises(ValueError, match=re.escape("each member seed must be >= 0, got (0, -1)")):
+        TrainConfig(ensemble_size=2, member_seeds=(0, -1))
     assert TrainConfig(ensemble_size=3, base_seed=5).seeds() == (5, 6, 7)
 
 
@@ -751,8 +754,7 @@ def _captured_fits(monkeypatch, module, run, times=2):
 
     captured = []
 
-    def fake_fit_loop(store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss,
-                      val_cc_probs):
+    def fake_fit_loop(store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss):
         captured.append((store, [record_inputs(r) for r in train_records[:6]], record_loss))
         return FitResult(params=store.state_arrays(), best_epoch=0, val_scores=(0.5,),
                          mean_losses=(np.zeros(4),), data_order_hash="0" * 64)
@@ -848,16 +850,70 @@ def test_training_steps_build_no_tensor_and_walk_no_graph(small_city, monkeypatc
     assert per_run[0]["walks"] == 1
 
 
-def test_validation_builds_the_static_branch_once_per_cluster_and_only_the_congestion_head(small_city, monkeypatch):
-    import t4c.training as training
+def test_after_the_trace_no_op_runs_outside_the_plan_and_every_result_is_kept(small_city, monkeypatch):
+    """Training and validation only replay the plan: once ``Plan.trace`` has returned, an op call raises, and
+    each run gives the run log, checkpoint or score of an unpatched run."""
+    import t4c.baselines as baselines
 
+    configs = (replace(SMALL_MODEL, prior_mode="full"), replace(SMALL_MODEL, prior_mode="active_row"))
+    runs = [(_training_set(small_city, replace(SMALL_TRAIN, epochs=2), cfg), cfg) for cfg in configs]
+    expected = [train_one(ts, cfg, seed=0) for ts, cfg in runs]
+    expected_gnn = baselines.node_gnn_baseline(small_city[0], SMALL_TRAIN, seed=0)
+
+    traced = [False]
+    real_trace, real_apply = ad.Plan.trace.__func__, ad._apply
+
+    def trace(cls, fn, inputs):
+        traced[0] = False
+        plan = real_trace(cls, fn, inputs)
+        traced[0] = True
+        return plan
+
+    def apply(*args, **kwargs):
+        assert not traced[0], "an op ran outside the traced plan"
+        return real_apply(*args, **kwargs)
+
+    monkeypatch.setattr(ad.Plan, "trace", classmethod(trace))
+    monkeypatch.setattr(ad, "_apply", apply)
+    for (ts, cfg), (expected_ckpt, expected_runlog) in zip(runs, expected):
+        ckpt, runlog = train_one(ts, cfg, seed=0)
+        assert runlog == expected_runlog
+        assert ckpt.equals(expected_ckpt)
+    assert baselines.node_gnn_baseline(small_city[0], SMALL_TRAIN, seed=0) == expected_gnn
+
+
+@pytest.mark.parametrize("prior_mode", ["full", "active_row"])
+def test_the_best_epochs_validation_score_is_the_served_members_score_bit_for_bit(small_city, prior_mode):
+    """Validation replays the training plan; serving replays the ensemble's plan on the checkpoint: the
+    same network, so one member's best ``val_core`` is the core score of its served validation predictions."""
+    dataset, cluster_model, priors = small_city
+    model_cfg = replace(SMALL_MODEL, prior_mode=prior_mode)
+    ts = _training_set(small_city, model_cfg=model_cfg)
+    ckpt, runlog = train_one(ts, model_cfg, seed=0)
+    ensemble = prepare_ensemble([ckpt], dataset.graph, priors, cluster_model)
+    ids = [r.record_id for r in ts.val_records]
+    cc = np.array([ensemble_predict(ensemble, r).cc for r in ts.val_records])
+    served = core_metric(PredictionTable(ids, ts.labels.segment_ids, (), cc, np.empty((len(ids), 0))),
+                         ts.labels.select(ids))
+    assert float.hex(served.score) == float.hex(runlog.epochs[runlog.best_epoch].val_core)
+
+
+def test_a_cluster_model_of_another_cluster_count_than_the_configs_is_refused(small_city):
+    """A 3-cluster model and its priors trained and served under ``num_clusters=5`` without a word."""
+    dataset, _cluster_model, _priors = small_city
+    records = daytime_filter(dataset.records, *SMALL_TRAIN.daytime)
+    train_records, _val = split_train_validation(records, 1.0 - SMALL_TRAIN.val_fraction, SMALL_TRAIN.split_seed)
+    three = fit_clusters(train_records, 3)
+    priors, _support = build_prior_matrices(three, dataset.labels.select(r.record_id for r in train_records),
+                                            dataset.graph)
     model_cfg = replace(SMALL_MODEL, prior_mode="active_row")
-    ts = _training_set(small_city, replace(SMALL_TRAIN, epochs=2), model_cfg)
-    counts = _count_calls(monkeypatch, training, ("static_branch", "congestion_probs", "record_branch"))
-    train_one(ts, model_cfg, seed=0)
-    clusters = len(set(ts.rows.values()))
-    assert clusters >= 2
-    # one trace of the training record, then each epoch: every cluster's static branch, every record's head
-    assert len(counts["static_branch"]) == 1 + 2 * clusters
-    assert len(counts["record_branch"]) == 1
-    assert len(counts["congestion_probs"]) == 2 * len(ts.val_records)
+    message = "the cluster model has K=3 but the model config num_clusters=5"
+    with pytest.raises(ValueError, match=message):
+        prepare_training(SMALL_TRAIN, dataset, three, priors, model_cfg)
+    ts = prepare_training(SMALL_TRAIN, dataset, three, priors, replace(model_cfg, num_clusters=3))
+    with pytest.raises(ValueError, match=re.escape(f"priors of shape {priors.shape}, expected ")):
+        train_one(ts, model_cfg, seed=0)
+    ckpt, _runlog = train_one(replace(ts, train_cfg=replace(SMALL_TRAIN, epochs=1)), replace(model_cfg, num_clusters=3),
+                              seed=0)
+    with pytest.raises(ValueError, match=message):
+        prepare_ensemble([replace(ckpt, config=model_cfg)], dataset.graph, priors, three)
