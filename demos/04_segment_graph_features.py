@@ -52,7 +52,7 @@ raw = counter_slice_matrix(dataset.graph, records[0])  # this record's counters 
 counter_slice = stats.normalize_counters(raw)
 print("\nfeature blocks for one record:")
 print("  categorical ", graph.categorical_matrix.shape, "(importance, oneway, tunnel, lanes) ->",
-      cells.shape, f"embedding cells ({config.embedding_width} wide)")
+      cells.shape, f"embedding cells ({cells.shape[1]} wide)")
 print("  continuous  ", continuous.shape, "z-scored; column means ~0:",
       continuous.mean(axis=0).round(2).tolist())
 print("  counter     ", counter_slice.shape, "(tail 4 bins, head 4 bins)")

@@ -412,7 +412,7 @@ def read_json(kind, value, where: str = ""):
     ``dict`` any object, ``X | None`` also null, ``tuple[X, ...]`` a list and ``tuple[X, Y]`` a list of two,
     ``dict[str, X]`` an object, ``np.ndarray`` a list (or nested lists) of finite numbers, and a dataclass an
     object of its fields, each read by its type hint and required unless it has a default. ``where`` is the
-    JSON path of ``value``, such as ``train.member_seeds[0]``.
+    JSON path of ``value``, such as ``model.volume_hidden[0]``.
     """
     at, key = (f"{where}: ", f"{where}.") if where else ("", "")
     if kind in _SCALARS:  # a float also takes an int that a float holds; abs(NaN) is not <= anything
@@ -1166,6 +1166,8 @@ def split_train_validation(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    if seed < 0:  # random.Random(-s) draws as random.Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     days = sorted({r.day for r in records})
     if len(days) < 2:
         raise ValueError(f"need at least 2 distinct days to split, got {len(days)}")

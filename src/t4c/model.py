@@ -43,7 +43,7 @@ __all__ = [
     "PredictionProbs",
     "LabelArrays",
     "LossReport",
-    "VOCAB_SIZES",
+    "EMBEDDINGS",
     "HEADS",
     "param_shapes",
     "init_params",
@@ -59,8 +59,9 @@ __all__ = [
     "config_hash",
 ]
 
-# categorical vocabularies: importance 0..5, oneway 0/1, tunnel 0/1, lanes 1..4
-VOCAB_SIZES = {"importance": 6, "oneway": 2, "tunnel": 2, "lanes": 4}
+# the embedding table of each categorical attribute, (vocabulary, width);
+# codes: importance 0..5, oneway 0/1, tunnel 0/1, lanes 1..4
+EMBEDDINGS = {"importance": (6, 5), "oneway": (2, 2), "tunnel": (2, 2), "lanes": (4, 3)}
 HEADS = ("cc", "speed", "vol")  # the output heads, in PredictionBundle order
 
 
@@ -68,17 +69,13 @@ HEADS = ("cc", "speed", "vol")  # the output heads, in PredictionBundle order
 class ModelConfig:
     """Architecture and loss-weighting knobs.
 
-    The embedding widths (5/2/2/3) are the fixed defaults for the four
-    categorical attributes. The congestion head has the three scored
-    classes (green/yellow/red); the undefined code is masked.
+    The four categorical attributes' embedding tables are fixed
+    (``EMBEDDINGS``). The congestion head has the three scored classes
+    (green/yellow/red); the undefined code is masked.
     ``use_prior_block`` / ``use_static`` zero the matching feature slices
     for ablations.
     """
 
-    importance_dim: int = 5
-    oneway_dim: int = 2
-    tunnel_dim: int = 2
-    lanes_dim: int = 3
     volume_hidden: tuple[int, ...] = (32, 32)
     static_hidden: tuple[int, ...] = (32,)
     gnn_layers: int = 3
@@ -98,7 +95,7 @@ class ModelConfig:
             raise ValueError(f"prior_mode must be 'full' or 'active_row', got {self.prior_mode!r}")
         if len(self.lambdas) != 3 or not all(0.0 < lam < np.inf for lam in self.lambdas):  # NaN compares false
             raise ValueError(f"lambdas must be three finite numbers > 0, got {self.lambdas}")
-        for name in ("gnn_layers", "head_blocks", *(f"{name}_dim" for name in VOCAB_SIZES)):
+        for name in ("gnn_layers", "head_blocks"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("hidden", "num_clusters"):
@@ -113,13 +110,9 @@ class ModelConfig:
         return 3 * self.num_clusters if self.prior_mode == "full" else 3
 
     @property
-    def embedding_width(self) -> int:
-        return self.importance_dim + self.oneway_dim + self.tunnel_dim + self.lanes_dim
-
-    @property
     def static_input_width(self) -> int:
         # embeddings + 5 continuous attributes + prior block
-        return self.embedding_width + 5 + self.prior_width
+        return sum(width for _, width in EMBEDDINGS.values()) + 5 + self.prior_width
 
 
 Params = ParamStore | Mapping[str, np.ndarray]
@@ -180,7 +173,7 @@ def config_hash(config: ModelConfig) -> str:
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Each parameter's name and shape in ``init_params``'s draw order, with nothing drawn or allocated."""
-    shapes = {f"emb_{name}": (vocab, getattr(config, f"{name}_dim")) for name, vocab in VOCAB_SIZES.items()}
+    shapes = {f"emb_{name}": shape for name, shape in EMBEDDINGS.items()}
 
     def linear(name: str, fan_in: int, fan_out: int) -> int:
         shapes[f"{name}_w"], shapes[f"{name}_b"] = (fan_in, fan_out), (fan_out,)
@@ -238,7 +231,7 @@ def static_inputs(config: ModelConfig, graph: RoadGraph, priors: np.ndarray, nor
     """What the static branch's ops read, from the graph and the (segments, K, 3) priors in its segment order,
     where K is ``config.num_clusters``.
 
-    The ``ad.embedding_cells`` of the four categorical columns (``VOCAB_SIZES`` order; a code outside its
+    The ``ad.embedding_cells`` of the four categorical columns (``EMBEDDINGS`` order; a code outside its
     vocabulary raises IndexError), then the z-normalized continuous attributes and the prior block, each
     times its ablation gate. In ``full`` prior mode the block flattens each segment's K x 3 priors
     row-major, so cluster i's distribution sits at offset 3*i; in ``active_row`` mode it is prior row ``row``.
@@ -252,23 +245,24 @@ def static_inputs(config: ModelConfig, graph: RoadGraph, priors: np.ndarray, nor
     static_gate = 1.0 if config.use_static else 0.0
     prior_gate = 1.0 if config.use_prior_block else 0.0
     continuous = (graph.continuous_matrix - norm_stats.cont_mean) / norm_stats.cont_std
-    shapes = [(vocab, getattr(config, f"{name}_dim")) for name, vocab in VOCAB_SIZES.items()]
-    cells = ad.embedding_cells(shapes, graph.categorical_matrix)
+    cells = ad.embedding_cells(list(EMBEDDINGS.values()), graph.categorical_matrix)
     return (cells, continuous * static_gate, np.asarray(block, dtype=np.float64) * prior_gate)
 
 
 def static_branch(params: Params, config: ModelConfig, inputs: Sequence):
     """Each segment's static feature: embeddings, continuous attributes and prior block through the static MLP.
 
-    ``inputs`` are the ``static_inputs``, put side by side by one ``ad.embed_concat``.
-    No counter volume is read, so the result is the same for every record with the same prior
-    block: in ``full`` mode for every record, in ``active_row`` mode for every record of one cluster.
+    ``inputs`` are the ``static_inputs``, put side by side by one ``ad.embed_concat``; with ``use_static`` off
+    (the ablation gate) its tables are zeros in place of the embeddings. No counter volume is read, so the
+    result is the same for every record with the same prior block: in ``full`` mode for every record, in
+    ``active_row`` mode for every record of one cluster.
     """
     cells, continuous, prior_block = inputs
     if config.use_static:
-        static_in = ad.embed_concat([params[f"emb_{name}"] for name in VOCAB_SIZES], cells, [continuous, prior_block])
-    else:  # the ablation gate: a zero block in place of the embeddings
-        static_in = ad.concat([np.zeros((continuous.shape[0], config.embedding_width)), continuous, prior_block], axis=1)
+        tables = [params[f"emb_{name}"] for name in EMBEDDINGS]
+    else:
+        tables = [np.zeros(shape) for shape in EMBEDDINGS.values()]
+    static_in = ad.embed_concat(tables, cells, [continuous, prior_block])
     return _mlp(params, "static", len(config.static_hidden), static_in)
 
 

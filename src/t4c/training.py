@@ -102,15 +102,12 @@ class TrainConfig:
     learning_rate: float = 1e-3
     ensemble_size: int = 9
     base_seed: int = 0
-    member_seeds: tuple[int, ...] | None = None
     daytime: tuple[int, int] = (24, 88)
     val_fraction: float = 0.2
     split_seed: int = 0
 
     def __post_init__(self):
         # JSON configs carry lists; tuples keep the config hashable
-        if self.member_seeds is not None:
-            object.__setattr__(self, "member_seeds", tuple(self.member_seeds))
         object.__setattr__(self, "daytime", tuple(self.daytime))
         if len(self.daytime) != 2:
             raise ValueError(f"daytime must be a (start, end) slot pair, got {self.daytime}")
@@ -127,17 +124,9 @@ class TrainConfig:
         for name in ("base_seed", "split_seed"):  # random.Random(-s) draws as random.Random(s)
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if any(seed < 0 for seed in self.member_seeds or ()):
-            raise ValueError(f"each member seed must be >= 0, got {self.member_seeds}")
-        if self.member_seeds is not None and len(self.member_seeds) != self.ensemble_size:
-            raise ValueError(f"{len(self.member_seeds)} member seeds for ensemble of {self.ensemble_size}")
-        for k, seed in enumerate(self.member_seeds or ()):
-            if seed in self.member_seeds[:k]:
-                raise ValueError(f"member seed {seed} is repeated: each member needs a seed of its own")
 
     def seeds(self) -> tuple[int, ...]:
-        if self.member_seeds is not None:
-            return self.member_seeds
+        """Member k's seed, ``base_seed + k``."""
         return tuple(self.base_seed + k for k in range(self.ensemble_size))
 
 

@@ -742,9 +742,12 @@ def test_predict_on_a_checkpoint_header_naming_a_model_too_large_to_allocate_exi
     (lambda path: write_version_1_checkpoint(load_checkpoint(path), path), "unsupported checkpoint version 1"),
     (lambda path: rewrite_checkpoint_header(path, path, lambda header: header["config"].update(cc_classes=3)),
      "unknown key 'config.cc_classes'"),
-], ids=["version_1", "cc_classes_in_config"])
+    (lambda path: rewrite_checkpoint_header(path, path, lambda header: header["config"].update(lanes_dim=3)),
+     "unknown key 'config.lanes_dim'"),
+], ids=["version_1", "cc_classes_in_config", "lanes_dim_in_config"])
 def test_predict_on_a_checkpoint_of_an_older_writer_exits_one(pipeline, capsys, damage, detail, request):
-    """A version 1 file listed its tensors in its header, and its config held the removed ``cc_classes``."""
+    """A version 1 file listed its tensors in its header; an older config held the removed ``cc_classes``, or
+    the embedding widths such as ``lanes_dim``."""
     run = pipeline / "runs" / f"old_{request.node.callspec.id}"
     shutil.copytree(pipeline / "runs/demo", run)
     checkpoint = run / "member_0/checkpoint.bin"
@@ -779,13 +782,12 @@ def _every_field_config():
     return {
         "data": "data/toy",
         "model": asdict(ModelConfig(
-            importance_dim=4, oneway_dim=1, tunnel_dim=1, lanes_dim=2, volume_hidden=(8,),
-            static_hidden=(8, 4), gnn_layers=1, hidden=8, head_blocks=1, lambdas=(0.05, 1.0, 2.0),
+            volume_hidden=(8,), static_hidden=(8, 4), gnn_layers=1, hidden=8, head_blocks=1, lambdas=(0.05, 1.0, 2.0),
             prior_mode="active_row", num_clusters=5, use_prior_block=False, use_static=False,
         )),
         "train": asdict(TrainConfig(
-            epochs=1, batch_size=3, learning_rate=2e-3, ensemble_size=1, base_seed=4, member_seeds=(7,),
-            daytime=(20, 90), val_fraction=0.3, split_seed=2,
+            epochs=1, batch_size=3, learning_rate=2e-3, ensemble_size=1, base_seed=4, daytime=(20, 90),
+            val_fraction=0.3, split_seed=2,
         )),
     }
 
@@ -806,12 +808,12 @@ _FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  
     ({"train": {"epochs": "5"}}, _FIT, 1, ["schema.json: train.epochs: expected an integer"]),
     ({"model": {"hidden": True}}, _FIT, 1, ["schema.json: model.hidden"]),
     ({"model": {"num_clusters": 3.0}}, _FIT, 1, ["schema.json: model.num_clusters"]),
-    ({"train": {"member_seeds": [1.5]}}, _FIT, 1, ["train.member_seeds[0]"]),
+    ({"model": {"volume_hidden": [32, 1.5]}}, _FIT, 1, ["schema.json: model.volume_hidden[1]: expected an integer"]),
     ({"out": {"run_dir": 7}}, _FIT, 1, ["schema.json: out.run_dir: expected a string"]),
-    ({"train": {"member_seeds": [1, 2]}}, _FIT, 1, ["schema.json: 2 member seeds"]),
-    ({"train": {"ensemble_size": 3, "member_seeds": [4, 0, 4]}}, _FIT, 1, ["schema.json: member seed 4 is repeated"]),
-    # the removed 4-class congestion head: its key and its flag are unknown
+    # the removed 4-class congestion head, embedding widths and member seeds: their keys and flag are unknown
     ({"model": {"cc_classes": 4}}, _FIT, 1, ["schema.json: unknown key 'model.cc_classes'"]),
+    ({"model": {"importance_dim": 5}}, _FIT, 1, ["schema.json: unknown key 'model.importance_dim'"]),
+    ({"train": {"member_seeds": None}}, _FIT, 1, ["schema.json: unknown key 'train.member_seeds'"]),
     (None, ["train", "--cluster-model", "cluster_model.json", "--out", "runs/cc", "--cc-classes", "4"], 1,
      ["unrecognized arguments: --cc-classes 4"]),
     (None, ["train", "--help"], 0, [
@@ -822,8 +824,8 @@ _FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  
         )
     ]),
 ], ids=["every_field", "workdir", "out.predictions", "cluster", "fit_clusters_epochs", "predict_seed", "epochs_string",
-        "hidden_true", "num_clusters_float", "member_seed_float", "run_dir_number", "member_seeds_unlike_members",
-        "member_seeds_repeated", "cc_classes_key", "cc_classes_flag", "train_help"])
+        "hidden_true", "num_clusters_float", "volume_hidden_float", "run_dir_number", "cc_classes_key",
+        "importance_dim_key", "member_seeds_key", "cc_classes_flag", "train_help"])
 def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, code, expected):
     if config is not None:
         (pipeline / "schema.json").write_text(json.dumps(config))
@@ -847,8 +849,6 @@ _BAD_VALUES = [  # (section, field, value, its flag or None)
     ("model", "volume_hidden", [32, 0], None),
     ("model", "static_hidden", [-1], None),
     ("model", "head_blocks", -1, None),
-    ("model", "importance_dim", -1, None),
-    ("model", "lanes_dim", -3, None),
     ("train", "learning_rate", -1.0, "--lr"),
     ("train", "learning_rate", math.nan, "--lr"),
     ("train", "learning_rate", math.inf, "--lr"),
@@ -1015,13 +1015,13 @@ def test_eval_stages_call_load_read_and_score_once_in_order(pipeline, monkeypatc
 HYPOTHESIS_CONFIG = {
     "data": "data",
     "model": {
-        "importance_dim": 5, "oneway_dim": 2, "tunnel_dim": 2, "lanes_dim": 3, "volume_hidden": [4],
-        "static_hidden": [4], "gnn_layers": 1, "hidden": 4, "head_blocks": 1, "lambdas": [0.03, 1.0, 1.0],
-        "prior_mode": "full", "num_clusters": 10, "use_prior_block": True, "use_static": True,
+        "volume_hidden": [4], "static_hidden": [4], "gnn_layers": 1, "hidden": 4, "head_blocks": 1,
+        "lambdas": [0.03, 1.0, 1.0], "prior_mode": "full", "num_clusters": 10, "use_prior_block": True,
+        "use_static": True,
     },
     "train": {
-        "epochs": 1, "batch_size": 2, "learning_rate": 1e-3, "ensemble_size": 1, "base_seed": 0, "member_seeds": [3],
-        "daytime": [24, 88], "val_fraction": 0.2, "split_seed": 0,
+        "epochs": 1, "batch_size": 2, "learning_rate": 1e-3, "ensemble_size": 1, "base_seed": 3, "daytime": [24, 88],
+        "val_fraction": 0.2, "split_seed": 0,
     },
     "out": {"run_dir": "runs/run", "cluster_model": "cluster_model.json"},
 }

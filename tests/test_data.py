@@ -446,6 +446,12 @@ def test_split_rejects_degenerate_fraction():
         split_train_validation(_ten_day_records(), 0.0, seed=0)
 
 
+def test_split_rejects_a_negative_seed_by_name():
+    """``random.Random(-1)`` shuffles as ``random.Random(1)``, so seed -1 gave the split of seed 1."""
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        split_train_validation(_ten_day_records(), 0.8, seed=-1)
+
+
 # -- synthetic city ---------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Every narrative demo runs to completion."""
+"""Every narrative demo runs to completion, with any warning an error (as the CI's console-script steps run)."""
 
 import os
 import subprocess
@@ -17,7 +17,7 @@ SLOW = {"05_train_and_evaluate.py", "06_ablation.py"}  # a few seconds of traini
 ])
 def test_demo_runs(demo, tmp_path):
     src = str(DEMOS.parent / "src")
-    env = {**os.environ, "TMPDIR": str(tmp_path),
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONWARNINGS": "error",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)

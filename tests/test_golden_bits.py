@@ -33,7 +33,7 @@ from t4c.training import prepare_training, save_runlog, train_one
 from test_acceptance import ORDERING_MODEL, ORDERING_TRAIN, ordering_city, ordering_fit  # noqa: F401
 
 GOLDEN_TRAIN = replace(ORDERING_TRAIN, epochs=2)
-CHECKPOINT_SHA256 = "f57e917e973e5a908626eb183be680617f2f2b28dc5c2abc0c2fe6c778a7f6a1"
+CHECKPOINT_SHA256 = "d88ffad8a7110ce8afbe0117c808975394fdee03436cf2b9194c40ff5de7b725"
 RUNLOG_SHA256 = "134443604331ec396c2504fea8aa4e406e2537d77fbf08d6b4e25e1510677ea3"
 NODE_GNN_SCORE_HEX = "0x1.a624f6b09c06bp-1"
 SYNTH_SHA256 = {
