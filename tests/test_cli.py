@@ -813,6 +813,9 @@ _FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  
     # the removed 4-class congestion head, embedding widths and member seeds: their keys and flag are unknown
     ({"model": {"cc_classes": 4}}, _FIT, 1, ["schema.json: unknown key 'model.cc_classes'"]),
     ({"model": {"importance_dim": 5}}, _FIT, 1, ["schema.json: unknown key 'model.importance_dim'"]),
+    ({"model": {"oneway_dim": 2}}, _FIT, 1, ["schema.json: unknown key 'model.oneway_dim'"]),
+    ({"model": {"tunnel_dim": 2}}, _FIT, 1, ["schema.json: unknown key 'model.tunnel_dim'"]),
+    ({"model": {"lanes_dim": 3}}, _FIT, 1, ["schema.json: unknown key 'model.lanes_dim'"]),
     ({"train": {"member_seeds": None}}, _FIT, 1, ["schema.json: unknown key 'train.member_seeds'"]),
     (None, ["train", "--cluster-model", "cluster_model.json", "--out", "runs/cc", "--cc-classes", "4"], 1,
      ["unrecognized arguments: --cc-classes 4"]),
@@ -825,7 +828,8 @@ _FIT = ["fit-clusters", "--data", "data/toy", "--out", "schema_clusters.json"]  
     ]),
 ], ids=["every_field", "workdir", "out.predictions", "cluster", "fit_clusters_epochs", "predict_seed", "epochs_string",
         "hidden_true", "num_clusters_float", "volume_hidden_float", "run_dir_number", "cc_classes_key",
-        "importance_dim_key", "member_seeds_key", "cc_classes_flag", "train_help"])
+        "importance_dim_key", "oneway_dim_key", "tunnel_dim_key", "lanes_dim_key", "member_seeds_key", "cc_classes_flag",
+        "train_help"])
 def test_config_schema_is_the_dataclass_fields(pipeline, capsys, config, argv, code, expected):
     if config is not None:
         (pipeline / "schema.json").write_text(json.dumps(config))

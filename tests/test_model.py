@@ -332,6 +332,39 @@ def test_ablation_gates_zero_the_right_slices():
     assert np.allclose(gated_static.cc_logits.data, explicit_static.cc_logits.data, atol=1e-12)
 
 
+def test_with_use_static_off_the_embedding_tables_move_no_output_bit_and_get_no_gradient():
+    """The ablation gate feeds zero tables through the same ``ad.embed_concat`` as the learned ones, so the
+    learned tables are read by nothing: rewriting them leaves every output bit, and a backward leaves their
+    gradient at zero while the static MLP still gets one."""
+    cfg = replace(TINY, use_static=False)
+    graph, feats, counter = six_segment_setup(cfg)
+    store = init_params(cfg, seed=5)
+    base = forward(store.arrays(), cfg, graph, feats, counter)
+    shifted = {name: value + 1.0 if name.startswith("emb_") else value for name, value in store.arrays().items()}
+    moved = forward(shifted, cfg, graph, feats, counter)
+    for name in ("cc_logits", "speed_pred", "vol_logits"):
+        assert getattr(moved, name).tobytes() == getattr(base, name).tobytes()
+
+    loss, _ = compute_loss(forward(store, cfg, graph, feats, counter), six_segment_labels(),
+                           np.ones(3), np.ones(3), cfg.lambdas)
+    store.zero_grad()
+    loss.backward()
+    grads = {name: p.grad for name, p in store.items()}
+    assert {name for name in grads if name.startswith("emb_")} == {f"emb_{name}" for name in EMBEDDINGS}
+    assert not any(grad.any() for name, grad in grads.items() if name.startswith("emb_"))
+    assert grads["static0_w"].any()
+
+
+def test_a_categorical_code_outside_its_embedding_vocabulary_raises_index_error():
+    """``EMBEDDINGS`` gives the lanes table 4 rows (lanes 1-4), so a 5-lane segment has no row to read."""
+    graph = graph_from_edges([("A", "B"), ("B", "C")])
+    wide = RoadGraph(nodes=graph.nodes, segments=(replace(graph.segments[0], lanes=5), graph.segments[1]),
+                     counters=graph.counters)
+    priors = random_priors(wide, TINY.num_clusters)
+    with pytest.raises(IndexError, match=r"values in \[0, 4\] for table of size 4"):
+        static_inputs(TINY, wide, priors, identity_stats())
+
+
 def test_no_gnn_heads_read_pre_aggregation_features():
     cfg = replace(TINY, gnn_layers=0)
     graph, feats, counter = six_segment_setup(cfg)
