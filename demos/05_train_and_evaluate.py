@@ -16,7 +16,7 @@ from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import PredictionTable, SynthSpec, generate_synthetic_city, daytime_filter, split_train_validation
 from t4c.evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
 from t4c.model import ModelConfig
-from t4c.training import TrainConfig, ensemble_predict, prepare_ensemble, train_ensemble
+from t4c.training import TrainConfig, ensemble_predict, prepare_ensemble, prepare_training, train_one
 
 out = Path(tempfile.mkdtemp()) / "city"
 dataset = generate_synthetic_city(
@@ -39,7 +39,9 @@ val_labels = dataset.labels.select(r.record_id for r in val_records)
 cluster_model = fit_clusters(train_records, model_cfg.num_clusters)
 priors, _support = build_prior_matrices(cluster_model, train_labels, dataset.graph)  # (segments, K, 3)
 
-members = train_ensemble(train_cfg, model_cfg, dataset, cluster_model, priors)
+# the split, norm stats, counter slices, targets and class weights are built once; the members differ only by seed
+training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
+members = [train_one(training_set, model_cfg, seed) for seed in train_cfg.seeds()]
 for ckpt, runlog in members:
     print(f"member seed={runlog.seed}: best epoch {runlog.best_epoch}, "
           f"val core {runlog.epochs[runlog.best_epoch].val_core:.4f}")

@@ -43,7 +43,6 @@ result = run_ablation(
     priors,
     train_cfg,
     model_cfg,
-    seed=0,
 )
 
 print("validation core score per variant (lower is better):")

@@ -21,6 +21,6 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .model import ModelConfig, compute_loss, forward, init_params, predict_probabilities, static_inputs
 from .seggraph import NormStats, fit_normalization
 from .training import (Ensemble, RunLog, TrainConfig, TrainingSet, ensemble_predict, prepare_ensemble,
-                       prepare_training, run_ablation, train_ensemble, train_one)
+                       prepare_training, run_ablation, train_one)
 
 __version__ = "0.1.0"

@@ -577,6 +577,7 @@ class Plan:
             return
         # forward-only: the slots of the inputs and op outputs stay empty, and
         # each op output is dropped after the last op that reads it
+        # (the mode stays: slots kept as in training serve the same bits at 2.3 MB more peak RSS on city50-serve)
         for t in (*inputs, *order):
             values[slots[id(t)]] = None
         self._values = tuple(values)
@@ -698,13 +699,11 @@ class ParamStore:
         return {name: t.data for name, t in self._params.items()}
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+ADAM_BETAS = (0.9, 0.999)  # the decay rates of Adam's first and second moment estimates
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, lr: float) -> None:
     """One bias-corrected Adam update over the flat buffers, in place: the order
     and bits of ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with no temporaries."""
     store.step_count += 1
@@ -712,6 +711,7 @@ def adam_step(
     g = store._grad
     m, v = store._m, store._v
     a, b = store._work
+    beta1, beta2 = ADAM_BETAS
     m *= beta1
     np.multiply(g, 1.0 - beta1, out=a)
     m += a
@@ -723,7 +723,7 @@ def adam_step(
     a *= lr
     np.divide(v, 1.0 - beta2**t, out=b)  # v_hat
     np.sqrt(b, out=b)
-    b += eps
+    b += ADAM_EPS
     a /= b
     store._flat -= a
 

@@ -173,6 +173,10 @@ def save_baseline(path, model: NaiveCountModel | VolumeClusterModel) -> Path:
 # node-level GNN baseline on the original intersection graph
 
 
+NODE_GNN_HIDDEN = 32  # the width of every node state
+NODE_GNN_LAYERS = 2  # message-passing rounds
+
+
 def _node_graph(graph) -> tuple[tuple[int, ...], ...]:
     """Each node's sorted neighbor rows: the nodes it shares a segment with."""
     neighbor_sets: list[set[int]] = [set() for _ in graph.nodes]
@@ -183,19 +187,14 @@ def _node_graph(graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(s)) for s in neighbor_sets)
 
 
-def node_gnn_baseline(
-    dataset: Dataset,
-    train_cfg,
-    seed: int = 0,
-    hidden: int = 32,
-    layers: int = 2,
-) -> float:
+def node_gnn_baseline(dataset: Dataset, train_cfg) -> float:
     """Train the intersection-level GNN and return its validation score.
 
     Node inputs are the raw counter volumes (zeros where no counter);
-    after message passing, each segment's congestion logits come from the
+    after message passing (``NODE_GNN_LAYERS`` rounds at width
+    ``NODE_GNN_HIDDEN``), each segment's congestion logits come from the
     concatenated states of its two endpoints. Trained by the main model's
-    ``fit_loop`` and scored with the same metric.
+    ``fit_loop`` with ``train_cfg.base_seed`` and scored with the same metric.
     """
     records, train_records, val_records = split_records(dataset, train_cfg)
     labels = dataset.labels
@@ -214,9 +213,10 @@ def node_gnn_baseline(
     targets = {r.record_id: cc_targets[rows[r.record_id]] if r.record_id in rows else unlabelled for r in records}
     weights = inverse_frequency_weights([targets[r.record_id] for r in train_records], 3)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(train_cfg.base_seed)
+    hidden = NODE_GNN_HIDDEN
     params = {"in_w": ad.glorot_uniform(rng, 4, hidden), "in_b": np.zeros(hidden)}
-    for layer in range(layers):
+    for layer in range(NODE_GNN_LAYERS):
         params[f"gnn{layer}_self_w"] = ad.glorot_uniform(rng, hidden, hidden)
         params[f"gnn{layer}_nbr_w"] = ad.glorot_uniform(rng, hidden, hidden)
         params[f"gnn{layer}_b"] = np.zeros(hidden)
@@ -229,12 +229,12 @@ def node_gnn_baseline(
 
     def record_loss(x, target):
         h = ad.linear(x, store["in_w"], store["in_b"])
-        for layer in range(layers):
+        for layer in range(NODE_GNN_LAYERS):
             h = ad.gnn_round(h, node_mean, *(store[f"gnn{layer}_{part}"] for part in ("self_w", "nbr_w", "b")))
         pair = ad.concat([ad.getitem(h, tail_idx), ad.getitem(h, head_idx)], axis=1)
         logits = ad.linear(pair, store["edge_w"], store["edge_b"])
         loss, _n = ad.weighted_cross_entropy(logits, target, weights)
         return loss, logits
 
-    fit = fit_loop(store, train_cfg, seed, train_records, val_records, labels, record_inputs, record_loss)
+    fit = fit_loop(store, train_cfg, train_cfg.base_seed, train_records, val_records, labels, record_inputs, record_loss)
     return fit.val_scores[fit.best_epoch]

@@ -291,7 +291,7 @@ def cmd_baseline(args, workdir: Path) -> int:
     train_labels = dataset.labels.select(train_ids)
 
     if args.name == "node_gnn":
-        score = node_gnn_baseline(dataset, train_cfg, seed=train_cfg.base_seed)
+        score = node_gnn_baseline(dataset, train_cfg)
         write_json(out_dir / "baseline_node_gnn.json", {"val_core": score})
         print(f"node gnn validation core: {score:.6f}")
         return 0
@@ -331,10 +331,7 @@ def cmd_ablate(args, workdir: Path) -> int:
     dataset = _config_dataset(args, config, workdir)
     cluster_model, priors = _load_clusters(args, config, workdir, model_cfg.num_clusters, dataset.graph)
     try:
-        result = run_ablation(
-            dataset, variants, cluster_model, priors, train_cfg, model_cfg,
-            seed=train_cfg.base_seed,
-        )
+        result = run_ablation(dataset, variants, cluster_model, priors, train_cfg, model_cfg)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     out_dir = _resolve(workdir, args.out)

@@ -29,7 +29,6 @@ __all__ = [
     "load_cluster_model",
 ]
 
-DEFAULT_NUM_CLUSTERS = 10
 UNIFORM_ROW = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 CC_COLUMN = np.array([0, 0, 1, 2])  # prior column of each congestion code: undefined merges into green
 
@@ -60,7 +59,7 @@ def volume_sum(record: VolumeRecord) -> float:
     return float(sum(sum(vec) for vec in record.volumes.values()))
 
 
-def fit_clusters(records: Sequence[VolumeRecord], num_clusters: int = DEFAULT_NUM_CLUSTERS) -> ClusterModel:
+def fit_clusters(records: Sequence[VolumeRecord], num_clusters: int) -> ClusterModel:
     """Sort records by (volume_sum, record_id) and cut into K equal bins.
 
     The record with sort rank r goes to cluster floor(r * K / N), so the

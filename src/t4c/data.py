@@ -178,12 +178,13 @@ class RoadGraph:
 
     nodes: tuple[NodeRec, ...]
     segments: tuple[SegmentRec, ...]
-    counters: dict[str, str]  # node_id -> counter_id
     # (segment_id, attribute) pairs whose value was median-imputed at load time
     imputed: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
-    def node_ids(self) -> set[str]:
-        return {n.node_id for n in self.nodes}
+    @cached_property
+    def counters(self) -> dict[str, str]:
+        """Each counter node's id -> its ``counter_id``, in node order."""
+        return {n.node_id: n.counter_id for n in self.nodes if n.counter_id}
 
     @cached_property
     def continuous_matrix(self) -> np.ndarray:
@@ -593,9 +594,8 @@ def _load_meta(path: Path) -> dict:
     return meta
 
 
-def _load_nodes(path: Path) -> tuple[tuple[NodeRec, ...], dict[str, str]]:
+def _load_nodes(path: Path) -> tuple[NodeRec, ...]:
     nodes: list[NodeRec] = []
-    counters: dict[str, str] = {}
     seen: set[str] = set()
     with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
@@ -611,12 +611,9 @@ def _load_nodes(path: Path) -> tuple[tuple[NodeRec, ...], dict[str, str]]:
             seen.add(node_id)
             lat = _parse_float(row["lat"], path, line, "lat")
             lon = _parse_float(row["lon"], path, line, "lon")
-            counter_raw = (row["counter_id"] or "").strip()
-            counter_id = counter_raw or None
-            if counter_id is not None:
-                counters[node_id] = counter_id
+            counter_id = (row["counter_id"] or "").strip() or None
             nodes.append(NodeRec(node_id, lat, lon, counter_id))
-    return tuple(nodes), counters
+    return tuple(nodes)
 
 
 def _load_edges(path: Path, node_ids: set[str]) -> tuple[tuple[SegmentRec, ...], tuple[tuple[str, str], ...]]:
@@ -850,11 +847,11 @@ def load_dataset(dir_path) -> Dataset:
     ss_path = _require_file(dir_path, "supersegments.json")
 
     _load_meta(meta_path)
-    nodes, counters = _load_nodes(nodes_path)
+    nodes = _load_nodes(nodes_path)
     node_ids = {n.node_id for n in nodes}
     segments, imputed = _load_edges(edges_path, node_ids)
-    graph = RoadGraph(nodes=nodes, segments=segments, counters=counters, imputed=imputed)
-    records = _load_volumes(volumes_path, counters, node_ids)
+    graph = RoadGraph(nodes=nodes, segments=segments, imputed=imputed)
+    records = _load_volumes(volumes_path, graph.counters, node_ids)
     record_ids = {r.record_id for r in records}
     labels = _load_labels(labels_path, record_ids, graph.segment_ids)
     supersegments = _load_supersegments(ss_path, record_ids, segments)
@@ -1346,9 +1343,7 @@ def generate_synthetic_city(spec: SynthSpec, seed: int, out_dir) -> Dataset:
             )
             seg_dirs.append((tail, head))
 
-    graph = RoadGraph(nodes=nodes, segments=tuple(segments), counters={
-        node_ids[node]: cid for node, cid in counter_ids.items()
-    })
+    graph = RoadGraph(nodes=nodes, segments=tuple(segments))
 
     random, normal, poisson = rng.random, rng.normal, rng.poisson  # the label loop draws six times per cell
     # the static term of each segment's congestion score; the propensity is partially readable from the attributes

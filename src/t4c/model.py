@@ -16,7 +16,7 @@ volume, so they are the same for every record of one cluster) followed by
 Losses: class-weighted cross entropy for congestion and volume class
 (rows without a label are masked out), mean squared error on normalized
 speed, combined as lambda1 * L_c + lambda2 * L_s + lambda3 * L_v with the
-training default (0.03, 1, 1) (``loss_terms``). Training traces these
+config's ``lambdas`` (``loss_terms``). Training traces these
 functions once on Tensors (``autodiff.Plan.trace``) and replays the plan.
 Each block is one fused op: ``embed_concat`` (static inputs), ``linear``
 (its ``skip=`` adds a residual block's identity), ``gnn_round`` and
@@ -63,6 +63,7 @@ __all__ = [
 # codes: importance 0..5, oneway 0/1, tunnel 0/1, lanes 1..4
 EMBEDDINGS = {"importance": (6, 5), "oneway": (2, 2), "tunnel": (2, 2), "lanes": (4, 3)}
 HEADS = ("cc", "speed", "vol")  # the output heads, in PredictionBundle order
+WEIGHT_CLIP = (0.1, 10.0)  # the bounds of each inverse-frequency class weight
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,6 @@ class LossReport:
     n_cc: int
     n_speed: int
     n_vol: int
-
-    @property
-    def all_masked(self) -> bool:
-        return self.n_cc == 0 and self.n_speed == 0 and self.n_vol == 0
 
 
 def config_hash(config: ModelConfig) -> str:
@@ -337,7 +334,7 @@ def loss_terms(
     labels: LabelArrays,
     cc_weights: np.ndarray,
     vol_weights: np.ndarray,
-    lambdas: tuple[float, float, float] = (0.03, 1.0, 1.0),
+    lambdas: tuple[float, float, float],
 ) -> tuple[tuple[Tensor, Tensor, Tensor, Tensor], tuple[int, int, int]]:
     """The combined loss and the congestion, speed and volume losses, then each task's count of labeled rows.
 
@@ -355,7 +352,7 @@ def compute_loss(
     labels: LabelArrays,
     cc_weights: np.ndarray,
     vol_weights: np.ndarray,
-    lambdas: tuple[float, float, float] = (0.03, 1.0, 1.0),
+    lambdas: tuple[float, float, float],
 ) -> tuple[Tensor, LossReport]:
     """Combined multi-task loss; returns the scalar tensor and a report.
 
@@ -379,12 +376,8 @@ def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> Pred
     return PredictionProbs(cc=ad.softmax_np(pred.cc_logits), speed_kph=speed, vol=vol)
 
 
-def inverse_frequency_weights(
-    class_vectors: Iterable[np.ndarray],
-    num_classes: int,
-    clip: tuple[float, float] = (0.1, 10.0),
-) -> np.ndarray:
-    """Class weights N / (C * N_k) over training class-index vectors, clipped.
+def inverse_frequency_weights(class_vectors: Iterable[np.ndarray], num_classes: int) -> np.ndarray:
+    """Class weights N / (C * N_k) over training class-index vectors, clipped to ``WEIGHT_CLIP``.
 
     Entries of -1 are masked rows. Unobserved classes get the upper clip bound.
     """
@@ -396,4 +389,4 @@ def inverse_frequency_weights(
         return np.ones(num_classes, dtype=np.float64)
     with np.errstate(divide="ignore"):
         weights = np.where(counts > 0, total / (num_classes * counts), np.inf)
-    return np.clip(weights, clip[0], clip[1])
+    return np.clip(weights, *WEIGHT_CLIP)

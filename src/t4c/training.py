@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -43,8 +42,8 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .clustering import ClusterModel, assign_cluster
-from .data import (Dataset, LabelTable, PredictionTable, RoadGraph, VolumeRecord, daytime_filter, parse_json,
-                   read_json, split_train_validation, write_json)
+from .data import (DAYTIME_SLOTS, Dataset, LabelTable, PredictionTable, RoadGraph, VolumeRecord, daytime_filter,
+                   parse_json, read_json, split_train_validation, write_json)
 from .evaluation import core_metric
 from .model import (
     LabelArrays,
@@ -75,7 +74,6 @@ __all__ = [
     "TrainingSet",
     "prepare_training",
     "train_one",
-    "train_ensemble",
     "Ensemble",
     "prepare_ensemble",
     "ensemble_predict",
@@ -102,7 +100,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     ensemble_size: int = 9
     base_seed: int = 0
-    daytime: tuple[int, int] = (24, 88)
+    daytime: tuple[int, int] = DAYTIME_SLOTS
     val_fraction: float = 0.2
     split_seed: int = 0
 
@@ -141,24 +139,17 @@ class EpochLog:
 
 @dataclass(frozen=True)
 class RunLog:
-    """Per-epoch history plus the chosen checkpoint epoch.
-
-    ``wall_time_s`` is informational only and excluded from the canonical
-    serialization so that identical runs produce identical bytes.
-    """
+    """Per-epoch history plus the chosen checkpoint epoch; identical runs give identical bytes."""
 
     epochs: tuple[EpochLog, ...]
     best_epoch: int
     seed: int
     data_order_hash: str
-    wall_time_s: float | None = field(default=None, compare=False)
 
 
 def save_runlog(path, runlog: RunLog) -> Path:
     path = Path(path)
-    obj = asdict(runlog)
-    del obj["wall_time_s"]  # informational only
-    write_json(path, obj)
+    write_json(path, asdict(runlog))
     return path
 
 
@@ -383,7 +374,6 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
     congestion score and the full run history (see ``fit_loop``). The
     config must have the set's prior mode.
     """
-    t_start = time.perf_counter()
     ts = training_set
     if model_cfg.prior_mode != ts.prior_mode:
         raise ValueError(f"model config has prior_mode={model_cfg.prior_mode!r}; "
@@ -420,21 +410,8 @@ def train_one(training_set: TrainingSet, model_cfg: ModelConfig, seed: int) -> t
         best_epoch=fit.best_epoch,
         seed=seed,
         data_order_hash=fit.data_order_hash,
-        wall_time_s=time.perf_counter() - t_start,
     )
     return ckpt, runlog
-
-
-def train_ensemble(
-    train_cfg: TrainConfig,
-    model_cfg: ModelConfig,
-    dataset: Dataset,
-    cluster_model: ClusterModel,
-    priors: np.ndarray,
-) -> list[tuple[Checkpoint, RunLog]]:
-    """Train the ensemble members sequentially from one training set; they differ only by seed."""
-    training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
-    return [train_one(training_set, model_cfg, seed) for seed in train_cfg.seeds()]
 
 
 @dataclass(frozen=True)
@@ -453,13 +430,14 @@ class AblationResult:
 
 
 def run_ablation(dataset: Dataset, variants: Sequence[str], cluster_model, priors, train_cfg: TrainConfig,
-                 model_cfg: ModelConfig, seed: int) -> AblationResult:
+                 model_cfg: ModelConfig) -> AblationResult:
     """Train one model per variant with identical seed/data and compare.
 
     ``no_cluster`` zeroes the prior block, ``no_static`` zeroes the static
     attribute inputs, ``no_gnn`` drops the message-passing layers so the
-    heads read the pre-aggregation features. Everything else (seed, data
-    order, epochs) is held fixed.
+    heads read the pre-aggregation features. Everything else (the seed
+    ``train_cfg.base_seed``, data order, epochs) is held fixed, so the
+    ``full`` variant is the one-member run of ``model_cfg``.
     """
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
@@ -469,7 +447,7 @@ def run_ablation(dataset: Dataset, variants: Sequence[str], cluster_model, prior
     training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
     configs = {"full": model_cfg, "no_cluster": replace(model_cfg, use_prior_block=False),
                "no_static": replace(model_cfg, use_static=False), "no_gnn": replace(model_cfg, gnn_layers=0)}
-    runlogs = {variant: train_one(training_set, configs[variant], seed)[1] for variant in variants}
+    runlogs = {variant: train_one(training_set, configs[variant], train_cfg.base_seed)[1] for variant in variants}
     return AblationResult(scores={v: log.epochs[log.best_epoch].val_core for v, log in runlogs.items()},
                           best_epochs={v: log.best_epoch for v, log in runlogs.items()},
                           data_order_hashes={v: log.data_order_hash for v, log in runlogs.items()})

@@ -80,7 +80,7 @@ def toy_graph() -> RoadGraph:
         make_segment("e2", "B", "C", flow_speed=30.0, length_meters=200.0),
         make_segment("e3", "B", "A", counter_distance=0.0),
     )
-    return RoadGraph(nodes=nodes, segments=segments, counters={"A": "c0"})
+    return RoadGraph(nodes=nodes, segments=segments)
 
 
 @pytest.fixture

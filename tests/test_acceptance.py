@@ -30,7 +30,7 @@ from t4c.evaluation import core_metric, etas_from_speeds
 from t4c.baselines import fit_naive, fit_volume_cluster
 from t4c.model import ModelConfig, compute_loss, forward, init_params
 from t4c.training import (TrainConfig, ensemble_predict, predict_record, prepare_ensemble, prepare_training,
-                          run_ablation, train_ensemble, train_one)
+                          run_ablation, train_one)
 
 from conftest import central_diff_store, label_table, max_rel_error
 from test_model import TINY, six_segment_labels, six_segment_setup
@@ -183,8 +183,8 @@ def test_criterion_5_ensemble_exactness(ordering_city, ordering_fit):
     dataset, _ = ordering_city
     cluster_model, priors, *_ = ordering_fit
     cfg = replace(ORDERING_TRAIN, epochs=2, ensemble_size=3)
-    members = train_ensemble(cfg, ORDERING_MODEL, dataset, cluster_model, priors)
-    checkpoints = [ckpt for ckpt, _ in members]
+    training_set = prepare_training(cfg, dataset, cluster_model, priors, ORDERING_MODEL)
+    checkpoints = [train_one(training_set, ORDERING_MODEL, seed)[0] for seed in cfg.seeds()]
     record = dataset.records[5]
     member_probs = [
         predict_record(c, dataset.graph, priors, record, cluster_model)
@@ -229,7 +229,7 @@ def test_criterion_6_ordering_reproduction(ordering_city, ordering_fit):
 
     result = run_ablation(
         dataset, ["full", "no_cluster"], cluster_model, priors,
-        ORDERING_TRAIN, ORDERING_MODEL, seed=0,
+        ORDERING_TRAIN, ORDERING_MODEL,
     )
     full_score = result.scores["full"]
     no_cluster_score = result.scores["no_cluster"]

@@ -757,8 +757,8 @@ def test_adam_single_scalar_first_step():
     store = ParamStore({"p": np.array([0.0])})
     p = store["p"]
     p.grad[...] = 1.0
-    ad.adam_step(store, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-    expected_delta = -0.1 * 1.0 / (1.0 + 1e-8)  # bias-corrected m=v=1
+    ad.adam_step(store, lr=0.1)
+    expected_delta = -0.1 * 1.0 / (1.0 + ad.ADAM_EPS)  # bias-corrected m=v=1
     assert abs(p.data[0] - expected_delta) < 1e-15
 
 

@@ -145,7 +145,7 @@ def test_volume_cluster_k1_reproduces_naive(toy_graph):
 
 def _one_segment_graph():
     return RoadGraph(nodes=(NodeRec("A", 0, 0, None), NodeRec("B", 0, 0, None)),
-                     segments=(make_segment("s", "A", "B"),), counters={})
+                     segments=(make_segment("s", "A", "B"),))
 
 
 def test_volume_cluster_median_per_cluster():
@@ -231,8 +231,8 @@ NODE_TRAIN = TrainConfig(epochs=4, batch_size=2, learning_rate=3e-3, ensemble_si
 def test_node_gnn_deterministic(tmp_path):
     spec = SynthSpec(num_nodes=20, counter_fraction=0.3, num_records=40, signal=0.9, records_per_day=8)
     dataset = generate_synthetic_city(spec, seed=3, out_dir=tmp_path / "city")
-    a = node_gnn_baseline(dataset, NODE_TRAIN, seed=0)
-    b = node_gnn_baseline(dataset, NODE_TRAIN, seed=0)
+    a = node_gnn_baseline(dataset, NODE_TRAIN)
+    b = node_gnn_baseline(dataset, NODE_TRAIN)
     assert a == b
 
 
@@ -262,7 +262,7 @@ def test_node_gnn_with_sparse_counters_loses_to_main_model(tmp_path):
     training_set = prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
     _ckpt, runlog = train_one(training_set, model_cfg, seed=0)
     main_score = min(e.val_core for e in runlog.epochs)
-    gnn_score = node_gnn_baseline(dataset, train_cfg, seed=0)
+    gnn_score = node_gnn_baseline(dataset, train_cfg)
     assert gnn_score > main_score
 
 
@@ -271,6 +271,6 @@ def test_node_gnn_with_full_counters_beats_naive(tmp_path):
     spec = SynthSpec(num_nodes=20, counter_fraction=1.0, num_records=80, signal=0.95, records_per_day=10)
     dataset = generate_synthetic_city(spec, seed=17, out_dir=tmp_path / "dense")
     train_cfg = TrainConfig(epochs=6, batch_size=2, learning_rate=3e-3, ensemble_size=1)
-    gnn_score = node_gnn_baseline(dataset, train_cfg, seed=0)
+    gnn_score = node_gnn_baseline(dataset, train_cfg)
     naive_score = _validation_core_of_naive(dataset, train_cfg)
     assert gnn_score < naive_score

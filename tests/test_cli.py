@@ -263,6 +263,26 @@ def test_ablate_single_variant(pipeline):
     assert (pipeline / "report/ablation.csv").read_bytes() == (pipeline / "ablation/ablation.csv").read_bytes()
 
 
+def test_the_seed_flag_seeds_the_ablation_and_the_node_gnn(pipeline, tmp_path, capsys):
+    """``ablate`` and ``baseline node_gnn`` train with ``train.base_seed``, which ``--seed`` sets: the ablation's
+    ``full`` variant is the one-member ``train`` run at that seed, and the node GNN's score moves with the seed."""
+    data, clusters = str(pipeline / "data/toy"), str(pipeline / "cluster_model.json")
+    assert main(["train", "--data", data, "--cluster-model", clusters, "--out", str(tmp_path / "run"),
+                 "--members", "1", "--seed", "3", *ONE_MODEL_ARGS]) == 0
+    trained = capsys.readouterr().out
+    assert trained.startswith("member seed=3: ")
+    assert main(["ablate", "--data", data, "--cluster-model", clusters, "--out", str(tmp_path / "ablation"),
+                 "--variants", "full", "--seed", "3", *ONE_MODEL_ARGS]) == 0
+    assert capsys.readouterr().out == f"full: {trained.rsplit('val core ', 1)[1]}"
+
+    scores = []
+    for seed in ("0", "3"):
+        out = tmp_path / f"node_gnn_{seed}"
+        assert main(["baseline", "node_gnn", "--data", data, "--out", str(out), "--epochs", "1", "--seed", seed]) == 0
+        scores.append(json.loads((out / "baseline_node_gnn.json").read_text())["val_core"])
+    assert scores[0] != scores[1]
+
+
 def test_report_renders_csv_and_svg(pipeline):
     wd = ["--workdir", str(pipeline)]
     assert main(wd + ["report", "--runs", "runs/demo", "--out", "report"]) == 0
@@ -1552,6 +1572,21 @@ def test_a_volume_count_a_float64_cannot_hold_exits_1_naming_the_line(pipeline, 
     code, err = _run(["fit-clusters", "--data", city, "--k", "5", "--out", tmp_path / "clusters.json"])
     assert code == 1, err
     assert f"{city / 'volumes.jsonl'}:{line}: field 'volumes'" in err and "`t4c synth`" in err
+
+
+def test_a_volume_vector_at_a_node_without_a_counter_exits_1_naming_the_line(pipeline, tmp_path):
+    """eval-core loads the dataset before it reads the predictions, so the dataset's fault is the one named."""
+    city = _dataset_copy(pipeline, tmp_path)
+    node = next(n.node_id for n in load_dataset(city).graph.nodes if n.counter_id is None)
+    lines = (city / "volumes.jsonl").read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["volumes"][node] = [1, 2, 3, 4]
+    lines[1] = json.dumps(obj)
+    (city / "volumes.jsonl").write_text("\n".join(lines) + "\n")
+    code, err = _run(["eval-core", "--data", city, "--pred", tmp_path / "predictions.jsonl"])
+    assert code == 1, err
+    assert err == (f"t4c: error: {city / 'volumes.jsonl'}:2: field 'volumes': node {node!r} has no counter; "
+                   f"produce it again with `t4c synth`\n")
 
 
 def test_an_integer_longer_than_int_takes_exits_1_naming_the_line(pipeline, tmp_path):

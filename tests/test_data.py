@@ -88,7 +88,6 @@ def test_label_lines_equal_the_json_dumps_reference_and_load_back(data):
     graph = RoadGraph(
         nodes=(NodeRec("A", 48.1, 11.5, "c0"), NodeRec("B", 48.2, 11.6, None)),
         segments=tuple(make_segment(seg_id, "A", "B") for seg_id in segment_ids),
-        counters={"A": "c0"},
     )
     records = tuple(VolumeRecord(record_id, date(2022, 1, 3), 30, {}) for record_id in record_ids)
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +133,6 @@ def test_ids_with_a_carriage_return_load_back_from_the_csv_files():
     graph = RoadGraph(
         nodes=(NodeRec("A\rB", 48.1, 11.5, "c\r0"), NodeRec("B", 48.2, 11.6, None), NodeRec("C", 48.3, 11.7, None)),
         segments=(make_segment("\\\r0", "A\rB", "B"), make_segment("e1", "B", "C")),
-        counters={"A\rB": "c\r0"},
     )
     dataset = Dataset(graph, (VolumeRecord("r0", date(2022, 1, 3), 30, {"A\rB": (1, 2, 3, 4)}),), labels, ())
     with tempfile.TemporaryDirectory() as tmp:
@@ -472,12 +470,25 @@ def test_synth_output_loads_and_validates(tmp_path):
     loaded = load_dataset(tmp_path / "c")
     assert loaded == written
     graph = loaded.graph
-    node_ids = graph.node_ids()
+    node_ids = {n.node_id for n in graph.nodes}
     for seg in graph.segments:
         assert seg.tail_node in node_ids and seg.head_node in node_ids
         assert seg.length_meters > 0
-    assert set(graph.counters) <= node_ids
+    for city in (written.graph, graph):  # the counter map is the nodes' counter ids, in node order
+        assert list(city.counters.items()) == [(n.node_id, n.counter_id) for n in city.nodes if n.counter_id]
     assert len(graph.counters) == 6  # ceil(0.3 * 20)
+
+
+def test_a_volume_vector_at_a_node_without_a_counter_is_refused(toy_dataset, tmp_path):
+    out = write_dataset(toy_dataset, tmp_path / "city")
+    lines = (out / "volumes.jsonl").read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["volumes"]["B"] = [1, 2, 3, 4]  # B is a node, but has no counter
+    lines[1] = json.dumps(obj)
+    (out / "volumes.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_dataset(out)
+    assert str(err.value) == f"{out / 'volumes.jsonl'}:2: field 'volumes': node 'B' has no counter"
 
 
 def test_synth_full_counter_fraction(tmp_path):
@@ -531,7 +542,7 @@ def test_loaded_data_satisfies_type_invariants(tmp_path, seed):
     generate_synthetic_city(spec, seed=seed, out_dir=tmp_path / f"c{seed}")
     graph, records, labels, supersegments = load_dataset(tmp_path / f"c{seed}")
 
-    node_ids = graph.node_ids()
+    node_ids = {n.node_id for n in graph.nodes}
     seg_ids = {s.segment_id for s in graph.segments}
     assert len(node_ids) == len(graph.nodes)
     assert len(seg_ids) == len(graph.segments)

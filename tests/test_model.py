@@ -62,7 +62,7 @@ def graph_from_edges(edges, counters=None):
         )
         for i, (tail, head) in enumerate(edges)
     )
-    return RoadGraph(nodes=nodes, segments=segments, counters=counters)
+    return RoadGraph(nodes=nodes, segments=segments)
 
 
 def random_priors(graph, k, seed=0):
@@ -189,7 +189,7 @@ def test_permutation_equivariance():
 
     perm = np.array([3, 0, 5, 1, 4, 2])
     inv = np.argsort(perm)
-    permuted_graph = RoadGraph(graph.nodes, tuple(graph.segments[i] for i in perm), graph.counters)
+    permuted_graph = RoadGraph(graph.nodes, tuple(graph.segments[i] for i in perm))
     assert permuted_graph.segment_ids == tuple(graph.segment_ids[i] for i in perm)
     assert permuted_graph.neighbors == tuple(tuple(sorted(int(inv[j]) for j in graph.neighbors[i])) for i in perm)
     permuted_feats = tuple(block[perm] for block in feats)  # each static input has one row per segment
@@ -204,8 +204,8 @@ def test_permutation_equivariance():
         speed_mask=labels.speed_mask[perm], vol=labels.vol[perm],
     )
     w = np.array([1.0, 2.0, 0.5])
-    _, rep_a = compute_loss(base, labels, w, w)
-    _, rep_b = compute_loss(permuted, permuted_labels, w, w)
+    _, rep_a = compute_loss(base, labels, w, w, cfg.lambdas)
+    _, rep_b = compute_loss(permuted, permuted_labels, w, w, cfg.lambdas)
     assert abs(rep_a.loss - rep_b.loss) <= 1e-12
     assert abs(rep_a.loss_cc - rep_b.loss_cc) <= 1e-12
 
@@ -239,9 +239,9 @@ def test_all_masked_labels_give_zero_loss():
     empty = LabelArrays(
         cc=np.full(n, -1), speed=np.zeros(n), speed_mask=np.zeros(n, bool), vol=np.full(n, -1)
     )
-    _, report = compute_loss(pred, empty, np.ones(3), np.ones(3))
+    _, report = compute_loss(pred, empty, np.ones(3), np.ones(3), cfg.lambdas)
     assert report.loss == 0.0
-    assert report.all_masked
+    assert (report.n_cc, report.n_speed, report.n_vol) == (0, 0, 0)
 
 
 def test_unlabeled_segment_does_not_change_loss():
@@ -259,14 +259,13 @@ def test_unlabeled_segment_does_not_change_loss():
         speed_mask=np.array([True, True]), vol=np.array([0, 2]),
     )
     w = np.ones(3)
-    _, before = compute_loss(forward(store, cfg, graph, feats, counter), labels, w, w)
+    _, before = compute_loss(forward(store, cfg, graph, feats, counter), labels, w, w, cfg.lambdas)
 
     bigger = graph_from_edges([("A", "B"), ("B", "C"), ("X", "Y")], counters={"A": "c0"})
     # keep the original two segments' attributes identical
     bigger = RoadGraph(
         nodes=bigger.nodes,
         segments=(graph.segments[0], graph.segments[1], bigger.segments[2]),
-        counters={"A": "c0"},
     )
     priors2 = random_priors(bigger, cfg.num_clusters, seed=8)
     priors2[:2] = priors  # e0 and e1
@@ -275,7 +274,7 @@ def test_unlabeled_segment_does_not_change_loss():
         cc=np.array([1, 2, -1]), speed=np.array([0.1, -0.4, 0.0]),
         speed_mask=np.array([True, True, False]), vol=np.array([0, 2, -1]),
     )
-    _, after = compute_loss(forward(store, cfg, bigger, feats2, counter2), labels2, w, w)
+    _, after = compute_loss(forward(store, cfg, bigger, feats2, counter2), labels2, w, w, cfg.lambdas)
     assert abs(before.loss - after.loss) <= 1e-12
     assert abs(before.loss_cc - after.loss_cc) <= 1e-12
     assert abs(before.loss_speed - after.loss_speed) <= 1e-12
@@ -358,8 +357,7 @@ def test_with_use_static_off_the_embedding_tables_move_no_output_bit_and_get_no_
 def test_a_categorical_code_outside_its_embedding_vocabulary_raises_index_error():
     """``EMBEDDINGS`` gives the lanes table 4 rows (lanes 1-4), so a 5-lane segment has no row to read."""
     graph = graph_from_edges([("A", "B"), ("B", "C")])
-    wide = RoadGraph(nodes=graph.nodes, segments=(replace(graph.segments[0], lanes=5), graph.segments[1]),
-                     counters=graph.counters)
+    wide = RoadGraph(nodes=graph.nodes, segments=(replace(graph.segments[0], lanes=5), graph.segments[1]))
     priors = random_priors(wide, TINY.num_clusters)
     with pytest.raises(IndexError, match=r"values in \[0, 4\] for table of size 4"):
         static_inputs(TINY, wide, priors, identity_stats())

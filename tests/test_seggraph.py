@@ -34,7 +34,7 @@ def graph_from_edges(edges, counters=None):
     segments = tuple(
         make_segment(f"e{i}", tail, head) for i, (tail, head) in enumerate(edges)
     )
-    return RoadGraph(nodes=nodes, segments=segments, counters=counters)
+    return RoadGraph(nodes=nodes, segments=segments)
 
 
 def brute_force_adjacency(segments):
@@ -183,7 +183,7 @@ def test_two_point_feature_gives_unit_sigma():
         make_segment("e1", "B", "C", length_meters=1e-12),
     )
     # length column values {2, ~0}: mean 1, sigma 1
-    graph = RoadGraph(nodes=graph.nodes, segments=segments, counters={})
+    graph = RoadGraph(nodes=graph.nodes, segments=segments)
     stats = fit_normalization(graph, [record("r0", {})])
     col = 2  # length_meters position
     assert abs(stats.cont_mean[col] - 1.0) < 1e-9

@@ -27,7 +27,6 @@ from t4c.training import (
     prepare_ensemble,
     prepare_training,
     save_runlog,
-    train_ensemble,
     train_one,
 )
 
@@ -57,6 +56,12 @@ def _training_set(small_city, train_cfg=SMALL_TRAIN, model_cfg=SMALL_MODEL):
     return prepare_training(train_cfg, dataset, cluster_model, priors, model_cfg)
 
 
+def _members(small_city, train_cfg, model_cfg=SMALL_MODEL):
+    """Every member of ``train_cfg``'s ensemble, trained from one training set as `t4c train` trains them."""
+    training_set = _training_set(small_city, train_cfg, model_cfg)
+    return [train_one(training_set, model_cfg, seed) for seed in train_cfg.seeds()]
+
+
 @pytest.fixture(scope="module")
 def trained(small_city):
     return train_one(_training_set(small_city), SMALL_MODEL, seed=1)
@@ -76,7 +81,7 @@ def test_two_identical_runs_are_bitwise_identical(small_city, trained):
     ckpt_a, runlog_a = trained
     ckpt_b, runlog_b = train_one(_training_set(small_city), SMALL_MODEL, seed=1)
     assert ckpt_a.equals(ckpt_b)
-    assert runlog_a == runlog_b  # wall time excluded from comparison
+    assert runlog_a == runlog_b
     assert runlog_a.data_order_hash == runlog_b.data_order_hash
 
 
@@ -97,7 +102,6 @@ def test_runlog_round_trip(tmp_path, trained):
     path = save_runlog(tmp_path / "runlog.json", runlog)
     loaded = load_runlog(path)
     assert loaded == runlog
-    assert loaded.wall_time_s is None  # timing never serialized
     # canonical bytes are reproducible
     again = save_runlog(tmp_path / "runlog2.json", loaded)
     assert path.read_bytes() == again.read_bytes()
@@ -305,7 +309,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
         store.zero_grad()
         loss, _ = compute_loss(
             forward(store, SMALL_MODEL, dataset.graph, *feats[record.record_id]),
-            targets[record.record_id], w, w,
+            targets[record.record_id], w, w, SMALL_MODEL.lambdas,
         )
         loss.backward()
         return {n: p.grad.copy() for n, p in store.items()}
@@ -325,7 +329,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     for record in (r1, r2):
         loss, _ = compute_loss(
             forward(store_batch, SMALL_MODEL, dataset.graph, *feats[record.record_id]),
-            targets[record.record_id], w, w,
+            targets[record.record_id], w, w, SMALL_MODEL.lambdas,
         )
         loss.backward()
     store_batch.scale_grads(0.5)
@@ -365,9 +369,7 @@ def test_ensemble_of_one_equals_member(small_city, trained):
 
 @pytest.fixture(scope="module")
 def three_members(small_city):
-    dataset, cluster_model, priors = small_city
-    cfg = replace(SMALL_TRAIN, epochs=2, ensemble_size=3)
-    return train_ensemble(cfg, SMALL_MODEL, dataset, cluster_model, priors)
+    return _members(small_city, replace(SMALL_TRAIN, epochs=2, ensemble_size=3))
 
 
 def _ordered_mean(probs, field):
@@ -478,7 +480,7 @@ def test_prepared_ensemble_is_the_ordered_member_mean_over_clusters(small_city, 
     dataset, cluster_model, priors = small_city
     model_cfg = replace(SMALL_MODEL, **change)
     cfg = replace(SMALL_TRAIN, epochs=1, ensemble_size=2)
-    checkpoints = [ckpt for ckpt, _ in train_ensemble(cfg, model_cfg, dataset, cluster_model, priors)]
+    checkpoints = [ckpt for ckpt, _ in _members(small_city, cfg, model_cfg)]
     records = dataset.records[:24]
     clusters = {assign_cluster(cluster_model, r) for r in records}
     assert len(clusters) >= 2
@@ -648,9 +650,8 @@ def test_prediction_constructs_no_tensor(small_city, three_members, monkeypatch)
 
 
 def test_member_retraining_reproduces_checkpoint(small_city):
-    dataset, cluster_model, priors = small_city
     cfg = replace(SMALL_TRAIN, epochs=2, ensemble_size=2)
-    members = train_ensemble(cfg, SMALL_MODEL, dataset, cluster_model, priors)
+    members = _members(small_city, cfg)
     ckpt_again, _ = train_one(_training_set(small_city, cfg), SMALL_MODEL, seed=cfg.seeds()[1])
     assert members[1][0].equals(ckpt_again)
 
@@ -733,7 +734,7 @@ def test_ablation_builds_one_training_set_for_all_variants(small_city, monkeypat
     monkeypatch.setattr(training, "prepare_training", lambda *a, **kw: built.append(1) or real_prepare(*a, **kw))
     monkeypatch.setattr(training, "train_one", lambda *a, **kw: trained.append(1) or real_train(*a, **kw))
     result = run_ablation(
-        dataset, ABLATION_VARIANTS, cluster_model, priors, replace(SMALL_TRAIN, epochs=1), SMALL_MODEL, seed=0
+        dataset, ABLATION_VARIANTS, cluster_model, priors, replace(SMALL_TRAIN, epochs=1), SMALL_MODEL
     )
     assert set(result.scores) == set(ABLATION_VARIANTS)
     assert len(built) == 1
@@ -815,7 +816,7 @@ def test_node_gnn_plan_replay_equals_a_one_shot_backward_bit_for_bit(small_city,
     dataset = small_city[0]
     unlabelled = split_records(dataset, SMALL_TRAIN)[1][2].record_id
     dataset = dataset._replace(labels=dataset.labels.select(r for r in dataset.labels.record_ids if r != unlabelled))
-    fits = _captured_fits(monkeypatch, baselines, lambda: baselines.node_gnn_baseline(dataset, SMALL_TRAIN, seed=0))
+    fits = _captured_fits(monkeypatch, baselines, lambda: baselines.node_gnn_baseline(dataset, SMALL_TRAIN))
     _store, inputs, _loss = fits[0]
     assert (inputs[2][1] == -1).all()  # the third record's (node volumes, targets): every target masked
     _assert_replay_equals_one_shot(fits)
@@ -854,7 +855,7 @@ def test_after_the_trace_no_op_runs_outside_the_plan_and_every_result_is_kept(sm
     configs = (replace(SMALL_MODEL, prior_mode="full"), replace(SMALL_MODEL, prior_mode="active_row"))
     runs = [(_training_set(small_city, replace(SMALL_TRAIN, epochs=2), cfg), cfg) for cfg in configs]
     expected = [train_one(ts, cfg, seed=0) for ts, cfg in runs]
-    expected_gnn = baselines.node_gnn_baseline(small_city[0], SMALL_TRAIN, seed=0)
+    expected_gnn = baselines.node_gnn_baseline(small_city[0], SMALL_TRAIN)
 
     traced = [False]
     real_trace, real_apply = ad.Plan.trace.__func__, ad._apply
@@ -875,7 +876,7 @@ def test_after_the_trace_no_op_runs_outside_the_plan_and_every_result_is_kept(sm
         ckpt, runlog = train_one(ts, cfg, seed=0)
         assert runlog == expected_runlog
         assert ckpt.equals(expected_ckpt)
-    assert baselines.node_gnn_baseline(small_city[0], SMALL_TRAIN, seed=0) == expected_gnn
+    assert baselines.node_gnn_baseline(small_city[0], SMALL_TRAIN) == expected_gnn
 
 
 @pytest.mark.parametrize("prior_mode", ["full", "active_row"])
