@@ -54,9 +54,9 @@ for i in range(w.data.shape[0]):
     for j in range(w.data.shape[1]):
         orig = w.data[i, j]
         w.data[i, j] = orig + h_step
-        up = loss_of(w.data).item()
+        up = float(loss_of(w.data).data)
         w.data[i, j] = orig - h_step
-        down = loss_of(w.data).item()
+        down = float(loss_of(w.data).data)
         w.data[i, j] = orig
         numeric[i, j] = (up - down) / (2 * h_step)
 print("max |analytic - numeric|:", np.abs(analytic - numeric).max())
@@ -66,7 +66,7 @@ print("max |analytic - numeric|:", np.abs(analytic - numeric).max())
 ce_logits = Tensor(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), requires_grad=True)
 labels = np.array([0, -1])  # second row masked out
 ce, n_rows = ad.weighted_cross_entropy(ce_logits, labels, np.array([2.0, 1.0, 1.0]))
-print(f"weighted CE over {n_rows} row(s): {ce.item():.6f}")
+print(f"weighted CE over {n_rows} row(s): {float(ce.data):.6f}")
 
 # --- Adam on a one-parameter fit ----------------------------------------------
 

@@ -9,19 +9,25 @@ the model to learn.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from t4c.data import SynthSpec, generate_synthetic_city, load_dataset, daytime_filter, split_train_validation
 
-out = Path(tempfile.mkdtemp()) / "city"
 spec = SynthSpec(num_nodes=40, counter_fraction=0.15, num_records=80, signal=0.9, records_per_day=10)
-dataset = generate_synthetic_city(spec, seed=7, out_dir=out)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "city"
+    dataset = generate_synthetic_city(spec, seed=7, out_dir=out)
+    print("files:", sorted(p.name for p in out.iterdir()))
+    # loading validates everything and reproduces the in-memory dataset: the same graph, records and
+    # super-segments, and the same label columns (NaN where a speed label is missing)
+    loaded = load_dataset(out)
+assert loaded._replace(labels=None) == dataset._replace(labels=None)
+assert all(np.array_equal(getattr(loaded.labels, name), getattr(dataset.labels, name), equal_nan=name == "speed_kph")
+           for name in ("record_ids", "segment_ids", "cc", "speed_kph", "vol_class"))
 
-print("files:", sorted(p.name for p in out.iterdir()))
 graph, records, labels, supersegments = dataset
 print(f"{len(graph.nodes)} nodes, {len(graph.segments)} segments, {len(graph.counters)} counters")
 print(f"{len(records)} records over {len({r.day for r in records})} days, {len(supersegments)} supersegments")
-
-# loading validates everything and reproduces the in-memory dataset
-assert load_dataset(out) == dataset
 
 seg = graph.segments[0]
 print(f"\nsegment {seg.segment_id}: {seg.tail_node} -> {seg.head_node}, "

@@ -14,12 +14,12 @@ import numpy as np
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters, volume_sum
 from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter
 
-out = Path(tempfile.mkdtemp()) / "city"
-dataset = generate_synthetic_city(
-    SynthSpec(num_nodes=40, counter_fraction=0.15, num_records=100, signal=0.9, records_per_day=10),
-    seed=3,
-    out_dir=out,
-)
+with tempfile.TemporaryDirectory() as tmp:  # the demo reads the dataset the generator returns, not its files
+    dataset = generate_synthetic_city(
+        SynthSpec(num_nodes=40, counter_fraction=0.15, num_records=100, signal=0.9, records_per_day=10),
+        seed=3,
+        out_dir=Path(tmp) / "city",
+    )
 records = daytime_filter(dataset.records)
 
 sums = sorted(volume_sum(r) for r in records)

@@ -21,12 +21,12 @@ from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter
 from t4c.model import ModelConfig, static_inputs
 from t4c.seggraph import counter_slice_matrix, fit_normalization
 
-out = Path(tempfile.mkdtemp()) / "city"
-dataset = generate_synthetic_city(
-    SynthSpec(num_nodes=30, counter_fraction=0.2, num_records=40, signal=0.9, records_per_day=10),
-    seed=5,
-    out_dir=out,
-)
+with tempfile.TemporaryDirectory() as tmp:  # the demo reads the dataset the generator returns, not its files
+    dataset = generate_synthetic_city(
+        SynthSpec(num_nodes=30, counter_fraction=0.2, num_records=40, signal=0.9, records_per_day=10),
+        seed=5,
+        out_dir=Path(tmp) / "city",
+    )
 records = daytime_filter(dataset.records)
 
 graph = dataset.graph

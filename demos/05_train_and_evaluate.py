@@ -18,12 +18,12 @@ from t4c.evaluation import core_metric, eta_labels, eta_metric, etas_from_speeds
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig, ensemble_predict, prepare_ensemble, prepare_training, train_one
 
-out = Path(tempfile.mkdtemp()) / "city"
-dataset = generate_synthetic_city(
-    SynthSpec(num_nodes=40, counter_fraction=0.15, num_records=120, signal=0.9, records_per_day=12),
-    seed=11,
-    out_dir=out,
-)
+with tempfile.TemporaryDirectory() as tmp:  # the demo reads the dataset the generator returns, not its files
+    dataset = generate_synthetic_city(
+        SynthSpec(num_nodes=40, counter_fraction=0.15, num_records=120, signal=0.9, records_per_day=12),
+        seed=11,
+        out_dir=Path(tmp) / "city",
+    )
 
 train_cfg = TrainConfig(epochs=8, batch_size=2, learning_rate=5e-3, ensemble_size=2, base_seed=0)
 model_cfg = ModelConfig(

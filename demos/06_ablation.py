@@ -16,12 +16,12 @@ from t4c.data import SynthSpec, generate_synthetic_city, daytime_filter, split_t
 from t4c.model import ModelConfig
 from t4c.training import TrainConfig, run_ablation
 
-out = Path(tempfile.mkdtemp()) / "city"
-dataset = generate_synthetic_city(
-    SynthSpec(num_nodes=40, counter_fraction=0.1, num_records=120, signal=0.9, records_per_day=12),
-    seed=21,
-    out_dir=out,
-)
+with tempfile.TemporaryDirectory() as tmp:  # the demo reads the dataset the generator returns, not its files
+    dataset = generate_synthetic_city(
+        SynthSpec(num_nodes=40, counter_fraction=0.1, num_records=120, signal=0.9, records_per_day=12),
+        seed=21,
+        out_dir=Path(tmp) / "city",
+    )
 
 train_cfg = TrainConfig(epochs=8, batch_size=2, learning_rate=5e-3, ensemble_size=1)
 model_cfg = ModelConfig(

@@ -18,7 +18,7 @@ from .data import (Dataset, DatasetError, LabelBundle, PredictionTable, RoadGrap
 from .evaluation import CoreScore, EtaScore, core_metric, eta_metric, etas_from_speeds
 from .baselines import fit_naive, fit_volume_cluster, node_gnn_baseline
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .model import ModelConfig, compute_loss, forward, init_params, predict_probabilities, static_inputs
+from .model import ModelConfig, init_params, predict_probabilities, static_inputs
 from .seggraph import NormStats, fit_normalization
 from .training import (Ensemble, RunLog, TrainConfig, TrainingSet, ensemble_predict, prepare_ensemble,
                        prepare_training, run_ablation, train_one)

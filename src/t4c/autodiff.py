@@ -132,9 +132,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -678,12 +675,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
     def zero_grad(self) -> None:
         self._grad.fill(0.0)
 
@@ -693,10 +684,6 @@ class ParamStore:
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of the current parameter values, keyed by name."""
         return {name: t.data.copy() for name, t in self._params.items()}
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The current parameter values by name, not copied: run as constants, they build no graph."""
-        return {name: t.data for name, t in self._params.items()}
 
 
 ADAM_BETAS = (0.9, 0.999)  # the decay rates of Adam's first and second moment estimates

@@ -43,20 +43,6 @@ class Checkpoint:
     vol_weights: np.ndarray
     config_hash: str
 
-    def equals(self, other: "Checkpoint") -> bool:
-        """The same config and hash, and the same bits in every parameter, norm stat and class weight."""
-        if self.config != other.config or self.config_hash != other.config_hash or set(self.params) != set(other.params):
-            return False
-        pairs = [(self.params[k], other.params[k]) for k in self.params]
-        pairs += [(getattr(self.norm_stats, f.name), getattr(other.norm_stats, f.name)) for f in fields(NormStats)]
-        pairs += [(self.cc_weights, other.cc_weights), (self.vol_weights, other.vol_weights)]
-        return all(_same_bits(a, b) for a, b in pairs)
-
-
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
 
 def _norm_stats_obj(stats: NormStats) -> dict:
     return {f.name: np.asarray(getattr(stats, f.name)).tolist() for f in fields(stats)}

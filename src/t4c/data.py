@@ -309,12 +309,6 @@ class LabelTable:
         row = range(len(self))[row]  # an IndexError past the end also ends iteration
         return LabelBundle(self, row, self.record_ids[row])
 
-    def __eq__(self, other) -> bool:
-        columns = ("record_ids", "segment_ids", "cc", "speed_kph", "vol_class")
-        return isinstance(other, LabelTable) and all(
-            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=name == "speed_kph") for name in columns
-        )
-
     @cached_property
     def rows(self) -> dict[str, int]:  # record id -> row
         return {record_id: row for row, record_id in enumerate(self.record_ids)}
@@ -1257,10 +1251,6 @@ def _nearest_counter(adj: list[list[int]], counter_nodes: Sequence[int]) -> tupl
                 dist[v] = dist[u] + 1
                 source[v] = source[u]
                 queue.append(v)
-    # disconnected nodes (should not happen on a spanning tree) get a sentinel
-    for i in range(n):
-        if dist[i] < 0:
-            dist[i] = n
     return dist, source
 
 

@@ -8,10 +8,12 @@ through L rounds of message passing over the road graph's segments
 (each round mixes a segment's own state with the mean of its neighbors',
 ``RoadGraph.mean_operator``); three residual-block head stacks then emit
 congestion logits, a speed value in normalized space, and volume-class
-logits. ``forward`` is ``static_branch`` on the ``static_inputs`` built
-from the road graph and the (segments, K, 3) priors (they read no counter
-volume, so they are the same for every record of one cluster) followed by
-``record_branch`` on the record's normalized counter slice.
+logits. A record's forward is ``static_branch`` on the ``static_inputs``
+built from the road graph and the (segments, K, 3) priors (they read no
+counter volume, so they are the same for every record of one cluster)
+followed by ``record_branch`` on the record's normalized counter slice;
+``tests/reference.py`` holds that composition as the tests' eager
+reference, ``forward``.
 
 Losses: class-weighted cross entropy for congestion and volume class
 (rows without a label are masked out), mean squared error on normalized
@@ -42,7 +44,6 @@ __all__ = [
     "PredictionBundle",
     "PredictionProbs",
     "LabelArrays",
-    "LossReport",
     "EMBEDDINGS",
     "HEADS",
     "param_shapes",
@@ -50,10 +51,8 @@ __all__ = [
     "static_inputs",
     "static_branch",
     "record_branch",
-    "forward",
     "make_label_arrays",
     "loss_terms",
-    "compute_loss",
     "predict_probabilities",
     "inverse_frequency_weights",
     "config_hash",
@@ -149,17 +148,6 @@ class LabelArrays:
     speed: np.ndarray  # (N,) float, normalized
     speed_mask: np.ndarray  # (N,) bool
     vol: np.ndarray  # (N,) int
-
-
-@dataclass(frozen=True)
-class LossReport:
-    loss_cc: float
-    loss_speed: float
-    loss_vol: float
-    loss: float
-    n_cc: int
-    n_speed: int
-    n_vol: int
 
 
 def config_hash(config: ModelConfig) -> str:
@@ -290,23 +278,6 @@ def record_branch(
     return PredictionBundle(cc_logits=cc_logits, speed_pred=ad.reshape(speed, speed.shape[:-1]), vol_logits=vol_logits)
 
 
-def forward(
-    params: Params,
-    config: ModelConfig,
-    graph: RoadGraph,
-    static_in: Sequence,
-    counter_slice: np.ndarray,
-) -> PredictionBundle:
-    """Run the full network on one record: ``static_branch`` on ``static_in`` (``static_inputs``), then
-    ``record_branch`` on the record's (N, 8) normalized ``counter_slice``.
-
-    ``params`` is a ParamStore when training, which records the computation
-    for ``backward``, or a name-to-array mapping (a checkpoint's params,
-    ``ParamStore.arrays()``) when predicting, which records none.
-    """
-    return record_branch(params, config, graph, counter_slice, static_branch(params, config, static_in))
-
-
 def make_label_arrays(table: LabelTable, row: int | None, graph: RoadGraph, norm_stats: NormStats) -> LabelArrays:
     """Map one record's labels (row ``row`` of its label table, None for a record without labels) onto the dense
     segment index.
@@ -345,22 +316,6 @@ def loss_terms(
     loss_vol, n_vol = ad.weighted_cross_entropy(pred.vol_logits, labels.vol, vol_weights)
     total = ad.weighted_sum((loss_cc, loss_speed, loss_vol), lambdas)  # (L_c * l1 + L_s * l2) + L_v * l3
     return (total, loss_cc, loss_speed, loss_vol), (n_cc, n_speed, n_vol)
-
-
-def compute_loss(
-    pred: PredictionBundle,
-    labels: LabelArrays,
-    cc_weights: np.ndarray,
-    vol_weights: np.ndarray,
-    lambdas: tuple[float, float, float],
-) -> tuple[Tensor, LossReport]:
-    """Combined multi-task loss; returns the scalar tensor and a report.
-
-    Tasks with no labeled segments contribute exactly zero to the value
-    and the gradient; their counts in the report flag the condition.
-    """
-    (total, *parts), counts = loss_terms(pred, labels, cc_weights, vol_weights, lambdas)
-    return total, LossReport(*(t.item() for t in parts), total.item(), *counts)
 
 
 def predict_probabilities(pred: PredictionBundle, norm_stats: NormStats) -> PredictionProbs:

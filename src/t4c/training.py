@@ -19,12 +19,13 @@ Ensemble prediction (``prepare_ensemble`` once per stage, then
 each cluster's static branches as one (members, segments, width) array.
 It then traces ``record_branch`` on the stacks once into a forward-only
 ``ad.Plan`` (each batched product makes one call per member with that
-member's shapes). Per record it makes ``predict_record``'s calls once on
-the stack: ``normalize_counters``, a replay of that plan and
-``predict_probabilities``, then the member mean, summed in member order.
-Every value has the bits of the members' separate ``predict_record``
-outputs averaged in that order. The ablation harness
-(``run_ablation``) trains one model per variant from one training set.
+member's shapes). Per record it makes the calls of one member's eager
+forward once on the stack: ``normalize_counters``, a replay of that plan
+and ``predict_probabilities``, then the member mean, summed in member
+order. Every value has the bits of the members' separate eager forwards
+(``predict_record`` in ``tests/reference.py``) averaged in that order.
+The ablation harness (``run_ablation``) trains one model per variant from
+one training set.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .model import (
     PredictionBundle,
     PredictionProbs,
     config_hash,
-    forward,
     init_params,
     inverse_frequency_weights,
     loss_terms,
@@ -77,7 +77,6 @@ __all__ = [
     "Ensemble",
     "prepare_ensemble",
     "ensemble_predict",
-    "predict_record",
     "save_runlog",
     "load_runlog",
     "run_ablation",
@@ -453,22 +452,6 @@ def run_ablation(dataset: Dataset, variants: Sequence[str], cluster_model, prior
                           data_order_hashes={v: log.data_order_hash for v, log in runlogs.items()})
 
 
-def predict_record(
-    ckpt: Checkpoint,
-    graph: RoadGraph,
-    priors: np.ndarray,
-    record: VolumeRecord,
-    cluster_model: ClusterModel | None = None,
-) -> PredictionProbs:
-    """Single-model probabilities for one record: the reference that ``ensemble_predict`` serves faster."""
-    norm_stats = ckpt.norm_stats
-    row = _prior_row(ckpt.config.prior_mode, cluster_model, record)
-    static_in = static_inputs(ckpt.config, graph, priors, norm_stats, row)
-    counter_slice = norm_stats.normalize_counters(counter_slice_matrix(graph, record))
-    pred = forward(ckpt.params, ckpt.config, graph, static_in, counter_slice)
-    return predict_probabilities(pred, norm_stats)
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Checkpoints of one config, ready to serve records one at a time.
@@ -549,11 +532,12 @@ def prepare_ensemble(
 def ensemble_predict(ensemble: Ensemble, record: VolumeRecord) -> PredictionProbs:
     """Mean of member probabilities and speeds, summed in member order.
 
-    The calls of ``predict_record``, once on the member stack: per record,
-    the raw counter slice is built once and normalized for every member in
-    one op, and the plan of the model's trunk and heads is replayed once,
-    with the static branches of the record's prior row. Every value has the
-    bits of the members' ``predict_record`` outputs averaged in member order.
+    The calls of one member's eager forward, once on the member stack: per
+    record, the raw counter slice is built once and normalized for every
+    member in one op, and the plan of the model's trunk and heads is replayed
+    once, with the static branches of the record's prior row. Every value has
+    the bits of the members' eager outputs (``predict_record`` in
+    ``tests/reference.py``) averaged in member order.
     """
     ens = ensemble
     row = _prior_row(ens.config.prior_mode, ens.cluster_model, record)

@@ -1,4 +1,5 @@
-"""Shared fixtures: a tiny hand-built city, finite-difference helpers and a scalar to backpropagate from."""
+"""Shared fixtures: a tiny hand-built city, finite-difference helpers, a scalar to backpropagate from, and bitwise
+equality of checkpoints and of label tables."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from t4c.data import (
     VolumeRecord,
 )
 from t4c.model import ModelConfig, param_shapes, static_inputs
-from t4c.seggraph import counter_slice_matrix
+from t4c.seggraph import NormStats, counter_slice_matrix
 
 
 def make_segment(seg_id, tail, head, **overrides):
@@ -102,7 +103,7 @@ def toy_dataset(toy_graph) -> Dataset:
 
 
 def record_inputs(config, graph, record, priors, norm_stats, row=None):
-    """The two inputs ``model.forward`` takes for one record under ``config``: the ``static_inputs``
+    """The two inputs ``reference.forward`` takes for one record under ``config``: the ``static_inputs``
     (``row`` is the prior row in ``active_row`` mode) and the normalized counter slice."""
     static_in = static_inputs(config, graph, priors, norm_stats, row)
     return static_in, norm_stats.normalize_counters(counter_slice_matrix(graph, record))
@@ -130,7 +131,7 @@ def central_diff_tensor(f, tensor, h=1e-5) -> np.ndarray:
 
 
 def central_diff_store(f, store, h=1e-5) -> dict[str, np.ndarray]:
-    return {name: central_diff_tensor(f, p, h) for name, p in store.items()}
+    return {name: central_diff_tensor(f, store[name], h) for name in store.state_arrays()}
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -141,6 +142,34 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     if analytic.size == 0:
         return 0.0
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def same_checkpoint(a, b) -> bool:
+    """The same config and hash, and the same bits in every parameter, norm stat and class weight."""
+    if a.config != b.config or a.config_hash != b.config_hash or set(a.params) != set(b.params):
+        return False
+    pairs = [(a.params[k], b.params[k]) for k in a.params]
+    pairs += [(getattr(a.norm_stats, f.name), getattr(b.norm_stats, f.name)) for f in fields(NormStats)]
+    pairs += [(a.cc_weights, b.cc_weights), (a.vol_weights, b.vol_weights)]
+    return all(_same_bits(x, y) for x, y in pairs)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_labels(a, b) -> bool:
+    """Two label tables with the same ids and equal columns, NaN speeds matching."""
+    columns = ("record_ids", "segment_ids", "cc", "speed_kph", "vol_class")
+    return isinstance(b, LabelTable) and all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name == "speed_kph") for name in columns
+    )
+
+
+def same_dataset(a, b) -> bool:
+    """The same graph, records and super-segments, and ``same_labels``."""
+    return a._replace(labels=None) == b._replace(labels=None) and same_labels(a.labels, b.labels)
 
 
 def rewrite_checkpoint_header(src, dst, edit):

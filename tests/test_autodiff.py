@@ -1,6 +1,8 @@
 """Engine tests: forward definitions, gradients vs finite differences,
 masking behavior, and the Adam update."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,7 +293,7 @@ def _check_grad(build, x):
     t = Tensor(x, requires_grad=True)
     loss = build(t)
     loss.backward()
-    numeric = central_diff_tensor(lambda: build(Tensor(t.data)).item(), t)
+    numeric = central_diff_tensor(lambda: float(build(Tensor(t.data)).data), t)
     assert max_rel_error(t.grad, numeric) < GRAD_TOL
 
 
@@ -312,7 +314,7 @@ def test_grad_add_with_bias_broadcast():
         return ad.mse(h, np.zeros((5, 3)))[0]
 
     def loss_fn():
-        return build().item()
+        return float(build().data)
 
     loss = build()
     loss.backward()
@@ -380,7 +382,7 @@ def _check_operand_grads(build, values, trainable):
     build(operands(leaves)).backward()
     for name, leaf in leaves.items():
         frozen = {other: Tensor(t.data) for other, t in leaves.items()}
-        numeric = central_diff_tensor(lambda: build(operands(frozen)).item(), frozen[name])
+        numeric = central_diff_tensor(lambda: float(build(operands(frozen)).data), frozen[name])
         assert max_rel_error(leaf.grad, numeric) < GRAD_TOL, name
 
 
@@ -597,6 +599,11 @@ def test_relu_maps_negative_zero_to_positive_zero_and_propagates_nan(name):
     assert np.all(tx.grad == 0.0)  # NaN > 0 is False, so the mask stops the gradient there too
 
 
+def test_backward_refuses_a_tensor_that_is_not_a_scalar():
+    with pytest.raises(ValueError, match=re.escape("backward() expects a scalar, got shape (2,)")):
+        Tensor(np.ones(2), requires_grad=True).backward()
+
+
 def test_linear_and_gnn_round_refuse_an_operand_that_is_not_float64():
     """A float16 product keeps a -0.0 pre-activation through the ReLU, against the contract above: such an operand is
     refused, named with its dtype, plain or held by a Tensor."""
@@ -622,7 +629,7 @@ def test_random_five_parameter_graph_matches_finite_differences():
         "w1": rng.normal(size=(3, 4)), "b1": rng.normal(size=4), "w2": rng.normal(size=(4, 2)),
         "emb": rng.normal(size=(5, 3)), "scale": rng.normal(size=(2,)),
     })
-    w1, b1, w2, emb, scale = (store[name] for name in store.names())
+    w1, b1, w2, emb, scale = (store[name] for name in store.state_arrays())
     cells = ad.embedding_cells([(5, 3)], np.array([[0], [4], [2], [2]]))
     mean_operator = mean_aggregation_matrix([(1, 3), (0, 2), (1,), ()])
 
@@ -634,8 +641,9 @@ def test_random_five_parameter_graph_matches_finite_differences():
 
     loss = compute()
     loss.backward()
-    for name, p in store.items():
-        numeric = central_diff_tensor(lambda: compute().item(), p)
+    for name in store.state_arrays():
+        p = store[name]
+        numeric = central_diff_tensor(lambda: float(compute().data), p)
         assert max_rel_error(p.grad, numeric) < GRAD_TOL, name
 
 
@@ -646,14 +654,14 @@ def test_wce_uniform_logits_is_ln3():
     logits = Tensor(np.zeros((1, 3)), requires_grad=True)
     loss, n = ad.weighted_cross_entropy(logits, [0], np.ones(3))
     assert n == 1
-    assert abs(loss.item() - np.log(3.0)) < 1e-12
+    assert abs(float(loss.data) - np.log(3.0)) < 1e-12
 
 
 def test_wce_single_masked_row_zero_loss_and_grad():
     logits = Tensor(np.array([[2.0, -1.0, 0.5]]), requires_grad=True)
     loss, n = ad.weighted_cross_entropy(logits, [-1], np.ones(3))
     assert n == 0
-    assert loss.item() == 0.0
+    assert float(loss.data) == 0.0
     loss.backward()
     assert logits.grad is None or not logits.grad.any()
 
@@ -663,7 +671,7 @@ def test_wce_weighted_example_frozen_oracle():
     expected = 0.479089532443769
     logits = Tensor(np.array([[2.0, 0.0, 0.0]]))
     loss, _ = ad.weighted_cross_entropy(logits, [0], np.array([2.0, 1.0, 1.0]))
-    assert abs(loss.item() - expected) < 1e-12
+    assert abs(float(loss.data) - expected) < 1e-12
 
 
 def test_wce_masked_rows_contribute_no_gradient():
@@ -682,7 +690,7 @@ def test_wce_masked_rows_contribute_no_gradient():
     t2 = Tensor(x2, requires_grad=True)
     loss2, _ = ad.weighted_cross_entropy(t2, labels, weights)
     loss2.backward()
-    assert loss1.item() == loss2.item()
+    assert float(loss1.data) == float(loss2.data)
     assert np.array_equal(t1.grad[0], t2.grad[0])
     assert np.array_equal(t1.grad[2], t2.grad[2])
     assert not t1.grad[1].any() and not t2.grad[3].any()
@@ -696,7 +704,7 @@ def test_wce_gradient_matches_finite_differences():
     loss, _ = ad.weighted_cross_entropy(t, labels, weights)
     loss.backward()
     numeric = central_diff_tensor(
-        lambda: ad.weighted_cross_entropy(Tensor(t.data), labels, weights)[0].item(), t
+        lambda: float(ad.weighted_cross_entropy(Tensor(t.data), labels, weights)[0].data), t
     )
     assert max_rel_error(t.grad, numeric) < GRAD_TOL
 
@@ -709,10 +717,10 @@ def test_wce_rejects_nonpositive_weights():
 def test_mse_examples():
     pred = Tensor(np.array([1.0, 2.0]))
     loss, n = ad.mse(pred, np.array([1.0, 2.0]))
-    assert loss.item() == 0.0 and n == 2
+    assert float(loss.data) == 0.0 and n == 2
 
     loss, n = ad.mse(Tensor(np.array([3.0])), np.array([1.0]))
-    assert loss.item() == 4.0 and n == 1
+    assert float(loss.data) == 4.0 and n == 1
 
 
 def test_mse_gradient_single_element():
@@ -720,14 +728,14 @@ def test_mse_gradient_single_element():
     loss, _ = ad.mse(t, np.array([1.0]))
     loss.backward()
     assert abs(t.grad[0] - 4.0) < 1e-12
-    numeric = central_diff_tensor(lambda: ad.mse(Tensor(t.data), np.array([1.0]))[0].item(), t)
+    numeric = central_diff_tensor(lambda: float(ad.mse(Tensor(t.data), np.array([1.0]))[0].data), t)
     assert max_rel_error(t.grad, numeric) < GRAD_TOL
 
 
 def test_mse_all_masked():
     t = Tensor(np.array([3.0, 1.0]), requires_grad=True)
     loss, n = ad.mse(t, np.zeros(2), np.zeros(2, dtype=bool))
-    assert loss.item() == 0.0 and n == 0
+    assert float(loss.data) == 0.0 and n == 0
     loss.backward()
     assert t.grad is None or not t.grad.any()
 
@@ -736,7 +744,7 @@ def test_mse_masked_entries_do_not_leak():
     t = Tensor(np.array([3.0, 100.0]), requires_grad=True)
     mask = np.array([True, False])
     loss, n = ad.mse(t, np.array([1.0, 0.0]), mask)
-    assert n == 1 and loss.item() == 4.0
+    assert n == 1 and float(loss.data) == 4.0
     loss.backward()
     assert t.grad[1] == 0.0
 
@@ -802,7 +810,7 @@ def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
     values = {name: value.copy() for name, value in init.items()}
     moments = {name: (np.zeros_like(value), np.zeros_like(value)) for name, value in init.items()}
     x = rng.normal(size=(2, 3))
-    live = store.arrays()
+    live = {name: store[name].data for name in init}
     for step in range(1, 6):
         store.zero_grad()
         # "w" and "b" get their gradients from backward, "direct" by a write into its view, "idle" none
@@ -818,7 +826,7 @@ def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
         # state_arrays() are copies: the step left the snapshot as it was
         assert not np.array_equal(snapshot["w"], store["w"].data)
     assert store["idle"].data.tobytes() == init["idle"].tobytes()
-    # arrays() are the live values, not copies
+    # each parameter's data is a fixed view: taken before the steps, it holds the live values
     for name, array in live.items():
         assert array is store[name].data or np.shares_memory(array, store[name].data)
         assert array.tobytes() == values[name].tobytes()
@@ -837,7 +845,8 @@ def test_the_store_views_stay_on_its_flat_buffers_and_a_traced_plan_follows_them
     plan = ad.Plan.trace(lambda x, y: [ad.mse(ad.linear(x, w, b, relu=True), y)[0]], (x, y))
 
     def assert_on_buffers():
-        for name, p in store.items():
+        for name in store.state_arrays():
+            p = store[name]
             assert np.shares_memory(p.data, store._flat) and np.shares_memory(p.grad, store._grad), name
 
     for step in range(3):

@@ -39,7 +39,7 @@ from t4c.data import (
 )
 
 
-from conftest import make_segment, write_version_1_copy
+from conftest import make_segment, same_dataset, same_labels, write_version_1_copy
 
 
 def make_record(record_id, day, t_index, volumes=None):
@@ -52,7 +52,7 @@ def make_record(record_id, day, t_index, volumes=None):
 def test_write_then_load_round_trip(toy_dataset, tmp_path):
     write_dataset(toy_dataset, tmp_path / "city")
     loaded = load_dataset(tmp_path / "city")
-    assert loaded == toy_dataset
+    assert same_dataset(loaded, toy_dataset)
 
 
 def reference_label_line(labels: LabelTable, row: int) -> str:
@@ -101,7 +101,7 @@ def test_label_lines_equal_the_json_dumps_reference_and_load_back(data):
         expected = "".join(reference_label_line(labels, row) for row in range(len(labels)))
         assert (out / "labels.jsonl").read_bytes() == expected.encode("utf-8")
         if not np.isinf(speed).any():  # the loader refuses an infinite speed
-            assert load_dataset(out).labels == labels
+            assert same_labels(load_dataset(out).labels, labels)
 
 
 @pytest.mark.parametrize("where", ["node", "counter", "segment", "record", "supersegment"])
@@ -138,7 +138,7 @@ def test_ids_with_a_carriage_return_load_back_from_the_csv_files():
     with tempfile.TemporaryDirectory() as tmp:
         out = write_dataset(dataset, Path(tmp) / "city")
         assert (out / "edges.csv").read_bytes().split(b"\n")[2].startswith(b"e1,B,C,")  # other rows as before
-        assert load_dataset(out) == dataset
+        assert same_dataset(load_dataset(out), dataset)
 
 
 def test_label_table_refuses_a_repeated_segment_id():
@@ -468,7 +468,7 @@ def test_synth_output_loads_and_validates(tmp_path):
     spec = SynthSpec(num_nodes=20, counter_fraction=0.3, num_records=25, signal=0.5)
     written = generate_synthetic_city(spec, seed=5, out_dir=tmp_path / "c")
     loaded = load_dataset(tmp_path / "c")
-    assert loaded == written
+    assert same_dataset(loaded, written)
     graph = loaded.graph
     node_ids = {n.node_id for n in graph.nodes}
     for seg in graph.segments:
@@ -495,6 +495,19 @@ def test_synth_full_counter_fraction(tmp_path):
     spec = SynthSpec(num_nodes=10, counter_fraction=1.0, num_records=5)
     dataset = generate_synthetic_city(spec, seed=2, out_dir=tmp_path / "d")
     assert len(dataset.graph.counters) == len(dataset.graph.nodes)
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(num_nodes=4, counter_fraction=0.01, num_records=3),
+    SynthSpec(num_nodes=12, counter_fraction=0.1, num_records=3),
+    SynthSpec(num_nodes=50, counter_fraction=0.02, num_records=3),
+], ids=["4_nodes_1_counter", "12_nodes_2_counters", "50_nodes_1_counter"])
+def test_synth_reaches_a_counter_from_every_segment(spec, tmp_path):
+    """A spec has a counter fraction above 0, so a city has a counter, and the generator joins every node by a
+    spanning tree first, so the nearest-counter search reaches every node: each hop distance is in [0, num_nodes)."""
+    graph = generate_synthetic_city(spec, seed=0, out_dir=tmp_path / "city").graph
+    assert len(graph.counters) == math.ceil(spec.counter_fraction * spec.num_nodes)
+    assert all(0 <= segment.counter_distance < spec.num_nodes for segment in graph.segments)
 
 
 def test_synth_of_the_smallest_city_joins_every_node_pair(tmp_path):
@@ -693,6 +706,11 @@ def _load_outcome(city):
         return type(exc), str(exc)
 
 
+def _same_outcome(a, b) -> bool:
+    """Two outcomes alike: ``same_labels`` for a label table, else equal values."""
+    return same_labels(a, b) if isinstance(a, LabelTable) else a == b
+
+
 def _parse_outcome(city):
     """``_load_outcome`` with the copy moved aside, so that the labels are parsed."""
     copy = city / "labels.jsonl.bin"
@@ -719,7 +737,7 @@ def test_a_fresh_labels_copy_is_taken_and_holds_the_parsed_table(copy_cities, se
     city = copy_cities / f"city{seed}"
     labels = load_dataset(city).labels
     assert _copy_taken(city, load_dataset(city))
-    assert labels == _parse_outcome(city)
+    assert same_labels(labels, _parse_outcome(city))
     assert [column.dtype for column in (labels.cc, labels.speed_kph, labels.vol_class)] == [np.int8, np.float64, np.int8]
     assert not any(column.flags.writeable for column in (labels.cc, labels.speed_kph, labels.vol_class))
 
@@ -745,7 +763,7 @@ def test_a_damaged_or_stale_labels_copy_loads_as_the_parse(copy_cities, data):
         jsonl.write_bytes(text[:position] + bytes([value]) + text[position + 1:])
     try:
         assert not _copy_taken(city, city1)
-        assert _load_outcome(city) == _parse_outcome(city)
+        assert _same_outcome(_load_outcome(city), _parse_outcome(city))
     finally:
         jsonl.write_bytes(text)
         copy.write_bytes(raw)
@@ -780,7 +798,7 @@ def test_a_copy_bound_to_its_jsonl_that_the_parse_would_not_give_is_not_taken(co
     city = write_dataset(Dataset(graph, records, _edit_labels(labels, edit), supersegments), tmp_path / "city")
     assert not _copy_taken(city, city1)
     outcome = _load_outcome(city)
-    assert outcome == _parse_outcome(city)
+    assert _same_outcome(outcome, _parse_outcome(city))
     assert isinstance(outcome, LabelTable) == (edit in ("segment_order", "cc_below_the_sentinel",
                                                         "vol_below_the_sentinel"))
 
@@ -803,7 +821,8 @@ def test_a_copy_with_a_bad_header_or_payload_length_is_not_taken(copy_cities, tm
     assert data_module._read_copy(jsonl, data_module._LABELS_COPY, dict)[0] == header
     city1 = load_dataset(copy_cities / "city1")
     assert not _copy_taken(city, city1)
-    assert load_dataset(city).labels == _parse_outcome(city) == city1.labels
+    parsed = _parse_outcome(city)
+    assert same_labels(load_dataset(city).labels, parsed) and same_labels(parsed, city1.labels)
 
 
 # -- the check that binds a copy to its JSONL: the copy ends in the JSONL's bytes, compared chunk by chunk -----------
@@ -872,7 +891,7 @@ def test_a_jsonl_edited_by_one_byte_loads_as_its_parse_and_not_from_its_copy(cop
     jsonl.write_bytes(edited)
     try:
         assert not taken()
-        assert load() == parse()
+        assert _same_outcome(load(), parse())
     finally:
         jsonl.write_bytes(text)
     assert taken()
@@ -890,4 +909,4 @@ def test_a_version_1_labels_copy_is_ignored(tmp_path):
     assert hashlib.sha256((city / "labels.jsonl.bin").read_bytes()).hexdigest() == VERSION_1_LABELS_COPY_SHA256
     assert data_module._read_copy(city / "labels.jsonl", data_module._LABELS_COPY, dict)[0] is None
     assert data_module._labels_copy(city / "labels.jsonl", *_ids(load_dataset(city))) is None
-    assert _load_outcome(city) == _parse_outcome(city)
+    assert _same_outcome(_load_outcome(city), _parse_outcome(city))

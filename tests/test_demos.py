@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion, with any warning an error (as the CI's console-script steps run)."""
+"""Every narrative demo runs to completion, with any warning an error (as the CI's console-script steps run), and
+leaves nothing in the temporary directory."""
 
 import os
 import subprocess
@@ -17,8 +18,11 @@ SLOW = {"05_train_and_evaluate.py", "06_ablation.py"}  # a few seconds of traini
 ])
 def test_demo_runs(demo, tmp_path):
     src = str(DEMOS.parent / "src")
-    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONWARNINGS": "error",
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmp), "PYTHONWARNINGS": "error",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp.iterdir()) == []

@@ -27,9 +27,10 @@ from t4c.checkpoint import save_checkpoint
 from t4c.cli import main
 from t4c.data import PredictionTable, SynthSpec, generate_synthetic_city, labels_by_record
 from t4c.evaluation import PROB_CLIP, core_metric
-from t4c.model import compute_loss, forward, init_params, static_inputs
+from t4c.model import init_params, static_inputs
 from t4c.training import prepare_training, save_runlog, train_one
 
+from reference import compute_loss, forward
 from test_acceptance import ORDERING_MODEL, ORDERING_TRAIN, ordering_city, ordering_fit  # noqa: F401
 
 GOLDEN_TRAIN = replace(ORDERING_TRAIN, epochs=2)
@@ -142,7 +143,7 @@ def test_one_training_record_runs_the_fused_ops(ordering_city, ordering_fit, mon
     loss, _ = compute_loss(pred, ts.targets[record_id], ts.cc_weights, ts.vol_weights, ORDERING_MODEL.lambdas)
     assert ad.Plan([loss]).ops == plans[0].ops
     loss.backward()
-    assert all(p.grad.any() for _name, p in store.items())
+    assert all(store[name].grad.any() for name in store.state_arrays())
 
 
 def test_synth_fit_clusters_and_eval_core_reproduce_the_recorded_bits(tmp_path):

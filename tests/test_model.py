@@ -15,9 +15,7 @@ from t4c.model import (
     EMBEDDINGS,
     LabelArrays,
     ModelConfig,
-    compute_loss,
     config_hash,
-    forward,
     init_params,
     inverse_frequency_weights,
     make_label_arrays,
@@ -28,6 +26,7 @@ from t4c.model import (
 from t4c.seggraph import NormStats
 
 from conftest import central_diff_store, make_segment, max_rel_error, record_inputs
+from reference import compute_loss, forward
 
 TINY = ModelConfig(
     volume_hidden=(8,),
@@ -107,7 +106,8 @@ def test_default_static_encoder_width_is_47():
 @pytest.mark.parametrize("cfg", [TINY, ModelConfig(), replace(TINY, gnn_layers=0, head_blocks=0)],
                          ids=["tiny", "default", "no_gnn_no_blocks"])
 def test_param_shapes_are_the_names_and_shapes_init_params_draws_in_its_order(cfg):
-    assert list(param_shapes(cfg).items()) == [(name, p.shape) for name, p in init_params(cfg, seed=0).items()]
+    params = init_params(cfg, seed=0).state_arrays()
+    assert list(param_shapes(cfg).items()) == [(name, p.shape) for name, p in params.items()]
 
 
 def test_default_lambdas_match_training_recipe():
@@ -292,14 +292,15 @@ def test_end_to_end_gradient_check_six_segments():
     def loss_value() -> float:
         pred = forward(store, cfg, graph, feats, counter)
         loss, _ = compute_loss(pred, labels, cc_w, vol_w, cfg.lambdas)
-        return loss.item()
+        return float(loss.data)
 
     pred = forward(store, cfg, graph, feats, counter)
     loss, _ = compute_loss(pred, labels, cc_w, vol_w, cfg.lambdas)
     store.zero_grad()
     loss.backward()
     numeric = central_diff_store(loss_value, store)
-    for name, p in store.items():
+    for name in store.state_arrays():
+        p = store[name]
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         assert max_rel_error(grad, numeric[name]) < 1e-6, name
 
@@ -338,8 +339,8 @@ def test_with_use_static_off_the_embedding_tables_move_no_output_bit_and_get_no_
     cfg = replace(TINY, use_static=False)
     graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=5)
-    base = forward(store.arrays(), cfg, graph, feats, counter)
-    shifted = {name: value + 1.0 if name.startswith("emb_") else value for name, value in store.arrays().items()}
+    base = forward(store.state_arrays(), cfg, graph, feats, counter)
+    shifted = {name: value + 1.0 if name.startswith("emb_") else value for name, value in store.state_arrays().items()}
     moved = forward(shifted, cfg, graph, feats, counter)
     for name in ("cc_logits", "speed_pred", "vol_logits"):
         assert getattr(moved, name).tobytes() == getattr(base, name).tobytes()
@@ -348,7 +349,7 @@ def test_with_use_static_off_the_embedding_tables_move_no_output_bit_and_get_no_
                            np.ones(3), np.ones(3), cfg.lambdas)
     store.zero_grad()
     loss.backward()
-    grads = {name: p.grad for name, p in store.items()}
+    grads = {name: store[name].grad for name in store.state_arrays()}
     assert {name for name in grads if name.startswith("emb_")} == {f"emb_{name}" for name in EMBEDDINGS}
     assert not any(grad.any() for name, grad in grads.items() if name.startswith("emb_"))
     assert grads["static0_w"].any()
@@ -369,7 +370,7 @@ def test_no_gnn_heads_read_pre_aggregation_features():
     store = init_params(cfg, seed=13)
     pred = forward(store, cfg, graph, feats, counter)
     assert np.all(np.isfinite(pred.cc_logits.data))
-    assert not any(name.startswith("gnn") for name in store.names())
+    assert not any(name.startswith("gnn") for name in store.state_arrays())
 
 
 @pytest.mark.parametrize(
@@ -382,7 +383,7 @@ def test_forward_on_arrays_equals_forward_on_a_param_store(overrides):
     graph, feats, counter = six_segment_setup(cfg)
     store = init_params(cfg, seed=4)
     traced = forward(store, cfg, graph, feats, counter)
-    plain = forward(store.arrays(), cfg, graph, feats, counter)
+    plain = forward(store.state_arrays(), cfg, graph, feats, counter)
     for name in ("cc_logits", "speed_pred", "vol_logits"):
         value = getattr(plain, name)
         assert type(value) is np.ndarray

@@ -17,20 +17,20 @@ from t4c.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from t4c.clustering import assign_cluster, build_prior_matrices, fit_clusters
 from t4c.data import PredictionTable, SynthSpec, daytime_filter, generate_synthetic_city, split_train_validation
 from t4c.evaluation import core_metric
-from t4c.model import ModelConfig, compute_loss, config_hash, forward, init_params, param_shapes
+from t4c.model import ModelConfig, config_hash, init_params, param_shapes
 from t4c.seggraph import fit_normalization
 from t4c.training import (
     TrainConfig,
     ensemble_predict,
     load_runlog,
-    predict_record,
     prepare_ensemble,
     prepare_training,
     save_runlog,
     train_one,
 )
 
-from conftest import record_inputs, rewrite_checkpoint_header, write_body_value
+from conftest import record_inputs, rewrite_checkpoint_header, same_checkpoint, write_body_value
+from reference import compute_loss, forward, predict_record
 
 SMALL_MODEL = ModelConfig(
     volume_hidden=(16,), static_hidden=(16,), gnn_layers=2, hidden=16,
@@ -80,7 +80,7 @@ def test_config_validation():
 def test_two_identical_runs_are_bitwise_identical(small_city, trained):
     ckpt_a, runlog_a = trained
     ckpt_b, runlog_b = train_one(_training_set(small_city), SMALL_MODEL, seed=1)
-    assert ckpt_a.equals(ckpt_b)
+    assert same_checkpoint(ckpt_a, ckpt_b)
     assert runlog_a == runlog_b
     assert runlog_a.data_order_hash == runlog_b.data_order_hash
 
@@ -135,7 +135,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, trained):
     ckpt, _runlog = trained
     path = save_checkpoint(tmp_path / "checkpoint.bin", ckpt)
     loaded = load_checkpoint(path)
-    assert loaded.equals(ckpt)
+    assert same_checkpoint(loaded, ckpt)
     for name in ckpt.params:
         assert np.array_equal(loaded.params[name], ckpt.params[name])
     assert loaded.config == ckpt.config
@@ -155,10 +155,10 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, trained):
 def test_checkpoints_that_differ_only_in_a_norm_stat_or_a_class_weight_compare_unequal(trained, change):
     ckpt, _runlog = trained
     other = replace(ckpt, **change(ckpt))
-    assert not other.equals(ckpt) and not ckpt.equals(other)
+    assert not same_checkpoint(other, ckpt) and not same_checkpoint(ckpt, other)
     copied = replace(ckpt, params={k: v.copy() for k, v in ckpt.params.items()}, cc_weights=ckpt.cc_weights.copy(),
                      vol_weights=ckpt.vol_weights.copy(), norm_stats=replace(ckpt.norm_stats))
-    assert copied.equals(ckpt) and ckpt.equals(copied)
+    assert same_checkpoint(copied, ckpt) and same_checkpoint(ckpt, copied)
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +281,7 @@ def test_overwritten_header_byte_fails_cleanly_or_loads_a_consistent_checkpoint(
         assert str(path) in str(exc)
         return
     assert ckpt.config_hash == config_hash(ckpt.config)
-    expected = init_params(ckpt.config, 0)
+    expected = init_params(ckpt.config, 0).state_arrays()
     assert {name: p.shape for name, p in ckpt.params.items()} == {name: t.shape for name, t in expected.items()}
 
 
@@ -312,14 +312,15 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
             targets[record.record_id], w, w, SMALL_MODEL.lambdas,
         )
         loss.backward()
-        return {n: p.grad.copy() for n, p in store.items()}
+        return {n: store[n].grad.copy() for n in store.state_arrays()}
 
     # manual: mean of individual gradients, then one Adam step
     store_manual = init_params(SMALL_MODEL, seed=3)
     g1 = grads_for(r1, store_manual)
     g2 = grads_for(r2, store_manual)
     store_manual.zero_grad()
-    for name, p in store_manual.items():
+    for name in store_manual.state_arrays():
+        p = store_manual[name]
         p.grad[...] = (g1[name] + g2[name]) / 2.0
     ad.adam_step(store_manual, lr=1e-3)
 
@@ -335,7 +336,7 @@ def test_gradient_accumulation_equals_mean_of_gradients(small_city):
     store_batch.scale_grads(0.5)
     ad.adam_step(store_batch, lr=1e-3)
 
-    for name in store_manual.names():
+    for name in store_manual.state_arrays():
         a = store_manual[name].data
         b = store_batch[name].data
         assert np.max(np.abs(a - b)) <= 1e-12, name
@@ -509,7 +510,7 @@ def _noisy_checkpoint(config, norm_stats, seed):
     seeded noise, so no two members share a value."""
     rng = np.random.default_rng(seed)
     params = {name: value + rng.normal(scale=0.1, size=value.shape)
-              for name, value in init_params(config, seed).arrays().items()}
+              for name, value in init_params(config, seed).state_arrays().items()}
     stats = replace(norm_stats, counter_mean=norm_stats.counter_mean + 0.1 * seed,
                     speed_std=norm_stats.speed_std * (1 + 0.1 * seed))
     return Checkpoint(params, stats, config, np.ones(3), np.ones(3), config_hash(config))
@@ -653,7 +654,7 @@ def test_member_retraining_reproduces_checkpoint(small_city):
     cfg = replace(SMALL_TRAIN, epochs=2, ensemble_size=2)
     members = _members(small_city, cfg)
     ckpt_again, _ = train_one(_training_set(small_city, cfg), SMALL_MODEL, seed=cfg.seeds()[1])
-    assert members[1][0].equals(ckpt_again)
+    assert same_checkpoint(members[1][0], ckpt_again)
 
 
 def test_config_hash_mismatch_rejected(small_city, trained):
@@ -677,7 +678,7 @@ def test_members_from_one_training_set_equal_members_from_fresh_sets(small_city,
     for seed in seeds:
         ckpt, runlog = from_shared[seed]
         fresh_ckpt, fresh_runlog = train_one(_training_set(small_city, cfg), SMALL_MODEL, seed)
-        assert ckpt.equals(fresh_ckpt), seed
+        assert same_checkpoint(ckpt, fresh_ckpt), seed
         assert runlog == fresh_runlog, seed
     counter_slice = next(iter(shared.counter_slices.values()))
     targets = next(iter(shared.targets.values()))
@@ -776,12 +777,14 @@ def _assert_replay_equals_one_shot(fits):
             one_shot = other_loss(*record_inputs)
             one_shot[0].backward()
             assert replayed == [t.data.tobytes() for t in one_shot]
-        for name, p in store.items():
+        for name in store.state_arrays():
+            p = store[name]
             assert p.grad.tobytes() == other[name].grad.tobytes(), name
         for s in (store, other):
             s.scale_grads(0.5)
             ad.adam_step(s, lr=1e-2)
-        for name, p in store.items():
+        for name in store.state_arrays():
+            p = store[name]
             assert p.data.tobytes() == other[name].data.tobytes(), name
 
 
@@ -875,7 +878,7 @@ def test_after_the_trace_no_op_runs_outside_the_plan_and_every_result_is_kept(sm
     for (ts, cfg), (expected_ckpt, expected_runlog) in zip(runs, expected):
         ckpt, runlog = train_one(ts, cfg, seed=0)
         assert runlog == expected_runlog
-        assert ckpt.equals(expected_ckpt)
+        assert same_checkpoint(ckpt, expected_ckpt)
     assert baselines.node_gnn_baseline(small_city[0], SMALL_TRAIN) == expected_gnn
 
 
